@@ -1,5 +1,5 @@
 //! Ablation benchmark: pipeline latency with and without Table II
-//! normalization (DESIGN.md §7).
+//! normalization.
 
 use graphqe::GraphQE;
 use graphqe_bench::microbench::bench;

@@ -1,10 +1,10 @@
 //! Ablation study: how many CyEqSet pairs are provable with parts of the
-//! pipeline disabled (DESIGN.md §7).
+//! pipeline disabled.
 
 #![forbid(unsafe_code)]
 
-use graphqe::GraphQE;
-use graphqe_bench::run_cyeqset;
+use graphqe::{machine_parallelism, GraphQE};
+use graphqe_bench::run_pairs;
 
 fn main() {
     let configurations = [
@@ -17,7 +17,7 @@ fn main() {
     ];
     println!("Ablation: proved CyEqSet pairs per configuration");
     for (name, prover) in configurations {
-        let results = run_cyeqset(&prover);
+        let results = run_pairs(&prover, cyeqset::cyeqset(), machine_parallelism());
         let proved = results.iter().filter(|r| r.verdict.is_equivalent()).count();
         let rejected = results.iter().filter(|r| r.verdict.is_not_equivalent()).count();
         println!(

@@ -8,11 +8,11 @@
 #![forbid(unsafe_code)]
 
 use graphqe::GraphQE;
-use graphqe_bench::{format_fig5, latency_distribution, run_pairs_with_threads};
+use graphqe_bench::{format_fig5, latency_distribution, run_pairs};
 
 fn main() {
     let prover = GraphQE::new();
-    let results = run_pairs_with_threads(&prover, cyeqset::cyeqset(), 1);
+    let results = run_pairs(&prover, cyeqset::cyeqset(), 1);
     let distribution = latency_distribution(&results);
     print!("{}", format_fig5(&distribution, results.len()));
 }

@@ -3,12 +3,12 @@
 
 #![forbid(unsafe_code)]
 
-use graphqe::GraphQE;
-use graphqe_bench::{format_neqset, run_cyneqset};
+use graphqe::{machine_parallelism, GraphQE};
+use graphqe_bench::{format_neqset, run_pairs};
 
 fn main() {
     let prover = GraphQE::new();
-    let results = run_cyneqset(&prover);
+    let results = run_pairs(&prover, cyeqset::cyneqset(), machine_parallelism());
     print!("{}", format_neqset(&results));
     for result in &results {
         if result.verdict.is_equivalent() {

@@ -3,13 +3,13 @@
 
 #![forbid(unsafe_code)]
 
-use graphqe::GraphQE;
-use graphqe_bench::{failure_breakdown, format_table3, run_cyeqset, table3_rows};
+use graphqe::{machine_parallelism, GraphQE};
+use graphqe_bench::{failure_breakdown, format_table3, run_pairs, table3_rows};
 
 fn main() {
     let show_failures = std::env::args().any(|a| a == "--failures");
     let prover = GraphQE::new();
-    let results = run_cyeqset(&prover);
+    let results = run_pairs(&prover, cyeqset::cyeqset(), machine_parallelism());
     print!("{}", format_table3(&table3_rows(&results)));
     if show_failures {
         println!("\nFailure analysis (unknown verdicts by category):");

@@ -4,13 +4,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gate;
-pub mod json;
 pub mod microbench;
 
 use std::time::Duration;
 
-use cyeqset::{cyeqset, cyneqset, Project, QueryPair, TABLE3_TARGETS};
+use cyeqset::{cyeqset, Project, QueryPair, TABLE3_TARGETS};
 use graphqe::{FailureCategory, GraphQE, Verdict};
 
 /// The result of proving one pair.
@@ -24,56 +22,27 @@ pub struct PairResult {
     pub latency: Duration,
 }
 
-/// Runs the prover over every pair of CyEqSet.
-pub fn run_cyeqset(prover: &GraphQE) -> Vec<PairResult> {
-    run_pairs(prover, cyeqset())
-}
-
-/// Runs the prover over every pair of CyNeqSet.
-pub fn run_cyneqset(prover: &GraphQE) -> Vec<PairResult> {
-    run_pairs(prover, cyneqset())
-}
-
-/// Proves a dataset through the parallel batch API (all available cores).
+/// Proves a dataset through [`GraphQE::prove_batch`] on `threads` pair
+/// workers.
 ///
 /// Note on latency semantics: each [`PairResult::latency`] is the wall-clock
-/// of that pair *as observed by its worker*, so under the parallel default it
+/// of that pair *as observed by its worker*, so with several workers it
 /// includes CPU contention from concurrently proved pairs. Reports that need
 /// per-pair latencies comparable to sequential measurements (e.g. Fig. 5)
-/// should call [`run_pairs_with_threads`] with `threads = 1`.
-pub fn run_pairs(prover: &GraphQE, pairs: Vec<QueryPair>) -> Vec<PairResult> {
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    run_pairs_with_threads(prover, pairs, threads)
-}
-
-/// [`run_pairs`] with an explicit worker count (1 = the sequential baseline).
-pub fn run_pairs_with_threads(
-    prover: &GraphQE,
-    pairs: Vec<QueryPair>,
-    threads: usize,
-) -> Vec<PairResult> {
-    run_pairs_report(prover, pairs, threads).0
-}
-
-/// [`run_pairs_with_threads`] plus the aggregate cache report of the run.
-pub fn run_pairs_report(
-    prover: &GraphQE,
-    pairs: Vec<QueryPair>,
-    threads: usize,
-) -> (Vec<PairResult>, graphqe::CacheStats) {
+/// pass `threads = 1`.
+pub fn run_pairs(prover: &GraphQE, pairs: Vec<QueryPair>, threads: usize) -> Vec<PairResult> {
     let texts: Vec<(&str, &str)> =
         pairs.iter().map(|pair| (pair.left.as_str(), pair.right.as_str())).collect();
-    let report = prover.prove_batch_report(&texts, threads);
-    let results = pairs
+    let (outcomes, _) = prover.prove_batch(&texts, threads);
+    pairs
         .into_iter()
-        .zip(report.outcomes)
+        .zip(outcomes)
         .map(|(pair, outcome)| PairResult {
             pair,
             verdict: outcome.verdict,
             latency: outcome.latency,
         })
-        .collect();
-    (results, report.cache)
+        .collect()
 }
 
 /// One row of Table III.

@@ -444,7 +444,7 @@ fn clear_pool_cache_locked() {
 /// Monotonic count of [`clear_pool_cache`] calls in this process. Callers
 /// that evict on their own (per-thread) triggers can compare generations to
 /// avoid redundantly wiping shared state another thread just cleared — see
-/// [`clear_pool_cache_if_unchanged`] and `GraphQE::prove_batch_report`.
+/// [`clear_pool_cache_if_unchanged`] and `GraphQE::prove_batch`.
 pub fn pool_cache_generation() -> u64 {
     CLEAR_GENERATION.load(Ordering::Relaxed)
 }
@@ -505,8 +505,8 @@ static PLAN_CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 /// amortizes it *across* searches — and, since PR 8, across **threads**: the
 /// cached artifact is an immutable `Send + Sync` [`FrozenPlan`], so parallel
 /// search workers and serve workers share one lowering instead of each
-/// keeping a thread-local duplicate (warm plan hit rate was 0.26 in
-/// BENCH_pr7 precisely because of that duplication). Each consumer thaws the
+/// keeping a thread-local duplicate (a warm serve replay measured a plan hit
+/// rate of only 0.26 because of that duplication). Each consumer thaws the
 /// shared artifact into its own thread-private working view; the evaluator's
 /// hot loop still runs on uncontended `Rc`/`RefCell` state.
 static PLAN_CACHE: OnceLock<Mutex<LruMap<String, Arc<FrozenPlan>>>> = OnceLock::new();
@@ -667,7 +667,7 @@ const PARALLEL_SEQUENTIAL_PREFIX: usize = 3;
 /// `threads <= 1` — including any request clamped down to 1 by the
 /// machine's actual parallelism — this *is* the sequential search: on a
 /// one-core box the parallel driver's spawn/partition overhead more than
-/// doubles search latency (BENCH_pr7: 15.0 ms parallel vs 6.5 ms
+/// doubles search latency (15.0 ms parallel vs 6.5 ms
 /// sequential) and can never pay for itself.
 pub fn find_counterexample_parallel(
     q1: &Query,

@@ -391,7 +391,7 @@ impl ProveLimits {
     }
 }
 
-/// One result of [`GraphQE::prove_batch_detailed`]: the verdict plus the
+/// One result of [`GraphQE::prove_batch`]: the verdict plus the
 /// wall-clock latency of the whole pipeline for that pair.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
@@ -403,130 +403,6 @@ pub struct BatchOutcome {
     /// the per-pair surface of the failure taxonomy, so batch frontends
     /// report reason counts without pattern-matching verdicts.
     pub failure_reason: Option<FailureCategory>,
-}
-
-/// Aggregate cache behavior over one batch run, so the per-stage timings of
-/// the detailed report are explainable: a fast decide stage with a high hit
-/// rate is memoization, not magic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Hits of the formula-level result cache inside `smt::Solver`.
-    pub smt_formula_hits: u64,
-    /// Misses of the formula-level result cache inside `smt::Solver`.
-    pub smt_formula_misses: u64,
-    /// Hits of the `liastar` summand-simplification cache.
-    pub summand_hits: u64,
-    /// Misses of the `liastar` summand-simplification cache.
-    pub summand_misses: u64,
-    /// Hits of the `liastar` pairwise-disjointness cache.
-    pub disjoint_hits: u64,
-    /// Misses of the `liastar` pairwise-disjointness cache.
-    pub disjoint_misses: u64,
-    /// Hits of the counterexample search-result memo.
-    pub search_memo_hits: u64,
-    /// Misses of the counterexample search-result memo.
-    pub search_memo_misses: u64,
-    /// Entries dropped by the search-result memo's LRU capacity bound.
-    pub search_memo_evictions: u64,
-    /// Hits of the stage-① parse cache.
-    pub parse_cache_hits: u64,
-    /// Misses of the stage-① parse cache.
-    pub parse_cache_misses: u64,
-    /// Entries dropped by the parse cache's LRU capacity bound.
-    pub parse_cache_evictions: u64,
-    /// Hits of the stage-②/③ normalize/build cache.
-    pub normalize_cache_hits: u64,
-    /// Misses of the stage-②/③ normalize/build cache.
-    pub normalize_cache_misses: u64,
-    /// Entries dropped by the normalize cache's LRU capacity bound.
-    pub normalize_cache_evictions: u64,
-    /// Hits of the process-wide frozen-plan cache (counterexample search).
-    pub plan_cache_hits: u64,
-    /// Misses of the process-wide frozen-plan cache.
-    pub plan_cache_misses: u64,
-    /// Entries dropped by the frozen-plan cache's LRU capacity bound.
-    pub plan_cache_evictions: u64,
-    /// Certificates emitted during the run (see
-    /// [`certificate::certificate_counters`]).
-    pub cert_emitted: u64,
-    /// Pairs downgraded because certificate emission failed or the
-    /// independent checker rejected the emitted artifact.
-    pub cert_check_failures: u64,
-    /// Peak node count of any hash-consed arena during the run.
-    pub peak_arena_nodes: usize,
-    /// How many times a worker evicted its thread-local caches because the
-    /// arena outgrew [`ProveLimits::arena_node_budget`].
-    pub epoch_resets: u64,
-}
-
-impl CacheStats {
-    /// Hit rate of the SMT formula cache in `[0, 1]` (0 when unused).
-    pub fn smt_formula_hit_rate(&self) -> f64 {
-        hit_rate(self.smt_formula_hits, self.smt_formula_misses)
-    }
-
-    /// Hit rate of the summand cache in `[0, 1]` (0 when unused).
-    pub fn summand_hit_rate(&self) -> f64 {
-        hit_rate(self.summand_hits, self.summand_misses)
-    }
-
-    /// Hit rate of the disjointness cache in `[0, 1]` (0 when unused).
-    pub fn disjoint_hit_rate(&self) -> f64 {
-        hit_rate(self.disjoint_hits, self.disjoint_misses)
-    }
-
-    /// Hit rate of the search-result memo in `[0, 1]` (0 when unused).
-    pub fn search_memo_hit_rate(&self) -> f64 {
-        hit_rate(self.search_memo_hits, self.search_memo_misses)
-    }
-
-    /// Hit rate of the parse cache in `[0, 1]` (0 when unused).
-    pub fn parse_cache_hit_rate(&self) -> f64 {
-        hit_rate(self.parse_cache_hits, self.parse_cache_misses)
-    }
-
-    /// Hit rate of the normalize/build cache in `[0, 1]` (0 when unused).
-    pub fn normalize_cache_hit_rate(&self) -> f64 {
-        hit_rate(self.normalize_cache_hits, self.normalize_cache_misses)
-    }
-
-    /// Hit rate of the frozen-plan cache in `[0, 1]` (0 when unused).
-    pub fn plan_cache_hit_rate(&self) -> f64 {
-        hit_rate(self.plan_cache_hits, self.plan_cache_misses)
-    }
-}
-
-fn hit_rate(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
-}
-
-/// The full result of [`GraphQE::prove_batch_report`].
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Per-pair outcomes, in input order.
-    pub outcomes: Vec<BatchOutcome>,
-    /// Cache behavior aggregated over the whole run (all workers).
-    pub cache: CacheStats,
-}
-
-impl BatchReport {
-    /// Counts of `Unknown` verdicts by failure reason (display form), in
-    /// deterministic (sorted) order — the aggregate surface of the failure
-    /// taxonomy for benchmark JSON and service dashboards.
-    pub fn unknown_reason_counts(&self) -> std::collections::BTreeMap<String, usize> {
-        let mut counts = std::collections::BTreeMap::new();
-        for outcome in &self.outcomes {
-            if let Some(reason) = outcome.failure_reason {
-                *counts.entry(reason.to_string()).or_insert(0) += 1;
-            }
-        }
-        counts
-    }
 }
 
 /// The GraphQE prover with its configuration.
@@ -793,132 +669,32 @@ impl GraphQE {
         }
     }
 
-    /// Proves many pairs in one call, distributing them over all available
-    /// CPU cores. Results are returned in input order; each entry is exactly
-    /// what [`GraphQE::prove`] would return for that pair.
-    pub fn prove_batch<L, R>(&self, pairs: &[(L, R)]) -> Vec<Verdict>
-    where
-        L: AsRef<str> + Sync,
-        R: AsRef<str> + Sync,
-    {
-        self.prove_batch_with_threads(pairs, machine_parallelism())
-    }
-
-    /// [`GraphQE::prove_batch`] with an explicit worker-thread count.
-    pub fn prove_batch_with_threads<L, R>(&self, pairs: &[(L, R)], threads: usize) -> Vec<Verdict>
-    where
-        L: AsRef<str> + Sync,
-        R: AsRef<str> + Sync,
-    {
-        self.prove_batch_detailed(pairs, threads)
-            .into_iter()
-            .map(|outcome| outcome.verdict)
-            .collect()
-    }
-
-    /// Batch proving with per-pair wall-clock latencies, for benchmarking.
-    /// Identical to [`GraphQE::prove_batch_report`] minus the cache report.
-    pub fn prove_batch_detailed<L, R>(&self, pairs: &[(L, R)], threads: usize) -> Vec<BatchOutcome>
-    where
-        L: AsRef<str> + Sync,
-        R: AsRef<str> + Sync,
-    {
-        self.prove_batch_report(pairs, threads).outcomes
-    }
-
-    /// Batch proving with per-pair wall-clock latencies plus an aggregate
-    /// [`CacheStats`] report, for benchmarking.
+    /// Proves many pairs in one call on up to `threads` pair workers (`1`
+    /// proves them in order on the calling thread). Returns the per-pair
+    /// outcomes in input order — each verdict exactly what
+    /// [`GraphQE::prove`] would return for that pair — plus the number of
+    /// arena-budget epoch resets this batch performed (peer clears this
+    /// batch adopted instead of repeating are not counted; see
+    /// `counterexample::clear_pool_cache_if_unchanged`).
     ///
     /// Workers share the read-only prover configuration and pull pairs from a
     /// single atomic cursor (dynamic load balancing — pair latencies vary by
-    /// orders of magnitude, so static chunking would straggle). Each worker
-    /// thread accumulates normalization results in its own thread-local
-    /// hash-consed arena, so structurally overlapping pairs — ubiquitous in
-    /// real workloads — are normalized once per worker; once the arena
-    /// outgrows [`ProveLimits::arena_node_budget`] the worker evicts its caches
-    /// (the epoch-based eviction story), which is counted in the report.
+    /// orders of magnitude, so static chunking would straggle). A panic
+    /// degrades its pair to `Unknown(Panicked)` instead of killing the batch.
+    /// Each worker thread accumulates normalization results in its own
+    /// thread-local hash-consed arena, so structurally overlapping pairs are
+    /// normalized once per worker; once the arena outgrows
+    /// [`ProveLimits::arena_node_budget`] the worker evicts its caches (the
+    /// epoch-based eviction story).
     ///
-    /// The cache counters are process-global, so the reported deltas cover
-    /// exactly this run only when no other prover runs concurrently — true
-    /// for the benchmark binaries, which is what the report is for. Services
-    /// that run batches concurrently should call
-    /// [`GraphQE::prove_batch_outcomes`] instead.
-    pub fn prove_batch_report<L, R>(&self, pairs: &[(L, R)], threads: usize) -> BatchReport
-    where
-        L: AsRef<str> + Sync,
-        R: AsRef<str> + Sync,
-    {
-        let smt_before = smt::formula_cache_stats();
-        let liastar_before = liastar::cache_counters();
-        let memo_before = counterexample::search_memo_stats();
-        let memo_evictions_before = counterexample::search_memo_evictions();
-        let parse_before = parse_cache_stats();
-        let parse_evictions_before = parse_cache_evictions();
-        let normalize_before = normalize_cache_stats();
-        let normalize_evictions_before = normalize_cache_evictions();
-        let plan_before = counterexample::plan_cache_stats();
-        let plan_evictions_before = counterexample::plan_cache_evictions();
-        let cert_before = certificate_counters();
-        // Scope the peak metric to this run: interning bumps the global
-        // counter, and workers fold in their arena size after every pair so
-        // warm arenas (which intern nothing new) are still counted.
-        gexpr::arena::reset_peak_node_count();
-        let (outcomes, epoch_resets) = self.prove_batch_outcomes(pairs, threads);
-
-        let smt_after = smt::formula_cache_stats();
-        let liastar_after = liastar::cache_counters();
-        let cache = CacheStats {
-            smt_formula_hits: smt_after.0.saturating_sub(smt_before.0),
-            smt_formula_misses: smt_after.1.saturating_sub(smt_before.1),
-            summand_hits: liastar_after.summand_hits.saturating_sub(liastar_before.summand_hits),
-            summand_misses: liastar_after
-                .summand_misses
-                .saturating_sub(liastar_before.summand_misses),
-            disjoint_hits: liastar_after.disjoint_hits.saturating_sub(liastar_before.disjoint_hits),
-            disjoint_misses: liastar_after
-                .disjoint_misses
-                .saturating_sub(liastar_before.disjoint_misses),
-            search_memo_hits: counterexample::search_memo_stats().0.saturating_sub(memo_before.0),
-            search_memo_misses: counterexample::search_memo_stats().1.saturating_sub(memo_before.1),
-            search_memo_evictions: counterexample::search_memo_evictions()
-                .saturating_sub(memo_evictions_before),
-            parse_cache_hits: parse_cache_stats().0.saturating_sub(parse_before.0),
-            parse_cache_misses: parse_cache_stats().1.saturating_sub(parse_before.1),
-            parse_cache_evictions: parse_cache_evictions().saturating_sub(parse_evictions_before),
-            normalize_cache_hits: normalize_cache_stats().0.saturating_sub(normalize_before.0),
-            normalize_cache_misses: normalize_cache_stats().1.saturating_sub(normalize_before.1),
-            normalize_cache_evictions: normalize_cache_evictions()
-                .saturating_sub(normalize_evictions_before),
-            plan_cache_hits: counterexample::plan_cache_stats().0.saturating_sub(plan_before.0),
-            plan_cache_misses: counterexample::plan_cache_stats().1.saturating_sub(plan_before.1),
-            plan_cache_evictions: counterexample::plan_cache_evictions()
-                .saturating_sub(plan_evictions_before),
-            cert_emitted: certificate_counters().0.saturating_sub(cert_before.0),
-            cert_check_failures: certificate_counters().1.saturating_sub(cert_before.1),
-            peak_arena_nodes: gexpr::arena::peak_node_count(),
-            epoch_resets,
-        };
-        BatchReport { outcomes, cache }
-    }
-
-    /// Batch proving for long-lived services: the pair loop of
-    /// [`GraphQE::prove_batch_report`] — dynamic load balancing, per-pair
-    /// panic isolation, arena-budget epoch janitor — without the
-    /// process-global counter resets and deltas, which are only meaningful
-    /// when exactly one batch runs at a time. Safe to call from any number of
-    /// threads concurrently; thread-local caches (plan, SMT formula, summand,
-    /// arena) stay warm on whichever thread runs the pairs, which is why a
-    /// server pins `threads = 1` and calls this from its own worker threads.
-    ///
-    /// Returns the per-pair outcomes in input order plus the number of
-    /// arena-budget epoch resets this batch performed (peer clears this batch
-    /// adopted instead of repeating are not counted; see
-    /// `counterexample::clear_pool_cache_if_unchanged`).
-    pub fn prove_batch_outcomes<L, R>(
-        &self,
-        pairs: &[(L, R)],
-        threads: usize,
-    ) -> (Vec<BatchOutcome>, u64)
+    /// Safe to call from any number of threads concurrently: the batch takes
+    /// no snapshot of the process-global cache counters, which stay readable
+    /// through each cache's own stats function ([`parse_cache_stats`],
+    /// [`normalize_cache_stats`], [`counterexample::plan_cache_stats`], …).
+    /// Thread-local caches (SMT formula, summand, arena) stay warm on
+    /// whichever thread runs the pairs, which is why a server pins
+    /// `threads = 1` and calls this from its own worker threads.
+    pub fn prove_batch<L, R>(&self, pairs: &[(L, R)], threads: usize) -> (Vec<BatchOutcome>, u64)
     where
         L: AsRef<str> + Sync,
         R: AsRef<str> + Sync,
@@ -1646,7 +1422,7 @@ mod tests {
 
     #[test]
     fn batch_proving_matches_sequential_verdicts_in_order() {
-        let _serial = BATCH_REPORT_LOCK.lock().unwrap();
+        let _serial = BATCH_LOCK.lock().unwrap();
         let prover = prover();
         let pairs = vec![
             ("MATCH (a)-[r]->(b) RETURN a", "MATCH (b)<-[r]-(a) RETURN a"),
@@ -1658,10 +1434,11 @@ mod tests {
             ("MATCH (n) RETURN DISTINCT n.name", "MATCH (n) RETURN n.name"),
         ];
         for threads in [1, 3] {
-            let batch = prover.prove_batch_with_threads(&pairs, threads);
+            let (batch, _) = prover.prove_batch(&pairs, threads);
             assert_eq!(batch.len(), pairs.len());
-            for ((left, right), verdict) in pairs.iter().zip(&batch) {
+            for ((left, right), outcome) in pairs.iter().zip(&batch) {
                 let solo = prover.prove(left, right);
+                let verdict = &outcome.verdict;
                 assert_eq!(
                     (solo.is_equivalent(), solo.is_not_equivalent()),
                     (verdict.is_equivalent(), verdict.is_not_equivalent()),
@@ -1671,35 +1448,37 @@ mod tests {
         }
     }
 
-    /// `prove_batch_report` documents that its process-global counters are
-    /// only meaningful without concurrent provers; tests that read the
-    /// report serialize on this lock.
-    static BATCH_REPORT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// Batch tests serialize here: the epoch-reset count of a batch depends
+    /// on the process-global pool-cache generation, which a concurrent
+    /// batch's arena-budget janitor could advance.
+    static BATCH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn batch_report_exposes_cache_behavior() {
-        let _serial = BATCH_REPORT_LOCK.lock().unwrap();
+        let _serial = BATCH_LOCK.lock().unwrap();
         let prover = prover();
         // A pair whose decision needs SMT summand simplification, twice: the
-        // second run must hit the summand cache.
+        // second run must hit the summand cache. The counters are
+        // process-global and only grow, so concurrent tests can add to them
+        // but never hide this batch's misses and hits.
         let pair = (
             "MATCH (n) WHERE n.age > 5 AND n.age > 3 RETURN n",
             "MATCH (n) WHERE n.age > 5 RETURN n",
         );
-        let report = prover.prove_batch_report(&[pair, pair], 1);
-        assert_eq!(report.outcomes.len(), 2);
-        assert!(report.outcomes.iter().all(|o| o.verdict.is_equivalent()));
-        assert!(report.cache.summand_misses > 0, "first pair must miss");
-        assert!(report.cache.summand_hits > 0, "second pair must hit");
-        assert!(report.cache.peak_arena_nodes > 0);
-        assert_eq!(report.cache.epoch_resets, 0, "default budget must not trigger here");
-        let rate = report.cache.summand_hit_rate();
-        assert!((0.0..=1.0).contains(&rate));
+        let before = liastar::cache_counters();
+        let (outcomes, epoch_resets) = prover.prove_batch(&[pair, pair], 1);
+        let after = liastar::cache_counters();
+        assert_eq!(outcomes.len(), 2);
+        assert!(outcomes.iter().all(|o| o.verdict.is_equivalent()));
+        assert!(after.summand_misses > before.summand_misses, "first pair must miss");
+        assert!(after.summand_hits > before.summand_hits, "second pair must hit");
+        assert!(gexpr::arena::peak_node_count() > 0);
+        assert_eq!(epoch_resets, 0, "default budget must not trigger here");
     }
 
     #[test]
     fn tiny_arena_budget_triggers_epoch_resets_without_changing_verdicts() {
-        let _serial = BATCH_REPORT_LOCK.lock().unwrap();
+        let _serial = BATCH_LOCK.lock().unwrap();
         let budgeted = GraphQE {
             limits: ProveLimits { arena_node_budget: 1, ..ProveLimits::default() },
             ..GraphQE::new()
@@ -1712,10 +1491,10 @@ mod tests {
                 "MATCH (n) WHERE n.b = 2 AND n.a = 1 RETURN n",
             ),
         ];
-        let report = budgeted.prove_batch_report(&pairs, 1);
-        assert_eq!(report.cache.epoch_resets, pairs.len() as u64);
+        let (outcomes, epoch_resets) = budgeted.prove_batch(&pairs, 1);
+        assert_eq!(epoch_resets, pairs.len() as u64);
         let reference = prover();
-        for ((left, right), outcome) in pairs.iter().zip(&report.outcomes) {
+        for ((left, right), outcome) in pairs.iter().zip(&outcomes) {
             let solo = reference.prove(left, right);
             assert_eq!(
                 (solo.is_equivalent(), solo.is_not_equivalent()),
@@ -1753,15 +1532,14 @@ mod tests {
                 Verdict::Unknown { category: FailureCategory::InvalidQuery, .. }
             ));
         }
-        // An opted-out prover bypasses the cache entirely.
+        // An opted-out prover bypasses the cache entirely: a text only this
+        // check proves leaves no entry. (Sibling tests prove concurrently, so
+        // the process-global counters cannot show a bypass.)
         let uncached = GraphQE { use_parse_cache: false, ..GraphQE::new() };
-        let (hits_frozen, misses_frozen) = parse_cache_stats();
-        assert!(uncached.prove(valid, valid).is_equivalent());
-        assert_eq!(
-            parse_cache_stats(),
-            (hits_frozen, misses_frozen),
-            "use_parse_cache: false must not touch the cache"
-        );
+        let bypass = "MATCH (pc_bypass_test:ParseCache) RETURN pc_bypass_test";
+        assert!(uncached.prove(bypass, bypass).is_equivalent());
+        let entry = parse_cache().lock().unwrap_or_else(|poison| poison.into_inner()).get(bypass);
+        assert!(entry.is_none(), "use_parse_cache: false must not touch the cache");
     }
 
     #[test]
@@ -1801,13 +1579,18 @@ mod tests {
         assert!(prover.prove(text, text).is_equivalent());
         let (hits_after, _) = normalize_cache_stats();
         assert!(hits_after >= hits_mid + 2, "warm re-certification must hit per side");
-        // An opted-out prover bypasses the cache entirely.
+        // An opted-out prover bypasses the cache entirely: a text only this
+        // check proves leaves no entry for its parsed query. (Sibling tests
+        // prove concurrently, so the process-global counters cannot show a
+        // bypass.)
         let uncached = GraphQE { use_normalize_cache: false, ..GraphQE::new() };
-        let frozen = normalize_cache_stats();
-        assert!(uncached.prove(text, text).is_equivalent());
-        assert_eq!(
-            normalize_cache_stats(),
-            frozen,
+        let bypass = "MATCH (nc_bypass_test)-[r]-(m) RETURN nc_bypass_test";
+        assert!(uncached.prove(bypass, bypass).is_equivalent());
+        let query = parse_check_cached(bypass).expect("the text parses");
+        let key = Arc::as_ptr(&query) as usize;
+        let entry = normalize_cache().lock().unwrap_or_else(|poison| poison.into_inner()).get(&key);
+        assert!(
+            !matches!(entry, Some(entry) if Arc::ptr_eq(&entry.source, &query)),
             "use_normalize_cache: false must not touch the cache"
         );
     }
@@ -1853,11 +1636,12 @@ mod tests {
 
     #[test]
     fn batch_report_surfaces_parse_and_plan_cache_counters() {
-        let _serial = BATCH_REPORT_LOCK.lock().unwrap();
+        let _serial = BATCH_LOCK.lock().unwrap();
         let _parse_serial = PARSE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // A non-equivalent pair (the search runs and plans both queries),
         // proved twice in one batch on one thread: the second pass must hit
-        // both the parse cache and the thread's plan cache.
+        // the parse, normalize and plan caches. Each counter is process-global
+        // and only grows, so it is compared with its value before the batch.
         let pair = (
             "MATCH (cache_stats_n:Person) RETURN cache_stats_n",
             "MATCH (cache_stats_n:Book) RETURN cache_stats_n",
@@ -1866,18 +1650,20 @@ mod tests {
             search_config: SearchConfig { use_memo: false, ..SearchConfig::default() },
             ..GraphQE::new()
         };
-        let report = prover.prove_batch_report(&[pair, pair], 1);
-        assert!(report.outcomes.iter().all(|o| o.verdict.is_not_equivalent()));
-        assert!(report.cache.parse_cache_misses > 0, "first pass must miss the parse cache");
-        assert!(report.cache.parse_cache_hits > 0, "second pass must hit the parse cache");
-        assert!(report.cache.normalize_cache_misses > 0, "first pass must normalize");
-        assert!(report.cache.normalize_cache_hits > 0, "second pass must hit the normalize cache");
-        assert!(report.cache.plan_cache_misses > 0, "first search must plan");
-        assert!(report.cache.plan_cache_hits > 0, "second search must reuse the plan");
-        let parse_rate = report.cache.parse_cache_hit_rate();
-        let plan_rate = report.cache.plan_cache_hit_rate();
-        assert!((0.0..=1.0).contains(&parse_rate));
-        assert!((0.0..=1.0).contains(&plan_rate));
+        let parse = parse_cache_stats();
+        let normalize = normalize_cache_stats();
+        let plan = counterexample::plan_cache_stats();
+        let (outcomes, _) = prover.prove_batch(&[pair, pair], 1);
+        assert!(outcomes.iter().all(|o| o.verdict.is_not_equivalent()));
+        let (parse_hits, parse_misses) = parse_cache_stats();
+        assert!(parse_misses > parse.1, "first pass must miss the parse cache");
+        assert!(parse_hits > parse.0, "second pass must hit the parse cache");
+        let (normalize_hits, normalize_misses) = normalize_cache_stats();
+        assert!(normalize_misses > normalize.1, "first pass must normalize");
+        assert!(normalize_hits > normalize.0, "second pass must hit the normalize cache");
+        let (plan_hits, plan_misses) = counterexample::plan_cache_stats();
+        assert!(plan_misses > plan.1, "first search must plan");
+        assert!(plan_hits > plan.0, "second search must reuse the plan");
     }
 
     #[test]

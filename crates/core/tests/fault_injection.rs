@@ -82,28 +82,25 @@ fn fingerprint(verdict: &Verdict) -> (bool, bool, Option<FailureCategory>) {
 fn panic_isolation_at(stage: Stage) {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|poison| poison.into_inner());
     let prover = fault_prover();
-    let report = with_quiet_panics(|| {
+    let (outcomes, _) = with_quiet_panics(|| {
         faults::arm(stage, FaultKind::Panic, 1);
-        let report = prover.prove_batch_report(&BATCH, 1);
+        let batch = prover.prove_batch(&BATCH, 1);
         faults::disarm();
-        report
+        batch
     });
-    assert_eq!(report.outcomes.len(), BATCH.len(), "the batch must complete");
-    let panicked: Vec<usize> = report
-        .outcomes
+    assert_eq!(outcomes.len(), BATCH.len(), "the batch must complete");
+    let panicked: Vec<usize> = outcomes
         .iter()
         .enumerate()
         .filter(|(_, o)| o.failure_reason == Some(FailureCategory::Panicked))
         .map(|(i, _)| i)
         .collect();
     assert_eq!(panicked.len(), 1, "exactly one pair must be afflicted at {stage}: {panicked:?}");
-    assert_eq!(report.unknown_reason_counts().get("panicked"), Some(&1));
     // Fault-free reference run (after the faulted one, so the faulted run
     // starts from this test thread's cold caches and really reaches the
     // armed stage).
-    let reference = prover.prove_batch_report(&BATCH, 1);
-    for (index, (outcome, expected)) in report.outcomes.iter().zip(&reference.outcomes).enumerate()
-    {
+    let (reference, _) = prover.prove_batch(&BATCH, 1);
+    for (index, (outcome, expected)) in outcomes.iter().zip(&reference).enumerate() {
         if index == panicked[0] {
             // The afflicted pair itself recovers on the clean re-run: no
             // cache may have frozen the panicked attempt.
@@ -296,17 +293,16 @@ fn armed_from_the_environment_the_batch_completes_with_the_right_reason() {
     let deadline = matches!(kind, FaultKind::Stall(_)).then(|| Duration::from_millis(25));
     let prover =
         GraphQE { limits: ProveLimits { deadline, ..ProveLimits::default() }, ..fault_prover() };
-    let report = with_quiet_panics(|| {
+    let (outcomes, _) = with_quiet_panics(|| {
         assert_eq!(faults::arm_from_env(), Some((stage, kind)), "arming from env must succeed");
-        let report = prover.prove_batch_report(&BATCH, 1);
+        let batch = prover.prove_batch(&BATCH, 1);
         faults::disarm();
-        report
+        batch
     });
-    assert_eq!(report.outcomes.len(), BATCH.len(), "the batch must complete");
-    let reference = fault_prover().prove_batch_report(&BATCH, 1);
+    assert_eq!(outcomes.len(), BATCH.len(), "the batch must complete");
+    let (reference, _) = fault_prover().prove_batch(&BATCH, 1);
     let mut divergent = 0;
-    for (index, (outcome, expected)) in report.outcomes.iter().zip(&reference.outcomes).enumerate()
-    {
+    for (index, (outcome, expected)) in outcomes.iter().zip(&reference).enumerate() {
         if fingerprint(&outcome.verdict) == fingerprint(&expected.verdict) {
             continue;
         }

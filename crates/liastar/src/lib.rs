@@ -38,7 +38,7 @@
 //! matcher, no caches) is kept behind [`DecideOptions::tree_normalizer`] as
 //! the benchmark baseline and the differential-testing oracle: both pipelines
 //! return identical verdicts on every input (asserted by the property tests
-//! and by `bench_pr2` over both datasets).
+//! and by `tests/arena_equivalence.rs` over both datasets).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

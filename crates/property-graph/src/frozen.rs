@@ -6,8 +6,8 @@
 //! through `RefCell`, which makes the per-candidate hot path cheap but means
 //! a plan built on one thread cannot be handed to another. Before PR 8 the
 //! counterexample search therefore kept one plan cache **per thread**, and
-//! every serve worker re-lowered every query (warm `plan_hit_rate` 0.26 in
-//! BENCH_pr7).
+//! every serve worker re-lowered every query (a warm `plan_hit_rate` of only
+//! 0.26).
 //!
 //! [`FrozenPlan`] splits the artifact from the working state: it is built
 //! **once** per query (eager lowering, no interior mutability — plain vectors

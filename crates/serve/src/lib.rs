@@ -6,7 +6,7 @@
 //! batch. This crate is that process: a hand-rolled HTTP/1.1 server over
 //! `std::net` (the workspace builds offline, so no hyper/tokio/serde) that
 //! accepts query-pair batches, proves them through
-//! [`graphqe::GraphQE::prove_batch_outcomes`], and keeps every cache layer
+//! [`graphqe::GraphQE::prove_batch`], and keeps every cache layer
 //! warm across requests and tenants.
 //!
 //! The pieces, bottom-up:

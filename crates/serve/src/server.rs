@@ -11,7 +11,7 @@
 //! 2. A **worker** thread takes the connection and serves its keep-alive
 //!    session: read request → route → respond, until the client closes,
 //!    errs, or asks for `Connection: close`. Workers call
-//!    [`graphqe::GraphQE::prove_batch_outcomes`] with `threads = 1`, so each
+//!    [`graphqe::GraphQE::prove_batch`] with `threads = 1`, so each
 //!    worker's thread-local caches (SMT formula, summand, arena) stay warm
 //!    across every request it ever serves — the entire point of running the
 //!    prover as a service. The big artifacts — parsed queries, normalized
@@ -274,7 +274,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             }
         };
         let close_after = request.close;
-        // Second layer of panic isolation: `prove_batch_outcomes` already
+        // Second layer of panic isolation: `prove_batch` already
         // degrades a panicking *pair*; this guards the envelope (routing,
         // JSON building) so one poisoned connection cannot kill a worker.
         let handled = catch_unwind(AssertUnwindSafe(|| route(shared, &request)));
@@ -332,7 +332,7 @@ fn handle_prove(shared: &Shared, body: &[u8]) -> (u16, String) {
     let wall = Instant::now();
     // `threads = 1`: this worker thread runs all pairs itself, keeping its
     // thread-local caches warm; concurrency comes from the worker pool.
-    let (mut outcomes, epoch_resets) = prover.prove_batch_outcomes(&parsed.pairs, 1);
+    let (mut outcomes, epoch_resets) = prover.prove_batch(&parsed.pairs, 1);
 
     // Certificates are emitted (and checked) after the batch, so the prove
     // loop itself is identical with and without them. A definite verdict

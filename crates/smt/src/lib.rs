@@ -1,8 +1,8 @@
 //! # smt
 //!
 //! A from-scratch SMT solver used as the decision substrate of GraphQE-rs
-//! (substituting for Z3, which the paper uses; see DESIGN.md for the
-//! substitution rationale).
+//! (substituting for Z3, which the paper uses: the workspace is std-only
+//! and builds without external dependencies).
 //!
 //! The solver decides quantifier-free formulas over **EUF** (equality with
 //! uninterpreted functions) and **LIA** (linear integer arithmetic) — exactly

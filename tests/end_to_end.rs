@@ -20,8 +20,7 @@ fn prover_equivalence_agrees_with_the_oracle_on_sample_pairs() {
         // NOTE: the undirected-relationship rewrite (Table II rule 1) is not
         // cross-checked against the oracle here: like the paper's rule it
         // counts self-loop relationships twice in the UNION ALL form, so the
-        // two queries differ on graphs containing self-loops (documented in
-        // DESIGN.md / EXPERIMENTS.md).
+        // two queries differ on graphs containing self-loops.
     ];
     let mut graphs = vec![PropertyGraph::paper_example()];
     graphs.extend(GraphGenerator::new(99).generate_many(30));

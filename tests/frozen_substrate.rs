@@ -7,13 +7,15 @@
 //!    interpreter, on every dataset query and a pool of random graphs.
 //! 2. **Concurrent smoke**: two batch workers prove the full CyEqSet and
 //!    CyNeqSet corpora through the shared caches with the verdict totals
-//!    pinned to the single-threaded expectations (138/0/10 and 0/121/27).
+//!    pinned to the single-threaded expectations (138/0/10 and 0/121/27),
+//!    with limits off and under a run token that never trips.
 //! 3. **Compile-enforced sharing**: the shared artifacts are `Send + Sync`
 //!    by construction, asserted at compile time.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use graphqe::{normalize_cache_stats, parse_check_cached, GraphQE, NormalizedStages};
+use graphqe::{normalize_cache_stats, parse_check_cached, GraphQE, NormalizedStages, ProveLimits};
 use property_graph::{
     evaluate_query_interpreted, Evaluator, FrozenPlan, GraphGenerator, PropertyGraph, QueryPlan,
 };
@@ -114,35 +116,49 @@ fn normalized_stages_are_shared_and_consistent_across_threads() {
 
 /// Two batch workers drive the full corpora through every shared cache at
 /// once; the verdict totals must stay pinned to the sequential expectations.
-/// (The per-dataset totals are the same EXPECTED_VERDICTS the benchmark
-/// gates on: CyEqSet 138/0/10, CyNeqSet 0/121/27.)
+/// (The per-dataset totals are the same ones the benchmark checks: CyEqSet
+/// 138/0/10, CyNeqSet 0/121/27.) The second configuration installs a run
+/// token whose limits never trip — a one-hour deadline and unbounded step
+/// and graph budgets — so every cooperative checkpoint executes, and must
+/// move no verdict.
 #[test]
 fn two_workers_prove_the_full_corpus_with_pinned_verdicts() {
-    let prover = GraphQE::new();
+    let never_tripping = GraphQE {
+        limits: ProveLimits {
+            deadline: Some(Duration::from_secs(3600)),
+            smt_step_budget: u64::MAX,
+            search_graph_budget: u64::MAX,
+            ..ProveLimits::default()
+        },
+        ..GraphQE::new()
+    };
+    let provers = [("limits off", GraphQE::new()), ("a never-tripping token", never_tripping)];
     let (_, normalize_misses_before) = normalize_cache_stats();
-    type Corpus = (&'static str, Vec<cyeqset::QueryPair>, (usize, usize, usize));
-    let corpora: [Corpus; 2] = [
-        ("cyeqset", cyeqset::cyeqset(), (138, 0, 10)),
-        ("cyneqset", cyeqset::cyneqset(), (0, 121, 27)),
+    let inputs = |pairs: Vec<cyeqset::QueryPair>| -> Vec<(String, String)> {
+        pairs.into_iter().map(|pair| (pair.left, pair.right)).collect()
+    };
+    let corpora = [
+        ("cyeqset", inputs(cyeqset::cyeqset()), (138, 0, 10)),
+        ("cyneqset", inputs(cyeqset::cyneqset()), (0, 121, 27)),
     ];
-    for (name, pairs, expected) in corpora {
-        let inputs: Vec<(String, String)> =
-            pairs.into_iter().map(|pair| (pair.left, pair.right)).collect();
-        let verdicts = prover.prove_batch_with_threads(&inputs, 2);
-        let mut counts = (0usize, 0usize, 0usize);
-        for verdict in &verdicts {
-            if verdict.is_equivalent() {
-                counts.0 += 1;
-            } else if verdict.is_not_equivalent() {
-                counts.1 += 1;
-            } else {
-                counts.2 += 1;
+    for (config, prover) in &provers {
+        for (name, pairs, expected) in &corpora {
+            let (outcomes, _) = prover.prove_batch(pairs, 2);
+            let mut counts = (0usize, 0usize, 0usize);
+            for outcome in &outcomes {
+                if outcome.verdict.is_equivalent() {
+                    counts.0 += 1;
+                } else if outcome.verdict.is_not_equivalent() {
+                    counts.1 += 1;
+                } else {
+                    counts.2 += 1;
+                }
             }
+            assert_eq!(
+                counts, *expected,
+                "{name} (equivalent, not_equivalent, unknown) drifted under 2 workers with {config}"
+            );
         }
-        assert_eq!(
-            counts, expected,
-            "{name} (equivalent, not_equivalent, unknown) drifted under 2 workers"
-        );
     }
     // The run flowed through the shared substrate, not around it.
     let (_, normalize_misses_after) = normalize_cache_stats();
