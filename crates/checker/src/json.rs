@@ -327,16 +327,20 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
+                b if b < 0x20 => return Err(self.err("raw control character in string")),
                 _ => {
-                    // Consume one UTF-8 scalar starting at pos.
-                    let tail = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = tail.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or control
+                    // byte as one slice. All three stop bytes are ASCII, so
+                    // the run of the (valid UTF-8) input ends on a character
+                    // boundary, and each byte is validated once.
+                    let run = rest
+                        .iter()
+                        .position(|&b| matches!(b, b'"' | b'\\') || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let text =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -396,5 +400,30 @@ mod tests {
     fn parses_escapes_and_surrogate_pairs() {
         assert_eq!(parse("\"\\u00e9\\ud83d\\ude00\\t\"").unwrap(), Json::str("\u{e9}\u{1F600}\t"));
         assert!(parse("\"\\ud83d\"").is_err());
+    }
+
+    #[test]
+    fn parses_raw_multibyte_characters_in_keys_and_values() {
+        let text = "{\"é€😀\":\"aé€😀z\",\"k\":[\"😀\",\"€\\n\"]}";
+        let expected = Json::Obj(vec![
+            ("é€😀".into(), Json::str("aé€😀z")),
+            ("k".into(), Json::Arr(vec![Json::str("😀"), Json::str("€\n")])),
+        ]);
+        assert_eq!(parse(text).unwrap(), expected);
+        assert_eq!(parse(&expected.to_string()).unwrap(), expected);
+        // Raw control characters stay rejected, also after a multibyte run.
+        assert!(parse("\"é\u{1}\"").is_err());
+        assert!(parse("\"€\n\"").is_err());
+    }
+
+    #[test]
+    fn parses_a_one_mebibyte_string_in_linear_time() {
+        // 2^18 four-byte characters: 1 MiB of raw UTF-8 in one value. A
+        // parse that re-validates the rest of the document per character
+        // takes minutes here; a linear one takes milliseconds.
+        let big = "😀".repeat(1 << 18);
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&format!("\"{big}\"")).unwrap(), Json::str(&big));
+        assert!(start.elapsed() < std::time::Duration::from_secs(10), "{:?}", start.elapsed());
     }
 }

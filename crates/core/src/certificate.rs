@@ -2,29 +2,35 @@
 //!
 //! Every EQUIVALENT or NOT_EQUIVALENT verdict can be accompanied by a
 //! machine-checkable [`Certificate`] (schema owned by the dependency-free
-//! `graphqe-checker` crate). Emission is strictly off the hot path: the
-//! default prove pipeline never records anything, and a certificate is
-//! produced only on request by re-deriving the evidence —
+//! `graphqe-checker` crate). Evidence is a mode of the one prove pipeline,
+//! not a second implementation of it:
 //!
-//! - the stage-② derivation via
-//!   [`cypher_normalizer::normalize_query_with_derivation`] (rule id +
-//!   position per step, replayable by the checker's own rule mirror);
-//! - the stage-④ witness via [`liastar::witness::prove_with_witness`]
-//!   (summand split, isomorphism pairing or class counts, per-summand SMT
-//!   obligations);
-//! - the NOT_EQUIVALENT bags via the reference scan evaluator
+//! - the stage-② derivation comes from the normalizer's one fixpoint loop
+//!   run with a [`cypher_normalizer::DerivationStep`] recorder (rule id +
+//!   position per step, replayable by the checker's own rule mirror). It is
+//!   memoized per query next to the build in [`crate::NormalizedStages`], so
+//!   each query's derivation is recorded once, by the first certificate that
+//!   needs it, and proving never pays for it;
+//! - the stage-④ witness comes from proving the normalized pair once more in
+//!   evidence mode: the same divide-and-conquer split and return-element
+//!   permutation loop as every prove, with the arena decision recording what
+//!   it decided ([`liastar::try_check_equivalence_recording`]: summand split,
+//!   isomorphism pairing or class counts, per-summand SMT obligations). On
+//!   warm caches that re-prove is a few cache probes;
+//! - the NOT_EQUIVALENT bags come from the reference scan evaluator
 //!   ([`property_graph::eval::evaluate_query_scan`]) on the verdict's
 //!   counterexample graph.
 //!
 //! Emission runs under [`limits::without_token`]: a deadline configured for
-//! the *proof* must not trip the re-derivation, which is bounded by the same
-//! work the proof already did.
+//! the *proof* must not trip the evidence-mode re-prove, which is bounded by
+//! the same work the proof already did.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use cypher_parser::ast::Query;
 use cypher_parser::pretty::query_to_string;
-use gexpr::{build_query, GAggKind, GAtom, GConst, GExpr, GTerm};
+use gexpr::{GAggKind, GAtom, GConst, GExpr, GTerm};
 use graphqe_checker::cert::{
     CertVerdict, DerivationStep, Evidence, GraphCert, KeptSummand, Matching, Proof, QueryCert,
     SegmentWitness, SideSummands, SigColumn, SummandsProof, CERTIFICATE_VERSION,
@@ -33,11 +39,37 @@ use graphqe_checker::graph as checker_graph;
 use graphqe_checker::gx::{AggKind, CmpOp, Gx, GxAtom, GxConst, GxTerm, VarId};
 use graphqe_checker::value::{NodeId, RelId, Value};
 use graphqe_checker::Certificate;
-use liastar::witness::{self, MatchingRecord, ProofRecord, SegmentRecord, SideRecord};
+use liastar::witness::{MatchingRecord, ProofRecord, SegmentRecord, SideRecord};
 use property_graph::PropertyGraph;
 
 use crate::verdict::{FailureCategory, Verdict};
-use crate::{divide, GraphQE};
+use crate::{normalized_stages, GraphQE, Normalized, NormalizedStages, ProofStats};
+
+/// What a prove in evidence mode records: the decision witness of each
+/// proved segment (one for a whole-query proof) and the column alignment
+/// the proof closed under.
+#[derive(Debug, Default)]
+pub(crate) struct EvidenceLog {
+    segments: Vec<SegmentRecord>,
+    /// The column permutation applied to the right query.
+    pub(crate) permutation: Vec<usize>,
+    /// The permuted right query, when the permutation is not the identity.
+    pub(crate) permuted_right: Option<Query>,
+}
+
+impl EvidenceLog {
+    /// Appends one proved segment with the alignment it was proved under.
+    pub(crate) fn push(
+        &mut self,
+        segment: SegmentRecord,
+        permutation: Vec<usize>,
+        permuted_right: Option<Query>,
+    ) {
+        self.segments.push(segment);
+        self.permutation = permutation;
+        self.permuted_right = permuted_right;
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Process-wide emission counters
@@ -59,11 +91,14 @@ pub fn certificate_counters() -> (u64, u64) {
 impl GraphQE {
     /// Emits the certificate for a definite `verdict` on `(q1, q2)`.
     ///
-    /// The evidence is re-derived from scratch (see the module docs), so this
-    /// works for verdicts produced by any prove path — including warm
-    /// cached-substrate proves, whose shared [`crate::NormalizedStages`]
-    /// entries carry no derivations. Errors are descriptive strings; an
-    /// `Unknown` verdict has no certificate by definition.
+    /// The evidence comes from the prove pipeline in evidence mode (see the
+    /// module docs) on the normalized queries, whatever this prover's
+    /// `normalize` and `use_tree_normalizer` settings: the checker always
+    /// replays the full Table II fixpoint, and only the arena decision
+    /// records witnesses. So this works for verdicts produced by any prove
+    /// path, cold or warm, and the artifact does not depend on cache state.
+    /// Errors are descriptive strings; an `Unknown` verdict has no
+    /// certificate by definition.
     pub fn certificate_for(
         &self,
         q1: &str,
@@ -146,20 +181,33 @@ impl GraphQE {
         q2: &str,
         verdict: &Verdict,
     ) -> Result<Certificate, String> {
-        let parsed1 = self.parse_checked(q1).map_err(|e| format!("left query: {e}"))?;
-        let parsed2 = self.parse_checked(q2).map_err(|e| format!("right query: {e}"))?;
-        // The checker replays the full Table II fixpoint regardless of the
-        // prover's configuration, so the derivation is always recorded — an
-        // ablation prover (normalize off) still emits checkable artifacts.
-        let (left, nq1) = query_cert(&parsed1);
-        let (right, nq2) = query_cert(&parsed2);
+        let stages1 = self.certificate_stages(q1).map_err(|e| format!("left query: {e}"))?;
+        let stages2 = self.certificate_stages(q2).map_err(|e| format!("right query: {e}"))?;
         let (cert_verdict, evidence) = match verdict {
             Verdict::Equivalent(_) => {
-                (CertVerdict::Equivalent, self.equivalence_evidence(&nq1, &nq2)?)
+                let mut log = EvidenceLog::default();
+                self.prove_normalized(
+                    &Normalized::Stages(Arc::clone(&stages1)),
+                    &Normalized::Stages(Arc::clone(&stages2)),
+                    &mut ProofStats::default(),
+                    Some(&mut log),
+                )
+                .map_err(|(_, reason)| format!("no equivalence witness: {reason}"))?;
+                let evidence = Evidence::Equivalence {
+                    column_permutation: log.permutation,
+                    permuted_right: log.permuted_right.as_ref().map(query_to_string),
+                    segments: log.segments.iter().map(segment_of).collect(),
+                };
+                (CertVerdict::Equivalent, evidence)
             }
             Verdict::NotEquivalent(example) => (
                 CertVerdict::NotEquivalent,
-                counterexample_evidence(&parsed1, &parsed2, &example.graph, example.pool_index)?,
+                counterexample_evidence(
+                    &stages1.source,
+                    &stages2.source,
+                    &example.graph,
+                    example.pool_index,
+                )?,
             ),
             Verdict::Unknown { .. } => {
                 return Err("an unknown verdict carries no certificate".to_string())
@@ -168,139 +216,33 @@ impl GraphQE {
         Ok(Certificate {
             version: CERTIFICATE_VERSION,
             verdict: cert_verdict,
-            left,
-            right,
+            left: stages1.query_cert().clone(),
+            right: stages2.query_cert().clone(),
             evidence,
         })
     }
 
-    /// Re-derives the EQUIVALENT evidence on the normalized pair, mirroring
-    /// the control flow of the prove pipeline (divide-and-conquer split,
-    /// arity fast path, return-element permutation loop) with the
-    /// witness-emitting reference decision in place of the arena decision.
-    fn equivalence_evidence(&self, nq1: &Query, nq2: &Query) -> Result<Evidence, String> {
-        if divide::needs_divide_and_conquer(nq1) || divide::needs_divide_and_conquer(nq2) {
-            let segments1 = divide::split_into_segments(nq1)
-                .ok_or("cannot split the first query into segments")?;
-            let segments2 = divide::split_into_segments(nq2)
-                .ok_or("cannot split the second query into segments")?;
-            if segments1.len() != segments2.len() {
-                return Err(format!(
-                    "the queries split into {} and {} segments",
-                    segments1.len(),
-                    segments2.len()
-                ));
-            }
-            let mut witnesses = Vec::new();
-            let mut columns = 0;
-            for (a, b) in segments1.iter().zip(segments2.iter()) {
-                let (witness, arity) = self.segment_witness(a, b)?;
-                columns = arity;
-                witnesses.push(witness);
-            }
-            // Per-segment permutations are folded into each segment's right
-            // G-expression (built from the permuted fragment), which the
-            // checker takes as a stage-③ input; the top-level permutation is
-            // therefore the identity on the final RETURN arity.
-            return Ok(Evidence::Equivalence {
-                column_permutation: (0..columns).collect(),
-                permuted_right: None,
-                segments: witnesses,
-            });
-        }
-        let built1 = build_query(nq1).map_err(|e| e.to_string())?;
-        let built2 = build_query(nq2).map_err(|e| e.to_string())?;
-        if built1.columns != built2.columns {
-            if crate::both_always_empty(&built1, &built2, true) {
-                return Ok(Evidence::Equivalence {
-                    column_permutation: (0..built1.columns).collect(),
-                    permuted_right: None,
-                    segments: vec![SegmentWitness {
-                        left: Gx::Zero,
-                        right: Gx::Zero,
-                        proof: Proof::Identical,
-                    }],
-                });
-            }
-            return Err(format!(
-                "the queries return {} and {} columns and are not both empty",
-                built1.columns, built2.columns
-            ));
-        }
-        for permutation in crate::column_permutations(&built1.column_kinds, &built2.column_kinds)
-            .into_iter()
-            .take(self.max_column_permutations)
-        {
-            let identity = crate::is_identity(&permutation);
-            let candidate = if identity {
-                built2.clone()
-            } else {
-                match build_query(&crate::permute_returns(nq2, &permutation)) {
-                    Ok(output) => output,
-                    Err(_) => continue,
-                }
-            };
-            if let Some(record) = witness::prove_with_witness(&built1.expr, &candidate.expr) {
-                let permuted_right = if identity {
-                    None
-                } else {
-                    Some(query_to_string(&crate::permute_returns(nq2, &permutation)))
-                };
-                return Ok(Evidence::Equivalence {
-                    column_permutation: permutation,
-                    permuted_right,
-                    segments: vec![segment_of(&record)],
-                });
-            }
-        }
-        Err("could not re-derive an equivalence witness".to_string())
-    }
-
-    /// The witness for one divide-and-conquer segment pair, with the
-    /// column-permutation loop folded into the segment's right build.
-    /// Returns the witness plus the segment's left RETURN arity.
-    fn segment_witness(&self, q1: &Query, q2: &Query) -> Result<(SegmentWitness, usize), String> {
-        let built1 = build_query(q1).map_err(|e| e.to_string())?;
-        let built2 = build_query(q2).map_err(|e| e.to_string())?;
-        if built1.columns != built2.columns {
-            if crate::both_always_empty(&built1, &built2, true) {
-                return Ok((
-                    SegmentWitness { left: Gx::Zero, right: Gx::Zero, proof: Proof::Identical },
-                    built1.columns,
-                ));
-            }
-            return Err(format!(
-                "segment arity mismatch: {} vs {} columns",
-                built1.columns, built2.columns
-            ));
-        }
-        for permutation in crate::column_permutations(&built1.column_kinds, &built2.column_kinds)
-            .into_iter()
-            .take(self.max_column_permutations)
-        {
-            let candidate = if crate::is_identity(&permutation) {
-                built2.clone()
-            } else {
-                match build_query(&crate::permute_returns(q2, &permutation)) {
-                    Ok(output) => output,
-                    Err(_) => continue,
-                }
-            };
-            if let Some(record) = witness::prove_with_witness(&built1.expr, &candidate.expr) {
-                return Ok((segment_of(&record), built1.columns));
-            }
-        }
-        Err("could not re-derive a witness for a divide-and-conquer segment".to_string())
+    /// Stages ① and ② of one query for emission, through the caches this
+    /// prover uses. A prover with the normalize cache off gets a one-shot
+    /// entry of the same shape.
+    fn certificate_stages(&self, text: &str) -> Result<Arc<NormalizedStages>, String> {
+        let parsed = self.parse_checked(text).map_err(|e| e.to_string())?;
+        let stages = if self.use_normalize_cache {
+            normalized_stages(&parsed)
+        } else {
+            NormalizedStages::new(parsed).map(Arc::new)
+        };
+        stages.map_err(|trip| trip.to_string())
     }
 }
 
 /// The per-query attestation: pretty-printed source, the full normalization
-/// derivation, and the fixpoint. Returns the normalized query alongside so
-/// the equivalence evidence builds on exactly what the certificate records.
-fn query_cert(parsed: &Query) -> (QueryCert, Query) {
-    let (normalized, steps) = cypher_normalizer::normalize_query_with_derivation(parsed);
-    let cert = QueryCert {
-        source: query_to_string(parsed),
+/// derivation, and the fixpoint.
+pub(crate) fn query_cert(source: &Query) -> QueryCert {
+    let mut steps: Vec<cypher_normalizer::DerivationStep> = Vec::new();
+    let normalized = cypher_normalizer::normalize_query_with(source, &mut steps);
+    QueryCert {
+        source: query_to_string(source),
         steps: steps
             .iter()
             .map(|step| DerivationStep {
@@ -311,8 +253,7 @@ fn query_cert(parsed: &Query) -> (QueryCert, Query) {
             })
             .collect(),
         normalized: query_to_string(&normalized),
-    };
-    (cert, normalized)
+    }
 }
 
 /// The NOT_EQUIVALENT evidence: the counterexample graph plus both result
@@ -525,10 +466,10 @@ fn term_of(term: &GTerm) -> GxTerm {
     match term {
         GTerm::Var(v) => GxTerm::Var(VarId(v.0)),
         GTerm::OutCol(i) => GxTerm::OutCol(*i),
-        // Certificates erase typing hints: evidence is always re-derived
-        // from a plain (unhinted) build, so hinted columns cannot actually
-        // reach this conversion; mapping them to the untyped column keeps
-        // the certificate format hint-free either way.
+        // Certificates erase typing hints: evidence mode proves on the plain
+        // (unhinted) builds, so hinted columns cannot actually reach this
+        // conversion; mapping them to the untyped column keeps the
+        // certificate format hint-free either way.
         GTerm::IntCol(i) => GxTerm::OutCol(*i),
         GTerm::Prop(base, key) => GxTerm::Prop(Box::new(term_of(base)), key.clone()),
         GTerm::Const(c) => GxTerm::Const(const_of(c)),

@@ -54,9 +54,12 @@ use cypher_parser::ast::{Clause, ProjectionItems, Query};
 use cypher_parser::{parse_and_check, CheckError};
 use gexpr::{build_query, BuildError, BuildOutput, ColumnKind};
 use graphqe_analyzer::TypeSig;
+use graphqe_checker::cert::QueryCert;
+use liastar::witness::{ProofRecord, SegmentRecord};
 use liastar::{DecideOptions, Decision};
 
 pub use certificate::certificate_counters;
+use certificate::EvidenceLog;
 pub use counterexample::SearchConfig;
 pub use graphqe_checker::Certificate;
 pub use verdict::{Counterexample, FailureCategory, ProofStats, StageTimings, Verdict};
@@ -165,6 +168,10 @@ pub struct NormalizedStages {
     /// that needs it. Build errors are memoized too — `gexpr` is limits-free,
     /// so its outcome is a deterministic property of the query.
     build: Mutex<Option<Result<BuildOutput, BuildError>>>,
+    /// Certificate memo: the query's attestation (source text, Table II
+    /// derivation, fixpoint), filled by the first certificate request, so
+    /// proving never pays for it.
+    cert: OnceLock<QueryCert>,
 }
 
 // The point of the shared cache: entries cross threads. A field that
@@ -175,9 +182,21 @@ const _: () = {
 };
 
 impl NormalizedStages {
+    /// Stage ② of `source` under the ambient run token, with empty memos.
+    fn new(source: Arc<Query>) -> Result<NormalizedStages, limits::Trip> {
+        let normalized = try_normalize(&source)?;
+        Ok(NormalizedStages { source, normalized, build: Mutex::new(None), cert: OnceLock::new() })
+    }
+
     /// The normalized (Table II) form of the source query.
     pub fn normalized(&self) -> &Query {
         &self.normalized
+    }
+
+    /// The query's certificate attestation, memoized like the build: the
+    /// first caller records the derivation, every later one reads it.
+    pub(crate) fn query_cert(&self) -> &QueryCert {
+        self.cert.get_or_init(|| certificate::query_cert(&self.source))
     }
 
     /// Stage ③ on the normalized form, memoized: the first caller builds,
@@ -267,12 +286,7 @@ pub fn normalized_stages(query: &Arc<Query>) -> Result<Arc<NormalizedStages>, li
         // miss; the insert below overwrites the stale entry.
     }
     NORMALIZE_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let (normalized, _report) = cypher_normalizer::try_normalize_query_with_report(query)?;
-    let entry = Arc::new(NormalizedStages {
-        source: Arc::clone(query),
-        normalized,
-        build: Mutex::new(None),
-    });
+    let entry = Arc::new(NormalizedStages::new(Arc::clone(query))?);
     if limits::trip().is_none() {
         let evicted = normalize_cache()
             .lock()
@@ -283,12 +297,14 @@ pub fn normalized_stages(query: &Arc<Query>) -> Result<Arc<NormalizedStages>, li
     Ok(entry)
 }
 
-/// A query after stage ②, on its way into stages ③/④: either a shared cache
-/// entry (whose build is memoized) or a one-shot owned normalization (the
-/// [`GraphQE::prove_queries`] path, and every opted-out prover).
+/// A query after stage ②, on its way into stages ③/④: either a stage-②
+/// entry whose build is memoized (shared from the normalize cache, or
+/// one-shot for certificate emission by an opted-out prover) or a one-shot
+/// owned normalization (the [`GraphQE::prove_queries`] path, and every
+/// opted-out prover).
 enum Normalized {
-    /// Shared entry from the process-wide normalize cache.
-    Cached(Arc<NormalizedStages>),
+    /// A stage-② entry with its build memo.
+    Stages(Arc<NormalizedStages>),
     /// Uncached normalized form owned by this call.
     Owned(Query),
 }
@@ -296,18 +312,18 @@ enum Normalized {
 impl Normalized {
     fn query(&self) -> &Query {
         match self {
-            Normalized::Cached(stages) => stages.normalized(),
+            Normalized::Stages(stages) => stages.normalized(),
             Normalized::Owned(query) => query,
         }
     }
 
-    /// Stage ③ for this query: the memoized build for cached entries, a
+    /// Stage ③ for this query: the memoized build for stage-② entries, a
     /// fresh build otherwise. Wall-clock (a memo probe on warm hits) goes
     /// into `timings.build` either way.
     fn build_timed(&self, timings: &mut StageTimings) -> Result<BuildOutput, BuildError> {
         let build_start = Instant::now();
         let built = match self {
-            Normalized::Cached(stages) => stages.build(),
+            Normalized::Stages(stages) => stages.build(),
             Normalized::Owned(query) => build_query(query),
         };
         timings.build += build_start.elapsed();
@@ -630,10 +646,8 @@ impl GraphQE {
         stats: &mut ProofStats,
     ) -> bool {
         let normalized = if self.normalize {
-            let n1 = cypher_normalizer::try_normalize_query_with_report(q1);
-            let n2 = cypher_normalizer::try_normalize_query_with_report(q2);
-            match (n1, n2) {
-                (Ok((n1, _)), Ok((n2, _))) => (n1, n2),
+            match (try_normalize(q1), try_normalize(q2)) {
+                (Ok(n1), Ok(n2)) => (n1, n2),
                 _ => return false,
             }
         } else {
@@ -830,8 +844,8 @@ impl GraphQE {
             Ok((n1, n2)) => self.prove_prepared(
                 q1,
                 q2,
-                &Normalized::Cached(n1),
-                &Normalized::Cached(n2),
+                &Normalized::Stages(n1),
+                &Normalized::Stages(n2),
                 start,
                 stats,
             ),
@@ -851,9 +865,7 @@ impl GraphQE {
         // Stage ②: rule-based normalization (fallible under a deadline).
         let stage_start = Instant::now();
         let normalized = if self.normalize {
-            cypher_normalizer::try_normalize_query_with_report(q1).and_then(|(n1, _)| {
-                Ok((n1, cypher_normalizer::try_normalize_query_with_report(q2)?.0))
-            })
+            try_normalize(q1).and_then(|n1| Ok((n1, try_normalize(q2)?)))
         } else {
             Ok((q1.clone(), q2.clone()))
         };
@@ -884,7 +896,7 @@ impl GraphQE {
         start: Instant,
         stats: &mut ProofStats,
     ) -> Verdict {
-        let outcome = self.prove_normalized(n1, n2, stats);
+        let outcome = self.prove_normalized(n1, n2, stats, None);
         match outcome {
             Ok(()) => {
                 let mut embedded = stats.clone();
@@ -931,12 +943,15 @@ impl GraphQE {
 
     /// The equivalence-proving part of the pipeline (stages ③ and ④),
     /// including divide-and-conquer and return-element mapping. On success
-    /// the proof's statistics are merged into `stats`.
+    /// the proof's statistics are merged into `stats`. With `evidence` the
+    /// proof runs in evidence mode: every segment is decided by the arena
+    /// pipeline, which records its witness into the log.
     fn prove_normalized(
         &self,
         n1: &Normalized,
         n2: &Normalized,
         stats: &mut ProofStats,
+        mut evidence: Option<&mut EvidenceLog>,
     ) -> Result<(), (FailureCategory, String)> {
         let q1 = n1.query();
         let q2 = n2.query();
@@ -964,10 +979,19 @@ impl GraphQE {
             }
             stats.used_divide_and_conquer = true;
             for (a, b) in segments1.iter().zip(segments2.iter()) {
-                let segment = self.prove_segment(a, b, &mut stats.stages)?;
+                let segment =
+                    self.prove_segment(a, b, &mut stats.stages, evidence.as_deref_mut())?;
                 stats.decision.pruned_zero += segment.decision.pruned_zero;
                 stats.decision.pruned_implied += segment.decision.pruned_implied;
                 stats.column_permutation = stats.column_permutation.max(segment.column_permutation);
+            }
+            // Each segment's permutation is folded into its right
+            // G-expression (built from the permuted fragment), which the
+            // checker takes as a stage-③ input; the whole query's alignment
+            // is therefore the identity on the final RETURN arity.
+            if let Some(log) = evidence {
+                log.permutation = (0..log.permutation.len()).collect();
+                log.permuted_right = None;
             }
             return Ok(());
         }
@@ -975,7 +999,8 @@ impl GraphQE {
         // the cached path, so a warm re-certification skips the build.
         let built1 = n1.build_timed(&mut stats.stages).map_err(categorize_build_error)?;
         let built2 = n2.build_timed(&mut stats.stages).map_err(categorize_build_error)?;
-        let segment = self.prove_segment_with(q1, q2, &built1, &built2, &mut stats.stages)?;
+        let segment =
+            self.prove_segment_with(q1, q2, &built1, &built2, &mut stats.stages, evidence)?;
         stats.column_permutation = segment.column_permutation;
         stats.decision = segment.decision;
         Ok(())
@@ -989,6 +1014,7 @@ impl GraphQE {
         q1: &Query,
         q2: &Query,
         timings: &mut StageTimings,
+        evidence: Option<&mut EvidenceLog>,
     ) -> Result<ProofStats, (FailureCategory, String)> {
         // Stage ③: G-expression construction.
         let build_start = Instant::now();
@@ -996,13 +1022,14 @@ impl GraphQE {
         timings.build += build_start.elapsed();
         let built1 = built.0.map_err(categorize_build_error)?;
         let built2 = built.1.map_err(categorize_build_error)?;
-        self.prove_segment_with(q1, q2, &built1, &built2, timings)
+        self.prove_segment_with(q1, q2, &built1, &built2, timings, evidence)
     }
 
     /// The decision half of [`GraphQE::prove_segment`], starting from built
     /// G-expressions: return-element mapping and the LIA* decision. Build
     /// (permutation rebuilds) and decide wall-clock is accumulated into
-    /// `timings` on every exit path.
+    /// `timings` on every exit path. With `evidence`, the proving decision's
+    /// witness and column alignment are appended to the log.
     fn prove_segment_with(
         &self,
         q1: &Query,
@@ -1010,6 +1037,7 @@ impl GraphQE {
         built1: &BuildOutput,
         built2: &BuildOutput,
         timings: &mut StageTimings,
+        evidence: Option<&mut EvidenceLog>,
     ) -> Result<ProofStats, (FailureCategory, String)> {
         if built1.columns != built2.columns {
             // The paper: queries with different return arity can only be
@@ -1018,6 +1046,14 @@ impl GraphQE {
             let empty = both_always_empty(built1, built2, self.use_tree_normalizer);
             timings.decide += decide_start.elapsed();
             if empty {
+                if let Some(log) = evidence {
+                    let both_zero = SegmentRecord {
+                        left: gexpr::GExpr::Zero,
+                        right: gexpr::GExpr::Zero,
+                        proof: ProofRecord::Identical,
+                    };
+                    log.push(both_zero, (0..built1.columns).collect(), None);
+                }
                 return Ok(ProofStats::default());
             }
             return Err((
@@ -1034,32 +1070,44 @@ impl GraphQE {
             .enumerate()
         {
             let build_start = Instant::now();
-            let candidate = if is_identity(&permutation) {
-                built2.clone()
-            } else {
-                match build_query(&permute_returns(q2, &permutation)) {
-                    Ok(output) => output,
+            let permuted = (!is_identity(&permutation)).then(|| permute_returns(q2, &permutation));
+            let rebuilt;
+            let candidate = match &permuted {
+                None => built2,
+                Some(query) => match build_query(query) {
+                    Ok(output) => {
+                        rebuilt = output;
+                        &rebuilt
+                    }
                     Err(_) => {
                         timings.build += build_start.elapsed();
                         continue;
                     }
-                }
+                },
             };
             timings.build += build_start.elapsed();
             // Stage ④: the LIA★ decision (fallible under limits — a trip
             // surfaces here instead of being silently degraded to NotProved).
             let decide_start = Instant::now();
-            let outcome = liastar::try_check_equivalence_with_opts(
-                &built1.expr,
-                &candidate.expr,
-                DecideOptions { tree_normalizer: self.use_tree_normalizer },
-            );
+            let outcome = if evidence.is_some() {
+                liastar::try_check_equivalence_recording(&built1.expr, &candidate.expr)
+            } else {
+                liastar::try_check_equivalence_with_opts(
+                    &built1.expr,
+                    &candidate.expr,
+                    DecideOptions { tree_normalizer: self.use_tree_normalizer },
+                )
+                .map(|(decision, stats)| (decision, stats, None))
+            };
             timings.decide += decide_start.elapsed();
-            let (decision, stats) = match outcome {
+            let (decision, stats, witness) = match outcome {
                 Ok(result) => result,
                 Err(trip) => return Err((trip.into(), trip.to_string())),
             };
             if decision == Decision::Proved {
+                if let (Some(log), Some(witness)) = (evidence, witness) {
+                    log.push(witness, permutation, permuted);
+                }
                 return Ok(ProofStats {
                     column_permutation: index,
                     decision: stats,
@@ -1072,6 +1120,11 @@ impl GraphQE {
             "the G-expressions could not be proven equal".to_string(),
         ))
     }
+}
+
+/// Stage ② without the cache, under the ambient run token.
+fn try_normalize(query: &Query) -> Result<Query, limits::Trip> {
+    cypher_normalizer::try_normalize_query_with(query, &mut ())
 }
 
 /// The `Unknown` verdict of a tripped run: the first recorded trip wins and

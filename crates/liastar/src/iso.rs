@@ -307,7 +307,7 @@ pub mod ids {
                 unify_node(store, a, b, mapping)
             }
             (ANode::Mul(a), ANode::Mul(b)) | (ANode::Add(a), ANode::Add(b)) => {
-                unify_multiset(store, &a, &b, mapping)
+                unify_multiset(store, &a, &b, mapping, None)
             }
             (ANode::Sum(va, ba), ANode::Sum(vb, bb)) => {
                 va.len() == vb.len() && unify_node(store, ba, bb, mapping)
@@ -316,18 +316,22 @@ pub mod ids {
         }
     }
 
-    /// Id-native mirror of [`super::unify_multiset`].
+    /// Id-native mirror of [`super::unify_multiset`]. On success,
+    /// `assignment` (when given) receives the right index matched by each
+    /// left position, in position order: the pairs unify one after another
+    /// under one shared mapping.
     pub fn unify_multiset(
         store: &mut GStore,
         left: &[NodeId],
         right: &[NodeId],
         mapping: &mut VarMapping,
+        assignment: Option<&mut Vec<usize>>,
     ) -> bool {
         if left.len() != right.len() {
             return false;
         }
         let mut used = vec![false; right.len()];
-        unify_multiset_from(store, left, right, 0, &mut used, mapping)
+        unify_multiset_from(store, left, right, 0, &mut used, mapping, assignment)
     }
 
     fn unify_multiset_from(
@@ -337,6 +341,7 @@ pub mod ids {
         position: usize,
         used: &mut [bool],
         mapping: &mut VarMapping,
+        mut assignment: Option<&mut Vec<usize>>,
     ) -> bool {
         if position == left.len() {
             return true;
@@ -349,8 +354,22 @@ pub mod ids {
             let mark = mapping.checkpoint();
             if unify_node(store, first, right[index], mapping) {
                 used[index] = true;
-                if unify_multiset_from(store, left, right, position + 1, used, mapping) {
+                if let Some(assignment) = assignment.as_deref_mut() {
+                    assignment.push(index);
+                }
+                if unify_multiset_from(
+                    store,
+                    left,
+                    right,
+                    position + 1,
+                    used,
+                    mapping,
+                    assignment.as_deref_mut(),
+                ) {
                     return true;
+                }
+                if let Some(assignment) = assignment.as_deref_mut() {
+                    assignment.pop();
                 }
                 used[index] = false;
             }

@@ -39,6 +39,11 @@
 //! the benchmark baseline and the differential-testing oracle: both pipelines
 //! return identical verdicts on every input (asserted by the property tests
 //! and by `tests/arena_equivalence.rs` over both datasets).
+//!
+//! The arena pipeline also has an **evidence mode**
+//! ([`try_check_equivalence_recording`]): the same decision, which in
+//! addition reads the certificate witness ([`witness::SegmentRecord`]) off
+//! the intermediate results it already holds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,8 +57,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gexpr::arena::{ANode, GStore, NodeId as ArenaNodeId};
-use gexpr::{normalize_tree, GExpr};
+use gexpr::{normalize_tree, GExpr, VarId};
 use smt::{SmtResult, Solver, Term};
+use witness::{MatchingRecord, ProofRecord, SegmentRecord, SummandsRecord};
 
 pub use encode::{
     encode_atom, encode_atom_id, encode_factor, encode_factor_id, encode_product,
@@ -143,6 +149,30 @@ pub fn try_check_equivalence_with_opts(
         // check to `Unknown`, which only weakens simplification — soundly).
         return Ok(tree::check_equivalence(g1, g2));
     }
+    let (decision, stats, _) = decide_arena(g1, g2, false)?;
+    Ok((decision, stats))
+}
+
+/// The arena decision of [`try_check_equivalence_with_opts`] in evidence
+/// mode: a `Proved` decision also returns its witness, read off the
+/// intermediate results the decision already holds (split and normalized
+/// sides, zero-pruned and simplified summands, the isomorphism assignment
+/// or the class counts). Decision and statistics are identical to the
+/// unrecorded call, and so is every cache access.
+pub fn try_check_equivalence_recording(
+    g1: &GExpr,
+    g2: &GExpr,
+) -> Result<(Decision, DecisionStats, Option<SegmentRecord>), limits::Trip> {
+    decide_arena(g1, g2, true)
+}
+
+/// The id-native pipeline: intern, split disjoint squashes, normalize, then
+/// [`decide`]. With `record`, a proof's witness is returned alongside.
+fn decide_arena(
+    g1: &GExpr,
+    g2: &GExpr,
+    record: bool,
+) -> Result<(Decision, DecisionStats, Option<SegmentRecord>), limits::Trip> {
     let mut stats = DecisionStats::default();
     gexpr::arena::with_thread_store(|store| {
         sync_caches_to_epoch(store.epoch());
@@ -155,10 +185,17 @@ pub fn try_check_equivalence_with_opts(
         let right = store.normalize_id(right);
         // Quick path: hash-consing makes post-normalization syntactic
         // equality a single id comparison.
-        if left == right {
-            return Ok((Decision::Proved, stats));
-        }
-        decide(store, left, right, &mut stats)
+        let (decision, proof) = if left == right {
+            (Decision::Proved, record.then_some(ProofRecord::Identical))
+        } else {
+            decide(store, left, right, &mut stats, record)?
+        };
+        let witness = proof.filter(|_| decision.is_proved()).map(|proof| SegmentRecord {
+            left: store.extern_expr(left),
+            right: store.extern_expr(right),
+            proof,
+        });
+        Ok((decision, stats, witness))
     })
 }
 
@@ -332,31 +369,60 @@ pub fn reset_thread_caches() {
 // ---------------------------------------------------------------------------
 
 /// Recursive decision on interned ids: squashes are peeled in lock-step, then
-/// the summand lists are compared.
+/// the summand lists are compared. With `record`, a proof also returns its
+/// [`ProofRecord`].
 fn decide(
     store: &mut GStore,
     left: ArenaNodeId,
     right: ArenaNodeId,
     stats: &mut DecisionStats,
-) -> Result<(Decision, DecisionStats), limits::Trip> {
+    record: bool,
+) -> Result<(Decision, Option<ProofRecord>), limits::Trip> {
     limits::checkpoint(limits::Stage::Decide)?;
     if let (ANode::Squash(a), ANode::Squash(b)) = (store.node_of(left), store.node_of(right)) {
         // ‖A‖ = ‖B‖ is implied by A = B (sufficient condition).
         let (a, b) = (*a, *b);
-        if a == b {
-            return Ok((Decision::Proved, stats.clone()));
-        }
-        return decide(store, a, b, stats);
+        let (decision, inner) = if a == b {
+            (Decision::Proved, record.then_some(ProofRecord::Identical))
+        } else {
+            decide(store, a, b, stats, record)?
+        };
+        return Ok((decision, inner.map(|inner| ProofRecord::Peel(Box::new(inner)))));
     }
 
-    let left_summands = simplify_summands(store, to_summands(store, left), stats)?;
-    let right_summands = simplify_summands(store, to_summands(store, right), stats)?;
+    let left_all = to_summands(store, left);
+    let right_all = to_summands(store, right);
+    let (mut left_pruned, mut right_pruned) = (Vec::new(), Vec::new());
+    let left_summands =
+        simplify_summands(store, &left_all, stats, record.then_some(&mut left_pruned))?;
+    let right_summands =
+        simplify_summands(store, &right_all, stats, record.then_some(&mut right_pruned))?;
     stats.summands = (left_summands.len(), right_summands.len());
+    let summands_record = |store: &GStore, matching| {
+        ProofRecord::Summands(Box::new(SummandsRecord {
+            left: witness::side_record(store, &left_all, left_pruned, &left_summands),
+            right: witness::side_record(store, &right_all, right_pruned, &right_summands),
+            matching,
+        }))
+    };
 
     // Structural bijection between the summand multisets, on ids with the
     // undo-trail matcher (same-node summand pairs match in O(1)).
-    if iso::ids::unify_multiset(store, &left_summands, &right_summands, &mut VarMapping::new()) {
-        return Ok((Decision::Proved, stats.clone()));
+    let mut assignment = Vec::new();
+    if iso::ids::unify_multiset(
+        store,
+        &left_summands,
+        &right_summands,
+        &mut VarMapping::new(),
+        record.then_some(&mut assignment),
+    ) {
+        let proof = record.then(|| {
+            summands_record(
+                store,
+                MatchingRecord::Bijection(assignment.into_iter().enumerate().collect()),
+            )
+        });
+        return Ok((Decision::Proved, proof));
     }
 
     // LIA* arithmetic check: abstract each isomorphism class of summands by a
@@ -366,20 +432,16 @@ fn decide(
     // solver.)
     stats.used_smt_arithmetic = true;
     let mut classes: Vec<ArenaNodeId> = Vec::new();
-    let mut left_counts: Vec<i64> = Vec::new();
-    let mut right_counts: Vec<i64> = Vec::new();
-    for summand in &left_summands {
-        // The iso matching behind `class_index` is the potentially expensive
-        // step of the counting loop; checkpoint once per summand.
-        limits::checkpoint(limits::Stage::Decide)?;
-        let class = class_index(store, &mut classes, &mut left_counts, &mut right_counts, *summand);
-        left_counts[class] += 1;
-    }
-    for summand in &right_summands {
-        limits::checkpoint(limits::Stage::Decide)?;
-        let class = class_index(store, &mut classes, &mut left_counts, &mut right_counts, *summand);
-        right_counts[class] += 1;
-    }
+    let left_assign = class_assignment(store, &mut classes, &left_summands)?;
+    let right_assign = class_assignment(store, &mut classes, &right_summands)?;
+    let counts = |assign: &[usize]| {
+        let mut counts = vec![0usize; classes.len()];
+        for &class in assign {
+            counts[class] += 1;
+        }
+        counts
+    };
+    let (left_counts, right_counts) = (counts(&left_assign), counts(&right_assign));
 
     // g1 = Σ count_l[i]·v_i, g2 = Σ count_r[i]·v_i with v_i ≥ 1 (a summand's
     // value is unknown but identical across sides). The queries can differ
@@ -392,36 +454,53 @@ fn decide(
     for (index, _) in classes.iter().enumerate() {
         let v = Term::int_var(format!("class{index}"));
         solver.assert(Term::ge(v.clone(), Term::int(1)));
-        left_sum.push(Term::MulConst(left_counts[index], Box::new(v.clone())));
-        right_sum.push(Term::MulConst(right_counts[index], Box::new(v)));
+        left_sum.push(Term::MulConst(left_counts[index] as i64, Box::new(v.clone())));
+        right_sum.push(Term::MulConst(right_counts[index] as i64, Box::new(v)));
     }
     let lhs = if left_sum.is_empty() { Term::int(0) } else { Term::add(left_sum) };
     let rhs = if right_sum.is_empty() { Term::int(0) } else { Term::add(right_sum) };
     solver.assert(Term::neq(lhs, rhs));
-    match solver.check() {
-        SmtResult::Unsat => Ok((Decision::Proved, stats.clone())),
-        _ => Ok((Decision::NotProved, stats.clone())),
+    if !matches!(solver.check(), SmtResult::Unsat) {
+        return Ok((Decision::NotProved, None));
     }
+    let proof = record.then(|| {
+        let representatives = classes.iter().map(|class| store.extern_expr(*class)).collect();
+        summands_record(
+            store,
+            MatchingRecord::Classes {
+                representatives,
+                left_assign,
+                right_assign,
+                left_counts,
+                right_counts,
+            },
+        )
+    });
+    Ok((Decision::Proved, proof))
 }
 
-/// The isomorphism class of `summand` among `classes` (appending a new class
-/// if none matches). Same-node comparisons short-circuit in the matcher.
-fn class_index(
+/// The isomorphism class of each summand among `classes`, appending a new
+/// class when none matches. Same-node comparisons short-circuit in the
+/// matcher.
+fn class_assignment(
     store: &mut GStore,
     classes: &mut Vec<ArenaNodeId>,
-    left_counts: &mut Vec<i64>,
-    right_counts: &mut Vec<i64>,
-    summand: ArenaNodeId,
-) -> usize {
-    for (index, representative) in classes.iter().enumerate() {
-        if iso::ids::isomorphic(store, *representative, summand) {
-            return index;
-        }
+    summands: &[ArenaNodeId],
+) -> Result<Vec<usize>, limits::Trip> {
+    let mut assign = Vec::with_capacity(summands.len());
+    for &summand in summands {
+        // The iso matching is the potentially expensive step of the counting
+        // loop; checkpoint once per summand.
+        limits::checkpoint(limits::Stage::Decide)?;
+        let existing = classes
+            .iter()
+            .position(|representative| iso::ids::isomorphic(store, *representative, summand));
+        assign.push(existing.unwrap_or_else(|| {
+            classes.push(summand);
+            classes.len() - 1
+        }));
     }
-    classes.push(summand);
-    left_counts.push(0);
-    right_counts.push(0);
-    classes.len() - 1
+    Ok(assign)
 }
 
 /// `true` iff the product `a × b` is unsatisfiable, memoized under the pair
@@ -505,21 +584,42 @@ fn to_summands(store: &GStore, expr: ArenaNodeId) -> Vec<ArenaNodeId> {
 
 /// SMT-backed simplification of summands: zero pruning and implied-atom
 /// elimination, entirely on interned ids, with a cooperative limit
-/// checkpoint per summand.
+/// checkpoint per summand. Returns the kept simplifications in order; the
+/// indices of zero-pruned summands go to `pruned` when given.
 fn simplify_summands(
     store: &mut GStore,
-    summands: Vec<ArenaNodeId>,
+    summands: &[ArenaNodeId],
     stats: &mut DecisionStats,
+    mut pruned: Option<&mut Vec<usize>>,
 ) -> Result<Vec<ArenaNodeId>, limits::Trip> {
     let mut result = Vec::new();
-    for summand in summands {
+    for (index, &summand) in summands.iter().enumerate() {
         limits::checkpoint(limits::Stage::Decide)?;
         match simplify_summand(store, summand, stats) {
             Some(simplified) => result.push(simplified),
-            None => stats.pruned_zero += 1,
+            None => {
+                stats.pruned_zero += 1;
+                if let Some(pruned) = pruned.as_deref_mut() {
+                    pruned.push(index);
+                }
+            }
         }
     }
     Ok(result)
+}
+
+/// A summand `Σ_vars Π factors` split into its variables and factors (both
+/// layers optional).
+fn decompose_summand(store: &GStore, summand: ArenaNodeId) -> (Vec<VarId>, Vec<ArenaNodeId>) {
+    let (vars, body) = match store.node_of(summand) {
+        ANode::Sum(vars, body) => (vars.to_vec(), *body),
+        _ => (Vec::new(), summand),
+    };
+    let factors = match store.node_of(body) {
+        ANode::Mul(items) => items.to_vec(),
+        _ => vec![body],
+    };
+    (vars, factors)
 }
 
 /// Memoized summand simplification: the result is cached under the summand's
@@ -544,16 +644,7 @@ fn simplify_summand(
         return result;
     }
     SUMMAND_MISSES.fetch_add(1, Ordering::Relaxed);
-
-    // Decompose Σ_{vars} Π factors (both layers optional).
-    let (vars, body) = match store.node_of(summand).clone() {
-        ANode::Sum(vars, body) => (vars.to_vec(), body),
-        _ => (Vec::new(), summand),
-    };
-    let mut factors = match store.node_of(body).clone() {
-        ANode::Mul(items) => items.to_vec(),
-        _ => vec![body],
-    };
+    let (vars, mut factors) = decompose_summand(store, summand);
 
     // Cache hygiene: an `Unknown` SMT verdict on this path (budget trip,
     // cancellation, injected fault) degrades pruning conservatively — keep

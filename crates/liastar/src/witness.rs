@@ -1,9 +1,8 @@
-//! A witness-emitting variant of the paper-faithful tree pipeline.
+//! The equivalence witness the arena decision records in evidence mode
+//! ([`crate::try_check_equivalence_recording`]).
 //!
-//! [`prove_with_witness`] re-runs the reference decision procedure (the same
-//! algorithms as the private tree oracle in this crate: reference normalizer,
-//! cloning iso matcher, no caches) while recording everything an independent
-//! checker needs to re-validate the proof without re-running SMT:
+//! A witness holds everything an independent checker needs to re-validate
+//! the proof without re-running SMT:
 //!
 //! - which summands were zero-pruned and which atoms were removed as implied
 //!   (so the structural simplification can be replayed);
@@ -13,22 +12,19 @@
 //! - the class representatives, per-summand assignments, and per-class
 //!   counts when class counting decided the proof.
 //!
-//! Emission is strictly off the hot path: the default arena pipeline is
-//! untouched, and callers invoke this module only when a certificate was
-//! requested.
+//! Nothing here re-proves anything: the records are read off the ids the
+//! decision already holds, so a witness always describes the decision that
+//! produced the verdict. With recording off the decision does no extra work.
 
-use gexpr::{normalize_tree, GExpr};
-use smt::{SmtResult, Solver, Term};
-
-use crate::iso::{cloning, VarMapping};
-use crate::{encode_factor, encode_product};
+use gexpr::arena::{GStore, NodeId};
+use gexpr::GExpr;
 
 /// One kept summand with its simplification record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeptRecord {
     /// Index into the side's original summand list.
     pub index: usize,
-    /// Atoms removed as SMT-implied, in removal order.
+    /// Atoms removed as SMT-implied, in the summand's factor order.
     pub removed_atoms: Vec<GExpr>,
     /// The simplified summand.
     pub result: GExpr,
@@ -99,235 +95,53 @@ pub struct SegmentRecord {
     pub proof: ProofRecord,
 }
 
-/// Proves `g1 ≡ g2` with the reference tree pipeline, emitting a full
-/// witness. Returns `None` when the pipeline cannot establish equivalence
-/// (the caller falls back to reporting an emission failure — this does not
-/// happen for pairs the arena pipeline proved, which runs the same
-/// algorithms).
-pub fn prove_with_witness(g1: &GExpr, g2: &GExpr) -> Option<SegmentRecord> {
-    let left = normalize_tree(&split_disjoint_squashes(g1));
-    let right = normalize_tree(&split_disjoint_squashes(g2));
-    if left == right {
-        return Some(SegmentRecord { left, right, proof: ProofRecord::Identical });
-    }
-    let proof = decide(&left, &right)?;
-    Some(SegmentRecord { left, right, proof })
+/// One side's accounting from the decision's intermediate results: the
+/// side's summands, the indices pruned as zero (ascending), and the kept
+/// simplifications in order.
+pub(crate) fn side_record(
+    store: &GStore,
+    summands: &[NodeId],
+    zero_pruned: Vec<usize>,
+    kept: &[NodeId],
+) -> SideRecord {
+    let kept_indices = (0..summands.len()).filter(|index| !zero_pruned.contains(index));
+    let kept = kept_indices
+        .zip(kept)
+        .map(|(index, &result)| KeptRecord {
+            index,
+            removed_atoms: removed_atoms(store, summands[index], result),
+            result: store.extern_expr(result),
+        })
+        .collect();
+    SideRecord { total: summands.len(), zero_pruned, kept }
 }
 
-fn decide(left: &GExpr, right: &GExpr) -> Option<ProofRecord> {
-    if let (GExpr::Squash(a), GExpr::Squash(b)) = (left, right) {
-        return Some(ProofRecord::Peel(Box::new(decide(a, b)?)));
-    }
-
-    let left_side = simplify_summands(to_summands(left));
-    let right_side = simplify_summands(to_summands(right));
-    let left_results: Vec<GExpr> = left_side.kept.iter().map(|k| k.result.clone()).collect();
-    let right_results: Vec<GExpr> = right_side.kept.iter().map(|k| k.result.clone()).collect();
-
-    if let Some(assignment) =
-        unify_multiset_recording(&left_results, &right_results, &VarMapping::new())
-    {
-        let pairs = assignment.into_iter().enumerate().collect();
-        return Some(ProofRecord::Summands(Box::new(SummandsRecord {
-            left: left_side,
-            right: right_side,
-            matching: MatchingRecord::Bijection(pairs),
-        })));
-    }
-
-    let mut representatives: Vec<GExpr> = Vec::new();
-    let mut left_assign = Vec::new();
-    let mut right_assign = Vec::new();
-    for summand in &left_results {
-        left_assign.push(class_index(&mut representatives, summand));
-    }
-    for summand in &right_results {
-        right_assign.push(class_index(&mut representatives, summand));
-    }
-    let mut left_counts = vec![0usize; representatives.len()];
-    let mut right_counts = vec![0usize; representatives.len()];
-    for &class in &left_assign {
-        left_counts[class] += 1;
-    }
-    for &class in &right_assign {
-        right_counts[class] += 1;
-    }
-
-    // The reference pipeline discharges count equality through the SMT
-    // solver; replicate that here so the emitted witness attests exactly what
-    // was proved. (The checker then re-verifies count equality directly.)
-    let mut solver = Solver::new();
-    let mut left_sum = Vec::new();
-    let mut right_sum = Vec::new();
-    for (index, _) in representatives.iter().enumerate() {
-        let v = Term::int_var(format!("class{index}"));
-        solver.assert(Term::ge(v.clone(), Term::int(1)));
-        left_sum.push(Term::MulConst(left_counts[index] as i64, Box::new(v.clone())));
-        right_sum.push(Term::MulConst(right_counts[index] as i64, Box::new(v)));
-    }
-    let lhs = if left_sum.is_empty() { Term::int(0) } else { Term::add(left_sum) };
-    let rhs = if right_sum.is_empty() { Term::int(0) } else { Term::add(right_sum) };
-    solver.assert(Term::neq(lhs, rhs));
-    if !matches!(solver.check(), SmtResult::Unsat) {
-        return None;
-    }
-    Some(ProofRecord::Summands(Box::new(SummandsRecord {
-        left: left_side,
-        right: right_side,
-        matching: MatchingRecord::Classes {
-            representatives,
-            left_assign,
-            right_assign,
-            left_counts,
-            right_counts,
-        },
-    })))
-}
-
-fn class_index(representatives: &mut Vec<GExpr>, summand: &GExpr) -> usize {
-    for (index, representative) in representatives.iter().enumerate() {
-        if cloning::unify_expr(representative, summand, &VarMapping::new()).is_some() {
-            return index;
-        }
-    }
-    representatives.push(summand.clone());
-    representatives.len() - 1
-}
-
-/// Left-position DFS over right candidates (ascending index, `used` flags),
-/// the same search as the cloning matcher but returning the original right
-/// index matched by each left position. The recorded pairs unify
-/// sequentially under one shared mapping by construction.
-fn unify_multiset_recording(
-    left: &[GExpr],
-    right: &[GExpr],
-    mapping: &VarMapping,
-) -> Option<Vec<usize>> {
-    if left.len() != right.len() {
-        return None;
-    }
-    let mut used = vec![false; right.len()];
-    let mut assignment = Vec::with_capacity(left.len());
-    fn recurse(
-        position: usize,
-        left: &[GExpr],
-        right: &[GExpr],
-        used: &mut [bool],
-        assignment: &mut Vec<usize>,
-        mapping: &VarMapping,
-    ) -> bool {
-        if position == left.len() {
-            return true;
-        }
-        for (index, candidate) in right.iter().enumerate() {
-            if used[index] {
-                continue;
+/// The factors of `summand` that its simplification `result` no longer
+/// has, in factor order. Implication pruning only ever drops factors, so
+/// this is exactly the removed atoms — and, read off the two interned forms
+/// instead of logged by the simplifier, it is the same on a summand-cache
+/// hit as on the miss that filled the entry.
+fn removed_atoms(store: &GStore, summand: NodeId, result: NodeId) -> Vec<GExpr> {
+    let (_, mut remaining) = crate::decompose_summand(store, result);
+    let (_, factors) = crate::decompose_summand(store, summand);
+    factors
+        .into_iter()
+        .filter(|factor| match remaining.iter().position(|kept| kept == factor) {
+            Some(position) => {
+                remaining.swap_remove(position);
+                false
             }
-            if let Some(extended) = cloning::unify_expr(&left[position], candidate, mapping) {
-                used[index] = true;
-                assignment.push(index);
-                if recurse(position + 1, left, right, used, assignment, &extended) {
-                    return true;
-                }
-                assignment.pop();
-                used[index] = false;
-            }
-        }
-        false
-    }
-    if recurse(0, left, right, &mut used, &mut assignment, mapping) {
-        Some(assignment)
-    } else {
-        None
-    }
-}
-
-fn to_summands(expr: &GExpr) -> Vec<GExpr> {
-    match expr {
-        GExpr::Add(items) => items.clone(),
-        GExpr::Zero => Vec::new(),
-        other => vec![other.clone()],
-    }
-}
-
-fn simplify_summands(summands: Vec<GExpr>) -> SideRecord {
-    let total = summands.len();
-    let mut zero_pruned = Vec::new();
-    let mut kept = Vec::new();
-    for (index, summand) in summands.into_iter().enumerate() {
-        match simplify_summand(&summand) {
-            Some((removed_atoms, result)) => kept.push(KeptRecord { index, removed_atoms, result }),
-            None => zero_pruned.push(index),
-        }
-    }
-    SideRecord { total, zero_pruned, kept }
-}
-
-fn simplify_summand(summand: &GExpr) -> Option<(Vec<GExpr>, GExpr)> {
-    let (vars, body) = match summand {
-        GExpr::Sum { vars, body } => (vars.clone(), (**body).clone()),
-        other => (Vec::new(), other.clone()),
-    };
-    let mut factors = match body {
-        GExpr::Mul(items) => items,
-        other => vec![other],
-    };
-
-    if smt::check_formula(encode_product(&factors)).is_unsat() {
-        return None;
-    }
-
-    let mut removed = Vec::new();
-    let mut index = 0;
-    while index < factors.len() {
-        if matches!(factors[index], GExpr::Atom(_)) && factors.len() > 1 {
-            let mut others = factors.clone();
-            let candidate = others.remove(index);
-            let implication = Term::implies(encode_product(&others), encode_factor(&candidate));
-            if smt::is_valid(implication) {
-                removed.push(factors.remove(index));
-                continue;
-            }
-        }
-        index += 1;
-    }
-
-    Some((removed, GExpr::sum(vars, GExpr::mul(factors))))
-}
-
-fn disjoint(a: &GExpr, b: &GExpr) -> bool {
-    let product = Term::and(vec![encode_factor(a), encode_factor(b)]);
-    smt::check_formula(product).is_unsat()
-}
-
-fn split_disjoint_squashes(expr: &GExpr) -> GExpr {
-    match expr {
-        GExpr::Squash(inner) => {
-            let inner = split_disjoint_squashes(inner);
-            if let GExpr::Add(items) = &inner {
-                let all_unit = items.iter().all(gexpr::is_zero_one);
-                let pairwise_disjoint = all_unit
-                    && items
-                        .iter()
-                        .enumerate()
-                        .all(|(i, a)| items.iter().skip(i + 1).all(|b| disjoint(a, b)));
-                if pairwise_disjoint {
-                    return inner;
-                }
-            }
-            GExpr::squash(inner)
-        }
-        GExpr::Mul(items) => GExpr::mul(items.iter().map(split_disjoint_squashes).collect()),
-        GExpr::Add(items) => GExpr::add(items.iter().map(split_disjoint_squashes).collect()),
-        GExpr::Not(inner) => GExpr::not(split_disjoint_squashes(inner)),
-        GExpr::Sum { vars, body } => GExpr::sum(vars.clone(), split_disjoint_squashes(body)),
-        other => other.clone(),
-    }
+            None => true,
+        })
+        .map(|atom| store.extern_expr(atom))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iso::{unify_expr, VarMapping};
+    use crate::{try_check_equivalence_recording, try_check_equivalence_with_opts, DecideOptions};
     use cypher_parser::parse_query;
     use gexpr::build_query;
 
@@ -335,59 +149,59 @@ mod tests {
         build_query(&parse_query(query).unwrap()).unwrap().expr
     }
 
+    fn witness_of(q1: &str, q2: &str) -> Option<SegmentRecord> {
+        try_check_equivalence_recording(&gexpr_of(q1), &gexpr_of(q2)).expect("no limits").2
+    }
+
     #[test]
     fn witness_matches_the_tree_pipeline_verdict() {
         let pairs = [
-            ("MATCH (n1) RETURN n1", "MATCH (n1) RETURN n1"),
-            ("MATCH (n1) RETURN n1.a", "MATCH (n2) RETURN n2.a"),
+            ("MATCH (n1) RETURN n1", "MATCH (n1) RETURN n1", true),
+            ("MATCH (n1) RETURN n1.a", "MATCH (n2) RETURN n2.a", true),
             (
                 "MATCH (n1) WHERE n1.a > 5 AND n1.a > 3 RETURN n1",
                 "MATCH (n1) WHERE n1.a > 5 RETURN n1",
+                true,
             ),
+            ("MATCH (n:Person) RETURN n", "MATCH (n:Book) RETURN n", false),
         ];
-        for (q1, q2) in pairs {
-            let g1 = gexpr_of(q1);
-            let g2 = gexpr_of(q2);
-            let (decision, _) = crate::check_equivalence_with_opts(
-                &g1,
-                &g2,
-                crate::DecideOptions { tree_normalizer: true },
+        for (q1, q2, expected) in pairs {
+            let (tree, _) = crate::check_equivalence_with_opts(
+                &gexpr_of(q1),
+                &gexpr_of(q2),
+                DecideOptions { tree_normalizer: true },
             );
-            assert!(decision.is_proved(), "premise: {q1} ≡ {q2}");
-            let witness = prove_with_witness(&g1, &g2);
-            assert!(witness.is_some(), "no witness for {q1} ≡ {q2}");
+            assert_eq!(tree.is_proved(), expected, "tree pipeline: {q1} vs {q2}");
+            assert_eq!(witness_of(q1, q2).is_some(), expected, "recorded witness: {q1} vs {q2}");
         }
     }
 
     #[test]
     fn recorded_bijection_unifies_sequentially() {
-        let g1 = gexpr_of("MATCH (n1) RETURN n1.a");
-        let g2 = gexpr_of("MATCH (n2) RETURN n2.a");
-        let witness = prove_with_witness(&g1, &g2).expect("witness exists");
+        // Two summands per side whose bijection must cross.
+        let witness = witness_of(
+            "MATCH (a:Person) RETURN a.x UNION ALL MATCH (b:Book) RETURN b.x",
+            "MATCH (c:Book) RETURN c.x UNION ALL MATCH (d:Person) RETURN d.x",
+        )
+        .expect("witness exists");
         let ProofRecord::Summands(record) = &witness.proof else {
-            // Identical after normalization is also a fine outcome here.
-            return;
+            panic!("expected a summands proof, got {:?}", witness.proof);
         };
         let MatchingRecord::Bijection(pairs) = &record.matching else {
             panic!("expected a bijection");
         };
+        assert_eq!(pairs.len(), 2);
         let mut mapping = VarMapping::new();
         for &(l, r) in pairs {
-            let extended = cloning::unify_expr(
-                &record.left.kept[l].result,
-                &record.right.kept[r].result,
-                &mapping,
-            )
-            .expect("pair unifies under the shared mapping");
-            mapping = extended;
+            assert!(
+                unify_expr(&record.left.kept[l].result, &record.right.kept[r].result, &mut mapping),
+                "pair ({l}, {r}) unifies under the shared mapping"
+            );
         }
     }
 
     #[test]
     fn implied_atom_removal_is_recorded() {
-        let g1 = gexpr_of("MATCH (n1) WHERE n1.a > 5 AND n1.a > 3 RETURN n1");
-        let g2 = gexpr_of("MATCH (n1) WHERE n1.a > 5 RETURN n1");
-        let witness = prove_with_witness(&g1, &g2).expect("witness exists");
         fn removed_count(proof: &ProofRecord) -> usize {
             match proof {
                 ProofRecord::Identical => 0,
@@ -401,9 +215,40 @@ mod tests {
                     .sum(),
             }
         }
+        crate::reset_thread_caches();
+        let q1 = "MATCH (n1) WHERE n1.a > 5 AND n1.a > 3 RETURN n1";
+        let q2 = "MATCH (n1) WHERE n1.a > 5 RETURN n1";
+        let cold = witness_of(q1, q2).expect("witness exists");
         assert!(
-            removed_count(&witness.proof) >= 1,
+            removed_count(&cold.proof) >= 1,
             "the implied atom [n1.a > 3] should be recorded as removed"
         );
+        // The second decision hits the summand cache and records the same.
+        assert_eq!(witness_of(q1, q2), Some(cold));
+    }
+
+    #[test]
+    fn recording_leaves_decision_and_stats_unchanged() {
+        let pairs = [
+            ("MATCH (n1) RETURN n1", "MATCH (n2) RETURN n2"),
+            (
+                "MATCH (n) WHERE n.age < 10 OR n.age > 20 RETURN n.name",
+                "MATCH (n) WHERE n.age < 10 RETURN n.name \
+                 UNION ALL MATCH (n) WHERE n.age > 20 RETURN n.name",
+            ),
+            (
+                "MATCH (n) WHERE n.age = 1 AND n.age = 2 RETURN n",
+                "MATCH (m:Person) WHERE m.x < 1 AND m.x > 1 RETURN m",
+            ),
+            ("MATCH (a) RETURN a UNION ALL MATCH (b) RETURN b", "MATCH (a) RETURN a"),
+            ("MATCH (n) RETURN DISTINCT n.name", "MATCH (n) RETURN n.name"),
+        ];
+        for (q1, q2) in pairs {
+            let (g1, g2) = (gexpr_of(q1), gexpr_of(q2));
+            let off = try_check_equivalence_with_opts(&g1, &g2, DecideOptions::default());
+            let (decision, stats, witness) = try_check_equivalence_recording(&g1, &g2).unwrap();
+            assert_eq!(off, Ok((decision, stats)), "{q1} vs {q2}");
+            assert_eq!(witness.is_some(), decision.is_proved(), "{q1} vs {q2}");
+        }
     }
 }

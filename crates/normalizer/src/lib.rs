@@ -15,6 +15,8 @@
 //!
 //! The driver applies one rule per round, in the dependency order the paper
 //! describes (② before ⑤, ③ before ⑤, ⑤ before ⑥), until no rule fires.
+//! It is generic over a [`Recorder`]: the prove path records nothing (`()`),
+//! certificate emission records the full derivation as [`DerivationStep`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,37 +25,74 @@ pub mod rules;
 
 use cypher_parser::ast::Query;
 
-/// Which rules fired during normalization (useful for ablation benchmarks).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NormalizationReport {
-    /// Rule ①: undirected relationships eliminated.
-    pub undirected_eliminated: usize,
-    /// Rule ②: bounded variable-length paths expanded.
-    pub var_length_expanded: usize,
-    /// Rule ③: `RETURN *` / `WITH *` expansions.
-    pub star_expanded: usize,
-    /// Rule ④: redundant `WITH` clauses inlined.
-    pub with_inlined: usize,
-    /// Rule ⑤: whether variables were renamed to the standard scheme.
-    pub variables_standardized: bool,
-    /// Rule ⑥: `id(x) = id(y)` equalities simplified.
-    pub id_equalities_simplified: usize,
-}
-
 /// Normalizes a query by applying the Table II rules to a fixpoint.
 pub fn normalize_query(query: &Query) -> Query {
-    normalize_query_with_report(query).0
+    normalize_query_with(query, &mut ())
 }
 
-/// One recorded rule application of the normalization fixpoint.
-///
-/// Rule names and positions use the same stable identifiers as the
-/// independent checker crate, which replays derivations step for step; the
-/// two sides must agree exactly for a certificate to validate.
+/// A Table II rule, as the fixpoint loop reports it to a [`Recorder`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// Rule ①: undirected relationship elimination.
+    Undirected,
+    /// Rule ②: bounded variable-length path expansion.
+    VarLength,
+    /// Rule ③: `RETURN *` / `WITH *` expansion.
+    ReturnStar,
+    /// Rule ④: redundant `WITH` elimination.
+    RedundantWith,
+    /// Rule ⑤: variable standardization.
+    Standardize,
+    /// Rule ⑥: `id(a) = id(b)` simplification.
+    IdEquality,
+}
+
+impl Rule {
+    /// The stable identifier of the rule. The independent checker crate
+    /// replays derivations under the same names; the two sides must agree
+    /// exactly for a certificate to validate.
+    pub fn id(self) -> &'static str {
+        match self {
+            Rule::Undirected => "undirected",
+            Rule::VarLength => "var_length",
+            Rule::ReturnStar => "return_star",
+            Rule::RedundantWith => "redundant_with",
+            Rule::Standardize => "standardize",
+            Rule::IdEquality => "id_equality",
+        }
+    }
+}
+
+/// One rewriting step of a fixpoint rule (`None` when the rule does not fire).
+type Rewrite = fn(&Query) -> Option<Query>;
+
+/// The fixpoint rules in priority order; the first that fires is the round's
+/// one step. Rule ⑤ is pure renaming and runs once, after the fixpoint.
+const FIXPOINT_RULES: [(Rule, Rewrite); 5] = [
+    (Rule::VarLength, rules::rule2_var_length::apply),
+    (Rule::Undirected, rules::rule1_undirected::apply),
+    (Rule::ReturnStar, rules::rule3_return_star::apply),
+    (Rule::RedundantWith, rules::rule4_redundant_with::apply),
+    (Rule::IdEquality, rules::rule6_id_equality::apply),
+];
+
+/// Observes the rule applications of the normalization fixpoint.
+pub trait Recorder {
+    /// Called once per rule application (rule ⑤ only when it renamed
+    /// something) with the query before and after the step.
+    fn record(&mut self, rule: Rule, before: &Query, after: &Query);
+}
+
+/// The prove path's recorder: it keeps nothing.
+impl Recorder for () {
+    fn record(&mut self, _rule: Rule, _before: &Query, _after: &Query) {}
+}
+
+/// One recorded rule application of the normalization fixpoint, as a
+/// certificate carries it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DerivationStep {
-    /// Stable rule identifier (`"undirected"`, `"var_length"`, `"return_star"`,
-    /// `"redundant_with"`, `"standardize"`, `"id_equality"`).
+    /// Stable rule identifier ([`Rule::id`]).
     pub rule: &'static str,
     /// Index of the first union part changed by the step.
     pub part: usize,
@@ -61,6 +100,13 @@ pub struct DerivationStep {
     pub clause: usize,
     /// The query after the step.
     pub after: Query,
+}
+
+impl Recorder for Vec<DerivationStep> {
+    fn record(&mut self, rule: Rule, before: &Query, after: &Query) {
+        let (part, clause) = diff_position(before, after);
+        self.push(DerivationStep { rule: rule.id(), part, clause, after: after.clone() });
+    }
 }
 
 /// The position `(part, clause)` of the first difference between two queries.
@@ -85,108 +131,38 @@ fn diff_position(before: &Query, after: &Query) -> (usize, usize) {
     (0, 0)
 }
 
-/// [`normalize_query`] recording every rule application (rule ⑤ only when it
-/// changed something) for certificate emission.
-///
-/// The driver is the same one-rule-per-round fixpoint as
-/// [`try_normalize_query_with_report`] — same rule order, same 64-round bound
-/// — so the recorded derivation always reproduces the pipeline's normalized
-/// query. Infallible by design: certificate emission runs off the hot path
-/// and suspends cooperative limits itself when needed.
-pub fn normalize_query_with_derivation(query: &Query) -> (Query, Vec<DerivationStep>) {
-    let mut trace = Vec::new();
-    let mut current = query.clone();
-    let mut record = |rule: &'static str, before: &Query, after: Query| {
-        let (part, clause) = diff_position(before, &after);
-        trace.push(DerivationStep { rule, part, clause, after: after.clone() });
-        after
-    };
-    for _ in 0..64 {
-        if let Some(next) = rules::rule2_var_length::apply(&current) {
-            current = record("var_length", &current, next);
-            continue;
-        }
-        if let Some(next) = rules::rule1_undirected::apply(&current) {
-            current = record("undirected", &current, next);
-            continue;
-        }
-        if let Some(next) = rules::rule3_return_star::apply(&current) {
-            current = record("return_star", &current, next);
-            continue;
-        }
-        if let Some(next) = rules::rule4_redundant_with::apply(&current) {
-            current = record("redundant_with", &current, next);
-            continue;
-        }
-        if let Some(next) = rules::rule6_id_equality::apply(&current) {
-            current = record("id_equality", &current, next);
-            continue;
-        }
-        break;
-    }
-    // Rule ⑤ last: pure renaming, applied once, recorded only when it fired.
-    let (renamed, changed) = rules::rule5_standardize::apply(&current);
-    if changed {
-        current = record("standardize", &current, renamed);
-    }
-    (current, trace)
-}
-
-/// [`normalize_query`] with a report of which rules fired.
-///
-/// Infallible: cooperative limit checkpoints are suspended for the duration
-/// (this entry point predates deadlines and its callers — benches, tests,
-/// differential oracles — expect a result unconditionally). Deadline-aware
-/// callers use [`try_normalize_query_with_report`].
-pub fn normalize_query_with_report(query: &Query) -> (Query, NormalizationReport) {
-    limits::without_token(|| try_normalize_query_with_report(query))
+/// [`try_normalize_query_with`] with cooperative limit checkpoints suspended
+/// for the duration, so it always completes: benches, tests, differential
+/// oracles and certificate emission expect a result unconditionally.
+pub fn normalize_query_with(query: &Query, recorder: &mut impl Recorder) -> Query {
+    limits::without_token(|| try_normalize_query_with(query, recorder))
         .expect("normalization cannot trip without an ambient RunToken")
 }
 
-/// [`normalize_query_with_report`] with a cooperative deadline checkpoint per
-/// fixpoint round: under an ambient [`limits::RunToken`] whose deadline has
-/// passed (or that was cancelled), normalization unwinds with the trip
-/// instead of completing the fixpoint.
-pub fn try_normalize_query_with_report(
+/// The normalization fixpoint, reporting every step to `recorder`: one rule
+/// per round, bounded to 64 rounds so it terminates even if rules interplay
+/// badly, then rule ⑤ once. Under an ambient [`limits::RunToken`] whose
+/// deadline has passed (or that was cancelled), the per-round checkpoint
+/// unwinds with the trip instead of completing the fixpoint.
+pub fn try_normalize_query_with(
     query: &Query,
-) -> Result<(Query, NormalizationReport), limits::Trip> {
-    let mut report = NormalizationReport::default();
+    recorder: &mut impl Recorder,
+) -> Result<Query, limits::Trip> {
     let mut current = query.clone();
-    // One rule per round, bounded to guarantee termination even in the
-    // presence of a rule interplay bug.
     for _ in 0..64 {
         limits::checkpoint(limits::Stage::Normalize)?;
-        if let Some(next) = rules::rule2_var_length::apply(&current) {
-            report.var_length_expanded += 1;
-            current = next;
-            continue;
-        }
-        if let Some(next) = rules::rule1_undirected::apply(&current) {
-            report.undirected_eliminated += 1;
-            current = next;
-            continue;
-        }
-        if let Some(next) = rules::rule3_return_star::apply(&current) {
-            report.star_expanded += 1;
-            current = next;
-            continue;
-        }
-        if let Some(next) = rules::rule4_redundant_with::apply(&current) {
-            report.with_inlined += 1;
-            current = next;
-            continue;
-        }
-        if let Some(next) = rules::rule6_id_equality::apply(&current) {
-            report.id_equalities_simplified += 1;
-            current = next;
-            continue;
-        }
-        break;
+        let step = FIXPOINT_RULES
+            .iter()
+            .find_map(|(rule, apply)| apply(&current).map(|next| (*rule, next)));
+        let Some((rule, next)) = step else { break };
+        recorder.record(rule, &current, &next);
+        current = next;
     }
-    // Rule ⑤ last: pure renaming, applied once.
     let (renamed, changed) = rules::rule5_standardize::apply(&current);
-    report.variables_standardized = changed;
-    Ok((renamed, report))
+    if changed {
+        recorder.record(Rule::Standardize, &current, &renamed);
+    }
+    Ok(renamed)
 }
 
 #[cfg(test)]
@@ -260,10 +236,12 @@ mod tests {
     #[test]
     fn normalization_report_tracks_rules() {
         let query = parse_query("MATCH (a)-[*1..2]->(b) RETURN *").unwrap();
-        let (_, report) = normalize_query_with_report(&query);
-        assert!(report.var_length_expanded >= 1);
-        assert!(report.star_expanded >= 1);
-        assert!(report.variables_standardized);
+        let mut steps: Vec<DerivationStep> = Vec::new();
+        normalize_query_with(&query, &mut steps);
+        let fired = |rule: Rule| steps.iter().filter(|step| step.rule == rule.id()).count();
+        assert!(fired(Rule::VarLength) >= 1);
+        assert!(fired(Rule::ReturnStar) >= 1);
+        assert_eq!(fired(Rule::Standardize), 1);
     }
 
     #[test]
@@ -274,14 +252,14 @@ mod tests {
         let token =
             Arc::new(limits::RunToken::new(Some(Instant::now() - Duration::from_millis(1)), 0, 0));
         limits::with_token(token, || {
-            let tripped = try_normalize_query_with_report(&query);
+            let tripped = try_normalize_query_with(&query, &mut ());
             assert!(matches!(
                 tripped,
                 Err(limits::Trip::Timeout { stage: limits::Stage::Normalize })
             ));
             // The infallible entry point suspends the ambient token and
             // completes even mid-deadline (bench baselines depend on it).
-            let (normalized, _) = normalize_query_with_report(&query);
+            let normalized = normalize_query_with(&query, &mut ());
             assert_eq!(normalized, normalize_query(&query));
         });
     }
@@ -312,7 +290,8 @@ mod tests {
             "MATCH (n1) RETURN n1",
         ] {
             let query = parse_query(text).unwrap();
-            let (derived, steps) = normalize_query_with_derivation(&query);
+            let mut steps: Vec<DerivationStep> = Vec::new();
+            let derived = normalize_query_with(&query, &mut steps);
             assert_eq!(derived, normalize_query(&query), "derivation diverged for {text}");
             // The last recorded step (if any) is the normalized query.
             if let Some(last) = steps.last() {

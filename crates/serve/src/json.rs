@@ -261,12 +261,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (the body arrived as a `&str`,
-                // so the encoding is already valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash as one
+                // slice. Both stop bytes are ASCII, so the run of the body
+                // (which arrived as a `&str`) ends on a character boundary,
+                // and each byte is validated once. Raw control characters
+                // are accepted, as they always were on the wire.
+                let rest = &bytes[*pos..];
+                let run =
+                    rest.iter().position(|&b| matches!(b, b'"' | b'\\')).unwrap_or(rest.len());
+                out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                *pos += run;
             }
         }
     }
@@ -352,6 +356,21 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "{\"a\" 1}", "tru", "1e999", "[] []", "nan"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn parses_a_body_at_the_size_limit_in_linear_time() {
+        // One string of about 1 MiB (the default `max_body_bytes`), with
+        // multibyte characters and a raw control character inside. A parse
+        // that re-validates the rest of the body per character holds a
+        // worker for tens of seconds here; a linear one takes milliseconds.
+        let text = "é😀\u{1}x".repeat(1 << 17);
+        let body = format!(r#"{{"pairs":[["{text}","MATCH (m) RETURN m"]]}}"#);
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&body).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(10), "{:?}", start.elapsed());
+        let pair = &parsed.get("pairs").unwrap().as_array().unwrap()[0];
+        assert_eq!(pair.as_array().unwrap()[0].as_str(), Some(text.as_str()));
     }
 
     #[test]

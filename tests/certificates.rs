@@ -179,6 +179,47 @@ fn editing_a_signature_witness_row_is_rejected() {
     expect_rejection(&cert, "bag_mismatch");
 }
 
+/// Empties every process cache the prover reads: the parse, normalize
+/// (with its build and derivation memos), pool and plan caches, the SMT
+/// formula cache, and this thread's arena with its summand and disjointness
+/// caches.
+fn clear_process_caches() {
+    graphqe::clear_parse_cache();
+    graphqe::clear_normalize_cache();
+    graphqe::counterexample::clear_pool_cache();
+    graphqe::counterexample::clear_plan_cache();
+    smt::clear_formula_cache();
+    liastar::reset_thread_caches();
+}
+
+/// A certificate is a function of the pair and its verdict alone: emitted
+/// on cold caches, on warm caches, and by a prover that bypasses the parse
+/// and normalize caches, every corpus certificate is the same document.
+#[test]
+fn certificates_do_not_depend_on_cache_state() {
+    let prover = GraphQE::new();
+    let uncached = GraphQE { use_parse_cache: false, use_normalize_cache: false, ..GraphQE::new() };
+    let mut definite = 0;
+    for pair in cyeqset().into_iter().chain(cyneqset()) {
+        let verdict = prover.prove(&pair.left, &pair.right);
+        if verdict.is_unknown() {
+            continue;
+        }
+        let emit = |prover: &GraphQE| {
+            let cert = prover.certificate_for(&pair.left, &pair.right, &verdict);
+            cert.unwrap_or_else(|e| panic!("{}: emission failed: {e}", pair.id)).to_json()
+        };
+        // A fresh thread starts with an empty arena and summand cache (the
+        // epoch reset carries recent summands over on this one).
+        clear_process_caches();
+        let cold = std::thread::scope(|s| s.spawn(|| emit(&prover)).join().unwrap());
+        assert_eq!(emit(&prover), cold, "{}: warm emission differs from cold", pair.id);
+        assert_eq!(emit(&uncached), cold, "{}: uncached emission differs", pair.id);
+        definite += 1;
+    }
+    assert_eq!(definite, 138 + 121);
+}
+
 /// The acceptance gate: every definite verdict across both corpora (296
 /// pairs) yields a certificate the independent checker validates — without
 /// invoking the prover — and the verdict totals stay pinned to the same
