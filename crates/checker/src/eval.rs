@@ -1,14 +1,17 @@
 //! A minimal bag-semantics Cypher evaluator for counterexample re-validation.
 //!
-//! This is an independent port of the repository's reference evaluator,
-//! specialized to the checker's needs: map-backed rows and linear-scan
-//! candidate enumeration (the two baseline representations the main evaluator
-//! keeps as differential oracles — both are proven row-for-row identical to
-//! the default paths by the `property-graph` test suite). Candidate order
-//! matters beyond bag equality: `LIMIT` without `ORDER BY` makes results
-//! depend on row production order, so enumeration here must stay ascending by
-//! node/relationship id, with variable-length paths explored depth-first
-//! exactly like the original.
+//! This is an independent port of the prover's evaluator
+//! (`property_graph::eval`), written for simplicity rather than speed:
+//! name-keyed map rows and linear-scan candidate enumeration, where the
+//! prover uses interned-symbol rows, compiled plans and an adjacency index.
+//! It shares no code with the prover, which makes it the prover evaluator's
+//! oracle as well as the certificate re-checker: `tests/checker_differential.rs`
+//! asserts the two return the same columns, the same rows in the same order,
+//! and the same errors. Candidate order matters beyond bag equality: `LIMIT`
+//! without `ORDER BY` makes results depend on row production order, so
+//! enumeration here must stay ascending by node/relationship id, with
+//! variable-length paths explored depth-first exactly like the prover's
+//! matcher.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -830,7 +833,7 @@ fn match_var_length(
     let max = length.max.unwrap_or(graph.relationship_count() as u32).max(min);
 
     // Depth-first expansion of simple paths (no repeated relationship),
-    // mirroring the reference matcher's explicit stack exactly: extensions
+    // mirroring the prover matcher's explicit stack exactly: extensions
     // are pushed in ascending relationship id order, so they pop descending.
     struct Frame {
         node: NodeId,
@@ -891,7 +894,7 @@ fn match_var_length(
 }
 
 /// `(relationship, neighbour)` pairs adjacent to `from` satisfying the
-/// pattern, in ascending relationship id order (the linear-scan baseline).
+/// pattern, in ascending relationship id order (a linear scan of the graph).
 fn candidate_relationships(
     graph: &Graph,
     row: &Row,

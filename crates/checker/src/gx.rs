@@ -359,7 +359,8 @@ impl VarMapping {
 }
 
 /// Structural unification of two expressions up to an injective renaming of
-/// bound variables, threading `mapping`. Mirrors `liastar::iso::unify_expr`.
+/// bound variables, threading `mapping`. Mirrors the prover's matcher,
+/// `liastar::iso::ids::unify_node`, over trees instead of interned ids.
 pub fn unify_expr(a: &Gx, b: &Gx, mapping: &mut VarMapping) -> bool {
     let mark = mapping.checkpoint();
     if unify_expr_inner(a, b, mapping) {

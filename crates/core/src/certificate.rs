@@ -17,9 +17,9 @@
 //!   it decided ([`liastar::try_check_equivalence_recording`]: summand split,
 //!   isomorphism pairing or class counts, per-summand SMT obligations). On
 //!   warm caches that re-prove is a few cache probes;
-//! - the NOT_EQUIVALENT bags come from the reference scan evaluator
-//!   ([`property_graph::eval::evaluate_query_scan`]) on the verdict's
-//!   counterexample graph.
+//! - the NOT_EQUIVALENT bags come from the evaluator
+//!   ([`property_graph::evaluate_query`]) on the verdict's counterexample
+//!   graph.
 //!
 //! Emission runs under [`limits::without_token`]: a deadline configured for
 //! the *proof* must not trip the evidence-mode re-prove, which is bounded by
@@ -257,19 +257,19 @@ pub(crate) fn query_cert(source: &Query) -> QueryCert {
 }
 
 /// The NOT_EQUIVALENT evidence: the counterexample graph plus both result
-/// bags, re-computed on the **original** queries with the reference scan
-/// evaluator (whose semantics — including `LIMIT` without `ORDER BY`
-/// production order — the checker's evaluator mirrors).
+/// bags, re-computed on the **original** queries by the evaluator (whose
+/// semantics — including `LIMIT` without `ORDER BY` production order — the
+/// checker's evaluator re-implements).
 fn counterexample_evidence(
     q1: &Query,
     q2: &Query,
     graph: &PropertyGraph,
     pool_index: usize,
 ) -> Result<Evidence, String> {
-    let left = property_graph::eval::evaluate_query_scan(graph, q1)
-        .map_err(|e| format!("left evaluation: {e}"))?;
-    let right = property_graph::eval::evaluate_query_scan(graph, q2)
-        .map_err(|e| format!("right evaluation: {e}"))?;
+    let left =
+        property_graph::evaluate_query(graph, q1).map_err(|e| format!("left evaluation: {e}"))?;
+    let right =
+        property_graph::evaluate_query(graph, q2).map_err(|e| format!("right evaluation: {e}"))?;
     let left_rows = left.rows.iter().map(|row| row.iter().map(value_of).collect()).collect();
     let right_rows = right.rows.iter().map(|row| row.iter().map(value_of).collect()).collect();
     // When the stage-⓪ signatures discriminate the pair, the certificate
@@ -327,7 +327,9 @@ fn signature_pair(q1: &Query, q2: &Query) -> Option<(Vec<SigColumn>, Vec<SigColu
 // Type bridges into the checker's mirrored language
 // ---------------------------------------------------------------------------
 
-fn graph_cert_of(graph: &PropertyGraph) -> GraphCert {
+/// The checker's wire form of `graph`: nodes and relationships in id order,
+/// so [`GraphCert::build`] reproduces every id.
+pub fn graph_cert_of(graph: &PropertyGraph) -> GraphCert {
     GraphCert {
         nodes: graph
             .node_ids()
@@ -362,7 +364,8 @@ fn graph_cert_of(graph: &PropertyGraph) -> GraphCert {
     }
 }
 
-fn value_of(value: &property_graph::Value) -> Value {
+/// The checker's form of an evaluator value (same variant, same payload).
+pub fn value_of(value: &property_graph::Value) -> Value {
     match value {
         property_graph::Value::Null => Value::Null,
         property_graph::Value::Boolean(b) => Value::Boolean(*b),

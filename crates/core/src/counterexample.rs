@@ -54,7 +54,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use cypher_parser::ast::Query;
 use property_graph::{
-    Evaluator, FrozenPlan, GeneratorConfig, GraphGenerator, PropertyGraph, QueryPlan,
+    evaluate_planned, FrozenPlan, GeneratorConfig, GraphGenerator, PropertyGraph, QueryPlan,
 };
 
 use crate::cache::LruMap;
@@ -484,7 +484,7 @@ impl CachedPlan {
         &self,
         graph: &PropertyGraph,
     ) -> Result<property_graph::QueryResult, property_graph::EvalError> {
-        Evaluator::new().evaluate_planned(graph, self.frozen.query(), &self.plan)
+        evaluate_planned(graph, self.frozen.query(), &self.plan)
     }
 }
 
@@ -501,8 +501,8 @@ static PLAN_CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 /// The frozen-plan cache, keyed by pretty-printed query text and shared by
 /// every thread.
 ///
-/// `PreparedQuery` (PR 4) amortizes planning *within* one search; this cache
-/// amortizes it *across* searches — and, since PR 8, across **threads**: the
+/// A thawed plan amortizes planning *within* one search; this cache
+/// amortizes it *across* searches — and across **threads**: the
 /// cached artifact is an immutable `Send + Sync` [`FrozenPlan`], so parallel
 /// search workers and serve workers share one lowering instead of each
 /// keeping a thread-local duplicate (a warm serve replay measured a plan hit

@@ -706,17 +706,20 @@ impl Parser {
     }
 
     fn parse_case(&mut self) -> Result<Expr, ParseError> {
-        let mut branches = Vec::new();
         // Only the searched CASE form (`CASE WHEN cond THEN value ...`) is
         // supported; the simple form can be rewritten into it.
+        if !self.at(&TokenKind::When) {
+            return self.error(
+                "simple CASE (`CASE x WHEN v THEN r ... END`) is not supported; \
+                 rewrite it in the searched form `CASE WHEN x = v THEN r ... END`",
+            );
+        }
+        let mut branches = Vec::new();
         while self.eat(&TokenKind::When) {
             let cond = self.parse_expression()?;
             self.expect(&TokenKind::Then)?;
             let value = self.parse_expression()?;
             branches.push((cond, value));
-        }
-        if branches.is_empty() {
-            return self.error("CASE requires at least one WHEN branch");
         }
         let otherwise = if self.eat(&TokenKind::Else) {
             Some(Box::new(self.parse_expression()?))
@@ -942,6 +945,23 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn simple_case_is_rejected_with_its_searched_rewrite() {
+        let err = parse_query("MATCH (n) RETURN CASE n.p1 WHEN 1 THEN 'one' ELSE 'many' END")
+            .unwrap_err();
+        assert_eq!(
+            err.message,
+            "simple CASE (`CASE x WHEN v THEN r ... END`) is not supported; \
+             rewrite it in the searched form `CASE WHEN x = v THEN r ... END`"
+        );
+        // The searched rewrite parses.
+        let rewritten =
+            parse_query("MATCH (n) RETURN CASE WHEN n.p1 = 1 THEN 'one' ELSE 'many' END").unwrap();
+        let Clause::Return(projection) = &rewritten.parts[0].clauses[1] else { panic!() };
+        let ProjectionItems::Items(items) = &projection.items else { panic!() };
+        assert!(matches!(&items[0].expr, Expr::Case { branches, .. } if branches.len() == 1));
     }
 
     #[test]

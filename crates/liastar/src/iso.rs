@@ -8,17 +8,21 @@
 //! structural core of the decision procedure, with the SMT-backed reasoning
 //! layered on top in [`crate::check_equivalence`].
 //!
-//! The matcher is a backtracking search. Instead of cloning the candidate
-//! variable mapping at every nondeterministic branch (the original, allocation
-//! heavy approach), a single [`VarMapping`] is threaded mutably through the
-//! search and an **undo trail** records each fresh binding; on a failed
-//! branch the trail is rolled back to the branch's checkpoint. Backtracking
-//! is thereby O(bindings undone) with zero allocation, instead of
-//! O(mapping size) clones per branch.
+//! Two matchers share the [`VarMapping`]:
+//!
+//! * [`ids`] — the decision procedure's matcher, walking interned arena ids.
+//!   It is a backtracking search: instead of cloning the candidate variable
+//!   mapping at every nondeterministic branch, a single [`VarMapping`] is
+//!   threaded mutably through the search and an **undo trail** records each
+//!   fresh binding; on a failed branch the trail is rolled back to the
+//!   branch's checkpoint. Backtracking is thereby O(bindings undone) with
+//!   zero allocation, instead of O(mapping size) clones per branch.
+//! * [`cloning`] — the tree pipeline's matcher, which clones the mapping at
+//!   every branch; it is the reference the id matcher is tested against.
 
 use std::collections::BTreeMap;
 
-use gexpr::{GAtom, GExpr, GTerm, VarId};
+use gexpr::VarId;
 
 /// A (partial) injective variable mapping from the left expression to the
 /// right expression, with an undo trail for cheap backtracking.
@@ -76,171 +80,10 @@ impl VarMapping {
     }
 }
 
-/// Checks whether `left` and `right` are isomorphic, extending `mapping`
-/// in place. On failure the mapping is restored to its entry state.
-pub fn unify_expr(left: &GExpr, right: &GExpr, mapping: &mut VarMapping) -> bool {
-    let mark = mapping.checkpoint();
-    let ok = unify_expr_inner(left, right, mapping);
-    if !ok {
-        mapping.rollback_to(mark);
-    }
-    ok
-}
-
-fn unify_expr_inner(left: &GExpr, right: &GExpr, mapping: &mut VarMapping) -> bool {
-    match (left, right) {
-        (GExpr::Zero, GExpr::Zero) | (GExpr::One, GExpr::One) => true,
-        (GExpr::Const(a), GExpr::Const(b)) => a == b,
-        (GExpr::Atom(a), GExpr::Atom(b)) => unify_atom(a, b, mapping),
-        (GExpr::NodeFn(a), GExpr::NodeFn(b))
-        | (GExpr::RelFn(a), GExpr::RelFn(b))
-        | (GExpr::Unbounded(a), GExpr::Unbounded(b)) => unify_term(a, b, mapping),
-        (GExpr::LabFn(a, la), GExpr::LabFn(b, lb)) => la == lb && unify_term(a, b, mapping),
-        (GExpr::Squash(a), GExpr::Squash(b)) | (GExpr::Not(a), GExpr::Not(b)) => {
-            unify_expr(a, b, mapping)
-        }
-        (GExpr::Mul(a), GExpr::Mul(b)) | (GExpr::Add(a), GExpr::Add(b)) => {
-            unify_multiset(a, b, mapping)
-        }
-        (GExpr::Sum { vars: va, body: ba }, GExpr::Sum { vars: vb, body: bb }) => {
-            va.len() == vb.len() && unify_expr(ba, bb, mapping)
-        }
-        _ => false,
-    }
-}
-
-/// Finds a bijection between the two multisets of expressions under which
-/// every pair unifies, threading the variable mapping through. On failure the
-/// mapping is restored to its entry state.
-pub fn unify_multiset(left: &[GExpr], right: &[GExpr], mapping: &mut VarMapping) -> bool {
-    if left.len() != right.len() {
-        return false;
-    }
-    let mut used = vec![false; right.len()];
-    unify_multiset_from(left, right, 0, &mut used, mapping)
-}
-
-fn unify_multiset_from(
-    left: &[GExpr],
-    right: &[GExpr],
-    position: usize,
-    used: &mut [bool],
-    mapping: &mut VarMapping,
-) -> bool {
-    if position == left.len() {
-        return true;
-    }
-    let first = &left[position];
-    for (index, candidate) in right.iter().enumerate() {
-        if used[index] {
-            continue;
-        }
-        let mark = mapping.checkpoint();
-        if unify_expr(first, candidate, mapping) {
-            used[index] = true;
-            if unify_multiset_from(left, right, position + 1, used, mapping) {
-                return true;
-            }
-            used[index] = false;
-        }
-        mapping.rollback_to(mark);
-    }
-    false
-}
-
-fn unify_atom(left: &GAtom, right: &GAtom, mapping: &mut VarMapping) -> bool {
-    match (left, right) {
-        (GAtom::Cmp(op_l, a1, a2), GAtom::Cmp(op_r, b1, b2)) => {
-            // Same orientation.
-            if op_l == op_r && unify_term_pair(a1, a2, b1, b2, mapping) {
-                return true;
-            }
-            // Mirrored orientation ([a < b] vs [b > a], [a = b] vs [b = a]).
-            *op_r == op_l.flipped() && unify_term_pair(a1, a2, b2, b1, mapping)
-        }
-        (GAtom::IsNull(a, na), GAtom::IsNull(b, nb)) => na == nb && unify_term(a, b, mapping),
-        (GAtom::Pred(name_a, args_a), GAtom::Pred(name_b, args_b)) => {
-            if name_a != name_b || args_a.len() != args_b.len() {
-                return false;
-            }
-            let mark = mapping.checkpoint();
-            for (a, b) in args_a.iter().zip(args_b.iter()) {
-                if !unify_term(a, b, mapping) {
-                    mapping.rollback_to(mark);
-                    return false;
-                }
-            }
-            true
-        }
-        _ => false,
-    }
-}
-
-fn unify_term_pair(
-    a1: &GTerm,
-    a2: &GTerm,
-    b1: &GTerm,
-    b2: &GTerm,
-    mapping: &mut VarMapping,
-) -> bool {
-    let mark = mapping.checkpoint();
-    if unify_term(a1, b1, mapping) && unify_term(a2, b2, mapping) {
-        return true;
-    }
-    mapping.rollback_to(mark);
-    false
-}
-
-/// Checks whether two terms unify under an injective variable renaming,
-/// extending `mapping` in place. On failure the mapping is restored.
-pub fn unify_term(left: &GTerm, right: &GTerm, mapping: &mut VarMapping) -> bool {
-    let mark = mapping.checkpoint();
-    let ok = unify_term_inner(left, right, mapping);
-    if !ok {
-        mapping.rollback_to(mark);
-    }
-    ok
-}
-
-fn unify_term_inner(left: &GTerm, right: &GTerm, mapping: &mut VarMapping) -> bool {
-    match (left, right) {
-        (GTerm::Var(a), GTerm::Var(b)) => mapping.bind(*a, *b),
-        (GTerm::OutCol(a), GTerm::OutCol(b)) => a == b,
-        (GTerm::IntCol(a), GTerm::IntCol(b)) => a == b,
-        (GTerm::Const(a), GTerm::Const(b)) => a == b,
-        (GTerm::Prop(base_a, key_a), GTerm::Prop(base_b, key_b)) => {
-            key_a == key_b && unify_term(base_a, base_b, mapping)
-        }
-        (GTerm::App(name_a, args_a), GTerm::App(name_b, args_b)) => {
-            if name_a != name_b || args_a.len() != args_b.len() {
-                return false;
-            }
-            for (a, b) in args_a.iter().zip(args_b.iter()) {
-                if !unify_term(a, b, mapping) {
-                    return false;
-                }
-            }
-            true
-        }
-        (
-            GTerm::Agg { kind: ka, distinct: da, arg: aa, group: ga },
-            GTerm::Agg { kind: kb, distinct: db, arg: ab, group: gb },
-        ) => ka == kb && da == db && unify_term(aa, ab, mapping) && unify_expr(ga, gb, mapping),
-        _ => false,
-    }
-}
-
-/// Convenience: `true` if the two expressions are isomorphic starting from an
-/// empty mapping.
-pub fn isomorphic(left: &GExpr, right: &GExpr) -> bool {
-    unify_expr(left, right, &mut VarMapping::new())
-}
-
-/// Arena-native matcher: the same undo-trail backtracking search as the
-/// module-level functions, but walking interned [`gexpr::arena`] ids instead
-/// of `GExpr` trees.
+/// Arena-native undo-trail matcher, walking interned [`gexpr::arena`] ids
+/// instead of `GExpr` trees.
 ///
-/// Two wins over the tree walk:
+/// Two wins over a tree walk:
 ///
 /// * **same-node fast path** — hash-consing guarantees that two equal ids
 ///   are the *same* subtree, and on an identical pair the structural walk's
@@ -260,8 +103,9 @@ pub mod ids {
     use super::VarMapping;
     use gexpr::arena::{AAtom, ANode, ATerm, GStore, NodeId, TermId};
 
-    /// Id-native mirror of [`super::unify_expr`]. On failure the mapping is
-    /// restored to its entry state.
+    /// Checks whether the interned nodes `left` and `right` are isomorphic,
+    /// extending `mapping` in place. On failure the mapping is restored to
+    /// its entry state.
     pub fn unify_node(
         store: &mut GStore,
         left: NodeId,
@@ -316,10 +160,12 @@ pub mod ids {
         }
     }
 
-    /// Id-native mirror of [`super::unify_multiset`]. On success,
-    /// `assignment` (when given) receives the right index matched by each
-    /// left position, in position order: the pairs unify one after another
-    /// under one shared mapping.
+    /// Finds a bijection between the two multisets of nodes under which
+    /// every pair unifies, threading the variable mapping through; on failure
+    /// the mapping is restored to its entry state. On success, `assignment`
+    /// (when given) receives the right index matched by each left position,
+    /// in position order: the pairs unify one after another under one shared
+    /// mapping.
     pub fn unify_multiset(
         store: &mut GStore,
         left: &[NodeId],
@@ -427,7 +273,9 @@ pub mod ids {
         false
     }
 
-    /// Id-native mirror of [`super::unify_term`].
+    /// Checks whether two interned terms unify under an injective variable
+    /// renaming, extending `mapping` in place. On failure the mapping is
+    /// restored.
     pub fn unify_term(
         store: &mut GStore,
         left: TermId,
@@ -487,15 +335,16 @@ pub mod ids {
     }
 }
 
-/// The pre-refactor reference matcher: clones the whole mapping at every
+/// The tree pipeline's matcher: clones the whole mapping at every
 /// nondeterministic branch and the remaining multisets at every recursion
-/// level. Kept verbatim (modulo the trail field) as the benchmark baseline
-/// and as a differential-testing oracle for the trail-based matcher.
+/// level. It backs the paper-faithful tree pipeline (the benchmark baseline)
+/// and is the reference the [`ids`] matcher is tested against.
 pub mod cloning {
     use super::VarMapping;
     use gexpr::{GAtom, GExpr, GTerm};
 
-    /// Clone-per-branch variant of [`super::unify_expr`].
+    /// Unifies two expression trees under an injective variable renaming
+    /// extending `mapping`, returning the extended mapping on success.
     pub fn unify_expr(left: &GExpr, right: &GExpr, mapping: &VarMapping) -> Option<VarMapping> {
         match (left, right) {
             (GExpr::Zero, GExpr::Zero) | (GExpr::One, GExpr::One) => Some(mapping.clone()),
@@ -521,7 +370,8 @@ pub mod cloning {
         }
     }
 
-    /// Clone-per-level variant of [`super::unify_multiset`].
+    /// Finds a bijection between the two multisets under which every pair
+    /// unifies, returning the extended mapping on success.
     pub fn unify_multiset(
         left: &[GExpr],
         right: &[GExpr],
@@ -587,7 +437,8 @@ pub mod cloning {
         unify_term(a2, b2, &first)
     }
 
-    /// Clone-per-binding variant of [`super::unify_term`].
+    /// Unifies two terms under an injective variable renaming extending
+    /// `mapping`, returning the extended mapping on success.
     pub fn unify_term(left: &GTerm, right: &GTerm, mapping: &VarMapping) -> Option<VarMapping> {
         match (left, right) {
             (GTerm::Var(a), GTerm::Var(b)) => {
@@ -628,10 +479,22 @@ pub mod cloning {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gexpr::CmpOp;
+    use gexpr::{CmpOp, GAtom, GExpr, GStore, GTerm};
 
     fn var(i: u32) -> GTerm {
         GTerm::Var(VarId(i))
+    }
+
+    /// The id matcher on both sides interned into a fresh store.
+    fn isomorphic(left: &GExpr, right: &GExpr) -> bool {
+        let mut store = GStore::new();
+        let (l, r) = (store.intern_expr(left), store.intern_expr(right));
+        ids::isomorphic(&mut store, l, r)
+    }
+
+    /// The tree pipeline's matcher from an empty mapping.
+    fn tree_isomorphic(left: &GExpr, right: &GExpr) -> bool {
+        cloning::unify_expr(left, right, &VarMapping::new()).is_some()
     }
 
     #[test]
@@ -749,7 +612,9 @@ mod tests {
             GExpr::mul(vec![GExpr::NodeFn(var(1)), GExpr::eq(var(0), GTerm::prop(var(1), "x"))]);
         let right =
             GExpr::mul(vec![GExpr::NodeFn(var(12)), GExpr::eq(var(11), GTerm::prop(var(12), "x"))]);
-        assert!(!unify_expr(&left, &right, &mut mapping));
+        let mut store = GStore::new();
+        let (l, r) = (store.intern_expr(&left), store.intern_expr(&right));
+        assert!(!ids::unify_node(&mut store, l, r, &mut mapping));
         assert_eq!(mapping, before, "mapping must be rolled back on failure");
     }
 
@@ -771,43 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn trail_matcher_agrees_with_cloning_reference() {
-        let cases: Vec<(GExpr, GExpr)> = vec![
-            (
-                GExpr::mul(vec![GExpr::NodeFn(var(0)), GExpr::RelFn(var(1))]),
-                GExpr::mul(vec![GExpr::RelFn(var(9)), GExpr::NodeFn(var(8))]),
-            ),
-            (
-                GExpr::mul(vec![GExpr::NodeFn(var(0)), GExpr::RelFn(var(1))]),
-                GExpr::mul(vec![GExpr::NodeFn(var(5)), GExpr::RelFn(var(5))]),
-            ),
-            (
-                GExpr::mul(vec![
-                    GExpr::eq(GTerm::app("src", vec![var(1)]), var(0)),
-                    GExpr::eq(GTerm::app("tgt", vec![var(1)]), var(0)),
-                ]),
-                GExpr::mul(vec![
-                    GExpr::eq(GTerm::app("src", vec![var(3)]), var(2)),
-                    GExpr::eq(GTerm::app("tgt", vec![var(3)]), var(4)),
-                ]),
-            ),
-            (
-                GExpr::sum(vec![VarId(0)], GExpr::NodeFn(var(0))),
-                GExpr::sum(vec![VarId(7)], GExpr::NodeFn(var(7))),
-            ),
-            (GExpr::eq(var(0), GTerm::int(1)), GExpr::eq(GTerm::int(1), var(2))),
-            (GExpr::eq(var(0), GTerm::int(1)), GExpr::eq(GTerm::int(2), var(2))),
-        ];
-        for (left, right) in cases {
-            let trail = isomorphic(&left, &right);
-            let reference = cloning::unify_expr(&left, &right, &VarMapping::new()).is_some();
-            assert_eq!(trail, reference, "matchers disagree on {left} vs {right}");
-        }
-    }
-
-    #[test]
     fn id_matcher_agrees_with_tree_matcher() {
-        use gexpr::GStore;
         let mut store = GStore::new();
         let cases: Vec<(GExpr, GExpr)> = vec![
             (
@@ -844,7 +673,7 @@ mod tests {
             ),
         ];
         for (left, right) in cases {
-            let tree = isomorphic(&left, &right);
+            let tree = tree_isomorphic(&left, &right);
             let (l, r) = (store.intern_expr(&left), store.intern_expr(&right));
             let by_id = ids::isomorphic(&mut store, l, r);
             assert_eq!(by_id, tree, "matchers disagree on {left} vs {right}");
@@ -853,7 +682,6 @@ mod tests {
 
     #[test]
     fn same_node_fast_path_is_behaviorally_identical_to_the_tree_walk() {
-        use gexpr::GStore;
         let mut store = GStore::new();
         let closed = GExpr::sum(
             vec![VarId(0)],
@@ -872,7 +700,7 @@ mod tests {
         assert!(conflicted.bind(VarId(0), VarId(42)));
         let before = conflicted.clone();
         let by_id = ids::unify_node(&mut store, id, id, &mut conflicted);
-        let by_tree = unify_expr(&closed, &closed, &mut before.clone());
+        let by_tree = cloning::unify_expr(&closed, &closed, &before).is_some();
         assert_eq!(by_id, by_tree, "fast path diverged from the tree walk");
         assert!(!by_id);
         assert_eq!(conflicted, before, "mapping must be restored on failure");
@@ -880,7 +708,6 @@ mod tests {
 
     #[test]
     fn unused_sum_binders_are_not_bound_by_the_fast_path() {
-        use gexpr::GStore;
         let mut store = GStore::new();
         // Regression shape from review: the normalizer keeps Σ binders with
         // no occurrence in the body (unbounded domain factors). The tree
@@ -890,7 +717,7 @@ mod tests {
         let s = GExpr::sum(vec![VarId(9)], GExpr::NodeFn(var(0)));
         let left = GExpr::add(vec![s.clone(), GExpr::NodeFn(var(9))]);
         let right = GExpr::add(vec![s.clone(), GExpr::NodeFn(var(8))]);
-        let by_tree = isomorphic(&left, &right);
+        let by_tree = tree_isomorphic(&left, &right);
         assert!(by_tree, "tree oracle proves this pair");
         let (l, r) = (store.intern_expr(&left), store.intern_expr(&right));
         assert_eq!(ids::isomorphic(&mut store, l, r), by_tree, "fast path over-binds e9");
@@ -898,7 +725,6 @@ mod tests {
 
     #[test]
     fn ambient_bindings_against_shared_closed_subterms_match_the_oracle() {
-        use gexpr::GStore;
         let mut store = GStore::new();
         // Regression shape from review: a closed squashed subterm C shared
         // (same interned id) by both sides, whose Σ-bound variable id
@@ -908,12 +734,13 @@ mod tests {
         let c = GExpr::squash(GExpr::sum(vec![VarId(0)], GExpr::NodeFn(var(0))));
         let left = GExpr::mul(vec![GExpr::NodeFn(var(0)), c.clone()]);
         let right = GExpr::mul(vec![GExpr::NodeFn(var(1)), c.clone()]);
-        let by_tree = isomorphic(&left, &right);
+        let by_tree = tree_isomorphic(&left, &right);
         let (l, r) = (store.intern_expr(&left), store.intern_expr(&right));
         let by_id = ids::isomorphic(&mut store, l, r);
-        assert_eq!(by_id, by_tree, "matchers disagree on {left} vs {right}");
-        let reference = cloning::unify_expr(&left, &right, &VarMapping::new()).is_some();
-        assert_eq!(by_id, reference, "id matcher diverges from the cloning oracle");
+        assert_eq!(
+            by_id, by_tree,
+            "id matcher diverges from the cloning oracle on {left} vs {right}"
+        );
     }
 
     #[test]

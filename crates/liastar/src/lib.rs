@@ -65,7 +65,7 @@ pub use encode::{
     encode_atom, encode_atom_id, encode_factor, encode_factor_id, encode_product,
     encode_product_ids, encode_term, encode_term_id,
 };
-pub use iso::{isomorphic, unify_expr, unify_multiset, Checkpoint, VarMapping};
+pub use iso::{Checkpoint, VarMapping};
 
 /// The outcome of the equivalence decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -140,7 +140,7 @@ fn removed_atoms(store: &GStore, summand: NodeId, result: NodeId) -> Vec<GExpr> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iso::{unify_expr, VarMapping};
+    use crate::iso::{cloning, VarMapping};
     use crate::{try_check_equivalence_recording, try_check_equivalence_with_opts, DecideOptions};
     use cypher_parser::parse_query;
     use gexpr::build_query;
@@ -193,10 +193,12 @@ mod tests {
         assert_eq!(pairs.len(), 2);
         let mut mapping = VarMapping::new();
         for &(l, r) in pairs {
-            assert!(
-                unify_expr(&record.left.kept[l].result, &record.right.kept[r].result, &mut mapping),
-                "pair ({l}, {r}) unifies under the shared mapping"
-            );
+            mapping = cloning::unify_expr(
+                &record.left.kept[l].result,
+                &record.right.kept[r].result,
+                &mapping,
+            )
+            .unwrap_or_else(|| panic!("pair ({l}, {r}) unifies under the shared mapping"));
         }
     }
 

@@ -13,16 +13,11 @@ use cypher_parser::ast::{
     Query, RelationshipPattern, UnaryOp, UnwindClause, WithClause,
 };
 
-use crate::eval::{evaluate_single_query_on_rows, EvalError};
+use crate::eval::{evaluate_union_query, EvalError};
 use crate::fxhash::FxHashMap;
 use crate::graph::{EntityId, PropertyGraph};
+use crate::plan::{PlanCache, QueryPlan};
 use crate::value::{and3, not3, or3, xor3, Value};
-
-/// The key type of the map-backed row representation. Shared (`Rc<str>`)
-/// rather than owned so a map-row clone bumps refcounts instead of
-/// reallocating every variable name (the PR 1 optimization, preserved in the
-/// differential-oracle representation).
-pub type RowKey = Rc<str>;
 
 /// A dense interned symbol id: the key type of the flat row representation.
 /// Ids are assigned per [`SymbolTable`] in interning order, so a query's
@@ -216,276 +211,98 @@ impl SymbolTable {
     }
 }
 
-/// The two physical row representations (see [`Row`]).
-#[derive(Debug, Clone, PartialEq)]
-enum Repr {
-    /// A small vector of `(symbol, value)` entries sorted by [`SymId`]. The
-    /// default: a row clone is one allocation plus the value clones, and a
-    /// [`Row::with`] extension copies straight into a right-sized vector.
-    Flat(Vec<(SymId, Value)>),
-    /// The PR-1-era `BTreeMap` representation, preserved verbatim as the
-    /// differential oracle behind `Evaluator::map_rows` (mirroring how the
-    /// linear-scan matcher survives behind `scan_matching`).
-    Map(BTreeMap<RowKey, Value>),
-}
-
-/// A binding row: variable → value, keyed by interned [`SymId`]s in the
-/// default flat representation or by names in the map-backed oracle
-/// representation. All name-based accessors take the run's [`SymbolTable`]
-/// to resolve names; the representation chosen at row creation
-/// ([`Row::for_ctx`]) is preserved by every extension.
-#[derive(Debug, Clone, PartialEq)]
+/// A binding row: variable → value, as a small vector of `(symbol, value)`
+/// entries kept sorted by [`SymId`]. A row clone is one allocation plus the
+/// value clones, and [`Row::with_sym`] (the copy-on-extend the matcher
+/// performs at every binding branch) copies straight into a right-sized
+/// vector. Name-based accessors take the run's [`SymbolTable`] to resolve
+/// names.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Row {
-    repr: Repr,
-}
-
-impl Default for Row {
-    fn default() -> Self {
-        Row::new()
-    }
+    entries: Vec<(SymId, Value)>,
 }
 
 impl Row {
-    /// An empty flat row.
+    /// An empty row.
     pub fn new() -> Self {
-        Row { repr: Repr::Flat(Vec::new()) }
-    }
-
-    /// An empty map-backed row (the differential-oracle representation).
-    pub fn new_map() -> Self {
-        Row { repr: Repr::Map(BTreeMap::new()) }
-    }
-
-    /// An empty row in the representation the context selects.
-    pub fn for_ctx(ctx: EvalCtx<'_>) -> Self {
-        if ctx.map_rows {
-            Row::new_map()
-        } else {
-            Row::new()
-        }
+        Row::default()
     }
 
     /// Number of bindings.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Flat(entries) => entries.len(),
-            Repr::Map(map) => map.len(),
-        }
+        self.entries.len()
     }
 
     /// Returns `true` if the row has no bindings.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// The value bound to `name`, if any.
     pub fn get<'r>(&'r self, symbols: &SymbolTable, name: &str) -> Option<&'r Value> {
-        match &self.repr {
-            Repr::Flat(entries) => {
-                let id = symbols.lookup(name)?;
-                // Rows hold a handful of entries; a branch-predictable
-                // linear scan beats binary search at this size.
-                entries.iter().find(|(sym, _)| *sym == id).map(|(_, value)| value)
-            }
-            Repr::Map(map) => map.get(name),
+        self.get_sym(symbols.lookup(name)?)
+    }
+
+    /// The value bound to the pre-interned symbol `id`, if any.
+    pub fn get_sym(&self, id: SymId) -> Option<&Value> {
+        // Rows hold a handful of entries; a branch-predictable linear scan
+        // beats binary search at this size.
+        self.entries.iter().find(|(sym, _)| *sym == id).map(|(_, value)| value)
+    }
+
+    /// Binds `id` to `value`, replacing any existing binding.
+    pub fn insert_sym(&mut self, id: SymId, value: Value) {
+        match self.entries.binary_search_by_key(&id, |(sym, _)| *sym) {
+            Ok(position) => self.entries[position].1 = value,
+            Err(position) => self.entries.insert(position, (id, value)),
         }
     }
 
-    /// The value bound to the pre-interned symbol `id`, if any. The
-    /// [`SymId`]-native accessor of the compiled-plan path: the flat
-    /// representation skips the name hash probe entirely; the map-backed
-    /// oracle representation resolves the name through the table (it keys on
-    /// names by design).
-    pub fn get_sym<'r>(&'r self, symbols: &SymbolTable, id: SymId) -> Option<&'r Value> {
-        match &self.repr {
-            Repr::Flat(entries) => {
-                entries.iter().find(|(sym, _)| *sym == id).map(|(_, value)| value)
-            }
-            Repr::Map(map) => map.get(&*symbols.name(id)),
+    /// Binds `id` to `value` only if it is not already bound (the
+    /// `OPTIONAL MATCH` null-fill).
+    pub fn insert_if_absent_sym(&mut self, id: SymId, value: Value) {
+        if let Err(position) = self.entries.binary_search_by_key(&id, |(sym, _)| *sym) {
+            self.entries.insert(position, (id, value));
         }
     }
 
-    /// [`Row::insert`] keyed by a pre-interned symbol.
-    pub fn insert_sym(&mut self, symbols: &SymbolTable, id: SymId, value: Value) {
-        match &mut self.repr {
-            Repr::Flat(entries) => match entries.binary_search_by_key(&id, |(sym, _)| *sym) {
-                Ok(position) => entries[position].1 = value,
-                Err(position) => entries.insert(position, (id, value)),
-            },
-            Repr::Map(map) => {
-                map.insert(symbols.name(id), value);
-            }
-        }
-    }
-
-    /// [`Row::insert_if_absent`] keyed by a pre-interned symbol.
-    pub fn insert_if_absent_sym(&mut self, symbols: &SymbolTable, id: SymId, value: Value) {
-        match &mut self.repr {
-            Repr::Flat(entries) => {
-                if let Err(position) = entries.binary_search_by_key(&id, |(sym, _)| *sym) {
-                    entries.insert(position, (id, value));
-                }
-            }
-            Repr::Map(map) => {
-                map.entry(symbols.name(id)).or_insert(value);
-            }
-        }
-    }
-
-    /// [`Row::with`] keyed by a pre-interned symbol — the copy-on-extend the
-    /// compiled matcher performs at every nondeterministic binding branch,
-    /// with no name resolution on the flat path.
-    pub fn with_sym(&self, symbols: &SymbolTable, id: SymId, value: Value) -> Row {
-        match &self.repr {
-            Repr::Flat(entries) => {
-                let position = entries.partition_point(|(sym, _)| *sym < id);
-                let mut out: Vec<(SymId, Value)> = Vec::with_capacity(entries.len() + 1);
-                out.extend_from_slice(&entries[..position]);
-                if entries.get(position).is_some_and(|(sym, _)| *sym == id) {
-                    out.push((id, value));
-                    out.extend_from_slice(&entries[position + 1..]);
-                } else {
-                    out.push((id, value));
-                    out.extend_from_slice(&entries[position..]);
-                }
-                Row { repr: Repr::Flat(out) }
-            }
-            Repr::Map(map) => {
-                let mut out = map.clone();
-                out.insert(symbols.name(id), value);
-                Row { repr: Repr::Map(out) }
-            }
-        }
+    /// Copy-on-extend: the row plus one binding of `id`, built in a single
+    /// right-sized allocation instead of clone-then-insert.
+    pub fn with_sym(&self, id: SymId, value: Value) -> Row {
+        let position = self.entries.partition_point(|(sym, _)| *sym < id);
+        let rest = match self.entries.get(position) {
+            Some((sym, _)) if *sym == id => position + 1,
+            _ => position,
+        };
+        let mut entries = Vec::with_capacity(self.entries.len() + 1);
+        entries.extend_from_slice(&self.entries[..position]);
+        entries.push((id, value));
+        entries.extend_from_slice(&self.entries[rest..]);
+        Row { entries }
     }
 
     /// Binds `name` to `value`, replacing any existing binding.
     pub fn insert(&mut self, symbols: &SymbolTable, name: &str, value: Value) {
-        match &mut self.repr {
-            Repr::Flat(entries) => {
-                let id = symbols.intern(name);
-                match entries.binary_search_by_key(&id, |(sym, _)| *sym) {
-                    Ok(position) => entries[position].1 = value,
-                    Err(position) => entries.insert(position, (id, value)),
-                }
-            }
-            Repr::Map(map) => {
-                map.insert(RowKey::from(name), value);
-            }
-        }
-    }
-
-    /// Binds `name` to `value` only if it is not already bound (the
-    /// `OPTIONAL MATCH` null-fill).
-    pub fn insert_if_absent(&mut self, symbols: &SymbolTable, name: &str, value: Value) {
-        match &mut self.repr {
-            Repr::Flat(entries) => {
-                let id = symbols.intern(name);
-                if let Err(position) = entries.binary_search_by_key(&id, |(sym, _)| *sym) {
-                    entries.insert(position, (id, value));
-                }
-            }
-            Repr::Map(map) => {
-                map.entry(RowKey::from(name)).or_insert(value);
-            }
-        }
-    }
-
-    /// Copy-on-extend: the row plus one extra binding, built in a single
-    /// right-sized allocation instead of clone-then-insert. This is the
-    /// operation the pattern matcher performs at every nondeterministic
-    /// binding branch.
-    pub fn with(&self, symbols: &SymbolTable, name: &str, value: Value) -> Row {
-        match &self.repr {
-            Repr::Flat(entries) => {
-                let id = symbols.intern(name);
-                let position = entries.partition_point(|(sym, _)| *sym < id);
-                let mut out: Vec<(SymId, Value)> = Vec::with_capacity(entries.len() + 1);
-                out.extend_from_slice(&entries[..position]);
-                if entries.get(position).is_some_and(|(sym, _)| *sym == id) {
-                    out.push((id, value));
-                    out.extend_from_slice(&entries[position + 1..]);
-                } else {
-                    out.push((id, value));
-                    out.extend_from_slice(&entries[position..]);
-                }
-                Row { repr: Repr::Flat(out) }
-            }
-            Repr::Map(map) => {
-                let mut out = map.clone();
-                out.insert(RowKey::from(name), value);
-                Row { repr: Repr::Map(out) }
-            }
-        }
+        self.insert_sym(symbols.intern(name), value);
     }
 
     /// Merges every binding of `other` into `self` (bindings of `other`
     /// win). Used by `WITH ... WHERE`, whose predicate sees the projected
     /// names on top of the pre-projection environment.
-    pub fn merge_from(&mut self, symbols: &SymbolTable, other: &Row) {
-        for (name, value) in other.iter_named(symbols) {
-            self.insert(symbols, &name, value.clone());
+    pub fn merge_from(&mut self, other: &Row) {
+        for (sym, value) in &other.entries {
+            self.insert_sym(*sym, value.clone());
         }
     }
 
-    /// Iterates the bindings as `(name, value)` pairs, in the row's internal
-    /// order (symbol order for flat rows, name order for map rows). The
-    /// iterator is a plain enum — no per-call heap allocation, this sits on
-    /// per-row paths (`WITH ... WHERE` merging, `RETURN *`).
-    pub fn iter_named<'r>(&'r self, symbols: &'r SymbolTable) -> RowIter<'r> {
-        match &self.repr {
-            Repr::Flat(entries) => RowIter(RowIterInner::Flat { entries: entries.iter(), symbols }),
-            Repr::Map(map) => RowIter(RowIterInner::Map(map.iter())),
-        }
+    /// The bound values, in symbol order.
+    pub fn values(&self) -> impl Iterator<Item = &Value> {
+        self.entries.iter().map(|(_, value)| value)
     }
 
-    /// The bound values in **name order** — identical across the two
-    /// representations, so representation-differential tests (and the
-    /// `COUNT(DISTINCT *)` whole-row comparison) see the same vectors.
-    pub fn values_by_name(&self, symbols: &SymbolTable) -> Vec<Value> {
-        match &self.repr {
-            Repr::Flat(entries) => {
-                let mut named: Vec<(Rc<str>, &Value)> =
-                    entries.iter().map(|(sym, value)| (symbols.name(*sym), value)).collect();
-                named.sort_by(|(a, _), (b, _)| a.cmp(b));
-                named.into_iter().map(|(_, value)| value.clone()).collect()
-            }
-            Repr::Map(map) => map.values().cloned().collect(),
-        }
-    }
-
-    /// The bound names, in the row's internal order.
+    /// The bound names, in symbol order.
     pub fn names(&self, symbols: &SymbolTable) -> Vec<Rc<str>> {
-        self.iter_named(symbols).map(|(name, _)| name).collect()
-    }
-}
-
-/// Iterator over a row's `(name, value)` bindings (see [`Row::iter_named`]).
-pub struct RowIter<'r>(RowIterInner<'r>);
-
-enum RowIterInner<'r> {
-    Flat { entries: std::slice::Iter<'r, (SymId, Value)>, symbols: &'r SymbolTable },
-    Map(std::collections::btree_map::Iter<'r, RowKey, Value>),
-}
-
-impl<'r> Iterator for RowIter<'r> {
-    type Item = (Rc<str>, &'r Value);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.0 {
-            RowIterInner::Flat { entries, symbols } => {
-                entries.next().map(|(sym, value)| (symbols.name(*sym), value))
-            }
-            RowIterInner::Map(entries) => {
-                entries.next().map(|(key, value)| (Rc::clone(key), value))
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.0 {
-            RowIterInner::Flat { entries, .. } => entries.size_hint(),
-            RowIterInner::Map(entries) => entries.size_hint(),
-        }
+        self.entries.iter().map(|(sym, _)| symbols.name(*sym)).collect()
     }
 }
 
@@ -496,40 +313,17 @@ pub struct EvalCtx<'g> {
     pub graph: &'g PropertyGraph,
     /// The run's symbol table (see [`SymbolTable`]).
     pub symbols: &'g SymbolTable,
-    /// Bound on variable-length path expansion (see [`crate::eval::Evaluator`]).
-    pub max_var_length: u32,
-    /// Enumerate pattern candidates with the linear-scan baseline
-    /// ([`crate::matching::scan`]) instead of the adjacency index. The two
-    /// paths return identical rows in identical order; the flag exists for
-    /// differential testing and baseline benchmarking.
-    pub scan_matching: bool,
-    /// Evaluate with map-backed rows ([`Row::new_map`]) instead of flat
-    /// interned-symbol rows. The two representations produce identical
-    /// results; the flag exists for differential testing and baseline
-    /// benchmarking, like `scan_matching`.
-    pub map_rows: bool,
-    /// The run's lazily lowered query plans (see [`crate::plan::PlanCache`]).
-    /// `Some` selects the compiled [`SymId`]-native matcher and projections
-    /// (the default through [`crate::eval::Evaluator`]); `None` falls back to
-    /// the name-resolving interpreter, preserved as the differential oracle
-    /// the way the scan matcher and map rows are.
-    pub plans: Option<&'g crate::plan::PlanCache>,
+    /// The run's lazily lowered query plans (see [`PlanCache`]): `MATCH`
+    /// clauses and explicit projections evaluate through their compiled,
+    /// [`SymId`]-native forms.
+    pub plans: &'g PlanCache,
 }
 
 impl<'g> EvalCtx<'g> {
-    /// Creates a context with the default variable-length bound and no plan
-    /// cache (the name-resolving interpreted path — what in-crate tests and
-    /// direct matcher calls exercise; [`crate::eval::Evaluator`] supplies
-    /// plans for the compiled default).
-    pub fn new(graph: &'g PropertyGraph, symbols: &'g SymbolTable) -> Self {
-        EvalCtx {
-            graph,
-            symbols,
-            max_var_length: graph.relationship_count() as u32,
-            scan_matching: false,
-            map_rows: false,
-            plans: None,
-        }
+    /// A context evaluating over `graph` with `plan`'s symbol table and
+    /// lowered-plan cache.
+    pub fn new(graph: &'g PropertyGraph, plan: &'g QueryPlan) -> Self {
+        EvalCtx { graph, symbols: plan.symbols(), plans: plan.plans() }
     }
 }
 
@@ -586,7 +380,7 @@ pub fn eval_expr(ctx: EvalCtx<'_>, row: &Row, expr: &Expr) -> Result<Value, Eval
             Err(EvalError::new("aggregate expressions can only appear in WITH/RETURN projections"))
         }
         Expr::Exists(query) => {
-            let result = evaluate_single_query_on_rows(ctx, query, vec![row.clone()], false)?;
+            let result = evaluate_union_query(ctx, query, vec![row.clone()], false)?;
             Ok(Value::Boolean(!result.rows.is_empty()))
         }
         Expr::Case { branches, otherwise } => {
@@ -812,89 +606,89 @@ mod tests {
     use crate::graph::NodeId;
     use cypher_parser::parse_expression;
 
-    fn ctx_and_row() -> (PropertyGraph, SymbolTable, Row) {
+    fn ctx_and_row() -> (PropertyGraph, QueryPlan, Row) {
         let graph = PropertyGraph::paper_example();
-        let symbols = SymbolTable::new();
+        let plan = QueryPlan::empty();
         let mut row = Row::new();
-        row.insert(&symbols, "n", Value::Node(NodeId(0)));
-        row.insert(&symbols, "x", Value::Integer(5));
-        (graph, symbols, row)
+        row.insert(plan.symbols(), "n", Value::Node(NodeId(0)));
+        row.insert(plan.symbols(), "x", Value::Integer(5));
+        (graph, plan, row)
     }
 
-    fn eval(graph: &PropertyGraph, symbols: &SymbolTable, row: &Row, text: &str) -> Value {
+    fn eval(graph: &PropertyGraph, plan: &QueryPlan, row: &Row, text: &str) -> Value {
         let expr = parse_expression(text).unwrap();
-        eval_expr(EvalCtx::new(graph, symbols), row, &expr).unwrap()
+        eval_expr(EvalCtx::new(graph, plan), row, &expr).unwrap()
     }
 
     #[test]
     fn evaluates_property_access_and_comparison() {
-        let (graph, symbols, row) = ctx_and_row();
-        assert_eq!(eval(&graph, &symbols, &row, "n.age"), Value::Integer(59));
-        assert_eq!(eval(&graph, &symbols, &row, "n.age = 59"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &symbols, &row, "n.age > 100"), Value::Boolean(false));
-        assert_eq!(eval(&graph, &symbols, &row, "n.missing = 1"), Value::Null);
-        assert_eq!(eval(&graph, &symbols, &row, "n.missing IS NULL"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &symbols, &row, "n.age IS NOT NULL"), Value::Boolean(true));
+        let (graph, plan, row) = ctx_and_row();
+        assert_eq!(eval(&graph, &plan, &row, "n.age"), Value::Integer(59));
+        assert_eq!(eval(&graph, &plan, &row, "n.age = 59"), Value::Boolean(true));
+        assert_eq!(eval(&graph, &plan, &row, "n.age > 100"), Value::Boolean(false));
+        assert_eq!(eval(&graph, &plan, &row, "n.missing = 1"), Value::Null);
+        assert_eq!(eval(&graph, &plan, &row, "n.missing IS NULL"), Value::Boolean(true));
+        assert_eq!(eval(&graph, &plan, &row, "n.age IS NOT NULL"), Value::Boolean(true));
     }
 
     #[test]
     fn evaluates_arithmetic_and_logic() {
-        let (graph, symbols, row) = ctx_and_row();
-        assert_eq!(eval(&graph, &symbols, &row, "x + 2 * 3"), Value::Integer(11));
-        assert_eq!(eval(&graph, &symbols, &row, "x > 1 AND x < 10"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &symbols, &row, "x > 1 AND n.missing = 1"), Value::Null);
-        assert_eq!(eval(&graph, &symbols, &row, "x < 1 AND n.missing = 1"), Value::Boolean(false));
-        assert_eq!(eval(&graph, &symbols, &row, "NOT x = 5"), Value::Boolean(false));
-        assert_eq!(eval(&graph, &symbols, &row, "x IN [1, 5, 9]"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &symbols, &row, "x IN [1, 2]"), Value::Boolean(false));
+        let (graph, plan, row) = ctx_and_row();
+        assert_eq!(eval(&graph, &plan, &row, "x + 2 * 3"), Value::Integer(11));
+        assert_eq!(eval(&graph, &plan, &row, "x > 1 AND x < 10"), Value::Boolean(true));
+        assert_eq!(eval(&graph, &plan, &row, "x > 1 AND n.missing = 1"), Value::Null);
+        assert_eq!(eval(&graph, &plan, &row, "x < 1 AND n.missing = 1"), Value::Boolean(false));
+        assert_eq!(eval(&graph, &plan, &row, "NOT x = 5"), Value::Boolean(false));
+        assert_eq!(eval(&graph, &plan, &row, "x IN [1, 5, 9]"), Value::Boolean(true));
+        assert_eq!(eval(&graph, &plan, &row, "x IN [1, 2]"), Value::Boolean(false));
     }
 
     #[test]
     fn evaluates_string_predicates_and_functions() {
-        let (graph, symbols, row) = ctx_and_row();
-        assert_eq!(eval(&graph, &symbols, &row, "n.name STARTS WITH 'J.'"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &symbols, &row, "n.name CONTAINS 'Rowling'"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &symbols, &row, "size('abc')"), Value::Integer(3));
-        assert_eq!(eval(&graph, &symbols, &row, "coalesce(n.missing, 7)"), Value::Integer(7));
-        assert_eq!(eval(&graph, &symbols, &row, "id(n)"), Value::Integer(0));
+        let (graph, plan, row) = ctx_and_row();
+        assert_eq!(eval(&graph, &plan, &row, "n.name STARTS WITH 'J.'"), Value::Boolean(true));
+        assert_eq!(eval(&graph, &plan, &row, "n.name CONTAINS 'Rowling'"), Value::Boolean(true));
+        assert_eq!(eval(&graph, &plan, &row, "size('abc')"), Value::Integer(3));
+        assert_eq!(eval(&graph, &plan, &row, "coalesce(n.missing, 7)"), Value::Integer(7));
+        assert_eq!(eval(&graph, &plan, &row, "id(n)"), Value::Integer(0));
         assert_eq!(
-            eval(&graph, &symbols, &row, "labels(n)"),
+            eval(&graph, &plan, &row, "labels(n)"),
             Value::List(vec![Value::from("Person")])
         );
-        assert_eq!(eval(&graph, &symbols, &row, "unknown_function(n)"), Value::Null);
+        assert_eq!(eval(&graph, &plan, &row, "unknown_function(n)"), Value::Null);
     }
 
     #[test]
     fn evaluates_case_and_maps_and_lists() {
-        let (graph, symbols, row) = ctx_and_row();
+        let (graph, plan, row) = ctx_and_row();
         assert_eq!(
-            eval(&graph, &symbols, &row, "CASE WHEN x > 3 THEN 'big' ELSE 'small' END"),
+            eval(&graph, &plan, &row, "CASE WHEN x > 3 THEN 'big' ELSE 'small' END"),
             Value::from("big")
         );
-        assert_eq!(eval(&graph, &symbols, &row, "{a: 1, b: 2}.b"), Value::Integer(2));
-        assert_eq!(eval(&graph, &symbols, &row, "[1, 2, 3][1]"), Value::Integer(2));
-        assert_eq!(eval(&graph, &symbols, &row, "head([4, 5])"), Value::Integer(4));
+        assert_eq!(eval(&graph, &plan, &row, "{a: 1, b: 2}.b"), Value::Integer(2));
+        assert_eq!(eval(&graph, &plan, &row, "[1, 2, 3][1]"), Value::Integer(2));
+        assert_eq!(eval(&graph, &plan, &row, "head([4, 5])"), Value::Integer(4));
     }
 
     #[test]
     fn unbound_variables_are_null() {
-        let (graph, symbols, row) = ctx_and_row();
-        assert_eq!(eval(&graph, &symbols, &row, "missing_variable"), Value::Null);
-        assert_eq!(eval(&graph, &symbols, &row, "missing_variable = 1"), Value::Null);
+        let (graph, plan, row) = ctx_and_row();
+        assert_eq!(eval(&graph, &plan, &row, "missing_variable"), Value::Null);
+        assert_eq!(eval(&graph, &plan, &row, "missing_variable = 1"), Value::Null);
     }
 
     #[test]
     fn parameters_are_rejected() {
-        let (graph, symbols, row) = ctx_and_row();
+        let (graph, plan, row) = ctx_and_row();
         let expr = parse_expression("$p = 1").unwrap();
-        assert!(eval_expr(EvalCtx::new(&graph, &symbols), &row, &expr).is_err());
+        assert!(eval_expr(EvalCtx::new(&graph, &plan), &row, &expr).is_err());
     }
 
     #[test]
     fn aggregates_outside_projections_are_rejected() {
-        let (graph, symbols, row) = ctx_and_row();
+        let (graph, plan, row) = ctx_and_row();
         let expr = parse_expression("SUM(x)").unwrap();
-        assert!(eval_expr(EvalCtx::new(&graph, &symbols), &row, &expr).is_err());
+        assert!(eval_expr(EvalCtx::new(&graph, &plan), &row, &expr).is_err());
     }
 
     #[test]
@@ -925,46 +719,40 @@ mod tests {
     }
 
     #[test]
-    fn flat_and_map_rows_behave_identically() {
+    fn rows_bind_replace_extend_and_merge() {
         let symbols = SymbolTable::new();
-        let mut flat = Row::new();
-        let mut map = Row::new_map();
-        for row in [&mut flat, &mut map] {
-            // Insert out of name order to exercise the sorted insert.
-            row.insert(&symbols, "z", Value::Integer(1));
-            row.insert(&symbols, "a", Value::Integer(2));
-            row.insert(&symbols, "m", Value::Integer(3));
-            row.insert(&symbols, "a", Value::Integer(4)); // replace
-            row.insert_if_absent(&symbols, "m", Value::Null); // no-op
-            row.insert_if_absent(&symbols, "q", Value::Integer(5));
-        }
-        for row in [&flat, &map] {
-            assert_eq!(row.len(), 4);
-            assert_eq!(row.get(&symbols, "a"), Some(&Value::Integer(4)));
-            assert_eq!(row.get(&symbols, "m"), Some(&Value::Integer(3)));
-            assert_eq!(row.get(&symbols, "q"), Some(&Value::Integer(5)));
-            assert_eq!(row.get(&symbols, "missing"), None);
-        }
-        // values_by_name is the representation-independent view.
-        assert_eq!(flat.values_by_name(&symbols), map.values_by_name(&symbols));
+        let mut row = Row::new();
+        // Insert out of symbol order to exercise the sorted insert.
+        let z = symbols.intern("z");
+        row.insert(&symbols, "a", Value::Integer(2));
+        row.insert_sym(z, Value::Integer(1));
+        row.insert(&symbols, "m", Value::Integer(3));
+        row.insert(&symbols, "a", Value::Integer(4)); // replace
+        row.insert_if_absent_sym(symbols.intern("m"), Value::Null); // no-op
+        row.insert_if_absent_sym(symbols.intern("q"), Value::Integer(5));
+        assert_eq!(row.len(), 4);
+        assert_eq!(row.get(&symbols, "a"), Some(&Value::Integer(4)));
+        assert_eq!(row.get(&symbols, "m"), Some(&Value::Integer(3)));
+        assert_eq!(row.get(&symbols, "q"), Some(&Value::Integer(5)));
+        assert_eq!(row.get(&symbols, "missing"), None);
+        let names: Vec<String> = row.names(&symbols).iter().map(|n| n.to_string()).collect();
+        assert_eq!(names, ["z", "a", "m", "q"], "entries stay in symbol order");
 
-        // Copy-on-extend preserves the original and the representation.
-        let extended = flat.with(&symbols, "b", Value::Integer(9));
-        assert_eq!(flat.len(), 4);
+        // Copy-on-extend preserves the original.
+        let extended = row.with_sym(symbols.intern("b"), Value::Integer(9));
+        assert_eq!(row.len(), 4);
         assert_eq!(extended.len(), 5);
         assert_eq!(extended.get(&symbols, "b"), Some(&Value::Integer(9)));
-        let replaced = flat.with(&symbols, "a", Value::Integer(0));
+        let replaced = row.with_sym(symbols.intern("a"), Value::Integer(0));
         assert_eq!(replaced.len(), 4);
         assert_eq!(replaced.get(&symbols, "a"), Some(&Value::Integer(0)));
-        let map_extended = map.with(&symbols, "b", Value::Integer(9));
-        assert_eq!(map_extended.values_by_name(&symbols), extended.values_by_name(&symbols));
 
         // merge_from lets the other row's bindings win.
-        let mut merged = flat.clone();
+        let mut merged = row.clone();
         let mut overlay = Row::new();
         overlay.insert(&symbols, "a", Value::Integer(7));
         overlay.insert(&symbols, "new", Value::Integer(8));
-        merged.merge_from(&symbols, &overlay);
+        merged.merge_from(&overlay);
         assert_eq!(merged.get(&symbols, "a"), Some(&Value::Integer(7)));
         assert_eq!(merged.get(&symbols, "new"), Some(&Value::Integer(8)));
         assert_eq!(merged.len(), 5);
@@ -982,10 +770,10 @@ mod tests {
         use cypher_parser::BuiltinFunction;
 
         let graph = PropertyGraph::paper_example();
-        let symbols = SymbolTable::new();
+        let plan = QueryPlan::empty();
         let mut row = Row::new();
-        row.insert(&symbols, "n", Value::Node(NodeId(0)));
-        row.insert(&symbols, "r", Value::Relationship(RelId(0)));
+        row.insert(plan.symbols(), "n", Value::Node(NodeId(0)));
+        row.insert(plan.symbols(), "r", Value::Relationship(RelId(0)));
         let representative = |function: BuiltinFunction| match function {
             BuiltinFunction::Id => "id(n)",
             BuiltinFunction::Labels => "labels(n)",
@@ -1005,7 +793,7 @@ mod tests {
         };
         for &function in BuiltinFunction::ALL {
             let text = representative(function);
-            let value = eval(&graph, &symbols, &row, text);
+            let value = eval(&graph, &plan, &row, text);
             assert!(!value.is_null(), "{text}: registered builtin evaluated to NULL");
         }
     }

@@ -133,7 +133,7 @@ fn lower_explicit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Evaluator;
+    use crate::eval::evaluate_planned;
     use crate::graph::PropertyGraph;
     use cypher_parser::parse_query;
 
@@ -166,10 +166,8 @@ mod tests {
             let frozen = FrozenPlan::new(&query);
             let thawed = frozen.thaw();
             let fresh = QueryPlan::new(frozen.query());
-            let via_thaw =
-                Evaluator::new().evaluate_planned(&graph, frozen.query(), &thawed).unwrap();
-            let via_fresh =
-                Evaluator::new().evaluate_planned(&graph, frozen.query(), &fresh).unwrap();
+            let via_thaw = evaluate_planned(&graph, frozen.query(), &thawed).unwrap();
+            let via_fresh = evaluate_planned(&graph, frozen.query(), &fresh).unwrap();
             assert_eq!(via_thaw, via_fresh, "thawed plan diverged on {text}");
         }
     }
@@ -192,7 +190,7 @@ mod tests {
         let frozen = Arc::new(FrozenPlan::new(&query));
         let baseline = {
             let graph = PropertyGraph::paper_example();
-            Evaluator::new().evaluate_planned(&graph, frozen.query(), &frozen.thaw()).unwrap()
+            evaluate_planned(&graph, frozen.query(), &frozen.thaw()).unwrap()
         };
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -201,8 +199,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let graph = PropertyGraph::paper_example();
                     let plan = frozen.thaw();
-                    let got =
-                        Evaluator::new().evaluate_planned(&graph, frozen.query(), &plan).unwrap();
+                    let got = evaluate_planned(&graph, frozen.query(), &plan).unwrap();
                     assert_eq!(got, expected);
                 })
             })

@@ -145,7 +145,7 @@ impl PropertyGraph {
 
     /// The adjacency index of this graph, built on first use. See
     /// [`AdjacencyIndex`] for the layout; the matcher consults it for every
-    /// candidate enumeration unless the scan baseline is requested.
+    /// candidate enumeration.
     pub fn adjacency(&self) -> &AdjacencyIndex {
         self.index.get_or_init(|| AdjacencyIndex::build(self))
     }

@@ -1,32 +1,30 @@
 //! Per-graph adjacency index: the candidate-enumeration accelerator behind
 //! the pattern matcher.
 //!
-//! The linear-scan matcher (kept as [`crate::matching::scan`]) re-walks every
-//! relationship of the graph for every hop of every partial match. The
-//! [`AdjacencyIndex`] is built **once per graph** (lazily, on first use, via
-//! [`crate::PropertyGraph::adjacency`]) and turns each enumeration into a
-//! lookup:
+//! A linear scan would re-walk every relationship of the graph for every hop
+//! of every partial match. The [`AdjacencyIndex`] is built **once per graph**
+//! (lazily, on first use, via [`crate::PropertyGraph::adjacency`]) and turns
+//! each enumeration into a lookup:
 //!
 //! * **per-node out/in adjacency lists** — `(relationship, neighbour,
 //!   interned type)` entries sorted by relationship id, so a hop touches only
 //!   the node's actual degree instead of `|R|`, and relationship-type
 //!   filtering is an integer compare instead of a string compare. The lists
 //!   are deliberately *not* segmented per type: keeping them in relationship-
-//!   id order preserves the scan matcher's deterministic enumeration order
-//!   bit for bit (which `LIMIT` without `ORDER BY` can observe), so the
-//!   indexed matcher is a drop-in replacement, not merely bag-equivalent.
+//!   id order keeps enumeration ascending by relationship id (which `LIMIT`
+//!   without `ORDER BY` can observe) — the order a linear scan would produce,
+//!   and the one the checker's independent evaluator uses.
 //! * **per-label node bitsets** — `MATCH (n:Label)` enumerations intersect
 //!   label bitsets (64 nodes per word) instead of testing every node's label
-//!   set; iteration yields node ids in ascending order, again matching the
-//!   scan order.
+//!   set; iteration yields node ids in ascending order.
 //! * **property-key bitsets** — nodes/relationships carrying each property
 //!   key. A pattern like `{age: 5}` can only match an entity that *has* the
 //!   key (`cypher_eq` against `NULL` is never `TRUE`), so key bitsets prune
 //!   candidates before any expression is evaluated.
 //!
 //! Index construction is O(|N| + |R|) and its cumulative cost is observable
-//! through [`build_stats`] — the PR 3 benchmark reports it so the index can
-//! never silently eat its own speedup.
+//! through [`build_stats`] — the benchmark's per-layer run reports it so the
+//! index can never silently eat its own speedup.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -9,7 +9,13 @@
 //! The evaluator serves as the **oracle** of the reproduction: property tests
 //! check that queries proven equivalent return identical bags on random
 //! graphs, and the prover's counterexample search uses it to certify
-//! non-equivalence with a concrete differing graph.
+//! non-equivalence with a concrete differing graph. There is one evaluation
+//! path: `MATCH` clauses and projections lower once per run into compiled
+//! plans ([`plan`]), the matcher ([`matching`]) enumerates candidates through
+//! each graph's adjacency index ([`index`]), and rows are flat vectors keyed
+//! by interned symbols ([`expr::Row`]). Its reference is the certificate
+//! checker's independent evaluator, which `tests/checker_differential.rs`
+//! compares it against row for row.
 //!
 //! ```
 //! use property_graph::{evaluate_query, PropertyGraph};
@@ -40,10 +46,7 @@ pub mod plan;
 pub mod rng;
 pub mod value;
 
-pub use eval::{
-    evaluate_query, evaluate_query_interpreted, evaluate_query_map_rows, evaluate_query_scan,
-    EvalError, Evaluator, PreparedQuery, QueryResult,
-};
+pub use eval::{evaluate_planned, evaluate_query, EvalError, QueryResult};
 pub use expr::{EvalCtx, Row, SymId, SymbolTable};
 pub use frozen::FrozenPlan;
 pub use generator::{GeneratorConfig, GraphGenerator};

@@ -13,52 +13,45 @@
 //! relationships are pairwise distinct, each satisfying the pattern's label
 //! and property constraints.
 //!
-//! Since PR 5 this **name-resolving interpreter** is the differential
-//! oracle: the default evaluation path lowers patterns once into
-//! [`SymId`](crate::expr::SymId)-native compiled plans ([`crate::plan`]) and
-//! matches through those; `Evaluator::interpret_patterns` selects this
-//! implementation instead, the same baseline-preservation pattern as
-//! [`scan`] and the map-backed row representation.
+//! The matcher walks a clause lowered by [`crate::plan`]: variables are
+//! pre-interned [`SymId`](crate::expr::SymId)s, so every row operation on the
+//! per-candidate path is integer-keyed. Candidates come from the graph's
+//! [`crate::index::AdjacencyIndex`] in ascending node/relationship id order
+//! (which `LIMIT` without `ORDER BY` can observe), and var-length paths are
+//! explored depth-first; the checker's independent evaluator enumerates in
+//! the same order, which `tests/checker_differential.rs` pins row for row.
 
-use cypher_parser::ast::{
-    MatchClause, NodePattern, PathPattern, RelDirection, RelationshipPattern,
-};
+use cypher_parser::ast::RelDirection;
 
 use crate::eval::EvalError;
-use crate::expr::{eval_expr, EvalCtx, Row, SymbolTable};
+use crate::expr::{eval_expr, EvalCtx, Row};
 use crate::graph::{EntityId, NodeId, RelId};
+use crate::index::AdjEntry;
+use crate::plan::{
+    CompiledMatch, CompiledNodePattern, CompiledPathPattern, CompiledRelPattern, PropValue,
+};
 use crate::value::Value;
 
 /// The continuation invoked for every complete match of a path pattern.
 type OnComplete<'a> =
     &'a mut dyn FnMut(EvalCtx<'_>, Row, &mut Vec<RelId>, &[Value]) -> Result<(), EvalError>;
 
-/// Finds all extensions of `base` that satisfy every pattern of the `MATCH`
-/// clause (and its `WHERE` predicate, which the caller applies separately so
-/// that `OPTIONAL MATCH` can treat it as part of the optional part).
-pub fn match_patterns(
+/// Finds all extensions of `base` that satisfy every pattern of the compiled
+/// clause and its `WHERE` predicate. The caller handles `OPTIONAL MATCH`, for
+/// which the predicate is part of the optional part.
+pub fn match_clause(
     ctx: EvalCtx<'_>,
-    patterns: &[PathPattern],
+    compiled: &CompiledMatch,
     base: &Row,
 ) -> Result<Vec<Row>, EvalError> {
     let mut results = Vec::new();
     let mut used = Vec::new();
-    match_pattern_list(ctx, patterns, 0, base.clone(), &mut used, &mut results)?;
-    Ok(results)
-}
-
-/// Convenience wrapper matching a whole clause including its `WHERE` filter.
-pub fn match_clause(
-    ctx: EvalCtx<'_>,
-    clause: &MatchClause,
-    base: &Row,
-) -> Result<Vec<Row>, EvalError> {
-    let rows = match_patterns(ctx, &clause.patterns, base)?;
-    match &clause.where_clause {
-        None => Ok(rows),
+    match_pattern_list(ctx, &compiled.patterns, 0, base.clone(), &mut used, &mut results)?;
+    match &compiled.where_clause {
+        None => Ok(results),
         Some(predicate) => {
             let mut kept = Vec::new();
-            for row in rows {
+            for row in results {
                 if crate::expr::eval_predicate(ctx, &row, predicate)? {
                     kept.push(row);
                 }
@@ -70,7 +63,7 @@ pub fn match_clause(
 
 fn match_pattern_list(
     ctx: EvalCtx<'_>,
-    patterns: &[PathPattern],
+    patterns: &[CompiledPathPattern],
     index: usize,
     row: Row,
     used: &mut Vec<RelId>,
@@ -84,7 +77,7 @@ fn match_pattern_list(
     let candidates = candidate_nodes(ctx, &row, &pattern.start)?;
     for node in candidates {
         let mut next_row = row.clone();
-        bind_node(ctx.symbols, &mut next_row, &pattern.start, node);
+        bind_node(&mut next_row, &pattern.start, node);
         let mut trace = vec![Value::Node(node)];
         let used_before = used.len();
         match_segments(
@@ -97,8 +90,8 @@ fn match_pattern_list(
             &mut trace,
             &mut |ctx, row, used, trace| {
                 let mut row = row;
-                if let Some(path_var) = &pattern.variable {
-                    row.insert(ctx.symbols, path_var, Value::Path(trace.to_vec()));
+                if let Some(path_sym) = pattern.variable {
+                    row.insert_sym(path_sym, Value::Path(trace.to_vec()));
                 }
                 match_pattern_list(ctx, patterns, index + 1, row, used, results)
             },
@@ -115,7 +108,7 @@ fn match_pattern_list(
 #[allow(clippy::too_many_arguments)]
 fn match_segments(
     ctx: EvalCtx<'_>,
-    pattern: &PathPattern,
+    pattern: &CompiledPathPattern,
     segment_index: usize,
     current: NodeId,
     row: Row,
@@ -134,19 +127,19 @@ fn match_segments(
     } else {
         let candidates = candidate_relationships(ctx, &row, rel_pattern, current)?;
         for (rel, next_node) in candidates {
-            if violates_injectivity(ctx.symbols, &row, rel_pattern, rel, used) {
+            if violates_injectivity(&row, rel_pattern, rel, used) {
                 continue;
             }
             if !node_matches(ctx, &row, next_node, &segment.node)?
-                || !node_binding_consistent(ctx.symbols, &row, &segment.node, next_node)
+                || !node_binding_consistent(&row, &segment.node, next_node)
             {
                 continue;
             }
             let mut next_row = row.clone();
-            if let Some(var) = &rel_pattern.variable {
-                next_row.insert(ctx.symbols, var, Value::Relationship(rel));
+            if let Some(sym) = rel_pattern.variable {
+                next_row.insert_sym(sym, Value::Relationship(rel));
             }
-            bind_node(ctx.symbols, &mut next_row, &segment.node, next_node);
+            bind_node(&mut next_row, &segment.node, next_node);
             used.push(rel);
             trace.push(Value::Relationship(rel));
             trace.push(Value::Node(next_node));
@@ -172,7 +165,7 @@ fn match_segments(
 #[allow(clippy::too_many_arguments)]
 fn match_var_length(
     ctx: EvalCtx<'_>,
-    pattern: &PathPattern,
+    pattern: &CompiledPathPattern,
     segment_index: usize,
     start: NodeId,
     row: Row,
@@ -184,7 +177,9 @@ fn match_var_length(
     let rel_pattern = &segment.relationship;
     let length = rel_pattern.length.expect("var-length pattern");
     let min = length.effective_min();
-    let max = length.max.unwrap_or(ctx.max_var_length).max(min);
+    // An unbounded `*` is exhaustive at the graph's relationship count,
+    // because relationships may not repeat along a path.
+    let max = length.max.unwrap_or(ctx.graph.relationship_count() as u32).max(min);
 
     // Depth-first expansion of simple paths (no repeated relationship).
     struct Frame {
@@ -198,17 +193,16 @@ fn match_var_length(
             // Try to close the pattern at this node.
             let end = frame.node;
             if node_matches(ctx, &row, end, &segment.node)?
-                && node_binding_consistent(ctx.symbols, &row, &segment.node, end)
+                && node_binding_consistent(&row, &segment.node, end)
             {
                 let mut next_row = row.clone();
-                if let Some(var) = &rel_pattern.variable {
-                    next_row.insert(
-                        ctx.symbols,
-                        var,
+                if let Some(sym) = rel_pattern.variable {
+                    next_row.insert_sym(
+                        sym,
                         Value::List(frame.rels.iter().map(|r| Value::Relationship(*r)).collect()),
                     );
                 }
-                bind_node(ctx.symbols, &mut next_row, &segment.node, end);
+                bind_node(&mut next_row, &segment.node, end);
                 let used_before = used.len();
                 let trace_before = trace.len();
                 for rel in &frame.rels {
@@ -248,20 +242,14 @@ fn match_var_length(
 }
 
 /// Returns `(relationship, neighbour)` pairs adjacent to `from` that satisfy
-/// the relationship pattern's direction, label and property constraints.
-///
-/// Dispatches to the adjacency-indexed enumeration (default) or the
-/// linear-scan baseline in [`scan`]; both return the same candidates in the
-/// same (ascending relationship id) order.
+/// the relationship pattern's direction, label and property constraints, in
+/// ascending relationship id order.
 fn candidate_relationships(
     ctx: EvalCtx<'_>,
     row: &Row,
-    pattern: &RelationshipPattern,
+    pattern: &CompiledRelPattern,
     from: NodeId,
 ) -> Result<Vec<(RelId, NodeId)>, EvalError> {
-    if ctx.scan_matching {
-        return scan::candidate_relationships(ctx, row, pattern, from);
-    }
     let index = ctx.graph.adjacency();
 
     // Resolve the pattern's type alternatives to interned ids once; a type
@@ -288,14 +276,14 @@ fn candidate_relationships(
         }
     };
     // If the relationship variable is already bound, the candidate must be
-    // that exact relationship (checked per entry below, like the scan).
-    let bound = pattern.variable.as_ref().and_then(|var| match row.get(ctx.symbols, var) {
+    // that exact relationship.
+    let bound = pattern.variable.and_then(|sym| match row.get_sym(sym) {
         Some(Value::Relationship(bound)) => Some(*bound),
         _ => None,
     });
 
     let mut out = Vec::new();
-    let mut push = |entry: &crate::index::AdjEntry| -> Result<(), EvalError> {
+    let mut push = |entry: &AdjEntry| -> Result<(), EvalError> {
         let type_ok = match &type_filter {
             TypeFilter::Any => true,
             TypeFilter::One(id) => entry.type_id == *id,
@@ -333,9 +321,8 @@ fn candidate_relationships(
         }
         RelDirection::Undirected => {
             // Merge the two (relationship-id-sorted) lists so candidates come
-            // out in ascending relationship id, exactly like the scan. A
-            // self-loop appears in both lists and must be yielded once; the
-            // scan's source branch wins, so the outgoing entry is kept.
+            // out in ascending relationship id. A self-loop appears in both
+            // lists and must be yielded once: the outgoing entry is kept.
             let outgoing = index.outgoing(from);
             let incoming = index.incoming(from);
             let (mut i, mut j) = (0, 0);
@@ -371,37 +358,30 @@ fn candidate_relationships(
 /// clause. A pattern whose variable is already bound to this very
 /// relationship refers to the same relationship and is allowed.
 fn violates_injectivity(
-    symbols: &SymbolTable,
     row: &Row,
-    pattern: &RelationshipPattern,
+    pattern: &CompiledRelPattern,
     rel: RelId,
     used: &[RelId],
 ) -> bool {
     if !used.contains(&rel) {
         return false;
     }
-    match &pattern.variable {
-        Some(var) => {
-            !matches!(row.get(symbols, var), Some(Value::Relationship(bound)) if *bound == rel)
-        }
+    match pattern.variable {
+        Some(sym) => !matches!(row.get_sym(sym), Some(Value::Relationship(bound)) if *bound == rel),
         None => true,
     }
 }
 
 /// Returns the nodes satisfying the node pattern's label and property
-/// constraints, in ascending node id order. Dispatches like
-/// [`candidate_relationships`].
+/// constraints, in ascending node id order.
 fn candidate_nodes(
     ctx: EvalCtx<'_>,
     row: &Row,
-    pattern: &NodePattern,
+    pattern: &CompiledNodePattern,
 ) -> Result<Vec<NodeId>, EvalError> {
-    if ctx.scan_matching {
-        return scan::candidate_nodes(ctx, row, pattern);
-    }
     // A bound variable restricts the candidates to the bound node.
-    if let Some(var) = &pattern.variable {
-        match row.get(ctx.symbols, var) {
+    if let Some(sym) = pattern.variable {
+        match row.get_sym(sym) {
             Some(Value::Node(id)) => {
                 return if node_matches(ctx, row, *id, pattern)? {
                     Ok(vec![*id])
@@ -457,7 +437,7 @@ fn node_matches(
     ctx: EvalCtx<'_>,
     row: &Row,
     id: NodeId,
-    pattern: &NodePattern,
+    pattern: &CompiledNodePattern,
 ) -> Result<bool, EvalError> {
     let node = ctx.graph.node(id);
     if !pattern.labels.iter().all(|label| node.labels.contains(label)) {
@@ -467,14 +447,9 @@ fn node_matches(
 }
 
 /// If the node variable is already bound, the candidate must equal it.
-fn node_binding_consistent(
-    symbols: &SymbolTable,
-    row: &Row,
-    pattern: &NodePattern,
-    id: NodeId,
-) -> bool {
-    match &pattern.variable {
-        Some(var) => match row.get(symbols, var) {
+fn node_binding_consistent(row: &Row, pattern: &CompiledNodePattern, id: NodeId) -> bool {
+    match pattern.variable {
+        Some(sym) => match row.get_sym(sym) {
             Some(Value::Node(bound)) => *bound == id,
             Some(_) => false,
             None => true,
@@ -483,155 +458,65 @@ fn node_binding_consistent(
     }
 }
 
-/// Evaluates a pattern's property map against an entity. Shared with the
-/// compiled matcher ([`crate::plan`]) — property expressions are not on the
-/// per-candidate name-resolution path the plan layer optimizes.
-pub(crate) fn properties_match(
+/// Evaluates a pattern's property map against an entity: constant
+/// expectations skip expression evaluation entirely.
+fn properties_match(
     ctx: EvalCtx<'_>,
     row: &Row,
     entity: EntityId,
-    properties: &[(String, cypher_parser::ast::Expr)],
+    properties: &[(String, PropValue)],
 ) -> Result<bool, EvalError> {
-    for (key, expr) in properties {
-        let expected = eval_expr(ctx, row, expr)?;
+    for (key, expected) in properties {
         let actual = ctx.graph.property(entity, key);
-        if actual.cypher_eq(&expected) != Some(true) {
+        let matches = match expected {
+            PropValue::Const(value) => actual.cypher_eq(value),
+            PropValue::Dynamic(expr) => actual.cypher_eq(&eval_expr(ctx, row, expr)?),
+        };
+        if matches != Some(true) {
             return Ok(false);
         }
     }
     Ok(true)
 }
 
-fn bind_node(symbols: &SymbolTable, row: &mut Row, pattern: &NodePattern, id: NodeId) {
-    if let Some(var) = &pattern.variable {
-        row.insert(symbols, var, Value::Node(id));
-    }
-}
-
-/// The pre-index linear-scan candidate enumeration, kept verbatim as the
-/// baseline and differential oracle for the adjacency-indexed path (selected
-/// with [`EvalCtx::scan_matching`] / `Evaluator::scan_matching`).
-///
-/// Both paths yield identical candidates in identical (ascending
-/// relationship/node id) order, so whole-query results are identical too —
-/// including order-sensitive constructs like `LIMIT` without `ORDER BY`. One
-/// deliberate asymmetry: the indexed path prunes candidates by label and
-/// property-key bitsets *before* evaluating pattern property expressions, so
-/// an expression whose evaluation fails (e.g. an unbound `$parameter`) can
-/// error here while the indexed path returns no candidates. Supported
-/// pattern properties are literals and row lookups, which never error.
-pub mod scan {
-    use super::*;
-
-    /// Linear-scan version of the relationship-candidate enumeration: walks
-    /// every relationship of the graph and filters.
-    pub fn candidate_relationships(
-        ctx: EvalCtx<'_>,
-        row: &Row,
-        pattern: &RelationshipPattern,
-        from: NodeId,
-    ) -> Result<Vec<(RelId, NodeId)>, EvalError> {
-        let mut out = Vec::new();
-        for rel_id in ctx.graph.relationship_ids() {
-            let rel = ctx.graph.relationship(rel_id);
-            let neighbour = match pattern.direction {
-                RelDirection::Outgoing => {
-                    if rel.source != from {
-                        continue;
-                    }
-                    rel.target
-                }
-                RelDirection::Incoming => {
-                    if rel.target != from {
-                        continue;
-                    }
-                    rel.source
-                }
-                RelDirection::Undirected => {
-                    if rel.source == from {
-                        rel.target
-                    } else if rel.target == from {
-                        rel.source
-                    } else {
-                        continue;
-                    }
-                }
-            };
-            if !pattern.labels.is_empty() && !pattern.labels.contains(&rel.label) {
-                continue;
-            }
-            if !properties_match(ctx, row, EntityId::Relationship(rel_id), &pattern.properties)? {
-                continue;
-            }
-            // If the relationship variable is already bound, the candidate
-            // must be that exact relationship.
-            if let Some(var) = &pattern.variable {
-                if let Some(Value::Relationship(bound)) = row.get(ctx.symbols, var) {
-                    if *bound != rel_id {
-                        continue;
-                    }
-                }
-            }
-            out.push((rel_id, neighbour));
-        }
-        Ok(out)
-    }
-
-    /// Linear-scan version of the node-candidate enumeration: tests every
-    /// node of the graph against the pattern.
-    pub fn candidate_nodes(
-        ctx: EvalCtx<'_>,
-        row: &Row,
-        pattern: &NodePattern,
-    ) -> Result<Vec<NodeId>, EvalError> {
-        // A bound variable restricts the candidates to the bound node.
-        if let Some(var) = &pattern.variable {
-            match row.get(ctx.symbols, var) {
-                Some(Value::Node(id)) => {
-                    return if node_matches(ctx, row, *id, pattern)? {
-                        Ok(vec![*id])
-                    } else {
-                        Ok(vec![])
-                    };
-                }
-                Some(_) => return Ok(vec![]),
-                None => {}
-            }
-        }
-        let mut out = Vec::new();
-        for id in ctx.graph.node_ids() {
-            if node_matches(ctx, row, id, pattern)? {
-                out.push(id);
-            }
-        }
-        Ok(out)
+fn bind_node(row: &mut Row, pattern: &CompiledNodePattern, id: NodeId) {
+    if let Some(sym) = pattern.variable {
+        row.insert_sym(sym, Value::Node(id));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::SymbolTable;
     use crate::graph::PropertyGraph;
-    use cypher_parser::ast::Clause;
+    use crate::plan::{lower_match, QueryPlan};
+    use cypher_parser::ast::{Clause, MatchClause};
     use cypher_parser::parse_query;
 
-    fn patterns_of(query: &str) -> Vec<PathPattern> {
+    fn match_clauses_of(query: &str) -> Vec<MatchClause> {
         let query = parse_query(query).unwrap();
-        match &query.parts[0].clauses[0] {
-            Clause::Match(m) => m.patterns.clone(),
-            _ => panic!("expected MATCH"),
-        }
+        query.parts[0]
+            .clauses
+            .iter()
+            .filter_map(|clause| match clause {
+                Clause::Match(m) => Some(m.clone()),
+                _ => None,
+            })
+            .collect()
     }
 
-    fn matches_with_symbols(graph: &PropertyGraph, query: &str) -> (SymbolTable, Vec<Row>) {
-        let patterns = patterns_of(query);
-        let symbols = SymbolTable::new();
-        let rows = match_patterns(EvalCtx::new(graph, &symbols), &patterns, &Row::new()).unwrap();
-        (symbols, rows)
+    /// Matches the first `MATCH` clause of `query` on `graph`, `WHERE`
+    /// included, returning the rows with the plan whose symbols they use.
+    fn matches_with_plan(graph: &PropertyGraph, query: &str) -> (QueryPlan, Vec<Row>) {
+        let plan = QueryPlan::empty();
+        let compiled = lower_match(plan.symbols(), &match_clauses_of(query)[0]);
+        let rows = match_clause(EvalCtx::new(graph, &plan), &compiled, &Row::new()).unwrap();
+        (plan, rows)
     }
 
     fn matches(graph: &PropertyGraph, query: &str) -> Vec<Row> {
-        matches_with_symbols(graph, query).1
+        matches_with_plan(graph, query).1
     }
 
     fn get<'r>(symbols: &SymbolTable, row: &'r Row, name: &str) -> &'r Value {
@@ -650,10 +535,9 @@ mod tests {
     #[test]
     fn matches_property_constrained_nodes() {
         let graph = PropertyGraph::paper_example();
-        let (symbols, rows) =
-            matches_with_symbols(&graph, "MATCH (n:Person {name: 'Alice'}) RETURN n");
+        let (plan, rows) = matches_with_plan(&graph, "MATCH (n:Person {name: 'Alice'}) RETURN n");
         assert_eq!(rows.len(), 1);
-        assert_eq!(*get(&symbols, &rows[0], "n"), Value::Node(NodeId(3)));
+        assert_eq!(*get(plan.symbols(), &rows[0], "n"), Value::Node(NodeId(3)));
     }
 
     #[test]
@@ -671,15 +555,15 @@ mod tests {
     #[test]
     fn paper_listing_1_pattern() {
         let graph = PropertyGraph::paper_example();
-        let (symbols, rows) = matches_with_symbols(
+        let (plan, rows) = matches_with_plan(
             &graph,
             "MATCH (reader:Person)-[:READ]->(book:Book)<-[:WRITE]-(writer) RETURN writer",
         );
         // Jack and Alice both read the book written by Rowling.
         assert_eq!(rows.len(), 2);
         for row in &rows {
-            assert_eq!(*get(&symbols, row, "writer"), Value::Node(NodeId(0)));
-            assert_eq!(*get(&symbols, row, "book"), Value::Node(NodeId(1)));
+            assert_eq!(*get(plan.symbols(), row, "writer"), Value::Node(NodeId(0)));
+            assert_eq!(*get(plan.symbols(), row, "book"), Value::Node(NodeId(1)));
         }
     }
 
@@ -689,10 +573,9 @@ mod tests {
         // The two relationship patterns may not match the same relationship
         // (Fig. 2 discussion in the paper): p1 and p2 must be distinct readers
         // or reader/writer combinations reached through distinct relationships.
-        let (symbols, rows) =
-            matches_with_symbols(&graph, "MATCH (p1)-[x]->(b)<-[y]-(p2) RETURN p1");
+        let (plan, rows) = matches_with_plan(&graph, "MATCH (p1)-[x]->(b)<-[y]-(p2) RETURN p1");
         for row in &rows {
-            assert_ne!(get(&symbols, row, "x"), get(&symbols, row, "y"));
+            assert_ne!(get(plan.symbols(), row, "x"), get(plan.symbols(), row, "y"));
         }
         // Pairs: (Jack,Alice), (Alice,Jack), (Rowling,Jack), (Rowling,Alice),
         // (Jack,Rowling), (Alice,Rowling) = 6.
@@ -702,18 +585,17 @@ mod tests {
     #[test]
     fn no_injectivity_across_separate_matches() {
         let graph = PropertyGraph::paper_example();
-        let q = parse_query("MATCH (a)-[r1]->(b) MATCH (c)-[r2]->(d) RETURN a").unwrap();
-        let Clause::Match(m1) = &q.parts[0].clauses[0] else { panic!() };
-        let Clause::Match(m2) = &q.parts[0].clauses[1] else { panic!() };
-        let symbols = SymbolTable::new();
-        let ctx = EvalCtx::new(&graph, &symbols);
-        let first = match_patterns(ctx, &m1.patterns, &Row::new()).unwrap();
+        let clauses = match_clauses_of("MATCH (a)-[r1]->(b) MATCH (c)-[r2]->(d) RETURN a");
+        let plan = QueryPlan::empty();
+        let symbols = plan.symbols();
+        let (m1, m2) = (lower_match(symbols, &clauses[0]), lower_match(symbols, &clauses[1]));
+        let ctx = EvalCtx::new(&graph, &plan);
         let mut total = 0;
         let mut same_rel = 0;
-        for row in &first {
-            for row2 in match_patterns(ctx, &m2.patterns, row).unwrap() {
+        for row in &match_clause(ctx, &m1, &Row::new()).unwrap() {
+            for row2 in match_clause(ctx, &m2, row).unwrap() {
                 total += 1;
-                if get(&symbols, &row2, "r1") == get(&symbols, &row2, "r2") {
+                if get(symbols, &row2, "r1") == get(symbols, &row2, "r2") {
                     same_rel += 1;
                 }
             }
@@ -729,12 +611,11 @@ mod tests {
         let graph = PropertyGraph::paper_example();
         let rows = matches(&graph, "MATCH (a:Person)-[:READ]->(b), (a)-[:READ]->(c) RETURN a");
         // With injectivity the two READ patterns must use different
-        // relationships, but `a` is shared — no single person read two books,
-        // so only... each reader read exactly one book, so no matches.
+        // relationships, but `a` is shared and each reader read exactly one
+        // book, so there is no match.
         assert_eq!(rows.len(), 0);
         let rows = matches(&graph, "MATCH (a:Person)-[:READ]->(b) MATCH (a)-[:READ]->(c) RETURN a");
-        // Without a second relationship in the same clause there is exactly
-        // one extension per reader.
+        // Only the first clause is matched here: one row per reader.
         assert_eq!(rows.len(), 2);
     }
 
@@ -761,10 +642,9 @@ mod tests {
         let rows = matches(&graph, "MATCH (x {name: 'a'})-[*0..1]->(y) RETURN y");
         assert_eq!(rows.len(), 2);
         // The relationship variable binds to the list of traversed edges.
-        let (symbols, rows) =
-            matches_with_symbols(&graph, "MATCH (x {name: 'a'})-[r *2]->(y) RETURN r");
+        let (plan, rows) = matches_with_plan(&graph, "MATCH (x {name: 'a'})-[r *2]->(y) RETURN r");
         assert_eq!(rows.len(), 1);
-        match get(&symbols, &rows[0], "r") {
+        match get(plan.symbols(), &rows[0], "r") {
             Value::List(items) => assert_eq!(items.len(), 2),
             other => panic!("expected list, got {other}"),
         }
@@ -786,57 +666,18 @@ mod tests {
     #[test]
     fn named_paths_bind_path_values() {
         let graph = PropertyGraph::paper_example();
-        let (symbols, rows) =
-            matches_with_symbols(&graph, "MATCH p = (a:Person)-[:WRITE]->(b) RETURN p");
+        let (plan, rows) = matches_with_plan(&graph, "MATCH p = (a:Person)-[:WRITE]->(b) RETURN p");
         assert_eq!(rows.len(), 1);
-        match get(&symbols, &rows[0], "p") {
+        match get(plan.symbols(), &rows[0], "p") {
             Value::Path(items) => assert_eq!(items.len(), 3),
             other => panic!("expected path, got {other}"),
         }
     }
 
     #[test]
-    fn indexed_and_scan_matching_agree_in_order() {
-        use crate::generator::GraphGenerator;
-        let queries = [
-            "MATCH (n) RETURN n",
-            "MATCH (n:Person) RETURN n",
-            "MATCH (n:Person {name: 'Alice'}) RETURN n",
-            "MATCH (a)-[r]->(b) RETURN a",
-            "MATCH (a)-[r:READ]->(b:Book) RETURN a",
-            "MATCH (a)<-[r:READ]-(b) RETURN a",
-            "MATCH (a)-[r]-(b) RETURN a",
-            "MATCH (p1)-[x]->(b)<-[y]-(p2) RETURN p1",
-            "MATCH (x)-[*1..3]->(y) RETURN y",
-            "MATCH (x)-[:KNOWS *1..2]-(y) RETURN y",
-            "MATCH (a {p1: 1})-[r {date: 1}]->(b) RETURN b",
-        ];
-        let mut graphs = vec![PropertyGraph::new(), PropertyGraph::paper_example()];
-        graphs.extend(GraphGenerator::new(0xD1FF).generate_many(12));
-        for graph in &graphs {
-            for query in queries {
-                let patterns = patterns_of(query);
-                // One shared symbol table, so the two runs produce rows with
-                // identical symbol ids and compare with plain equality.
-                let symbols = SymbolTable::new();
-                let indexed =
-                    match_patterns(EvalCtx::new(graph, &symbols), &patterns, &Row::new()).unwrap();
-                let scan_ctx = EvalCtx { scan_matching: true, ..EvalCtx::new(graph, &symbols) };
-                let scanned = match_patterns(scan_ctx, &patterns, &Row::new()).unwrap();
-                // Same rows in the same order — the indexed path is a
-                // drop-in replacement, not merely bag-equivalent.
-                assert_eq!(indexed, scanned, "matching diverged on {query} over {graph}");
-            }
-        }
-    }
-
-    #[test]
     fn match_clause_applies_where() {
         let graph = PropertyGraph::paper_example();
-        let q = parse_query("MATCH (n:Person) WHERE n.age > 26 RETURN n").unwrap();
-        let Clause::Match(m) = &q.parts[0].clauses[0] else { panic!() };
-        let symbols = SymbolTable::new();
-        let rows = match_clause(EvalCtx::new(&graph, &symbols), m, &Row::new()).unwrap();
+        let rows = matches(&graph, "MATCH (n:Person) WHERE n.age > 26 RETURN n");
         assert_eq!(rows.len(), 2); // Rowling (59) and Alice (27).
     }
 }

@@ -1,12 +1,10 @@
 //! The query-plan layer: `MATCH` patterns and projections lowered once into
 //! [`SymId`]-native compiled structures.
 //!
-//! The name-resolving matcher in [`crate::matching`] calls
-//! `row.get(symbols, name)` (a hash probe plus a scan) and `symbols.intern`
-//! for every candidate it tests — per candidate, per graph, per search. This
-//! module lowers each clause **once per query run** into compiled structures
-//! whose variables are pre-interned [`SymId`]s, so the hot matching loop
-//! performs integer-keyed row operations only:
+//! Each clause is lowered **once per query run** into structures whose
+//! variables are pre-interned [`SymId`]s, so the matcher
+//! ([`crate::matching`]) performs integer-keyed row operations only on its
+//! hot loop:
 //!
 //! * [`CompiledMatch`] — path patterns with pre-interned variable ids,
 //!   the `WHERE` predicate, and the pre-computed `OPTIONAL MATCH` null-fill
@@ -19,13 +17,6 @@
 //! * [`QueryPlan`] — a query's symbol table plus plan cache as one owned
 //!   value, so callers (notably the counterexample search's cross-search
 //!   plan cache) can keep plans alongside an owned query.
-//!
-//! The compiled matcher below mirrors the interpreted matcher's recursion
-//! and candidate enumeration **exactly** — identical rows in identical
-//! order, on both the adjacency-indexed and linear-scan enumeration paths —
-//! and the interpreted matcher survives unchanged as the differential
-//! oracle behind `Evaluator::interpret_patterns`, the same pattern as
-//! `scan_matching` (PR 3) and `map_rows` (PR 4).
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -35,10 +26,8 @@ use cypher_parser::ast::{
     RelationshipPattern, VarLength,
 };
 
-use crate::eval::EvalError;
-use crate::expr::{eval_const_expr, eval_expr, EvalCtx, Row, SymId, SymbolTable};
+use crate::expr::{eval_const_expr, SymId, SymbolTable};
 use crate::fxhash::FxHashMap;
-use crate::graph::{EntityId, NodeId, RelId};
 use crate::value::Value;
 
 // ---------------------------------------------------------------------------
@@ -56,9 +45,8 @@ pub struct CompiledMatch {
     /// expression evaluator — property-map and predicate expressions still
     /// resolve variables by name, they are not on the per-candidate path).
     pub where_clause: Option<Expr>,
-    /// Every variable the clause's patterns introduce, pre-interned and in
-    /// the same (name-sorted, deduplicated) order the interpreted
-    /// `OPTIONAL MATCH` null-fill uses.
+    /// Every variable the clause's patterns introduce, pre-interned, for the
+    /// `OPTIONAL MATCH` null-fill (name-sorted and deduplicated).
     pub optional_syms: Vec<SymId>,
 }
 
@@ -107,27 +95,6 @@ fn lower_properties(properties: &[(String, Expr)]) -> Vec<(String, PropValue)> {
         .collect()
 }
 
-/// The compiled counterpart of [`crate::matching`]'s `properties_match`:
-/// constant expectations skip expression evaluation entirely.
-fn compiled_properties_match(
-    ctx: EvalCtx<'_>,
-    row: &Row,
-    entity: EntityId,
-    properties: &[(String, PropValue)],
-) -> Result<bool, EvalError> {
-    for (key, expected) in properties {
-        let actual = ctx.graph.property(entity, key);
-        let matches = match expected {
-            PropValue::Const(value) => actual.cypher_eq(value),
-            PropValue::Dynamic(expr) => actual.cypher_eq(&eval_expr(ctx, row, expr)?),
-        };
-        if matches != Some(true) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 /// A node pattern with its variable pre-interned. Labels stay as names
 /// (label ids are per-graph — the adjacency index resolves them per graph);
 /// property expressions are cloned out of the AST once at lowering time,
@@ -164,11 +131,12 @@ impl CompiledRelPattern {
     }
 }
 
-/// A `WITH`/`RETURN` projection with explicit items lowered once: output
-/// column names are computed at lowering time (the interpreted path
-/// pretty-prints un-aliased expressions on **every** application) and output
-/// ids are pre-interned so per-row environment binding skips name hashing.
-/// `RETURN *` stays dynamic — its column set depends on the rows.
+/// A `WITH`/`RETURN` projection lowered to its output columns: names are
+/// computed once (no pretty-printing of un-aliased expressions per
+/// application) and output ids are pre-interned so per-row environment
+/// binding skips name hashing. Explicit items lower once per run through the
+/// [`PlanCache`]; `RETURN *` is built per application, because its column
+/// set depends on the rows.
 #[derive(Debug)]
 pub struct CompiledProjection {
     /// Output column names, in item order.
@@ -218,8 +186,7 @@ fn lower_path(symbols: &SymbolTable, pattern: &PathPattern) -> CompiledPathPatte
 
 /// Lowers a `MATCH` clause. Public so tests can lower without a cache.
 pub fn lower_match(symbols: &SymbolTable, clause: &MatchClause) -> CompiledMatch {
-    // The null-fill set mirrors `eval::pattern_variables`: sorted by name,
-    // deduplicated, then interned.
+    // The null-fill set: sorted by name, deduplicated, then interned.
     let mut names = Vec::new();
     for pattern in &clause.patterns {
         if let Some(v) = &pattern.variable {
@@ -268,11 +235,9 @@ pub fn lower_projection(symbols: &SymbolTable, projection: &Projection) -> Compi
 /// The per-run lowering memo: each `MATCH` clause and explicit projection of
 /// the query is lowered at most once, keyed by its AST node address.
 ///
-/// Address keys are sound because the cache never outlives the query: a
-/// [`crate::eval::PreparedQuery`] borrows the query for the cache's whole
-/// lifetime, and [`QueryPlan`] users keep query and plan together (the AST
-/// nodes live in heap-allocated clause vectors, so moving the `Query` value
-/// itself does not move them).
+/// Address keys are sound because [`QueryPlan`] users keep query and plan
+/// together (the AST nodes live in heap-allocated clause vectors, so moving
+/// the `Query` value itself does not move them).
 #[derive(Debug, Default)]
 pub struct PlanCache {
     matches: RefCell<FxHashMap<usize, Arc<CompiledMatch>>>,
@@ -337,11 +302,9 @@ impl PlanCache {
 }
 
 /// A query's plan-time state as one owned value: the interned symbol table
-/// plus the lowered-plan cache. [`crate::eval::PreparedQuery`] pairs one of
-/// these with a borrowed query; callers that need to *own* the query too
-/// (the counterexample search's per-query-text plan cache) keep a
-/// `(Query, QueryPlan)` pair and evaluate through
-/// [`crate::eval::Evaluator::evaluate_planned`].
+/// plus the lowered-plan cache. Callers evaluating one query over many
+/// graphs (the counterexample search) keep a `(Query, QueryPlan)` pair and
+/// evaluate through [`crate::eval::evaluate_planned`].
 ///
 /// A plan is tied to the exact query instance it was built from (plans key
 /// on AST node addresses); evaluating a different query under it is safe but
@@ -384,511 +347,9 @@ impl QueryPlan {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The compiled matcher
-// ---------------------------------------------------------------------------
-//
-// Mirrors `crate::matching` step for step; every name-keyed row operation is
-// replaced by its `SymId`-keyed counterpart. Comments explaining the shared
-// semantics (injectivity, ordering, self-loop handling) live on the
-// interpreted implementation.
-
-type OnComplete<'a> =
-    &'a mut dyn FnMut(EvalCtx<'_>, Row, &mut Vec<RelId>, &[Value]) -> Result<(), EvalError>;
-
-/// Finds all extensions of `base` satisfying the compiled clause's patterns
-/// and `WHERE` predicate — the compiled counterpart of
-/// [`crate::matching::match_clause`].
-pub fn match_compiled_clause(
-    ctx: EvalCtx<'_>,
-    compiled: &CompiledMatch,
-    base: &Row,
-) -> Result<Vec<Row>, EvalError> {
-    let mut results = Vec::new();
-    let mut used = Vec::new();
-    match_pattern_list(ctx, &compiled.patterns, 0, base.clone(), &mut used, &mut results)?;
-    match &compiled.where_clause {
-        None => Ok(results),
-        Some(predicate) => {
-            let mut kept = Vec::new();
-            for row in results {
-                if crate::expr::eval_predicate(ctx, &row, predicate)? {
-                    kept.push(row);
-                }
-            }
-            Ok(kept)
-        }
-    }
-}
-
-fn match_pattern_list(
-    ctx: EvalCtx<'_>,
-    patterns: &[CompiledPathPattern],
-    index: usize,
-    row: Row,
-    used: &mut Vec<RelId>,
-    results: &mut Vec<Row>,
-) -> Result<(), EvalError> {
-    if index == patterns.len() {
-        results.push(row);
-        return Ok(());
-    }
-    let pattern = &patterns[index];
-    let candidates = candidate_nodes(ctx, &row, &pattern.start)?;
-    for node in candidates {
-        let mut next_row = row.clone();
-        bind_node(ctx.symbols, &mut next_row, &pattern.start, node);
-        let mut trace = vec![Value::Node(node)];
-        let used_before = used.len();
-        match_segments(
-            ctx,
-            pattern,
-            0,
-            node,
-            next_row,
-            used,
-            &mut trace,
-            &mut |ctx, row, used, trace| {
-                let mut row = row;
-                if let Some(path_sym) = pattern.variable {
-                    row.insert_sym(ctx.symbols, path_sym, Value::Path(trace.to_vec()));
-                }
-                match_pattern_list(ctx, patterns, index + 1, row, used, results)
-            },
-        )?;
-        used.truncate(used_before);
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn match_segments(
-    ctx: EvalCtx<'_>,
-    pattern: &CompiledPathPattern,
-    segment_index: usize,
-    current: NodeId,
-    row: Row,
-    used: &mut Vec<RelId>,
-    trace: &mut Vec<Value>,
-    on_complete: OnComplete<'_>,
-) -> Result<(), EvalError> {
-    if segment_index == pattern.segments.len() {
-        return on_complete(ctx, row, used, trace);
-    }
-    let segment = &pattern.segments[segment_index];
-    let rel_pattern = &segment.relationship;
-
-    if rel_pattern.is_var_length() {
-        match_var_length(ctx, pattern, segment_index, current, row, used, trace, on_complete)
-    } else {
-        let candidates = candidate_relationships(ctx, &row, rel_pattern, current)?;
-        for (rel, next_node) in candidates {
-            if violates_injectivity(ctx.symbols, &row, rel_pattern, rel, used) {
-                continue;
-            }
-            if !node_matches(ctx, &row, next_node, &segment.node)?
-                || !node_binding_consistent(ctx.symbols, &row, &segment.node, next_node)
-            {
-                continue;
-            }
-            let mut next_row = row.clone();
-            if let Some(sym) = rel_pattern.variable {
-                next_row.insert_sym(ctx.symbols, sym, Value::Relationship(rel));
-            }
-            bind_node(ctx.symbols, &mut next_row, &segment.node, next_node);
-            used.push(rel);
-            trace.push(Value::Relationship(rel));
-            trace.push(Value::Node(next_node));
-            match_segments(
-                ctx,
-                pattern,
-                segment_index + 1,
-                next_node,
-                next_row,
-                used,
-                trace,
-                on_complete,
-            )?;
-            trace.pop();
-            trace.pop();
-            used.pop();
-        }
-        Ok(())
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn match_var_length(
-    ctx: EvalCtx<'_>,
-    pattern: &CompiledPathPattern,
-    segment_index: usize,
-    start: NodeId,
-    row: Row,
-    used: &mut Vec<RelId>,
-    trace: &mut Vec<Value>,
-    on_complete: OnComplete<'_>,
-) -> Result<(), EvalError> {
-    let segment = &pattern.segments[segment_index];
-    let rel_pattern = &segment.relationship;
-    let length = rel_pattern.length.expect("var-length pattern");
-    let min = length.effective_min();
-    let max = length.max.unwrap_or(ctx.max_var_length).max(min);
-
-    struct Frame {
-        node: NodeId,
-        rels: Vec<RelId>,
-    }
-    let mut stack = vec![Frame { node: start, rels: Vec::new() }];
-    while let Some(frame) = stack.pop() {
-        let hops = frame.rels.len() as u32;
-        if hops >= min {
-            let end = frame.node;
-            if node_matches(ctx, &row, end, &segment.node)?
-                && node_binding_consistent(ctx.symbols, &row, &segment.node, end)
-            {
-                let mut next_row = row.clone();
-                if let Some(sym) = rel_pattern.variable {
-                    next_row.insert_sym(
-                        ctx.symbols,
-                        sym,
-                        Value::List(frame.rels.iter().map(|r| Value::Relationship(*r)).collect()),
-                    );
-                }
-                bind_node(ctx.symbols, &mut next_row, &segment.node, end);
-                let used_before = used.len();
-                let trace_before = trace.len();
-                for rel in &frame.rels {
-                    used.push(*rel);
-                    trace.push(Value::Relationship(*rel));
-                }
-                trace.push(Value::Node(end));
-                match_segments(
-                    ctx,
-                    pattern,
-                    segment_index + 1,
-                    end,
-                    next_row,
-                    used,
-                    trace,
-                    on_complete,
-                )?;
-                trace.truncate(trace_before);
-                used.truncate(used_before);
-            }
-        }
-        if hops >= max {
-            continue;
-        }
-        let extensions = candidate_relationships(ctx, &row, rel_pattern, frame.node)?;
-        for (rel, next) in extensions {
-            if frame.rels.contains(&rel) || used.contains(&rel) {
-                continue;
-            }
-            let mut rels = frame.rels.clone();
-            rels.push(rel);
-            stack.push(Frame { node: next, rels });
-        }
-    }
-    Ok(())
-}
-
-fn candidate_relationships(
-    ctx: EvalCtx<'_>,
-    row: &Row,
-    pattern: &CompiledRelPattern,
-    from: NodeId,
-) -> Result<Vec<(RelId, NodeId)>, EvalError> {
-    if ctx.scan_matching {
-        return scan_candidate_relationships(ctx, row, pattern, from);
-    }
-    let index = ctx.graph.adjacency();
-
-    enum TypeFilter {
-        Any,
-        One(u32),
-        AnyOf(Vec<u32>),
-    }
-    let type_filter = match pattern.labels.as_slice() {
-        [] => TypeFilter::Any,
-        [label] => match index.rel_type_id(label) {
-            None => return Ok(Vec::new()),
-            Some(id) => TypeFilter::One(id),
-        },
-        labels => {
-            let resolved: Vec<u32> =
-                labels.iter().filter_map(|label| index.rel_type_id(label)).collect();
-            if resolved.is_empty() {
-                return Ok(Vec::new());
-            }
-            TypeFilter::AnyOf(resolved)
-        }
-    };
-    let bound = pattern.variable.and_then(|sym| match row.get_sym(ctx.symbols, sym) {
-        Some(Value::Relationship(bound)) => Some(*bound),
-        _ => None,
-    });
-
-    let mut out = Vec::new();
-    let mut push = |entry: &crate::index::AdjEntry| -> Result<(), EvalError> {
-        let type_ok = match &type_filter {
-            TypeFilter::Any => true,
-            TypeFilter::One(id) => entry.type_id == *id,
-            TypeFilter::AnyOf(ids) => ids.contains(&entry.type_id),
-        };
-        if !type_ok {
-            return Ok(());
-        }
-        if let Some(bound) = bound {
-            if bound != entry.rel {
-                return Ok(());
-            }
-        }
-        if pattern.properties.iter().any(|(key, _)| !index.rel_has_key(entry.rel, key)) {
-            return Ok(());
-        }
-        if compiled_properties_match(
-            ctx,
-            row,
-            EntityId::Relationship(entry.rel),
-            &pattern.properties,
-        )? {
-            out.push((entry.rel, entry.neighbour));
-        }
-        Ok(())
-    };
-    match pattern.direction {
-        RelDirection::Outgoing => {
-            for entry in index.outgoing(from) {
-                push(entry)?;
-            }
-        }
-        RelDirection::Incoming => {
-            for entry in index.incoming(from) {
-                push(entry)?;
-            }
-        }
-        RelDirection::Undirected => {
-            let outgoing = index.outgoing(from);
-            let incoming = index.incoming(from);
-            let (mut i, mut j) = (0, 0);
-            while i < outgoing.len() || j < incoming.len() {
-                let take_out = match (outgoing.get(i), incoming.get(j)) {
-                    (Some(o), Some(n)) => {
-                        if o.rel == n.rel {
-                            j += 1;
-                            true
-                        } else {
-                            o.rel < n.rel
-                        }
-                    }
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                if take_out {
-                    push(&outgoing[i])?;
-                    i += 1;
-                } else {
-                    push(&incoming[j])?;
-                    j += 1;
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn scan_candidate_relationships(
-    ctx: EvalCtx<'_>,
-    row: &Row,
-    pattern: &CompiledRelPattern,
-    from: NodeId,
-) -> Result<Vec<(RelId, NodeId)>, EvalError> {
-    let mut out = Vec::new();
-    for rel_id in ctx.graph.relationship_ids() {
-        let rel = ctx.graph.relationship(rel_id);
-        let neighbour = match pattern.direction {
-            RelDirection::Outgoing => {
-                if rel.source != from {
-                    continue;
-                }
-                rel.target
-            }
-            RelDirection::Incoming => {
-                if rel.target != from {
-                    continue;
-                }
-                rel.source
-            }
-            RelDirection::Undirected => {
-                if rel.source == from {
-                    rel.target
-                } else if rel.target == from {
-                    rel.source
-                } else {
-                    continue;
-                }
-            }
-        };
-        if !pattern.labels.is_empty() && !pattern.labels.contains(&rel.label) {
-            continue;
-        }
-        if !compiled_properties_match(
-            ctx,
-            row,
-            EntityId::Relationship(rel_id),
-            &pattern.properties,
-        )? {
-            continue;
-        }
-        if let Some(sym) = pattern.variable {
-            if let Some(Value::Relationship(bound)) = row.get_sym(ctx.symbols, sym) {
-                if *bound != rel_id {
-                    continue;
-                }
-            }
-        }
-        out.push((rel_id, neighbour));
-    }
-    Ok(out)
-}
-
-fn violates_injectivity(
-    symbols: &SymbolTable,
-    row: &Row,
-    pattern: &CompiledRelPattern,
-    rel: RelId,
-    used: &[RelId],
-) -> bool {
-    if !used.contains(&rel) {
-        return false;
-    }
-    match pattern.variable {
-        Some(sym) => {
-            !matches!(row.get_sym(symbols, sym), Some(Value::Relationship(bound)) if *bound == rel)
-        }
-        None => true,
-    }
-}
-
-fn candidate_nodes(
-    ctx: EvalCtx<'_>,
-    row: &Row,
-    pattern: &CompiledNodePattern,
-) -> Result<Vec<NodeId>, EvalError> {
-    if ctx.scan_matching {
-        return scan_candidate_nodes(ctx, row, pattern);
-    }
-    if let Some(sym) = pattern.variable {
-        match row.get_sym(ctx.symbols, sym) {
-            Some(Value::Node(id)) => {
-                return if node_matches(ctx, row, *id, pattern)? {
-                    Ok(vec![*id])
-                } else {
-                    Ok(vec![])
-                };
-            }
-            Some(_) => return Ok(vec![]),
-            None => {}
-        }
-    }
-    let index = ctx.graph.adjacency();
-    if pattern.properties.is_empty() {
-        match pattern.labels.as_slice() {
-            [] => return Ok(ctx.graph.node_ids().collect()),
-            [label] => {
-                return Ok(match index.nodes_with_label(label) {
-                    None => Vec::new(),
-                    Some(set) => set.iter().map(NodeId).collect(),
-                })
-            }
-            _ => {}
-        }
-    }
-    let Some(mut candidates) = index.label_candidates(&pattern.labels) else {
-        return Ok(Vec::new());
-    };
-    for (key, _) in &pattern.properties {
-        let Some(with_key) = index.nodes_with_key(key) else {
-            return Ok(Vec::new());
-        };
-        candidates.intersect_with(with_key);
-    }
-    let mut out = Vec::new();
-    for id in candidates.iter() {
-        let id = NodeId(id);
-        if compiled_properties_match(ctx, row, EntityId::Node(id), &pattern.properties)? {
-            out.push(id);
-        }
-    }
-    Ok(out)
-}
-
-fn scan_candidate_nodes(
-    ctx: EvalCtx<'_>,
-    row: &Row,
-    pattern: &CompiledNodePattern,
-) -> Result<Vec<NodeId>, EvalError> {
-    if let Some(sym) = pattern.variable {
-        match row.get_sym(ctx.symbols, sym) {
-            Some(Value::Node(id)) => {
-                return if node_matches(ctx, row, *id, pattern)? {
-                    Ok(vec![*id])
-                } else {
-                    Ok(vec![])
-                };
-            }
-            Some(_) => return Ok(vec![]),
-            None => {}
-        }
-    }
-    let mut out = Vec::new();
-    for id in ctx.graph.node_ids() {
-        if node_matches(ctx, row, id, pattern)? {
-            out.push(id);
-        }
-    }
-    Ok(out)
-}
-
-fn node_matches(
-    ctx: EvalCtx<'_>,
-    row: &Row,
-    id: NodeId,
-    pattern: &CompiledNodePattern,
-) -> Result<bool, EvalError> {
-    let node = ctx.graph.node(id);
-    if !pattern.labels.iter().all(|label| node.labels.contains(label)) {
-        return Ok(false);
-    }
-    compiled_properties_match(ctx, row, EntityId::Node(id), &pattern.properties)
-}
-
-fn node_binding_consistent(
-    symbols: &SymbolTable,
-    row: &Row,
-    pattern: &CompiledNodePattern,
-    id: NodeId,
-) -> bool {
-    match pattern.variable {
-        Some(sym) => match row.get_sym(symbols, sym) {
-            Some(Value::Node(bound)) => *bound == id,
-            Some(_) => false,
-            None => true,
-        },
-        None => true,
-    }
-}
-
-fn bind_node(symbols: &SymbolTable, row: &mut Row, pattern: &CompiledNodePattern, id: NodeId) {
-    if let Some(sym) = pattern.variable {
-        row.insert_sym(symbols, sym, Value::Node(id));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::PropertyGraph;
     use cypher_parser::ast::Clause;
     use cypher_parser::parse_query;
 
@@ -929,26 +390,6 @@ mod tests {
         let other = cache.match_plan(&symbols, m2);
         assert!(!Arc::ptr_eq(&first, &other));
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn compiled_clause_matches_like_the_interpreter() {
-        let graph = PropertyGraph::paper_example();
-        for text in [
-            "MATCH (n:Person) RETURN n",
-            "MATCH (reader:Person)-[:READ]->(book:Book)<-[:WRITE]-(writer) RETURN writer",
-            "MATCH (p1)-[x]->(b)<-[y]-(p2) RETURN p1",
-            "MATCH (n:Person) WHERE n.age > 26 RETURN n",
-            "MATCH p = (a:Person)-[:WRITE]->(b) RETURN p",
-        ] {
-            let clause = match_clause_of(text);
-            let symbols = SymbolTable::new();
-            let ctx = EvalCtx::new(&graph, &symbols);
-            let interpreted = crate::matching::match_clause(ctx, &clause, &Row::new()).unwrap();
-            let compiled = lower_match(&symbols, &clause);
-            let through_plan = match_compiled_clause(ctx, &compiled, &Row::new()).unwrap();
-            assert_eq!(interpreted, through_plan, "compiled matcher diverged on {text}");
-        }
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //!    gate even for code the compiler never sees, like cfg'd-out blocks);
 //! 2. every stable failure-category code in the verdict taxonomy is
 //!    documented in `SERVING.md`, so the serving docs can never silently
-//!    fall behind a new category.
+//!    fall behind a new category;
+//! 3. the certificate checker (`crates/checker`) depends on `cypher-parser`
+//!    alone: it re-checks certificates and is the evaluator's only oracle
+//!    (`tests/checker_differential.rs`), which it can be only while it
+//!    shares no code with the prover.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -119,5 +123,49 @@ fn serving_docs_cover_the_whole_failure_taxonomy() {
         undocumented.is_empty(),
         "failure codes missing from SERVING.md: {undocumented:?} — document each \
          code in the failure-category table"
+    );
+}
+
+/// The dependency names a Cargo manifest declares in its `[dependencies]`,
+/// `[dev-dependencies]` and `[build-dependencies]` tables, target-specific
+/// tables and the `[dependencies.name]` form included. A line scanner, not a
+/// TOML parser: enough for this workspace's manifests.
+fn manifest_dependencies(manifest: &str) -> Vec<String> {
+    const TABLES: [&str; 3] = ["dependencies", "dev-dependencies", "build-dependencies"];
+    let mut names = Vec::new();
+    let mut in_table = false;
+    for line in manifest.lines() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if let Some(header) = line.strip_prefix('[').and_then(|rest| rest.strip_suffix(']')) {
+            let segments: Vec<&str> = header.split('.').map(str::trim).collect();
+            in_table = false;
+            match segments.iter().rposition(|segment| TABLES.contains(segment)) {
+                Some(index) if index + 1 == segments.len() => in_table = true,
+                Some(index) => names.push(segments[index + 1..].join(".")),
+                None => {}
+            }
+        } else if let Some((key, _)) = line.split_once('=').filter(|_| in_table) {
+            names.push(key.trim().trim_matches('"').to_string());
+        }
+    }
+    names
+}
+
+#[test]
+fn checker_depends_only_on_the_parser() {
+    // The scanner finds every declaration form.
+    let sample = "[package]\nname = \"x\"\n[dependencies]\na = { path = \"../a\" } # c\n\
+                  [dev-dependencies]\nb = \"1\"\n[target.'cfg(unix)'.dependencies]\nc = \"1\"\n\
+                  [build-dependencies.d]\npath = \"../d\"\n";
+    assert_eq!(manifest_dependencies(sample), ["a", "b", "c", "d"]);
+
+    let manifest = fs::read_to_string(repo_root().join("crates/checker/Cargo.toml"))
+        .expect("the checker manifest is readable");
+    assert_eq!(
+        manifest_dependencies(&manifest),
+        ["cypher-parser"],
+        "graphqe-checker must depend on cypher-parser alone: it is the evaluator's oracle \
+         and the certificate re-checker, which it can be only while it shares no code with \
+         the prover"
     );
 }

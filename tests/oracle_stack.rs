@@ -1,419 +1,13 @@
-//! Differential and determinism tests of the oracle stack (PRs 3–5):
-//!
-//! * the adjacency-indexed pattern matcher must return results identical to
-//!   the linear-scan baseline (`matching::scan`) — on generator-produced
-//!   graphs under a PRNG-driven property harness, and on every dataset pair;
-//! * the flat interned-symbol row representation must return results
-//!   identical to the map-backed baseline (`Evaluator::map_rows`) — under
-//!   the same property harness over rewritten and mutated query pairs, and
-//!   on every dataset pair;
-//! * the compiled `SymId`-native query plans must return results identical
-//!   to the name-resolving AST interpreter
-//!   (`Evaluator::interpret_patterns`) — under the same property harness,
-//!   and across **all eight** evaluator configurations (compiled × matching
-//!   × row representation) on every dataset pair;
-//! * the parallel counterexample search must reach the same verdict as the
-//!   sequential search (a witness iff one exists, not necessarily the same
-//!   graph index).
-//!
-//! The property harness is hand-rolled (no crates.io access, so `proptest`
-//! is unavailable): a deterministic PRNG drives case generation and every
-//! failure message carries the inputs needed to reproduce it.
+//! Determinism of the parallel counterexample search: it must reach the same
+//! verdict as the sequential search (a witness iff one exists, not
+//! necessarily the same graph index). The evaluator it runs is checked
+//! against the certificate checker's independent evaluator in
+//! `tests/checker_differential.rs`.
 
 use cypher_parser::parse_and_check;
 use graphqe::counterexample::{find_counterexample, find_counterexample_parallel};
 use graphqe::SearchConfig;
-use property_graph::rng::DetRng;
-use property_graph::{
-    evaluate_query, evaluate_query_interpreted, evaluate_query_map_rows, evaluate_query_scan,
-    Evaluator, GeneratorConfig, GraphGenerator, PropertyGraph,
-};
-
-/// Evaluates `query` on `graph` through both matching paths and asserts the
-/// results are identical — not merely bag-equal: the indexed path must
-/// preserve the scan's enumeration order, which `LIMIT` without `ORDER BY`
-/// can observe.
-fn assert_paths_agree(graph: &PropertyGraph, query_text: &str, context: &str) {
-    let Ok(query) = parse_and_check(query_text) else { return };
-    let indexed = evaluate_query(graph, &query);
-    let scanned = evaluate_query_scan(graph, &query);
-    match (indexed, scanned) {
-        (Ok(indexed), Ok(scanned)) => {
-            assert!(
-                indexed.ordered_equal(&scanned),
-                "indexed and scan matching diverged ({context}) on query `{query_text}` \
-                 over graph:\n{graph}\nindexed: {indexed}\nscan: {scanned}"
-            );
-        }
-        (indexed, scanned) => assert_eq!(
-            indexed.is_err(),
-            scanned.is_err(),
-            "one path errored ({context}) on query `{query_text}`"
-        ),
-    }
-}
-
-/// PRNG-driven differential property test: random generator-produced graphs
-/// against a pool of queries exercising every candidate-enumeration shape
-/// (labels, directions, undirected merges, self-loops via the generator,
-/// property constraints, variable-length paths, injectivity).
-#[test]
-fn indexed_matching_is_identical_to_scan_on_random_graphs() {
-    const QUERIES: &[&str] = &[
-        "MATCH (n) RETURN n",
-        "MATCH (n:Person) RETURN n",
-        "MATCH (n:Person:Book) RETURN n",
-        "MATCH (n {p1: 1}) RETURN n",
-        "MATCH (n:Person {name: 'Alice'}) RETURN n.name",
-        "MATCH (a)-[r]->(b) RETURN a, b",
-        "MATCH (a)<-[r:READ]-(b) RETURN a",
-        "MATCH (a)-[r:READ]-(b) RETURN r",
-        "MATCH (a)-[r:READ|WRITE]->(b) RETURN b",
-        "MATCH (a)-[r {date: 1}]->(b) RETURN a",
-        "MATCH (p1)-[x]->(b)<-[y]-(p2) RETURN p1, p2",
-        "MATCH (a:Person)-[:READ]->(b), (a)-[:KNOWS]->(c) RETURN a, b, c",
-        "MATCH (x)-[*1..3]->(y) RETURN y",
-        "MATCH (x)-[:KNOWS *1..2]-(y) RETURN x",
-        "MATCH p = (a)-[:READ]->(b) RETURN p",
-        "MATCH (a)-[r]->(b) WHERE a.age > 2 RETURN a.name, b.p1",
-        "MATCH (n) RETURN n.p1 LIMIT 3",
-        "MATCH (n) RETURN DISTINCT n.p1",
-        "MATCH (a)-[r]->(a) RETURN a",
-    ];
-    let mut rng = DetRng::seed_from_u64(0x0D15_EA5E);
-    let mut cases = 0;
-    while cases < 60 {
-        let seed = rng.next_u64();
-        let mut generator = GraphGenerator::new(seed);
-        let graph = generator.generate();
-        let query = QUERIES[rng.range_usize(0, QUERIES.len())];
-        assert_paths_agree(&graph, query, &format!("graph seed {seed}"));
-        cases += 1;
-    }
-    // The deterministic seed graphs of the counterexample pool, too.
-    for query in QUERIES {
-        assert_paths_agree(&PropertyGraph::new(), query, "empty graph");
-        assert_paths_agree(&PropertyGraph::paper_example(), query, "paper example");
-    }
-}
-
-/// The acceptance-criterion suite: for **every** pair of both datasets, both
-/// queries evaluate identically through the indexed and scan matchers over
-/// graphs drawn from the pair's own vocabulary (the same distribution the
-/// counterexample search explores).
-#[test]
-fn indexed_vs_scan_differential_on_every_dataset_pair() {
-    let pairs: Vec<_> = cyeqset::cyeqset().into_iter().chain(cyeqset::cyneqset()).collect();
-    assert!(pairs.len() > 250, "datasets unexpectedly small: {}", pairs.len());
-    for pair in &pairs {
-        let (Ok(q1), Ok(q2)) = (parse_and_check(&pair.left), parse_and_check(&pair.right)) else {
-            continue;
-        };
-        let vocabulary = GeneratorConfig::from_queries(&[&q1, &q2]);
-        let mut graphs = vec![PropertyGraph::new(), PropertyGraph::paper_example()];
-        graphs.extend(GraphGenerator::with_config(0xFEED, vocabulary.clone()).generate_many(4));
-        graphs.extend(
-            GraphGenerator::with_config(
-                0xFEED + 1,
-                GeneratorConfig { max_nodes: 9, max_relationships: 16, ..vocabulary },
-            )
-            .generate_many(2),
-        );
-        for graph in &graphs {
-            assert_paths_agree(graph, &pair.left, "dataset pair, left");
-            assert_paths_agree(graph, &pair.right, "dataset pair, right");
-        }
-    }
-}
-
-/// Evaluates `query` on `graph` under both row representations (flat
-/// interned-symbol rows vs the map-backed oracle) and asserts identical
-/// results — ordered equality, which subsumes the "identical sorted row
-/// bags" contract: row order is representation-independent by construction.
-fn assert_row_reprs_agree(graph: &PropertyGraph, query_text: &str, context: &str) {
-    let Ok(query) = parse_and_check(query_text) else { return };
-    let flat = evaluate_query(graph, &query);
-    let map = evaluate_query_map_rows(graph, &query);
-    match (flat, map) {
-        (Ok(flat), Ok(map)) => {
-            assert_eq!(
-                flat.columns, map.columns,
-                "row representations disagree on columns ({context}) for `{query_text}`"
-            );
-            assert!(
-                flat.ordered_equal(&map),
-                "flat and map rows diverged ({context}) on query `{query_text}` over \
-                 graph:\n{graph}\nflat: {flat}\nmap: {map}"
-            );
-            // And the sorted bags (what the counterexample oracle compares)
-            // agree too, explicitly.
-            assert_eq!(
-                flat.sorted_rows(),
-                map.sorted_rows(),
-                "sorted row bags diverged ({context}) on `{query_text}`"
-            );
-        }
-        (flat, map) => assert_eq!(
-            flat.is_err(),
-            map.is_err(),
-            "one row representation errored ({context}) on query `{query_text}`"
-        ),
-    }
-}
-
-/// Query pool for the row-representation property test: the dataset bases
-/// the rewrite/mutation machinery understands.
-const ROW_REPR_BASES: &[&str] = &[
-    "MATCH (a:Person)-[r:READ]->(b:Book) RETURN a.name, b.title",
-    "MATCH (a:Person)-[r1:READ]->(b)<-[r2:WRITE]-(c) WHERE r1 <> r2 RETURN c.name",
-    "MATCH (a)-[r]->(b) WHERE a.age > 2 AND b.age < 5 RETURN a, b",
-    "MATCH (u:User)-[f:FOLLOWS]->(v:User) WHERE v.age > 1 RETURN u.name",
-    "MATCH (a:Tag)<-[x:IN]-(b) RETURN b.p1",
-    "MATCH (p:Person)-[:READ]->(b) RETURN DISTINCT b.title",
-    "MATCH (p:Person) RETURN p.name ORDER BY p.name LIMIT 2",
-    "MATCH (n) OPTIONAL MATCH (n)-[r]->(m) RETURN n, r",
-    "MATCH (p:Person)-[:READ]->(b) RETURN b.title, COUNT(*) ORDER BY b.title",
-];
-
-/// PRNG-driven property differential of the two row representations over
-/// rewritten (equivalence-preserving) and mutated (equivalence-breaking)
-/// query pairs: both sides of every pair must evaluate identically under
-/// flat and map rows, on graphs drawn from the pair's own vocabulary.
-#[test]
-fn flat_rows_match_map_rows_on_rewritten_and_mutated_pairs() {
-    let mut rng = DetRng::seed_from_u64(0xF1A7_0B5E);
-    let mut cases = 0;
-    while cases < 36 {
-        let base = ROW_REPR_BASES[rng.range_usize(0, ROW_REPR_BASES.len())];
-        // Half the cases take an equivalence-preserving rewrite, half an
-        // equivalence-breaking mutation; either way both representations
-        // must agree on both queries of the pair.
-        let variant = if rng.range_usize(0, 2) == 0 {
-            let rewrites = cyeqset::rewrite::all_rewrites(base);
-            if rewrites.is_empty() {
-                continue;
-            }
-            rewrites[rng.range_usize(0, rewrites.len())].1.clone()
-        } else {
-            match cyeqset::mutate::mutate(base, rng.range_usize(0, 5)) {
-                Some((_, mutated)) => mutated,
-                None => continue,
-            }
-        };
-        cases += 1;
-        let seed = rng.next_u64();
-        let (Ok(q1), Ok(q2)) = (parse_and_check(base), parse_and_check(&variant)) else {
-            continue;
-        };
-        let vocabulary = GeneratorConfig::from_queries(&[&q1, &q2]);
-        let mut graphs = vec![PropertyGraph::paper_example()];
-        graphs.extend(GraphGenerator::with_config(seed, vocabulary).generate_many(3));
-        for graph in &graphs {
-            let context = format!("graph seed {seed}");
-            assert_row_reprs_agree(graph, base, &context);
-            assert_row_reprs_agree(graph, &variant, &context);
-        }
-    }
-}
-
-/// The acceptance-criterion suite for the flat rows: for **every** pair of
-/// both datasets, both queries evaluate identically under the flat and
-/// map-backed row representations over graphs drawn from the pair's own
-/// vocabulary — and the scan-matching combination agrees as well, so the
-/// evaluator's two differential axes (matching path × row representation)
-/// are covered together.
-#[test]
-fn flat_vs_map_rows_differential_on_every_dataset_pair() {
-    let pairs: Vec<_> = cyeqset::cyeqset().into_iter().chain(cyeqset::cyneqset()).collect();
-    assert!(pairs.len() > 250, "datasets unexpectedly small: {}", pairs.len());
-    for pair in &pairs {
-        let (Ok(q1), Ok(q2)) = (parse_and_check(&pair.left), parse_and_check(&pair.right)) else {
-            continue;
-        };
-        let vocabulary = GeneratorConfig::from_queries(&[&q1, &q2]);
-        let mut graphs = vec![PropertyGraph::new(), PropertyGraph::paper_example()];
-        graphs.extend(GraphGenerator::with_config(0xF1A7, vocabulary.clone()).generate_many(3));
-        graphs.extend(
-            GraphGenerator::with_config(
-                0xF1A7 + 1,
-                GeneratorConfig { max_nodes: 9, max_relationships: 16, ..vocabulary },
-            )
-            .generate_many(2),
-        );
-        for graph in &graphs {
-            assert_row_reprs_agree(graph, &pair.left, "dataset pair, left");
-            assert_row_reprs_agree(graph, &pair.right, "dataset pair, right");
-        }
-    }
-}
-
-/// The eight evaluator configurations (compiled × matching path × row
-/// representation) all agree on a query mix that exercises every row
-/// operation.
-#[test]
-fn all_eight_evaluator_configurations_agree() {
-    let queries = [
-        "MATCH (p1)-[x]->(b)<-[y]-(p2) RETURN p1, p2",
-        "MATCH (x)-[*1..3]->(y) RETURN y",
-        "MATCH p = (a)-[:READ]->(b) RETURN p",
-        "MATCH (n) RETURN DISTINCT n.p1",
-        "MATCH (a)-[r]->(b) WHERE a.age > 2 RETURN a.name, b.p1 ORDER BY a.name",
-        "UNWIND [1, 2, 2] AS x RETURN x, COUNT(*)",
-        "MATCH (n) OPTIONAL MATCH (n)-[r:READ]->(m) RETURN n, r",
-    ];
-    let mut graphs = vec![PropertyGraph::paper_example()];
-    graphs.extend(GraphGenerator::new(0x4C0_FFEE).generate_many(6));
-    for graph in &graphs {
-        for text in queries {
-            let Ok(query) = parse_and_check(text) else { continue };
-            let reference = evaluate_query(graph, &query).unwrap();
-            for interpret_patterns in [false, true] {
-                for scan_matching in [false, true] {
-                    for map_rows in [false, true] {
-                        let evaluator = Evaluator {
-                            scan_matching,
-                            map_rows,
-                            interpret_patterns,
-                            ..Evaluator::new()
-                        };
-                        let result = evaluator.evaluate(graph, &query).unwrap();
-                        assert!(
-                            reference.ordered_equal(&result),
-                            "configuration (interpret={interpret_patterns}, \
-                             scan={scan_matching}, map={map_rows}) diverged on `{text}` \
-                             over {graph}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Evaluates `query` on `graph` through the compiled-plan path and the
-/// name-resolving interpreter and asserts identical results — ordered
-/// equality, like the other two differential axes.
-fn assert_plan_paths_agree(graph: &PropertyGraph, query_text: &str, context: &str) {
-    let Ok(query) = parse_and_check(query_text) else { return };
-    let compiled = evaluate_query(graph, &query);
-    let interpreted = evaluate_query_interpreted(graph, &query);
-    match (compiled, interpreted) {
-        (Ok(compiled), Ok(interpreted)) => {
-            assert_eq!(
-                compiled.columns, interpreted.columns,
-                "plan paths disagree on columns ({context}) for `{query_text}`"
-            );
-            assert!(
-                compiled.ordered_equal(&interpreted),
-                "compiled and interpreted plans diverged ({context}) on query `{query_text}` \
-                 over graph:\n{graph}\ncompiled: {compiled}\ninterpreted: {interpreted}"
-            );
-        }
-        (compiled, interpreted) => assert_eq!(
-            compiled.is_err(),
-            interpreted.is_err(),
-            "one plan path errored ({context}) on query `{query_text}`"
-        ),
-    }
-}
-
-/// PRNG-driven property differential of the compiled `SymId`-native plans
-/// against the name-resolving interpreter, over rewritten
-/// (equivalence-preserving) and mutated (equivalence-breaking) query pairs —
-/// the same harness shape as the row-representation differential, pointed
-/// at the third oracle axis.
-#[test]
-fn compiled_plans_match_interpreter_on_rewritten_and_mutated_pairs() {
-    let mut rng = DetRng::seed_from_u64(0xC0DE_9A95);
-    let mut cases = 0;
-    while cases < 36 {
-        let base = ROW_REPR_BASES[rng.range_usize(0, ROW_REPR_BASES.len())];
-        let variant = if rng.range_usize(0, 2) == 0 {
-            let rewrites = cyeqset::rewrite::all_rewrites(base);
-            if rewrites.is_empty() {
-                continue;
-            }
-            rewrites[rng.range_usize(0, rewrites.len())].1.clone()
-        } else {
-            match cyeqset::mutate::mutate(base, rng.range_usize(0, 5)) {
-                Some((_, mutated)) => mutated,
-                None => continue,
-            }
-        };
-        cases += 1;
-        let seed = rng.next_u64();
-        let (Ok(q1), Ok(q2)) = (parse_and_check(base), parse_and_check(&variant)) else {
-            continue;
-        };
-        let vocabulary = GeneratorConfig::from_queries(&[&q1, &q2]);
-        let mut graphs = vec![PropertyGraph::paper_example()];
-        graphs.extend(GraphGenerator::with_config(seed, vocabulary).generate_many(3));
-        for graph in &graphs {
-            let context = format!("graph seed {seed}");
-            assert_plan_paths_agree(graph, base, &context);
-            assert_plan_paths_agree(graph, &variant, &context);
-        }
-    }
-}
-
-/// The acceptance-criterion suite for the plan layer: for **every** pair of
-/// both datasets, both queries evaluate identically under all eight
-/// evaluator configurations (compiled × matching × row representation) over
-/// graphs drawn from the pair's own vocabulary.
-#[test]
-fn all_configurations_agree_on_every_dataset_pair() {
-    let pairs: Vec<_> = cyeqset::cyeqset().into_iter().chain(cyeqset::cyneqset()).collect();
-    assert!(pairs.len() > 250, "datasets unexpectedly small: {}", pairs.len());
-    for pair in &pairs {
-        let (Ok(q1), Ok(q2)) = (parse_and_check(&pair.left), parse_and_check(&pair.right)) else {
-            continue;
-        };
-        let vocabulary = GeneratorConfig::from_queries(&[&q1, &q2]);
-        let mut graphs = vec![PropertyGraph::new(), PropertyGraph::paper_example()];
-        graphs.extend(GraphGenerator::with_config(0xC0DE, vocabulary.clone()).generate_many(2));
-        graphs.extend(
-            GraphGenerator::with_config(
-                0xC0DE + 1,
-                GeneratorConfig { max_nodes: 9, max_relationships: 16, ..vocabulary },
-            )
-            .generate_many(1),
-        );
-        for graph in &graphs {
-            for query in [&q1, &q2] {
-                let reference = evaluate_query(graph, query);
-                for interpret_patterns in [false, true] {
-                    for scan_matching in [false, true] {
-                        for map_rows in [false, true] {
-                            let evaluator = Evaluator {
-                                scan_matching,
-                                map_rows,
-                                interpret_patterns,
-                                ..Evaluator::new()
-                            };
-                            let result = evaluator.evaluate(graph, query);
-                            match (&reference, result) {
-                                (Ok(reference), Ok(result)) => assert!(
-                                    reference.ordered_equal(&result),
-                                    "configuration (interpret={interpret_patterns}, \
-                                     scan={scan_matching}, map={map_rows}) diverged on \
-                                     `{}` / `{}`",
-                                    pair.left,
-                                    pair.right,
-                                ),
-                                (reference, result) => assert_eq!(
-                                    reference.is_err(),
-                                    result.is_err(),
-                                    "one configuration errored on `{}`",
-                                    pair.left,
-                                ),
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
+use property_graph::evaluate_query;
 
 /// Parallel-vs-sequential verdict determinism over dataset-derived pairs:
 /// the parallel search must find a witness exactly when the sequential
