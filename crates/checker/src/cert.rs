@@ -6,12 +6,20 @@
 //! ride as JSON numbers within `i64`, floats as tagged `{"f": "<repr>"}`
 //! strings using Rust's round-tripping `{:?}` representation (see
 //! [`crate::json`]).
+//!
+//! [`Certificate::to_json`] writes compact JSON, with no whitespace and the
+//! members of every object in one fixed order, so a certificate has exactly
+//! one encoding. [`Certificate::from_json`] looks members up by name: it
+//! accepts any member order and any whitespace and ignores unknown members,
+//! but rejects a member name repeated within an object and a node,
+//! relationship or variable id beyond `u32`.
 
 use crate::graph::{Graph, NodeData, RelData};
 use crate::gx::{AggKind, CmpOp, Gx, GxAtom, GxConst, GxTerm, VarId};
-use crate::json::{self, Json};
+use crate::json::{self, Elements, JsonRef, Tape};
 use crate::value::{NodeId, RelId, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
 /// The schema version this crate reads and writes.
 ///
@@ -250,95 +258,111 @@ pub struct Certificate {
 }
 
 impl Certificate {
-    /// Serializes to compact JSON.
+    /// Serializes to compact JSON: no whitespace, members in a fixed order.
     pub fn to_json(&self) -> String {
-        encode_certificate(self).to_string()
+        let mut out = String::with_capacity(2048);
+        encode_certificate(&mut out, self);
+        out
     }
 
     /// Parses a certificate from its JSON serialization.
+    ///
+    /// Members may come in any order and with any whitespace, and unknown
+    /// members are ignored; a member name repeated within an object, or a
+    /// node, relationship or variable id beyond `u32`, is an error.
     pub fn from_json(text: &str) -> Result<Certificate, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        decode_certificate(&doc)
+        let tape = Tape::parse(text).map_err(|e| e.to_string())?;
+        decode_certificate(tape.root())
     }
 }
 
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
+//
+// Every encoder appends to `out`, writing member names and punctuation as
+// literal text: each function spells out the exact bytes of its part of the
+// format.
 
-fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+fn encode_usize(out: &mut String, n: usize) {
+    json::write_int(out, n as i64);
 }
 
-fn usize_json(n: usize) -> Json {
-    Json::Int(n as i64)
+fn encode_usizes(out: &mut String, items: &[usize]) {
+    json::write_array(out, items, |out, &n| encode_usize(out, n));
 }
 
-fn usize_arr(items: &[usize]) -> Json {
-    Json::Arr(items.iter().map(|&n| usize_json(n)).collect())
+fn encode_strs<S: AsRef<str>>(out: &mut String, items: impl IntoIterator<Item = S>) {
+    json::write_array(out, items, |out, s| json::write_str(out, s.as_ref()));
 }
 
-fn encode_certificate(cert: &Certificate) -> Json {
-    obj(vec![
-        ("version", Json::Int(cert.version)),
-        ("verdict", Json::str(cert.verdict.name())),
-        ("left", encode_query_cert(&cert.left)),
-        ("right", encode_query_cert(&cert.right)),
-        ("evidence", encode_evidence(&cert.evidence)),
-    ])
+fn encode_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
 }
 
-fn encode_query_cert(q: &QueryCert) -> Json {
-    obj(vec![
-        ("source", Json::str(&q.source)),
-        (
-            "steps",
-            Json::Arr(
-                q.steps
-                    .iter()
-                    .map(|s| {
-                        obj(vec![
-                            ("rule", Json::str(&s.rule)),
-                            ("part", usize_json(s.part)),
-                            ("clause", usize_json(s.clause)),
-                            ("after", Json::str(&s.after)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("normalized", Json::str(&q.normalized)),
-    ])
+/// Floats ride as `{"f":"<repr>"}` with Rust's round-tripping `{:?}`
+/// representation, whose characters (digits, `.`, `-`, `e`, `inf`, `NaN`)
+/// need no escaping.
+fn encode_float(out: &mut String, f: f64) {
+    let _ = write!(out, r#"{{"f":"{f:?}"}}"#);
 }
 
-fn encode_evidence(evidence: &Evidence) -> Json {
+fn encode_certificate(out: &mut String, cert: &Certificate) {
+    out.push_str(r#"{"version":"#);
+    json::write_int(out, cert.version);
+    out.push_str(r#","verdict":"#);
+    json::write_str(out, cert.verdict.name());
+    out.push_str(r#","left":"#);
+    encode_query_cert(out, &cert.left);
+    out.push_str(r#","right":"#);
+    encode_query_cert(out, &cert.right);
+    out.push_str(r#","evidence":"#);
+    encode_evidence(out, &cert.evidence);
+    out.push('}');
+}
+
+fn encode_query_cert(out: &mut String, q: &QueryCert) {
+    out.push_str(r#"{"source":"#);
+    json::write_str(out, &q.source);
+    out.push_str(r#","steps":"#);
+    json::write_array(out, &q.steps, |out, step| {
+        out.push_str(r#"{"rule":"#);
+        json::write_str(out, &step.rule);
+        out.push_str(r#","part":"#);
+        encode_usize(out, step.part);
+        out.push_str(r#","clause":"#);
+        encode_usize(out, step.clause);
+        out.push_str(r#","after":"#);
+        json::write_str(out, &step.after);
+        out.push('}');
+    });
+    out.push_str(r#","normalized":"#);
+    json::write_str(out, &q.normalized);
+    out.push('}');
+}
+
+fn encode_evidence(out: &mut String, evidence: &Evidence) {
     match evidence {
-        Evidence::Equivalence { column_permutation, permuted_right, segments } => obj(vec![
-            ("type", Json::str("equivalence")),
-            ("column_permutation", usize_arr(column_permutation)),
-            (
-                "permuted_right",
-                match permuted_right {
-                    Some(text) => Json::str(text),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "segments",
-                Json::Arr(
-                    segments
-                        .iter()
-                        .map(|s| {
-                            obj(vec![
-                                ("left", encode_gx(&s.left)),
-                                ("right", encode_gx(&s.right)),
-                                ("proof", encode_proof(&s.proof)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
+        Evidence::Equivalence { column_permutation, permuted_right, segments } => {
+            out.push_str(r#"{"type":"equivalence","column_permutation":"#);
+            encode_usizes(out, column_permutation);
+            out.push_str(r#","permuted_right":"#);
+            match permuted_right {
+                Some(text) => json::write_str(out, text),
+                None => out.push_str("null"),
+            }
+            out.push_str(r#","segments":"#);
+            json::write_array(out, segments, |out, segment| {
+                out.push_str(r#"{"left":"#);
+                encode_gx(out, &segment.left);
+                out.push_str(r#","right":"#);
+                encode_gx(out, &segment.right);
+                out.push_str(r#","proof":"#);
+                encode_proof(out, &segment.proof);
+                out.push('}');
+            });
+            out.push('}');
+        }
         Evidence::Counterexample {
             graph,
             pool_index,
@@ -346,15 +370,18 @@ fn encode_evidence(evidence: &Evidence) -> Json {
             left_rows,
             right_columns,
             right_rows,
-        } => obj(vec![
-            ("type", Json::str("counterexample")),
-            ("graph", encode_graph(graph)),
-            ("pool_index", usize_json(*pool_index)),
-            ("left_columns", Json::Arr(left_columns.iter().map(Json::str).collect())),
-            ("left_rows", encode_rows(left_rows)),
-            ("right_columns", Json::Arr(right_columns.iter().map(Json::str).collect())),
-            ("right_rows", encode_rows(right_rows)),
-        ]),
+        } => {
+            out.push_str(r#"{"type":"counterexample""#);
+            encode_witness(
+                out,
+                graph,
+                *pool_index,
+                left_columns,
+                left_rows,
+                right_columns,
+                right_rows,
+            );
+        }
         Evidence::SignatureMismatch {
             left_signature,
             right_signature,
@@ -364,244 +391,335 @@ fn encode_evidence(evidence: &Evidence) -> Json {
             left_rows,
             right_columns,
             right_rows,
-        } => obj(vec![
-            ("type", Json::str("signature_mismatch")),
-            ("left_signature", encode_signature(left_signature)),
-            ("right_signature", encode_signature(right_signature)),
-            ("graph", encode_graph(graph)),
-            ("pool_index", usize_json(*pool_index)),
-            ("left_columns", Json::Arr(left_columns.iter().map(Json::str).collect())),
-            ("left_rows", encode_rows(left_rows)),
-            ("right_columns", Json::Arr(right_columns.iter().map(Json::str).collect())),
-            ("right_rows", encode_rows(right_rows)),
-        ]),
+        } => {
+            out.push_str(r#"{"type":"signature_mismatch","left_signature":"#);
+            encode_signature(out, left_signature);
+            out.push_str(r#","right_signature":"#);
+            encode_signature(out, right_signature);
+            encode_witness(
+                out,
+                graph,
+                *pool_index,
+                left_columns,
+                left_rows,
+                right_columns,
+                right_rows,
+            );
+        }
     }
 }
 
-fn encode_signature(signature: &[SigColumn]) -> Json {
-    Json::Arr(
-        signature
-            .iter()
-            .map(|column| {
-                obj(vec![
-                    ("name", Json::str(&column.name)),
-                    ("ty", Json::str(&column.ty)),
-                    ("nullable", Json::Bool(column.nullable)),
-                ])
-            })
-            .collect(),
-    )
+/// The members both witness evidences end with, `graph` through
+/// `right_rows`, and the object's closing brace.
+fn encode_witness(
+    out: &mut String,
+    graph: &GraphCert,
+    pool_index: usize,
+    left_columns: &[String],
+    left_rows: &[Vec<Value>],
+    right_columns: &[String],
+    right_rows: &[Vec<Value>],
+) {
+    out.push_str(r#","graph":"#);
+    encode_graph(out, graph);
+    out.push_str(r#","pool_index":"#);
+    encode_usize(out, pool_index);
+    out.push_str(r#","left_columns":"#);
+    encode_strs(out, left_columns);
+    out.push_str(r#","left_rows":"#);
+    encode_rows(out, left_rows);
+    out.push_str(r#","right_columns":"#);
+    encode_strs(out, right_columns);
+    out.push_str(r#","right_rows":"#);
+    encode_rows(out, right_rows);
+    out.push('}');
 }
 
-fn encode_rows(rows: &[Vec<Value>]) -> Json {
-    Json::Arr(rows.iter().map(|row| Json::Arr(row.iter().map(encode_value).collect())).collect())
+fn encode_signature(out: &mut String, signature: &[SigColumn]) {
+    json::write_array(out, signature, |out, column| {
+        out.push_str(r#"{"name":"#);
+        json::write_str(out, &column.name);
+        out.push_str(r#","ty":"#);
+        json::write_str(out, &column.ty);
+        out.push_str(r#","nullable":"#);
+        encode_bool(out, column.nullable);
+        out.push('}');
+    });
 }
 
-fn encode_graph(graph: &GraphCert) -> Json {
-    obj(vec![
-        (
-            "nodes",
-            Json::Arr(
-                graph
-                    .nodes
-                    .iter()
-                    .map(|n| {
-                        obj(vec![
-                            ("labels", Json::Arr(n.labels.iter().map(Json::str).collect())),
-                            ("properties", encode_properties(&n.properties)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "relationships",
-            Json::Arr(
-                graph
-                    .relationships
-                    .iter()
-                    .map(|r| {
-                        obj(vec![
-                            ("label", Json::str(&r.label)),
-                            ("source", Json::Int(r.source.0 as i64)),
-                            ("target", Json::Int(r.target.0 as i64)),
-                            ("properties", encode_properties(&r.properties)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn encode_rows(out: &mut String, rows: &[Vec<Value>]) {
+    json::write_array(out, rows, |out, row| json::write_array(out, row, encode_value));
 }
 
-fn encode_properties(props: &BTreeMap<String, Value>) -> Json {
-    Json::Obj(props.iter().map(|(k, v)| (k.clone(), encode_value(v))).collect())
+fn encode_graph(out: &mut String, graph: &GraphCert) {
+    out.push_str(r#"{"nodes":"#);
+    json::write_array(out, &graph.nodes, |out, node| {
+        out.push_str(r#"{"labels":"#);
+        encode_strs(out, &node.labels);
+        out.push_str(r#","properties":"#);
+        encode_properties(out, &node.properties);
+        out.push('}');
+    });
+    out.push_str(r#","relationships":"#);
+    json::write_array(out, &graph.relationships, |out, rel| {
+        out.push_str(r#"{"label":"#);
+        json::write_str(out, &rel.label);
+        out.push_str(r#","source":"#);
+        json::write_int(out, i64::from(rel.source.0));
+        out.push_str(r#","target":"#);
+        json::write_int(out, i64::from(rel.target.0));
+        out.push_str(r#","properties":"#);
+        encode_properties(out, &rel.properties);
+        out.push('}');
+    });
+    out.push('}');
 }
 
-/// Encodes a runtime value. Floats become `{"f": "<repr>"}` with Rust's
-/// round-tripping `{:?}` representation; maps are wrapped as `{"m": {...}}`
-/// so they cannot collide with the tagged forms.
-pub fn encode_value(value: &Value) -> Json {
+fn encode_properties(out: &mut String, props: &BTreeMap<String, Value>) {
+    out.push('{');
+    for (i, (name, value)) in props.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_str(out, name);
+        out.push(':');
+        encode_value(out, value);
+    }
+    out.push('}');
+}
+
+/// Encodes a runtime value. Floats take the `{"f":…}` form of
+/// [`encode_float`]; maps are wrapped as `{"m":{...}}` so they cannot collide
+/// with the tagged forms.
+fn encode_value(out: &mut String, value: &Value) {
     match value {
-        Value::Null => Json::Null,
-        Value::Boolean(b) => Json::Bool(*b),
-        Value::Integer(i) => Json::Int(*i),
-        Value::Float(f) => obj(vec![("f", Json::str(format!("{f:?}")))]),
-        Value::String(s) => Json::str(s),
-        Value::List(items) => Json::Arr(items.iter().map(encode_value).collect()),
-        Value::Map(map) => obj(vec![(
-            "m",
-            Json::Obj(map.iter().map(|(k, v)| (k.clone(), encode_value(v))).collect()),
-        )]),
-        Value::Node(id) => obj(vec![("n", Json::Int(id.0 as i64))]),
-        Value::Relationship(id) => obj(vec![("r", Json::Int(id.0 as i64))]),
-        Value::Path(items) => obj(vec![("p", Json::Arr(items.iter().map(encode_value).collect()))]),
+        Value::Null => out.push_str("null"),
+        Value::Boolean(b) => encode_bool(out, *b),
+        Value::Integer(i) => json::write_int(out, *i),
+        Value::Float(f) => encode_float(out, *f),
+        Value::String(s) => json::write_str(out, s),
+        Value::List(items) => json::write_array(out, items, encode_value),
+        Value::Map(map) => {
+            out.push_str(r#"{"m":"#);
+            encode_properties(out, map);
+            out.push('}');
+        }
+        Value::Node(id) => {
+            out.push_str(r#"{"n":"#);
+            json::write_int(out, i64::from(id.0));
+            out.push('}');
+        }
+        Value::Relationship(id) => {
+            out.push_str(r#"{"r":"#);
+            json::write_int(out, i64::from(id.0));
+            out.push('}');
+        }
+        Value::Path(items) => {
+            out.push_str(r#"{"p":"#);
+            json::write_array(out, items, encode_value);
+            out.push('}');
+        }
     }
 }
 
-fn encode_proof(proof: &Proof) -> Json {
+fn encode_proof(out: &mut String, proof: &Proof) {
     match proof {
-        Proof::Identical => Json::Arr(vec![Json::str("identical")]),
-        Proof::Peel(inner) => Json::Arr(vec![Json::str("peel"), encode_proof(inner)]),
-        Proof::Summands(sp) => Json::Arr(vec![
-            Json::str("summands"),
-            obj(vec![
-                ("left", encode_side(&sp.left)),
-                ("right", encode_side(&sp.right)),
-                ("matching", encode_matching(&sp.matching)),
-            ]),
-        ]),
+        Proof::Identical => out.push_str(r#"["identical"]"#),
+        Proof::Peel(inner) => {
+            out.push_str(r#"["peel","#);
+            encode_proof(out, inner);
+            out.push(']');
+        }
+        Proof::Summands(sp) => {
+            out.push_str(r#"["summands",{"left":"#);
+            encode_side(out, &sp.left);
+            out.push_str(r#","right":"#);
+            encode_side(out, &sp.right);
+            out.push_str(r#","matching":"#);
+            encode_matching(out, &sp.matching);
+            out.push_str("}]");
+        }
     }
 }
 
-fn encode_side(side: &SideSummands) -> Json {
-    obj(vec![
-        ("total", usize_json(side.total)),
-        ("zero_pruned", usize_arr(&side.zero_pruned)),
-        (
-            "kept",
-            Json::Arr(
-                side.kept
-                    .iter()
-                    .map(|k| {
-                        obj(vec![
-                            ("index", usize_json(k.index)),
-                            (
-                                "removed_atoms",
-                                Json::Arr(k.removed_atoms.iter().map(encode_gx).collect()),
-                            ),
-                            ("result", encode_gx(&k.result)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn encode_side(out: &mut String, side: &SideSummands) {
+    out.push_str(r#"{"total":"#);
+    encode_usize(out, side.total);
+    out.push_str(r#","zero_pruned":"#);
+    encode_usizes(out, &side.zero_pruned);
+    out.push_str(r#","kept":"#);
+    json::write_array(out, &side.kept, |out, kept| {
+        out.push_str(r#"{"index":"#);
+        encode_usize(out, kept.index);
+        out.push_str(r#","removed_atoms":"#);
+        json::write_array(out, &kept.removed_atoms, encode_gx);
+        out.push_str(r#","result":"#);
+        encode_gx(out, &kept.result);
+        out.push('}');
+    });
+    out.push('}');
 }
 
-fn encode_matching(matching: &Matching) -> Json {
+fn encode_matching(out: &mut String, matching: &Matching) {
     match matching {
-        Matching::Bijection(pairs) => obj(vec![(
-            "bijection",
-            Json::Arr(
-                pairs
-                    .iter()
-                    .map(|(l, r)| Json::Arr(vec![usize_json(*l), usize_json(*r)]))
-                    .collect(),
-            ),
-        )]),
+        Matching::Bijection(pairs) => {
+            out.push_str(r#"{"bijection":"#);
+            json::write_array(out, pairs, |out, &(l, r)| encode_usizes(out, &[l, r]));
+            out.push('}');
+        }
         Matching::Classes {
             representatives,
             left_assign,
             right_assign,
             left_counts,
             right_counts,
-        } => obj(vec![(
-            "classes",
-            obj(vec![
-                ("representatives", Json::Arr(representatives.iter().map(encode_gx).collect())),
-                ("left_assign", usize_arr(left_assign)),
-                ("right_assign", usize_arr(right_assign)),
-                ("left_counts", usize_arr(left_counts)),
-                ("right_counts", usize_arr(right_counts)),
-            ]),
-        )]),
+        } => {
+            out.push_str(r#"{"classes":{"representatives":"#);
+            json::write_array(out, representatives, encode_gx);
+            out.push_str(r#","left_assign":"#);
+            encode_usizes(out, left_assign);
+            out.push_str(r#","right_assign":"#);
+            encode_usizes(out, right_assign);
+            out.push_str(r#","left_counts":"#);
+            encode_usizes(out, left_counts);
+            out.push_str(r#","right_counts":"#);
+            encode_usizes(out, right_counts);
+            out.push_str("}}");
+        }
     }
 }
 
-/// Encodes a G-expression as a tagged array.
-pub fn encode_gx(gx: &Gx) -> Json {
-    let tag = |name: &str, mut rest: Vec<Json>| {
-        let mut items = vec![Json::str(name)];
-        items.append(&mut rest);
-        Json::Arr(items)
-    };
+/// Encodes a G-expression as a tagged array, `["tag",operand,…]`. Each arm
+/// writes the tag and the operands; the closing bracket is shared.
+fn encode_gx(out: &mut String, gx: &Gx) {
     match gx {
-        Gx::Zero => tag("zero", vec![]),
-        Gx::One => tag("one", vec![]),
-        Gx::Const(n) => tag("const", vec![Json::Int(*n as i64)]),
-        Gx::Atom(atom) => tag("atom", vec![encode_atom(atom)]),
-        Gx::NodeFn(t) => tag("nodefn", vec![encode_term(t)]),
-        Gx::RelFn(t) => tag("relfn", vec![encode_term(t)]),
-        Gx::LabFn(t, label) => tag("labfn", vec![encode_term(t), Json::str(label)]),
-        Gx::Unbounded(t) => tag("unbounded", vec![encode_term(t)]),
-        Gx::Mul(items) => tag("mul", vec![Json::Arr(items.iter().map(encode_gx).collect())]),
-        Gx::Add(items) => tag("add", vec![Json::Arr(items.iter().map(encode_gx).collect())]),
-        Gx::Squash(inner) => tag("squash", vec![encode_gx(inner)]),
-        Gx::Not(inner) => tag("not", vec![encode_gx(inner)]),
-        Gx::Sum { vars, body } => tag(
-            "sum",
-            vec![Json::Arr(vars.iter().map(|v| Json::Int(v.0 as i64)).collect()), encode_gx(body)],
-        ),
+        Gx::Zero => out.push_str(r#"["zero""#),
+        Gx::One => out.push_str(r#"["one""#),
+        Gx::Const(n) => {
+            out.push_str(r#"["const","#);
+            json::write_int(out, *n as i64);
+        }
+        Gx::Atom(atom) => {
+            out.push_str(r#"["atom","#);
+            encode_atom(out, atom);
+        }
+        Gx::NodeFn(t) => {
+            out.push_str(r#"["nodefn","#);
+            encode_term(out, t);
+        }
+        Gx::RelFn(t) => {
+            out.push_str(r#"["relfn","#);
+            encode_term(out, t);
+        }
+        Gx::LabFn(t, label) => {
+            out.push_str(r#"["labfn","#);
+            encode_term(out, t);
+            out.push(',');
+            json::write_str(out, label);
+        }
+        Gx::Unbounded(t) => {
+            out.push_str(r#"["unbounded","#);
+            encode_term(out, t);
+        }
+        Gx::Mul(items) => {
+            out.push_str(r#"["mul","#);
+            json::write_array(out, items, encode_gx);
+        }
+        Gx::Add(items) => {
+            out.push_str(r#"["add","#);
+            json::write_array(out, items, encode_gx);
+        }
+        Gx::Squash(inner) => {
+            out.push_str(r#"["squash","#);
+            encode_gx(out, inner);
+        }
+        Gx::Not(inner) => {
+            out.push_str(r#"["not","#);
+            encode_gx(out, inner);
+        }
+        Gx::Sum { vars, body } => {
+            out.push_str(r#"["sum","#);
+            json::write_array(out, vars, |out, v| json::write_int(out, i64::from(v.0)));
+            out.push(',');
+            encode_gx(out, body);
+        }
     }
+    out.push(']');
 }
 
-fn encode_atom(atom: &GxAtom) -> Json {
+fn encode_atom(out: &mut String, atom: &GxAtom) {
     match atom {
         GxAtom::Cmp(op, a, b) => {
-            Json::Arr(vec![Json::str("cmp"), Json::str(op.name()), encode_term(a), encode_term(b)])
+            out.push_str(r#"["cmp","#);
+            json::write_str(out, op.name());
+            out.push(',');
+            encode_term(out, a);
+            out.push(',');
+            encode_term(out, b);
         }
         GxAtom::IsNull(t, negated) => {
-            Json::Arr(vec![Json::str("isnull"), encode_term(t), Json::Bool(*negated)])
+            out.push_str(r#"["isnull","#);
+            encode_term(out, t);
+            out.push(',');
+            encode_bool(out, *negated);
         }
-        GxAtom::Pred(name, args) => Json::Arr(vec![
-            Json::str("pred"),
-            Json::str(name),
-            Json::Arr(args.iter().map(encode_term).collect()),
-        ]),
+        GxAtom::Pred(name, args) => {
+            out.push_str(r#"["pred","#);
+            json::write_str(out, name);
+            out.push(',');
+            json::write_array(out, args, encode_term);
+        }
     }
+    out.push(']');
 }
 
-fn encode_term(term: &GxTerm) -> Json {
+fn encode_term(out: &mut String, term: &GxTerm) {
     match term {
-        GxTerm::Var(v) => Json::Arr(vec![Json::str("var"), Json::Int(v.0 as i64)]),
-        GxTerm::OutCol(i) => Json::Arr(vec![Json::str("outcol"), usize_json(*i)]),
-        GxTerm::Prop(base, key) => {
-            Json::Arr(vec![Json::str("prop"), encode_term(base), Json::str(key)])
+        GxTerm::Var(v) => {
+            out.push_str(r#"["var","#);
+            json::write_int(out, i64::from(v.0));
         }
-        GxTerm::Const(c) => Json::Arr(vec![Json::str("const"), encode_const(c)]),
-        GxTerm::App(name, args) => Json::Arr(vec![
-            Json::str("app"),
-            Json::str(name),
-            Json::Arr(args.iter().map(encode_term).collect()),
-        ]),
-        GxTerm::Agg { kind, distinct, arg, group } => Json::Arr(vec![
-            Json::str("agg"),
-            Json::str(kind.name()),
-            Json::Bool(*distinct),
-            encode_term(arg),
-            encode_gx(group),
-        ]),
+        GxTerm::OutCol(i) => {
+            out.push_str(r#"["outcol","#);
+            encode_usize(out, *i);
+        }
+        GxTerm::Prop(base, key) => {
+            out.push_str(r#"["prop","#);
+            encode_term(out, base);
+            out.push(',');
+            json::write_str(out, key);
+        }
+        GxTerm::Const(c) => {
+            out.push_str(r#"["const","#);
+            encode_const(out, c);
+        }
+        GxTerm::App(name, args) => {
+            out.push_str(r#"["app","#);
+            json::write_str(out, name);
+            out.push(',');
+            json::write_array(out, args, encode_term);
+        }
+        GxTerm::Agg { kind, distinct, arg, group } => {
+            out.push_str(r#"["agg","#);
+            json::write_str(out, kind.name());
+            out.push(',');
+            encode_bool(out, *distinct);
+            out.push(',');
+            encode_term(out, arg);
+            out.push(',');
+            encode_gx(out, group);
+        }
     }
+    out.push(']');
 }
 
-fn encode_const(c: &GxConst) -> Json {
+fn encode_const(out: &mut String, c: &GxConst) {
     match c {
-        GxConst::Integer(i) => Json::Int(*i),
-        GxConst::Float(f) => obj(vec![("f", Json::str(format!("{f:?}")))]),
-        GxConst::String(s) => Json::str(s),
-        GxConst::Boolean(b) => Json::Bool(*b),
-        GxConst::Null => Json::Null,
+        GxConst::Integer(i) => json::write_int(out, *i),
+        GxConst::Float(f) => encode_float(out, *f),
+        GxConst::String(s) => json::write_str(out, s),
+        GxConst::Boolean(b) => encode_bool(out, *b),
+        GxConst::Null => out.push_str("null"),
     }
 }
 
@@ -609,30 +727,36 @@ fn encode_const(c: &GxConst) -> Json {
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
+fn field<'t>(doc: JsonRef<'t>, key: &str) -> Result<JsonRef<'t>, String> {
     doc.get(key).ok_or_else(|| format!("missing field `{key}`"))
 }
 
-fn dec_str(doc: &Json, what: &str) -> Result<String, String> {
+fn dec_array<'t>(doc: JsonRef<'t>, what: &str) -> Result<Elements<'t>, String> {
+    doc.as_array().ok_or_else(|| format!("{what}: expected an array"))
+}
+
+fn dec_str(doc: JsonRef<'_>, what: &str) -> Result<String, String> {
     doc.as_str().map(str::to_string).ok_or_else(|| format!("{what}: expected a string"))
 }
 
-fn dec_usize(doc: &Json, what: &str) -> Result<usize, String> {
+fn dec_usize(doc: JsonRef<'_>, what: &str) -> Result<usize, String> {
     match doc.as_int() {
         Some(n) if n >= 0 => Ok(n as usize),
         _ => Err(format!("{what}: expected a non-negative integer")),
     }
 }
 
-fn dec_usize_arr(doc: &Json, what: &str) -> Result<Vec<usize>, String> {
-    doc.as_array()
-        .ok_or_else(|| format!("{what}: expected an array"))?
-        .iter()
-        .map(|item| dec_usize(item, what))
-        .collect()
+/// Decodes a node, relationship or variable id, which must fit `u32`.
+fn dec_u32(doc: JsonRef<'_>, what: &str) -> Result<u32, String> {
+    let n = dec_usize(doc, what)?;
+    u32::try_from(n).map_err(|_| format!("{what}: {n} is out of the u32 range"))
 }
 
-fn decode_certificate(doc: &Json) -> Result<Certificate, String> {
+fn dec_usize_arr(doc: JsonRef<'_>, what: &str) -> Result<Vec<usize>, String> {
+    dec_array(doc, what)?.map(|item| dec_usize(item, what)).collect()
+}
+
+fn decode_certificate(doc: JsonRef<'_>) -> Result<Certificate, String> {
     let version = field(doc, "version")?.as_int().ok_or("version: expected an integer")?;
     if version != CERTIFICATE_VERSION {
         return Err(format!("unsupported certificate version {version}"));
@@ -651,11 +775,8 @@ fn decode_certificate(doc: &Json) -> Result<Certificate, String> {
     })
 }
 
-fn decode_query_cert(doc: &Json) -> Result<QueryCert, String> {
-    let steps = field(doc, "steps")?
-        .as_array()
-        .ok_or("steps: expected an array")?
-        .iter()
+fn decode_query_cert(doc: JsonRef<'_>) -> Result<QueryCert, String> {
+    let steps = dec_array(field(doc, "steps")?, "steps")?
         .map(|step| {
             Ok(DerivationStep {
                 rule: dec_str(field(step, "rule")?, "rule")?,
@@ -672,17 +793,14 @@ fn decode_query_cert(doc: &Json) -> Result<QueryCert, String> {
     })
 }
 
-fn decode_evidence(doc: &Json) -> Result<Evidence, String> {
+fn decode_evidence(doc: JsonRef<'_>) -> Result<Evidence, String> {
     match field(doc, "type")?.as_str() {
         Some("equivalence") => {
             let permuted_right = match field(doc, "permuted_right")? {
-                Json::Null => None,
+                JsonRef::Null => None,
                 other => Some(dec_str(other, "permuted_right")?),
             };
-            let segments = field(doc, "segments")?
-                .as_array()
-                .ok_or("segments: expected an array")?
-                .iter()
+            let segments = dec_array(field(doc, "segments")?, "segments")?
                 .map(|seg| {
                     Ok(SegmentWitness {
                         left: decode_gx(field(seg, "left")?)?,
@@ -722,69 +840,44 @@ fn decode_evidence(doc: &Json) -> Result<Evidence, String> {
     }
 }
 
-fn decode_signature(doc: &Json) -> Result<Vec<SigColumn>, String> {
-    doc.as_array()
-        .ok_or("signature: expected an array")?
-        .iter()
+fn decode_signature(doc: JsonRef<'_>) -> Result<Vec<SigColumn>, String> {
+    dec_array(doc, "signature")?
         .map(|column| {
             Ok(SigColumn {
                 name: dec_str(field(column, "name")?, "name")?,
                 ty: dec_str(field(column, "ty")?, "ty")?,
-                nullable: match field(column, "nullable")? {
-                    Json::Bool(b) => *b,
-                    _ => return Err("nullable: expected a boolean".to_string()),
-                },
+                nullable: field(column, "nullable")?
+                    .as_bool()
+                    .ok_or("nullable: expected a boolean")?,
             })
         })
         .collect()
 }
 
-fn decode_columns(doc: &Json) -> Result<Vec<String>, String> {
-    doc.as_array()
-        .ok_or("columns: expected an array")?
-        .iter()
-        .map(|c| dec_str(c, "column"))
-        .collect()
+fn decode_columns(doc: JsonRef<'_>) -> Result<Vec<String>, String> {
+    dec_array(doc, "columns")?.map(|c| dec_str(c, "column")).collect()
 }
 
-fn decode_rows(doc: &Json) -> Result<Vec<Vec<Value>>, String> {
-    doc.as_array()
-        .ok_or("rows: expected an array")?
-        .iter()
-        .map(|row| {
-            row.as_array()
-                .ok_or_else(|| "row: expected an array".to_string())?
-                .iter()
-                .map(decode_value)
-                .collect()
-        })
-        .collect()
+fn decode_rows(doc: JsonRef<'_>) -> Result<Vec<Vec<Value>>, String> {
+    dec_array(doc, "rows")?.map(|row| dec_array(row, "row")?.map(decode_value).collect()).collect()
 }
 
-fn decode_graph(doc: &Json) -> Result<GraphCert, String> {
-    let nodes = field(doc, "nodes")?
-        .as_array()
-        .ok_or("nodes: expected an array")?
-        .iter()
+fn decode_graph(doc: JsonRef<'_>) -> Result<GraphCert, String> {
+    let nodes = dec_array(field(doc, "nodes")?, "nodes")?
         .map(|n| {
-            let labels = field(n, "labels")?
-                .as_array()
-                .ok_or("labels: expected an array")?
-                .iter()
-                .map(|l| dec_str(l, "label"))
-                .collect::<Result<_, String>>()?;
+            let mut labels = BTreeSet::new();
+            for label in dec_array(field(n, "labels")?, "labels")? {
+                labels.insert(dec_str(label, "label")?);
+            }
             Ok(NodeData { labels, properties: decode_properties(field(n, "properties")?)? })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let relationships = field(doc, "relationships")?
-        .as_array()
-        .ok_or("relationships: expected an array")?
-        .iter()
+    let relationships = dec_array(field(doc, "relationships")?, "relationships")?
         .map(|r| {
             Ok(RelData {
                 label: dec_str(field(r, "label")?, "label")?,
-                source: NodeId(dec_usize(field(r, "source")?, "source")? as u32),
-                target: NodeId(dec_usize(field(r, "target")?, "target")? as u32),
+                source: NodeId(dec_u32(field(r, "source")?, "source")?),
+                target: NodeId(dec_u32(field(r, "target")?, "target")?),
                 properties: decode_properties(field(r, "properties")?)?,
             })
         })
@@ -792,42 +885,35 @@ fn decode_graph(doc: &Json) -> Result<GraphCert, String> {
     Ok(GraphCert { nodes, relationships })
 }
 
-fn decode_properties(doc: &Json) -> Result<BTreeMap<String, Value>, String> {
-    doc.as_object()
-        .ok_or("properties: expected an object")?
-        .iter()
-        .map(|(k, v)| Ok((k.clone(), decode_value(v)?)))
-        .collect()
+fn decode_properties(doc: JsonRef<'_>) -> Result<BTreeMap<String, Value>, String> {
+    // Inserting one by one skips the staging `Vec` a `collect` sorts.
+    let mut properties = BTreeMap::new();
+    for (name, value) in doc.as_object().ok_or("properties: expected an object")? {
+        properties.insert(name.to_string(), decode_value(value)?);
+    }
+    Ok(properties)
 }
 
 /// Decodes a runtime value from its certificate encoding.
-pub fn decode_value(doc: &Json) -> Result<Value, String> {
+fn decode_value(doc: JsonRef<'_>) -> Result<Value, String> {
     match doc {
-        Json::Null => Ok(Value::Null),
-        Json::Bool(b) => Ok(Value::Boolean(*b)),
-        Json::Int(i) => Ok(Value::Integer(*i)),
-        Json::Str(s) => Ok(Value::String(s.clone())),
-        Json::Arr(items) => {
-            Ok(Value::List(items.iter().map(decode_value).collect::<Result<_, _>>()?))
-        }
-        Json::Obj(members) => {
-            let [(tag, payload)] = members.as_slice() else {
+        JsonRef::Null => Ok(Value::Null),
+        JsonRef::Bool(b) => Ok(Value::Boolean(b)),
+        JsonRef::Int(i) => Ok(Value::Integer(i)),
+        JsonRef::Str(s) => Ok(Value::String(s.to_string())),
+        JsonRef::Arr(items) => Ok(Value::List(items.map(decode_value).collect::<Result<_, _>>()?)),
+        JsonRef::Obj(mut members) => {
+            let (Some((tag, payload)), None) = (members.next(), members.next()) else {
                 return Err("tagged value: expected a single-member object".to_string());
             };
-            match tag.as_str() {
+            match tag {
                 "f" => decode_float(payload).map(Value::Float),
                 "m" => Ok(Value::Map(decode_properties(payload)?)),
-                "n" => Ok(Value::Node(NodeId(dec_usize(payload, "node id")? as u32))),
-                "r" => {
-                    Ok(Value::Relationship(RelId(dec_usize(payload, "relationship id")? as u32)))
-                }
+                "n" => Ok(Value::Node(NodeId(dec_u32(payload, "node id")?))),
+                "r" => Ok(Value::Relationship(RelId(dec_u32(payload, "relationship id")?))),
                 "p" => {
-                    let items = payload
-                        .as_array()
-                        .ok_or("path: expected an array")?
-                        .iter()
-                        .map(decode_value)
-                        .collect::<Result<_, _>>()?;
+                    let items =
+                        dec_array(payload, "path")?.map(decode_value).collect::<Result<_, _>>()?;
                     Ok(Value::Path(items))
                 }
                 other => Err(format!("unknown value tag `{other}`")),
@@ -836,21 +922,21 @@ pub fn decode_value(doc: &Json) -> Result<Value, String> {
     }
 }
 
-fn decode_float(doc: &Json) -> Result<f64, String> {
+fn decode_float(doc: JsonRef<'_>) -> Result<f64, String> {
     let text = doc.as_str().ok_or("float: expected a string repr")?;
     text.parse::<f64>().map_err(|_| format!("float: invalid repr `{text}`"))
 }
 
-fn decode_proof(doc: &Json) -> Result<Proof, String> {
-    let items = doc.as_array().ok_or("proof: expected an array")?;
-    match items.first().and_then(Json::as_str) {
+fn decode_proof(doc: JsonRef<'_>) -> Result<Proof, String> {
+    let mut items = dec_array(doc, "proof")?;
+    match items.next().and_then(JsonRef::as_str) {
         Some("identical") => Ok(Proof::Identical),
         Some("peel") => {
-            let inner = items.get(1).ok_or("peel: missing inner proof")?;
+            let inner = items.next().ok_or("peel: missing inner proof")?;
             Ok(Proof::Peel(Box::new(decode_proof(inner)?)))
         }
         Some("summands") => {
-            let body = items.get(1).ok_or("summands: missing body")?;
+            let body = items.next().ok_or("summands: missing body")?;
             Ok(Proof::Summands(Box::new(SummandsProof {
                 left: decode_side(field(body, "left")?)?,
                 right: decode_side(field(body, "right")?)?,
@@ -861,16 +947,10 @@ fn decode_proof(doc: &Json) -> Result<Proof, String> {
     }
 }
 
-fn decode_side(doc: &Json) -> Result<SideSummands, String> {
-    let kept = field(doc, "kept")?
-        .as_array()
-        .ok_or("kept: expected an array")?
-        .iter()
+fn decode_side(doc: JsonRef<'_>) -> Result<SideSummands, String> {
+    let kept = dec_array(field(doc, "kept")?, "kept")?
         .map(|k| {
-            let removed_atoms = field(k, "removed_atoms")?
-                .as_array()
-                .ok_or("removed_atoms: expected an array")?
-                .iter()
+            let removed_atoms = dec_array(field(k, "removed_atoms")?, "removed_atoms")?
                 .map(decode_gx)
                 .collect::<Result<_, String>>()?;
             Ok(KeptSummand {
@@ -887,15 +967,12 @@ fn decode_side(doc: &Json) -> Result<SideSummands, String> {
     })
 }
 
-fn decode_matching(doc: &Json) -> Result<Matching, String> {
+fn decode_matching(doc: JsonRef<'_>) -> Result<Matching, String> {
     if let Some(pairs) = doc.get("bijection") {
-        let pairs = pairs
-            .as_array()
-            .ok_or("bijection: expected an array")?
-            .iter()
+        let pairs = dec_array(pairs, "bijection")?
             .map(|pair| {
-                let items = pair.as_array().ok_or("pair: expected an array")?;
-                let [l, r] = items else {
+                let mut items = dec_array(pair, "pair")?;
+                let (Some(l), Some(r), None) = (items.next(), items.next(), items.next()) else {
                     return Err("pair: expected two elements".to_string());
                 };
                 Ok((dec_usize(l, "pair")?, dec_usize(r, "pair")?))
@@ -904,10 +981,7 @@ fn decode_matching(doc: &Json) -> Result<Matching, String> {
         return Ok(Matching::Bijection(pairs));
     }
     if let Some(classes) = doc.get("classes") {
-        let representatives = field(classes, "representatives")?
-            .as_array()
-            .ok_or("representatives: expected an array")?
-            .iter()
+        let representatives = dec_array(field(classes, "representatives")?, "representatives")?
             .map(decode_gx)
             .collect::<Result<_, String>>()?;
         return Ok(Matching::Classes {
@@ -921,126 +995,133 @@ fn decode_matching(doc: &Json) -> Result<Matching, String> {
     Err("matching: expected `bijection` or `classes`".to_string())
 }
 
+/// A tagged array, `["tag",operand,…]`, read operand by operand.
+struct Tagged<'t> {
+    what: &'static str,
+    tag: &'t str,
+    operands: Elements<'t>,
+    taken: usize,
+}
+
+impl<'t> Tagged<'t> {
+    fn read(doc: JsonRef<'t>, what: &'static str) -> Result<Tagged<'t>, String> {
+        let mut operands = dec_array(doc, what)?;
+        let tag = operands.next().and_then(JsonRef::as_str);
+        let tag = tag.ok_or_else(|| format!("{what}: missing tag"))?;
+        Ok(Tagged { what, tag, operands, taken: 0 })
+    }
+
+    /// The next operand; extra operands are never read.
+    fn operand(&mut self) -> Result<JsonRef<'t>, String> {
+        self.taken += 1;
+        let (what, tag, index) = (self.what, self.tag, self.taken);
+        self.operands.next().ok_or_else(|| format!("{what} `{tag}`: missing operand {index}"))
+    }
+}
+
 /// Decodes a G-expression from its tagged-array encoding.
-pub fn decode_gx(doc: &Json) -> Result<Gx, String> {
-    let items = doc.as_array().ok_or("gx: expected an array")?;
-    let tag = items.first().and_then(Json::as_str).ok_or("gx: missing tag")?;
-    let arg = |i: usize| -> Result<&Json, String> {
-        items.get(i).ok_or_else(|| format!("gx `{tag}`: missing operand {i}"))
-    };
-    match tag {
+fn decode_gx(doc: JsonRef<'_>) -> Result<Gx, String> {
+    let mut gx = Tagged::read(doc, "gx")?;
+    match gx.tag {
         "zero" => Ok(Gx::Zero),
         "one" => Ok(Gx::One),
-        "const" => {
-            let n = dec_usize(arg(1)?, "const")?;
-            Ok(Gx::Const(n as u64))
+        "const" => Ok(Gx::Const(dec_usize(gx.operand()?, "const")? as u64)),
+        "atom" => Ok(Gx::Atom(decode_atom(gx.operand()?)?)),
+        "nodefn" => Ok(Gx::NodeFn(decode_term(gx.operand()?)?)),
+        "relfn" => Ok(Gx::RelFn(decode_term(gx.operand()?)?)),
+        "labfn" => {
+            Ok(Gx::LabFn(decode_term(gx.operand()?)?, dec_str(gx.operand()?, "labfn label")?))
         }
-        "atom" => Ok(Gx::Atom(decode_atom(arg(1)?)?)),
-        "nodefn" => Ok(Gx::NodeFn(decode_term(arg(1)?)?)),
-        "relfn" => Ok(Gx::RelFn(decode_term(arg(1)?)?)),
-        "labfn" => Ok(Gx::LabFn(decode_term(arg(1)?)?, dec_str(arg(2)?, "labfn label")?)),
-        "unbounded" => Ok(Gx::Unbounded(decode_term(arg(1)?)?)),
-        "mul" => Ok(Gx::Mul(decode_gx_list(arg(1)?)?)),
-        "add" => Ok(Gx::Add(decode_gx_list(arg(1)?)?)),
-        "squash" => Ok(Gx::Squash(Box::new(decode_gx(arg(1)?)?))),
-        "not" => Ok(Gx::Not(Box::new(decode_gx(arg(1)?)?))),
+        "unbounded" => Ok(Gx::Unbounded(decode_term(gx.operand()?)?)),
+        "mul" => Ok(Gx::Mul(decode_gx_list(gx.operand()?)?)),
+        "add" => Ok(Gx::Add(decode_gx_list(gx.operand()?)?)),
+        "squash" => Ok(Gx::Squash(Box::new(decode_gx(gx.operand()?)?))),
+        "not" => Ok(Gx::Not(Box::new(decode_gx(gx.operand()?)?))),
         "sum" => {
-            let vars = arg(1)?
-                .as_array()
-                .ok_or("sum vars: expected an array")?
-                .iter()
-                .map(|v| Ok(VarId(dec_usize(v, "var id")? as u32)))
+            let vars = dec_array(gx.operand()?, "sum vars")?
+                .map(|v| Ok(VarId(dec_u32(v, "var id")?)))
                 .collect::<Result<_, String>>()?;
-            Ok(Gx::Sum { vars, body: Box::new(decode_gx(arg(2)?)?) })
+            Ok(Gx::Sum { vars, body: Box::new(decode_gx(gx.operand()?)?) })
         }
         other => Err(format!("unknown gx tag `{other}`")),
     }
 }
 
-fn decode_gx_list(doc: &Json) -> Result<Vec<Gx>, String> {
-    doc.as_array().ok_or("gx list: expected an array")?.iter().map(decode_gx).collect()
+fn decode_gx_list(doc: JsonRef<'_>) -> Result<Vec<Gx>, String> {
+    dec_array(doc, "gx list")?.map(decode_gx).collect()
 }
 
-fn decode_atom(doc: &Json) -> Result<GxAtom, String> {
-    let items = doc.as_array().ok_or("atom: expected an array")?;
-    let tag = items.first().and_then(Json::as_str).ok_or("atom: missing tag")?;
-    let arg = |i: usize| -> Result<&Json, String> {
-        items.get(i).ok_or_else(|| format!("atom `{tag}`: missing operand {i}"))
-    };
-    match tag {
+fn decode_atom(doc: JsonRef<'_>) -> Result<GxAtom, String> {
+    let mut atom = Tagged::read(doc, "atom")?;
+    match atom.tag {
         "cmp" => {
-            let op =
-                CmpOp::from_name(arg(1)?.as_str().unwrap_or("")).ok_or("cmp: unknown operator")?;
-            Ok(GxAtom::Cmp(op, decode_term(arg(2)?)?, decode_term(arg(3)?)?))
+            let op = atom.operand()?.as_str().and_then(CmpOp::from_name);
+            let op = op.ok_or("cmp: unknown operator")?;
+            Ok(GxAtom::Cmp(op, decode_term(atom.operand()?)?, decode_term(atom.operand()?)?))
         }
         "isnull" => Ok(GxAtom::IsNull(
-            decode_term(arg(1)?)?,
-            arg(2)?.as_bool().ok_or("isnull: expected a bool")?,
+            decode_term(atom.operand()?)?,
+            atom.operand()?.as_bool().ok_or("isnull: expected a bool")?,
         )),
         "pred" => {
-            let args = arg(2)?
-                .as_array()
-                .ok_or("pred args: expected an array")?
-                .iter()
+            let name = dec_str(atom.operand()?, "pred name")?;
+            let args = dec_array(atom.operand()?, "pred args")?
                 .map(decode_term)
                 .collect::<Result<_, String>>()?;
-            Ok(GxAtom::Pred(dec_str(arg(1)?, "pred name")?, args))
+            Ok(GxAtom::Pred(name, args))
         }
         other => Err(format!("unknown atom tag `{other}`")),
     }
 }
 
-fn decode_term(doc: &Json) -> Result<GxTerm, String> {
-    let items = doc.as_array().ok_or("term: expected an array")?;
-    let tag = items.first().and_then(Json::as_str).ok_or("term: missing tag")?;
-    let arg = |i: usize| -> Result<&Json, String> {
-        items.get(i).ok_or_else(|| format!("term `{tag}`: missing operand {i}"))
-    };
-    match tag {
-        "var" => Ok(GxTerm::Var(VarId(dec_usize(arg(1)?, "var id")? as u32))),
-        "outcol" => Ok(GxTerm::OutCol(dec_usize(arg(1)?, "outcol")?)),
-        "prop" => Ok(GxTerm::Prop(Box::new(decode_term(arg(1)?)?), dec_str(arg(2)?, "prop key")?)),
-        "const" => Ok(GxTerm::Const(decode_gconst(arg(1)?)?)),
+fn decode_term(doc: JsonRef<'_>) -> Result<GxTerm, String> {
+    let mut term = Tagged::read(doc, "term")?;
+    match term.tag {
+        "var" => Ok(GxTerm::Var(VarId(dec_u32(term.operand()?, "var id")?))),
+        "outcol" => Ok(GxTerm::OutCol(dec_usize(term.operand()?, "outcol")?)),
+        "prop" => Ok(GxTerm::Prop(
+            Box::new(decode_term(term.operand()?)?),
+            dec_str(term.operand()?, "prop key")?,
+        )),
+        "const" => Ok(GxTerm::Const(decode_gconst(term.operand()?)?)),
         "app" => {
-            let args = arg(2)?
-                .as_array()
-                .ok_or("app args: expected an array")?
-                .iter()
+            let name = dec_str(term.operand()?, "app name")?;
+            let args = dec_array(term.operand()?, "app args")?
                 .map(decode_term)
                 .collect::<Result<_, String>>()?;
-            Ok(GxTerm::App(dec_str(arg(1)?, "app name")?, args))
+            Ok(GxTerm::App(name, args))
         }
         "agg" => {
-            let kind =
-                AggKind::from_name(arg(1)?.as_str().unwrap_or("")).ok_or("agg: unknown kind")?;
+            let kind = term.operand()?.as_str().and_then(AggKind::from_name);
             Ok(GxTerm::Agg {
-                kind,
-                distinct: arg(2)?.as_bool().ok_or("agg: expected a bool")?,
-                arg: Box::new(decode_term(arg(3)?)?),
-                group: Box::new(decode_gx(arg(4)?)?),
+                kind: kind.ok_or("agg: unknown kind")?,
+                distinct: term.operand()?.as_bool().ok_or("agg: expected a bool")?,
+                arg: Box::new(decode_term(term.operand()?)?),
+                group: Box::new(decode_gx(term.operand()?)?),
             })
         }
         other => Err(format!("unknown term tag `{other}`")),
     }
 }
 
-fn decode_gconst(doc: &Json) -> Result<GxConst, String> {
+fn decode_gconst(doc: JsonRef<'_>) -> Result<GxConst, String> {
     match doc {
-        Json::Null => Ok(GxConst::Null),
-        Json::Bool(b) => Ok(GxConst::Boolean(*b)),
-        Json::Int(i) => Ok(GxConst::Integer(*i)),
-        Json::Str(s) => Ok(GxConst::String(s.clone())),
-        Json::Obj(members) => match members.as_slice() {
-            [(tag, payload)] if tag == "f" => decode_float(payload).map(GxConst::Float),
+        JsonRef::Null => Ok(GxConst::Null),
+        JsonRef::Bool(b) => Ok(GxConst::Boolean(b)),
+        JsonRef::Int(i) => Ok(GxConst::Integer(i)),
+        JsonRef::Str(s) => Ok(GxConst::String(s.to_string())),
+        JsonRef::Obj(mut members) => match (members.next(), members.next()) {
+            (Some(("f", payload)), None) => decode_float(payload).map(GxConst::Float),
             _ => Err("const: expected a float tag object".to_string()),
         },
-        _ => Err("const: unsupported shape".to_string()),
+        JsonRef::Arr(_) => Err("const: unsupported shape".to_string()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonRef;
 
     fn sample_certificate() -> Certificate {
         let gx = Gx::sum(
@@ -1104,20 +1185,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn certificates_round_trip_through_json() {
-        let cert = sample_certificate();
-        let text = cert.to_json();
-        let back = Certificate::from_json(&text).unwrap();
-        assert_eq!(back, cert);
-    }
-
-    #[test]
-    fn counterexample_evidence_round_trips() {
+    fn counterexample_certificate() -> Certificate {
         let mut node = NodeData::default();
         node.labels.insert("Person".to_string());
         node.properties.insert("w".to_string(), Value::Float(-0.0));
-        let cert = Certificate {
+        Certificate {
             version: CERTIFICATE_VERSION,
             verdict: CertVerdict::NotEquivalent,
             left: QueryCert {
@@ -1149,14 +1221,292 @@ mod tests {
                 right_columns: vec!["b".to_string()],
                 right_rows: vec![vec![Value::Node(NodeId(0))]],
             },
+        }
+    }
+
+    /// A certificate whose evidence uses every G-expression, atom, term and
+    /// constant form, escaped strings and class-counting matching.
+    fn every_gx_certificate() -> Certificate {
+        let var = |v| GxTerm::Var(VarId(v));
+        let term = GxTerm::Agg {
+            kind: AggKind::Collect,
+            distinct: true,
+            arg: Box::new(GxTerm::App(
+                "toLower".to_string(),
+                vec![GxTerm::OutCol(1), GxTerm::Const(GxConst::String("a\"b\\c".to_string()))],
+            )),
+            group: Box::new(Gx::Add(vec![Gx::Zero, Gx::Const(3)])),
         };
+        let gx = Gx::Mul(vec![
+            Gx::RelFn(var(1)),
+            Gx::LabFn(var(0), "Person".to_string()),
+            Gx::Unbounded(GxTerm::Prop(Box::new(var(2)), "näme".to_string())),
+            Gx::Squash(Box::new(Gx::Not(Box::new(Gx::Atom(GxAtom::IsNull(term.clone(), true)))))),
+            Gx::Atom(GxAtom::Pred(
+                "starts_with".to_string(),
+                vec![
+                    GxTerm::Const(GxConst::Null),
+                    GxTerm::Const(GxConst::Boolean(false)),
+                    GxTerm::Const(GxConst::Integer(-7)),
+                ],
+            )),
+            Gx::Atom(GxAtom::Cmp(CmpOp::Ge, term, GxTerm::Const(GxConst::Float(f64::INFINITY)))),
+        ]);
+        let query = QueryCert {
+            source: "RETURN 1 AS x, 2 AS y".to_string(),
+            steps: vec![],
+            normalized: "RETURN 1 AS x, 2 AS y".to_string(),
+        };
+        let kept = KeptSummand {
+            index: 0,
+            removed_atoms: vec![Gx::Atom(GxAtom::IsNull(var(0), false))],
+            result: Gx::One,
+        };
+        let side = SideSummands { total: 2, zero_pruned: vec![1], kept: vec![kept] };
+        Certificate {
+            version: CERTIFICATE_VERSION,
+            verdict: CertVerdict::Equivalent,
+            left: query.clone(),
+            right: query,
+            evidence: Evidence::Equivalence {
+                column_permutation: vec![1, 0],
+                permuted_right: Some("RETURN 2 AS y, 'é\t\u{1}' AS x".to_string()),
+                segments: vec![
+                    SegmentWitness { left: gx, right: Gx::One, proof: Proof::Identical },
+                    SegmentWitness {
+                        left: Gx::Sum { vars: vec![VarId(0), VarId(7)], body: Box::new(Gx::One) },
+                        right: Gx::One,
+                        proof: Proof::Peel(Box::new(Proof::Summands(Box::new(SummandsProof {
+                            left: side.clone(),
+                            right: side,
+                            matching: Matching::Classes {
+                                representatives: vec![Gx::Zero],
+                                left_assign: vec![0],
+                                right_assign: vec![0],
+                                left_counts: vec![1],
+                                right_counts: vec![1],
+                            },
+                        })))),
+                    },
+                ],
+            },
+        }
+    }
+
+    /// A certificate whose evidence uses every runtime value form, float
+    /// specials and signature columns.
+    fn every_value_certificate() -> Certificate {
+        let mut map = BTreeMap::new();
+        map.insert("k".to_string(), Value::List(vec![Value::Boolean(true), Value::Null]));
+        let mut node = NodeData::default();
+        node.labels.insert("B".to_string());
+        node.labels.insert("A".to_string());
+        node.properties.insert("esc\"\\\u{1f}".to_string(), Value::String("tab\there".to_string()));
+        node.properties.insert("map".to_string(), Value::Map(map));
+        node.properties.insert("nan".to_string(), Value::Float(f64::NAN));
+        let mut rel_properties = BTreeMap::new();
+        rel_properties.insert("w".to_string(), Value::Float(-1e300));
+        let column =
+            |ty: &str, nullable| SigColumn { name: "x".to_string(), ty: ty.to_string(), nullable };
+        Certificate {
+            version: CERTIFICATE_VERSION,
+            verdict: CertVerdict::NotEquivalent,
+            left: QueryCert {
+                source: "MATCH p = (a)-[r]->(a) RETURN p AS x".to_string(),
+                steps: vec![],
+                normalized: "MATCH p = (n1)-[r1]->(n1) RETURN p AS x".to_string(),
+            },
+            right: QueryCert {
+                source: "RETURN 'x' AS x".to_string(),
+                steps: vec![],
+                normalized: "RETURN 'x' AS x".to_string(),
+            },
+            evidence: Evidence::SignatureMismatch {
+                left_signature: vec![column("Path", false)],
+                right_signature: vec![column("String", true)],
+                graph: GraphCert {
+                    nodes: vec![node],
+                    relationships: vec![RelData {
+                        label: "R".to_string(),
+                        source: NodeId(0),
+                        target: NodeId(0),
+                        properties: rel_properties,
+                    }],
+                },
+                pool_index: 3,
+                left_columns: vec!["x".to_string()],
+                left_rows: vec![
+                    vec![Value::Path(vec![
+                        Value::Node(NodeId(0)),
+                        Value::Relationship(RelId(0)),
+                        Value::Node(NodeId(0)),
+                    ])],
+                    vec![Value::Float(f64::NEG_INFINITY)],
+                    vec![Value::Integer(i64::MAX)],
+                ],
+                right_columns: vec!["x".to_string()],
+                right_rows: vec![vec![Value::String("x".to_string())]],
+            },
+        }
+    }
+
+    const SAMPLE_JSON: &str = concat!(
+        r#"{"version":2,"verdict":"equivalent","#,
+        r#""left":{"source":"MATCH (a) RETURN a","steps":[{"rule":"standardize","part":0,"#,
+        r#""clause":0,"after":"MATCH (n1) RETURN n1"}],"normalized":"MATCH (n1) RETURN n1"},"#,
+        r#""right":{"source":"MATCH (n1) RETURN n1","steps":[],"normalized":"MATCH (n1) RETURN n1"},"#,
+        r#""evidence":{"type":"equivalence","column_permutation":[0],"permuted_right":null,"#,
+        r#""segments":[{"#,
+        r#""left":["sum",[0],["mul",[["nodefn",["var",0]],"#,
+        r#"["atom",["cmp","eq",["prop",["var",0],"age"],["const",{"f":"1.5"}]]]]]],"#,
+        r#""right":["sum",[0],["mul",[["nodefn",["var",0]],"#,
+        r#"["atom",["cmp","eq",["prop",["var",0],"age"],["const",{"f":"1.5"}]]]]]],"#,
+        r#""proof":["peel",["summands",{"#,
+        r#""left":{"total":2,"zero_pruned":[1],"#,
+        r#""kept":[{"index":0,"removed_atoms":[],"result":["one"]}]},"#,
+        r#""right":{"total":1,"zero_pruned":[],"#,
+        r#""kept":[{"index":0,"removed_atoms":[],"result":["one"]}]},"#,
+        r#""matching":{"bijection":[[0,0]]}}]]}]}}"#,
+    );
+
+    const COUNTEREXAMPLE_JSON: &str = concat!(
+        r#"{"version":2,"verdict":"not_equivalent","#,
+        r#""left":{"source":"MATCH (a) RETURN a","steps":[],"normalized":"MATCH (n1) RETURN n1"},"#,
+        r#""right":{"source":"MATCH (b:Person) RETURN b","steps":[],"#,
+        r#""normalized":"MATCH (n1:Person) RETURN n1"},"#,
+        r#""evidence":{"type":"counterexample","graph":{"#,
+        r#""nodes":[{"labels":["Person"],"properties":{"w":{"f":"-0.0"}}},"#,
+        r#"{"labels":[],"properties":{}}],"#,
+        r#""relationships":[{"label":"KNOWS","source":0,"target":1,"properties":{}}]},"#,
+        r#""pool_index":7,"left_columns":["a"],"#,
+        r#""left_rows":[[{"n":0}],[[null,-9223372036854775808]]],"#,
+        r#""right_columns":["b"],"right_rows":[[{"n":0}]]}}"#,
+    );
+
+    const EVERY_GX_JSON: &str = concat!(
+        r#"{"version":2,"verdict":"equivalent","#,
+        r#""left":{"source":"RETURN 1 AS x, 2 AS y","steps":[],"normalized":"RETURN 1 AS x, 2 AS y"},"#,
+        r#""right":{"source":"RETURN 1 AS x, 2 AS y","steps":[],"#,
+        r#""normalized":"RETURN 1 AS x, 2 AS y"},"#,
+        r#""evidence":{"type":"equivalence","column_permutation":[1,0],"#,
+        r#""permuted_right":"RETURN 2 AS y, 'é\t\u0001' AS x","#,
+        r#""segments":[{"left":["mul",[["relfn",["var",1]],["labfn",["var",0],"Person"],"#,
+        r#"["unbounded",["prop",["var",2],"näme"]],"#,
+        r#"["squash",["not",["atom",["isnull",["agg","collect",true,"#,
+        r#"["app","toLower",[["outcol",1],["const","a\"b\\c"]]],"#,
+        r#"["add",[["zero"],["const",3]]]],true]]]],"#,
+        r#"["atom",["pred","starts_with",[["const",null],["const",false],["const",-7]]]],"#,
+        r#"["atom",["cmp","ge",["agg","collect",true,"#,
+        r#"["app","toLower",[["outcol",1],["const","a\"b\\c"]]],"#,
+        r#"["add",[["zero"],["const",3]]]],["const",{"f":"inf"}]]]]],"#,
+        r#""right":["one"],"proof":["identical"]},"#,
+        r#"{"left":["sum",[0,7],["one"]],"right":["one"],"proof":["peel",["summands",{"#,
+        r#""left":{"total":2,"zero_pruned":[1],"kept":[{"index":0,"#,
+        r#""removed_atoms":[["atom",["isnull",["var",0],false]]],"result":["one"]}]},"#,
+        r#""right":{"total":2,"zero_pruned":[1],"kept":[{"index":0,"#,
+        r#""removed_atoms":[["atom",["isnull",["var",0],false]]],"result":["one"]}]},"#,
+        r#""matching":{"classes":{"representatives":[["zero"]],"left_assign":[0],"#,
+        r#""right_assign":[0],"left_counts":[1],"right_counts":[1]}}}]]}]}}"#,
+    );
+
+    const EVERY_VALUE_JSON: &str = concat!(
+        r#"{"version":2,"verdict":"not_equivalent","#,
+        r#""left":{"source":"MATCH p = (a)-[r]->(a) RETURN p AS x","steps":[],"#,
+        r#""normalized":"MATCH p = (n1)-[r1]->(n1) RETURN p AS x"},"#,
+        r#""right":{"source":"RETURN 'x' AS x","steps":[],"normalized":"RETURN 'x' AS x"},"#,
+        r#""evidence":{"type":"signature_mismatch","#,
+        r#""left_signature":[{"name":"x","ty":"Path","nullable":false}],"#,
+        r#""right_signature":[{"name":"x","ty":"String","nullable":true}],"#,
+        r#""graph":{"nodes":[{"labels":["A","B"],"properties":{"#,
+        r#""esc\"\\\u001f":"tab\there","map":{"m":{"k":[true,null]}},"nan":{"f":"NaN"}}}],"#,
+        r#""relationships":[{"label":"R","source":0,"target":0,"#,
+        r#""properties":{"w":{"f":"-1e300"}}}]},"#,
+        r#""pool_index":3,"left_columns":["x"],"#,
+        r#""left_rows":[[{"p":[{"n":0},{"r":0},{"n":0}]}],[{"f":"-inf"}],[9223372036854775807]],"#,
+        r#""right_columns":["x"],"right_rows":[["x"]]}}"#,
+    );
+
+    #[test]
+    fn certificates_round_trip_through_json() {
+        let cert = sample_certificate();
         let text = cert.to_json();
+        assert_eq!(text, SAMPLE_JSON);
+        let back = Certificate::from_json(&text).unwrap();
+        assert_eq!(back, cert);
+    }
+
+    #[test]
+    fn counterexample_evidence_round_trips() {
+        let cert = counterexample_certificate();
+        let text = cert.to_json();
+        assert_eq!(text, COUNTEREXAMPLE_JSON);
         let back = Certificate::from_json(&text).unwrap();
         assert_eq!(back, cert);
         // -0.0 must survive bit-exactly through the tagged float repr.
         let Evidence::Counterexample { graph, .. } = &back.evidence else { panic!() };
         let Value::Float(w) = graph.nodes[0].properties["w"] else { panic!() };
         assert!(w == 0.0 && w.is_sign_negative());
+    }
+
+    #[test]
+    fn every_encoding_form_is_pinned() {
+        let gx = every_gx_certificate();
+        assert_eq!(gx.to_json(), EVERY_GX_JSON);
+        assert_eq!(Certificate::from_json(EVERY_GX_JSON).unwrap(), gx);
+        // NaN is not equal to itself, so this one compares its re-encoding.
+        assert_eq!(every_value_certificate().to_json(), EVERY_VALUE_JSON);
+        let back = Certificate::from_json(EVERY_VALUE_JSON).unwrap();
+        assert_eq!(back.to_json(), EVERY_VALUE_JSON);
+    }
+
+    /// Writes `value` back out with every object's members in reverse order
+    /// and whitespace around every token.
+    fn reversed(value: JsonRef<'_>, out: &mut String) {
+        match value {
+            JsonRef::Null => out.push_str("null"),
+            JsonRef::Bool(b) => encode_bool(out, b),
+            JsonRef::Int(n) => json::write_int(out, n),
+            JsonRef::Str(s) => json::write_str(out, s),
+            JsonRef::Arr(items) => {
+                out.push_str("[ ");
+                for (i, item) in items.enumerate() {
+                    if i > 0 {
+                        out.push_str(" ,\n ");
+                    }
+                    reversed(item, out);
+                }
+                out.push_str(" ]");
+            }
+            JsonRef::Obj(members) => {
+                out.push_str("{\n\t");
+                let members: Vec<_> = members.collect();
+                for (i, (name, value)) in members.into_iter().rev().enumerate() {
+                    if i > 0 {
+                        out.push_str(" ,\r\n ");
+                    }
+                    json::write_str(out, name);
+                    out.push_str(" : ");
+                    reversed(value, out);
+                }
+                out.push_str("\n}");
+            }
+        }
+    }
+
+    #[test]
+    fn decoding_accepts_any_member_order_whitespace_and_unknown_members() {
+        let certs = [sample_certificate(), counterexample_certificate(), every_gx_certificate()];
+        for cert in certs {
+            let text = cert
+                .to_json()
+                .replacen(r#"{"version":2,"#, r#"{"comment":"by hand","version":2,"#, 1)
+                .replace(r#"{"rule":"#, r#"{"extra":[1,{"x":null}],"rule":"#)
+                .replacen(r#""evidence":{"#, r#""evidence":{"note":true,"#, 1);
+            let mut shuffled = String::new();
+            reversed(Tape::parse(&text).unwrap().root(), &mut shuffled);
+            assert!(shuffled.starts_with("{\n\t\"evidence\" : {\n\t"), "{shuffled}");
+            assert_eq!(Certificate::from_json(&shuffled).unwrap(), cert);
+        }
     }
 
     #[test]
@@ -1167,5 +1517,39 @@ mod tests {
         let good = cert.to_json();
         let bad = good.replace("\"equivalent\"", "\"maybe\"");
         assert!(Certificate::from_json(&bad).is_err());
+    }
+
+    #[test]
+    fn decoding_rejects_repeated_member_names() {
+        // A first-match reader would see EQUIVALENT, a last-match one
+        // NOT_EQUIVALENT: the document has no single meaning.
+        let text = SAMPLE_JSON.replacen(
+            r#""verdict":"equivalent","#,
+            r#""verdict":"equivalent","verdict":"not_equivalent","#,
+            1,
+        );
+        let error = Certificate::from_json(&text).unwrap_err();
+        assert!(error.contains("duplicate member name `verdict`"), "{error}");
+    }
+
+    #[test]
+    fn decoding_rejects_ids_beyond_u32() {
+        let beyond = u64::from(u32::MAX) + 1;
+        let edits = [
+            (COUNTEREXAMPLE_JSON, r#""source":0"#, format!(r#""source":{beyond}"#)),
+            (COUNTEREXAMPLE_JSON, r#""target":1"#, format!(r#""target":{beyond}"#)),
+            (COUNTEREXAMPLE_JSON, r#"{"n":0}"#, format!(r#"{{"n":{beyond}}}"#)),
+            (EVERY_VALUE_JSON, r#"{"r":0}"#, format!(r#"{{"r":{beyond}}}"#)),
+            (SAMPLE_JSON, r#"["var",0]"#, format!(r#"["var",{beyond}]"#)),
+            (SAMPLE_JSON, r#"["sum",[0]"#, format!(r#"["sum",[{beyond}]"#)),
+        ];
+        for (text, from, to) in edits {
+            assert!(text.contains(from), "{from}");
+            let error = Certificate::from_json(&text.replacen(from, &to, 1)).unwrap_err();
+            assert!(error.contains("out of the u32 range"), "{from}: {error}");
+        }
+        // The largest id still decodes.
+        let max = SAMPLE_JSON.replacen(r#"["var",0]"#, &format!(r#"["var",{}]"#, u32::MAX), 1);
+        assert!(Certificate::from_json(&max).is_ok());
     }
 }

@@ -10,7 +10,9 @@
 //! arithmetic is not re-proved. See the crate docs for the exact trust
 //! boundary.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 use cypher_parser::ast::{Clause, ProjectionItems, Query};
 use cypher_parser::parse_query;
@@ -85,8 +87,11 @@ pub fn check_certificate(cert: &Certificate) -> Result<CheckSummary, CheckError>
         ));
     }
     let mut summary = CheckSummary::default();
-    let (left_source, left_normalized) = replay_derivation("left", &cert.left, &mut summary)?;
-    let (right_source, right_normalized) = replay_derivation("right", &cert.right, &mut summary)?;
+    let mut parsed = ParsedQueries::default();
+    let (left_source, left_normalized) =
+        replay_derivation("left", &cert.left, &mut parsed, &mut summary)?;
+    let (right_source, right_normalized) =
+        replay_derivation("right", &cert.right, &mut parsed, &mut summary)?;
     match (cert.verdict, &cert.evidence) {
         (
             CertVerdict::Equivalent,
@@ -97,6 +102,7 @@ pub fn check_certificate(cert: &Certificate) -> Result<CheckSummary, CheckError>
                 column_permutation,
                 permuted_right.as_deref(),
                 segments,
+                &mut parsed,
                 &mut summary,
             )?;
             let _ = left_normalized;
@@ -179,19 +185,53 @@ pub fn check_certificate(cert: &Certificate) -> Result<CheckSummary, CheckError>
 }
 
 // ---------------------------------------------------------------------------
+// Query texts
+// ---------------------------------------------------------------------------
+
+/// The query texts of one certificate, each distinct text parsed once.
+///
+/// A certificate repeats texts: the last derivation step's after-state is
+/// the normalized query, a query without steps is its own normalization, and
+/// both sides may share texts. Every comparison still runs; only the parse
+/// of a repeated text is shared.
+#[derive(Default)]
+struct ParsedQueries<'c> {
+    queries: HashMap<&'c str, Rc<Query>>,
+}
+
+impl<'c> ParsedQueries<'c> {
+    /// Parses `text`, or returns its earlier parse. A parse failure is a
+    /// `parse_error` naming `what`.
+    fn parse(
+        &mut self,
+        text: &'c str,
+        what: impl FnOnce() -> String,
+    ) -> Result<Rc<Query>, CheckError> {
+        if let Some(query) = self.queries.get(text) {
+            return Ok(Rc::clone(query));
+        }
+        let query = parse_query(text)
+            .map_err(|e| CheckError::new("parse_error", format!("{}: {e}", what())))?;
+        let query = Rc::new(query);
+        self.queries.insert(text, Rc::clone(&query));
+        Ok(query)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Derivation replay
 // ---------------------------------------------------------------------------
 
 /// Replays the normalization derivation of one query and compares it 1:1
 /// against the recorded steps. Returns the parsed source and the checker's
 /// own normalized query.
-fn replay_derivation(
+fn replay_derivation<'c>(
     side: &str,
-    cert: &QueryCert,
+    cert: &'c QueryCert,
+    parsed: &mut ParsedQueries<'c>,
     summary: &mut CheckSummary,
-) -> Result<(Query, Query), CheckError> {
-    let source = parse_query(&cert.source)
-        .map_err(|e| CheckError::new("parse_error", format!("{side} source: {e}")))?;
+) -> Result<(Rc<Query>, Query), CheckError> {
+    let source = parsed.parse(&cert.source, || format!("{side} source"))?;
     let (normalized, trace) = rules::normalize_with_trace(&source);
     if trace.len() != cert.steps.len() {
         return Err(CheckError::new(
@@ -223,10 +263,9 @@ fn replay_derivation(
                 ),
             ));
         }
-        let recorded_after = parse_query(&recorded.after).map_err(|e| {
-            CheckError::new("parse_error", format!("{side} step {index} after-state: {e}"))
-        })?;
-        if recorded_after != replayed.after {
+        let recorded_after =
+            parsed.parse(&recorded.after, || format!("{side} step {index} after-state"))?;
+        if *recorded_after != replayed.after {
             return Err(CheckError::new(
                 "derivation_mismatch",
                 format!(
@@ -236,9 +275,8 @@ fn replay_derivation(
             ));
         }
     }
-    let recorded_normalized = parse_query(&cert.normalized)
-        .map_err(|e| CheckError::new("parse_error", format!("{side} normalized: {e}")))?;
-    if recorded_normalized != normalized {
+    let recorded_normalized = parsed.parse(&cert.normalized, || format!("{side} normalized"))?;
+    if *recorded_normalized != normalized {
         return Err(CheckError::new(
             "derivation_mismatch",
             format!("{side}: recorded normalized query differs from replayed fixpoint"),
@@ -252,14 +290,15 @@ fn replay_derivation(
 // Equivalence evidence
 // ---------------------------------------------------------------------------
 
-fn check_equivalence(
+fn check_equivalence<'c>(
     right_normalized: &Query,
     permutation: &[usize],
-    permuted_right: Option<&str>,
+    permuted_right: Option<&'c str>,
     segments: &[crate::cert::SegmentWitness],
+    parsed: &mut ParsedQueries<'c>,
     summary: &mut CheckSummary,
 ) -> Result<(), CheckError> {
-    check_permutation(right_normalized, permutation, permuted_right)?;
+    check_permutation(right_normalized, permutation, permuted_right, parsed)?;
     if segments.is_empty() {
         return Err(CheckError::new("schema_error", "equivalence evidence carries no segments"));
     }
@@ -271,10 +310,11 @@ fn check_equivalence(
     Ok(())
 }
 
-fn check_permutation(
+fn check_permutation<'c>(
     right_normalized: &Query,
     permutation: &[usize],
-    permuted_right: Option<&str>,
+    permuted_right: Option<&'c str>,
+    parsed: &mut ParsedQueries<'c>,
 ) -> Result<(), CheckError> {
     let n = permutation.len();
     let mut seen = vec![false; n];
@@ -298,10 +338,9 @@ fn check_permutation(
             }
         }
         Some(text) => {
-            let recorded = parse_query(text)
-                .map_err(|e| CheckError::new("parse_error", format!("permuted right: {e}")))?;
+            let recorded = parsed.parse(text, || "permuted right".to_string())?;
             let expected = permute_returns(right_normalized, permutation);
-            if recorded != expected {
+            if *recorded != expected {
                 return Err(CheckError::new(
                     "permuted_right_mismatch",
                     "recorded permuted right query does not match applying the permutation \

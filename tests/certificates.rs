@@ -11,6 +11,7 @@ use graphqe::GraphQE;
 use graphqe_checker::cert::{Certificate, Evidence, Matching, Proof, SummandsProof};
 use graphqe_checker::value::Value;
 use graphqe_checker::{check_certificate, CheckError};
+use property_graph::rng::DetRng;
 
 /// Emits the certificate for a pair, or `None` when the verdict is unknown.
 fn emit(prover: &GraphQE, left: &str, right: &str) -> Option<Certificate> {
@@ -19,6 +20,16 @@ fn emit(prover: &GraphQE, left: &str, right: &str) -> Option<Certificate> {
         return None;
     }
     Some(prover.certificate_for(left, right, &verdict).expect("definite verdict emits"))
+}
+
+/// The certificates of the corpus pairs with the given ids, in that order.
+fn corpus_certificates(prover: &GraphQE, ids: &[&str]) -> Vec<Certificate> {
+    let corpus: Vec<_> = cyeqset().into_iter().chain(cyneqset()).collect();
+    let certificate = |id: &&str| {
+        let pair = corpus.iter().find(|pair| pair.id == *id).expect(id);
+        emit(prover, &pair.left, &pair.right).unwrap_or_else(|| panic!("{id} is definite"))
+    };
+    ids.iter().map(certificate).collect()
 }
 
 /// Every certificate the EQ corpus produces, in dataset order.
@@ -259,4 +270,83 @@ fn full_corpus_certificates_check_green_with_pinned_verdicts() {
             "{name} (equivalent, not_equivalent, unknown) drifted under certification"
         );
     }
+}
+
+/// Ids name nodes, relationships and variables as `u32`s: a larger number
+/// is rejected, not wrapped round to a small id that checks green.
+#[test]
+fn ids_beyond_u32_are_rejected() {
+    let prover = GraphQE::new();
+    let cert = corpus_certificates(&prover, &["neq-006"]).remove(0);
+    check_certificate(&cert).expect("untampered certificate validates");
+    let text = cert.to_json();
+    assert!(text.contains(r#""source":1,"#), "test premise: a relationship leaves node 1");
+    let edited = text.replacen(r#""source":1,"#, r#""source":4294967297,"#, 1);
+    let error = Certificate::from_json(&edited).expect_err("an id beyond u32 must not decode");
+    assert!(error.contains("source"), "{error}");
+}
+
+/// A member name repeated within an object gives the document two readings
+/// (first-wins and last-wins JSON readers disagree), so it does not decode.
+#[test]
+fn repeated_member_names_are_rejected() {
+    let prover = GraphQE::new();
+    let cert = corpus_certificates(&prover, &["calcite-006"]).remove(0);
+    check_certificate(&cert).expect("untampered certificate validates");
+    let text = cert.to_json();
+    let edited = text.replacen(
+        r#""verdict":"equivalent","#,
+        r#""verdict":"equivalent","verdict":"not_equivalent","#,
+        1,
+    );
+    assert_ne!(edited, text, "test premise: the certificate states its verdict");
+    let error = Certificate::from_json(&edited).expect_err("a repeated member must not decode");
+    assert!(error.contains("duplicate member name `verdict`"), "{error}");
+}
+
+/// No certificate text panics the checker: seeded mutations of real corpus
+/// certificates (truncation, and deleting, inserting or replacing bytes from
+/// a JSON-structural alphabet) either fail to decode or decode into a
+/// certificate that `check_certificate` accepts or rejects with a code.
+#[test]
+fn mutated_certificate_texts_never_panic() {
+    const ALPHABET: &[u8] = b"{}[],:\"\\ \n0123456789-.eEtrufalsn";
+    let prover = GraphQE::new();
+    // Both verdicts, all three evidence kinds, a summands proof.
+    let ids = ["calcite-006", "calcite-023", "neq-001", "neq-006", "neq-010"];
+    let mut texts: Vec<String> =
+        corpus_certificates(&prover, &ids).iter().map(Certificate::to_json).collect();
+    texts.push(
+        emit(&prover, "MATCH (n) RETURN n", "MATCH (n) RETURN count(*)")
+            .expect("discriminating pair refutes")
+            .to_json(),
+    );
+    let mut rng = DetRng::seed_from_u64(0xCE27_F00D);
+    let (mut decoded, mut rejected) = (0, 0);
+    for case in 0..5000 {
+        let mut bytes = texts[case % texts.len()].clone().into_bytes();
+        let at = rng.range_usize(0, bytes.len());
+        let byte = ALPHABET[rng.range_usize(0, ALPHABET.len())];
+        match rng.range_usize(0, 4) {
+            0 => bytes.truncate(at),
+            1 => {
+                let end = (at + rng.range_inclusive_usize(1, 4)).min(bytes.len());
+                bytes.drain(at..end);
+            }
+            2 => bytes.insert(at, byte),
+            _ => bytes[at] = byte,
+        }
+        // Byte edits can split a multibyte character; such bytes are no
+        // `&str`, so no certificate text.
+        let Ok(text) = String::from_utf8(bytes) else { continue };
+        let outcome = std::panic::catch_unwind(|| {
+            Certificate::from_json(&text).ok().map(|cert| check_certificate(&cert).is_ok())
+        });
+        match outcome {
+            Ok(Some(_)) => decoded += 1,
+            Ok(None) => rejected += 1,
+            Err(_) => panic!("case {case} panicked on {text:?}"),
+        }
+    }
+    assert!(decoded > 0 && rejected > 0, "decoded {decoded}, rejected {rejected}");
 }
