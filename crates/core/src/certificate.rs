@@ -40,7 +40,7 @@ use graphqe_checker::gx::{AggKind, CmpOp, Gx, GxAtom, GxConst, GxTerm, VarId};
 use graphqe_checker::value::{NodeId, RelId, Value};
 use graphqe_checker::Certificate;
 use liastar::witness::{MatchingRecord, ProofRecord, SegmentRecord, SideRecord};
-use property_graph::PropertyGraph;
+use property_graph::{EntityId, PropertyGraph};
 
 use crate::verdict::{FailureCategory, Verdict};
 use crate::{normalized_stages, GraphQE, Normalized, NormalizedStages, ProofStats};
@@ -330,19 +330,19 @@ fn signature_pair(q1: &Query, q2: &Query) -> Option<(Vec<SigColumn>, Vec<SigColu
 /// The checker's wire form of `graph`: nodes and relationships in id order,
 /// so [`GraphCert::build`] reproduces every id.
 pub fn graph_cert_of(graph: &PropertyGraph) -> GraphCert {
+    let properties = |entity| {
+        graph
+            .properties(entity)
+            .iter()
+            .map(|(key, value)| (graph.names().name(*key).to_string(), value_of(value)))
+            .collect()
+    };
     GraphCert {
         nodes: graph
             .node_ids()
-            .map(|id| {
-                let node = graph.node(id);
-                checker_graph::NodeData {
-                    labels: node.labels.clone(),
-                    properties: node
-                        .properties
-                        .iter()
-                        .map(|(k, v)| (k.clone(), value_of(v)))
-                        .collect(),
-                }
+            .map(|id| checker_graph::NodeData {
+                labels: graph.label_names(id).map(str::to_string).collect(),
+                properties: properties(EntityId::Node(id)),
             })
             .collect(),
         relationships: graph
@@ -350,14 +350,10 @@ pub fn graph_cert_of(graph: &PropertyGraph) -> GraphCert {
             .map(|id| {
                 let rel = graph.relationship(id);
                 checker_graph::RelData {
-                    label: rel.label.clone(),
+                    label: graph.rel_type_name(id).to_string(),
                     source: NodeId(rel.source.0),
                     target: NodeId(rel.target.0),
-                    properties: rel
-                        .properties
-                        .iter()
-                        .map(|(k, v)| (k.clone(), value_of(v)))
-                        .collect(),
+                    properties: properties(EntityId::Relationship(id)),
                 }
             })
             .collect(),

@@ -21,6 +21,15 @@
 //! per search. Graphs are handed out as `Arc<PropertyGraph>` clones, so
 //! evaluation runs outside the pool lock.
 //!
+//! Every pool starts with the same three seed graphs (empty, the paper's
+//! Fig. 1 graph, a small dense graph). They do not depend on the
+//! vocabulary, so they are built once per process and every pool holds
+//! `Arc` clones of them — their adjacency indexes are built once too, and
+//! survive [`clear_pool_cache`]. The random graphs after them come from two
+//! [`GraphGenerator`]s per pool, each of which interns the vocabulary once
+//! and shares that name table with every graph it generates: generating a
+//! graph draws label, type and key ids, not names.
+//!
 //! Query plans are shared process-wide too (since PR 8): the plan cache
 //! stores immutable `Send + Sync` [`FrozenPlan`] artifacts keyed by query
 //! text, and each search thaws a thread-private working view in
@@ -133,8 +142,9 @@ impl Hash for PoolKey {
 }
 
 /// A candidate pool that materializes its deterministic graph sequence on
-/// demand and keeps everything it generates. `source: None` means the
-/// sequence is exhausted and `graphs` is the complete pool.
+/// demand and keeps everything it generates. It starts with the three shared
+/// seed graphs; `source: None` means the sequence is exhausted and `graphs`
+/// is the complete pool.
 struct LazyPool {
     graphs: Vec<Arc<PropertyGraph>>,
     source: Option<Box<dyn Iterator<Item = PropertyGraph> + Send>>,
@@ -143,8 +153,8 @@ struct LazyPool {
 impl LazyPool {
     fn new(config: &SearchConfig, vocabulary: GeneratorConfig) -> LazyPool {
         LazyPool {
-            graphs: Vec::new(),
-            source: Some(Box::new(candidate_graphs(config, vocabulary))),
+            graphs: seed_graphs().to_vec(),
+            source: Some(Box::new(random_graphs(config, vocabulary))),
         }
     }
 
@@ -625,9 +635,9 @@ pub fn find_counterexample(
         return outcome;
     }
     let (pool, vocabulary) = pool_for(q1, q2, config);
-    // Plans come from the per-thread cache (keyed by the memo key's
-    // pretty-printed texts), so repeat searches skip planning entirely and
-    // a fresh search still plans only once for the whole pool.
+    // Plans are thawed from the process-wide frozen-plan cache (keyed by the
+    // memo key's pretty-printed texts), so repeat searches skip lowering
+    // entirely and a fresh search still lowers only once for the whole pool.
     let (left, right) = (cached_plan(&memo_key.0, q1), cached_plan(&memo_key.1, q2));
     let mut index = 0;
     loop {
@@ -758,33 +768,41 @@ pub fn find_counterexample_parallel(
     outcome
 }
 
-/// The graphs explored by the search: the paper's Fig. 1 graph, a couple of
-/// tiny deterministic graphs, then random graphs of increasing size whose
-/// labels, property keys and constants are drawn from the queries themselves
-/// (so that their predicates actually select rows).
+/// The deterministic seed graphs every pool starts with: the empty graph, the
+/// paper's Fig. 1 graph, and a small dense graph with self-loops and parallel
+/// edges (good at separating direction / multiplicity differences). They do
+/// not depend on the vocabulary, so they are built — and, on first
+/// evaluation, indexed — once per process and shared by every pool.
+fn seed_graphs() -> &'static [Arc<PropertyGraph>; 3] {
+    static SEEDS: OnceLock<[Arc<PropertyGraph>; 3]> = OnceLock::new();
+    SEEDS.get_or_init(|| {
+        let no_properties = Vec::<(&str, property_graph::Value)>::new;
+        let mut dense = PropertyGraph::new();
+        let a =
+            dense.add_node(["Person"], [("name", "a".into()), ("age", 1.into()), ("p1", 1.into())]);
+        let b = dense.add_node(["Person", "Book"], [("name", "b".into()), ("p1", 2.into())]);
+        let c = dense.add_node(Vec::<&str>::new(), [("p1", 3.into()), ("age", 3.into())]);
+        dense.add_relationship("READ", a, b, [("date", 1.into())]);
+        dense.add_relationship("READ", b, a, [("date", 2.into())]);
+        dense.add_relationship("KNOWS", a, a, no_properties());
+        dense.add_relationship("KNOWS", a, c, no_properties());
+        dense.add_relationship("KNOWS", c, b, no_properties());
+        [PropertyGraph::new(), PropertyGraph::paper_example(), dense].map(Arc::new)
+    })
+}
+
+/// The random graphs explored after the seeds: small graphs, then larger
+/// ones, whose labels, property keys and constants are drawn from the
+/// queries themselves (so that their predicates actually select rows).
 ///
 /// The candidates are produced **lazily**: random graphs past the first
 /// witnessing counterexample are never generated, let alone evaluated. On
 /// CyNeqSet most pairs are separated by one of the deterministic seed graphs
-/// or the first few random ones, so the bulk of the (previously eager) pool
-/// is skipped entirely.
-fn candidate_graphs(
+/// or the first few random ones, so the bulk of the pool is skipped entirely.
+fn random_graphs(
     config: &SearchConfig,
     vocabulary: GeneratorConfig,
 ) -> impl Iterator<Item = PropertyGraph> {
-    // A small dense graph with self-loops and parallel edges: good at
-    // separating direction / multiplicity differences.
-    let mut dense = PropertyGraph::new();
-    let a = dense.add_node(["Person"], [("name", "a".into()), ("age", 1.into()), ("p1", 1.into())]);
-    let b = dense.add_node(["Person", "Book"], [("name", "b".into()), ("p1", 2.into())]);
-    let c = dense.add_node(Vec::<String>::new(), [("p1", 3.into()), ("age", 3.into())]);
-    dense.add_relationship("READ", a, b, [("date", 1.into())]);
-    dense.add_relationship("READ", b, a, [("date", 2.into())]);
-    dense.add_relationship("KNOWS", a, a, Vec::<(String, property_graph::Value)>::new());
-    dense.add_relationship("KNOWS", a, c, Vec::<(String, property_graph::Value)>::new());
-    dense.add_relationship("KNOWS", c, b, Vec::<(String, property_graph::Value)>::new());
-    let seeds = vec![PropertyGraph::new(), PropertyGraph::paper_example(), dense];
-
     let small_count = config.random_graphs / 2;
     let large_count = config.random_graphs - small_count;
     let mut small = GraphGenerator::with_config(config.seed, vocabulary.clone());
@@ -793,9 +811,8 @@ fn candidate_graphs(
         config.seed.wrapping_add(1),
         GeneratorConfig { max_nodes: 9, max_relationships: 16, ..vocabulary },
     );
-    seeds
-        .into_iter()
-        .chain((0..small_count).map(move |_| small.generate()))
+    (0..small_count)
+        .map(move |_| small.generate())
         .chain((0..large_count).map(move |_| large.generate()))
 }
 
@@ -1101,6 +1118,52 @@ mod tests {
         let fresh = evaluate_query(&graph, &q).unwrap();
         assert!(through_cache.ordered_equal(&fresh), "cached plan diverged from fresh plan");
     }
+
+    /// FNV-1a over `bytes`, continuing from `hash`.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(hash, |hash, byte| (hash ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// A digest of the first `3 + random_graphs` graphs of the pool over
+    /// `vocabulary`: each graph's nodes and relationships in id order, with
+    /// labels, type, endpoints and properties by name.
+    fn pool_digest(vocabulary: GeneratorConfig) -> u64 {
+        let config = SearchConfig::default();
+        let mut pool = LazyPool::new(&config, vocabulary);
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for index in 0..3 + config.random_graphs {
+            let graph = crate::certificate::graph_cert_of(&pool.graph(index).expect("pool graph"));
+            let mut text = format!("graph {index}\n");
+            for (id, node) in graph.nodes.iter().enumerate() {
+                text += &format!("n{id} {:?} {:?}\n", node.labels, node.properties);
+            }
+            for (id, rel) in graph.relationships.iter().enumerate() {
+                let (source, target) = (rel.source.0, rel.target.0);
+                text += &format!("r{id} {} {source}->{target} {:?}\n", rel.label, rel.properties);
+            }
+            hash = fnv1a(hash, text.as_bytes());
+        }
+        hash
+    }
+
+    /// Pins the generated pools across versions: a changed draw sequence,
+    /// seed graph or name order would move every witness's pool index and
+    /// every counterexample certificate.
+    #[test]
+    fn pool_graphs_are_pinned() {
+        assert_eq!(pool_digest(GeneratorConfig::default()), POOL_DIGEST_DEFAULT);
+        let q1 = parse_query("MATCH (n:Person {age: 30}) WHERE n.name = 'Alice' RETURN n").unwrap();
+        let q2 = parse_query("MATCH (a:Book)-[:WROTE]->(b) WHERE b.year > -2 RETURN b.title, 'x'")
+            .unwrap();
+        let vocabulary = GeneratorConfig::from_queries(&[&q1, &q2]);
+        assert!(!vocabulary.int_pool.is_empty() && !vocabulary.string_pool.is_empty());
+        assert_eq!(pool_digest(vocabulary), POOL_DIGEST_QUERIES);
+    }
+
+    const POOL_DIGEST_DEFAULT: u64 = 12367224733951715430;
+    const POOL_DIGEST_QUERIES: u64 = 15834445599376803683;
 
     #[test]
     fn clearing_the_pool_cache_only_costs_regeneration() {

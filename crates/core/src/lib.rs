@@ -1304,6 +1304,54 @@ fn permute_returns(query: &Query, permutation: &[usize]) -> Query {
 mod tests {
     use super::*;
 
+    #[test]
+    fn over_deep_queries_are_invalid_and_the_deepest_accepted_prove() {
+        use cypher_parser::MAX_NESTING;
+        // A test thread's (and a server worker's) 2 MiB stack, in whatever
+        // build the tests run.
+        let thread = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+            let prover = GraphQE { search_threads: 1, ..GraphQE::new() };
+            let nots =
+                |n: usize, c: u8| format!("MATCH (n) WHERE {}n.a = {c} RETURN n", "NOT ".repeat(n));
+            let and = |n: usize, c: u8| {
+                let terms = vec![format!("n.a = {c}"); n];
+                format!("MATCH (n) WHERE {} RETURN n", terms.join(" AND "))
+            };
+            // The reproducers: 10,000 NOTs, and a 10,000-term conjunction
+            // (built by a loop, so it used to parse and abort later).
+            for query in [nots(10_000, 1), and(10_000, 1)] {
+                let verdict = prover.prove(&query, "MATCH (n) RETURN n");
+                let Verdict::Unknown { category, reason } = verdict else { panic!("{verdict}") };
+                assert_eq!(category, FailureCategory::InvalidQuery, "{reason}");
+            }
+            // The deepest accepted forms prove both ways, and the refutation
+            // certifies: the checker re-parses their printed text.
+            for (q1, q2) in [
+                (nots(MAX_NESTING - 3, 1), nots(MAX_NESTING - 3, 2)),
+                (and(MAX_NESTING - 2, 1), and(MAX_NESTING - 2, 2)),
+            ] {
+                assert!(prover.prove(&q1, &q1).is_equivalent());
+                let verdict = prover.prove(&q1, &q2);
+                assert!(verdict.is_not_equivalent(), "{verdict}");
+                let certificate = prover.certificate_for(&q1, &q2, &verdict).unwrap();
+                assert!(graphqe_checker::check_certificate(&certificate).is_ok());
+            }
+        });
+        thread.unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn integer_extremes_in_the_pool_vocabulary_prove() {
+        // The pool vocabulary seeds `v - 1, v, v + 1` for every integer
+        // literal; at `i64::MAX` the upper neighbour does not exist (a debug
+        // build used to panic on the overflow here).
+        let verdict = GraphQE::new().prove(
+            "MATCH (n:Person) WHERE n.age = 9223372036854775807 RETURN n",
+            "MATCH (n:Book) WHERE n.age = 9223372036854775807 RETURN n",
+        );
+        assert!(verdict.is_not_equivalent(), "{verdict}");
+    }
+
     fn prover() -> GraphQE {
         GraphQE::new()
     }

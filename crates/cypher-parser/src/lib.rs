@@ -40,6 +40,7 @@ use std::fmt;
 
 pub use ast::*;
 pub use functions::BuiltinFunction;
+pub use parser::MAX_NESTING;
 pub use semantic::{check_semantics, check_semantics_with_source, Diagnostic, SemanticError};
 
 /// A byte range into the original query text.
@@ -121,7 +122,8 @@ impl std::error::Error for ParseError {}
 /// Parses a Cypher query string into an AST.
 ///
 /// This performs stage ① *syntax checking* of the GraphQE pipeline; use
-/// [`check_semantics`] for the accompanying semantic checks.
+/// [`check_semantics`] for the accompanying semantic checks. A query nesting
+/// deeper than [`MAX_NESTING`] levels is a syntax error (see [`parser`]).
 pub fn parse_query(input: &str) -> Result<ast::Query, ParseError> {
     let tokens = lexer::tokenize(input)?;
     parser::Parser::new(tokens).parse_query()

@@ -1,20 +1,56 @@
 //! A recursive-descent parser (with Pratt-style expression parsing) for the
 //! Cypher fragment of Fig. 4 in the GraphQE paper.
+//!
+//! ## The nesting bound
+//!
+//! Every later stage — the analyzer, the normalizer, the G-expression
+//! builder, the evaluator, the pretty-printer, even `Drop` — walks the AST
+//! recursively, one stack frame (or several) per level. A query whose
+//! expression tree is taller than [`MAX_NESTING`] is therefore rejected
+//! here, with a syntax error, instead of overflowing a thread's stack later.
+//! The height is counted as nodes are built: every operator application,
+//! property access, list, map, call and `CASE` sits one level above its
+//! deepest operand, and an `EXISTS` four levels above the deepest expression
+//! of its body (the query, part and clause nodes lie in between), so a
+//! left-associative chain such as `a AND b AND c` counts one level per
+//! operator even though a loop builds it.
+//!
+//! The parser itself recurses only where a bracket opens — a parenthesized
+//! group, a list, map, call, `CASE` or `EXISTS` body, a subscript — and never
+//! for runs of `NOT`, signs or `^`, which it parses in loops. The same bound
+//! caps how many brackets may enclose one another, so an input of a
+//! thousand nested parentheses (one node, but a thousand recursions) is
+//! rejected before the parser runs out of stack. The pretty-printer opens at
+//! most one bracket per tree level, so the printed form of an accepted query
+//! (certificates carry it) is accepted again.
 
 use crate::ast::*;
 use crate::token::{Token, TokenKind};
 use crate::{ParseError, Span};
 
+/// The deepest expression nesting a query may have; see the module
+/// documentation. A query at the bound still parses and proves on a thread
+/// with a 2 MiB stack, in a debug build.
+pub const MAX_NESTING: usize = 64;
+
 /// The parser state: a cursor over the token stream produced by the lexer.
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Brackets enclosing the expression being parsed: the parser's own
+    /// recursion depth.
+    depth: usize,
+    /// Nesting of the expression most recently built.
+    height: usize,
+    /// Deepest nesting of any expression built since the enclosing `EXISTS`
+    /// subquery (or the query) began.
+    max_height: usize,
 }
 
 impl Parser {
     /// Creates a parser over a token stream (must be terminated by `Eof`).
     pub fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser { tokens, pos: 0, depth: 0, height: 0, max_height: 0 }
     }
 
     // -- token helpers -------------------------------------------------------
@@ -86,6 +122,20 @@ impl Parser {
 
     fn error<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError::syntax(msg, self.span()))
+    }
+
+    fn too_deep<T>(&self) -> Result<T, ParseError> {
+        self.error(format!("query nests deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Records that an expression was built one level above operands whose
+    /// deepest nesting is `operands` (0 for a leaf).
+    fn built(&mut self, operands: usize) -> Result<(), ParseError> {
+        self.height = operands + 1;
+        if self.height > MAX_NESTING {
+            return self.too_deep();
+        }
+        Ok(())
     }
 
     /// Span of the most recently consumed token (used to close clause spans).
@@ -380,11 +430,13 @@ impl Parser {
     fn parse_property_map(&mut self) -> Result<Vec<(String, Expr)>, ParseError> {
         self.expect(&TokenKind::LBrace)?;
         let mut properties = Vec::new();
+        let mut height = 0;
         if !self.at(&TokenKind::RBrace) {
             loop {
                 let key = self.expect_ident("property key")?;
                 self.expect(&TokenKind::Colon)?;
                 let value = self.parse_expression()?;
+                height = height.max(self.height);
                 properties.push((key, value));
                 if !self.eat(&TokenKind::Comma) {
                     break;
@@ -392,21 +444,46 @@ impl Parser {
             }
         }
         self.expect(&TokenKind::RBrace)?;
+        // The map's nesting is that of its deepest value.
+        self.height = height;
         Ok(properties)
     }
 
     // -- expressions -----------------------------------------------------------
 
     /// Parses an expression with standard Cypher operator precedence.
+    /// Rejects input nesting deeper than [`MAX_NESTING`].
     pub fn parse_expression(&mut self) -> Result<Expr, ParseError> {
-        self.parse_or()
+        // Every recursion of the expression parser passes through here.
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return self.too_deep();
+        }
+        let expr = self.parse_or()?;
+        self.depth -= 1;
+        self.max_height = self.max_height.max(self.height);
+        Ok(expr)
+    }
+
+    /// Builds `lhs op rhs`, one level above the deeper operand; `lhs_height`
+    /// is the nesting of `lhs`, `self.height` that of `rhs`.
+    fn binary(
+        &mut self,
+        op: BinaryOp,
+        lhs: Expr,
+        lhs_height: usize,
+        rhs: Expr,
+    ) -> Result<Expr, ParseError> {
+        self.built(lhs_height.max(self.height))?;
+        Ok(Expr::binary(op, lhs, rhs))
     }
 
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_xor()?;
         while self.eat(&TokenKind::Or) {
+            let lhs_height = self.height;
             let rhs = self.parse_xor()?;
-            lhs = Expr::binary(BinaryOp::Or, lhs, rhs);
+            lhs = self.binary(BinaryOp::Or, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -414,8 +491,9 @@ impl Parser {
     fn parse_xor(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_and()?;
         while self.eat(&TokenKind::Xor) {
+            let lhs_height = self.height;
             let rhs = self.parse_and()?;
-            lhs = Expr::binary(BinaryOp::Xor, lhs, rhs);
+            lhs = self.binary(BinaryOp::Xor, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -423,19 +501,26 @@ impl Parser {
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_not()?;
         while self.eat(&TokenKind::And) {
+            let lhs_height = self.height;
             let rhs = self.parse_not()?;
-            lhs = Expr::binary(BinaryOp::And, lhs, rhs);
+            lhs = self.binary(BinaryOp::And, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
 
     fn parse_not(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&TokenKind::Not) {
-            let inner = self.parse_not()?;
-            Ok(Expr::Unary(UnaryOp::Not, Box::new(inner)))
-        } else {
-            self.parse_comparison()
+        // A run of NOTs is counted, not recursed into, so its length costs
+        // no stack; each NOT then wraps the operand one level higher.
+        let mut nots = 0;
+        while self.eat(&TokenKind::Not) {
+            nots += 1;
         }
+        let mut expr = self.parse_comparison()?;
+        for _ in 0..nots {
+            self.built(self.height)?;
+            expr = Expr::Unary(UnaryOp::Not, Box::new(expr));
+        }
+        Ok(expr)
     }
 
     fn parse_comparison(&mut self) -> Result<Expr, ParseError> {
@@ -452,35 +537,40 @@ impl Parser {
                 TokenKind::Starts => {
                     self.bump();
                     self.expect(&TokenKind::With)?;
+                    let lhs_height = self.height;
                     let rhs = self.parse_additive()?;
-                    lhs = Expr::binary(BinaryOp::StartsWith, lhs, rhs);
+                    lhs = self.binary(BinaryOp::StartsWith, lhs, lhs_height, rhs)?;
                     continue;
                 }
                 TokenKind::Ends => {
                     self.bump();
                     self.expect(&TokenKind::With)?;
+                    let lhs_height = self.height;
                     let rhs = self.parse_additive()?;
-                    lhs = Expr::binary(BinaryOp::EndsWith, lhs, rhs);
+                    lhs = self.binary(BinaryOp::EndsWith, lhs, lhs_height, rhs)?;
                     continue;
                 }
                 TokenKind::Contains => {
                     self.bump();
+                    let lhs_height = self.height;
                     let rhs = self.parse_additive()?;
-                    lhs = Expr::binary(BinaryOp::Contains, lhs, rhs);
+                    lhs = self.binary(BinaryOp::Contains, lhs, lhs_height, rhs)?;
                     continue;
                 }
                 TokenKind::Is => {
                     self.bump();
                     let negated = self.eat(&TokenKind::Not);
                     self.expect(&TokenKind::Null)?;
+                    self.built(self.height)?;
                     lhs = Expr::IsNull { expr: Box::new(lhs), negated };
                     continue;
                 }
                 _ => break,
             };
             self.bump();
+            let lhs_height = self.height;
             let rhs = self.parse_additive()?;
-            lhs = Expr::binary(op, lhs, rhs);
+            lhs = self.binary(op, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -494,8 +584,9 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            let lhs_height = self.height;
             let rhs = self.parse_multiplicative()?;
-            lhs = Expr::binary(op, lhs, rhs);
+            lhs = self.binary(op, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -510,43 +601,62 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            let lhs_height = self.height;
             let rhs = self.parse_power()?;
-            lhs = Expr::binary(op, lhs, rhs);
+            lhs = self.binary(op, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
 
     fn parse_power(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.parse_unary()?;
-        if self.eat(&TokenKind::Caret) {
-            // Exponentiation is right-associative.
-            let rhs = self.parse_power()?;
-            Ok(Expr::binary(BinaryOp::Pow, lhs, rhs))
-        } else {
-            Ok(lhs)
+        let first = self.parse_unary()?;
+        if !self.at(&TokenKind::Caret) {
+            return Ok(first);
         }
+        // Exponentiation is right-associative. The operands are collected
+        // in a loop and folded from the right, so a long chain costs no
+        // recursion.
+        let mut operands = vec![(first, self.height)];
+        while self.eat(&TokenKind::Caret) {
+            operands.push((self.parse_unary()?, self.height));
+        }
+        let (mut rhs, mut rhs_height) = operands.pop().expect("a right operand");
+        while let Some((lhs, lhs_height)) = operands.pop() {
+            self.height = rhs_height;
+            rhs = self.binary(BinaryOp::Pow, lhs, lhs_height, rhs)?;
+            rhs_height = self.height;
+        }
+        Ok(rhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                let inner = self.parse_unary()?;
+        // Prefix signs are collected in a loop and applied innermost first,
+        // so a long run of them costs no recursion.
+        let mut signs = Vec::new();
+        loop {
+            match self.peek() {
+                TokenKind::Minus => signs.push(UnaryOp::Neg),
+                TokenKind::Plus => signs.push(UnaryOp::Pos),
+                _ => break,
+            }
+            self.bump();
+        }
+        let mut expr = self.parse_postfix()?;
+        for op in signs.into_iter().rev() {
+            expr = match (op, expr) {
                 // Fold negation of numeric literals immediately so `-1` is a
                 // literal rather than a unary application.
-                match inner {
-                    Expr::Literal(Literal::Integer(v)) => Ok(Expr::int(-v)),
-                    Expr::Literal(Literal::Float(v)) => Ok(Expr::Literal(Literal::Float(-v))),
-                    other => Ok(Expr::Unary(UnaryOp::Neg, Box::new(other))),
+                (UnaryOp::Neg, Expr::Literal(Literal::Integer(v))) => Expr::int(-v),
+                (UnaryOp::Neg, Expr::Literal(Literal::Float(v))) => {
+                    Expr::Literal(Literal::Float(-v))
                 }
-            }
-            TokenKind::Plus => {
-                self.bump();
-                let inner = self.parse_unary()?;
-                Ok(Expr::Unary(UnaryOp::Pos, Box::new(inner)))
-            }
-            _ => self.parse_postfix(),
+                (op, inner) => {
+                    self.built(self.height)?;
+                    Expr::Unary(op, Box::new(inner))
+                }
+            };
         }
+        Ok(expr)
     }
 
     fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
@@ -555,13 +665,16 @@ impl Parser {
             if self.at(&TokenKind::Dot) {
                 self.bump();
                 let key = self.expect_ident("property key")?;
+                self.built(self.height)?;
                 expr = Expr::Property(Box::new(expr), key);
             } else if self.at(&TokenKind::LBracket) {
                 // List indexing `expr[idx]` is parsed as an uninterpreted
                 // `index` function application.
                 self.bump();
+                let base_height = self.height;
                 let idx = self.parse_expression()?;
                 self.expect(&TokenKind::RBracket)?;
+                self.built(base_height.max(self.height))?;
                 expr = Expr::FunctionCall { name: "index".to_string(), args: vec![expr, idx] };
             } else {
                 break;
@@ -571,79 +684,67 @@ impl Parser {
     }
 
     fn parse_atom(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
-            TokenKind::Integer(v) => {
-                self.bump();
-                Ok(Expr::int(v))
-            }
-            TokenKind::Float(v) => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Float(v)))
-            }
-            TokenKind::StringLit(s) => {
-                self.bump();
-                Ok(Expr::string(s))
-            }
-            TokenKind::True => {
-                self.bump();
-                Ok(Expr::boolean(true))
-            }
-            TokenKind::False => {
-                self.bump();
-                Ok(Expr::boolean(false))
-            }
-            TokenKind::Null => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Null))
-            }
-            TokenKind::Parameter(name) => {
-                self.bump();
-                Ok(Expr::Parameter(name))
-            }
+        let leaf = match self.peek().clone() {
+            TokenKind::Integer(v) => Expr::int(v),
+            TokenKind::Float(v) => Expr::Literal(Literal::Float(v)),
+            TokenKind::StringLit(s) => Expr::string(s),
+            TokenKind::True => Expr::boolean(true),
+            TokenKind::False => Expr::boolean(false),
+            TokenKind::Null => Expr::Literal(Literal::Null),
+            TokenKind::Parameter(name) => Expr::Parameter(name),
+            TokenKind::Ident(name) if self.peek_at(1) != &TokenKind::LParen => Expr::Variable(name),
             TokenKind::Count => {
                 self.bump();
-                self.parse_call("count".to_string())
+                return self.parse_call("count".to_string());
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.at(&TokenKind::LParen) {
-                    self.parse_call(name)
-                } else {
-                    Ok(Expr::Variable(name))
-                }
+                return self.parse_call(name);
             }
             TokenKind::LParen => {
                 self.bump();
+                // Grouping builds no node: the nesting is the inner one's.
                 let expr = self.parse_expression()?;
                 self.expect(&TokenKind::RParen)?;
-                Ok(expr)
+                return Ok(expr);
             }
             TokenKind::LBracket => {
                 self.bump();
                 let mut items = Vec::new();
+                let mut height = 0;
                 if !self.at(&TokenKind::RBracket) {
-                    items.push(self.parse_expression()?);
-                    while self.eat(&TokenKind::Comma) {
+                    loop {
                         items.push(self.parse_expression()?);
+                        height = height.max(self.height);
+                        if !self.eat(&TokenKind::Comma) {
+                            break;
+                        }
                     }
                 }
                 self.expect(&TokenKind::RBracket)?;
-                Ok(Expr::List(items))
+                self.built(height)?;
+                return Ok(Expr::List(items));
             }
             TokenKind::LBrace => {
                 let entries = self.parse_property_map()?;
-                Ok(Expr::Map(entries))
+                self.built(self.height)?;
+                return Ok(Expr::Map(entries));
             }
             TokenKind::Exists => {
                 self.bump();
-                self.parse_exists()
+                return self.parse_exists();
             }
             TokenKind::Case => {
                 self.bump();
-                self.parse_case()
+                return self.parse_case();
             }
-            other => self.error(format!("expected an expression, found {}", other.describe())),
-        }
+            other => {
+                return self.error(format!("expected an expression, found {}", other.describe()))
+            }
+        };
+        self.bump();
+        self.built(0)?;
+        Ok(leaf)
     }
 
     fn parse_call(&mut self, name: String) -> Result<Expr, ParseError> {
@@ -654,17 +755,23 @@ impl Parser {
         if self.at(&TokenKind::Star) && name.eq_ignore_ascii_case("count") {
             self.bump();
             self.expect(&TokenKind::RParen)?;
+            self.built(0)?;
             return Ok(Expr::CountStar { distinct });
         }
 
         let mut args = Vec::new();
+        let mut height = 0;
         if !self.at(&TokenKind::RParen) {
-            args.push(self.parse_expression()?);
-            while self.eat(&TokenKind::Comma) {
+            loop {
                 args.push(self.parse_expression()?);
+                height = height.max(self.height);
+                if !self.eat(&TokenKind::Comma) {
+                    break;
+                }
             }
         }
         self.expect(&TokenKind::RParen)?;
+        self.built(height)?;
 
         if let Some(func) = Aggregate::from_name(&name) {
             if args.len() != 1 {
@@ -690,8 +797,15 @@ impl Parser {
     fn parse_exists(&mut self) -> Result<Expr, ParseError> {
         // `EXISTS { <query> }` subquery form.
         if self.eat(&TokenKind::LBrace) {
+            // The subquery's expressions nest below this one: its nesting
+            // is that of its deepest expression.
+            let outer = std::mem::take(&mut self.max_height);
             let query = self.parse_union_query()?;
             self.expect(&TokenKind::RBrace)?;
+            // Between this node and those expressions the tree has three
+            // more levels: the query, its part and the clause.
+            let inner = std::mem::replace(&mut self.max_height, outer);
+            self.built(inner + 3)?;
             return Ok(Expr::Exists(Box::new(query)));
         }
         // `EXISTS(expr)` property-existence form, kept as an uninterpreted
@@ -700,6 +814,7 @@ impl Parser {
             self.bump();
             let inner = self.parse_expression()?;
             self.expect(&TokenKind::RParen)?;
+            self.built(self.height)?;
             return Ok(Expr::FunctionCall { name: "exists".to_string(), args: vec![inner] });
         }
         self.error("expected `{` or `(` after EXISTS")
@@ -715,18 +830,24 @@ impl Parser {
             );
         }
         let mut branches = Vec::new();
+        let mut height = 0;
         while self.eat(&TokenKind::When) {
             let cond = self.parse_expression()?;
+            height = height.max(self.height);
             self.expect(&TokenKind::Then)?;
             let value = self.parse_expression()?;
+            height = height.max(self.height);
             branches.push((cond, value));
         }
         let otherwise = if self.eat(&TokenKind::Else) {
-            Some(Box::new(self.parse_expression()?))
+            let otherwise = self.parse_expression()?;
+            height = height.max(self.height);
+            Some(Box::new(otherwise))
         } else {
             None
         };
         self.expect(&TokenKind::End)?;
+        self.built(height)?;
         Ok(Expr::Case { branches, otherwise })
     }
 }
@@ -1025,6 +1146,77 @@ mod tests {
         assert!(parse_query("").is_err());
         assert!(parse_query("MATCH (n) RETURN SUM(n.a, n.b)").is_err());
         assert!(parse_query("MATCH (n) RETURN foo(DISTINCT n.a)").is_err());
+    }
+
+    /// Runs `body` on a thread with the 2 MiB stack of a server worker or a
+    /// test thread.
+    fn on_small_stack<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let thread = std::thread::Builder::new().stack_size(2 << 20).spawn(body).unwrap();
+        thread.join().unwrap()
+    }
+
+    fn too_deep(result: Result<Query, ParseError>) -> bool {
+        result.is_err_and(|error| error.message.contains("nests deeper than"))
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_a_small_stack() {
+        on_small_stack(|| {
+            let parens = |n: usize| format!("MATCH (n) RETURN {}1{}", "(".repeat(n), ")".repeat(n));
+            // The RETURN item is one bracket level, each parenthesis another.
+            assert!(parse_query(&parens(MAX_NESTING - 1)).is_ok());
+            assert!(too_deep(parse_query(&parens(MAX_NESTING))));
+            assert!(too_deep(parse_query(&parens(1_000))));
+            for bracket in [("[", "]"), ("abs(", ")"), ("{a: ", "}")] {
+                let nested =
+                    format!("RETURN {}1{}", bracket.0.repeat(1_000), bracket.1.repeat(1_000));
+                assert!(too_deep(parse_query(&nested)), "{}", bracket.0);
+            }
+
+            // Chains built by loops count one level per operator: `n.a = 1`
+            // is three levels, each NOT or AND one more.
+            let nots = |n: usize| format!("MATCH (n) WHERE {}n.a = 1 RETURN n", "NOT ".repeat(n));
+            assert!(parse_query(&nots(MAX_NESTING - 3)).is_ok());
+            assert!(too_deep(parse_query(&nots(MAX_NESTING - 2))));
+            assert!(too_deep(parse_query(&nots(10_000))));
+            let and =
+                |n: usize| format!("MATCH (n) WHERE {} RETURN n", vec!["n.a = 1"; n].join(" AND "));
+            assert!(parse_query(&and(MAX_NESTING - 2)).is_ok());
+            assert!(too_deep(parse_query(&and(MAX_NESTING - 1))));
+            assert!(too_deep(parse_query(&and(10_000))));
+            for run in ["- ", "n.a ^ "] {
+                let chain = format!("RETURN {}n.a", run.repeat(10_000));
+                assert!(too_deep(parse_query(&chain)), "{run}");
+            }
+            // Signs folded into a literal build no node at all.
+            assert!(parse_query(&format!("RETURN {}1", "- ".repeat(10_000))).is_ok());
+            let exists = |n: usize| {
+                format!(
+                    "MATCH (n) WHERE {}m.a = 1{} RETURN n",
+                    "EXISTS { MATCH (m) WHERE ".repeat(n),
+                    " RETURN m }".repeat(n)
+                )
+            };
+            // An EXISTS body is four levels: the EXISTS, query, part, clause.
+            assert!(parse_query(&exists((MAX_NESTING - 3) / 4)).is_ok());
+            assert!(too_deep(parse_query(&exists((MAX_NESTING - 3) / 4 + 1))));
+        });
+    }
+
+    #[test]
+    fn the_printed_form_of_the_deepest_queries_parses_again() {
+        // The printer brackets every nested NOT and every lower-precedence
+        // operand; none of that may push an accepted query over the bound.
+        let deepest = [
+            format!("MATCH (n) WHERE {}n.a = 1 RETURN n", "NOT ".repeat(MAX_NESTING - 3)),
+            format!("RETURN {}1", "- n.a + ".repeat(MAX_NESTING / 3)),
+            format!("RETURN {}", vec!["(1 OR 2)"; MAX_NESTING - 2].join(" AND ")),
+        ];
+        for text in deepest {
+            let query = parse_query(&text).unwrap();
+            let printed = crate::pretty::query_to_string(&query);
+            assert_eq!(parse_query(&printed).unwrap(), query, "{printed}");
+        }
     }
 
     #[test]

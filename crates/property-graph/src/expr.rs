@@ -540,13 +540,13 @@ fn eval_function(ctx: EvalCtx<'_>, name: &str, args: &[Value]) -> Result<Value, 
             _ => Value::Null,
         },
         F::Labels => match arg(0) {
-            Value::Node(id) => {
-                Value::List(ctx.graph.node(id).labels.iter().cloned().map(Value::String).collect())
-            }
+            Value::Node(id) => Value::List(
+                ctx.graph.label_names(id).map(|label| Value::String(label.to_string())).collect(),
+            ),
             _ => Value::Null,
         },
         F::Type => match arg(0) {
-            Value::Relationship(id) => Value::String(ctx.graph.relationship(id).label.clone()),
+            Value::Relationship(id) => Value::String(ctx.graph.rel_type_name(id).to_string()),
             _ => Value::Null,
         },
         F::Size => match arg(0) {

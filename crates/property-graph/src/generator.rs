@@ -10,10 +10,19 @@
 //! The generator is deliberately biased towards *small, label-dense* graphs:
 //! small graphs make bag comparison cheap, and reusing a small pool of labels
 //! and property keys makes pattern predicates actually select something.
+//!
+//! A generator interns its vocabulary (labels, relationship types, property
+//! keys) into one [`NameTable`] when it is built and shares it (`Arc`) with
+//! every graph it generates, so drawing a label, key or type writes a
+//! [`NameId`] — no name is cloned per graph. The random draw sequence is
+//! part of the contract: a seed and a configuration fix every graph, which
+//! is what makes counterexample pool indexes replayable.
+
+use std::sync::Arc;
 
 use cypher_parser::ast::{Clause, Expr, Literal, Query};
 
-use crate::graph::PropertyGraph;
+use crate::graph::{NameId, NameTable, NodeId, PropertyGraph};
 use crate::rng::DetRng;
 use crate::value::Value;
 
@@ -76,7 +85,10 @@ impl GeneratorConfig {
                     property_keys.push(key.clone());
                 }
                 Expr::Literal(Literal::Integer(v)) => {
-                    for candidate in [*v - 1, *v, *v + 1] {
+                    // A neighbour beyond the i64 range does not exist.
+                    for candidate in
+                        [v.checked_sub(1), Some(*v), v.checked_add(1)].into_iter().flatten()
+                    {
                         if !int_pool.contains(&candidate) {
                             int_pool.push(candidate);
                         }
@@ -193,38 +205,65 @@ impl GeneratorConfig {
 #[derive(Debug)]
 pub struct GraphGenerator {
     config: GeneratorConfig,
+    /// The vocabulary, interned once and shared by every generated graph.
+    names: Arc<NameTable>,
+    /// `config.node_labels`, `config.relationship_labels` and
+    /// `config.property_keys` as ids in `names`, position by position.
+    node_labels: Vec<NameId>,
+    relationship_labels: Vec<NameId>,
+    property_keys: Vec<NameId>,
     rng: DetRng,
 }
 
 impl GraphGenerator {
     /// Creates a generator with the given seed and default configuration.
     pub fn new(seed: u64) -> Self {
-        GraphGenerator { config: GeneratorConfig::default(), rng: DetRng::seed_from_u64(seed) }
+        GraphGenerator::with_config(seed, GeneratorConfig::default())
     }
 
     /// Creates a generator with an explicit configuration.
     pub fn with_config(seed: u64, config: GeneratorConfig) -> Self {
-        GraphGenerator { config, rng: DetRng::seed_from_u64(seed) }
+        let mut names = NameTable::default();
+        let mut intern = |list: &[String]| -> Vec<NameId> {
+            list.iter().map(|name| names.intern(name)).collect()
+        };
+        let node_labels = intern(&config.node_labels);
+        let relationship_labels = intern(&config.relationship_labels);
+        let property_keys = intern(&config.property_keys);
+        GraphGenerator {
+            config,
+            names: Arc::new(names),
+            node_labels,
+            relationship_labels,
+            property_keys,
+            rng: DetRng::seed_from_u64(seed),
+        }
     }
 
     /// Generates the next random property graph.
     pub fn generate(&mut self) -> PropertyGraph {
-        let mut graph = PropertyGraph::new();
+        let mut graph = PropertyGraph::with_names(Arc::clone(&self.names));
         let node_count = self.rng.range_inclusive_usize(0, self.config.max_nodes);
+        // Room for the most a node can draw: two labels, three properties.
+        graph.reserve(node_count, 2 * node_count, 0, 3 * node_count);
         for _ in 0..node_count {
-            let labels = self.sample_labels();
+            let label_count = self.rng.range_inclusive_usize(0, 2);
+            let mut labels = [NameId(0); 2];
+            for label in &mut labels[..label_count] {
+                *label = self.node_labels[self.rng.range_usize(0, self.node_labels.len())];
+            }
             let properties = self.sample_properties();
-            graph.add_node(labels, properties);
+            graph.add_node_ids(labels[..label_count].iter().copied(), properties);
         }
         if node_count > 0 {
             let rel_count = self.rng.range_inclusive_usize(0, self.config.max_relationships);
+            graph.reserve(0, 0, rel_count, 3 * rel_count);
             for _ in 0..rel_count {
-                let source = crate::graph::NodeId(self.rng.range_usize(0, node_count) as u32);
-                let target = crate::graph::NodeId(self.rng.range_usize(0, node_count) as u32);
-                let label_index = self.rng.range_usize(0, self.config.relationship_labels.len());
-                let label = self.config.relationship_labels[label_index].clone();
-                let properties = self.sample_properties();
-                graph.add_relationship(label, source, target, properties);
+                let source = NodeId(self.rng.range_usize(0, node_count) as u32);
+                let target = NodeId(self.rng.range_usize(0, node_count) as u32);
+                let label_index = self.rng.range_usize(0, self.relationship_labels.len());
+                let rel_type = self.relationship_labels[label_index];
+                graph.add_relationship_ids(rel_type, source, target, self.sample_properties());
             }
         }
         graph
@@ -235,49 +274,36 @@ impl GraphGenerator {
         (0..count).map(|_| self.generate()).collect()
     }
 
-    fn sample_labels(&mut self) -> Vec<String> {
-        let count = self.rng.range_inclusive_usize(0, 2);
-        (0..count)
-            .map(|_| {
-                let index = self.rng.range_usize(0, self.config.node_labels.len());
-                self.config.node_labels[index].clone()
-            })
-            .collect()
-    }
-
-    fn sample_properties(&mut self) -> Vec<(String, Value)> {
+    /// Draws one entity's properties (at most three, keys may repeat). The
+    /// draws happen as the returned iterator is consumed.
+    fn sample_properties(&mut self) -> impl Iterator<Item = (NameId, Value)> + '_ {
         let count = self.rng.range_inclusive_usize(0, 3);
-        (0..count)
-            .map(|_| {
-                let index = self.rng.range_usize(0, self.config.property_keys.len());
-                let key = self.config.property_keys[index].clone();
-                let value = match self.rng.range_usize(0, 5) {
-                    0 => Value::Integer(
-                        self.rng.range_inclusive_i64(-self.config.max_int, self.config.max_int),
-                    ),
-                    1 => Value::String(
-                        ["Alice", "Bob", "x", "y"][self.rng.range_usize(0, 4)].to_string(),
-                    ),
-                    2 => Value::Boolean(self.rng.chance(0.5)),
-                    3 if !self.config.int_pool.is_empty()
-                        || !self.config.string_pool.is_empty() =>
-                    {
-                        // Sample a value from the query-derived pools so that
-                        // predicates over query constants can actually match.
-                        let ints = self.config.int_pool.len();
-                        let total = ints + self.config.string_pool.len();
-                        let pick = self.rng.range_usize(0, total);
-                        if pick < ints {
-                            Value::Integer(self.config.int_pool[pick])
-                        } else {
-                            Value::String(self.config.string_pool[pick - ints].clone())
-                        }
+        (0..count).map(move |_| {
+            let key = self.property_keys[self.rng.range_usize(0, self.property_keys.len())];
+            let value = match self.rng.range_usize(0, 5) {
+                0 => Value::Integer(
+                    self.rng.range_inclusive_i64(-self.config.max_int, self.config.max_int),
+                ),
+                1 => Value::String(
+                    ["Alice", "Bob", "x", "y"][self.rng.range_usize(0, 4)].to_string(),
+                ),
+                2 => Value::Boolean(self.rng.chance(0.5)),
+                3 if !self.config.int_pool.is_empty() || !self.config.string_pool.is_empty() => {
+                    // Sample a value from the query-derived pools so that
+                    // predicates over query constants can actually match.
+                    let ints = self.config.int_pool.len();
+                    let total = ints + self.config.string_pool.len();
+                    let pick = self.rng.range_usize(0, total);
+                    if pick < ints {
+                        Value::Integer(self.config.int_pool[pick])
+                    } else {
+                        Value::String(self.config.string_pool[pick - ints].clone())
                     }
-                    _ => Value::Integer(self.rng.range_inclusive_i64(0, self.config.max_int)),
-                };
-                (key, value)
-            })
-            .collect()
+                }
+                _ => Value::Integer(self.rng.range_inclusive_i64(0, self.config.max_int)),
+            };
+            (key, value)
+        })
     }
 }
 
@@ -292,6 +318,25 @@ mod tests {
         assert_eq!(a, b);
         let c: Vec<_> = GraphGenerator::new(43).generate_many(5);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn integer_pool_skips_neighbours_beyond_the_i64_range() {
+        let query = cypher_parser::parse_query(
+            "MATCH (n:Person) WHERE n.age = 9223372036854775807 RETURN n",
+        )
+        .unwrap();
+        let config = GeneratorConfig::from_queries(&[&query]);
+        assert_eq!(config.int_pool, vec![i64::MAX - 1, i64::MAX]);
+
+        // The parser cannot produce `i64::MIN` (its magnitude overflows the
+        // lexer), so that literal is put into the AST by hand.
+        let mut query = cypher_parser::parse_query("MATCH (n) WHERE n.age = 0 RETURN n").unwrap();
+        let Clause::Match(clause) = &mut query.parts[0].clauses[0] else { panic!("MATCH") };
+        let Some(Expr::Binary(_, _, right)) = &mut clause.where_clause else { panic!("n.age = 0") };
+        **right = Expr::int(i64::MIN);
+        let config = GeneratorConfig::from_queries(&[&query]);
+        assert_eq!(config.int_pool, vec![i64::MIN, i64::MIN + 1]);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use eval::{evaluate_planned, evaluate_query, EvalError, QueryResult};
 pub use expr::{EvalCtx, Row, SymId, SymbolTable};
 pub use frozen::FrozenPlan;
 pub use generator::{GeneratorConfig, GraphGenerator};
-pub use graph::{EntityId, NodeData, NodeId, PropertyGraph, RelData, RelId};
-pub use index::{AdjacencyIndex, IdBitset};
+pub use graph::{EntityId, NameId, NameTable, NodeId, PropertyGraph, RelData, RelId};
+pub use index::{AdjacencyIndex, IdBitset, IdSet};
 pub use plan::QueryPlan;
 pub use value::Value;

@@ -25,7 +25,7 @@ use cypher_parser::ast::RelDirection;
 
 use crate::eval::EvalError;
 use crate::expr::{eval_expr, EvalCtx, Row};
-use crate::graph::{EntityId, NodeId, RelId};
+use crate::graph::{EntityId, NameId, NodeId, RelId};
 use crate::index::AdjEntry;
 use crate::plan::{
     CompiledMatch, CompiledNodePattern, CompiledPathPattern, CompiledRelPattern, PropValue,
@@ -251,29 +251,37 @@ fn candidate_relationships(
     from: NodeId,
 ) -> Result<Vec<(RelId, NodeId)>, EvalError> {
     let index = ctx.graph.adjacency();
+    let names = ctx.graph.names();
 
-    // Resolve the pattern's type alternatives to interned ids once; a type
-    // absent from the graph contributes no candidates. The single-type case
-    // (ubiquitous) avoids the alternatives vector entirely.
+    // Resolve the pattern's type alternatives to name ids once; a type the
+    // graph's table does not know contributes no candidates. The single-type
+    // case (ubiquitous) avoids the alternatives vector entirely.
     enum TypeFilter {
         Any,
-        One(u32),
-        AnyOf(Vec<u32>),
+        One(NameId),
+        AnyOf(Vec<NameId>),
     }
     let type_filter = match pattern.labels.as_slice() {
         [] => TypeFilter::Any,
-        [label] => match index.rel_type_id(label) {
+        [label] => match names.lookup(label) {
             None => return Ok(Vec::new()),
             Some(id) => TypeFilter::One(id),
         },
         labels => {
-            let resolved: Vec<u32> =
-                labels.iter().filter_map(|label| index.rel_type_id(label)).collect();
+            let resolved: Vec<NameId> =
+                labels.iter().filter_map(|label| names.lookup(label)).collect();
             if resolved.is_empty() {
                 return Ok(Vec::new());
             }
             TypeFilter::AnyOf(resolved)
         }
+    };
+    // The pattern's property keys, resolved once; a key the table does not
+    // know is carried by no relationship.
+    let Some(keys) =
+        pattern.properties.iter().map(|(key, _)| names.lookup(key)).collect::<Option<Vec<_>>>()
+    else {
+        return Ok(Vec::new());
     };
     // If the relationship variable is already bound, the candidate must be
     // that exact relationship.
@@ -300,7 +308,7 @@ fn candidate_relationships(
         // Property-key prefilter: a pattern key the relationship does not
         // carry can never compare `TRUE`, so skip before evaluating the
         // (potentially row-dependent) expected values.
-        if pattern.properties.iter().any(|(key, _)| !index.rel_has_key(entry.rel, key)) {
+        if keys.iter().any(|key| !index.rel_has_key(entry.rel, *key)) {
             return Ok(());
         }
         if properties_match(ctx, row, EntityId::Relationship(entry.rel), &pattern.properties)? {
@@ -394,6 +402,7 @@ fn candidate_nodes(
         }
     }
     let index = ctx.graph.adjacency();
+    let names = ctx.graph.names();
     // Fast paths for the two overwhelmingly common shapes, avoiding any
     // bitset allocation: an unconstrained pattern matches every node, and a
     // single-label pattern is exactly that label's bitset.
@@ -401,25 +410,23 @@ fn candidate_nodes(
         match pattern.labels.as_slice() {
             [] => return Ok(ctx.graph.node_ids().collect()),
             [label] => {
-                return Ok(match index.nodes_with_label(label) {
+                return Ok(match names.lookup(label) {
                     None => Vec::new(),
-                    Some(set) => set.iter().map(NodeId).collect(),
+                    Some(label) => index.nodes_with_label(label).iter().map(NodeId).collect(),
                 })
             }
             _ => {}
         }
     }
-    // General path: label bitset intersection (`None` means some label has
-    // no node), then the property-key prefilter — the node must carry every
-    // constrained key.
-    let Some(mut candidates) = index.label_candidates(&pattern.labels) else {
+    // General path: label bitset intersection, then the property-key
+    // prefilter — the node must carry every constrained key. A name the
+    // graph's table does not know selects no node.
+    let Some(mut candidates) = index.label_candidates(names, &pattern.labels) else {
         return Ok(Vec::new());
     };
     for (key, _) in &pattern.properties {
-        let Some(with_key) = index.nodes_with_key(key) else {
-            return Ok(Vec::new());
-        };
-        candidates.intersect_with(with_key);
+        let Some(key) = names.lookup(key) else { return Ok(Vec::new()) };
+        candidates.intersect_with(index.nodes_with_key(key));
     }
     let mut out = Vec::new();
     for id in candidates.iter() {
@@ -439,8 +446,7 @@ fn node_matches(
     id: NodeId,
     pattern: &CompiledNodePattern,
 ) -> Result<bool, EvalError> {
-    let node = ctx.graph.node(id);
-    if !pattern.labels.iter().all(|label| node.labels.contains(label)) {
+    if !pattern.labels.iter().all(|label| ctx.graph.node_has_label(id, label)) {
         return Ok(false);
     }
     properties_match(ctx, row, EntityId::Node(id), &pattern.properties)
@@ -467,10 +473,15 @@ fn properties_match(
     properties: &[(String, PropValue)],
 ) -> Result<bool, EvalError> {
     for (key, expected) in properties {
-        let actual = ctx.graph.property(entity, key);
+        // An absent property reads as NULL, which never compares `TRUE`.
+        let actual =
+            ctx.graph.names().lookup(key).and_then(|key| ctx.graph.property_by_id(entity, key));
         let matches = match expected {
-            PropValue::Const(value) => actual.cypher_eq(value),
-            PropValue::Dynamic(expr) => actual.cypher_eq(&eval_expr(ctx, row, expr)?),
+            PropValue::Const(value) => actual.and_then(|actual| actual.cypher_eq(value)),
+            PropValue::Dynamic(expr) => {
+                let value = eval_expr(ctx, row, expr)?;
+                actual.and_then(|actual| actual.cypher_eq(&value))
+            }
         };
         if matches != Some(true) {
             return Ok(false);

@@ -8,9 +8,17 @@
 //! strings, trailing garbage and bad escapes are errors) and lenient on
 //! nothing; numbers are kept as `f64`, which is exact for every integer the
 //! protocol carries (counts, microseconds, budgets all fit in 2^53).
+//!
+//! The reader recurses once per array or object level, so a body nesting
+//! deeper than [`MAX_DEPTH`] levels is an error, checked before recursing:
+//! a worker thread's stack bounds the depth, and a protocol document nests
+//! four levels at most.
 
 use std::fmt;
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,7 +46,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters after JSON value at byte {pos}"));
@@ -177,12 +185,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value nested inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("JSON nests deeper than {MAX_DEPTH} levels at byte {pos}", pos = *pos))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -276,7 +288,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -285,7 +297,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -298,7 +310,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -317,7 +329,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -371,6 +383,29 @@ mod tests {
         assert!(start.elapsed() < std::time::Duration::from_secs(10), "{:?}", start.elapsed());
         let pair = &parsed.get("pairs").unwrap().as_array().unwrap()[0];
         assert_eq!(pair.as_array().unwrap()[0].as_str(), Some(text.as_str()));
+    }
+
+    /// Runs `body` on a thread with a worker's 2 MiB stack.
+    fn on_worker_stack<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let thread = std::thread::Builder::new().stack_size(2 << 20).spawn(body).unwrap();
+        thread.join().unwrap()
+    }
+
+    #[test]
+    fn nesting_is_bounded_before_recursing() {
+        on_worker_stack(|| {
+            let nest = |depth: usize| {
+                format!(r#"{{"pairs":{}1{}}}"#, "[".repeat(depth - 1), "]".repeat(depth - 1))
+            };
+            // The object plus MAX_DEPTH - 1 arrays is the deepest body
+            // accepted; one more level, or ten thousand, is an error.
+            assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+            let error = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(error.contains("nests deeper than 64 levels"), "{error}");
+            assert!(Json::parse(&nest(10_000)).is_err());
+            let objects = format!("{}{}", r#"{"a":"#.repeat(10_000), "}".repeat(10_000));
+            assert!(Json::parse(&objects).is_err());
+        });
     }
 
     #[test]

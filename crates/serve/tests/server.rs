@@ -294,6 +294,53 @@ fn malformed_requests_get_structured_errors_not_hangs() {
     server.shutdown();
 }
 
+/// Over-deep input on either `/v1/prove` input — the JSON body or a query
+/// inside it — gets a structured error from a worker on its default 2 MiB
+/// stack, and the server keeps answering. The deepest accepted queries
+/// still prove there.
+#[test]
+fn deep_requests_get_structured_errors_and_the_server_survives() {
+    let _serial = SERIAL.lock().unwrap_or_else(|poison| poison.into_inner());
+    let server = test_server(test_config());
+    let healthy = || {
+        let (status, _) = Client::connect(&server).request("GET", "/v1/health", None);
+        assert_eq!(status, 200);
+    };
+
+    // A body nested 10,000 arrays deep is a bad request.
+    let deep_body = format!(r#"{{"pairs":{}1{}}}"#, "[".repeat(10_000), "]".repeat(10_000));
+    let (status, response) =
+        Client::connect(&server).request("POST", "/v1/prove", Some(&deep_body));
+    assert_eq!(status, 400);
+    let error = response.get("error").expect("error object");
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("bad_request"));
+    healthy();
+
+    let nots = |n: usize| format!("MATCH (n) WHERE {}n.a = 1 RETURN n", "NOT ".repeat(n));
+    let parens = |n: usize| format!("MATCH (n) RETURN {}1{}", "(".repeat(n), ")".repeat(n));
+    let conjunction =
+        |n: usize| format!("MATCH (n) WHERE {} RETURN n", vec!["n.a = 1"; n].join(" AND "));
+    for query in [nots(10_000), parens(1_000), conjunction(10_000)] {
+        let body = prove_body(&[(&query, "MATCH (n) RETURN n")]);
+        let (status, response) = Client::connect(&server).request("POST", "/v1/prove", Some(&body));
+        assert_eq!(status, 200);
+        let result = &response.get("results").and_then(Json::as_array).expect("results")[0];
+        let error = result.get("error").expect("error object");
+        assert_eq!(error.get("code").and_then(Json::as_str), Some("invalid_query"));
+        healthy();
+    }
+
+    // The deepest accepted form of each proves against itself.
+    for query in [nots(61), parens(63), conjunction(62)] {
+        let body = prove_body(&[(&query, &query)]);
+        let (status, response) = Client::connect(&server).request("POST", "/v1/prove", Some(&body));
+        assert_eq!(status, 200);
+        assert_eq!(verdicts(&response), vec!["equivalent"], "{query}");
+    }
+    healthy();
+    server.shutdown();
+}
+
 #[test]
 fn a_full_admission_queue_rejects_with_a_structured_overload() {
     let _serial = SERIAL.lock().unwrap_or_else(|poison| poison.into_inner());
