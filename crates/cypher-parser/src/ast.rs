@@ -229,12 +229,14 @@ impl ProjectionItem {
         ProjectionItem { expr, alias: Some(alias.into()) }
     }
 
-    /// The output column name of this item: the alias if present, otherwise
-    /// the textual form of the expression.
+    /// The output column name of this item: the alias if present, the name
+    /// itself for a variable (never backtick-quoted, since references look
+    /// it up unquoted), otherwise the textual form of the expression.
     pub fn output_name(&self) -> String {
-        match &self.alias {
-            Some(a) => a.clone(),
-            None => crate::pretty::expr_to_string(&self.expr),
+        match (&self.alias, &self.expr) {
+            (Some(a), _) => a.clone(),
+            (None, Expr::Variable(v)) => v.clone(),
+            (None, expr) => crate::pretty::expr_to_string(expr),
         }
     }
 }
@@ -781,6 +783,14 @@ mod tests {
             Expr::eq(Expr::var("a"), Expr::var("c")),
         );
         assert_eq!(e.variables(), vec!["a".to_string(), "b".to_string(), "c".to_string()]);
+    }
+
+    #[test]
+    fn output_names_of_variables_are_never_quoted() {
+        assert_eq!(ProjectionItem::expr(Expr::var("1n")).output_name(), "1n");
+        assert_eq!(ProjectionItem::expr(Expr::var("first name")).output_name(), "first name");
+        assert_eq!(ProjectionItem::aliased(Expr::var("n"), "the n").output_name(), "the n");
+        assert_eq!(ProjectionItem::expr(Expr::prop("n", "age")).output_name(), "n.age");
     }
 
     #[test]

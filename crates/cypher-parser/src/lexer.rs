@@ -207,21 +207,18 @@ impl<'a> Lexer<'a> {
     }
 
     fn lex_backtick_ident(&mut self, start: usize) -> Result<Token, ParseError> {
-        // Consume the opening backtick.
-        self.pos += 1;
-        let mut text = String::new();
-        loop {
-            match self.bump() {
-                Some(b'`') => break,
-                Some(b) => text.push(b as char),
-                None => {
-                    return Err(ParseError::lexical(
-                        "unterminated backtick-quoted identifier",
-                        Span::new(start, self.pos),
-                    ));
-                }
-            }
-        }
+        // The identifier is the text between the opening backtick and the
+        // next one, taken as a slice so multi-byte characters stay whole.
+        let body = start + 1;
+        let Some(len) = self.input[body..].find('`') else {
+            self.pos = self.input.len();
+            return Err(ParseError::lexical(
+                "unterminated backtick-quoted identifier",
+                Span::new(start, self.pos),
+            ));
+        };
+        self.pos = body + len + 1;
+        let text = self.input[body..body + len].to_string();
         Ok(Token::new(TokenKind::Ident(text), Span::new(start, self.pos)))
     }
 
@@ -424,6 +421,9 @@ mod tests {
     fn lexes_parameters_and_backticks() {
         assert_eq!(kinds("$limit"), vec![TokenKind::Parameter("limit".into())]);
         assert_eq!(kinds("`weird name`"), vec![TokenKind::Ident("weird name".into())]);
+        assert_eq!(kinds("`Größe`"), vec![TokenKind::Ident("Größe".into())]);
+        assert_eq!(kinds("``"), vec![TokenKind::Ident(String::new())]);
+        assert!(tokenize("`open").is_err());
     }
 
     #[test]

@@ -1,10 +1,31 @@
 //! Pretty-printing of ASTs back into Cypher text.
 //!
 //! The printer produces canonical text: keywords upper-cased, single spaces,
-//! explicit parentheses only where needed. `parse(pretty(ast))` round-trips
-//! to an equal AST (covered by unit and property tests).
+//! explicit parentheses only where needed, and names (variables, aliases,
+//! labels, relationship types, property and map keys) backtick-quoted when
+//! they would not re-lex as themselves. `parse(pretty(ast))` round-trips to
+//! an equal AST (covered by unit and property tests).
+
+use std::borrow::Cow;
 
 use crate::ast::*;
+use crate::token::TokenKind;
+
+/// A name as it must be written to re-lex as the same identifier: bare when
+/// it matches `[A-Za-z_][A-Za-z0-9_]*` and is not a keyword, backtick-quoted
+/// otherwise. (A backtick-quoted identifier ends at the next backtick, so no
+/// parsed name contains one.)
+fn ident(name: &str) -> Cow<'_, str> {
+    let mut bytes = name.bytes();
+    let bare = bytes.next().is_some_and(|b| b.is_ascii_alphabetic() || b == b'_')
+        && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_')
+        && TokenKind::keyword_from_str(name).is_none();
+    if bare {
+        Cow::Borrowed(name)
+    } else {
+        Cow::Owned(format!("`{name}`"))
+    }
+}
 
 /// Renders a full query.
 pub fn query_to_string(query: &Query) -> String {
@@ -42,7 +63,9 @@ pub fn clause_to_string(clause: &Clause) -> String {
             }
             out
         }
-        Clause::Unwind(u) => format!("UNWIND {} AS {}", expr_to_string(&u.expr), u.alias),
+        Clause::Unwind(u) => {
+            format!("UNWIND {} AS {}", expr_to_string(&u.expr), ident(&u.alias))
+        }
         Clause::With(w) => {
             let mut out = format!("WITH {}", projection_to_string(&w.projection));
             if let Some(pred) = &w.where_clause {
@@ -68,7 +91,9 @@ pub fn projection_to_string(p: &Projection) -> String {
                 &items
                     .iter()
                     .map(|item| match &item.alias {
-                        Some(alias) => format!("{} AS {}", expr_to_string(&item.expr), alias),
+                        Some(alias) => {
+                            format!("{} AS {}", expr_to_string(&item.expr), ident(alias))
+                        }
                         None => expr_to_string(&item.expr),
                     })
                     .collect::<Vec<_>>()
@@ -107,7 +132,7 @@ pub fn projection_to_string(p: &Projection) -> String {
 pub fn path_to_string(path: &PathPattern) -> String {
     let mut out = String::new();
     if let Some(v) = &path.variable {
-        out.push_str(v);
+        out.push_str(&ident(v));
         out.push_str(" = ");
     }
     out.push_str(&node_to_string(&path.start));
@@ -122,11 +147,11 @@ pub fn path_to_string(path: &PathPattern) -> String {
 pub fn node_to_string(node: &NodePattern) -> String {
     let mut out = String::from("(");
     if let Some(v) = &node.variable {
-        out.push_str(v);
+        out.push_str(&ident(v));
     }
     for label in &node.labels {
         out.push(':');
-        out.push_str(label);
+        out.push_str(&ident(label));
     }
     if !node.properties.is_empty() {
         if node.variable.is_some() || !node.labels.is_empty() {
@@ -142,11 +167,11 @@ pub fn node_to_string(node: &NodePattern) -> String {
 pub fn relationship_to_string(rel: &RelationshipPattern) -> String {
     let mut detail = String::new();
     if let Some(v) = &rel.variable {
-        detail.push_str(v);
+        detail.push_str(&ident(v));
     }
     if !rel.labels.is_empty() {
         detail.push(':');
-        detail.push_str(&rel.labels.join("|"));
+        detail.push_str(&rel.labels.iter().map(|l| ident(l)).collect::<Vec<_>>().join("|"));
     }
     if let Some(length) = &rel.length {
         detail.push('*');
@@ -175,7 +200,7 @@ pub fn relationship_to_string(rel: &RelationshipPattern) -> String {
 fn property_map_to_string(properties: &[(String, Expr)]) -> String {
     let body = properties
         .iter()
-        .map(|(k, v)| format!("{k}: {}", expr_to_string(v)))
+        .map(|(k, v)| format!("{}: {}", ident(k), expr_to_string(v)))
         .collect::<Vec<_>>()
         .join(", ");
     format!("{{{body}}}")
@@ -236,9 +261,9 @@ fn op_text(op: BinaryOp) -> &'static str {
 fn render_expr(expr: &Expr, parent_prec: u8) -> String {
     match expr {
         Expr::Literal(lit) => literal_to_string(lit),
-        Expr::Variable(v) => v.clone(),
+        Expr::Variable(v) => ident(v).into_owned(),
         Expr::Parameter(p) => format!("${p}"),
-        Expr::Property(base, key) => format!("{}.{key}", render_expr(base, 10)),
+        Expr::Property(base, key) => format!("{}.{}", render_expr(base, 10), ident(key)),
         Expr::Unary(op, inner) => {
             let rendered = render_expr(inner, 9);
             let text = match op {
@@ -274,7 +299,7 @@ fn render_expr(expr: &Expr, parent_prec: u8) -> String {
         Expr::Map(entries) => {
             let body = entries
                 .iter()
-                .map(|(k, v)| format!("{k}: {}", render_expr(v, 0)))
+                .map(|(k, v)| format!("{}: {}", ident(k), render_expr(v, 0)))
                 .collect::<Vec<_>>()
                 .join(", ");
             format!("{{{body}}}")
@@ -403,6 +428,28 @@ mod tests {
     fn prints_relationship_variants() {
         let q = parse_query("MATCH (a)-[*]->(b)<-[r:X|Y]-(c)--(d) RETURN a").unwrap();
         assert_eq!(query_to_string(&q), "MATCH (a)-[*]->(b)<-[r:X|Y]-(c)--(d) RETURN a");
+    }
+
+    #[test]
+    fn names_that_need_quoting_round_trip() {
+        round_trip("MATCH (n) WHERE n.`first name` = 'x' RETURN n.`first name` AS `the name`");
+        round_trip("MATCH (n:`Big Person`)-[r:`KNOWS WELL`|X]->(m:`MATCH`) RETURN n, r, m");
+        round_trip("MATCH (`1n` {`a-b`: 1}) RETURN `1n`");
+        round_trip("MATCH (n:`Größe`) WITH n AS `return` RETURN `return`.`Größe`");
+        round_trip("MATCH `p q` = (a)-[]->(b) UNWIND [1] AS `x y` RETURN {`k v`: `x y`}");
+        round_trip("MATCH (n:``) RETURN n");
+        let q = parse_query("MATCH (`n`:`Person`) RETURN `n`.`name`").unwrap();
+        assert_eq!(query_to_string(&q), "MATCH (n:Person) RETURN n.name", "plain names stay bare");
+    }
+
+    #[test]
+    fn idents_are_quoted_exactly_when_needed() {
+        for bare in ["n", "_x", "Person", "a1_b", "MATCHES", "countx"] {
+            assert_eq!(ident(bare), bare);
+        }
+        for quoted in ["", "1n", "first name", "a-b", "Größe", "match", "RETURN", "Count"] {
+            assert_eq!(ident(quoted), format!("`{quoted}`"));
+        }
     }
 
     #[test]

@@ -162,43 +162,48 @@ impl TokenKind {
     /// Cypher keywords are matched case-insensitively. `COUNT` is kept as a
     /// keyword because `COUNT(*)` needs special parsing.
     pub fn keyword_from_str(ident: &str) -> Option<TokenKind> {
-        let upper = ident.to_ascii_uppercase();
-        let kind = match upper.as_str() {
-            "MATCH" => TokenKind::Match,
-            "OPTIONAL" => TokenKind::Optional,
-            "WHERE" => TokenKind::Where,
-            "RETURN" => TokenKind::Return,
-            "WITH" => TokenKind::With,
-            "UNWIND" => TokenKind::Unwind,
-            "AS" => TokenKind::As,
-            "UNION" => TokenKind::Union,
-            "ALL" => TokenKind::All,
-            "DISTINCT" => TokenKind::Distinct,
-            "ORDER" => TokenKind::Order,
-            "BY" => TokenKind::By,
-            "ASC" | "ASCENDING" => TokenKind::Asc,
-            "DESC" | "DESCENDING" => TokenKind::Desc,
-            "LIMIT" => TokenKind::Limit,
-            "SKIP" => TokenKind::Skip,
-            "AND" => TokenKind::And,
-            "OR" => TokenKind::Or,
-            "XOR" => TokenKind::Xor,
-            "NOT" => TokenKind::Not,
-            "IN" => TokenKind::In,
-            "IS" => TokenKind::Is,
-            "NULL" => TokenKind::Null,
-            "TRUE" => TokenKind::True,
-            "FALSE" => TokenKind::False,
-            "EXISTS" => TokenKind::Exists,
-            "STARTS" => TokenKind::Starts,
-            "ENDS" => TokenKind::Ends,
-            "CONTAINS" => TokenKind::Contains,
-            "CASE" => TokenKind::Case,
-            "WHEN" => TokenKind::When,
-            "THEN" => TokenKind::Then,
-            "ELSE" => TokenKind::Else,
-            "END" => TokenKind::End,
-            "COUNT" => TokenKind::Count,
+        // Every keyword is ASCII and at most 10 bytes long: upper-case into a
+        // stack buffer instead of allocating.
+        let mut buffer = [0u8; 10];
+        let upper = buffer.get_mut(..ident.len())?;
+        upper.copy_from_slice(ident.as_bytes());
+        upper.make_ascii_uppercase();
+        let kind = match &*upper {
+            b"MATCH" => TokenKind::Match,
+            b"OPTIONAL" => TokenKind::Optional,
+            b"WHERE" => TokenKind::Where,
+            b"RETURN" => TokenKind::Return,
+            b"WITH" => TokenKind::With,
+            b"UNWIND" => TokenKind::Unwind,
+            b"AS" => TokenKind::As,
+            b"UNION" => TokenKind::Union,
+            b"ALL" => TokenKind::All,
+            b"DISTINCT" => TokenKind::Distinct,
+            b"ORDER" => TokenKind::Order,
+            b"BY" => TokenKind::By,
+            b"ASC" | b"ASCENDING" => TokenKind::Asc,
+            b"DESC" | b"DESCENDING" => TokenKind::Desc,
+            b"LIMIT" => TokenKind::Limit,
+            b"SKIP" => TokenKind::Skip,
+            b"AND" => TokenKind::And,
+            b"OR" => TokenKind::Or,
+            b"XOR" => TokenKind::Xor,
+            b"NOT" => TokenKind::Not,
+            b"IN" => TokenKind::In,
+            b"IS" => TokenKind::Is,
+            b"NULL" => TokenKind::Null,
+            b"TRUE" => TokenKind::True,
+            b"FALSE" => TokenKind::False,
+            b"EXISTS" => TokenKind::Exists,
+            b"STARTS" => TokenKind::Starts,
+            b"ENDS" => TokenKind::Ends,
+            b"CONTAINS" => TokenKind::Contains,
+            b"CASE" => TokenKind::Case,
+            b"WHEN" => TokenKind::When,
+            b"THEN" => TokenKind::Then,
+            b"ELSE" => TokenKind::Else,
+            b"END" => TokenKind::End,
+            b"COUNT" => TokenKind::Count,
             _ => return None,
         };
         Some(kind)
@@ -289,6 +294,10 @@ mod tests {
         assert_eq!(TokenKind::keyword_from_str("RETURN"), Some(TokenKind::Return));
         assert_eq!(TokenKind::keyword_from_str("ascending"), Some(TokenKind::Asc));
         assert_eq!(TokenKind::keyword_from_str("person"), None);
+        assert_eq!(TokenKind::keyword_from_str("DescendinG"), Some(TokenKind::Desc));
+        assert_eq!(TokenKind::keyword_from_str("descendings"), None);
+        assert_eq!(TokenKind::keyword_from_str("Größe"), None);
+        assert_eq!(TokenKind::keyword_from_str(""), None);
     }
 
     #[test]

@@ -4,58 +4,67 @@
 //! auxiliary variables; theory atoms (equalities, inequalities, boolean
 //! variables) become propositional variables whose meaning the lazy DPLL(T)
 //! loop later checks with the theory solvers.
+//!
+//! The transformation walks the [`TermStore`] ids of the formula and keys
+//! atoms by id, so a shared atom is found by one integer probe. `=>` and
+//! `ite` are rewritten into `or`/`and` through the store's smart
+//! constructors, which mirror [`Term::not`](crate::Term::not),
+//! [`Term::or`](crate::Term::or) and [`Term::and`](crate::Term::and): the
+//! clauses and their variable numbering are those of the same rewrite on
+//! `Term` trees.
 
 use std::collections::HashMap;
 
 use crate::sat::{Lit, SatSolver};
-use crate::term::Term;
+use crate::store::{Node, TermId, TermStore};
 
 /// The result of abstracting a formula: the SAT solver is loaded with the
-/// CNF, and `atoms` maps each propositional variable back to its theory atom.
+/// CNF, and `atoms` names the theory atom of each atom variable.
 #[derive(Debug, Default)]
-pub struct Abstraction {
-    /// Theory atom of each propositional variable (if the variable stands for
-    /// an atom rather than a Tseitin auxiliary).
-    pub atoms: HashMap<usize, Term>,
-    atom_vars: HashMap<Term, usize>,
+pub(crate) struct Abstraction {
+    /// `(propositional variable, theory atom)` in allocation order.
+    pub(crate) atoms: Vec<(usize, TermId)>,
+    atom_vars: HashMap<TermId, usize>,
 }
 
 impl Abstraction {
-    /// Creates an empty abstraction.
-    pub fn new() -> Self {
-        Abstraction::default()
-    }
-
     /// Encodes `formula` and asserts it (top-level) into `solver`.
-    pub fn assert_formula(&mut self, solver: &mut SatSolver, formula: &Term) {
-        let literal = self.encode(solver, formula);
+    pub(crate) fn assert_formula(
+        &mut self,
+        store: &mut TermStore,
+        solver: &mut SatSolver,
+        formula: TermId,
+    ) {
+        let literal = self.encode(store, solver, formula);
         solver.add_clause(vec![literal]);
     }
 
     /// Returns the propositional variable of a theory atom, allocating one if
     /// needed.
-    fn atom_var(&mut self, solver: &mut SatSolver, atom: &Term) -> usize {
-        if let Some(&var) = self.atom_vars.get(atom) {
+    fn atom_var(&mut self, solver: &mut SatSolver, atom: TermId) -> usize {
+        if let Some(&var) = self.atom_vars.get(&atom) {
             return var;
         }
         let var = solver.new_var();
-        self.atom_vars.insert(atom.clone(), var);
-        self.atoms.insert(var, atom.clone());
+        self.atom_vars.insert(atom, var);
+        self.atoms.push((var, atom));
         var
     }
 
     /// Encodes a formula, returning a literal equivalent to it.
-    fn encode(&mut self, solver: &mut SatSolver, formula: &Term) -> Lit {
-        match formula {
-            Term::BoolConst(b) => {
+    fn encode(&mut self, store: &mut TermStore, solver: &mut SatSolver, formula: TermId) -> Lit {
+        match *store.node(formula) {
+            Node::BoolConst(b) => {
                 // A fresh variable pinned to the constant.
                 let var = solver.new_var();
-                solver.add_clause(vec![Lit::new(var, *b)]);
+                solver.add_clause(vec![Lit::new(var, b)]);
                 Lit::new(var, true)
             }
-            Term::Not(inner) => self.encode(solver, inner).negated(),
-            Term::And(items) => {
-                let literals: Vec<Lit> = items.iter().map(|i| self.encode(solver, i)).collect();
+            Node::Not(inner) => self.encode(store, solver, inner).negated(),
+            Node::And(ref items) => {
+                let items = items.to_vec();
+                let literals: Vec<Lit> =
+                    items.into_iter().map(|item| self.encode(store, solver, item)).collect();
                 let output = Lit::new(solver.new_var(), true);
                 // output -> each literal.
                 for literal in &literals {
@@ -67,8 +76,10 @@ impl Abstraction {
                 solver.add_clause(clause);
                 output
             }
-            Term::Or(items) => {
-                let literals: Vec<Lit> = items.iter().map(|i| self.encode(solver, i)).collect();
+            Node::Or(ref items) => {
+                let items = items.to_vec();
+                let literals: Vec<Lit> =
+                    items.into_iter().map(|item| self.encode(store, solver, item)).collect();
                 let output = Lit::new(solver.new_var(), true);
                 // each literal -> output.
                 for literal in &literals {
@@ -80,20 +91,21 @@ impl Abstraction {
                 solver.add_clause(clause);
                 output
             }
-            Term::Implies(lhs, rhs) => {
-                let encoded = Term::or(vec![Term::not((**lhs).clone()), (**rhs).clone()]);
-                self.encode(solver, &encoded)
+            Node::Implies(lhs, rhs) => {
+                let not_lhs = store.mk_not(lhs);
+                let encoded = store.mk_or(&[not_lhs, rhs]);
+                self.encode(store, solver, encoded)
             }
-            Term::Ite(cond, then_branch, else_branch) => {
-                let encoded = Term::and(vec![
-                    Term::or(vec![Term::not((**cond).clone()), (**then_branch).clone()]),
-                    Term::or(vec![(**cond).clone(), (**else_branch).clone()]),
-                ]);
-                self.encode(solver, &encoded)
+            Node::Ite(cond, then_branch, else_branch) => {
+                let not_cond = store.mk_not(cond);
+                let then_clause = store.mk_or(&[not_cond, then_branch]);
+                let else_clause = store.mk_or(&[cond, else_branch]);
+                let encoded = store.mk_and(&[then_clause, else_clause]);
+                self.encode(store, solver, encoded)
             }
             // Anything else is a theory atom (boolean variable, equality,
             // inequality).
-            atom => Lit::new(self.atom_var(solver, atom), true),
+            _ => Lit::new(self.atom_var(solver, formula), true),
         }
     }
 }
@@ -102,11 +114,14 @@ impl Abstraction {
 mod tests {
     use super::*;
     use crate::sat::SatOutcome;
+    use crate::term::Term;
 
     fn solve(formula: &Term) -> SatOutcome {
+        let mut store = TermStore::default();
         let mut solver = SatSolver::new();
-        let mut abstraction = Abstraction::new();
-        abstraction.assert_formula(&mut solver, formula);
+        let mut abstraction = Abstraction::default();
+        let formula = store.intern(formula);
+        abstraction.assert_formula(&mut store, &mut solver, formula);
         solver.solve()
     }
 
@@ -144,10 +159,11 @@ mod tests {
     #[test]
     fn atoms_are_shared() {
         let atom = Term::eq(Term::int_var("x"), Term::int(1));
+        let mut store = TermStore::default();
         let mut solver = SatSolver::new();
-        let mut abstraction = Abstraction::new();
-        abstraction
-            .assert_formula(&mut solver, &Term::or(vec![atom.clone(), Term::not(atom.clone())]));
+        let mut abstraction = Abstraction::default();
+        let formula = store.intern(&Term::or(vec![atom.clone(), Term::not(atom)]));
+        abstraction.assert_formula(&mut store, &mut solver, formula);
         // The same atom must map to a single propositional variable.
         assert_eq!(abstraction.atoms.len(), 1);
     }

@@ -12,10 +12,17 @@
 //!
 //! * [`sat`] — a CDCL SAT solver (watched literals, 1UIP learning,
 //!   non-chronological backjumping);
-//! * [`cnf`] — Tseitin transformation with theory-atom abstraction;
-//! * [`euf`] — congruence closure;
-//! * [`lia`] — Fourier–Motzkin based consistency with integer case splits;
+//! * `store` — the thread's term store: hash-consed term nodes over
+//!   interned symbols, which every check runs on;
+//! * `cnf` — Tseitin transformation with theory-atom abstraction;
+//! * `euf` — congruence closure;
+//! * `lia` — Fourier–Motzkin based consistency with integer case splits;
 //! * [`solver`] — the combination loop and the public [`Solver`] API.
+//!
+//! [`Term`] is the construction API. [`Solver::check`] interns its
+//! assertions into the store once, and the abstraction and both theory
+//! solvers work on the store's integer ids, never on `Term` trees or their
+//! renderings.
 //!
 //! `Unsat` answers are sound; `Sat` answers may over-approximate (see the
 //! module docs of [`solver`]), which can only make the equivalence prover
@@ -34,15 +41,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cnf;
-pub mod euf;
-pub mod lia;
+mod cnf;
+mod euf;
+mod lia;
 pub mod sat;
 pub mod solver;
+mod store;
 pub mod term;
 
-pub use euf::{CongruenceClosure, TheoryResult};
-pub use lia::{LiaProblem, LinearConstraint};
 pub use sat::{Lit, SatOutcome, SatSolver};
 pub use solver::{
     check_formula, check_formula_cached, clear_formula_cache, formula_cache_len,

@@ -8,15 +8,26 @@
 //! Nelson–Oppen combination and the LIA checker is rational-complete only),
 //! which affects completeness of the equivalence prover, never its soundness
 //! — mirroring §VI of the paper.
+//!
+//! [`Solver::check`] interns its assertions into a term store once (see the
+//! `store` module): the thread's store when the formula cache is on, whose
+//! key is the sorted assertion ids, and a store of the check's own when it
+//! is off. On a cache miss, and on every uncached check, the DPLL(T) loop
+//! runs on those ids: the Tseitin abstraction keys atoms by id, congruence
+//! closure compares ids, and an opaque sub-term of an arithmetic atom (an
+//! uninterpreted application, a value variable) enters Fourier–Motzkin as
+//! the variable named by its id. The cache keeps answers on ids too; only
+//! the [`Model`] handed to the caller turns ids back into [`Term`]s.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cnf::Abstraction;
 use crate::euf::{CongruenceClosure, TheoryResult};
 use crate::lia::{LiaProblem, LinearConstraint};
 use crate::sat::{Lit, SatOutcome, SatSolver};
+use crate::store::{self, Node, TermId, TermStore};
 use crate::term::{SortTag, Term};
 
 /// The result of an SMT check.
@@ -62,73 +73,35 @@ pub struct Solver {
     pub use_cache: bool,
 }
 
-/// A dense id of a hash-consed term in the calling thread's interner.
-/// Structurally equal terms intern to equal ids, so id equality *is*
-/// structural equality (within one thread, between interner clears).
-type TermId = u32;
+/// A check's answer on store ids: a `Sat` answer's model atoms stay ids
+/// until [`Answer::externalize`] builds the caller's [`SmtResult`].
+#[derive(Debug)]
+enum Answer {
+    Sat(Box<[(TermId, bool)]>),
+    Unsat,
+    Unknown,
+}
 
-/// The hash-consing key of one term node: every child is already an interned
-/// id, so hashing and comparing a node never walks a subtree twice.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum TermKey {
-    BoolConst(bool),
-    IntConst(i64),
-    Var(String, SortTag),
-    App(String, Vec<TermId>),
-    Eq(TermId, TermId),
-    Le(TermId, TermId),
-    Add(Vec<TermId>),
-    MulConst(i64, TermId),
-    Not(TermId),
-    And(Vec<TermId>),
-    Or(Vec<TermId>),
-    Implies(TermId, TermId),
-    Ite(TermId, TermId, TermId),
+impl Answer {
+    fn externalize(&self, store: &TermStore) -> SmtResult {
+        match self {
+            Answer::Sat(atoms) => {
+                let atoms = atoms.iter().map(|&(atom, value)| (store.term(atom), value)).collect();
+                SmtResult::Sat(Model { atoms })
+            }
+            Answer::Unsat => SmtResult::Unsat,
+            Answer::Unknown => SmtResult::Unknown,
+        }
+    }
 }
 
 thread_local! {
-    /// The thread's term interner: hash-consed [`TermKey`] nodes to dense
-    /// [`TermId`]s. Interning a term walks it bottom-up exactly once; shared
-    /// subtrees across assertions (ubiquitous in the decision procedure's
-    /// permutation retries) resolve to the same id without re-walking.
-    static TERM_INTERNER: RefCell<HashMap<TermKey, TermId>> = RefCell::new(HashMap::new());
-
-    /// Formula-level result cache, keyed by the **sorted interned-id set** of
-    /// the asserted formulas. Since PR 8 the key is a boxed id slice instead
-    /// of an owned `Vec<Term>` per entry: probing compares a few `u32`s
-    /// (id equality is structural equality by hash-consing), where the old
-    /// scheme deep-sorted `&Term`s and structurally verified every bucket
-    /// entry. `Unknown` results are not cached (they depend on the iteration
-    /// budget, which is not part of the key).
-    static FORMULA_CACHE: RefCell<HashMap<Box<[TermId]>, SmtResult>> = RefCell::new(HashMap::new());
-}
-
-/// Interns `term` in the calling thread's interner, returning its id.
-fn intern_term(term: &Term) -> TermId {
-    let key = match term {
-        Term::BoolConst(b) => TermKey::BoolConst(*b),
-        Term::IntConst(v) => TermKey::IntConst(*v),
-        Term::Var(name, sort) => TermKey::Var(name.clone(), *sort),
-        Term::App(name, args) => TermKey::App(name.clone(), args.iter().map(intern_term).collect()),
-        Term::Eq(lhs, rhs) => TermKey::Eq(intern_term(lhs), intern_term(rhs)),
-        Term::Le(lhs, rhs) => TermKey::Le(intern_term(lhs), intern_term(rhs)),
-        Term::Add(items) => TermKey::Add(items.iter().map(intern_term).collect()),
-        Term::MulConst(c, inner) => TermKey::MulConst(*c, intern_term(inner)),
-        Term::Not(inner) => TermKey::Not(intern_term(inner)),
-        Term::And(items) => TermKey::And(items.iter().map(intern_term).collect()),
-        Term::Or(items) => TermKey::Or(items.iter().map(intern_term).collect()),
-        Term::Implies(lhs, rhs) => TermKey::Implies(intern_term(lhs), intern_term(rhs)),
-        Term::Ite(c, t, e) => TermKey::Ite(intern_term(c), intern_term(t), intern_term(e)),
-    };
-    TERM_INTERNER.with(|interner| {
-        let mut interner = interner.borrow_mut();
-        if let Some(id) = interner.get(&key) {
-            return *id;
-        }
-        let id = interner.len() as TermId;
-        interner.insert(key, id);
-        id
-    })
+    /// Formula-level result cache, keyed by the **sorted term-store id set**
+    /// of the asserted formulas: id equality is structural equality by
+    /// hash-consing, so a probe compares a few `u32`s. `Unknown` answers are
+    /// not cached (they depend on the iteration budget, which is not part of
+    /// the key).
+    static FORMULA_CACHE: RefCell<HashMap<Box<[TermId]>, Answer>> = RefCell::new(HashMap::new());
 }
 
 /// Lifetime hit counter of the formula cache, summed over all threads.
@@ -149,13 +122,13 @@ pub fn reset_formula_cache_stats() {
 }
 
 /// Drops every entry of the calling thread's formula cache **and** its term
-/// interner (cache keys are interner ids, so the two live and die together).
+/// store (cache keys are store ids, so the two live and die together).
 /// Part of the epoch-based eviction story: long-running batch workers call
 /// this (through `liastar::reset_thread_caches`) so solver memory stops
 /// growing monotonically.
 pub fn clear_formula_cache() {
     FORMULA_CACHE.with(|cache| cache.borrow_mut().clear());
-    TERM_INTERNER.with(|interner| interner.borrow_mut().clear());
+    store::drop_thread_store();
 }
 
 /// Number of entries in the calling thread's formula cache.
@@ -182,10 +155,12 @@ impl Solver {
 
     /// Checks satisfiability of the asserted formulas.
     ///
-    /// With [`Solver::use_cache`] the result is memoized under the sorted
-    /// set of hash-consed assertion ids, so re-checking the same formula set
+    /// The assertions are interned into a term store once. With
+    /// [`Solver::use_cache`] that is the thread's store, and the result is
+    /// memoized under their sorted ids, so re-checking the same formula set
     /// — ubiquitous across the decision procedure's permutation retries — is
-    /// one bottom-up interning walk plus a small-integer-slice hash lookup.
+    /// one interning walk plus a small-integer-slice hash lookup. Without
+    /// it, the check runs on a store of its own, so nothing outlives it.
     pub fn check(&self) -> SmtResult {
         // Fault injection (test-only, inert unless armed): a forced `Unknown`
         // is reported *before* the cache probe, so the injected failure can
@@ -194,66 +169,82 @@ impl Solver {
             return SmtResult::Unknown;
         }
         if !self.use_cache {
-            return self.check_inner();
+            let mut store = TermStore::default();
+            let ids = self.intern(&mut store);
+            return self.solve(&mut store, &ids).externalize(&store);
         }
-        // Hash-cons every assertion, then sort the ids for order
-        // insensitivity. Id equality is structural equality, so the probe
-        // needs neither a deep `Term` sort nor structural verification.
-        let mut ids: Vec<TermId> = self.assertions.iter().map(intern_term).collect();
-        ids.sort_unstable();
-        let hit = FORMULA_CACHE.with(|cache| cache.borrow().get(ids.as_slice()).cloned());
-        if let Some(result) = hit {
-            FORMULA_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return result;
-        }
-        FORMULA_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        let result = self.check_inner();
-        if !matches!(result, SmtResult::Unknown) {
-            FORMULA_CACHE
-                .with(|cache| cache.borrow_mut().insert(ids.into_boxed_slice(), result.clone()));
-        }
-        result
+        store::with_thread_store(|store| {
+            let ids = self.intern(store);
+            // Sort the ids for order insensitivity (a copy, unless they are
+            // sorted already, as one assertion always is). Id equality is
+            // structural equality, so the probe needs no structural
+            // verification.
+            let mut sorted = Vec::new();
+            let key = if ids.is_sorted() {
+                ids.as_slice()
+            } else {
+                sorted.extend_from_slice(&ids);
+                sorted.sort_unstable();
+                sorted.as_slice()
+            };
+            let hit = FORMULA_CACHE
+                .with(|cache| cache.borrow().get(key).map(|answer| answer.externalize(store)));
+            if let Some(result) = hit {
+                FORMULA_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+                return result;
+            }
+            FORMULA_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+            let answer = self.solve(store, &ids);
+            let result = answer.externalize(store);
+            if !matches!(answer, Answer::Unknown) {
+                FORMULA_CACHE.with(|cache| cache.borrow_mut().insert(key.into(), answer));
+            }
+            result
+        })
     }
 
-    /// The uncached check (the actual lazy DPLL(T) loop).
-    fn check_inner(&self) -> SmtResult {
-        let formula = Term::and(self.assertions.clone());
-        if formula == Term::tt() {
-            return SmtResult::Sat(Model::default());
-        }
-        if formula == Term::ff() {
-            return SmtResult::Unsat;
+    /// The store ids of the assertions, in assertion order.
+    fn intern(&self, store: &mut TermStore) -> Vec<TermId> {
+        self.assertions.iter().map(|assertion| store.intern(assertion)).collect()
+    }
+
+    /// The lazy DPLL(T) loop on the interned assertions (in assertion
+    /// order, which fixes the propositional variable numbering).
+    fn solve(&self, store: &mut TermStore, assertions: &[TermId]) -> Answer {
+        let formula = store.mk_and(assertions);
+        match store.node(formula) {
+            Node::BoolConst(true) => return Answer::Sat(Box::default()),
+            Node::BoolConst(false) => return Answer::Unsat,
+            _ => {}
         }
         let mut sat = SatSolver::new();
-        let mut abstraction = Abstraction::new();
-        abstraction.assert_formula(&mut sat, &formula);
+        let mut abstraction = Abstraction::default();
+        abstraction.assert_formula(store, &mut sat, formula);
 
+        let mut literals: Vec<(usize, TermId, bool)> = Vec::new();
         for _ in 0..self.max_iterations {
             // Cooperative budget/deadline checkpoint: each CDCL(T) refinement
             // iteration charges the ambient RunToken's SMT step budget. On a
             // trip the solver degrades to `Unknown`, which every caller
             // already treats conservatively (and which is never cached).
             if limits::smt_step().is_err() {
-                return SmtResult::Unknown;
+                return Answer::Unknown;
             }
             match sat.solve() {
-                SatOutcome::Unsat => return SmtResult::Unsat,
+                SatOutcome::Unsat => return Answer::Unsat,
                 SatOutcome::Sat(assignment) => {
                     // Collect the theory literals implied by this model.
-                    let mut literals: Vec<(usize, Term, bool)> = Vec::new();
-                    for (&var, atom) in &abstraction.atoms {
-                        if var < assignment.len() {
-                            literals.push((var, atom.clone(), assignment[var]));
-                        }
-                    }
-                    if theory_consistent(&literals) {
-                        let model = Model {
-                            atoms: literals
-                                .into_iter()
-                                .map(|(_, atom, value)| (atom, value))
-                                .collect(),
-                        };
-                        return SmtResult::Sat(model);
+                    literals.clear();
+                    literals.extend(
+                        abstraction
+                            .atoms
+                            .iter()
+                            .filter(|(var, _)| *var < assignment.len())
+                            .map(|&(var, atom)| (var, atom, assignment[var])),
+                    );
+                    if theory_consistent(store, &literals) {
+                        let atoms = literals.iter().map(|&(_, atom, value)| (atom, value));
+                        return Answer::Sat(atoms.collect());
                     }
                     // Refute this boolean model: at least one theory literal
                     // must flip.
@@ -263,7 +254,7 @@ impl Solver {
                 }
             }
         }
-        SmtResult::Unknown
+        Answer::Unknown
     }
 }
 
@@ -298,88 +289,80 @@ pub fn is_valid_cached(formula: Term) -> bool {
 
 /// Checks the conjunction of the given theory literals with the EUF and LIA
 /// solvers.
-fn theory_consistent(literals: &[(usize, Term, bool)]) -> bool {
-    let mut euf = CongruenceClosure::new();
-    let mut lia = LiaProblem::new();
+fn theory_consistent(store: &TermStore, literals: &[(usize, TermId, bool)]) -> bool {
+    let mut euf = CongruenceClosure::default();
+    let mut lia = LiaProblem::default();
 
-    for (_, atom, value) in literals {
-        match atom {
-            Term::Eq(lhs, rhs) => {
-                if *value {
-                    euf.assert_eq(lhs, rhs);
+    for &(_, atom, value) in literals {
+        match *store.node(atom) {
+            Node::Eq(lhs, rhs) => {
+                if value {
+                    euf.assert_eq(store, lhs, rhs);
                 } else {
-                    euf.assert_neq(lhs, rhs);
+                    euf.assert_neq(store, lhs, rhs);
                 }
-                if is_arithmetic(lhs) || is_arithmetic(rhs) {
-                    let constraint = linear_difference(lhs, rhs);
-                    if *value {
+                if is_arithmetic(store, lhs) || is_arithmetic(store, rhs) {
+                    let constraint = linear_difference(store, lhs, rhs);
+                    if value {
                         lia.add_eq(constraint);
                     } else {
                         lia.add_neq(constraint);
                     }
                 }
             }
-            Term::Le(lhs, rhs) => {
-                let constraint = linear_difference(lhs, rhs);
-                if *value {
-                    lia.add_le(constraint);
+            Node::Le(lhs, rhs) => {
+                if value {
+                    lia.add_le(linear_difference(store, lhs, rhs));
                 } else {
                     // ¬(lhs ≤ rhs) ⇔ rhs + 1 ≤ lhs over the integers.
-                    let flipped = linear_difference(rhs, lhs);
-                    lia.add_le(LinearConstraint {
-                        coefficients: flipped.coefficients,
-                        constant: flipped.constant - 1,
-                    });
+                    let mut flipped = linear_difference(store, rhs, lhs);
+                    flipped.constant -= 1;
+                    lia.add_le(flipped);
                 }
             }
             // Pure boolean atoms impose no theory constraints.
             _ => {}
         }
     }
-    euf.check() == TheoryResult::Consistent && lia.check() == TheoryResult::Consistent
+    euf.check(store) == TheoryResult::Consistent && lia.check() == TheoryResult::Consistent
 }
 
 /// Returns `true` if the term belongs to the arithmetic fragment.
-fn is_arithmetic(term: &Term) -> bool {
+fn is_arithmetic(store: &TermStore, term: TermId) -> bool {
     matches!(
-        term,
-        Term::IntConst(_) | Term::Add(_) | Term::MulConst(_, _) | Term::Var(_, SortTag::Int)
+        store.node(term),
+        Node::IntConst(_) | Node::Add(_) | Node::MulConst(_, _) | Node::Var(_, SortTag::Int)
     )
 }
 
 /// Linearizes `lhs - rhs` into a [`LinearConstraint`] with constant moved to
 /// the right-hand side: `lhs ≤ rhs` becomes `Σ coeff·var ≤ constant`.
-/// Non-arithmetic sub-terms (uninterpreted applications, value variables) are
-/// treated as opaque integer variables named by their rendering.
-fn linear_difference(lhs: &Term, rhs: &Term) -> LinearConstraint {
-    let mut coefficients: BTreeMap<String, i64> = BTreeMap::new();
+/// Variables and non-arithmetic sub-terms (uninterpreted applications, value
+/// variables) are opaque integer variables named by their term id.
+fn linear_difference(store: &TermStore, lhs: TermId, rhs: TermId) -> LinearConstraint {
+    let mut coefficients = Vec::new();
     let mut constant: i64 = 0;
-    accumulate(lhs, 1, &mut coefficients, &mut constant);
-    accumulate(rhs, -1, &mut coefficients, &mut constant);
-    coefficients.retain(|_, c| *c != 0);
-    LinearConstraint { coefficients, constant: -constant }
+    accumulate(store, lhs, 1, &mut coefficients, &mut constant);
+    accumulate(store, rhs, -1, &mut coefficients, &mut constant);
+    LinearConstraint::new(coefficients, -constant)
 }
 
 fn accumulate(
-    term: &Term,
+    store: &TermStore,
+    term: TermId,
     sign: i64,
-    coefficients: &mut BTreeMap<String, i64>,
+    coefficients: &mut Vec<(TermId, i64)>,
     constant: &mut i64,
 ) {
-    match term {
-        Term::IntConst(v) => *constant += sign * v,
-        Term::Add(items) => {
-            for item in items {
-                accumulate(item, sign, coefficients, constant);
+    match *store.node(term) {
+        Node::IntConst(v) => *constant += sign * v,
+        Node::Add(ref items) => {
+            for &item in items.iter() {
+                accumulate(store, item, sign, coefficients, constant);
             }
         }
-        Term::MulConst(c, inner) => accumulate(inner, sign * c, coefficients, constant),
-        Term::Var(name, _) => {
-            *coefficients.entry(name.clone()).or_insert(0) += sign;
-        }
-        other => {
-            *coefficients.entry(other.to_string()).or_insert(0) += sign;
-        }
+        Node::MulConst(c, inner) => accumulate(store, inner, sign * c, coefficients, constant),
+        _ => coefficients.push((term, sign)),
     }
 }
 
@@ -490,6 +473,35 @@ mod tests {
         let formula =
             Term::and(vec![Term::le(fx.clone(), Term::int(3)), Term::ge(fx, Term::int(5))]);
         assert!(check_formula(formula).is_unsat());
+    }
+
+    #[test]
+    fn distinct_terms_that_render_alike_are_distinct_lia_variables() {
+        // `size(coalesce(a, 'p(), const:s:q'))` and `size(coalesce(a, 'p', 'q'))`
+        // both render as `fn:size(fn:coalesce(prop:a(e0), const:s:p(), const:s:q()))`.
+        let size_of = |args: Vec<Term>| {
+            let a = Term::App("prop:a".into(), vec![Term::value_var("e0")]);
+            let coalesce = Term::App("fn:coalesce".into(), [vec![a], args].concat());
+            Term::App("fn:size".into(), vec![coalesce])
+        };
+        let constant = |name: &str| Term::App(name.into(), vec![]);
+        let t1 = size_of(vec![constant("const:s:p(), const:s:q")]);
+        let t2 = size_of(vec![constant("const:s:p"), constant("const:s:q")]);
+        assert_eq!(t1.to_string(), t2.to_string(), "test premise: the renderings collide");
+        let formula = Term::and(vec![Term::le(t1, Term::int(3)), Term::ge(t2, Term::int(5))]);
+        assert!(check_formula(formula.clone()).is_sat());
+        assert!(check_formula_cached(formula.clone()).is_sat());
+        assert!(check_formula_cached(formula).is_sat());
+    }
+
+    #[test]
+    fn same_named_variables_of_different_sorts_are_distinct() {
+        let formula = Term::and(vec![
+            Term::le(Term::int_var("v"), Term::int(3)),
+            Term::ge(Term::App("f".into(), vec![Term::value_var("v")]), Term::int(5)),
+            Term::ge(Term::value_var("v"), Term::int(5)),
+        ]);
+        assert!(check_formula(formula).is_sat());
     }
 
     #[test]

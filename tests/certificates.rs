@@ -231,16 +231,27 @@ fn certificates_do_not_depend_on_cache_state() {
     assert_eq!(definite, 138 + 121);
 }
 
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, byte| (hash ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The FNV-1a digest of every corpus certificate's JSON text, in corpus
+/// order. A change to what the SMT solver prunes, to a derivation, or to a
+/// witness moves it.
+const CORPUS_CERTIFICATES_DIGEST: u64 = 3_505_238_202_111_675_878;
+
 /// The acceptance gate: every definite verdict across both corpora (296
 /// pairs) yields a certificate the independent checker validates — without
 /// invoking the prover — and the verdict totals stay pinned to the same
-/// expectations the benchmark gates on.
+/// expectations the benchmark gates on, as do the certificate bytes.
 #[test]
 fn full_corpus_certificates_check_green_with_pinned_verdicts() {
     let prover = GraphQE::new();
     type Corpus = (&'static str, Vec<cyeqset::QueryPair>, (usize, usize, usize));
     let corpora: [Corpus; 2] =
         [("cyeqset", cyeqset(), (138, 0, 10)), ("cyneqset", cyneqset(), (0, 121, 27))];
+    let mut digest = 0xcbf2_9ce4_8422_2325;
     for (name, pairs, expected) in corpora {
         let mut counts = (0usize, 0usize, 0usize);
         for pair in pairs {
@@ -258,7 +269,9 @@ fn full_corpus_certificates_check_green_with_pinned_verdicts() {
                     .unwrap_or_else(|| panic!("{name}/{}: definite without certificate", pair.id));
                 // Round-trip through the wire format first: what validates is
                 // what a client would actually receive.
-                let reread = Certificate::from_json(&certificate.to_json())
+                let text = certificate.to_json();
+                digest = fnv1a(digest, text.as_bytes());
+                let reread = Certificate::from_json(&text)
                     .unwrap_or_else(|e| panic!("{name}/{}: round trip failed: {e}", pair.id));
                 check_certificate(&reread).unwrap_or_else(|e| {
                     panic!("{name}/{}: checker rejected the certificate: {e:?}", pair.id)
@@ -270,6 +283,7 @@ fn full_corpus_certificates_check_green_with_pinned_verdicts() {
             "{name} (equivalent, not_equivalent, unknown) drifted under certification"
         );
     }
+    assert_eq!(digest, CORPUS_CERTIFICATES_DIGEST, "corpus certificate bytes drifted");
 }
 
 /// Ids name nodes, relationships and variables as `u32`s: a larger number
@@ -349,4 +363,37 @@ fn mutated_certificate_texts_never_panic() {
         }
     }
     assert!(decoded > 0 && rejected > 0, "decoded {decoded}, rejected {rejected}");
+}
+
+/// Names that only parse backtick-quoted — a property key with a space, a
+/// label that is a keyword or not ASCII, a variable starting with a digit —
+/// survive the certificate's printed query text: each pair certifies, and
+/// its certificate checks green after the wire round trip.
+#[test]
+fn names_that_need_backticks_certify_green() {
+    let prover = GraphQE::new();
+    let pairs = [
+        (
+            "MATCH (n) WHERE n.`first name` = 'x' AND n.age > 5 RETURN n.`first name`",
+            "MATCH (m) WHERE m.age > 5 AND m.`first name` = 'x' RETURN m.`first name`",
+            true,
+        ),
+        (
+            "MATCH (n:`Big Person`) RETURN n",
+            "MATCH (n:`Big Person`) WHERE n.age > 3 RETURN n",
+            false,
+        ),
+        ("MATCH (n:`MATCH`)-[r]->(m) RETURN m", "MATCH (m)<-[r]-(n:`MATCH`) RETURN m", true),
+        ("MATCH (`1n`) RETURN `1n`", "MATCH (x) RETURN x", true),
+        ("MATCH (`1n`) WITH `1n` RETURN `1n`", "MATCH (`1n`) RETURN `1n`", true),
+        ("MATCH (n:`Größe`) RETURN n.a", "MATCH (n:`Größe`) RETURN n.b", false),
+    ];
+    for (left, right, equivalent) in pairs {
+        let (verdict, certificate) = prover.prove_certified(left, right, true);
+        assert_eq!(verdict.is_equivalent(), equivalent, "{left} vs {right}: {verdict}");
+        assert_eq!(verdict.is_not_equivalent(), !equivalent, "{left} vs {right}: {verdict}");
+        let certificate = certificate.expect("a definite verdict carries a certificate");
+        let reread = Certificate::from_json(&certificate.to_json()).expect("round trip");
+        check_certificate(&reread).unwrap_or_else(|e| panic!("{left} vs {right}: {e:?}"));
+    }
 }

@@ -17,6 +17,13 @@ fn prover_equivalence_agrees_with_the_oracle_on_sample_pairs() {
         ("MATCH (a)-[r]->(b) RETURN a", "MATCH (b)<-[r]-(a) RETURN a"),
         ("MATCH (n) WHERE n.age > 5 AND n.age > 3 RETURN n", "MATCH (n) WHERE n.age > 5 RETURN n"),
         ("MATCH (x) WITH x.name AS name RETURN name", "MATCH (x) RETURN x.name"),
+        // Variables that only parse backtick-quoted keep their names through
+        // an unaliased WITH (the left side must not evaluate to NULLs).
+        ("MATCH (`1n`) WITH `1n` RETURN `1n`", "MATCH (`1n`) RETURN `1n`"),
+        (
+            "MATCH (`Größe`)-[r]->(`match`) WITH `match`, r RETURN `match`",
+            "MATCH (a)-[r]->(b) RETURN b",
+        ),
         // NOTE: the undirected-relationship rewrite (Table II rule 1) is not
         // cross-checked against the oracle here: like the paper's rule it
         // counts self-loop relationships twice in the UNION ALL form, so the
@@ -81,5 +88,42 @@ fn normalization_preserves_semantics_on_random_graphs() {
             };
             assert!(a.bag_equal(&b), "normalization broke {} on {graph}", pair.id);
         }
+    }
+}
+
+/// Distinct SMT terms that render alike stay distinct: the string literal
+/// `'p(), const:s:q'` encodes as a constant whose rendering, inside
+/// `coalesce`, reads like the two constants `'p', 'q'`. When the solver named
+/// arithmetic variables by rendering, the two `size(...)` bounds below shared
+/// one variable, the left WHERE clause looked unsatisfiable and each pair was
+/// "proved" equivalent to an empty query. On a node without `a` (or `name`)
+/// the left query returns a row and the right one none.
+#[test]
+fn terms_that_render_alike_do_not_prove_false_equivalences() {
+    let prover = GraphQE::new();
+    let pairs = [
+        (
+            "MATCH (n) WHERE size(coalesce(n.a, 'p(), const:s:q')) >= 5 \
+             AND size(coalesce(n.a, 'p', 'q')) <= 3 RETURN n.a",
+            "MATCH (n) WHERE n.a = 1 AND n.a = 2 RETURN n.a",
+        ),
+        (
+            "MATCH (n) WHERE size(coalesce(n.a, 'p(), const:s:q')) >= 5 \
+             AND size(coalesce(n.a, 'p', 'q')) <= 3 RETURN n",
+            "MATCH (n) WHERE n.a = 1 AND n.a = 2 RETURN n",
+        ),
+        (
+            "MATCH (n:Person) WHERE size(coalesce(n.name, 'p(), const:s:q')) >= 5 \
+             AND size(coalesce(n.name, 'p', 'q')) <= 3 RETURN n.name",
+            "MATCH (n:Person) WHERE n.name = 'x' AND n.name = 'y' RETURN n.name",
+        ),
+    ];
+    for (q1, q2) in pairs {
+        let verdict = prover.prove(q1, q2);
+        assert!(verdict.is_not_equivalent(), "{q1} vs {q2}: {verdict}");
+        let (verdict, certificate) = prover.prove_certified(q1, q2, true);
+        assert!(verdict.is_not_equivalent(), "{q1} vs {q2}: certified {verdict}");
+        let certificate = certificate.expect("a counterexample carries a certificate");
+        graphqe_checker::check_certificate(&certificate).expect("the counterexample checks green");
     }
 }
