@@ -11,8 +11,9 @@
 //! members of every object in one fixed order, so a certificate has exactly
 //! one encoding. [`Certificate::from_json`] looks members up by name: it
 //! accepts any member order and any whitespace and ignores unknown members,
-//! but rejects a member name repeated within an object and a node,
-//! relationship or variable id beyond `u32`.
+//! but rejects a member name repeated within an object, a node,
+//! relationship or variable id beyond `u32`, and trees nested deeper than
+//! [`MAX_NESTING`] (256) levels.
 
 use crate::graph::{Graph, NodeData, RelData};
 use crate::gx::{AggKind, CmpOp, Gx, GxAtom, GxConst, GxTerm, VarId};
@@ -20,6 +21,17 @@ use crate::json::{self, Elements, JsonRef, Tape};
 use crate::value::{NodeId, RelId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+
+/// The deepest nesting a certificate's trees may reach; [`Certificate::from_json`]
+/// rejects anything deeper before its decoders recurse further.
+///
+/// Each G-expression, atom, term, runtime value and proof step is one level,
+/// counted from the root of a segment's tree, of a segment's proof (a proof's
+/// summand trees nest inside it), of a result row's value, and of a graph
+/// property's value. The bound sits well above what the prover emits for the
+/// queries the parser accepts ([`cypher_parser::MAX_NESTING`] levels), and
+/// keeps the decoders' and the checker's recursion within a 2 MiB stack.
+pub const MAX_NESTING: usize = 256;
 
 /// The schema version this crate reads and writes.
 ///
@@ -268,8 +280,9 @@ impl Certificate {
     /// Parses a certificate from its JSON serialization.
     ///
     /// Members may come in any order and with any whitespace, and unknown
-    /// members are ignored; a member name repeated within an object, or a
-    /// node, relationship or variable id beyond `u32`, is an error.
+    /// members are ignored; a member name repeated within an object, a node,
+    /// relationship or variable id beyond `u32`, or a tree nested deeper than
+    /// [`MAX_NESTING`] levels is an error.
     pub fn from_json(text: &str) -> Result<Certificate, String> {
         let tape = Tape::parse(text).map_err(|e| e.to_string())?;
         decode_certificate(tape.root())
@@ -803,9 +816,9 @@ fn decode_evidence(doc: JsonRef<'_>) -> Result<Evidence, String> {
             let segments = dec_array(field(doc, "segments")?, "segments")?
                 .map(|seg| {
                     Ok(SegmentWitness {
-                        left: decode_gx(field(seg, "left")?)?,
-                        right: decode_gx(field(seg, "right")?)?,
-                        proof: decode_proof(field(seg, "proof")?)?,
+                        left: decode_gx(field(seg, "left")?, 1)?,
+                        right: decode_gx(field(seg, "right")?, 1)?,
+                        proof: decode_proof(field(seg, "proof")?, 1)?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?;
@@ -859,7 +872,9 @@ fn decode_columns(doc: JsonRef<'_>) -> Result<Vec<String>, String> {
 }
 
 fn decode_rows(doc: JsonRef<'_>) -> Result<Vec<Vec<Value>>, String> {
-    dec_array(doc, "rows")?.map(|row| dec_array(row, "row")?.map(decode_value).collect()).collect()
+    dec_array(doc, "rows")?
+        .map(|row| dec_array(row, "row")?.map(|value| decode_value(value, 1)).collect())
+        .collect()
 }
 
 fn decode_graph(doc: JsonRef<'_>) -> Result<GraphCert, String> {
@@ -869,7 +884,7 @@ fn decode_graph(doc: JsonRef<'_>) -> Result<GraphCert, String> {
             for label in dec_array(field(n, "labels")?, "labels")? {
                 labels.insert(dec_str(label, "label")?);
             }
-            Ok(NodeData { labels, properties: decode_properties(field(n, "properties")?)? })
+            Ok(NodeData { labels, properties: decode_properties(field(n, "properties")?, 1)? })
         })
         .collect::<Result<Vec<_>, String>>()?;
     let relationships = dec_array(field(doc, "relationships")?, "relationships")?
@@ -878,44 +893,45 @@ fn decode_graph(doc: JsonRef<'_>) -> Result<GraphCert, String> {
                 label: dec_str(field(r, "label")?, "label")?,
                 source: NodeId(dec_u32(field(r, "source")?, "source")?),
                 target: NodeId(dec_u32(field(r, "target")?, "target")?),
-                properties: decode_properties(field(r, "properties")?)?,
+                properties: decode_properties(field(r, "properties")?, 1)?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(GraphCert { nodes, relationships })
 }
 
-fn decode_properties(doc: JsonRef<'_>) -> Result<BTreeMap<String, Value>, String> {
+/// Decodes a property map whose values sit at nesting `level`.
+fn decode_properties(doc: JsonRef<'_>, level: usize) -> Result<BTreeMap<String, Value>, String> {
     // Inserting one by one skips the staging `Vec` a `collect` sorts.
     let mut properties = BTreeMap::new();
     for (name, value) in doc.as_object().ok_or("properties: expected an object")? {
-        properties.insert(name.to_string(), decode_value(value)?);
+        properties.insert(name.to_string(), decode_value(value, level)?);
     }
     Ok(properties)
 }
 
-/// Decodes a runtime value from its certificate encoding.
-fn decode_value(doc: JsonRef<'_>) -> Result<Value, String> {
+/// Decodes a runtime value at nesting `level` from its certificate encoding.
+fn decode_value(doc: JsonRef<'_>, level: usize) -> Result<Value, String> {
+    within_bound(level)?;
+    let items = |doc, what| -> Result<Vec<Value>, String> {
+        dec_array(doc, what)?.map(|item| decode_value(item, level + 1)).collect()
+    };
     match doc {
         JsonRef::Null => Ok(Value::Null),
         JsonRef::Bool(b) => Ok(Value::Boolean(b)),
         JsonRef::Int(i) => Ok(Value::Integer(i)),
         JsonRef::Str(s) => Ok(Value::String(s.to_string())),
-        JsonRef::Arr(items) => Ok(Value::List(items.map(decode_value).collect::<Result<_, _>>()?)),
+        JsonRef::Arr(_) => Ok(Value::List(items(doc, "list")?)),
         JsonRef::Obj(mut members) => {
             let (Some((tag, payload)), None) = (members.next(), members.next()) else {
                 return Err("tagged value: expected a single-member object".to_string());
             };
             match tag {
                 "f" => decode_float(payload).map(Value::Float),
-                "m" => Ok(Value::Map(decode_properties(payload)?)),
+                "m" => Ok(Value::Map(decode_properties(payload, level + 1)?)),
                 "n" => Ok(Value::Node(NodeId(dec_u32(payload, "node id")?))),
                 "r" => Ok(Value::Relationship(RelId(dec_u32(payload, "relationship id")?))),
-                "p" => {
-                    let items =
-                        dec_array(payload, "path")?.map(decode_value).collect::<Result<_, _>>()?;
-                    Ok(Value::Path(items))
-                }
+                "p" => Ok(Value::Path(items(payload, "path")?)),
                 other => Err(format!("unknown value tag `{other}`")),
             }
         }
@@ -927,36 +943,39 @@ fn decode_float(doc: JsonRef<'_>) -> Result<f64, String> {
     text.parse::<f64>().map_err(|_| format!("float: invalid repr `{text}`"))
 }
 
-fn decode_proof(doc: JsonRef<'_>) -> Result<Proof, String> {
+/// Decodes a segment proof at nesting `level`.
+fn decode_proof(doc: JsonRef<'_>, level: usize) -> Result<Proof, String> {
+    within_bound(level)?;
     let mut items = dec_array(doc, "proof")?;
     match items.next().and_then(JsonRef::as_str) {
         Some("identical") => Ok(Proof::Identical),
         Some("peel") => {
             let inner = items.next().ok_or("peel: missing inner proof")?;
-            Ok(Proof::Peel(Box::new(decode_proof(inner)?)))
+            Ok(Proof::Peel(Box::new(decode_proof(inner, level + 1)?)))
         }
         Some("summands") => {
             let body = items.next().ok_or("summands: missing body")?;
+            // The proof's trees nest inside it.
+            let level = level + 1;
             Ok(Proof::Summands(Box::new(SummandsProof {
-                left: decode_side(field(body, "left")?)?,
-                right: decode_side(field(body, "right")?)?,
-                matching: decode_matching(field(body, "matching")?)?,
+                left: decode_side(field(body, "left")?, level)?,
+                right: decode_side(field(body, "right")?, level)?,
+                matching: decode_matching(field(body, "matching")?, level)?,
             })))
         }
         other => Err(format!("unknown proof tag {other:?}")),
     }
 }
 
-fn decode_side(doc: JsonRef<'_>) -> Result<SideSummands, String> {
+/// Decodes one side's summand accounting, its trees at nesting `level`.
+fn decode_side(doc: JsonRef<'_>, level: usize) -> Result<SideSummands, String> {
     let kept = dec_array(field(doc, "kept")?, "kept")?
         .map(|k| {
-            let removed_atoms = dec_array(field(k, "removed_atoms")?, "removed_atoms")?
-                .map(decode_gx)
-                .collect::<Result<_, String>>()?;
+            let removed_atoms = decode_gx_list(field(k, "removed_atoms")?, level)?;
             Ok(KeptSummand {
                 index: dec_usize(field(k, "index")?, "index")?,
                 removed_atoms,
-                result: decode_gx(field(k, "result")?)?,
+                result: decode_gx(field(k, "result")?, level)?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -967,7 +986,8 @@ fn decode_side(doc: JsonRef<'_>) -> Result<SideSummands, String> {
     })
 }
 
-fn decode_matching(doc: JsonRef<'_>) -> Result<Matching, String> {
+/// Decodes a summand matching, its class representatives at nesting `level`.
+fn decode_matching(doc: JsonRef<'_>, level: usize) -> Result<Matching, String> {
     if let Some(pairs) = doc.get("bijection") {
         let pairs = dec_array(pairs, "bijection")?
             .map(|pair| {
@@ -981,9 +1001,7 @@ fn decode_matching(doc: JsonRef<'_>) -> Result<Matching, String> {
         return Ok(Matching::Bijection(pairs));
     }
     if let Some(classes) = doc.get("classes") {
-        let representatives = dec_array(field(classes, "representatives")?, "representatives")?
-            .map(decode_gx)
-            .collect::<Result<_, String>>()?;
+        let representatives = decode_gx_list(field(classes, "representatives")?, level)?;
         return Ok(Matching::Classes {
             representatives,
             left_assign: dec_usize_arr(field(classes, "left_assign")?, "left_assign")?,
@@ -1019,89 +1037,108 @@ impl<'t> Tagged<'t> {
     }
 }
 
-/// Decodes a G-expression from its tagged-array encoding.
-fn decode_gx(doc: JsonRef<'_>) -> Result<Gx, String> {
+/// Decodes a G-expression at nesting `level` from its tagged-array encoding.
+fn decode_gx(doc: JsonRef<'_>, level: usize) -> Result<Gx, String> {
+    within_bound(level)?;
     let mut gx = Tagged::read(doc, "gx")?;
+    let inner = level + 1;
     match gx.tag {
         "zero" => Ok(Gx::Zero),
         "one" => Ok(Gx::One),
         "const" => Ok(Gx::Const(dec_usize(gx.operand()?, "const")? as u64)),
-        "atom" => Ok(Gx::Atom(decode_atom(gx.operand()?)?)),
-        "nodefn" => Ok(Gx::NodeFn(decode_term(gx.operand()?)?)),
-        "relfn" => Ok(Gx::RelFn(decode_term(gx.operand()?)?)),
-        "labfn" => {
-            Ok(Gx::LabFn(decode_term(gx.operand()?)?, dec_str(gx.operand()?, "labfn label")?))
-        }
-        "unbounded" => Ok(Gx::Unbounded(decode_term(gx.operand()?)?)),
-        "mul" => Ok(Gx::Mul(decode_gx_list(gx.operand()?)?)),
-        "add" => Ok(Gx::Add(decode_gx_list(gx.operand()?)?)),
-        "squash" => Ok(Gx::Squash(Box::new(decode_gx(gx.operand()?)?))),
-        "not" => Ok(Gx::Not(Box::new(decode_gx(gx.operand()?)?))),
+        "atom" => Ok(Gx::Atom(decode_atom(gx.operand()?, inner)?)),
+        "nodefn" => Ok(Gx::NodeFn(decode_term(gx.operand()?, inner)?)),
+        "relfn" => Ok(Gx::RelFn(decode_term(gx.operand()?, inner)?)),
+        "labfn" => Ok(Gx::LabFn(
+            decode_term(gx.operand()?, inner)?,
+            dec_str(gx.operand()?, "labfn label")?,
+        )),
+        "unbounded" => Ok(Gx::Unbounded(decode_term(gx.operand()?, inner)?)),
+        "mul" => Ok(Gx::Mul(decode_gx_list(gx.operand()?, inner)?)),
+        "add" => Ok(Gx::Add(decode_gx_list(gx.operand()?, inner)?)),
+        "squash" => Ok(Gx::Squash(Box::new(decode_gx(gx.operand()?, inner)?))),
+        "not" => Ok(Gx::Not(Box::new(decode_gx(gx.operand()?, inner)?))),
         "sum" => {
             let vars = dec_array(gx.operand()?, "sum vars")?
                 .map(|v| Ok(VarId(dec_u32(v, "var id")?)))
                 .collect::<Result<_, String>>()?;
-            Ok(Gx::Sum { vars, body: Box::new(decode_gx(gx.operand()?)?) })
+            Ok(Gx::Sum { vars, body: Box::new(decode_gx(gx.operand()?, inner)?) })
         }
         other => Err(format!("unknown gx tag `{other}`")),
     }
 }
 
-fn decode_gx_list(doc: JsonRef<'_>) -> Result<Vec<Gx>, String> {
-    dec_array(doc, "gx list")?.map(decode_gx).collect()
+/// Decodes a list of G-expressions, each at nesting `level`.
+fn decode_gx_list(doc: JsonRef<'_>, level: usize) -> Result<Vec<Gx>, String> {
+    dec_array(doc, "gx list")?.map(|item| decode_gx(item, level)).collect()
 }
 
-fn decode_atom(doc: JsonRef<'_>) -> Result<GxAtom, String> {
+/// Decodes an atom at nesting `level`.
+fn decode_atom(doc: JsonRef<'_>, level: usize) -> Result<GxAtom, String> {
+    within_bound(level)?;
     let mut atom = Tagged::read(doc, "atom")?;
+    let inner = level + 1;
     match atom.tag {
         "cmp" => {
             let op = atom.operand()?.as_str().and_then(CmpOp::from_name);
             let op = op.ok_or("cmp: unknown operator")?;
-            Ok(GxAtom::Cmp(op, decode_term(atom.operand()?)?, decode_term(atom.operand()?)?))
+            let lhs = decode_term(atom.operand()?, inner)?;
+            Ok(GxAtom::Cmp(op, lhs, decode_term(atom.operand()?, inner)?))
         }
         "isnull" => Ok(GxAtom::IsNull(
-            decode_term(atom.operand()?)?,
+            decode_term(atom.operand()?, inner)?,
             atom.operand()?.as_bool().ok_or("isnull: expected a bool")?,
         )),
         "pred" => {
             let name = dec_str(atom.operand()?, "pred name")?;
-            let args = dec_array(atom.operand()?, "pred args")?
-                .map(decode_term)
-                .collect::<Result<_, String>>()?;
-            Ok(GxAtom::Pred(name, args))
+            Ok(GxAtom::Pred(name, decode_terms(atom.operand()?, "pred args", inner)?))
         }
         other => Err(format!("unknown atom tag `{other}`")),
     }
 }
 
-fn decode_term(doc: JsonRef<'_>) -> Result<GxTerm, String> {
+/// Decodes a term at nesting `level`.
+fn decode_term(doc: JsonRef<'_>, level: usize) -> Result<GxTerm, String> {
+    within_bound(level)?;
     let mut term = Tagged::read(doc, "term")?;
+    let inner = level + 1;
     match term.tag {
         "var" => Ok(GxTerm::Var(VarId(dec_u32(term.operand()?, "var id")?))),
         "outcol" => Ok(GxTerm::OutCol(dec_usize(term.operand()?, "outcol")?)),
         "prop" => Ok(GxTerm::Prop(
-            Box::new(decode_term(term.operand()?)?),
+            Box::new(decode_term(term.operand()?, inner)?),
             dec_str(term.operand()?, "prop key")?,
         )),
         "const" => Ok(GxTerm::Const(decode_gconst(term.operand()?)?)),
         "app" => {
             let name = dec_str(term.operand()?, "app name")?;
-            let args = dec_array(term.operand()?, "app args")?
-                .map(decode_term)
-                .collect::<Result<_, String>>()?;
-            Ok(GxTerm::App(name, args))
+            Ok(GxTerm::App(name, decode_terms(term.operand()?, "app args", inner)?))
         }
         "agg" => {
             let kind = term.operand()?.as_str().and_then(AggKind::from_name);
             Ok(GxTerm::Agg {
                 kind: kind.ok_or("agg: unknown kind")?,
                 distinct: term.operand()?.as_bool().ok_or("agg: expected a bool")?,
-                arg: Box::new(decode_term(term.operand()?)?),
-                group: Box::new(decode_gx(term.operand()?)?),
+                arg: Box::new(decode_term(term.operand()?, inner)?),
+                group: Box::new(decode_gx(term.operand()?, inner)?),
             })
         }
         other => Err(format!("unknown term tag `{other}`")),
     }
+}
+
+/// Decodes a list of terms, each at nesting `level`.
+fn decode_terms(doc: JsonRef<'_>, what: &str, level: usize) -> Result<Vec<GxTerm>, String> {
+    dec_array(doc, what)?.map(|item| decode_term(item, level)).collect()
+}
+
+/// `Ok` when a node at nesting `level` is within [`MAX_NESTING`]; checked
+/// before a decoder reads the node, so the bound caps the decoders' recursion.
+fn within_bound(level: usize) -> Result<(), String> {
+    if level > MAX_NESTING {
+        return Err(format!("certificate nests deeper than {MAX_NESTING} levels"));
+    }
+    Ok(())
 }
 
 fn decode_gconst(doc: JsonRef<'_>) -> Result<GxConst, String> {

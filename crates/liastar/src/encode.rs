@@ -11,10 +11,25 @@
 //! predicates are abstracted as free boolean variables: this over-approximates
 //! the set of interpretations, so unsatisfiability / validity results remain
 //! sound for the actual U-semiring semantics.
+//!
+//! The encoding exists twice, once per pipeline:
+//!
+//! * the `encode_*` functions translate `GExpr` trees into SMT [`Term`] trees,
+//!   for the paper-faithful tree pipeline, the differential oracle;
+//! * [`build_factor`] reads interned ids out of a [`GStore`] and builds into an
+//!   SMT builder session ([`smt::with_term_builder`]), for the arena pipeline.
+//!   It builds no `Term`, and names are joined from their parts in the
+//!   builder's buffer; only the names of floats, aggregates and summations
+//!   are rendered. A caller encodes each factor once per session and builds
+//!   every check from those terms.
+//!
+//! Both produce the same term: building a factor gives the id that interning
+//! the `Term` of [`encode_factor`] gives, so the two pipelines share the
+//! formula cache's keys.
 
 use gexpr::arena::{AAtom, ANode, ATerm, GStore, NodeId, TermId};
 use gexpr::{CmpOp, GAtom, GConst, GExpr, GTerm};
-use smt::Term;
+use smt::{SortTag, Term, TermBuilder, TermRef};
 
 /// Translates a G-term into an SMT term.
 pub fn encode_term(term: &GTerm) -> Term {
@@ -120,114 +135,145 @@ pub fn encode_product(factors: &[GExpr]) -> Term {
 // ---------------------------------------------------------------------------
 //
 // Mirrors of the tree encoders above that read interned ids directly out of a
-// [`GStore`], so the id-native decision pipeline never materializes `GExpr` /
-// `GTerm` trees just to build SMT formulas. Each function produces *exactly*
-// the same `Term` as its tree counterpart on the externalized node (asserted
-// by the `arena_encoders_match_tree_encoders` test below), which keeps the
-// SMT formula cache shared between both pipelines sound.
+// [`GStore`] and build into an SMT builder session, so the id-native decision
+// pipeline builds neither `GExpr` nor SMT `Term` trees. Each builds the term
+// that interning its tree counterpart's `Term` gives (asserted by the
+// `arena_encoders_match_tree_encoders` test below and by
+// `tests/encoder_mirror.rs`), so both pipelines share the formula cache's
+// keys.
 
-/// Id-native mirror of [`encode_term`].
-pub fn encode_term_id(store: &mut GStore, t: TermId) -> Term {
-    match store.term_of(t).clone() {
-        ATerm::Var(v) => Term::value_var(format!("e{}", v.0)),
-        ATerm::OutCol(i) => Term::value_var(format!("t_col{i}")),
-        ATerm::IntCol(i) => Term::int_var(format!("t_intcol{i}")),
-        ATerm::Const(c) => match store.const_of(c).clone() {
-            GConst::Integer(v) => Term::IntConst(v),
-            GConst::Float(v) => Term::App(format!("const:f{v}"), vec![]),
-            GConst::String(s) => Term::App(format!("const:s:{s}"), vec![]),
-            GConst::Boolean(b) => Term::App(format!("const:b:{b}"), vec![]),
-            GConst::Null => Term::App("const:null".to_string(), vec![]),
-        },
-        ATerm::Prop(base, key) => {
-            let key = store.str_of(key).to_string();
-            Term::App(format!("prop:{key}"), vec![encode_term_id(store, base)])
-        }
-        ATerm::App(name, args) => {
-            let name = store.str_of(name).to_string();
-            let args = args.iter().map(|a| encode_term_id(store, *a)).collect();
-            Term::App(format!("fn:{name}"), args)
-        }
-        ATerm::Agg { kind, distinct, arg, group } => {
-            let arg_text = store.term_string(arg);
-            let group_text = store.node_string(group);
-            Term::App(
-                format!("agg:{}:{}:{}|{}", kind.name(), distinct, arg_text, group_text),
-                vec![],
-            )
-        }
-    }
-}
-
-/// Id-native mirror of [`encode_atom`].
-pub fn encode_atom_id(store: &mut GStore, atom: &AAtom) -> Term {
-    match atom {
-        AAtom::Cmp(op, lhs, rhs) => {
-            let l = encode_term_id(store, *lhs);
-            let r = encode_term_id(store, *rhs);
+/// Builds the formula "`factor` is non-zero" in a builder session: the
+/// id-native mirror of [`encode_factor`].
+pub fn build_factor<'s>(
+    b: &mut TermBuilder<'s>,
+    store: &mut GStore,
+    factor: NodeId,
+) -> TermRef<'s> {
+    match *store.node_of(factor) {
+        ANode::Zero => b.bool(false),
+        ANode::One | ANode::Const(_) => b.bool(true),
+        ANode::Atom(AAtom::Cmp(op, lhs, rhs)) => {
+            let lhs = build_term(b, store, lhs);
+            let rhs = build_term(b, store, rhs);
             match op {
-                CmpOp::Eq => Term::eq(l, r),
-                CmpOp::Neq => Term::neq(l, r),
-                CmpOp::Lt => Term::lt(l, r),
-                CmpOp::Le => Term::le(l, r),
-                CmpOp::Gt => Term::gt(l, r),
-                CmpOp::Ge => Term::ge(l, r),
+                CmpOp::Eq => b.eq(lhs, rhs),
+                CmpOp::Neq => b.neq(lhs, rhs),
+                CmpOp::Lt => b.lt(lhs, rhs),
+                CmpOp::Le => b.le(lhs, rhs),
+                CmpOp::Gt => b.gt(lhs, rhs),
+                CmpOp::Ge => b.ge(lhs, rhs),
             }
         }
-        AAtom::IsNull(t, negated) => {
-            let encoded =
-                Term::eq(encode_term_id(store, *t), Term::App("const:null".to_string(), vec![]));
-            if *negated {
-                Term::not(encoded)
+        ANode::Atom(AAtom::IsNull(term, negated)) => {
+            let term = build_term(b, store, term);
+            let null = b.app("const:null", &[]);
+            let encoded = b.eq(term, null);
+            if negated {
+                b.not(encoded)
             } else {
                 encoded
             }
         }
-        AAtom::Pred(name, args) => {
-            let name = store.str_of(*name).to_string();
-            let args = args.iter().map(|a| encode_term_id(store, *a)).collect();
-            let application = Term::App(format!("pred:{name}"), args);
-            Term::eq(application, Term::App("const:b:true".to_string(), vec![]))
+        ANode::Atom(AAtom::Pred(name, ref args)) => {
+            let args = args.clone();
+            let args = build_terms(b, store, &args);
+            let application = b.app(("pred:", store.str_of(name)), &args);
+            is_true(b, application)
+        }
+        ANode::NodeFn(term) => graph_fact(b, store, "graph:node", term),
+        ANode::RelFn(term) => graph_fact(b, store, "graph:rel", term),
+        ANode::Lab(term, label) => {
+            let term = build_term(b, store, term);
+            let application = b.app(("graph:lab:", store.str_of(label)), &[term]);
+            is_true(b, application)
+        }
+        ANode::Unbounded(term) => graph_fact(b, store, "graph:unbounded", term),
+        ANode::Not(inner) => {
+            let inner = build_factor(b, store, inner);
+            b.not(inner)
+        }
+        ANode::Mul(ref items) => {
+            let items = items.clone();
+            let items = build_factors(b, store, &items);
+            b.and(&items)
+        }
+        ANode::Add(ref items) => {
+            let items = items.clone();
+            let items = build_factors(b, store, &items);
+            b.or(&items)
+        }
+        ANode::Squash(inner) => build_factor(b, store, inner),
+        ANode::Sum(_, _) => {
+            let text = store.node_string(factor);
+            b.var(("sum:", text.as_str()), SortTag::Bool)
         }
     }
 }
 
-/// Id-native mirror of [`encode_factor`].
-pub fn encode_factor_id(store: &mut GStore, factor: NodeId) -> Term {
-    match store.node_of(factor).clone() {
-        ANode::Zero => Term::ff(),
-        ANode::One | ANode::Const(_) => Term::tt(),
-        ANode::Atom(atom) => encode_atom_id(store, &atom),
-        ANode::NodeFn(t) => Term::eq(
-            Term::App("graph:node".to_string(), vec![encode_term_id(store, t)]),
-            Term::App("const:b:true".to_string(), vec![]),
-        ),
-        ANode::RelFn(t) => Term::eq(
-            Term::App("graph:rel".to_string(), vec![encode_term_id(store, t)]),
-            Term::App("const:b:true".to_string(), vec![]),
-        ),
-        ANode::Lab(t, label) => {
-            let label = store.str_of(label).to_string();
-            Term::eq(
-                Term::App(format!("graph:lab:{label}"), vec![encode_term_id(store, t)]),
-                Term::App("const:b:true".to_string(), vec![]),
-            )
+/// [`build_factor`] of each of `factors`, in order.
+pub fn build_factors<'s>(
+    b: &mut TermBuilder<'s>,
+    store: &mut GStore,
+    factors: &[NodeId],
+) -> Vec<TermRef<'s>> {
+    factors.iter().map(|&factor| build_factor(b, store, factor)).collect()
+}
+
+/// Builds the SMT term of a G-term: the id-native mirror of [`encode_term`].
+fn build_term<'s>(b: &mut TermBuilder<'s>, store: &mut GStore, term: TermId) -> TermRef<'s> {
+    match *store.term_of(term) {
+        ATerm::Var(v) => b.var(("e", v.0), SortTag::Value),
+        ATerm::OutCol(i) => b.var(("t_col", i), SortTag::Value),
+        ATerm::IntCol(i) => b.var(("t_intcol", i), SortTag::Int),
+        ATerm::Const(c) => match store.const_of(c) {
+            GConst::Integer(v) => b.int(*v),
+            GConst::Float(v) => b.app(("const:f", v), &[]),
+            GConst::String(s) => b.app(("const:s:", s.as_str()), &[]),
+            GConst::Boolean(v) => b.app(("const:b:", v), &[]),
+            GConst::Null => b.app("const:null", &[]),
+        },
+        ATerm::Prop(base, key) => {
+            let base = build_term(b, store, base);
+            b.app(("prop:", store.str_of(key)), &[base])
         }
-        ANode::Unbounded(t) => Term::eq(
-            Term::App("graph:unbounded".to_string(), vec![encode_term_id(store, t)]),
-            Term::App("const:b:true".to_string(), vec![]),
-        ),
-        ANode::Not(inner) => Term::not(encode_factor_id(store, inner)),
-        ANode::Mul(items) => Term::and(items.iter().map(|i| encode_factor_id(store, *i)).collect()),
-        ANode::Add(items) => Term::or(items.iter().map(|i| encode_factor_id(store, *i)).collect()),
-        ANode::Squash(inner) => encode_factor_id(store, inner),
-        ANode::Sum(_, _) => Term::bool_var(format!("sum:{}", store.node_string(factor))),
+        ATerm::App(name, ref args) => {
+            let args = args.clone();
+            let args = build_terms(b, store, &args);
+            b.app(("fn:", store.str_of(name)), &args)
+        }
+        ATerm::Agg { kind, distinct, arg, group } => {
+            let arg = store.term_string(arg);
+            let group = store.node_string(group);
+            b.app(("agg:", format_args!("{}:{}:{}|{}", kind.name(), distinct, arg, group)), &[])
+        }
     }
 }
 
-/// Id-native mirror of [`encode_product`].
-pub fn encode_product_ids(store: &mut GStore, factors: &[NodeId]) -> Term {
-    Term::and(factors.iter().map(|f| encode_factor_id(store, *f)).collect())
+fn build_terms<'s>(
+    b: &mut TermBuilder<'s>,
+    store: &mut GStore,
+    terms: &[TermId],
+) -> Vec<TermRef<'s>> {
+    terms.iter().map(|&term| build_term(b, store, term)).collect()
+}
+
+/// `application = const:b:true`, the encoding of a boolean-valued
+/// application.
+fn is_true<'s>(b: &mut TermBuilder<'s>, application: TermRef<'s>) -> TermRef<'s> {
+    let tt = b.app("const:b:true", &[]);
+    b.eq(application, tt)
+}
+
+/// A graph-native factor such as `Node(e)`: `symbol(e) = const:b:true`.
+fn graph_fact<'s>(
+    b: &mut TermBuilder<'s>,
+    store: &mut GStore,
+    symbol: &str,
+    term: TermId,
+) -> TermRef<'s> {
+    let term = build_term(b, store, term);
+    let application = b.app(symbol, &[term]);
+    is_true(b, application)
 }
 
 #[cfg(test)]
@@ -316,16 +362,17 @@ mod tests {
             }),
             GExpr::eq(GTerm::Const(GConst::Float(1.5)), GTerm::Const(GConst::Boolean(true))),
         ];
-        for expr in &samples {
-            let id = store.intern_expr(expr);
-            assert_eq!(
-                encode_factor_id(&mut store, id),
-                encode_factor(expr),
-                "encoder mismatch for {expr}"
-            );
-        }
-        let ids: Vec<NodeId> = samples.iter().map(|e| store.intern_expr(e)).collect();
-        assert_eq!(encode_product_ids(&mut store, &ids), encode_product(&samples));
+        smt::with_term_builder(|b| {
+            for expr in &samples {
+                let id = store.intern_expr(expr);
+                let built = build_factor(b, &mut store, id);
+                assert_eq!(built, b.intern(&encode_factor(expr)), "encoder mismatch for {expr}");
+            }
+            let ids: Vec<NodeId> = samples.iter().map(|e| store.intern_expr(e)).collect();
+            let factors = build_factors(b, &mut store, &ids);
+            let product = b.and(&factors);
+            assert_eq!(product, b.intern(&encode_product(&samples)));
+        });
     }
 
     #[test]

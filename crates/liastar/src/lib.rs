@@ -58,12 +58,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use gexpr::arena::{ANode, GStore, NodeId as ArenaNodeId};
 use gexpr::{normalize_tree, GExpr, VarId};
-use smt::{SmtResult, Solver, Term};
+use smt::{SmtResult, SortTag};
 use witness::{MatchingRecord, ProofRecord, SegmentRecord, SummandsRecord};
 
 pub use encode::{
-    encode_atom, encode_atom_id, encode_factor, encode_factor_id, encode_product,
-    encode_product_ids, encode_term, encode_term_id,
+    build_factor, build_factors, encode_atom, encode_factor, encode_product, encode_term,
 };
 pub use iso::{Checkpoint, VarMapping};
 
@@ -446,21 +445,26 @@ fn decide(
     // g1 = Σ count_l[i]·v_i, g2 = Σ count_r[i]·v_i with v_i ≥ 1 (a summand's
     // value is unknown but identical across sides). The queries can differ
     // only if some class count differs, so `g1 ≠ g2` must be unsatisfiable.
-    // The solver memoizes through the formula cache, so the identical class
+    // The check memoizes through the formula cache, so the identical class
     // structure produced by permutation retries is a hash lookup.
-    let mut solver = Solver::cached();
-    let mut left_sum = Vec::new();
-    let mut right_sum = Vec::new();
-    for (index, _) in classes.iter().enumerate() {
-        let v = Term::int_var(format!("class{index}"));
-        solver.assert(Term::ge(v.clone(), Term::int(1)));
-        left_sum.push(Term::MulConst(left_counts[index] as i64, Box::new(v.clone())));
-        right_sum.push(Term::MulConst(right_counts[index] as i64, Box::new(v)));
-    }
-    let lhs = if left_sum.is_empty() { Term::int(0) } else { Term::add(left_sum) };
-    let rhs = if right_sum.is_empty() { Term::int(0) } else { Term::add(right_sum) };
-    solver.assert(Term::neq(lhs, rhs));
-    if !matches!(solver.check(), SmtResult::Unsat) {
+    let counts_differ = smt::with_term_builder(|b| {
+        let mut assertions = Vec::with_capacity(classes.len() + 1);
+        let mut left_sum = Vec::with_capacity(classes.len());
+        let mut right_sum = Vec::with_capacity(classes.len());
+        let one = b.int(1);
+        for index in 0..classes.len() {
+            let v = b.var(("class", index), SortTag::Int);
+            assertions.push(b.ge(v, one));
+            left_sum.push(b.mul_const(left_counts[index] as i64, v));
+            right_sum.push(b.mul_const(right_counts[index] as i64, v));
+        }
+        let lhs = if left_sum.is_empty() { b.int(0) } else { b.add(&left_sum) };
+        let rhs = if right_sum.is_empty() { b.int(0) } else { b.add(&right_sum) };
+        assertions.push(b.neq(lhs, rhs));
+        let formula = b.and(&assertions);
+        b.check(formula)
+    });
+    if counts_differ != SmtResult::Unsat {
         return Ok((Decision::NotProved, None));
     }
     let proof = record.then(|| {
@@ -513,8 +517,11 @@ fn disjoint(store: &mut GStore, a: ArenaNodeId, b: ArenaNodeId) -> bool {
         return hit;
     }
     DISJOINT_MISSES.fetch_add(1, Ordering::Relaxed);
-    let product = Term::and(vec![encode_factor_id(store, a), encode_factor_id(store, b)]);
-    let verdict = smt::check_formula_cached(product);
+    let verdict = smt::with_term_builder(|builder| {
+        let factors = build_factors(builder, store, &[a, b]);
+        let product = builder.and(&factors);
+        builder.check(product)
+    });
     let result = verdict.is_unsat();
     // Disjointness is symmetric; memoize both orientations so alternatives
     // that normalize in a different order on the other side still hit.
@@ -652,10 +659,48 @@ fn simplify_summand(
     // memoized, or later un-tripped proofs would inherit the weaker result.
     let mut degraded = false;
 
-    // Zero pruning: unsatisfiable products contribute nothing.
-    let zero_check = smt::check_formula_cached(encode_product_ids(store, &factors));
-    degraded |= matches!(zero_check, SmtResult::Unknown);
-    if zero_check.is_unsat() {
+    // One session encodes each factor once; the zero check and every
+    // implication check are built from those terms. It yields `None` for a
+    // summand that is identically zero, else the number of implied atoms
+    // dropped.
+    let implied = smt::with_term_builder(|b| {
+        let mut encoded = build_factors(b, store, &factors);
+
+        // Zero pruning: unsatisfiable products contribute nothing.
+        let product = b.and(&encoded);
+        let zero_check = b.check(product);
+        degraded |= zero_check == SmtResult::Unknown;
+        if zero_check.is_unsat() {
+            return None;
+        }
+
+        // Implied-atom pruning: drop an atomic factor when the remaining
+        // factors already force it to 1.
+        let mut implied = 0;
+        let mut index = 0;
+        let mut others = Vec::with_capacity(encoded.len());
+        while index < factors.len() {
+            if matches!(store.node_of(factors[index]), ANode::Atom(_)) && factors.len() > 1 {
+                others.clear();
+                others.extend_from_slice(&encoded[..index]);
+                others.extend_from_slice(&encoded[index + 1..]);
+                let premise = b.and(&others);
+                let implication = b.implies(premise, encoded[index]);
+                let refutation = b.not(implication);
+                let validity = b.check(refutation);
+                degraded |= validity == SmtResult::Unknown;
+                if validity.is_unsat() {
+                    factors.remove(index);
+                    encoded.remove(index);
+                    implied += 1;
+                    continue;
+                }
+            }
+            index += 1;
+        }
+        Some(implied)
+    });
+    let Some(implied) = implied else {
         if !limits::cancelled() {
             SUMMAND_CACHE.with(|cache| {
                 cache.borrow_mut().insert(
@@ -665,30 +710,7 @@ fn simplify_summand(
             });
         }
         return None;
-    }
-
-    // Implied-atom pruning: drop an atomic factor when the remaining factors
-    // already force it to 1.
-    let mut implied = 0;
-    let mut index = 0;
-    while index < factors.len() {
-        if matches!(store.node_of(factors[index]), ANode::Atom(_)) && factors.len() > 1 {
-            let mut others = factors.clone();
-            let candidate = others.remove(index);
-            let implication = Term::implies(
-                encode_product_ids(store, &others),
-                encode_factor_id(store, candidate),
-            );
-            let validity = smt::check_formula_cached(Term::not(implication));
-            degraded |= matches!(validity, SmtResult::Unknown);
-            if validity.is_unsat() {
-                factors.remove(index);
-                implied += 1;
-                continue;
-            }
-        }
-        index += 1;
-    }
+    };
     stats.pruned_implied += implied;
 
     let body = store.mk_mul(factors);
@@ -715,6 +737,7 @@ fn simplify_summand(
 /// the id-native pipeline.
 mod tree {
     use super::*;
+    use smt::{Solver, Term};
 
     pub fn check_equivalence(g1: &GExpr, g2: &GExpr) -> (Decision, DecisionStats) {
         let mut stats = DecisionStats::default();

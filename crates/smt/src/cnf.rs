@@ -93,14 +93,14 @@ impl Abstraction {
             }
             Node::Implies(lhs, rhs) => {
                 let not_lhs = store.mk_not(lhs);
-                let encoded = store.mk_or(&[not_lhs, rhs]);
+                let encoded = store.mk_or([not_lhs, rhs]);
                 self.encode(store, solver, encoded)
             }
             Node::Ite(cond, then_branch, else_branch) => {
                 let not_cond = store.mk_not(cond);
-                let then_clause = store.mk_or(&[not_cond, then_branch]);
-                let else_clause = store.mk_or(&[cond, else_branch]);
-                let encoded = store.mk_and(&[then_clause, else_clause]);
+                let then_clause = store.mk_or([not_cond, then_branch]);
+                let else_clause = store.mk_or([cond, else_branch]);
+                let encoded = store.mk_and([then_clause, else_clause]);
                 self.encode(store, solver, encoded)
             }
             // Anything else is a theory atom (boolean variable, equality,

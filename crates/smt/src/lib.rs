@@ -13,16 +13,21 @@
 //! * [`sat`] — a CDCL SAT solver (watched literals, 1UIP learning,
 //!   non-chronological backjumping);
 //! * `store` — the thread's term store: hash-consed term nodes over
-//!   interned symbols, which every check runs on;
+//!   interned symbols, which every check runs on, and the builder sessions
+//!   ([`with_term_builder`]) that construct terms in it directly;
 //! * `cnf` — Tseitin transformation with theory-atom abstraction;
 //! * `euf` — congruence closure;
 //! * `lia` — Fourier–Motzkin based consistency with integer case splits;
 //! * [`solver`] — the combination loop and the public [`Solver`] API.
 //!
-//! [`Term`] is the construction API. [`Solver::check`] interns its
-//! assertions into the store once, and the abstraction and both theory
-//! solvers work on the store's integer ids, never on `Term` trees or their
-//! renderings.
+//! Terms reach the store on two roads. [`Term`] is the tree construction
+//! API: [`Solver::check`] interns its assertions into the store once. A
+//! [`with_term_builder`] session skips the tree: its [`TermBuilder`] mirrors
+//! `Term`'s constructors on store ids, names are given in parts and joined
+//! without allocating, and [`TermBuilder::check`] runs the same cached check
+//! on the built formula. Either way, the abstraction and both theory solvers
+//! work on the store's integer ids, never on `Term` trees or their
+//! renderings, and an answer ([`SmtResult`]) carries no model.
 //!
 //! `Unsat` answers are sound; `Sat` answers may over-approximate (see the
 //! module docs of [`solver`]), which can only make the equivalence prover
@@ -52,7 +57,7 @@ pub mod term;
 pub use sat::{Lit, SatOutcome, SatSolver};
 pub use solver::{
     check_formula, check_formula_cached, clear_formula_cache, formula_cache_len,
-    formula_cache_stats, is_valid, is_valid_cached, reset_formula_cache_stats, Model, SmtResult,
-    Solver,
+    formula_cache_stats, is_valid, is_valid_cached, reset_formula_cache_stats, SmtResult, Solver,
 };
+pub use store::{with_term_builder, Name, TermBuilder, TermRef};
 pub use term::{Sort, SortTag, Term};

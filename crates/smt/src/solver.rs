@@ -9,15 +9,17 @@
 //! which affects completeness of the equivalence prover, never its soundness
 //! — mirroring §VI of the paper.
 //!
-//! [`Solver::check`] interns its assertions into a term store once (see the
-//! `store` module): the thread's store when the formula cache is on, whose
-//! key is the sorted assertion ids, and a store of the check's own when it
-//! is off. On a cache miss, and on every uncached check, the DPLL(T) loop
-//! runs on those ids: the Tseitin abstraction keys atoms by id, congruence
-//! closure compares ids, and an opaque sub-term of an arithmetic atom (an
-//! uninterpreted application, a value variable) enters Fourier–Motzkin as
-//! the variable named by its id. The cache keeps answers on ids too; only
-//! the [`Model`] handed to the caller turns ids back into [`Term`]s.
+//! A check runs on the ids of a term store (see the `store` module). A
+//! cached check — [`Solver::check`] with the formula cache on, and every
+//! [`TermBuilder::check`](crate::TermBuilder::check) — uses the thread's
+//! store, and the formula cache keys its answer by the sorted assertion ids.
+//! An uncached [`Solver::check`] interns into a store of its own. On a cache
+//! miss, and on every uncached check, the DPLL(T) loop runs on those ids: the
+//! Tseitin abstraction keys atoms by id, congruence closure compares ids, and
+//! an opaque sub-term of an arithmetic atom (an uninterpreted application, a
+//! value variable) enters Fourier–Motzkin as the variable named by its id.
+//! An answer is one of three words: no model is kept or handed out, so
+//! nothing turns ids back into [`Term`]s.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -31,10 +33,10 @@ use crate::store::{self, Node, TermId, TermStore};
 use crate::term::{SortTag, Term};
 
 /// The result of an SMT check.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SmtResult {
     /// A theory-consistent boolean model was found.
-    Sat(Model),
+    Sat,
     /// The assertions are unsatisfiable.
     Unsat,
     /// The solver gave up (iteration budget exhausted).
@@ -49,16 +51,12 @@ impl SmtResult {
 
     /// Returns `true` for [`SmtResult::Sat`].
     pub fn is_sat(&self) -> bool {
-        matches!(self, SmtResult::Sat(_))
+        matches!(self, SmtResult::Sat)
     }
 }
 
-/// A satisfying assignment, reported as the truth value of every theory atom.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Model {
-    /// Theory atoms and their assigned truth values.
-    pub atoms: Vec<(Term, bool)>,
-}
+/// The default bound on lazy refinement iterations of one check.
+pub(crate) const MAX_ITERATIONS: usize = 10_000;
 
 /// The SMT solver front-end.
 #[derive(Debug, Default)]
@@ -73,35 +71,13 @@ pub struct Solver {
     pub use_cache: bool,
 }
 
-/// A check's answer on store ids: a `Sat` answer's model atoms stay ids
-/// until [`Answer::externalize`] builds the caller's [`SmtResult`].
-#[derive(Debug)]
-enum Answer {
-    Sat(Box<[(TermId, bool)]>),
-    Unsat,
-    Unknown,
-}
-
-impl Answer {
-    fn externalize(&self, store: &TermStore) -> SmtResult {
-        match self {
-            Answer::Sat(atoms) => {
-                let atoms = atoms.iter().map(|&(atom, value)| (store.term(atom), value)).collect();
-                SmtResult::Sat(Model { atoms })
-            }
-            Answer::Unsat => SmtResult::Unsat,
-            Answer::Unknown => SmtResult::Unknown,
-        }
-    }
-}
-
 thread_local! {
     /// Formula-level result cache, keyed by the **sorted term-store id set**
     /// of the asserted formulas: id equality is structural equality by
     /// hash-consing, so a probe compares a few `u32`s. `Unknown` answers are
     /// not cached (they depend on the iteration budget, which is not part of
     /// the key).
-    static FORMULA_CACHE: RefCell<HashMap<Box<[TermId]>, Answer>> = RefCell::new(HashMap::new());
+    static FORMULA_CACHE: RefCell<HashMap<Box<[TermId]>, SmtResult>> = RefCell::new(HashMap::new());
 }
 
 /// Lifetime hit counter of the formula cache, summed over all threads.
@@ -139,7 +115,7 @@ pub fn formula_cache_len() -> usize {
 impl Solver {
     /// Creates an empty solver (cache-free — see [`Solver::cached`]).
     pub fn new() -> Self {
-        Solver { assertions: Vec::new(), max_iterations: 10_000, use_cache: false }
+        Solver { assertions: Vec::new(), max_iterations: MAX_ITERATIONS, use_cache: false }
     }
 
     /// Creates an empty solver that memoizes results in the thread's
@@ -162,44 +138,17 @@ impl Solver {
     /// one interning walk plus a small-integer-slice hash lookup. Without
     /// it, the check runs on a store of its own, so nothing outlives it.
     pub fn check(&self) -> SmtResult {
-        // Fault injection (test-only, inert unless armed): a forced `Unknown`
-        // is reported *before* the cache probe, so the injected failure can
-        // never be masked by — or leak into — a warm formula cache.
-        if limits::faults::forced_smt_unknown() {
-            return SmtResult::Unknown;
-        }
         if !self.use_cache {
+            if limits::faults::forced_smt_unknown() {
+                return SmtResult::Unknown;
+            }
             let mut store = TermStore::default();
             let ids = self.intern(&mut store);
-            return self.solve(&mut store, &ids).externalize(&store);
+            return solve(&mut store, &ids, self.max_iterations);
         }
         store::with_thread_store(|store| {
             let ids = self.intern(store);
-            // Sort the ids for order insensitivity (a copy, unless they are
-            // sorted already, as one assertion always is). Id equality is
-            // structural equality, so the probe needs no structural
-            // verification.
-            let mut sorted = Vec::new();
-            let key = if ids.is_sorted() {
-                ids.as_slice()
-            } else {
-                sorted.extend_from_slice(&ids);
-                sorted.sort_unstable();
-                sorted.as_slice()
-            };
-            let hit = FORMULA_CACHE
-                .with(|cache| cache.borrow().get(key).map(|answer| answer.externalize(store)));
-            if let Some(result) = hit {
-                FORMULA_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-                return result;
-            }
-            FORMULA_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-            let answer = self.solve(store, &ids);
-            let result = answer.externalize(store);
-            if !matches!(answer, Answer::Unknown) {
-                FORMULA_CACHE.with(|cache| cache.borrow_mut().insert(key.into(), answer));
-            }
-            result
+            check_cached(store, &ids, self.max_iterations)
         })
     }
 
@@ -207,55 +156,90 @@ impl Solver {
     fn intern(&self, store: &mut TermStore) -> Vec<TermId> {
         self.assertions.iter().map(|assertion| store.intern(assertion)).collect()
     }
+}
 
-    /// The lazy DPLL(T) loop on the interned assertions (in assertion
-    /// order, which fixes the propositional variable numbering).
-    fn solve(&self, store: &mut TermStore, assertions: &[TermId]) -> Answer {
-        let formula = store.mk_and(assertions);
-        match store.node(formula) {
-            Node::BoolConst(true) => return Answer::Sat(Box::default()),
-            Node::BoolConst(false) => return Answer::Unsat,
-            _ => {}
-        }
-        let mut sat = SatSolver::new();
-        let mut abstraction = Abstraction::default();
-        abstraction.assert_formula(store, &mut sat, formula);
-
-        let mut literals: Vec<(usize, TermId, bool)> = Vec::new();
-        for _ in 0..self.max_iterations {
-            // Cooperative budget/deadline checkpoint: each CDCL(T) refinement
-            // iteration charges the ambient RunToken's SMT step budget. On a
-            // trip the solver degrades to `Unknown`, which every caller
-            // already treats conservatively (and which is never cached).
-            if limits::smt_step().is_err() {
-                return Answer::Unknown;
-            }
-            match sat.solve() {
-                SatOutcome::Unsat => return Answer::Unsat,
-                SatOutcome::Sat(assignment) => {
-                    // Collect the theory literals implied by this model.
-                    literals.clear();
-                    literals.extend(
-                        abstraction
-                            .atoms
-                            .iter()
-                            .filter(|(var, _)| *var < assignment.len())
-                            .map(|&(var, atom)| (var, atom, assignment[var])),
-                    );
-                    if theory_consistent(store, &literals) {
-                        let atoms = literals.iter().map(|&(_, atom, value)| (atom, value));
-                        return Answer::Sat(atoms.collect());
-                    }
-                    // Refute this boolean model: at least one theory literal
-                    // must flip.
-                    let blocking: Vec<Lit> =
-                        literals.iter().map(|(var, _, value)| Lit::new(*var, !value)).collect();
-                    sat.add_clause(blocking);
-                }
-            }
-        }
-        Answer::Unknown
+/// A check through the thread's formula cache, on assertions interned in the
+/// thread's `store`.
+pub(crate) fn check_cached(
+    store: &mut TermStore,
+    assertions: &[TermId],
+    max_iterations: usize,
+) -> SmtResult {
+    // Fault injection (test-only, inert unless armed): a forced `Unknown` is
+    // reported *before* the cache probe, so the injected failure can never be
+    // masked by — or leak into — a warm formula cache.
+    if limits::faults::forced_smt_unknown() {
+        return SmtResult::Unknown;
     }
+    // Sort the ids for order insensitivity (a copy, unless they are sorted
+    // already, as one assertion always is). Id equality is structural
+    // equality, so the probe needs no structural verification.
+    let mut sorted = Vec::new();
+    let key = if assertions.is_sorted() {
+        assertions
+    } else {
+        sorted.extend_from_slice(assertions);
+        sorted.sort_unstable();
+        sorted.as_slice()
+    };
+    if let Some(result) = FORMULA_CACHE.with(|cache| cache.borrow().get(key).copied()) {
+        FORMULA_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+        return result;
+    }
+    FORMULA_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+    let result = solve(store, assertions, max_iterations);
+    if result != SmtResult::Unknown {
+        FORMULA_CACHE.with(|cache| cache.borrow_mut().insert(key.into(), result));
+    }
+    result
+}
+
+/// The lazy DPLL(T) loop on interned assertions (in assertion order, which
+/// fixes the propositional variable numbering).
+fn solve(store: &mut TermStore, assertions: &[TermId], max_iterations: usize) -> SmtResult {
+    let formula = store.mk_and(assertions.iter().copied());
+    match store.node(formula) {
+        Node::BoolConst(true) => return SmtResult::Sat,
+        Node::BoolConst(false) => return SmtResult::Unsat,
+        _ => {}
+    }
+    let mut sat = SatSolver::new();
+    let mut abstraction = Abstraction::default();
+    abstraction.assert_formula(store, &mut sat, formula);
+
+    let mut literals: Vec<(usize, TermId, bool)> = Vec::new();
+    for _ in 0..max_iterations {
+        // Cooperative budget/deadline checkpoint: each CDCL(T) refinement
+        // iteration charges the ambient RunToken's SMT step budget. On a
+        // trip the solver degrades to `Unknown`, which every caller already
+        // treats conservatively (and which is never cached).
+        if limits::smt_step().is_err() {
+            return SmtResult::Unknown;
+        }
+        match sat.solve() {
+            SatOutcome::Unsat => return SmtResult::Unsat,
+            SatOutcome::Sat(assignment) => {
+                // Collect the theory literals implied by this model.
+                literals.clear();
+                literals.extend(
+                    abstraction
+                        .atoms
+                        .iter()
+                        .filter(|(var, _)| *var < assignment.len())
+                        .map(|&(var, atom)| (var, atom, assignment[var])),
+                );
+                if theory_consistent(store, &literals) {
+                    return SmtResult::Sat;
+                }
+                // Refute this boolean model: at least one theory literal
+                // must flip.
+                let blocking: Vec<Lit> =
+                    literals.iter().map(|(var, _, value)| Lit::new(*var, !value)).collect();
+                sat.add_clause(blocking);
+            }
+        }
+    }
+    SmtResult::Unknown
 }
 
 /// Convenience helper: checks a single formula (cache-free).
@@ -450,20 +434,6 @@ mod tests {
         let v = Term::value_var("v");
         let formula = Term::and(vec![Term::eq(v.clone(), alice), Term::eq(v, bob)]);
         assert!(check_formula(formula).is_unsat());
-    }
-
-    #[test]
-    fn sat_models_report_atoms() {
-        let formula = Term::and(vec![Term::eq(x(), Term::int(1)), Term::bool_var("p")]);
-        match check_formula(formula) {
-            SmtResult::Sat(model) => {
-                assert!(model
-                    .atoms
-                    .iter()
-                    .any(|(atom, value)| *value && matches!(atom, Term::Eq(_, _))));
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
     }
 
     #[test]

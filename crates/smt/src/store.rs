@@ -1,23 +1,40 @@
 //! The term store every check runs on: hash-consed term nodes over interned
-//! symbols.
+//! symbols, and the builder sessions that construct terms in it directly.
 //!
-//! [`Term`] is the construction API; [`Solver::check`](crate::Solver::check)
-//! interns its assertions here once and every later stage — the Tseitin
-//! abstraction, congruence closure and Fourier–Motzkin — works on the dense
-//! [`TermId`]s. Structurally equal terms intern to equal ids, so id equality
-//! *is* structural equality, and a term never needs to be cloned, hashed as a
-//! tree or rendered to be compared. Names (of variables and uninterpreted
-//! functions) are interned once into [`SymbolId`]s, with the `const:` prefix
-//! test that marks interpreted constants done once per symbol.
+//! Every stage of a check — the Tseitin abstraction, congruence closure and
+//! Fourier–Motzkin — works on the store's dense term ids. Structurally equal
+//! terms intern to equal ids, so id equality *is* structural equality, and a
+//! term never needs to be cloned, hashed as a tree or rendered to be
+//! compared. Names (of variables and uninterpreted functions) are interned
+//! once into symbol ids, with the `const:` prefix test that marks interpreted
+//! constants done once per symbol. The store keeps a name only as the key
+//! that finds its symbol: nothing turns an id back into a [`Term`] or a name.
+//!
+//! Terms reach the store on two roads:
+//!
+//! * [`Solver::check`](crate::Solver::check) interns [`Term`] trees, bottom-up,
+//!   once per check;
+//! * a [`with_term_builder`] session builds terms in the thread's store
+//!   directly, with [`TermBuilder`]'s id-level mirrors of [`Term`]'s
+//!   constructors. A name is given in parts ([`Name`]) and joined in one
+//!   reusable buffer, so a name seen before costs a lookup and no allocation.
+//!   The mirrors are exact, so a session's term has the id that interning the
+//!   equal `Term` gives, and [`TermBuilder::check`] shares the formula cache
+//!   with the `Term` road.
 //!
 //! Each thread owns one store (see [`with_thread_store`]) for the checks
 //! that use the formula cache. It lives as long as that cache, whose keys
 //! are its ids: [`clear_formula_cache`](crate::clear_formula_cache) drops
-//! both together. An uncached check interns into a store of its own.
+//! both together. A session's [`TermRef`]s carry the session's lifetime, so
+//! none can outlive it and meet a dropped store. An uncached check interns
+//! into a store of its own.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::marker::PhantomData;
 
+use crate::solver::{self, SmtResult};
 use crate::term::{SortTag, Term};
 
 /// A dense id of a hash-consed term in one [`TermStore`].
@@ -44,23 +61,18 @@ pub(crate) enum Node {
     Ite(TermId, TermId, TermId),
 }
 
-/// An interned name.
-#[derive(Debug)]
-struct Symbol {
-    name: Box<str>,
-    /// `true` for names starting with `const:`, the encoding of string and
-    /// other named constants: a nullary application of such a symbol is an
-    /// interpreted constant, distinct from every other constant.
-    is_const: bool,
-}
-
 /// The store: nodes by id, the hash-consing table and the symbol table.
 #[derive(Debug, Default)]
 pub(crate) struct TermStore {
     nodes: Vec<Node>,
     ids: HashMap<Node, TermId>,
-    symbols: Vec<Symbol>,
+    /// Per symbol: `true` for names starting with `const:`, the encoding of
+    /// string and other named constants. A nullary application of such a
+    /// symbol is an interpreted constant, distinct from every other constant.
+    const_symbols: Vec<bool>,
     symbol_ids: HashMap<Box<str>, SymbolId>,
+    /// The buffer a [`Name`] is joined in.
+    name: String,
 }
 
 impl TermStore {
@@ -71,7 +83,7 @@ impl TermStore {
 
     /// `true` if `symbol` names an interpreted constant (`const:` prefix).
     pub(crate) fn is_const_symbol(&self, symbol: SymbolId) -> bool {
-        self.symbols[symbol as usize].is_const
+        self.const_symbols[symbol as usize]
     }
 
     /// The number of distinct nodes interned so far.
@@ -104,31 +116,6 @@ impl TermStore {
         items.iter().map(|item| self.intern(item)).collect()
     }
 
-    /// Rebuilds the [`Term`] of `id`.
-    pub(crate) fn term(&self, id: TermId) -> Term {
-        let all = |args: &[TermId]| args.iter().map(|&a| self.term(a)).collect();
-        let boxed = |id: TermId| Box::new(self.term(id));
-        match *self.node(id) {
-            Node::BoolConst(b) => Term::BoolConst(b),
-            Node::IntConst(v) => Term::IntConst(v),
-            Node::Var(symbol, sort) => Term::Var(self.name(symbol).to_owned(), sort),
-            Node::App(symbol, ref args) => Term::App(self.name(symbol).to_owned(), all(args)),
-            Node::Eq(lhs, rhs) => Term::Eq(boxed(lhs), boxed(rhs)),
-            Node::Le(lhs, rhs) => Term::Le(boxed(lhs), boxed(rhs)),
-            Node::Add(ref args) => Term::Add(all(args)),
-            Node::MulConst(c, inner) => Term::MulConst(c, boxed(inner)),
-            Node::Not(inner) => Term::Not(boxed(inner)),
-            Node::And(ref args) => Term::And(all(args)),
-            Node::Or(ref args) => Term::Or(all(args)),
-            Node::Implies(lhs, rhs) => Term::Implies(boxed(lhs), boxed(rhs)),
-            Node::Ite(c, t, e) => Term::Ite(boxed(c), boxed(t), boxed(e)),
-        }
-    }
-
-    fn name(&self, symbol: SymbolId) -> &str {
-        &self.symbols[symbol as usize].name
-    }
-
     /// Mirrors [`Term::not`]: constants flip and double negations cancel.
     pub(crate) fn mk_not(&mut self, term: TermId) -> TermId {
         match *self.node(term) {
@@ -140,21 +127,26 @@ impl TermStore {
 
     /// Mirrors [`Term::and`]: drops `true`, short-circuits on `false`, and
     /// splices the children of direct `And` items.
-    pub(crate) fn mk_and(&mut self, items: &[TermId]) -> TermId {
+    pub(crate) fn mk_and(&mut self, items: impl IntoIterator<Item = TermId>) -> TermId {
         self.mk_junction(items, true)
     }
 
     /// Mirrors [`Term::or`], dually to [`TermStore::mk_and`].
-    pub(crate) fn mk_or(&mut self, items: &[TermId]) -> TermId {
+    pub(crate) fn mk_or(&mut self, items: impl IntoIterator<Item = TermId>) -> TermId {
         self.mk_junction(items, false)
     }
 
     /// `And` (`conjunction`) or `Or` of `items` with the simplifications of
     /// [`Term::and`] / [`Term::or`]: the unit is dropped, the absorbing
     /// constant wins, and same-kind items are spliced one level deep.
-    fn mk_junction(&mut self, items: &[TermId], conjunction: bool) -> TermId {
-        let mut flat = Vec::with_capacity(items.len());
-        for &item in items {
+    fn mk_junction(
+        &mut self,
+        items: impl IntoIterator<Item = TermId>,
+        conjunction: bool,
+    ) -> TermId {
+        let items = items.into_iter();
+        let mut flat = Vec::with_capacity(items.size_hint().0);
+        for item in items {
             match self.node(item) {
                 Node::BoolConst(b) if *b == conjunction => {}
                 Node::BoolConst(_) => return self.insert(Node::BoolConst(!conjunction)),
@@ -171,15 +163,41 @@ impl TermStore {
         }
     }
 
+    /// Mirrors [`Term::add`]: splices the children of direct `Add` items, and
+    /// a single item is itself.
+    fn mk_add(&mut self, items: impl IntoIterator<Item = TermId>) -> TermId {
+        let items = items.into_iter();
+        let mut flat = Vec::with_capacity(items.size_hint().0);
+        for item in items {
+            match self.node(item) {
+                Node::Add(args) => flat.extend_from_slice(args),
+                _ => flat.push(item),
+            }
+        }
+        match flat.len() {
+            1 => flat[0],
+            _ => self.insert(Node::Add(flat.into())),
+        }
+    }
+
     /// Interns `name` as a symbol.
     fn symbol(&mut self, name: &str) -> SymbolId {
         if let Some(&symbol) = self.symbol_ids.get(name) {
             return symbol;
         }
-        let symbol = self.symbols.len() as SymbolId;
-        let name: Box<str> = name.into();
-        self.symbols.push(Symbol { is_const: name.starts_with("const:"), name: name.clone() });
-        self.symbol_ids.insert(name, symbol);
+        let symbol = self.const_symbols.len() as SymbolId;
+        self.const_symbols.push(name.starts_with("const:"));
+        self.symbol_ids.insert(name.into(), symbol);
+        symbol
+    }
+
+    /// Interns the name `parts` joins, through the reusable buffer.
+    fn symbol_in_parts(&mut self, parts: impl Name) -> SymbolId {
+        let mut name = std::mem::take(&mut self.name);
+        name.clear();
+        parts.write_to(&mut name);
+        let symbol = self.symbol(&name);
+        self.name = name;
         symbol
     }
 
@@ -216,6 +234,203 @@ pub(crate) fn drop_thread_store() {
     STORE.with(|store| *store.borrow_mut() = TermStore::default());
 }
 
+// ---------------------------------------------------------------------------
+// Builder sessions
+// ---------------------------------------------------------------------------
+
+/// The brand tying a [`TermRef`] to its session: invariant in `'s`, so a
+/// reference can be neither widened nor shortened into another session's.
+type Brand<'s> = PhantomData<fn(&'s ()) -> &'s ()>;
+
+/// A term built in a [`with_term_builder`] session: a store id that cannot
+/// outlive the session.
+///
+/// ```compile_fail
+/// // The session's lifetime is the closure's own: a term cannot leave it.
+/// let escaped = smt::with_term_builder(|b| b.int(1));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TermRef<'s> {
+    id: TermId,
+    brand: Brand<'s>,
+}
+
+/// A symbol name given in parts, such as `"const:null"`, `("prop:", key)` or
+/// `("e", 3)`, which [`TermBuilder::var`] and [`TermBuilder::app`] join in
+/// the store's reusable buffer.
+pub trait Name {
+    /// Appends the joined name to `out`.
+    fn write_to(&self, out: &mut String);
+}
+
+impl Name for &str {
+    fn write_to(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl<T: fmt::Display> Name for (&str, T) {
+    fn write_to(&self, out: &mut String) {
+        out.push_str(self.0);
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{}", self.1);
+    }
+}
+
+/// A builder session on the calling thread's term store (see
+/// [`with_term_builder`]).
+///
+/// Every constructor mirrors the [`Term`] constructor of the same name, so the
+/// term it builds has the id that interning the equal `Term` gives: `lt`
+/// builds an unflattened `Add`, `neq` a raw `Not`, and `not`, `and`, `or` and
+/// `add` simplify exactly as their `Term` counterparts do.
+#[derive(Debug)]
+pub struct TermBuilder<'s> {
+    store: &'s mut TermStore,
+    brand: Brand<'s>,
+}
+
+/// Runs `f` with a builder session on the calling thread's term store.
+///
+/// The session holds the store for the duration of `f`: a check through a
+/// cached [`Solver`](crate::Solver), a nested session or
+/// [`clear_formula_cache`](crate::clear_formula_cache) inside `f` panics on
+/// the held borrow. A panic inside `f`, an injected fault in
+/// [`TermBuilder::check`] among them, releases the store while unwinding,
+/// and the store and the formula cache stay usable.
+///
+/// ```
+/// use smt::{with_term_builder, SortTag};
+///
+/// let unsat = with_term_builder(|b| {
+///     let x = b.var(("x", 1), SortTag::Int);
+///     let (three, five) = (b.int(3), b.int(5));
+///     let low = b.le(x, three);
+///     let high = b.ge(x, five);
+///     let both = b.and(&[low, high]);
+///     b.check(both).is_unsat()
+/// });
+/// assert!(unsat);
+/// ```
+pub fn with_term_builder<R>(f: impl for<'s> FnOnce(&mut TermBuilder<'s>) -> R) -> R {
+    with_thread_store(|store| f(&mut TermBuilder { store, brand: PhantomData }))
+}
+
+impl<'s> TermBuilder<'s> {
+    fn wrap(&self, id: TermId) -> TermRef<'s> {
+        TermRef { id, brand: PhantomData }
+    }
+
+    fn insert(&mut self, node: Node) -> TermRef<'s> {
+        let id = self.store.insert(node);
+        self.wrap(id)
+    }
+
+    /// Interns a [`Term`] tree, as [`Solver::check`](crate::Solver::check)
+    /// does with its assertions.
+    pub fn intern(&mut self, term: &Term) -> TermRef<'s> {
+        let id = self.store.intern(term);
+        self.wrap(id)
+    }
+
+    /// The boolean constant `value` (`Term::BoolConst`).
+    pub fn bool(&mut self, value: bool) -> TermRef<'s> {
+        self.insert(Node::BoolConst(value))
+    }
+
+    /// The integer constant `value` ([`Term::int`]).
+    pub fn int(&mut self, value: i64) -> TermRef<'s> {
+        self.insert(Node::IntConst(value))
+    }
+
+    /// The variable `name` of sort `sort` (`Term::Var`).
+    pub fn var(&mut self, name: impl Name, sort: SortTag) -> TermRef<'s> {
+        let symbol = self.store.symbol_in_parts(name);
+        self.insert(Node::Var(symbol, sort))
+    }
+
+    /// The application of `name` to `args` (`Term::App`).
+    pub fn app(&mut self, name: impl Name, args: &[TermRef<'s>]) -> TermRef<'s> {
+        let symbol = self.store.symbol_in_parts(name);
+        self.insert(Node::App(symbol, args.iter().map(|arg| arg.id).collect()))
+    }
+
+    /// [`Term::eq`].
+    pub fn eq(&mut self, lhs: TermRef<'s>, rhs: TermRef<'s>) -> TermRef<'s> {
+        self.insert(Node::Eq(lhs.id, rhs.id))
+    }
+
+    /// [`Term::neq`]: a raw `Not` over the equality.
+    pub fn neq(&mut self, lhs: TermRef<'s>, rhs: TermRef<'s>) -> TermRef<'s> {
+        let eq = self.eq(lhs, rhs);
+        self.insert(Node::Not(eq.id))
+    }
+
+    /// [`Term::le`].
+    pub fn le(&mut self, lhs: TermRef<'s>, rhs: TermRef<'s>) -> TermRef<'s> {
+        self.insert(Node::Le(lhs.id, rhs.id))
+    }
+
+    /// [`Term::lt`]: `lhs + 1 ≤ rhs`, with the sum left unflattened.
+    pub fn lt(&mut self, lhs: TermRef<'s>, rhs: TermRef<'s>) -> TermRef<'s> {
+        let one = self.int(1);
+        let sum = self.insert(Node::Add(Box::new([lhs.id, one.id])));
+        self.le(sum, rhs)
+    }
+
+    /// [`Term::ge`]: `rhs ≤ lhs`.
+    pub fn ge(&mut self, lhs: TermRef<'s>, rhs: TermRef<'s>) -> TermRef<'s> {
+        self.le(rhs, lhs)
+    }
+
+    /// [`Term::gt`]: `rhs < lhs`.
+    pub fn gt(&mut self, lhs: TermRef<'s>, rhs: TermRef<'s>) -> TermRef<'s> {
+        self.lt(rhs, lhs)
+    }
+
+    /// [`Term::not`].
+    pub fn not(&mut self, term: TermRef<'s>) -> TermRef<'s> {
+        let id = self.store.mk_not(term.id);
+        self.wrap(id)
+    }
+
+    /// [`Term::and`].
+    pub fn and(&mut self, items: &[TermRef<'s>]) -> TermRef<'s> {
+        let id = self.store.mk_and(items.iter().map(|item| item.id));
+        self.wrap(id)
+    }
+
+    /// [`Term::or`].
+    pub fn or(&mut self, items: &[TermRef<'s>]) -> TermRef<'s> {
+        let id = self.store.mk_or(items.iter().map(|item| item.id));
+        self.wrap(id)
+    }
+
+    /// [`Term::implies`].
+    pub fn implies(&mut self, lhs: TermRef<'s>, rhs: TermRef<'s>) -> TermRef<'s> {
+        self.insert(Node::Implies(lhs.id, rhs.id))
+    }
+
+    /// [`Term::add`].
+    pub fn add(&mut self, items: &[TermRef<'s>]) -> TermRef<'s> {
+        let id = self.store.mk_add(items.iter().map(|item| item.id));
+        self.wrap(id)
+    }
+
+    /// `c · term` (`Term::MulConst`).
+    pub fn mul_const(&mut self, c: i64, term: TermRef<'s>) -> TermRef<'s> {
+        self.insert(Node::MulConst(c, term.id))
+    }
+
+    /// Checks the satisfiability of `formula` as
+    /// [`check_formula_cached`](crate::check_formula_cached) checks the equal
+    /// `Term`: the fault gate, a probe of the thread's formula cache under
+    /// the formula's id, then DPLL(T) on a miss.
+    pub fn check(&mut self, formula: TermRef<'s>) -> SmtResult {
+        solver::check_cached(self.store, &[formula.id], solver::MAX_ITERATIONS)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,19 +439,24 @@ mod tests {
         Term::App(name.to_string(), args)
     }
 
-    #[test]
-    fn interning_is_canonical_and_round_trips() {
-        let mut store = TermStore::default();
-        let term = Term::and(vec![
+    fn sample() -> Term {
+        Term::and(vec![
             Term::le(Term::add(vec![Term::int_var("x"), Term::int(1)]), Term::int_var("y")),
             Term::eq(f("f", vec![Term::value_var("a")]), f("const:s:b", vec![])),
             Term::implies(Term::bool_var("p"), Term::not(Term::bool_var("q"))),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn interning_is_canonical() {
+        let mut store = TermStore::default();
+        let term = sample();
         let id = store.intern(&term);
         let nodes = store.len();
         assert_eq!(store.intern(&term.clone()), id);
         assert_eq!(store.len(), nodes, "re-interning allocates no node");
-        assert_eq!(store.term(id), term);
+        let other = store.intern(&Term::and(vec![term.clone(), Term::bool_var("r")]));
+        assert_ne!(other, id);
     }
 
     #[test]
@@ -274,19 +494,19 @@ mod tests {
         let ids: Vec<TermId> = items.iter().map(|t| store.intern(t)).collect();
         for (i, item) in items.iter().enumerate() {
             let not = store.mk_not(ids[i]);
-            assert_eq!(store.term(not), Term::not(item.clone()));
+            assert_eq!(not, store.intern(&Term::not(item.clone())));
             for (j, other) in items.iter().enumerate() {
                 let pair = [ids[i], ids[j]];
-                let and = store.mk_and(&pair);
-                let or = store.mk_or(&pair);
-                assert_eq!(store.term(and), Term::and(vec![item.clone(), other.clone()]));
-                assert_eq!(store.term(or), Term::or(vec![item.clone(), other.clone()]));
+                let and = store.mk_and(pair);
+                let or = store.mk_or(pair);
+                assert_eq!(and, store.intern(&Term::and(vec![item.clone(), other.clone()])));
+                assert_eq!(or, store.intern(&Term::or(vec![item.clone(), other.clone()])));
             }
         }
-        let empty_and = store.mk_and(&[]);
-        let empty_or = store.mk_or(&[]);
-        assert_eq!(store.term(empty_and), Term::tt());
-        assert_eq!(store.term(empty_or), Term::ff());
+        let empty_and = store.mk_and([]);
+        let empty_or = store.mk_or([]);
+        assert_eq!(empty_and, store.intern(&Term::tt()));
+        assert_eq!(empty_or, store.intern(&Term::ff()));
     }
 
     #[test]
@@ -300,5 +520,87 @@ mod tests {
         };
         assert!(store.is_const_symbol(symbol_of(constant)));
         assert!(!store.is_const_symbol(symbol_of(function)));
+    }
+
+    #[test]
+    fn builder_constructors_mirror_the_term_constructors() {
+        with_term_builder(|b| {
+            let x = b.var(("x", ""), SortTag::Int);
+            assert_eq!(x, b.intern(&Term::int_var("x")));
+            let y = b.var("y", SortTag::Int);
+            let v = b.var(("v", 7), SortTag::Value);
+            assert_eq!(v, b.intern(&Term::value_var("v7")));
+            let p = b.var("p", SortTag::Bool);
+            let fv = b.app(("fn:", "f"), &[v]);
+            assert_eq!(fv, b.intern(&f("fn:f", vec![Term::value_var("v7")])));
+            let null = b.app("const:null", &[]);
+            assert_eq!(null, b.intern(&f("const:null", vec![])));
+            let (one, t, ff) = (b.int(1), b.bool(true), b.bool(false));
+            assert_eq!(
+                (one, t, ff),
+                (b.intern(&Term::int(1)), b.intern(&Term::tt()), b.intern(&Term::ff()))
+            );
+
+            let (tx, ty, tp) = (Term::int_var("x"), Term::int_var("y"), Term::bool_var("p"));
+            let pairs = [
+                (b.eq(x, y), Term::eq(tx.clone(), ty.clone())),
+                (b.neq(x, y), Term::neq(tx.clone(), ty.clone())),
+                (b.le(x, y), Term::le(tx.clone(), ty.clone())),
+                (b.lt(x, y), Term::lt(tx.clone(), ty.clone())),
+                (b.ge(x, y), Term::ge(tx.clone(), ty.clone())),
+                (b.gt(x, y), Term::gt(tx.clone(), ty.clone())),
+                (b.implies(p, t), Term::implies(tp.clone(), Term::tt())),
+                (b.mul_const(3, x), Term::MulConst(3, Box::new(tx.clone()))),
+            ];
+            for (built, term) in pairs {
+                assert_eq!(built, b.intern(&term), "{term}");
+            }
+            // `add` splices nested sums one level deep, as `Term::add` does.
+            let sum = b.add(&[x, y]);
+            let nested = b.add(&[sum, one]);
+            let expected = Term::add(vec![Term::add(vec![tx.clone(), ty.clone()]), Term::int(1)]);
+            assert_eq!(nested, b.intern(&expected));
+            assert_eq!(b.add(&[x]), x);
+            let empty = b.add(&[]);
+            assert_eq!(empty, b.intern(&Term::Add(vec![])));
+            // `not`, `and` and `or` simplify: the store tests above cover
+            // their shapes, this checks the session forwards to them.
+            let np = b.not(p);
+            assert_eq!(b.not(np), p);
+            assert_eq!(b.and(&[p, t]), p);
+            assert_eq!(b.or(&[p, t]), t);
+        });
+    }
+
+    #[test]
+    fn known_names_reuse_their_symbol() {
+        with_term_builder(|b| {
+            let first = b.app(("prop:", "age"), &[]);
+            let second = b.app(("prop:", "age"), &[]);
+            let whole = b.app("prop:age", &[]);
+            assert!(first == second && second == whole);
+            assert_ne!(first, b.app(("prop:", "ages"), &[]));
+        });
+    }
+
+    #[test]
+    fn builder_checks_share_the_formula_cache_with_terms() {
+        let term = Term::and(vec![
+            Term::le(Term::int_var("builder_cache_x"), Term::int(3)),
+            Term::ge(Term::int_var("builder_cache_x"), Term::int(5)),
+        ]);
+        assert_eq!(crate::check_formula_cached(term.clone()), SmtResult::Unsat);
+        let (hits, _) = crate::formula_cache_stats();
+        let answer = with_term_builder(|b| {
+            let x = b.var("builder_cache_x", SortTag::Int);
+            let (three, five) = (b.int(3), b.int(5));
+            let low = b.le(x, three);
+            let high = b.ge(x, five);
+            let formula = b.and(&[low, high]);
+            assert_eq!(formula, b.intern(&term));
+            b.check(formula)
+        });
+        assert_eq!(answer, SmtResult::Unsat);
+        assert!(crate::formula_cache_stats().0 > hits, "the builder's check hit the cache");
     }
 }

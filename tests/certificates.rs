@@ -397,3 +397,121 @@ fn names_that_need_backticks_certify_green() {
         check_certificate(&reread).unwrap_or_else(|e| panic!("{left} vs {right}: {e:?}"));
     }
 }
+
+/// Runs `body` on a thread with the 2 MiB stack of a server worker or a test
+/// thread.
+fn on_small_stack<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+    let thread = std::thread::Builder::new().stack_size(2 << 20).spawn(body).unwrap();
+    thread.join().unwrap()
+}
+
+/// Decodes `text` on a 2 MiB stack and, when it decodes, runs the checker on
+/// it; the decoder's error otherwise. The checker's answer is not asserted:
+/// these certificates are edited, and only have to come back.
+fn decode_on_small_stack(text: String) -> Result<(), String> {
+    on_small_stack(move || {
+        let certificate = Certificate::from_json(&text)?;
+        let _ = check_certificate(&certificate);
+        Ok(())
+    })
+}
+
+/// `text` with its one `from` replaced by `to`.
+fn replace_once(text: &str, from: &str, to: &str) -> String {
+    assert_eq!(text.matches(from).count(), 1, "test premise: one `{from}`");
+    text.replacen(from, to, 1)
+}
+
+/// An equivalence certificate's JSON with the first segment's left tree
+/// replaced by `edit` of it.
+fn edit_first_left_tree(text: &str, edit: impl FnOnce(&str) -> String) -> String {
+    let start = text.find(r#""segments":[{"left":"#).expect("a segment") + 20;
+    let end = start + text[start..].find(r#","right":"#).expect("a right tree");
+    format!("{}{}{}", &text[..start], edit(&text[start..end]), &text[end..])
+}
+
+fn too_deep(result: Result<(), String>) -> bool {
+    result.is_err_and(|error| error.contains("nests deeper than 256 levels"))
+}
+
+/// A segment tree wrapped in 2,000 `not`s (~17 KB of JSON) used to overflow
+/// a 2 MiB stack and abort the process; it is now rejected by the bound.
+#[test]
+fn deeply_nested_certificates_are_rejected_not_aborted() {
+    assert_eq!(graphqe_checker::cert::MAX_NESTING, 256);
+    let prover = GraphQE::new();
+    let text = corpus_certificates(&prover, &["calcite-006"]).remove(0).to_json();
+    let deep = edit_first_left_tree(&text, |left| {
+        format!("{}{left}{}", r#"["not","#.repeat(2_000), "]".repeat(2_000))
+    });
+    assert!(too_deep(decode_on_small_stack(deep)));
+}
+
+/// `levels` levels of `kind` spliced into an equivalence certificate's JSON
+/// (a counterexample certificate's for values): `not`s over `one` as its
+/// first left tree, property reads of a variable under `nodefn` as that tree,
+/// `peel`s over `identical` as its first proof, lists around `null` as a row
+/// value.
+fn nested(kind: &str, levels: usize, equivalence: &str, counterexample: &str) -> String {
+    let chain = |open: &str, innermost: &str, close: &str, links: usize| {
+        format!("{}{innermost}{}", open.repeat(links), close.repeat(links))
+    };
+    match kind {
+        "gx" => edit_first_left_tree(equivalence, |_| {
+            chain(r#"["not","#, r#"["one"]"#, "]", levels - 1)
+        }),
+        "term" => edit_first_left_tree(equivalence, |_| {
+            let term = chain(r#"["prop","#, r#"["var",0]"#, r#","a"]"#, levels - 2);
+            format!(r#"["nodefn",{term}]"#)
+        }),
+        "proof" => {
+            let proof = chain(r#"["peel","#, r#"["identical"]"#, "]", levels - 1);
+            replace_once(equivalence, r#""proof":["identical"]"#, &format!(r#""proof":{proof}"#))
+        }
+        _ => {
+            let value = chain("[", "null", "]", levels - 1);
+            let rows = format!(r#""right_rows":[[{value}]]"#);
+            replace_once(counterexample, r#""right_rows":[[null]]"#, &rows)
+        }
+    }
+}
+
+/// The bound is exact for every nesting the decoders follow: G-expressions,
+/// terms, proofs and runtime values. A tree at the bound decodes (and the
+/// checker returns on it), one level more is rejected.
+#[test]
+fn the_certificate_nesting_bound_is_exact() {
+    let prover = GraphQE::new();
+    let texts: Vec<String> = corpus_certificates(&prover, &["calcite-006", "neq-006"])
+        .iter()
+        .map(Certificate::to_json)
+        .collect();
+    let (equivalence, counterexample) = (&texts[0], &texts[1]);
+    for kind in ["gx", "term", "proof", "value"] {
+        let at_bound = nested(kind, 256, equivalence, counterexample);
+        let result = decode_on_small_stack(at_bound);
+        assert!(result.is_ok(), "{kind} at the bound: {result:?}");
+        let past_bound = nested(kind, 257, equivalence, counterexample);
+        assert!(too_deep(decode_on_small_stack(past_bound)), "{kind} past the bound");
+    }
+}
+
+/// Queries as deep as the parser accepts (`MAX_NESTING` = 64 levels) prove,
+/// and their certificates round-trip and check green, on a 2 MiB stack.
+#[test]
+fn certificates_of_queries_at_the_parser_bound_check_green() {
+    assert_eq!(cypher_parser::MAX_NESTING, 64);
+    on_small_stack(|| {
+        let prover = GraphQE::new();
+        let nots = |n: usize| format!("MATCH (n) WHERE {}n.a = 1 RETURN n", "NOT ".repeat(n));
+        let abs =
+            |v: &str| format!("MATCH ({v}) RETURN {}{v}.a{}", "abs(".repeat(62), ")".repeat(62));
+        for (left, right) in [(nots(61), nots(1)), (abs("n"), abs("m"))] {
+            let (verdict, certificate) = prover.prove_certified(&left, &right, true);
+            assert!(verdict.is_equivalent(), "{left} vs {right}: {verdict}");
+            let certificate = certificate.expect("a definite verdict carries a certificate");
+            let reread = Certificate::from_json(&certificate.to_json()).expect("round trip");
+            check_certificate(&reread).unwrap_or_else(|e| panic!("{left}: {e:?}"));
+        }
+    });
+}
