@@ -5,7 +5,7 @@
 //! capacity bound, and *batch* eviction (a quarter of the capacity at a
 //! time, so a saturated cache pays the O(n) stamp scan once per batch
 //! instead of once per insert) — is one implementation serving the search
-//! memo, the stage-① parse cache and the per-thread query-plan cache.
+//! memo, the stage-① parse cache and the stage-② normalize cache.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

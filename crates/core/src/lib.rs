@@ -347,7 +347,7 @@ pub struct ProveLimits {
     /// [`FailureCategory::BudgetExhausted`].
     pub smt_step_budget: u64,
     /// Maximum candidate graphs the counterexample search may evaluate per
-    /// prove call, summed across its workers (`0` = unlimited).
+    /// prove call (`0` = unlimited).
     pub search_graph_budget: u64,
     /// Budget on the per-worker hash-consed arena during batch proving: once
     /// a worker's thread-local `GStore` holds more nodes than this after
@@ -376,9 +376,8 @@ impl Default for ProveLimits {
 /// The machine's available parallelism, probed once per process.
 ///
 /// `std::thread::available_parallelism` re-reads the cgroup CPU quota on
-/// every call — tens of microseconds inside a container, which the
-/// per-search thread clamp would otherwise pay once per proved pair. The
-/// quota is fixed for the life of the process, so one probe serves all.
+/// every call — tens of microseconds inside a container. The quota is fixed
+/// for the life of the process, so one probe serves all.
 pub fn machine_parallelism() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -452,11 +451,11 @@ pub struct GraphQE {
     /// arena budget). All mid-proof limits default to off; see
     /// [`ProveLimits`].
     pub limits: ProveLimits,
-    /// Worker threads of the counterexample search
-    /// ([`counterexample::find_counterexample_parallel`]): `0` uses all
-    /// available cores, `1` forces the sequential (lazy) search. Batch
-    /// proving divides the machine between pair workers and search workers,
-    /// so the product never oversubscribes.
+    /// Has no effect: the counterexample search
+    /// ([`counterexample::find_counterexample`]) always runs on the calling
+    /// thread. Kept only because the benchmark sets `search_threads: 1`; it
+    /// goes when a benchmark change drops that setting and retires the
+    /// `cache.plan.*` rows.
     pub search_threads: usize,
     /// Consult (and populate) the process-wide stage-① parse cache in
     /// [`GraphQE::prove`]. Disabled by benchmark baselines that must pay
@@ -491,14 +490,6 @@ impl GraphQE {
     /// Creates a prover with the default configuration.
     pub fn new() -> Self {
         GraphQE::default()
-    }
-
-    /// Resolves [`GraphQE::search_threads`] (`0` = all available cores).
-    fn effective_search_threads(&self) -> usize {
-        match self.search_threads {
-            0 => machine_parallelism(),
-            n => n,
-        }
     }
 
     /// Stage ① for one query text, through the process-wide parse cache
@@ -582,12 +573,8 @@ impl GraphQE {
             if self.search_counterexamples && graphqe_analyzer::signatures_discriminate(left, right)
             {
                 let stage_start = Instant::now();
-                let witness = counterexample::find_counterexample_parallel(
-                    &parsed1,
-                    &parsed2,
-                    &self.search_config,
-                    self.effective_search_threads(),
-                );
+                let witness =
+                    counterexample::find_counterexample(&parsed1, &parsed2, &self.search_config);
                 stats.stages.search = stage_start.elapsed();
                 if let Some(example) = witness {
                     stats.latency = start.elapsed();
@@ -693,8 +680,10 @@ impl GraphQE {
     ///
     /// Workers share the read-only prover configuration and pull pairs from a
     /// single atomic cursor (dynamic load balancing — pair latencies vary by
-    /// orders of magnitude, so static chunking would straggle). A panic
-    /// degrades its pair to `Unknown(Panicked)` instead of killing the batch.
+    /// orders of magnitude, so static chunking would straggle). Each pair,
+    /// its counterexample search included, runs on the worker that drew it.
+    /// A panic degrades its pair to `Unknown(Panicked)` instead of killing
+    /// the batch.
     /// Each worker thread accumulates normalization results in its own
     /// thread-local hash-consed arena, so structurally overlapping pairs are
     /// normalized once per worker; once the arena outgrows
@@ -704,7 +693,7 @@ impl GraphQE {
     /// Safe to call from any number of threads concurrently: the batch takes
     /// no snapshot of the process-global cache counters, which stay readable
     /// through each cache's own stats function ([`parse_cache_stats`],
-    /// [`normalize_cache_stats`], [`counterexample::plan_cache_stats`], …).
+    /// [`normalize_cache_stats`], [`counterexample::search_memo_stats`], …).
     /// Thread-local caches (SMT formula, summand, arena) stay warm on
     /// whichever thread runs the pairs, which is why a server pins
     /// `threads = 1` and calls this from its own worker threads.
@@ -717,17 +706,6 @@ impl GraphQE {
         let batch_start_pool_gen = counterexample::pool_cache_generation();
 
         let threads = threads.clamp(1, pairs.len().max(1));
-        // Divide the machine between pair workers and the counterexample
-        // search inside each pair: with `threads` pair workers on `machine`
-        // cores, each search gets the quotient, so stragglers (pairs that
-        // exhaust the whole candidate pool) parallelize their search instead
-        // of serializing the tail of the batch. An explicit
-        // `search_threads` setting is respected unchanged.
-        let worker_prover = if self.search_threads == 0 {
-            GraphQE { search_threads: (machine_parallelism() / threads).max(1), ..self.clone() }
-        } else {
-            self.clone()
-        };
         let prove_timed = |left: &str, right: &str| {
             let start = Instant::now();
             // Panic isolation: one pair's panic degrades to
@@ -736,9 +714,8 @@ impl GraphQE {
             // unwound proof, so they are evicted wholesale before the next
             // pair (process-wide caches are already guarded at insertion,
             // and the ambient-token guard restores itself on unwind).
-            let proved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                worker_prover.prove(left, right)
-            }));
+            let proved =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.prove(left, right)));
             let verdict = proved.unwrap_or_else(|_| {
                 liastar::reset_thread_caches();
                 Verdict::Unknown {
@@ -756,9 +733,6 @@ impl GraphQE {
             let arena_node_budget = self.limits.arena_node_budget;
             if arena_node_budget > 0 && arena_nodes > arena_node_budget {
                 liastar::reset_thread_caches();
-                // The frozen-plan cache is process-global since PR 8 and
-                // rides the pool-cache clear below; only liastar's caches
-                // remain per-thread.
                 // The pool/memo cache is process-global: when several workers
                 // cross their (thread-local) arena budgets around the same
                 // time, one clear suffices — a worker whose last-seen
@@ -914,12 +888,7 @@ impl GraphQE {
                 // counterexample graph.
                 let stage_start = Instant::now();
                 let witness = if self.search_counterexamples {
-                    counterexample::find_counterexample_parallel(
-                        q1,
-                        q2,
-                        &self.search_config,
-                        self.effective_search_threads(),
-                    )
+                    counterexample::find_counterexample(q1, q2, &self.search_config)
                 } else {
                     None
                 };
@@ -1310,7 +1279,7 @@ mod tests {
         // A test thread's (and a server worker's) 2 MiB stack, in whatever
         // build the tests run.
         let thread = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
-            let prover = GraphQE { search_threads: 1, ..GraphQE::new() };
+            let prover = GraphQE::new();
             let nots =
                 |n: usize, c: u8| format!("MATCH (n) WHERE {}n.a = {c} RETURN n", "NOT ".repeat(n));
             let and = |n: usize, c: u8| {
@@ -1736,13 +1705,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_report_surfaces_parse_and_plan_cache_counters() {
+    fn batch_report_surfaces_parse_and_normalize_cache_counters() {
         let _serial = BATCH_LOCK.lock().unwrap();
         let _parse_serial = PARSE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // A non-equivalent pair (the search runs and plans both queries),
-        // proved twice in one batch on one thread: the second pass must hit
-        // the parse, normalize and plan caches. Each counter is process-global
-        // and only grows, so it is compared with its value before the batch.
+        // A non-equivalent pair (decided, then searched), proved twice in one
+        // batch on one thread: the second pass must hit the parse and
+        // normalize caches. Each counter is process-global and only grows, so
+        // it is compared with its value before the batch.
         let pair = (
             "MATCH (cache_stats_n:Person) RETURN cache_stats_n",
             "MATCH (cache_stats_n:Book) RETURN cache_stats_n",
@@ -1753,7 +1722,6 @@ mod tests {
         };
         let parse = parse_cache_stats();
         let normalize = normalize_cache_stats();
-        let plan = counterexample::plan_cache_stats();
         let (outcomes, _) = prover.prove_batch(&[pair, pair], 1);
         assert!(outcomes.iter().all(|o| o.verdict.is_not_equivalent()));
         let (parse_hits, parse_misses) = parse_cache_stats();
@@ -1762,9 +1730,6 @@ mod tests {
         let (normalize_hits, normalize_misses) = normalize_cache_stats();
         assert!(normalize_misses > normalize.1, "first pass must normalize");
         assert!(normalize_hits > normalize.0, "second pass must hit the normalize cache");
-        let (plan_hits, plan_misses) = counterexample::plan_cache_stats();
-        assert!(plan_misses > plan.1, "first search must plan");
-        assert!(plan_hits > plan.0, "second search must reuse the plan");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! The fault harness and the panic hook are process-global, so every test
 //! serializes on [`FAULT_LOCK`]. Each `#[test]` runs on its own fresh
-//! thread, so thread-local caches (arena, summand, SMT formula, plan) are
+//! thread, so thread-local caches (arena, summand, SMT formula) are
 //! cold unless the test itself warms them — several tests rely on this to
 //! guarantee the armed stage is actually reached instead of served from a
 //! warm memo.
@@ -33,12 +33,10 @@ static FAULT_LOCK: Mutex<()> = Mutex::new(());
 /// A prover whose pipeline always runs for real: no search memo and no
 /// shared normalize cache (a memoized replay would skip the machinery the
 /// faults target — a warm normalize-cache entry satisfies stage ② without
-/// ever reaching the armed normalize checkpoint) and a single sequential
-/// search thread (so the afflicted checkpoint is deterministic).
+/// ever reaching the armed normalize checkpoint).
 fn fault_prover() -> GraphQE {
     GraphQE {
         search_config: SearchConfig { use_memo: false, ..SearchConfig::default() },
-        search_threads: 1,
         use_normalize_cache: false,
         ..GraphQE::new()
     }
@@ -70,8 +68,9 @@ const EQ_SIMPLE: (&str, &str) = ("MATCH (a)-[r]->(b) RETURN a", "MATCH (b)<-[r]-
 /// normalize, decide and the SMT loop; the second is the first to search.
 const BATCH: [(&str, &str); 3] = [EQ_SMT, NEQ_SEARCH, EQ_SIMPLE];
 
-/// Fingerprint for verdict comparison across runs (counterexample identity
-/// may legitimately vary with scheduling; the verdict class may not).
+/// Fingerprint for verdict comparison across runs: the verdict class and
+/// the failure reason (the witnesses themselves are pinned by
+/// `tests/search_pins.rs`).
 fn fingerprint(verdict: &Verdict) -> (bool, bool, Option<FailureCategory>) {
     (verdict.is_equivalent(), verdict.is_not_equivalent(), verdict.failure_category())
 }
@@ -201,7 +200,6 @@ fn a_deadline_mid_search_never_flips_the_verdict_and_the_memo_stays_clean() {
             deadline: Some(Duration::from_millis(100)),
             ..ProveLimits::default()
         },
-        search_threads: 1,
         ..GraphQE::new()
     };
     faults::arm(Stage::Search, FaultKind::Stall(Duration::from_millis(300)), 1);
@@ -214,7 +212,7 @@ fn a_deadline_mid_search_never_flips_the_verdict_and_the_memo_stays_clean() {
     );
     // Limits off: the full search runs, finds the witness, and only now may
     // the memo record an outcome for this pair.
-    let clean = GraphQE { search_threads: 1, ..GraphQE::new() };
+    let clean = GraphQE::new();
     assert!(clean.prove(pair.0, pair.1).is_not_equivalent());
     // A second clean prove replays the same certificate (memoized now).
     assert!(clean.prove(pair.0, pair.1).is_not_equivalent());

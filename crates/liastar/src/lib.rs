@@ -254,8 +254,8 @@ static DISJOINT_HITS: AtomicU64 = AtomicU64::new(0);
 static DISJOINT_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Hit/miss counters of the two liastar-level SMT-result caches, accumulated
-/// across every thread since process start (or the last
-/// [`reset_cache_counters`]).
+/// across every thread since process start. They only grow: readers take
+/// differences of two snapshots or report lifetime rates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Hits of the summand-simplification cache.
@@ -276,14 +276,6 @@ pub fn cache_counters() -> CacheCounters {
         disjoint_hits: DISJOINT_HITS.load(Ordering::Relaxed),
         disjoint_misses: DISJOINT_MISSES.load(Ordering::Relaxed),
     }
-}
-
-/// Resets the global cache counters (entries stay cached).
-pub fn reset_cache_counters() {
-    SUMMAND_HITS.store(0, Ordering::Relaxed);
-    SUMMAND_MISSES.store(0, Ordering::Relaxed);
-    DISJOINT_HITS.store(0, Ordering::Relaxed);
-    DISJOINT_MISSES.store(0, Ordering::Relaxed);
 }
 
 /// Drops the thread's id-keyed caches when the arena epoch moved under them

@@ -16,10 +16,10 @@
 //!
 //! A trip is **sticky**: the first recorded trip wins (later stages report
 //! the original cause, not a cascade), and recording it raises the token's
-//! cancel flag so every other loop sharing the token — including parallel
-//! search workers — unwinds at its next checkpoint. [`cancelled`] is the
-//! cheap relaxed-load probe the cache layers use to keep results computed on
-//! a tripped path out of the process- and thread-wide memo caches.
+//! cancel flag so every later loop of the same proof unwinds at its next
+//! checkpoint. [`cancelled`] is the cheap relaxed-load probe the cache
+//! layers use to keep results computed on a tripped path out of the
+//! process- and thread-wide memo caches.
 //!
 //! The [`faults`] module is the test-only (env- or explicitly-armed)
 //! fault-injection harness: it can force a panic or an artificial stall at
@@ -116,9 +116,9 @@ impl fmt::Display for Trip {
 /// budget one `fetch_add`. With a deadline set, the clock is only probed on
 /// every `PROBE_INTERVAL`-th check (`Instant::now()` is the expensive part
 /// of a checkpoint; the worst-case detection slack of a few checkpoints is
-/// noise against millisecond-scale deadlines). The token is shared via `Arc`
-/// between the installing thread and any workers it spawns (see
-/// [`current_token`] / [`with_token`]).
+/// noise against millisecond-scale deadlines). [`with_token`] installs an
+/// `Arc` of the token as the calling thread's ambient token; any other
+/// holder of the `Arc` can [`RunToken::cancel`] the run from outside.
 #[derive(Debug, Default)]
 pub struct RunToken {
     deadline: Option<Instant>,
@@ -126,7 +126,7 @@ pub struct RunToken {
     /// calls under this token. `0` = unlimited.
     smt_step_budget: u64,
     /// Maximum candidate graphs the counterexample search may evaluate,
-    /// summed across all workers. `0` = unlimited.
+    /// summed across every search of the run. `0` = unlimited.
     search_graph_budget: u64,
     cancelled: AtomicBool,
     smt_steps: AtomicU64,
@@ -290,14 +290,6 @@ pub fn without_token<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The calling thread's ambient token, if one is installed. Workers spawned
-/// mid-proof (the parallel counterexample search) capture this and re-install
-/// it via [`with_token`] so the whole proof shares one deadline and one set
-/// of budget counters.
-pub fn current_token() -> Option<Arc<RunToken>> {
-    AMBIENT.with(|slot| slot.borrow().clone())
-}
-
 fn with_ambient(f: impl FnOnce(&RunToken) -> Result<(), Trip>) -> Result<(), Trip> {
     AMBIENT.with(|slot| match slot.borrow().as_deref() {
         Some(token) => f(token),
@@ -348,6 +340,11 @@ mod tests {
     /// Fault/ambient state is global per thread or process; tests that touch
     /// it serialize here.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    /// The calling thread's ambient token, if one is installed.
+    fn current_token() -> Option<Arc<RunToken>> {
+        AMBIENT.with(|slot| slot.borrow().clone())
+    }
 
     #[test]
     fn no_token_means_no_trips() {

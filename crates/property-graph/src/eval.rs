@@ -13,7 +13,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use cypher_parser::ast::{
     Aggregate, Clause, Expr, MatchClause, Projection, ProjectionItems, Query, SingleQuery,
@@ -264,7 +264,7 @@ fn apply_match(
     clause: &MatchClause,
     rows: Vec<Row>,
 ) -> Result<Vec<Row>, EvalError> {
-    // Lowered once per run (memoized in the run's plan cache).
+    // Lowered once per plan (memoized in the plan's lowering cache).
     let compiled = ctx.plans.match_plan(ctx.symbols, clause);
     let mut next = Vec::new();
     for row in rows {
@@ -326,7 +326,7 @@ fn apply_projection(
 ) -> Result<(Vec<String>, Vec<(Vec<Value>, Row)>), EvalError> {
     let plan = match &projection.items {
         ProjectionItems::Items(_) => ctx.plans.projection_plan(ctx.symbols, projection),
-        ProjectionItems::Star => Arc::new(star_projection(ctx.symbols, rows)),
+        ProjectionItems::Star => Rc::new(star_projection(ctx.symbols, rows)),
     };
     let CompiledProjection { columns, syms: column_syms, exprs } = &*plan;
 

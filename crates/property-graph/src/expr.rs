@@ -28,13 +28,14 @@ pub struct SymId(pub u32);
 /// A per-query symbol table interning every variable and column name to a
 /// [`SymId`].
 ///
-/// The table is built once per query run ([`SymbolTable::for_query`] walks
-/// the AST at plan time and interns every name it can see), then shared
-/// read-mostly through [`EvalCtx`]; names minted during evaluation (aggregate
-/// placeholders, `WITH`-introduced output columns that plan-time walking
-/// missed) intern on demand through the interior `RefCell`s. Interning keeps
-/// per-row key storage at 4 bytes and makes key comparison an integer
-/// compare instead of a string compare.
+/// The table is built once per [`QueryPlan`] ([`SymbolTable::for_query`]
+/// walks the AST at plan time and interns every name it can see), then
+/// shared read-mostly through [`EvalCtx`] by every evaluation under that
+/// plan; names minted during evaluation (aggregate placeholders,
+/// `WITH`-introduced output columns that plan-time walking missed) intern on
+/// demand through the interior `RefCell`s. Interning keeps per-row key
+/// storage at 4 bytes and makes key comparison an integer compare instead of
+/// a string compare.
 #[derive(Debug, Default)]
 pub struct SymbolTable {
     /// `SymId.0 as usize` indexes this vector; the entry is the name.
@@ -77,25 +78,6 @@ impl SymbolTable {
     /// lookups) must not grow the table.
     pub fn lookup(&self, name: &str) -> Option<SymId> {
         self.ids.borrow().get(name).copied()
-    }
-
-    /// Snapshots every interned name in id order, as plain owned strings
-    /// (`Rc`-free, so the snapshot is `Send + Sync`). Re-interning the
-    /// snapshot via [`SymbolTable::from_names`] reproduces the exact same
-    /// `SymId` assignment, because [`SymbolTable::intern`] assigns ids
-    /// sequentially in first-intern order.
-    pub fn snapshot_names(&self) -> Vec<Box<str>> {
-        self.names.borrow().iter().map(|name| Box::from(&**name)).collect()
-    }
-
-    /// Rebuilds a table from a [`SymbolTable::snapshot_names`] snapshot,
-    /// assigning each name the id equal to its snapshot position.
-    pub fn from_names(names: &[Box<str>]) -> Self {
-        let table = SymbolTable::new();
-        for name in names {
-            table.intern(name);
-        }
-        table
     }
 
     /// The name interned under `id`.

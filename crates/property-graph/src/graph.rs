@@ -143,10 +143,10 @@ pub struct PropertyGraph {
     /// Every entity's properties, in insertion order of the entities.
     properties: Vec<(NameId, Value)>,
     /// The adjacency index, built lazily on first [`PropertyGraph::adjacency`]
-    /// call and shared by every subsequent evaluation of the (frozen) graph.
-    /// `OnceLock` keeps the graph `Send + Sync`, which the shared
-    /// counterexample pool and the parallel search rely on; mutations reset
-    /// it, so the index can never go stale.
+    /// call and shared by every subsequent evaluation of the unchanged graph.
+    /// `OnceLock` keeps the graph `Send + Sync`, which the process-wide
+    /// counterexample pools rely on (any thread's search may evaluate a
+    /// pooled graph); mutations reset it, so the index can never go stale.
     index: OnceLock<AdjacencyIndex>,
 }
 

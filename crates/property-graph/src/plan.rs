@@ -1,7 +1,7 @@
 //! The query-plan layer: `MATCH` patterns and projections lowered once into
 //! [`SymId`]-native compiled structures.
 //!
-//! Each clause is lowered **once per query run** into structures whose
+//! Each clause is lowered **once per [`QueryPlan`]** into structures whose
 //! variables are pre-interned [`SymId`]s, so the matcher
 //! ([`crate::matching`]) performs integer-keyed row operations only on its
 //! hot loop:
@@ -11,15 +11,16 @@
 //!   variable set;
 //! * [`CompiledProjection`] — pre-computed output column names (no
 //!   per-application pretty-printing) and pre-interned output ids;
-//! * [`PlanCache`] — the per-run lowering memo, keyed by AST node address
+//! * [`PlanCache`] — the per-plan lowering memo, keyed by AST node address
 //!   (stable while the [`Query`] is alive), shared through
 //!   [`crate::expr::EvalCtx::plans`];
 //! * [`QueryPlan`] — a query's symbol table plus plan cache as one owned
-//!   value, so callers (notably the counterexample search's cross-search
-//!   plan cache) can keep plans alongside an owned query.
+//!   value, so a caller evaluating one query on many graphs (the
+//!   counterexample search, once per query per search) lowers each clause
+//!   once for all of them.
 
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use cypher_parser::ast::{
     Expr, MatchClause, NodePattern, PathPattern, Projection, ProjectionItems, Query, RelDirection,
@@ -134,8 +135,8 @@ impl CompiledRelPattern {
 /// A `WITH`/`RETURN` projection lowered to its output columns: names are
 /// computed once (no pretty-printing of un-aliased expressions per
 /// application) and output ids are pre-interned so per-row environment
-/// binding skips name hashing. Explicit items lower once per run through the
-/// [`PlanCache`]; `RETURN *` is built per application, because its column
+/// binding skips name hashing. Explicit items lower once per plan through
+/// the [`PlanCache`]; `RETURN *` is built per application, because its column
 /// set depends on the rows.
 #[derive(Debug)]
 pub struct CompiledProjection {
@@ -229,19 +230,20 @@ pub fn lower_projection(symbols: &SymbolTable, projection: &Projection) -> Compi
 }
 
 // ---------------------------------------------------------------------------
-// The per-run plan cache and the owned query plan
+// The per-plan lowering memo and the owned query plan
 // ---------------------------------------------------------------------------
 
-/// The per-run lowering memo: each `MATCH` clause and explicit projection of
-/// the query is lowered at most once, keyed by its AST node address.
+/// The per-plan lowering memo: each `MATCH` clause and explicit projection
+/// of the query is lowered at most once, keyed by its AST node address, and
+/// reused by every evaluation under the same [`QueryPlan`].
 ///
 /// Address keys are sound because [`QueryPlan`] users keep query and plan
 /// together (the AST nodes live in heap-allocated clause vectors, so moving
 /// the `Query` value itself does not move them).
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    matches: RefCell<FxHashMap<usize, Arc<CompiledMatch>>>,
-    projections: RefCell<FxHashMap<usize, Arc<CompiledProjection>>>,
+    matches: RefCell<FxHashMap<usize, Rc<CompiledMatch>>>,
+    projections: RefCell<FxHashMap<usize, Rc<CompiledProjection>>>,
 }
 
 impl PlanCache {
@@ -251,13 +253,13 @@ impl PlanCache {
     }
 
     /// The compiled plan of `clause`, lowering on first use.
-    pub fn match_plan(&self, symbols: &SymbolTable, clause: &MatchClause) -> Arc<CompiledMatch> {
+    pub fn match_plan(&self, symbols: &SymbolTable, clause: &MatchClause) -> Rc<CompiledMatch> {
         let key = clause as *const MatchClause as usize;
         if let Some(hit) = self.matches.borrow().get(&key) {
-            return Arc::clone(hit);
+            return Rc::clone(hit);
         }
-        let lowered = Arc::new(lower_match(symbols, clause));
-        self.matches.borrow_mut().insert(key, Arc::clone(&lowered));
+        let lowered = Rc::new(lower_match(symbols, clause));
+        self.matches.borrow_mut().insert(key, Rc::clone(&lowered));
         lowered
     }
 
@@ -267,27 +269,14 @@ impl PlanCache {
         &self,
         symbols: &SymbolTable,
         projection: &Projection,
-    ) -> Arc<CompiledProjection> {
+    ) -> Rc<CompiledProjection> {
         let key = projection as *const Projection as usize;
         if let Some(hit) = self.projections.borrow().get(&key) {
-            return Arc::clone(hit);
+            return Rc::clone(hit);
         }
-        let lowered = Arc::new(lower_projection(symbols, projection));
-        self.projections.borrow_mut().insert(key, Arc::clone(&lowered));
+        let lowered = Rc::new(lower_projection(symbols, projection));
+        self.projections.borrow_mut().insert(key, Rc::clone(&lowered));
         lowered
-    }
-
-    /// Pre-seeds the compiled plan of the `MATCH` clause at AST address
-    /// `key`, so a later [`PlanCache::match_plan`] probe hits without
-    /// lowering. Used by [`crate::frozen::FrozenPlan::thaw`] to share plans
-    /// lowered once across threads.
-    pub fn seed_match(&self, key: usize, plan: Arc<CompiledMatch>) {
-        self.matches.borrow_mut().insert(key, plan);
-    }
-
-    /// [`PlanCache::seed_match`] for projections.
-    pub fn seed_projection(&self, key: usize, plan: Arc<CompiledProjection>) {
-        self.projections.borrow_mut().insert(key, plan);
     }
 
     /// Number of lowered plans (matches + projections), for tests.
@@ -327,13 +316,6 @@ impl QueryPlan {
     /// where the plan-time walk does not pay for itself).
     pub fn empty() -> Self {
         QueryPlan { symbols: SymbolTable::new(), plans: PlanCache::new() }
-    }
-
-    /// Assembles a plan from an already-built symbol table and a (typically
-    /// pre-seeded) plan cache — the thaw path of
-    /// [`crate::frozen::FrozenPlan`].
-    pub fn from_parts(symbols: SymbolTable, plans: PlanCache) -> Self {
-        QueryPlan { symbols, plans }
     }
 
     /// The plan's symbol table.
@@ -386,9 +368,9 @@ mod tests {
         let Clause::Match(m2) = &query.parts[0].clauses[1] else { panic!() };
         let first = cache.match_plan(&symbols, m1);
         let again = cache.match_plan(&symbols, m1);
-        assert!(Arc::ptr_eq(&first, &again), "re-lowered an already-cached clause");
+        assert!(Rc::ptr_eq(&first, &again), "re-lowered an already-cached clause");
         let other = cache.match_plan(&symbols, m2);
-        assert!(!Arc::ptr_eq(&first, &other));
+        assert!(!Rc::ptr_eq(&first, &other));
         assert_eq!(cache.len(), 2);
     }
 

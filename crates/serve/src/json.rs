@@ -6,8 +6,9 @@
 //! byte-deterministic — the property the docs' worked examples and the
 //! loopback tests rely on. Parsing is strict on structure (unterminated
 //! strings, trailing garbage and bad escapes are errors) and lenient on
-//! nothing; numbers are kept as `f64`, which is exact for every integer the
-//! protocol carries (counts, microseconds, budgets all fit in 2^53).
+//! nothing; numbers are kept as `f64`, which is exact for every integer up
+//! to 2^53 − 1 — the range [`Json::as_u64`] accepts, so a request integer
+//! above it is rejected rather than rounded.
 //!
 //! The reader recurses once per array or object level, so a body nesting
 //! deeper than [`MAX_DEPTH`] levels is an error, checked before recursing:
@@ -19,6 +20,11 @@ use std::fmt::Write as _;
 
 /// The deepest array/object nesting [`Json::parse`] accepts.
 pub const MAX_DEPTH: usize = 64;
+
+/// The largest integer [`Json::as_u64`] accepts, 2^53 − 1: every integer up
+/// to it parses to exactly its own `f64`, and 2^53 + 1 already parses to
+/// 2^53.
+const MAX_EXACT_INT: u64 = (1 << 53) - 1;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,10 +85,12 @@ impl Json {
     }
 
     /// The numeric payload as a non-negative integer, if this is a number
-    /// that is one (rejects negatives, NaN and fractions).
+    /// that is one no greater than 2^53 − 1 (rejects negatives, NaN,
+    /// fractions, and integers an `f64` cannot hold exactly: above 2^53 − 1
+    /// the parsed value may already differ from the text).
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        (n >= 0.0 && n <= u64::MAX as f64 && n.fract() == 0.0).then_some(n as u64)
+        (n >= 0.0 && n <= MAX_EXACT_INT as f64 && n.fract() == 0.0).then_some(n as u64)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -413,6 +421,13 @@ mod tests {
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("12").unwrap().as_u64(), Some(12));
+        // Integers are accepted only while an f64 holds them exactly: 2^53
+        // is out, 2^53 + 1 parses to 2^53, and 2^64 would saturate to
+        // u64::MAX.
+        assert_eq!(Json::parse("9007199254740991").unwrap().as_u64(), Some(9_007_199_254_740_991));
+        for out_of_range in ["9007199254740992", "9007199254740993", "18446744073709551616"] {
+            assert_eq!(Json::parse(out_of_range).unwrap().as_u64(), None, "{out_of_range}");
+        }
         let mut rendered = String::new();
         write!(rendered, "{}", Json::Num(3.0)).unwrap();
         assert_eq!(rendered, "3");

@@ -1,13 +1,13 @@
 //! Prover-as-a-service: a long-running batch equivalence server.
 //!
 //! GraphQE's warm-path economics — sub-millisecond parses, single-digit
-//! millisecond end-to-end proofs once the parse/plan/memo/SMT/summand caches
-//! are populated — only pay off inside a process that lives longer than one
-//! batch. This crate is that process: a hand-rolled HTTP/1.1 server over
-//! `std::net` (the workspace builds offline, so no hyper/tokio/serde) that
-//! accepts query-pair batches, proves them through
-//! [`graphqe::GraphQE::prove_batch`], and keeps every cache layer
-//! warm across requests and tenants.
+//! millisecond end-to-end proofs once the parse/normalize/memo/SMT/summand
+//! caches are populated — only pay off inside a process that lives longer
+//! than one batch. This crate is that process: a hand-rolled HTTP/1.1
+//! server over `std::net` (the workspace builds offline, so no
+//! hyper/tokio/serde) that accepts query-pair batches, proves them through
+//! [`graphqe::GraphQE::prove_batch`], and keeps every cache layer warm
+//! across requests and tenants.
 //!
 //! The pieces, bottom-up:
 //!

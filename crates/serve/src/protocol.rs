@@ -69,7 +69,7 @@ impl ProveRequest {
                 Some(value) => value
                     .as_u64()
                     .map(Some)
-                    .ok_or_else(|| format!("\"{name}\" must be a non-negative integer")),
+                    .ok_or_else(|| format!("\"{name}\" must be an integer from 0 to 2^53 - 1")),
             }
         };
         let certificates = match doc.get("certificates") {
@@ -243,6 +243,14 @@ mod tests {
         assert_eq!(request.deadline_ms, Some(100));
         assert_eq!(request.smt_step_budget, None);
         assert!(!request.certificates);
+        // The largest integer a JSON number holds exactly, 2^53 - 1.
+        let max = 9_007_199_254_740_991u64;
+        let body = format!(
+            r#"{{"pairs":[["a","b"]],"deadline_ms":{max},"smt_step_budget":{max},"search_graph_budget":{max}}}"#
+        );
+        let request = ProveRequest::parse(&body, 16).unwrap();
+        let limits = (request.deadline_ms, request.smt_step_budget, request.search_graph_budget);
+        assert_eq!(limits, (Some(max), Some(max), Some(max)));
     }
 
     #[test]
@@ -268,6 +276,15 @@ mod tests {
         let bad_deadline =
             ProveRequest::parse(r#"{"pairs":[["a","b"]],"deadline_ms":-3}"#, 16).unwrap_err();
         assert!(bad_deadline.contains("deadline_ms"));
+        // Past 2^53 - 1 an integer would be rounded (2^53 + 1 reads as 2^53)
+        // or saturated (2^64 as u64::MAX): each is rejected by name instead.
+        for field in ["deadline_ms", "smt_step_budget", "search_graph_budget"] {
+            for value in ["9007199254740992", "9007199254740993", "18446744073709551616"] {
+                let body = format!(r#"{{"pairs":[["a","b"]],"{field}":{value}}}"#);
+                let error = ProveRequest::parse(&body, 16).unwrap_err();
+                assert!(error.contains(field), "{field}={value}: {error}");
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //!    worker's thread-local caches (SMT formula, summand, arena) stay warm
 //!    across every request it ever serves — the entire point of running the
 //!    prover as a service. The big artifacts — parsed queries, normalized
-//!    forms and their G-expression builds, frozen counterexample plans —
-//!    live in process-wide shared caches since PR 8, so one worker's work
-//!    warms every other worker too and adding workers no longer multiplies
-//!    cache memory or cold misses.
+//!    forms and their G-expression builds, counterexample pools and search
+//!    outcomes — live in process-wide shared caches, so one worker's work
+//!    warms every other worker too and adding workers does not multiply
+//!    cache memory or cold misses. A request's counterexample search runs
+//!    on the worker serving it.
 //! 3. Request handling is wrapped in `catch_unwind` (on top of the per-pair
 //!    isolation inside the batch loop): a handler panic degrades to `500
 //!    internal` on that connection and the worker lives on.
@@ -56,9 +57,10 @@ pub struct ServeConfig {
     /// is reported by [`Server::local_addr`].
     pub addr: String,
     /// Worker threads (`0` = all available cores). Workers share the
-    /// process-wide parse/normalize/plan caches and keep only the small SMT
-    /// and summand memos thread-local, so scaling workers adds concurrency
-    /// without multiplying cache memory.
+    /// process-wide parse, normalize, pool and search-memo caches and keep
+    /// only the small SMT and summand memos thread-local, so scaling workers
+    /// adds concurrency without multiplying cache memory. Each worker proves
+    /// its requests, counterexample searches included, on its own thread.
     pub workers: usize,
     /// Bound on connections accepted but not yet picked up by a worker.
     /// Connections beyond it are rejected with `503 overloaded`.
@@ -402,7 +404,6 @@ fn handle_stats(shared: &Shared) -> (u16, String) {
     let (parse_hits, parse_misses) = graphqe::parse_cache_stats();
     let (normalize_hits, normalize_misses) = graphqe::normalize_cache_stats();
     let (memo_hits, memo_misses) = graphqe::counterexample::search_memo_stats();
-    let (plan_hits, plan_misses) = graphqe::counterexample::plan_cache_stats();
     let (smt_hits, smt_misses) = smt::formula_cache_stats();
     let (cert_emitted, cert_check_failures) = graphqe::certificate_counters();
     let liastar = liastar::cache_counters();
@@ -433,9 +434,6 @@ fn handle_stats(shared: &Shared) -> (u16, String) {
             json::obj(vec![
                 ("parse_hit_rate", rate(parse_hits, parse_misses)),
                 ("normalize_hit_rate", rate(normalize_hits, normalize_misses)),
-                // Process-wide shared (frozen-plan) since PR 8: one rate for
-                // all workers, not a per-thread average.
-                ("plan_hit_rate", rate(plan_hits, plan_misses)),
                 ("search_memo_hit_rate", rate(memo_hits, memo_misses)),
                 ("smt_formula_hit_rate", rate(smt_hits, smt_misses)),
                 ("summand_hit_rate", rate(liastar.summand_hits, liastar.summand_misses)),
@@ -446,8 +444,8 @@ fn handle_stats(shared: &Shared) -> (u16, String) {
     (200, body.to_string())
 }
 
-/// `POST /v1/admin/clear-caches`: clears the process-wide pool/memo/plan
-/// caches (and the parse and normalize caches). With
+/// `POST /v1/admin/clear-caches`: clears the process-wide pool, vocabulary
+/// and search-memo caches (and the parse and normalize caches). With
 /// `{"expected_generation":N}` the clear is
 /// generation-guarded: it happens only if no clear has landed since the
 /// caller observed generation `N` (from `/v1/stats`), otherwise `409` — the
@@ -466,7 +464,7 @@ fn handle_clear_caches(body: &[u8]) -> (u16, String) {
                             400,
                             error_body(
                                 "bad_request",
-                                "\"expected_generation\" must be a non-negative integer",
+                                "\"expected_generation\" must be an integer from 0 to 2^53 - 1",
                                 vec![],
                             ),
                         )

@@ -177,7 +177,23 @@ fn proves_pairs_over_a_keep_alive_connection() {
     assert_eq!(status, 200);
     assert!(stats.get("requests").unwrap().as_u64().unwrap() >= 4);
     assert_eq!(stats.get("pairs").unwrap().as_u64(), Some(3));
-    assert!(stats.get("caches").unwrap().get("parse_hit_rate").is_some());
+    let Some(Json::Obj(caches)) = stats.get("caches") else { panic!("caches object") };
+    let keys: Vec<&str> = caches.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "parse_hit_rate",
+            "normalize_hit_rate",
+            "search_memo_hit_rate",
+            "smt_formula_hit_rate",
+            "summand_hit_rate",
+            "disjoint_hit_rate",
+        ]
+    );
+    for (key, rate) in caches {
+        let rate = rate.as_f64().unwrap_or_else(|| panic!("{key} is not a number"));
+        assert!((0.0..=1.0).contains(&rate), "{key} = {rate}");
+    }
     assert!(stats.get("queue_capacity").unwrap().as_u64().unwrap() > 0);
 
     drop(client);
@@ -396,6 +412,15 @@ fn cache_clears_are_generation_guarded() {
     let (_, _) = client.request("POST", "/v1/prove", Some(&prove_body(&[NEQ])));
     let (_, stats) = client.request("GET", "/v1/stats", None);
     let generation = stats.get("pool_cache_generation").unwrap().as_u64().unwrap();
+
+    // A generation JSON numbers cannot hold exactly is a bad request that
+    // names the field, not a clear against a rounded generation.
+    let huge = r#"{"expected_generation":18446744073709551616}"#;
+    let (status, response) = client.request("POST", "/v1/admin/clear-caches", Some(huge));
+    assert_eq!(status, 400);
+    let error = response.get("error").expect("error object");
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("bad_request"));
+    assert!(error.get("message").and_then(Json::as_str).unwrap().contains("expected_generation"));
 
     // A clear that names the observed generation lands...
     let body = format!("{{\"expected_generation\":{generation}}}");

@@ -191,14 +191,13 @@ fn editing_a_signature_witness_row_is_rejected() {
 }
 
 /// Empties every process cache the prover reads: the parse, normalize
-/// (with its build and derivation memos), pool and plan caches, the SMT
-/// formula cache, and this thread's arena with its summand and disjointness
-/// caches.
+/// (with its build and derivation memos) and pool caches with the search
+/// memo, the SMT formula cache, and this thread's arena with its summand
+/// and disjointness caches.
 fn clear_process_caches() {
     graphqe::clear_parse_cache();
     graphqe::clear_normalize_cache();
     graphqe::counterexample::clear_pool_cache();
-    graphqe::counterexample::clear_plan_cache();
     smt::clear_formula_cache();
     liastar::reset_thread_caches();
 }

@@ -1,39 +1,36 @@
-//! PR 8 acceptance tests for the frozen shared substrate: cross-thread
-//! frozen plans, the shared normalize/build cache, and hash-consed SMT
-//! formula keys must change *where* work happens, never *what* comes out.
+//! Where work is shared must never change what comes out.
 //!
-//! 1. **Differential**: a thawed [`FrozenPlan`] evaluates row-identically to
-//!    a freshly lowered plan on every dataset query and a pool of random
-//!    graphs (the evaluator itself is checked against the certificate
-//!    checker's independent evaluator in `tests/checker_differential.rs`).
-//! 2. **Concurrent smoke**: two batch workers prove the full CyEqSet and
-//!    CyNeqSet corpora through the shared caches with the verdict totals
-//!    pinned to the single-threaded expectations (138/0/10 and 0/121/27),
-//!    with limits off and under a run token that never trips.
-//! 3. **Compile-enforced sharing**: the shared artifacts are `Send + Sync`
-//!    by construction, asserted at compile time.
+//! 1. **One plan across a pool**: the counterexample search plans each query
+//!    once and evaluates every pool graph under that plan. A reused
+//!    [`QueryPlan`] must give the same rows, in the same order, as a fresh
+//!    [`evaluate_query`] on each graph, and fail exactly where it fails (the
+//!    evaluator itself is checked against the certificate checker's
+//!    independent evaluator in `tests/checker_differential.rs`).
+//! 2. **The shared normalize/build cache** hands concurrent provers the same
+//!    entry, whose memoized build equals a fresh one.
+//! 3. **Concurrent smoke**: two batch workers prove the full CyEqSet and
+//!    CyNeqSet corpora through the process-wide caches with the verdict
+//!    totals pinned to the single-threaded expectations (138/0/10 and
+//!    0/121/27), with limits off and under a run token that never trips.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use graphqe::{normalize_cache_stats, parse_check_cached, GraphQE, NormalizedStages, ProveLimits};
-use property_graph::{evaluate_planned, FrozenPlan, GraphGenerator, PropertyGraph, QueryPlan};
+use property_graph::{evaluate_planned, evaluate_query, GraphGenerator, PropertyGraph, QueryPlan};
 
-// The substrate's whole premise, enforced at compile time: the artifacts the
-// process-wide caches hand out must cross threads.
+// The normalize cache hands its entries to every thread.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<FrozenPlan>();
-    assert_send_sync::<Arc<FrozenPlan>>();
     assert_send_sync::<NormalizedStages>();
     assert_send_sync::<Arc<NormalizedStages>>();
 };
 
-/// Every dataset query (sampled) evaluated two ways on every graph of a small
-/// pool: thawed frozen plan vs. freshly lowered plan must be row-identical
-/// (same evaluation code path, so even row order agrees).
+/// Every dataset query (sampled), planned once and evaluated under that one
+/// plan on every graph of a small pool, against a fresh one-shot evaluation
+/// per graph: the rows and their order must agree, and so must errors.
 #[test]
-fn frozen_plans_evaluate_identically_to_fresh_plans() {
+fn one_plan_reused_across_a_pool_evaluates_like_fresh_evaluation() {
     let mut graphs = vec![PropertyGraph::paper_example()];
     graphs.extend(GraphGenerator::new(7).generate_many(8));
     let mut queries: Vec<String> = Vec::new();
@@ -48,26 +45,24 @@ fn frozen_plans_evaluate_identically_to_fresh_plans() {
     let mut checked = 0usize;
     for text in &queries {
         let Ok(query) = cypher_parser::parse_query(text) else { continue };
-        let frozen = FrozenPlan::new(&query);
-        let thawed = frozen.thaw();
-        let fresh = QueryPlan::new(frozen.query());
+        let plan = QueryPlan::new(&query);
         for graph in &graphs {
             // Some dataset queries use features the evaluator rejects; a
-            // rejection must be consistent across both paths.
-            let via_thaw = evaluate_planned(graph, frozen.query(), &thawed);
-            let via_fresh = evaluate_planned(graph, frozen.query(), &fresh);
-            match (via_thaw, via_fresh) {
-                (Ok(thawed_rows), Ok(fresh_rows)) => {
+            // rejection must be the same on both paths.
+            let reused = evaluate_planned(graph, &query, &plan);
+            let fresh = evaluate_query(graph, &query);
+            match (reused, fresh) {
+                (Ok(reused_rows), Ok(fresh_rows)) => {
                     assert_eq!(
-                        thawed_rows, fresh_rows,
-                        "thawed plan diverged from a fresh plan for {text} on {graph}"
+                        reused_rows, fresh_rows,
+                        "the reused plan diverged from a fresh evaluation for {text} on {graph}"
                     );
                     checked += 1;
                 }
                 (Err(_), Err(_)) => {}
-                (thawed_result, fresh_result) => panic!(
-                    "inconsistent evaluability for {text} on {graph}: thawed={:?} fresh={:?}",
-                    thawed_result.is_ok(),
+                (reused_result, fresh_result) => panic!(
+                    "inconsistent evaluability for {text} on {graph}: reused={:?} fresh={:?}",
+                    reused_result.is_ok(),
                     fresh_result.is_ok()
                 ),
             }
