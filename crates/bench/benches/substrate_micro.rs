@@ -21,8 +21,9 @@ fn main() {
     });
 
     let parsed = parse_query(text).unwrap();
+    let mut store = gexpr::GStore::new();
     bench("gexpr/build_listing1", 20, || {
-        std::hint::black_box(gexpr::build_query(&parsed).unwrap());
+        std::hint::black_box(gexpr::build_into(&mut store, &parsed).unwrap());
     });
 
     let built = gexpr::build_query(&parsed).unwrap();

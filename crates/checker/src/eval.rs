@@ -48,9 +48,14 @@ impl QueryResult {
         rows
     }
 
-    /// Bag equality: same arity, same tuples with the same multiplicities.
-    /// Column names are ignored, matching the prover's Definition 4.
+    /// Bag equality: the same tuples with the same multiplicities, and the
+    /// same arity unless both bags are empty (an empty bag holds no tuple
+    /// whose width could differ). Column names are ignored, matching the
+    /// prover's Definition 4.
     pub fn bag_equal(&self, other: &QueryResult) -> bool {
+        if self.rows.is_empty() && other.rows.is_empty() {
+            return true;
+        }
         if self.columns.len() != other.columns.len() || self.rows.len() != other.rows.len() {
             return false;
         }
@@ -1159,5 +1164,15 @@ mod tests {
         assert!(a.bag_equal(&b));
         let c = run(&graph, "MATCH (p:Person) RETURN p.name, p.age");
         assert!(!a.bag_equal(&c));
+    }
+
+    #[test]
+    fn empty_bags_are_equal_whatever_their_arity() {
+        let graph = paper_example();
+        let one = run(&graph, "MATCH (p:NoSuchLabel) RETURN p.name");
+        let two = run(&graph, "MATCH (p:NoSuchLabel) RETURN p.name, p.age");
+        assert!(one.rows.is_empty() && one.bag_equal(&two) && two.bag_equal(&one));
+        let names = run(&graph, "MATCH (p:Person) RETURN p.name");
+        assert!(!names.bag_equal(&one) && !one.bag_equal(&names));
     }
 }

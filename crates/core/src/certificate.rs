@@ -192,7 +192,7 @@ impl GraphQE {
                     &mut ProofStats::default(),
                     Some(&mut log),
                 )
-                .map_err(|(_, reason)| format!("no equivalence witness: {reason}"))?;
+                .map_err(|unproved| format!("no equivalence witness: {}", unproved.reason()))?;
                 let evidence = Evidence::Equivalence {
                     column_permutation: log.permutation,
                     permuted_right: log.permuted_right.as_ref().map(query_to_string),

@@ -8,8 +8,9 @@
 //! 1. **Syntax & semantic check** — [`cypher_parser::parse_and_check`];
 //! 2. **Rule-based normalization** — [`cypher_normalizer::normalize_query`]
 //!    (Table II rules);
-//! 3. **G-expression construction** — [`gexpr::build_query`] (U-semiring
-//!    based graph-native algebraic representation);
+//! 3. **G-expression construction** — [`gexpr::build_into`] (U-semiring
+//!    based graph-native algebraic representation, built straight into the
+//!    thread's hash-consed arena);
 //! 4. **Decision** — [`liastar::check_equivalence`] (isomorphism matching +
 //!    LIA\*-style SMT reasoning on the from-scratch [`smt`] solver).
 //!
@@ -39,7 +40,7 @@ pub mod divide;
 pub mod verdict;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 thread_local! {
@@ -52,7 +53,8 @@ thread_local! {
 
 use cypher_parser::ast::{Clause, ProjectionItems, Query};
 use cypher_parser::{parse_and_check, CheckError};
-use gexpr::{build_query, BuildError, BuildOutput, ColumnKind};
+use gexpr::arena::ANode;
+use gexpr::{build_into, with_thread_store, BuildError, BuildOutput, ColumnKind, GStore};
 use graphqe_analyzer::TypeSig;
 use graphqe_checker::cert::QueryCert;
 use liastar::witness::{ProofRecord, SegmentRecord};
@@ -153,8 +155,7 @@ const DEFAULT_NORMALIZE_CACHE_CAPACITY: usize = 4096;
 
 /// The memoized stage-② (and lazily stage-③) outcome of one parsed query:
 /// its Table II normalized form plus the G-expression build of that form,
-/// computed once process-wide and shared across threads (`Arc<Query>` and
-/// [`BuildOutput`] are plain trees — `Send + Sync` is compile-enforced
+/// shared process-wide across threads (`Send + Sync` is compile-enforced
 /// below). Obtained through [`normalized_stages`]; a warm re-certification
 /// skips both `rule_normalize` and `gexpr_build` entirely.
 pub struct NormalizedStages {
@@ -164,10 +165,11 @@ pub struct NormalizedStages {
     source: Arc<Query>,
     /// The Table II normalized form of `source`.
     normalized: Query,
-    /// Stage ③ memo: the build of `normalized`, filled by the first prover
-    /// that needs it. Build errors are memoized too — `gexpr` is limits-free,
-    /// so its outcome is a deterministic property of the query.
-    build: Mutex<Option<Result<BuildOutput, BuildError>>>,
+    /// Stage ③ memo: the root id of the build of `normalized` in the last
+    /// arena that built it, or the build error. Errors are memoized for
+    /// good — `gexpr` is limits-free, so its outcome is a deterministic
+    /// property of the query.
+    build: Mutex<Option<BuildMemo>>,
     /// Certificate memo: the query's attestation (source text, Table II
     /// derivation, fixpoint), filled by the first certificate request, so
     /// proving never pays for it.
@@ -180,6 +182,15 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<NormalizedStages>();
 };
+
+/// What a [`NormalizedStages`] entry remembers of stage ③.
+enum BuildMemo {
+    /// The build, whose ids are valid in the arena carrying `stamp`
+    /// ([`GStore::stamp`]).
+    Built { stamp: u64, output: Arc<BuildOutput> },
+    /// The build failed, as it does in every arena.
+    Failed(BuildError),
+}
 
 impl NormalizedStages {
     /// Stage ② of `source` under the ambient run token, with empty memos.
@@ -199,15 +210,28 @@ impl NormalizedStages {
         self.cert.get_or_init(|| certificate::query_cert(&self.source))
     }
 
-    /// Stage ③ on the normalized form, memoized: the first caller builds,
-    /// every later caller — on any thread — clones the stored outcome.
-    pub fn build(&self) -> Result<BuildOutput, BuildError> {
-        let mut slot = self.build.lock().unwrap_or_else(|poison| poison.into_inner());
-        if let Some(built) = slot.as_ref() {
-            return built.clone();
+    /// Stage ③ on the normalized form into `store`, memoized per arena: a
+    /// caller whose store still carries the stamp of the last build gets
+    /// that build back (no build, clone or intern); any other caller — a
+    /// thread with its own arena, or one whose arena was epoch-reset since —
+    /// builds into its store, and its build becomes the memo.
+    pub fn build(&self, store: &mut GStore) -> Result<Arc<BuildOutput>, BuildError> {
+        let stamp = store.stamp();
+        match &*self.build.lock().unwrap_or_else(PoisonError::into_inner) {
+            Some(BuildMemo::Built { stamp: built_in, output }) if *built_in == stamp => {
+                return Ok(Arc::clone(output))
+            }
+            Some(BuildMemo::Failed(error)) => return Err(error.clone()),
+            _ => {}
         }
-        let built = build_query(&self.normalized);
-        *slot = Some(built.clone());
+        let (built, memo) = match build_into(store, &self.normalized) {
+            Ok(output) => {
+                let output = Arc::new(output);
+                (Ok(Arc::clone(&output)), BuildMemo::Built { stamp, output })
+            }
+            Err(error) => (Err(error.clone()), BuildMemo::Failed(error)),
+        };
+        *self.build.lock().unwrap_or_else(PoisonError::into_inner) = Some(memo);
         built
     }
 }
@@ -317,15 +341,16 @@ impl Normalized {
         }
     }
 
-    /// Stage ③ for this query: the memoized build for stage-② entries, a
-    /// fresh build otherwise. Wall-clock (a memo probe on warm hits) goes
-    /// into `timings.build` either way.
-    fn build_timed(&self, timings: &mut StageTimings) -> Result<BuildOutput, BuildError> {
+    /// Stage ③ for this query into the calling thread's arena: the
+    /// memoized build for stage-② entries, a fresh build otherwise.
+    /// Wall-clock (a memo probe on warm hits) goes into `timings.build`
+    /// either way.
+    fn build_timed(&self, timings: &mut StageTimings) -> Result<Arc<BuildOutput>, BuildError> {
         let build_start = Instant::now();
-        let built = match self {
-            Normalized::Stages(stages) => stages.build(),
-            Normalized::Owned(query) => build_query(query),
-        };
+        let built = with_thread_store(|store| match self {
+            Normalized::Stages(stages) => stages.build(store),
+            Normalized::Owned(query) => build_into(store, query).map(Arc::new),
+        });
         timings.build += build_start.elapsed();
         built
     }
@@ -621,7 +646,7 @@ impl GraphQE {
     }
 
     /// The stage-⓪ typed retry: normalize, build with integer-sorted output
-    /// columns ([`gexpr::build_query_typed`]), decide on the identity column
+    /// columns ([`gexpr::build_into_typed`]), decide on the identity column
     /// alignment. Returns whether the typed decision proved the pair. Strictly
     /// best-effort — every failure (trip, unsupported feature, segment split)
     /// leaves the original verdict standing.
@@ -645,7 +670,9 @@ impl GraphQE {
             return false;
         }
         let build_start = Instant::now();
-        let built = (gexpr::build_query_typed(n1, hints), gexpr::build_query_typed(n2, hints));
+        let built = with_thread_store(|store| {
+            (gexpr::build_into_typed(store, n1, hints), gexpr::build_into_typed(store, n2, hints))
+        });
         stats.stages.build += build_start.elapsed();
         let (Ok(built1), Ok(built2)) = built else {
             return false;
@@ -655,8 +682,8 @@ impl GraphQE {
         }
         let decide_start = Instant::now();
         let outcome = liastar::try_check_equivalence_with_opts(
-            &built1.expr,
-            &built2.expr,
+            built1.expr,
+            built2.expr,
             DecideOptions { tree_normalizer: self.use_tree_normalizer },
         );
         stats.stages.decide += decide_start.elapsed();
@@ -877,7 +904,7 @@ impl GraphQE {
                 embedded.latency = start.elapsed();
                 Verdict::Equivalent(embedded)
             }
-            Err((category, reason)) => {
+            Err(unproved) => {
                 // A trip during the decision means "not proved" only because
                 // the run was cut short — searching for a witness on top of
                 // it would blow the deadline further; report the trip.
@@ -905,6 +932,7 @@ impl GraphQE {
                 if let Some(trip) = limits::trip() {
                     return trip_verdict(trip);
                 }
+                let (category, reason) = unproved.categorized(n1.query(), n2.query());
                 Verdict::Unknown { category, reason }
             }
         }
@@ -921,23 +949,23 @@ impl GraphQE {
         n2: &Normalized,
         stats: &mut ProofStats,
         mut evidence: Option<&mut EvidenceLog>,
-    ) -> Result<(), (FailureCategory, String)> {
+    ) -> Result<(), Unproved> {
         let q1 = n1.query();
         let q2 = n2.query();
         // Divide-and-conquer for ORDER BY ... LIMIT/SKIP inside subqueries.
         // Segments are sliced-up query fragments, so their builds cannot come
         // from the whole-query memo; they are built fresh per segment.
         if divide::needs_divide_and_conquer(q1) || divide::needs_divide_and_conquer(q2) {
-            let segments1 = divide::split_into_segments(q1).ok_or((
+            let segments1 = divide::split_into_segments(q1).ok_or(Unproved::Failed(
                 FailureCategory::SortingTruncation,
                 "cannot split the first query into provable segments".to_string(),
             ))?;
-            let segments2 = divide::split_into_segments(q2).ok_or((
+            let segments2 = divide::split_into_segments(q2).ok_or(Unproved::Failed(
                 FailureCategory::SortingTruncation,
                 "cannot split the second query into provable segments".to_string(),
             ))?;
             if segments1.len() != segments2.len() {
-                return Err((
+                return Err(Unproved::Failed(
                     FailureCategory::SortingTruncation,
                     format!(
                         "the queries contain {} and {} ORDER BY ... LIMIT fragments",
@@ -968,8 +996,7 @@ impl GraphQE {
         // the cached path, so a warm re-certification skips the build.
         let built1 = n1.build_timed(&mut stats.stages).map_err(categorize_build_error)?;
         let built2 = n2.build_timed(&mut stats.stages).map_err(categorize_build_error)?;
-        let segment =
-            self.prove_segment_with(q1, q2, &built1, &built2, &mut stats.stages, evidence)?;
+        let segment = self.prove_segment_with(q2, &built1, &built2, &mut stats.stages, evidence)?;
         stats.column_permutation = segment.column_permutation;
         stats.decision = segment.decision;
         Ok(())
@@ -977,37 +1004,42 @@ impl GraphQE {
 
     /// Proves one pair of (sub)queries by G-expression construction and the
     /// LIA* decision. Used by the divide-and-conquer path, whose segment
-    /// fragments have no memoized builds.
+    /// fragments have no memoized builds; an undecided segment is
+    /// categorized on the spot, from the segment's own queries.
     fn prove_segment(
         &self,
         q1: &Query,
         q2: &Query,
         timings: &mut StageTimings,
         evidence: Option<&mut EvidenceLog>,
-    ) -> Result<ProofStats, (FailureCategory, String)> {
+    ) -> Result<ProofStats, Unproved> {
         // Stage ③: G-expression construction.
         let build_start = Instant::now();
-        let built = (build_query(q1), build_query(q2));
+        let built = with_thread_store(|store| (build_into(store, q1), build_into(store, q2)));
         timings.build += build_start.elapsed();
         let built1 = built.0.map_err(categorize_build_error)?;
         let built2 = built.1.map_err(categorize_build_error)?;
-        self.prove_segment_with(q1, q2, &built1, &built2, timings, evidence)
+        self.prove_segment_with(q2, &built1, &built2, timings, evidence).map_err(|unproved| {
+            let (category, reason) = unproved.categorized(q1, q2);
+            Unproved::Failed(category, reason)
+        })
     }
 
-    /// The decision half of [`GraphQE::prove_segment`], starting from built
-    /// G-expressions: return-element mapping and the LIA* decision. Build
-    /// (permutation rebuilds) and decide wall-clock is accumulated into
-    /// `timings` on every exit path. With `evidence`, the proving decision's
-    /// witness and column alignment are appended to the log.
+    /// The decision half of [`GraphQE::prove_segment`], starting from
+    /// G-expressions built into the calling thread's arena: return-element
+    /// mapping and the LIA* decision. `q2` is the right query, whose
+    /// permutations are rebuilt into the same arena. Build (permutation
+    /// rebuilds) and decide wall-clock is accumulated into `timings` on every
+    /// exit path. With `evidence`, the proving decision's witness and column
+    /// alignment are appended to the log.
     fn prove_segment_with(
         &self,
-        q1: &Query,
         q2: &Query,
         built1: &BuildOutput,
         built2: &BuildOutput,
         timings: &mut StageTimings,
         evidence: Option<&mut EvidenceLog>,
-    ) -> Result<ProofStats, (FailureCategory, String)> {
+    ) -> Result<ProofStats, Unproved> {
         if built1.columns != built2.columns {
             // The paper: queries with different return arity can only be
             // equivalent if both always return the empty result.
@@ -1025,7 +1057,7 @@ impl GraphQE {
                 }
                 return Ok(ProofStats::default());
             }
-            return Err((
+            return Err(Unproved::Failed(
                 FailureCategory::Other,
                 format!("the queries return {} and {} columns", built1.columns, built2.columns),
             ));
@@ -1040,30 +1072,21 @@ impl GraphQE {
         {
             let build_start = Instant::now();
             let permuted = (!is_identity(&permutation)).then(|| permute_returns(q2, &permutation));
-            let rebuilt;
             let candidate = match &permuted {
-                None => built2,
-                Some(query) => match build_query(query) {
-                    Ok(output) => {
-                        rebuilt = output;
-                        &rebuilt
-                    }
-                    Err(_) => {
-                        timings.build += build_start.elapsed();
-                        continue;
-                    }
-                },
+                None => Ok(built2.expr),
+                Some(query) => with_thread_store(|store| build_into(store, query)).map(|b| b.expr),
             };
             timings.build += build_start.elapsed();
+            let Ok(candidate) = candidate else { continue };
             // Stage ④: the LIA★ decision (fallible under limits — a trip
             // surfaces here instead of being silently degraded to NotProved).
             let decide_start = Instant::now();
             let outcome = if evidence.is_some() {
-                liastar::try_check_equivalence_recording(&built1.expr, &candidate.expr)
+                liastar::try_check_equivalence_recording(built1.expr, candidate)
             } else {
                 liastar::try_check_equivalence_with_opts(
-                    &built1.expr,
-                    &candidate.expr,
+                    built1.expr,
+                    candidate,
                     DecideOptions { tree_normalizer: self.use_tree_normalizer },
                 )
                 .map(|(decision, stats)| (decision, stats, None))
@@ -1071,7 +1094,7 @@ impl GraphQE {
             timings.decide += decide_start.elapsed();
             let (decision, stats, witness) = match outcome {
                 Ok(result) => result,
-                Err(trip) => return Err((trip.into(), trip.to_string())),
+                Err(trip) => return Err(Unproved::Failed(trip.into(), trip.to_string())),
             };
             if decision == Decision::Proved {
                 if let (Some(log), Some(witness)) = (evidence, witness) {
@@ -1084,10 +1107,38 @@ impl GraphQE {
                 });
             }
         }
-        Err((
-            categorize_unproved(q1, q2),
-            "the G-expressions could not be proven equal".to_string(),
-        ))
+        Err(Unproved::Undecided)
+    }
+}
+
+/// Why stages ③/④ did not prove a pair.
+enum Unproved {
+    /// A failure with its category and reason.
+    Failed(FailureCategory, String),
+    /// Every column alignment was decided and none proved. The category
+    /// ([`categorize_unproved`]) is worked out only for a verdict that needs
+    /// it: a counterexample found afterwards makes it moot.
+    Undecided,
+}
+
+impl Unproved {
+    /// The reason an `Undecided` pair reports.
+    const UNDECIDED: &'static str = "the G-expressions could not be proven equal";
+
+    /// The failure's reason text.
+    fn reason(&self) -> &str {
+        match self {
+            Unproved::Failed(_, reason) => reason,
+            Unproved::Undecided => Unproved::UNDECIDED,
+        }
+    }
+
+    /// The failure's category and reason for the normalized pair `(q1, q2)`.
+    fn categorized(self, q1: &Query, q2: &Query) -> (FailureCategory, String) {
+        match self {
+            Unproved::Failed(category, reason) => (category, reason),
+            Unproved::Undecided => (categorize_unproved(q1, q2), Unproved::UNDECIDED.to_string()),
+        }
     }
 }
 
@@ -1126,7 +1177,7 @@ fn type_error(side: &str, diagnostic: cypher_parser::Diagnostic) -> Verdict {
     }
 }
 
-fn categorize_build_error(error: BuildError) -> (FailureCategory, String) {
+fn categorize_build_error(error: BuildError) -> Unproved {
     // Exhaustive over the typed feature enum: adding a feature class to the
     // builder without deciding its failure category fails compilation here.
     let category = match error.feature {
@@ -1134,7 +1185,7 @@ fn categorize_build_error(error: BuildError) -> (FailureCategory, String) {
         Some(gexpr::UnsupportedFeature::NestedAggregate) => FailureCategory::NestedAggregate,
         None => FailureCategory::Other,
     };
-    (category, error.to_string())
+    Unproved::Failed(category, error.to_string())
 }
 
 /// When the decision procedure fails, classify the failure the way the
@@ -1195,9 +1246,16 @@ fn categorize_unproved(q1: &Query, q2: &Query) -> FailureCategory {
 
 /// Both queries are provably empty (their normalized G-expressions are 0).
 fn both_always_empty(b1: &BuildOutput, b2: &BuildOutput, tree_normalizer: bool) -> bool {
-    let norm: fn(&gexpr::GExpr) -> gexpr::GExpr =
-        if tree_normalizer { gexpr::normalize_tree } else { gexpr::normalize };
-    norm(&b1.expr).is_zero() && norm(&b2.expr).is_zero()
+    with_thread_store(|store| {
+        [b1.expr, b2.expr].into_iter().all(|root| {
+            if tree_normalizer {
+                gexpr::normalize_tree(&store.extern_expr(root)).is_zero()
+            } else {
+                let normal = store.normalize_id(root);
+                matches!(store.node_of(normal), ANode::Zero)
+            }
+        })
+    })
 }
 
 /// All permutations of the second query's columns whose kinds match the first
@@ -1682,26 +1740,55 @@ mod tests {
         assert_eq!(set_normalize_cache_capacity(previous), 1);
     }
 
+    /// The stamp of the arena an entry's build memo holds ids of.
+    fn memo_stamp(stages: &NormalizedStages) -> Option<u64> {
+        match &*stages.build.lock().unwrap() {
+            Some(BuildMemo::Built { stamp, .. }) => Some(*stamp),
+            _ => None,
+        }
+    }
+
     #[test]
     fn normalized_stages_memoize_builds_across_threads() {
-        let query =
-            parse_check_cached("MATCH (nc_build_memo)-[r:R]->(m) RETURN nc_build_memo").unwrap();
+        // The prove below must reach this test's cache entries, which the
+        // capacity tests would otherwise be free to evict.
+        let _parse_serial = PARSE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = NORMALIZE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let text = "MATCH (nc_build_memo)-[r:R]->(m) RETURN nc_build_memo";
+        let query = parse_check_cached(text).unwrap();
         let stages = normalized_stages(&query).expect("normalization must succeed");
-        let baseline = stages.build().expect("build must succeed");
+        let expected = gexpr::build_query(stages.normalized()).expect("build must succeed");
+        let externalized = |stages: &NormalizedStages| {
+            with_thread_store(|store| {
+                let built = stages.build(store).expect("build must succeed");
+                (built.columns, built.column_kinds.clone(), store.extern_expr(built.expr))
+            })
+        };
+        let expected = (expected.columns, expected.column_kinds, expected.expr);
+        // A second build in the same arena epoch is the memo itself.
+        let first = with_thread_store(|store| stages.build(store)).unwrap();
+        let again = with_thread_store(|store| stages.build(store)).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "a hit in the same arena must not rebuild");
+        assert_eq!(externalized(&stages), expected);
+        // Threads whose arenas do not hold the memo's ids build into their
+        // own, and get an equal build.
         let handles: Vec<_> = (0..3)
             .map(|_| {
                 let stages = Arc::clone(&stages);
-                let expected = baseline.clone();
-                std::thread::spawn(move || {
-                    assert_eq!(stages.build().expect("build must succeed"), expected);
-                })
+                let expected = expected.clone();
+                std::thread::spawn(move || assert_eq!(externalized(&stages), expected))
             })
             .collect();
         for handle in handles {
             handle.join().unwrap();
         }
-        // The memoized build equals a fresh build of the normalized form.
-        assert_eq!(build_query(stages.normalized()).unwrap(), baseline);
+        // After an epoch reset the memo's ids are stale: the next prove
+        // rebuilds into the fresh arena.
+        liastar::reset_thread_caches();
+        assert!(prover().prove(text, text).is_equivalent());
+        let stamp = with_thread_store(|store| store.stamp());
+        assert_eq!(memo_stamp(&stages), Some(stamp), "the prove must rebuild after a reset");
+        assert_eq!(externalized(&stages), expected);
     }
 
     #[test]
@@ -1796,6 +1883,17 @@ mod tests {
             ("MATCH (n) RETURN n", "MATCH (n) RETURN count(*)"),
             ("MATCH (a)-[r:X]->(b) RETURN a", "MATCH (a)-[r:Y]->(b) RETURN a"),
             ("RETURN 1 AS x", "RETURN 2 AS x"),
+            // Always empty on both sides, with different arities: no graph
+            // separates them, so neither prover may refute them.
+            ("MATCH (n) WHERE false RETURN n.a", "MATCH (n) WHERE false RETURN n.a, n.b"),
+            (
+                "MATCH (n) WHERE n.a = 1 AND n.a = 2 RETURN n.a",
+                "MATCH (n) WHERE n.a = 1 AND n.a = 2 RETURN n.a, n.a",
+            ),
+            (
+                "MATCH (n:A) WHERE n.a > 3 AND n.a < 2 RETURN n",
+                "MATCH (m:B) WHERE m.b > 3 AND m.b < 2 RETURN m, m.b",
+            ),
         ];
         let on = prover();
         let off = GraphQE { analyze: false, ..prover() };

@@ -28,7 +28,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::expr::GExpr;
 use crate::normalize::compare_constants;
@@ -173,6 +173,25 @@ pub struct GStore {
     /// Bumped by [`GStore::reset_epoch`]; caches elsewhere that key on this
     /// store's ids compare epochs to detect staleness.
     epoch: u64,
+    /// Process-unique identity of this store's current epoch (see
+    /// [`GStore::stamp`]).
+    stamp: Stamp,
+}
+
+/// The source of [`GStore::stamp`] values: every new store and every epoch
+/// reset draws the next one, so no two (store, epoch) pairs of a process
+/// share a stamp.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
+
+/// A freshly drawn arena stamp. Deliberately not `Clone`, so neither is
+/// [`GStore`]: a copied store would share the stamp while its ids diverge.
+#[derive(Debug)]
+struct Stamp(u64);
+
+impl Default for Stamp {
+    fn default() -> Stamp {
+        Stamp(NEXT_STAMP.fetch_add(1, Ordering::Relaxed))
+    }
 }
 
 /// High-water mark of [`GStore::node_count`] across every store of the
@@ -225,6 +244,16 @@ impl GStore {
         self.epoch
     }
 
+    /// A process-unique identity of this store in its current epoch. An id
+    /// handed out by a store is valid in exactly the stores that still
+    /// carry the stamp it was handed out under, so a cache shared across
+    /// threads can record the stamp next to the ids it holds and reuse them
+    /// only where the stamp matches. Epochs alone cannot tell two threads'
+    /// arenas apart; stamps can.
+    pub fn stamp(&self) -> u64 {
+        self.stamp.0
+    }
+
     /// Drops every interned node, term, string and memo entry and bumps the
     /// store's epoch.
     ///
@@ -232,8 +261,9 @@ impl GStore {
     /// this between pairs once the arena outgrows its budget, so memory stops
     /// growing monotonically. **Every id handed out before the reset is
     /// invalidated** — callers that cache ids must compare [`GStore::epoch`]
-    /// and drop their caches on mismatch (`liastar` does exactly that for its
-    /// summand and disjointness caches).
+    /// (or, across threads, [`GStore::stamp`]) and drop their caches on
+    /// mismatch (`liastar` does exactly that for its summand and disjointness
+    /// caches).
     pub fn reset_epoch(&mut self) {
         self.strings.clear();
         self.string_ids.clear();
@@ -250,6 +280,7 @@ impl GStore {
         self.term_text.clear();
         self.all_vars_cache.clear();
         self.epoch += 1;
+        self.stamp = Stamp::default();
     }
 
     /// Every distinct variable **occurring** in the node (at `Var` leaves,
@@ -806,6 +837,61 @@ impl GStore {
         }
     }
 
+    /// Renames every variable occurrence of a term, bound and free, with
+    /// `f` in one pass (mirror of [`GTerm::rename_vars`]).
+    pub(crate) fn rename_term(&mut self, t: TermId, f: &impl Fn(VarId) -> VarId) -> TermId {
+        let renamed = match self.term_of(t).clone() {
+            ATerm::Var(v) => ATerm::Var(f(v)),
+            ATerm::OutCol(_) | ATerm::IntCol(_) | ATerm::Const(_) => return t,
+            ATerm::Prop(base, key) => ATerm::Prop(self.rename_term(base, f), key),
+            ATerm::App(name, args) => {
+                ATerm::App(name, args.iter().map(|a| self.rename_term(*a, f)).collect())
+            }
+            ATerm::Agg { kind, distinct, arg, group } => {
+                let arg = self.rename_term(arg, f);
+                let group = self.rename_node(group, f);
+                ATerm::Agg { kind, distinct, arg, group }
+            }
+        };
+        self.term(renamed)
+    }
+
+    /// Renames every variable occurrence of an expression, Σ binders
+    /// included, with `f` in one pass (mirror of [`GExpr::rename_all`]).
+    /// The shape is rebuilt as it is, without the smart constructors.
+    pub(crate) fn rename_node(&mut self, n: NodeId, f: &impl Fn(VarId) -> VarId) -> NodeId {
+        let renamed = match self.node_of(n).clone() {
+            ANode::Zero | ANode::One | ANode::Const(_) => return n,
+            ANode::Atom(AAtom::Cmp(op, lhs, rhs)) => {
+                let lhs = self.rename_term(lhs, f);
+                ANode::Atom(AAtom::Cmp(op, lhs, self.rename_term(rhs, f)))
+            }
+            ANode::Atom(AAtom::IsNull(t, negated)) => {
+                ANode::Atom(AAtom::IsNull(self.rename_term(t, f), negated))
+            }
+            ANode::Atom(AAtom::Pred(name, args)) => ANode::Atom(AAtom::Pred(
+                name,
+                args.iter().map(|a| self.rename_term(*a, f)).collect(),
+            )),
+            ANode::NodeFn(t) => ANode::NodeFn(self.rename_term(t, f)),
+            ANode::RelFn(t) => ANode::RelFn(self.rename_term(t, f)),
+            ANode::Lab(t, label) => ANode::Lab(self.rename_term(t, f), label),
+            ANode::Unbounded(t) => ANode::Unbounded(self.rename_term(t, f)),
+            ANode::Mul(items) => {
+                ANode::Mul(items.iter().map(|i| self.rename_node(*i, f)).collect())
+            }
+            ANode::Add(items) => {
+                ANode::Add(items.iter().map(|i| self.rename_node(*i, f)).collect())
+            }
+            ANode::Squash(inner) => ANode::Squash(self.rename_node(inner, f)),
+            ANode::Not(inner) => ANode::Not(self.rename_node(inner, f)),
+            ANode::Sum(vars, body) => {
+                ANode::Sum(vars.iter().map(|v| f(*v)).collect(), self.rename_node(body, f))
+            }
+        };
+        self.node(renamed)
+    }
+
     // ------------------------------------------------------------------
     // Rendering (the canonical sort key — mirrors the Display impls)
     // ------------------------------------------------------------------
@@ -987,13 +1073,17 @@ impl GStore {
     /// The rendered text of a node — identical to `GExpr::to_string` on the
     /// externalized tree. Cached per id.
     pub fn node_string(&mut self, n: NodeId) -> String {
-        if let Some(text) = self.node_text.get(&n) {
-            return text.clone();
+        self.cache_node_text(n);
+        self.node_text[&n].clone()
+    }
+
+    /// Renders a node into the text cache unless it is there already.
+    fn cache_node_text(&mut self, n: NodeId) {
+        if !self.node_text.contains_key(&n) {
+            let mut out = String::new();
+            self.write_node(&mut out, n, false);
+            self.node_text.insert(n, out);
         }
-        let mut out = String::new();
-        self.write_node(&mut out, n, false);
-        self.node_text.insert(n, out.clone());
-        out
     }
 
     /// The rendered text of a term — identical to `GTerm::to_string`.
@@ -1293,14 +1383,12 @@ impl GStore {
         }
         let result = match self.node_of(n).clone() {
             ANode::Mul(items) => {
-                let mut items: Vec<NodeId> = items.iter().map(|i| self.sort_node(*i)).collect();
-                items.sort_by_key(|i| self.node_string(*i));
-                self.node(ANode::Mul(items.into()))
+                let items = self.sort_items(&items);
+                self.node(ANode::Mul(items))
             }
             ANode::Add(items) => {
-                let mut items: Vec<NodeId> = items.iter().map(|i| self.sort_node(*i)).collect();
-                items.sort_by_key(|i| self.node_string(*i));
-                self.node(ANode::Add(items.into()))
+                let items = self.sort_items(&items);
+                self.node(ANode::Add(items))
             }
             ANode::Squash(inner) => {
                 let inner = self.sort_node(inner);
@@ -1318,6 +1406,20 @@ impl GStore {
         };
         self.sort_cache.insert(n, result);
         result
+    }
+
+    /// The operands of a product or sum, each canonically sorted, in the
+    /// order of their rendered text (stable, so equal texts keep their
+    /// order). Each key is rendered once and compared borrowed.
+    fn sort_items(&mut self, items: &[NodeId]) -> Box<[NodeId]> {
+        let items: Vec<NodeId> = items.iter().map(|i| self.sort_node(*i)).collect();
+        for &item in &items {
+            self.cache_node_text(item);
+        }
+        let mut keyed: Vec<(&str, NodeId)> =
+            items.iter().map(|i| (self.node_text[i].as_str(), *i)).collect();
+        keyed.sort_by(|a, b| a.0.cmp(b.0));
+        keyed.into_iter().map(|(_, item)| item).collect()
     }
 
     /// Fully normalizes a node: the same bounded fixpoint of rewrite passes
@@ -1489,6 +1591,22 @@ mod tests {
         for expr in sample_expressions() {
             let id = store.intern_expr(&expr);
             assert_eq!(store.node_string(id), expr.to_string());
+        }
+    }
+
+    #[test]
+    fn renaming_matches_tree_renaming() {
+        let mut store = GStore::new();
+        // A swap and a shift, so a sequential renaming would show.
+        let swap = |v: VarId| match v.0 {
+            0 => VarId(1),
+            1 => VarId(0),
+            n => VarId(n + 7),
+        };
+        for expr in sample_expressions() {
+            let id = store.intern_expr(&expr);
+            let renamed = store.rename_node(id, &swap);
+            assert_eq!(store.extern_expr(renamed), expr.rename_all(&swap), "for {expr}");
         }
     }
 

@@ -8,6 +8,12 @@
 //!   projections, and
 //! * an environment mapping Cypher variable names to terms.
 //!
+//! It builds straight into a hash-consed [`GStore`] through the arena's
+//! smart constructors (the mirrors of [`GExpr::mul`], [`GExpr::add`],
+//! [`GExpr::squash`], [`GExpr::not`] and [`GExpr::sum`]), so the prover
+//! decides on the ids it returns without ever holding a tree;
+//! [`build_query`] externalizes the same build for callers that want one.
+//!
 //! Features the paper models with uninterpreted functions (arbitrary-length
 //! paths, built-in functions, `COLLECT`, sorting with truncation at the top
 //! level) are represented with uninterpreted [`GTerm::App`] /
@@ -15,8 +21,11 @@
 //! aggregates, `ORDER BY ... LIMIT` inside `WITH`) produce an
 //! [`UnsupportedFeature`](BuildError) error so the prover can report the same
 //! failure categories as the paper's evaluation.
+//!
+//! [`GTerm::App`]: crate::GTerm::App
+//! [`GAtom::Pred`]: crate::GAtom::Pred
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use cypher_parser::ast::{
     Aggregate, BinaryOp, Clause, Expr, Literal, MatchClause, NodePattern, PathPattern, Projection,
@@ -24,8 +33,9 @@ use cypher_parser::ast::{
     UnwindClause, WithClause,
 };
 
+use crate::arena::{AAtom, ANode, ATerm, GStore, NodeId, TermId};
 use crate::expr::GExpr;
-use crate::term::{CmpOp, GAggKind, GAtom, GConst, GTerm, VarId};
+use crate::term::{CmpOp, GAggKind, GConst, VarId};
 
 /// The paper's unsupported-feature classes, as a closed enum so downstream
 /// failure categorization is compiler-checked instead of string-matched.
@@ -101,11 +111,14 @@ pub enum ColumnKind {
     Value,
 }
 
-/// The result of constructing a G-expression for a query.
+/// The result of constructing a G-expression for a query: by default the
+/// root id in the [`GStore`] it was built in ([`build_into`]), or the
+/// externalized tree ([`build_query`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct BuildOutput {
-    /// The G-expression `g(t)`.
-    pub expr: GExpr,
+pub struct BuildOutput<E = NodeId> {
+    /// The G-expression `g(t)`. An id is valid only in the store it was
+    /// built in, and only until that store's next epoch reset.
+    pub expr: E,
     /// Number of output columns of the query.
     pub columns: usize,
     /// Per-column kind information for return-element mapping.
@@ -121,61 +134,65 @@ enum VarKind {
     Value,
 }
 
-/// Builds the G-expression of a (normalized) Cypher query.
-pub fn build_query(query: &Query) -> Result<BuildOutput, BuildError> {
-    Builder::new().build_query(query)
+/// Builds the G-expression of a (normalized) Cypher query into `store`.
+pub fn build_into(store: &mut GStore, query: &Query) -> Result<BuildOutput, BuildError> {
+    Builder { store, next_var: 0, int_cols: &[] }.build_query(query)
 }
 
-/// Builds the G-expression of a query with integer-typing hints: the listed
-/// output columns are emitted as [`GTerm::IntCol`] instead of
-/// [`GTerm::OutCol`], telling the SMT encoding they are integer-valued and
-/// non-null. The caller (the prover) is responsible for only passing columns
-/// the static analyzer proved integer on **both** queries being compared.
-pub fn build_query_typed(query: &Query, int_cols: &[usize]) -> Result<BuildOutput, BuildError> {
-    Builder::with_int_hints(int_cols.iter().copied()).build_query(query)
+/// Builds the G-expression of a query into `store` with integer-typing
+/// hints: the listed output columns are emitted as [`GTerm::IntCol`]
+/// instead of [`GTerm::OutCol`], telling the SMT encoding they are
+/// integer-valued and non-null. The caller (the prover) is responsible for
+/// only passing columns the static analyzer proved integer on **both**
+/// queries being compared.
+///
+/// [`GTerm::IntCol`]: crate::GTerm::IntCol
+/// [`GTerm::OutCol`]: crate::GTerm::OutCol
+pub fn build_into_typed(
+    store: &mut GStore,
+    query: &Query,
+    int_cols: &[usize],
+) -> Result<BuildOutput, BuildError> {
+    Builder { store, next_var: 0, int_cols }.build_query(query)
+}
+
+/// Builds the G-expression of a (normalized) Cypher query as a tree: the
+/// [`build_into`] build in a store of its own, externalized.
+pub fn build_query(query: &Query) -> Result<BuildOutput<GExpr>, BuildError> {
+    let mut store = GStore::new();
+    let built = build_into(&mut store, query)?;
+    Ok(BuildOutput {
+        expr: store.extern_expr(built.expr),
+        columns: built.columns,
+        column_kinds: built.column_kinds,
+    })
 }
 
 /// The G-expression builder. Owns the variable counter so that every
 /// constructed variable is unique across the whole query (including
 /// subqueries and the emptiness tests of `OPTIONAL MATCH`).
-pub struct Builder {
+struct Builder<'a> {
+    store: &'a mut GStore,
     next_var: u32,
-    int_cols: BTreeSet<usize>,
+    int_cols: &'a [usize],
 }
 
 /// Per-single-query accumulation state.
 #[derive(Debug, Clone, Default)]
 struct State {
     vars: Vec<VarId>,
-    factors: Vec<GExpr>,
-    env: BTreeMap<String, GTerm>,
+    factors: Vec<NodeId>,
+    env: BTreeMap<String, TermId>,
     kinds: BTreeMap<String, VarKind>,
 }
 
-impl Default for Builder {
-    fn default() -> Self {
-        Builder::new()
-    }
-}
-
-impl Builder {
-    /// Creates a fresh builder.
-    pub fn new() -> Self {
-        Builder { next_var: 0, int_cols: BTreeSet::new() }
-    }
-
-    /// Creates a builder that emits [`GTerm::IntCol`] for the given output
-    /// columns (integer typing facts from the static analyzer).
-    pub fn with_int_hints(int_cols: impl IntoIterator<Item = usize>) -> Self {
-        Builder { next_var: 0, int_cols: int_cols.into_iter().collect() }
-    }
-
+impl Builder<'_> {
     /// The output-column term for `index`, honouring the typing hints.
-    fn out_col(&self, index: usize) -> GTerm {
+    fn out_col(&mut self, index: usize) -> TermId {
         if self.int_cols.contains(&index) {
-            GTerm::IntCol(index)
+            self.store.term(ATerm::IntCol(index))
         } else {
-            GTerm::OutCol(index)
+            self.store.term(ATerm::OutCol(index))
         }
     }
 
@@ -185,8 +202,66 @@ impl Builder {
         id
     }
 
+    // -- arena shorthands ----------------------------------------------------
+
+    fn var(&mut self, var: VarId) -> TermId {
+        self.store.term(ATerm::Var(var))
+    }
+
+    fn konst(&mut self, c: GConst) -> TermId {
+        let c = self.store.konst(&c);
+        self.store.term(ATerm::Const(c))
+    }
+
+    fn int(&mut self, v: i64) -> TermId {
+        self.konst(GConst::Integer(v))
+    }
+
+    fn string(&mut self, s: &str) -> TermId {
+        self.konst(GConst::String(s.to_string()))
+    }
+
+    fn prop(&mut self, base: TermId, key: &str) -> TermId {
+        let key = self.store.sym(key);
+        self.store.term(ATerm::Prop(base, key))
+    }
+
+    fn app(&mut self, name: &str, args: Vec<TermId>) -> TermId {
+        let name = self.store.sym(name);
+        self.store.term(ATerm::App(name, args.into()))
+    }
+
+    fn atom(&mut self, atom: AAtom) -> NodeId {
+        self.store.node(ANode::Atom(atom))
+    }
+
+    fn cmp(&mut self, op: CmpOp, lhs: TermId, rhs: TermId) -> NodeId {
+        self.atom(AAtom::Cmp(op, lhs, rhs))
+    }
+
+    /// An equality bracket `[lhs = rhs]`.
+    fn eq(&mut self, lhs: TermId, rhs: TermId) -> NodeId {
+        self.cmp(CmpOp::Eq, lhs, rhs)
+    }
+
+    fn pred(&mut self, name: &str, args: Vec<TermId>) -> NodeId {
+        let name = self.store.sym(name);
+        self.atom(AAtom::Pred(name, args.into()))
+    }
+
+    fn lab(&mut self, term: TermId, label: &str) -> NodeId {
+        let label = self.store.sym(label);
+        self.store.node(ANode::Lab(term, label))
+    }
+
+    /// `Σ_vars Π factors`, through the smart constructors.
+    fn sum_of_product(&mut self, vars: Vec<VarId>, factors: Vec<NodeId>) -> NodeId {
+        let product = self.store.mk_mul(factors);
+        self.store.mk_sum(vars, product)
+    }
+
     /// Builds the G-expression of a full query (handling `UNION [ALL]`).
-    pub fn build_query(&mut self, query: &Query) -> Result<BuildOutput, BuildError> {
+    fn build_query(&mut self, query: &Query) -> Result<BuildOutput, BuildError> {
         let mut parts = Vec::new();
         let mut columns = None;
         let mut kinds = None;
@@ -196,7 +271,7 @@ impl Builder {
             match columns {
                 None => {
                     columns = Some(output.columns);
-                    kinds = Some(output.column_kinds.clone());
+                    kinds = Some(output.column_kinds);
                 }
                 Some(c) if c != output.columns => {
                     return Err(BuildError::new(format!(
@@ -211,8 +286,8 @@ impl Builder {
             }
             parts.push(output.expr);
         }
-        let combined = GExpr::add(parts);
-        let expr = if any_distinct_union { GExpr::squash(combined) } else { combined };
+        let combined = self.store.mk_add(parts);
+        let expr = if any_distinct_union { self.store.mk_squash(combined) } else { combined };
         Ok(BuildOutput {
             expr,
             columns: columns.unwrap_or(0),
@@ -265,12 +340,11 @@ impl Builder {
     /// Relationship-injective semantics: distinct relationship patterns in one
     /// `MATCH` clause must bind distinct relationships, modeled as
     /// `not([e_i = e_j])` for every pair (§IV-B).
-    fn add_injectivity(&mut self, state: &mut State, rel_terms: &[GTerm]) {
+    fn add_injectivity(&mut self, state: &mut State, rel_terms: &[TermId]) {
         for i in 0..rel_terms.len() {
             for j in (i + 1)..rel_terms.len() {
-                state
-                    .factors
-                    .push(GExpr::not(GExpr::eq(rel_terms[i].clone(), rel_terms[j].clone())));
+                let same = self.eq(rel_terms[i], rel_terms[j]);
+                state.factors.push(self.store.mk_not(same));
             }
         }
     }
@@ -300,7 +374,7 @@ impl Builder {
             optional.factors.push(factor);
         }
 
-        let present = GExpr::mul(optional.factors.clone());
+        let present = self.store.mk_mul(optional.factors);
 
         // Emptiness test over a fresh copy of the optional variables so the
         // `not(...)` factor does not capture the row's own bindings.
@@ -311,18 +385,22 @@ impl Builder {
             renaming.insert(*var, fresh);
             fresh_vars.push(fresh);
         }
-        let emptiness_body = present.rename_variables(&renaming);
-        let absent_guard = GExpr::not(GExpr::squash(GExpr::sum(fresh_vars, emptiness_body)));
+        let emptiness_body =
+            self.store.rename_node(present, &|v| renaming.get(&v).copied().unwrap_or(v));
+        let emptiness = self.store.mk_sum(fresh_vars, emptiness_body);
+        let nonempty = self.store.mk_squash(emptiness);
+        let absent_guard = self.store.mk_not(nonempty);
 
         // In the absent branch every newly bound variable is NULL.
         let mut null_factors = vec![absent_guard];
         for var in &optional.vars {
-            null_factors.push(GExpr::eq(GTerm::Var(*var), GTerm::Const(GConst::Null)));
+            let (var, null) = (self.var(*var), self.konst(GConst::Null));
+            null_factors.push(self.eq(var, null));
         }
-        let absent = GExpr::mul(null_factors);
+        let absent = self.store.mk_mul(null_factors);
 
         state.vars.extend(optional.vars.iter().copied());
-        state.factors.push(GExpr::add(vec![present, absent]));
+        state.factors.push(self.store.mk_add(vec![present, absent]));
         state.env = optional.env;
         state.kinds = optional.kinds;
         Ok(())
@@ -332,59 +410,59 @@ impl Builder {
         &mut self,
         state: &mut State,
         pattern: &PathPattern,
-        rel_terms: &mut Vec<GTerm>,
+        rel_terms: &mut Vec<TermId>,
     ) -> Result<(), BuildError> {
         let mut trace = Vec::new();
         let mut left = self.build_node_pattern(state, &pattern.start)?;
-        trace.push(left.clone());
+        trace.push(left);
         for segment in &pattern.segments {
             let right = self.build_node_pattern(state, &segment.node)?;
-            let rel =
-                self.build_relationship_pattern(state, &segment.relationship, &left, &right)?;
+            let rel = self.build_relationship_pattern(state, &segment.relationship, left, right)?;
             if !segment.relationship.is_var_length() {
-                rel_terms.push(rel.clone());
+                rel_terms.push(rel);
             }
             trace.push(rel);
-            trace.push(right.clone());
+            trace.push(right);
             left = right;
         }
         if let Some(path_var) = &pattern.variable {
-            let term = GTerm::app("path", trace);
+            let term = self.app("path", trace);
             state.env.insert(path_var.clone(), term);
             state.kinds.insert(path_var.clone(), VarKind::Value);
         }
         Ok(())
     }
 
+    /// The term of a pattern variable: its existing binding, or a fresh
+    /// summation variable (bound under `name` with `kind` when named).
+    fn pattern_term(&mut self, state: &mut State, name: Option<&String>, kind: VarKind) -> TermId {
+        if let Some(term) = name.and_then(|name| state.env.get(name)) {
+            return *term;
+        }
+        let var = self.fresh();
+        state.vars.push(var);
+        let term = self.var(var);
+        if let Some(name) = name {
+            state.env.insert(name.clone(), term);
+            state.kinds.insert(name.clone(), kind);
+        }
+        term
+    }
+
     fn build_node_pattern(
         &mut self,
         state: &mut State,
         pattern: &NodePattern,
-    ) -> Result<GTerm, BuildError> {
-        let term = match &pattern.variable {
-            Some(name) => match state.env.get(name) {
-                Some(term) => term.clone(),
-                None => {
-                    let var = self.fresh();
-                    state.vars.push(var);
-                    state.env.insert(name.clone(), GTerm::Var(var));
-                    state.kinds.insert(name.clone(), VarKind::Node);
-                    GTerm::Var(var)
-                }
-            },
-            None => {
-                let var = self.fresh();
-                state.vars.push(var);
-                GTerm::Var(var)
-            }
-        };
-        state.factors.push(GExpr::NodeFn(term.clone()));
+    ) -> Result<TermId, BuildError> {
+        let term = self.pattern_term(state, pattern.variable.as_ref(), VarKind::Node);
+        state.factors.push(self.store.node(ANode::NodeFn(term)));
         for label in &pattern.labels {
-            state.factors.push(GExpr::LabFn(term.clone(), label.clone()));
+            state.factors.push(self.lab(term, label));
         }
         for (key, value) in &pattern.properties {
             let value_term = self.build_term(state, value)?;
-            state.factors.push(GExpr::eq(GTerm::prop(term.clone(), key.clone()), value_term));
+            let property = self.prop(term, key);
+            state.factors.push(self.eq(property, value_term));
         }
         Ok(term)
     }
@@ -393,83 +471,58 @@ impl Builder {
         &mut self,
         state: &mut State,
         pattern: &RelationshipPattern,
-        left: &GTerm,
-        right: &GTerm,
-    ) -> Result<GTerm, BuildError> {
-        let term = match &pattern.variable {
-            Some(name) => match state.env.get(name) {
-                Some(term) => term.clone(),
-                None => {
-                    let var = self.fresh();
-                    state.vars.push(var);
-                    state.env.insert(name.clone(), GTerm::Var(var));
-                    state.kinds.insert(name.clone(), VarKind::Relationship);
-                    GTerm::Var(var)
-                }
-            },
-            None => {
-                let var = self.fresh();
-                state.vars.push(var);
-                GTerm::Var(var)
-            }
-        };
-        state.factors.push(GExpr::RelFn(term.clone()));
+        left: TermId,
+        right: TermId,
+    ) -> Result<TermId, BuildError> {
+        let term = self.pattern_term(state, pattern.variable.as_ref(), VarKind::Relationship);
+        state.factors.push(self.store.node(ANode::RelFn(term)));
 
         // A relationship has exactly one label, so alternatives combine with
         // `+` rather than `×` (§IV-B).
         match pattern.labels.len() {
             0 => {}
-            1 => state.factors.push(GExpr::LabFn(term.clone(), pattern.labels[0].clone())),
+            1 => state.factors.push(self.lab(term, &pattern.labels[0])),
             _ => {
-                let alternatives = pattern
-                    .labels
-                    .iter()
-                    .map(|label| GExpr::LabFn(term.clone(), label.clone()))
-                    .collect();
-                state.factors.push(GExpr::add(alternatives));
+                let alternatives =
+                    pattern.labels.iter().map(|label| self.lab(term, label)).collect();
+                state.factors.push(self.store.mk_add(alternatives));
             }
         }
         for (key, value) in &pattern.properties {
             let value_term = self.build_term(state, value)?;
-            state.factors.push(GExpr::eq(GTerm::prop(term.clone(), key.clone()), value_term));
+            let property = self.prop(term, key);
+            state.factors.push(self.eq(property, value_term));
         }
 
         // Arbitrary-length paths: treat the pattern as a single relationship
         // entity marked UNBOUNDED (Table I); a bounded range keeps its bounds
         // as an uninterpreted predicate so differing bounds never unify.
         if let Some(length) = &pattern.length {
-            state.factors.push(GExpr::Unbounded(term.clone()));
+            state.factors.push(self.store.node(ANode::Unbounded(term)));
             if length.min.is_some() || length.max.is_some() {
-                state.factors.push(GExpr::Atom(GAtom::Pred(
-                    "varlen".to_string(),
-                    vec![
-                        term.clone(),
-                        GTerm::int(length.min.map(i64::from).unwrap_or(1)),
-                        GTerm::int(length.max.map(i64::from).unwrap_or(-1)),
-                    ],
-                )));
+                let min = self.int(length.min.map(i64::from).unwrap_or(1));
+                let max = self.int(length.max.map(i64::from).unwrap_or(-1));
+                state.factors.push(self.pred("varlen", vec![term, min, max]));
             }
         }
 
-        let src = GTerm::app("src", vec![term.clone()]);
-        let tgt = GTerm::app("tgt", vec![term.clone()]);
+        let src = self.app("src", vec![term]);
+        let tgt = self.app("tgt", vec![term]);
         match pattern.direction {
             RelDirection::Outgoing => {
-                state.factors.push(GExpr::eq(src, left.clone()));
-                state.factors.push(GExpr::eq(tgt, right.clone()));
+                state.factors.push(self.eq(src, left));
+                state.factors.push(self.eq(tgt, right));
             }
             RelDirection::Incoming => {
-                state.factors.push(GExpr::eq(src, right.clone()));
-                state.factors.push(GExpr::eq(tgt, left.clone()));
+                state.factors.push(self.eq(src, right));
+                state.factors.push(self.eq(tgt, left));
             }
             RelDirection::Undirected => {
-                let forward = GExpr::mul(vec![
-                    GExpr::eq(src.clone(), left.clone()),
-                    GExpr::eq(tgt.clone(), right.clone()),
-                ]);
-                let backward =
-                    GExpr::mul(vec![GExpr::eq(src, right.clone()), GExpr::eq(tgt, left.clone())]);
-                state.factors.push(GExpr::add(vec![forward, backward]));
+                let forward = vec![self.eq(src, left), self.eq(tgt, right)];
+                let forward = self.store.mk_mul(forward);
+                let backward = vec![self.eq(src, right), self.eq(tgt, left)];
+                let backward = self.store.mk_mul(backward);
+                state.factors.push(self.store.mk_add(vec![forward, backward]));
             }
         }
         Ok(term)
@@ -480,14 +533,14 @@ impl Builder {
     fn build_unwind(&mut self, state: &mut State, clause: &UnwindClause) -> Result<(), BuildError> {
         let row_var = self.fresh();
         state.vars.push(row_var);
-        let row_term = GTerm::Var(row_var);
+        let row_term = self.var(row_var);
 
         // Resolve aliases introduced by WITH so `WITH [..] AS tmp UNWIND tmp`
         // sees the underlying list literal.
         let source = match &clause.expr {
-            Expr::Variable(name) => match state.env.get(name) {
-                Some(GTerm::App(app, args)) if app == "list" => {
-                    Some(ListSource::Terms(args.clone()))
+            Expr::Variable(name) => match state.env.get(name).map(|t| self.store.term_of(*t)) {
+                Some(ATerm::App(app, args)) if self.store.str_of(*app) == "list" => {
+                    Some(ListSource::Terms(args.to_vec()))
                 }
                 _ => None,
             },
@@ -513,20 +566,17 @@ impl Builder {
                 // (Table I, "Unwinding").
                 let mut alternatives = Vec::new();
                 for term in terms {
-                    alternatives.push(self.unwind_element(&row_term, &term));
+                    alternatives.push(self.unwind_element(row_term, term));
                 }
-                state.factors.push(GExpr::add(alternatives));
+                state.factors.push(self.store.mk_add(alternatives));
             }
             Some(ListSource::Passthrough(term)) => {
-                state.factors.push(GExpr::eq(row_term.clone(), term));
+                state.factors.push(self.eq(row_term, term));
             }
             None => {
                 // Arbitrary list expression: uninterpreted membership.
                 let list_term = self.build_term(state, &clause.expr)?;
-                state.factors.push(GExpr::Atom(GAtom::Pred(
-                    "unwind".to_string(),
-                    vec![row_term.clone(), list_term],
-                )));
+                state.factors.push(self.pred("unwind", vec![row_term, list_term]));
             }
         }
         state.env.insert(clause.alias.clone(), row_term);
@@ -534,21 +584,26 @@ impl Builder {
         Ok(())
     }
 
-    fn unwind_element(&mut self, row: &GTerm, element: &GTerm) -> GExpr {
-        match element {
+    fn unwind_element(&mut self, row: TermId, element: TermId) -> NodeId {
+        match self.store.term_of(element).clone() {
             // A map literal pins each property of the row variable.
-            GTerm::App(name, args) if name == "map" => {
+            ATerm::App(name, args) if self.store.str_of(name) == "map" => {
                 let mut factors = Vec::new();
                 let mut iter = args.iter();
                 while let (Some(key), Some(value)) = (iter.next(), iter.next()) {
-                    if let GTerm::Const(GConst::String(key)) = key {
-                        factors
-                            .push(GExpr::eq(GTerm::prop(row.clone(), key.clone()), value.clone()));
-                    }
+                    let key = match self.store.term_of(*key) {
+                        ATerm::Const(c) => match self.store.const_of(*c) {
+                            GConst::String(key) => key.clone(),
+                            _ => continue,
+                        },
+                        _ => continue,
+                    };
+                    let property = self.prop(row, &key);
+                    factors.push(self.eq(property, *value));
                 }
-                GExpr::mul(factors)
+                self.store.mk_mul(factors)
             }
-            other => GExpr::eq(row.clone(), other.clone()),
+            _ => self.eq(row, element),
         }
     }
 
@@ -585,7 +640,7 @@ impl Builder {
             state.env = new_env;
             state.kinds = new_kinds;
         } else {
-            self.project_with_grouping(state, &items, projection.distinct)?;
+            self.project_with_grouping(state, &items)?;
         }
 
         if let Some(predicate) = &clause.where_clause {
@@ -597,16 +652,12 @@ impl Builder {
 
     /// Shared handling of `WITH DISTINCT ...` and `WITH`-level aggregation:
     /// the current pattern is folded into a squashed group per combination of
-    /// grouping keys, and aggregate items become [`GTerm::Agg`] terms.
+    /// grouping keys, and aggregate items become aggregate terms.
     fn project_with_grouping(
         &mut self,
         state: &mut State,
         items: &[(String, Expr)],
-        _distinct: bool,
     ) -> Result<(), BuildError> {
-        let old_vars = state.vars.clone();
-        let old_factors = state.factors.clone();
-
         let mut new_vars = Vec::new();
         let mut key_equalities = Vec::new();
         let mut agg_bindings = Vec::new();
@@ -616,22 +667,24 @@ impl Builder {
         for (name, expr) in items {
             let var = self.fresh();
             new_vars.push(var);
-            let var_term = GTerm::Var(var);
+            let var_term = self.var(var);
             if expr.contains_aggregate() {
                 let agg_term = self.build_aggregate_term(state, expr, &key_equalities)?;
-                agg_bindings.push(GExpr::eq(var_term.clone(), agg_term));
+                agg_bindings.push(self.eq(var_term, agg_term));
                 new_kinds.insert(name.clone(), VarKind::Value);
             } else {
                 let term = self.build_term(state, expr)?;
-                key_equalities.push(GExpr::eq(var_term.clone(), term));
+                key_equalities.push(self.eq(var_term, term));
                 new_kinds.insert(name.clone(), self.expr_kind(state, expr));
             }
             new_env.insert(name.clone(), var_term);
         }
 
-        let mut group_factors = old_factors.clone();
-        group_factors.extend(key_equalities.clone());
-        let group = GExpr::squash(GExpr::sum(old_vars, GExpr::mul(group_factors)));
+        let mut group_factors = std::mem::take(&mut state.factors);
+        group_factors.extend(key_equalities);
+        let old_vars = std::mem::take(&mut state.vars);
+        let group = self.sum_of_product(old_vars, group_factors);
+        let group = self.store.mk_squash(group);
 
         state.vars = new_vars;
         state.factors = vec![group];
@@ -659,19 +712,17 @@ impl Builder {
         let mut ordering_factors = Vec::new();
         for (index, order) in projection.order_by.iter().enumerate() {
             let key = self.build_term(state, &order.expr)?;
-            let direction = if order.ascending { "asc" } else { "desc" };
-            ordering_factors.push(GExpr::Atom(GAtom::Pred(
-                "order".to_string(),
-                vec![GTerm::int(index as i64), GTerm::string(direction), key],
-            )));
+            let position = self.int(index as i64);
+            let direction = self.string(if order.ascending { "asc" } else { "desc" });
+            ordering_factors.push(self.pred("order", vec![position, direction, key]));
         }
         if let Some(limit) = &projection.limit {
             let term = self.build_term(state, limit)?;
-            ordering_factors.push(GExpr::Atom(GAtom::Pred("limit".to_string(), vec![term])));
+            ordering_factors.push(self.pred("limit", vec![term]));
         }
         if let Some(skip) = &projection.skip {
             let term = self.build_term(state, skip)?;
-            ordering_factors.push(GExpr::Atom(GAtom::Pred("skip".to_string(), vec![term])));
+            ordering_factors.push(self.pred("skip", vec![term]));
         }
 
         let expr = if has_aggregate {
@@ -680,40 +731,42 @@ impl Builder {
             let mut key_equalities = Vec::new();
             let mut agg_equalities = Vec::new();
             for (index, (_, item)) in items.iter().enumerate() {
-                let col = self.out_col(index);
                 if item.contains_aggregate() {
                     let agg = self.build_aggregate_term(state, item, &key_equalities)?;
-                    agg_equalities.push(GExpr::eq(col, agg));
+                    let col = self.out_col(index);
+                    agg_equalities.push(self.eq(col, agg));
                 } else {
                     let term = self.build_term(state, item)?;
-                    key_equalities.push(GExpr::eq(col, term));
+                    let col = self.out_col(index);
+                    key_equalities.push(self.eq(col, term));
                 }
             }
-            let group_present = !key_equalities.is_empty();
-            let mut group_factors = state.factors.clone();
-            group_factors.extend(key_equalities);
-            group_factors.extend(ordering_factors.clone());
-            let group = GExpr::sum(state.vars.clone(), GExpr::mul(group_factors));
             let mut final_factors = Vec::new();
-            if group_present {
-                final_factors.push(GExpr::squash(group));
-            } else {
+            if key_equalities.is_empty() {
                 // A global aggregate always returns exactly one row.
-                final_factors.push(GExpr::One);
+                final_factors.push(self.store.node(ANode::One));
+                final_factors.extend(agg_equalities);
+                final_factors.extend(ordering_factors);
+            } else {
+                let mut group_factors = state.factors.clone();
+                group_factors.extend(key_equalities);
+                group_factors.extend(ordering_factors);
+                let group = self.sum_of_product(state.vars.clone(), group_factors);
+                final_factors.push(self.store.mk_squash(group));
+                final_factors.extend(agg_equalities);
             }
-            final_factors.extend(agg_equalities);
-            final_factors.extend(if group_present { vec![] } else { ordering_factors });
-            GExpr::mul(final_factors)
+            self.store.mk_mul(final_factors)
         } else {
             let mut factors = state.factors.clone();
             for (index, (_, item)) in items.iter().enumerate() {
                 let term = self.build_term(state, item)?;
-                factors.push(GExpr::eq(self.out_col(index), term));
+                let col = self.out_col(index);
+                factors.push(self.eq(col, term));
             }
             factors.extend(ordering_factors);
-            let body = GExpr::sum(state.vars.clone(), GExpr::mul(factors));
+            let body = self.sum_of_product(state.vars.clone(), factors);
             if projection.distinct {
-                GExpr::squash(body)
+                self.store.mk_squash(body)
             } else {
                 body
             }
@@ -747,9 +800,9 @@ impl Builder {
         &mut self,
         state: &State,
         expr: &Expr,
-        key_equalities: &[GExpr],
-    ) -> Result<GTerm, BuildError> {
-        let (kind, distinct, arg_term) = match expr {
+        key_equalities: &[NodeId],
+    ) -> Result<TermId, BuildError> {
+        let (kind, distinct, arg) = match expr {
             Expr::AggregateCall { func, distinct, arg } => {
                 if arg.contains_aggregate() {
                     return Err(BuildError::unsupported(
@@ -767,9 +820,7 @@ impl Builder {
                 };
                 (kind, *distinct, self.build_term(state, arg)?)
             }
-            Expr::CountStar { distinct } => {
-                (GAggKind::Count, *distinct, GTerm::app("star", vec![]))
-            }
+            Expr::CountStar { distinct } => (GAggKind::Count, *distinct, self.app("star", vec![])),
             other => {
                 return Err(BuildError::unsupported(
                     UnsupportedFeature::NestedAggregate,
@@ -780,33 +831,40 @@ impl Builder {
         // The group of the aggregate: the current pattern constrained to the
         // same grouping keys as the output row.
         let mut group_factors = state.factors.clone();
-        group_factors.extend(key_equalities.to_vec());
-        let group = GExpr::sum(state.vars.clone(), GExpr::mul(group_factors));
-        Ok(GTerm::Agg { kind, distinct, arg: Box::new(arg_term), group: Box::new(group) })
+        group_factors.extend_from_slice(key_equalities);
+        let group = self.sum_of_product(state.vars.clone(), group_factors);
+        Ok(self.store.term(ATerm::Agg { kind, distinct, arg, group }))
     }
 
     // -- expressions ------------------------------------------------------------
 
     /// Compiles a boolean Cypher expression into a 0/1-valued G-expression.
-    fn build_predicate(&mut self, state: &State, expr: &Expr) -> Result<GExpr, BuildError> {
+    fn build_predicate(&mut self, state: &State, expr: &Expr) -> Result<NodeId, BuildError> {
         Ok(match expr {
-            Expr::Binary(BinaryOp::And, lhs, rhs) => GExpr::mul(vec![
-                self.build_predicate(state, lhs)?,
-                self.build_predicate(state, rhs)?,
-            ]),
-            Expr::Binary(BinaryOp::Or, lhs, rhs) => GExpr::squash(GExpr::add(vec![
-                self.build_predicate(state, lhs)?,
-                self.build_predicate(state, rhs)?,
-            ])),
+            Expr::Binary(BinaryOp::And, lhs, rhs) => {
+                let factors =
+                    vec![self.build_predicate(state, lhs)?, self.build_predicate(state, rhs)?];
+                self.store.mk_mul(factors)
+            }
+            Expr::Binary(BinaryOp::Or, lhs, rhs) => {
+                let terms =
+                    vec![self.build_predicate(state, lhs)?, self.build_predicate(state, rhs)?];
+                let either = self.store.mk_add(terms);
+                self.store.mk_squash(either)
+            }
             Expr::Binary(BinaryOp::Xor, lhs, rhs) => {
                 let left = self.build_predicate(state, lhs)?;
                 let right = self.build_predicate(state, rhs)?;
-                GExpr::add(vec![
-                    GExpr::mul(vec![left.clone(), GExpr::not(right.clone())]),
-                    GExpr::mul(vec![GExpr::not(left), right]),
-                ])
+                let not_right = self.store.mk_not(right);
+                let left_only = self.store.mk_mul(vec![left, not_right]);
+                let not_left = self.store.mk_not(left);
+                let right_only = self.store.mk_mul(vec![not_left, right]);
+                self.store.mk_add(vec![left_only, right_only])
             }
-            Expr::Unary(UnaryOp::Not, inner) => GExpr::not(self.build_predicate(state, inner)?),
+            Expr::Unary(UnaryOp::Not, inner) => {
+                let inner = self.build_predicate(state, inner)?;
+                self.store.mk_not(inner)
+            }
             Expr::Binary(op, lhs, rhs) if op.is_comparison() => {
                 let cmp = match op {
                     BinaryOp::Eq => CmpOp::Eq,
@@ -817,11 +875,9 @@ impl Builder {
                     BinaryOp::Ge => CmpOp::Ge,
                     _ => unreachable!("is_comparison"),
                 };
-                GExpr::Atom(GAtom::Cmp(
-                    cmp,
-                    self.build_term(state, lhs)?,
-                    self.build_term(state, rhs)?,
-                ))
+                let lhs = self.build_term(state, lhs)?;
+                let rhs = self.build_term(state, rhs)?;
+                self.cmp(cmp, lhs, rhs)
             }
             Expr::Binary(
                 op
@@ -836,29 +892,29 @@ impl Builder {
                     BinaryOp::Contains => "contains",
                     _ => unreachable!(),
                 };
-                GExpr::Atom(GAtom::Pred(
-                    name.to_string(),
-                    vec![self.build_term(state, lhs)?, self.build_term(state, rhs)?],
-                ))
+                let args = vec![self.build_term(state, lhs)?, self.build_term(state, rhs)?];
+                self.pred(name, args)
             }
             Expr::IsNull { expr, negated } => {
-                GExpr::Atom(GAtom::IsNull(self.build_term(state, expr)?, *negated))
+                let term = self.build_term(state, expr)?;
+                self.atom(AAtom::IsNull(term, *negated))
             }
-            Expr::Literal(Literal::Boolean(true)) => GExpr::One,
-            Expr::Literal(Literal::Boolean(false)) => GExpr::Zero,
-            Expr::Literal(Literal::Null) => GExpr::Zero,
+            Expr::Literal(Literal::Boolean(true)) => self.store.node(ANode::One),
+            Expr::Literal(Literal::Boolean(false)) => self.store.node(ANode::Zero),
+            Expr::Literal(Literal::Null) => self.store.node(ANode::Zero),
             Expr::Exists(query) => self.build_exists(state, query)?,
             other => {
                 // Any other expression used as a predicate: uninterpreted
                 // truthiness test.
-                GExpr::Atom(GAtom::Pred("truthy".to_string(), vec![self.build_term(state, other)?]))
+                let term = self.build_term(state, other)?;
+                self.pred("truthy", vec![term])
             }
         })
     }
 
     /// `EXISTS { subquery }`: the squashed multiplicity of the subquery's
     /// pattern, with the outer bindings visible.
-    fn build_exists(&mut self, state: &State, query: &Query) -> Result<GExpr, BuildError> {
+    fn build_exists(&mut self, state: &State, query: &Query) -> Result<NodeId, BuildError> {
         let mut parts = Vec::new();
         for part in &query.parts {
             let mut sub = State {
@@ -877,37 +933,46 @@ impl Builder {
                     Clause::Return(_) => {}
                 }
             }
-            parts.push(GExpr::sum(sub.vars, GExpr::mul(sub.factors)));
+            parts.push(self.sum_of_product(sub.vars, sub.factors));
         }
-        Ok(GExpr::squash(GExpr::add(parts)))
+        let any = self.store.mk_add(parts);
+        Ok(self.store.mk_squash(any))
     }
 
     /// Compiles a scalar Cypher expression into a term.
-    fn build_term(&mut self, state: &State, expr: &Expr) -> Result<GTerm, BuildError> {
+    fn build_term(&mut self, state: &State, expr: &Expr) -> Result<TermId, BuildError> {
         Ok(match expr {
-            Expr::Literal(Literal::Integer(v)) => GTerm::Const(GConst::Integer(*v)),
-            Expr::Literal(Literal::Float(v)) => GTerm::Const(GConst::Float(*v)),
-            Expr::Literal(Literal::String(s)) => GTerm::Const(GConst::String(s.clone())),
-            Expr::Literal(Literal::Boolean(b)) => GTerm::Const(GConst::Boolean(*b)),
-            Expr::Literal(Literal::Null) => GTerm::Const(GConst::Null),
-            Expr::Variable(name) => state.env.get(name).cloned().ok_or_else(|| {
+            Expr::Literal(Literal::Integer(v)) => self.int(*v),
+            Expr::Literal(Literal::Float(v)) => self.konst(GConst::Float(*v)),
+            Expr::Literal(Literal::String(s)) => self.string(s),
+            Expr::Literal(Literal::Boolean(b)) => self.konst(GConst::Boolean(*b)),
+            Expr::Literal(Literal::Null) => self.konst(GConst::Null),
+            Expr::Variable(name) => *state.env.get(name).ok_or_else(|| {
                 BuildError::new(format!("reference to unbound variable `{name}`"))
             })?,
-            Expr::Parameter(name) => GTerm::app("param", vec![GTerm::string(name.clone())]),
-            Expr::Property(base, key) => GTerm::prop(self.build_term(state, base)?, key.clone()),
+            Expr::Parameter(name) => {
+                let name = self.string(name);
+                self.app("param", vec![name])
+            }
+            Expr::Property(base, key) => {
+                let base = self.build_term(state, base)?;
+                self.prop(base, key)
+            }
             Expr::FunctionCall { name, args } => {
                 let mut terms = Vec::new();
                 for arg in args {
                     terms.push(self.build_term(state, arg)?);
                 }
-                GTerm::app(name.clone(), terms)
+                self.app(name, terms)
             }
             Expr::Unary(UnaryOp::Neg, inner) => {
-                GTerm::app("neg", vec![self.build_term(state, inner)?])
+                let inner = self.build_term(state, inner)?;
+                self.app("neg", vec![inner])
             }
             Expr::Unary(UnaryOp::Pos, inner) => self.build_term(state, inner)?,
             Expr::Unary(UnaryOp::Not, inner) => {
-                GTerm::app("not", vec![self.build_term(state, inner)?])
+                let inner = self.build_term(state, inner)?;
+                self.app("not", vec![inner])
             }
             Expr::Binary(op, lhs, rhs) => {
                 let name = match op {
@@ -931,26 +996,27 @@ impl Builder {
                     BinaryOp::EndsWith => "endsWith",
                     BinaryOp::Contains => "contains",
                 };
-                GTerm::app(name, vec![self.build_term(state, lhs)?, self.build_term(state, rhs)?])
+                let args = vec![self.build_term(state, lhs)?, self.build_term(state, rhs)?];
+                self.app(name, args)
             }
-            Expr::IsNull { expr, negated } => GTerm::app(
-                if *negated { "isNotNull" } else { "isNull" },
-                vec![self.build_term(state, expr)?],
-            ),
+            Expr::IsNull { expr, negated } => {
+                let inner = self.build_term(state, expr)?;
+                self.app(if *negated { "isNotNull" } else { "isNull" }, vec![inner])
+            }
             Expr::List(items) => {
                 let mut terms = Vec::new();
                 for item in items {
                     terms.push(self.build_term(state, item)?);
                 }
-                GTerm::app("list", terms)
+                self.app("list", terms)
             }
             Expr::Map(entries) => {
                 let mut terms = Vec::new();
                 for (key, value) in entries {
-                    terms.push(GTerm::string(key.clone()));
+                    terms.push(self.string(key));
                     terms.push(self.build_term(state, value)?);
                 }
-                GTerm::app("map", terms)
+                self.app("map", terms)
             }
             Expr::AggregateCall { .. } | Expr::CountStar { .. } => {
                 return Err(BuildError::unsupported(
@@ -962,19 +1028,22 @@ impl Builder {
                 // EXISTS as a value: encode the squashed subquery multiplicity
                 // as an uninterpreted term over its display form.
                 let inner = self.build_exists(state, query)?;
-                GTerm::app("existsValue", vec![GTerm::string(inner.to_string())])
+                let text = self.store.node_string(inner);
+                let text = self.string(&text);
+                self.app("existsValue", vec![text])
             }
             Expr::Case { branches, otherwise } => {
                 let mut terms = Vec::new();
                 for (cond, value) in branches {
                     let predicate = self.build_predicate(state, cond)?;
-                    terms.push(GTerm::string(predicate.to_string()));
+                    let text = self.store.node_string(predicate);
+                    terms.push(self.string(&text));
                     terms.push(self.build_term(state, value)?);
                 }
                 if let Some(e) = otherwise {
                     terms.push(self.build_term(state, e)?);
                 }
-                GTerm::app("case", terms)
+                self.app("case", terms)
             }
         })
     }
@@ -1002,8 +1071,8 @@ impl Builder {
 }
 
 enum ListSource {
-    Terms(Vec<GTerm>),
-    Passthrough(GTerm),
+    Terms(Vec<TermId>),
+    Passthrough(TermId),
 }
 
 #[cfg(test)]
@@ -1011,7 +1080,7 @@ mod tests {
     use super::*;
     use cypher_parser::parse_query;
 
-    fn build(text: &str) -> BuildOutput {
+    fn build(text: &str) -> BuildOutput<GExpr> {
         build_query(&parse_query(text).unwrap()).unwrap()
     }
 

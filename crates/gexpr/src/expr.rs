@@ -183,16 +183,8 @@ impl GExpr {
         }
     }
 
-    /// Renames every variable according to `mapping` (used by the
-    /// canonicalizer and the isomorphism matcher). Variables missing from the
-    /// mapping are left unchanged. The renaming is applied in a single pass,
-    /// so swapping two variables works as expected.
-    pub fn rename_variables(&self, mapping: &std::collections::BTreeMap<VarId, VarId>) -> GExpr {
-        self.rename_all(&|v| mapping.get(&v).copied().unwrap_or(v))
-    }
-
     /// Renames every variable occurrence — bound and free — with the given
-    /// function, in one pass.
+    /// function, in one pass, so swapping two variables works as expected.
     pub fn rename_all(&self, f: &impl Fn(VarId) -> VarId) -> GExpr {
         match self {
             GExpr::Zero | GExpr::One | GExpr::Const(_) => self.clone(),
@@ -379,7 +371,7 @@ mod tests {
         let mut mapping = BTreeMap::new();
         mapping.insert(VarId(0), VarId(1));
         mapping.insert(VarId(1), VarId(0));
-        let renamed = expr.rename_variables(&mapping);
+        let renamed = expr.rename_all(&|v| mapping.get(&v).copied().unwrap_or(v));
         let expected = GExpr::mul(vec![
             GExpr::NodeFn(var(1)),
             GExpr::RelFn(var(0)),
@@ -393,7 +385,7 @@ mod tests {
         let expr = GExpr::sum(vec![VarId(0)], GExpr::NodeFn(var(0)));
         let mut mapping = BTreeMap::new();
         mapping.insert(VarId(0), VarId(5));
-        let renamed = expr.rename_variables(&mapping);
+        let renamed = expr.rename_all(&|v| mapping.get(&v).copied().unwrap_or(v));
         assert_eq!(renamed, GExpr::sum(vec![VarId(5)], GExpr::NodeFn(var(5))));
     }
 

@@ -11,8 +11,9 @@
 //! * the algebra itself ([`GExpr`], [`GTerm`], [`GAtom`]) with the
 //!   graph-native functions `Node`, `Rel`, `Lab`, `src`/`tgt` and
 //!   `UNBOUNDED`;
-//! * construction from parsed Cypher ASTs ([`build_query`]) covering the
-//!   features of Fig. 4 and Table I of the paper;
+//! * construction from parsed Cypher ASTs straight into the hash-consed
+//!   [`GStore`] arena ([`build_into`]; [`build_query`] externalizes the tree)
+//!   covering the features of Fig. 4 and Table I of the paper;
 //! * algebraic [`normalize()`]-ation into a sum-of-summations-of-products form
 //!   on which the `liastar` crate decides equivalence.
 //!
@@ -40,7 +41,7 @@ pub use arena::{
     with_thread_store, GStore, NodeId, Sym, TermId,
 };
 pub use builder::{
-    build_query, build_query_typed, BuildError, BuildOutput, Builder, ColumnKind,
+    build_into, build_into_typed, build_query, BuildError, BuildOutput, ColumnKind,
     UnsupportedFeature,
 };
 pub use expr::GExpr;

@@ -26,11 +26,13 @@
 //!
 //! ## Two implementations of the decision procedure
 //!
-//! The default pipeline is **arena-native**: both inputs are interned into
-//! the calling thread's hash-consed [`gexpr::arena::GStore`] once, and every
-//! stage — disjoint-squash splitting, normalization, summand splitting and
-//! SMT simplification, isomorphism matching, class counting — operates
-//! directly on interned `NodeId`s. No `GExpr` tree is materialized between
+//! The default pipeline is **arena-native**: both inputs are ids of the
+//! calling thread's hash-consed [`gexpr::arena::GStore`] (the prover builds
+//! them there with [`gexpr::build_into`]; the tree-input
+//! [`check_equivalence`] family interns its trees once), and every stage —
+//! disjoint-squash splitting, normalization, summand splitting and SMT
+//! simplification, isomorphism matching, class counting — operates directly
+//! on interned `NodeId`s. No `GExpr` tree is materialized between
 //! stages, the caches key on ids natively, and the iso matcher short-circuits
 //! in O(1) when both sides are the same interned node.
 //!
@@ -117,38 +119,53 @@ pub fn check_equivalence_with_stats(g1: &GExpr, g2: &GExpr) -> (Decision, Decisi
     check_equivalence_with_opts(g1, g2, DecideOptions::default())
 }
 
-/// [`check_equivalence_with_stats`] with explicit [`DecideOptions`].
+/// [`check_equivalence_with_stats`] with explicit [`DecideOptions`]: the
+/// tree-input form of [`try_check_equivalence_with_opts`], which interns
+/// both trees into the calling thread's arena first (the tree pipeline
+/// takes them as they are).
 pub fn check_equivalence_with_opts(
     g1: &GExpr,
     g2: &GExpr,
     opts: DecideOptions,
 ) -> (Decision, DecisionStats) {
+    if opts.tree_normalizer {
+        return tree::check_equivalence(g1, g2);
+    }
+    let (left, right) = gexpr::arena::with_thread_store(|store| {
+        let left = store.intern_expr(g1);
+        (left, store.intern_expr(g2))
+    });
     // A trip can only occur under an ambient `limits::RunToken`; degrading to
     // `NotProved` is sound — `NotProved` asserts nothing. Deadline-aware
     // callers use [`try_check_equivalence_with_opts`] to see the trip itself.
-    try_check_equivalence_with_opts(g1, g2, opts)
+    try_check_equivalence_with_opts(left, right, opts)
         .unwrap_or_else(|_| (Decision::NotProved, DecisionStats::default()))
 }
 
-/// [`check_equivalence_with_opts`] with cooperative limit checkpoints
-/// surfaced: under an ambient [`limits::RunToken`] that trips (deadline,
-/// budget, cancellation), the decision unwinds with the [`limits::Trip`]
-/// instead of a degraded verdict. Checkpoints sit at every `decide`
-/// recursion, per summand simplified, and per summand classified in the
-/// LIA class counting; the SMT layer additionally charges the token's step
-/// budget per CDCL iteration.
+/// Decides two G-expressions given as ids of the calling thread's arena
+/// ([`gexpr::arena::with_thread_store`], where the prover builds them with
+/// [`gexpr::build_into`]), with cooperative limit checkpoints surfaced:
+/// under an ambient [`limits::RunToken`] that trips (deadline, budget,
+/// cancellation), the decision unwinds with the [`limits::Trip`] instead of
+/// a degraded verdict. Checkpoints sit at every `decide` recursion, per
+/// summand simplified, and per summand classified in the LIA class
+/// counting; the SMT layer additionally charges the token's step budget per
+/// CDCL iteration.
 pub fn try_check_equivalence_with_opts(
-    g1: &GExpr,
-    g2: &GExpr,
+    left: ArenaNodeId,
+    right: ArenaNodeId,
     opts: DecideOptions,
 ) -> Result<(Decision, DecisionStats), limits::Trip> {
     if opts.tree_normalizer {
         // The paper-faithful baseline pipeline carries no checkpoints of its
         // own (its SMT calls still observe the step budget, degrading each
         // check to `Unknown`, which only weakens simplification — soundly).
-        return Ok(tree::check_equivalence(g1, g2));
+        let (g1, g2) = gexpr::arena::with_thread_store(|store| {
+            (store.extern_expr(left), store.extern_expr(right))
+        });
+        return Ok(tree::check_equivalence(&g1, &g2));
     }
-    let (decision, stats, _) = decide_arena(g1, g2, false)?;
+    let (decision, stats, _) = decide_arena(left, right, false)?;
     Ok((decision, stats))
 }
 
@@ -159,25 +176,23 @@ pub fn try_check_equivalence_with_opts(
 /// or the class counts). Decision and statistics are identical to the
 /// unrecorded call, and so is every cache access.
 pub fn try_check_equivalence_recording(
-    g1: &GExpr,
-    g2: &GExpr,
+    left: ArenaNodeId,
+    right: ArenaNodeId,
 ) -> Result<(Decision, DecisionStats, Option<SegmentRecord>), limits::Trip> {
-    decide_arena(g1, g2, true)
+    decide_arena(left, right, true)
 }
 
-/// The id-native pipeline: intern, split disjoint squashes, normalize, then
+/// The id-native pipeline: split disjoint squashes, normalize, then
 /// [`decide`]. With `record`, a proof's witness is returned alongside.
 fn decide_arena(
-    g1: &GExpr,
-    g2: &GExpr,
+    left: ArenaNodeId,
+    right: ArenaNodeId,
     record: bool,
 ) -> Result<(Decision, DecisionStats, Option<SegmentRecord>), limits::Trip> {
     let mut stats = DecisionStats::default();
     gexpr::arena::with_thread_store(|store| {
         sync_caches_to_epoch(store.epoch());
         limits::checkpoint(limits::Stage::Decide)?;
-        let left = store.intern_expr(g1);
-        let right = store.intern_expr(g2);
         let left = split_disjoint_squashes(store, left);
         let right = split_disjoint_squashes(store, right);
         let left = store.normalize_id(left);
@@ -1144,9 +1159,13 @@ mod tests {
         // A one-step SMT budget trips inside the first summand
         // simplification; the decide-layer checkpoint surfaces the recorded
         // trip (first-trip-wins: the stage is Smt, not Decide).
+        let (left, right) = gexpr::arena::with_thread_store(|store| {
+            let left = store.intern_expr(&g1);
+            (left, store.intern_expr(&g2))
+        });
         let token = Arc::new(limits::RunToken::new(None, 1, 0));
         let tripped = limits::with_token(token, || {
-            try_check_equivalence_with_opts(&g1, &g2, DecideOptions::default())
+            try_check_equivalence_with_opts(left, right, DecideOptions::default())
         });
         assert!(
             matches!(

@@ -149,8 +149,14 @@ mod tests {
         build_query(&parse_query(query).unwrap()).unwrap().expr
     }
 
+    /// The query's G-expression, built into the calling thread's arena.
+    fn id_of(query: &str) -> NodeId {
+        let query = parse_query(query).unwrap();
+        gexpr::with_thread_store(|store| gexpr::build_into(store, &query).unwrap().expr)
+    }
+
     fn witness_of(q1: &str, q2: &str) -> Option<SegmentRecord> {
-        try_check_equivalence_recording(&gexpr_of(q1), &gexpr_of(q2)).expect("no limits").2
+        try_check_equivalence_recording(id_of(q1), id_of(q2)).expect("no limits").2
     }
 
     #[test]
@@ -246,9 +252,9 @@ mod tests {
             ("MATCH (n) RETURN DISTINCT n.name", "MATCH (n) RETURN n.name"),
         ];
         for (q1, q2) in pairs {
-            let (g1, g2) = (gexpr_of(q1), gexpr_of(q2));
-            let off = try_check_equivalence_with_opts(&g1, &g2, DecideOptions::default());
-            let (decision, stats, witness) = try_check_equivalence_recording(&g1, &g2).unwrap();
+            let (g1, g2) = (id_of(q1), id_of(q2));
+            let off = try_check_equivalence_with_opts(g1, g2, DecideOptions::default());
+            let (decision, stats, witness) = try_check_equivalence_recording(g1, g2).unwrap();
             assert_eq!(off, Ok((decision, stats)), "{q1} vs {q2}");
             assert_eq!(witness.is_some(), decision.is_proved(), "{q1} vs {q2}");
         }

@@ -83,9 +83,15 @@ impl QueryResult {
 
     /// Bag equality per Definition 4 of the paper: the results contain the
     /// same tuples with the same multiplicities. Column *names* are ignored
-    /// (two equivalent queries may label their columns differently), but the
-    /// arity must agree.
+    /// (two equivalent queries may label their columns differently), and so
+    /// is the arity of two empty results: an empty bag has no tuple whose
+    /// width could differ, which is why queries of different arity are
+    /// equivalent exactly when both always return nothing. Non-empty
+    /// results must agree in arity.
     pub fn bag_equal(&self, other: &QueryResult) -> bool {
+        if self.rows.is_empty() && other.rows.is_empty() {
+            return true;
+        }
         if self.columns.len() != other.columns.len() || self.rows.len() != other.rows.len() {
             return false;
         }
@@ -96,8 +102,12 @@ impl QueryResult {
     }
 
     /// Ordered equality: same tuples, multiplicities and order (used when the
-    /// outermost clause has an `ORDER BY`).
+    /// outermost clause has an `ORDER BY`). Two empty results are equal
+    /// whatever their arity, as for [`QueryResult::bag_equal`].
     pub fn ordered_equal(&self, other: &QueryResult) -> bool {
+        if self.rows.is_empty() && other.rows.is_empty() {
+            return true;
+        }
         if self.columns.len() != other.columns.len() || self.rows.len() != other.rows.len() {
             return false;
         }
@@ -724,6 +734,20 @@ mod tests {
         assert!(asc.ordered_equal(&asc));
         let fewer = run(&graph, "MATCH (p:Person) RETURN p.name LIMIT 2");
         assert!(!asc.bag_equal(&fewer));
+    }
+
+    #[test]
+    fn empty_results_are_equal_whatever_their_arity() {
+        let graph = PropertyGraph::paper_example();
+        let one = run(&graph, "MATCH (p:NoSuchLabel) RETURN p.name");
+        let two = run(&graph, "MATCH (p:NoSuchLabel) RETURN p.name, p.age");
+        assert!(one.bag_equal(&two) && two.bag_equal(&one));
+        assert!(one.ordered_equal(&two) && two.ordered_equal(&one));
+        // Non-empty results still need the same arity.
+        let names = run(&graph, "MATCH (p:Person) RETURN p.name");
+        let pairs = run(&graph, "MATCH (p:Person) RETURN p.name, p.name");
+        assert!(!names.bag_equal(&pairs) && !names.ordered_equal(&pairs));
+        assert!(!names.bag_equal(&one) && !one.bag_equal(&names));
     }
 
     #[test]

@@ -23,6 +23,38 @@ fn dataset_gexprs() -> Vec<(String, GExpr)> {
     out
 }
 
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, byte| (hash ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The FNV-1a digest of stage ③ over both corpora: for every query that
+/// survives stages ① and ②, in corpus order, the rendered G-expression (its
+/// variable numbering included), the column count and the column kinds, or
+/// the build error. A change to what the builder emits moves it.
+const STAGE_THREE_DIGEST: u64 = 495_952_531_705_729_747;
+
+#[test]
+fn stage_three_builds_are_pinned() {
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut built = 0;
+    for pair in cyeqset().into_iter().chain(cyneqset()) {
+        for side in [&pair.left, &pair.right] {
+            let Ok(parsed) = parse_and_check(side) else { continue };
+            let text = match gexpr::build_query(&normalize_query(&parsed)) {
+                Ok(output) => {
+                    built += 1;
+                    format!("{}|{}|{:?}\n", output.expr, output.columns, output.column_kinds)
+                }
+                Err(error) => format!("{error}\n"),
+            };
+            digest = fnv1a(digest, text.as_bytes());
+        }
+    }
+    assert!(built > 500, "the corpora build hundreds of G-expressions: {built}");
+    assert_eq!(digest, STAGE_THREE_DIGEST, "stage-③ builds drifted");
+}
+
 /// The arena normalizer returns exactly what the reference tree normalizer
 /// returns, on every G-expression the datasets can produce.
 #[test]

@@ -151,6 +151,28 @@ fn editing_a_bag_row_is_rejected() {
     expect_rejection(&cert, "bag_mismatch");
 }
 
+/// A witness on which both queries return nothing separates nothing, even
+/// when the two empty bags have different arities: neq-001's certificate as
+/// the search once emitted it (pool graph 0, the empty graph) is rejected.
+#[test]
+fn a_witness_with_two_empty_bags_is_rejected() {
+    let prover = GraphQE::new();
+    let mut cert = corpus_certificates(&prover, &["neq-001"]).remove(0);
+    check_certificate(&cert).expect("untampered certificate validates");
+    let (Evidence::Counterexample { graph, pool_index, left_rows, right_rows, .. }
+    | Evidence::SignatureMismatch { graph, pool_index, left_rows, right_rows, .. }) =
+        &mut cert.evidence
+    else {
+        panic!("neq-001 is refuted by a witness graph")
+    };
+    graph.nodes.clear();
+    graph.relationships.clear();
+    *pool_index = 0;
+    left_rows.clear();
+    right_rows.clear();
+    expect_rejection(&cert, "bags_equal");
+}
+
 #[test]
 fn tampering_a_recorded_signature_type_is_rejected() {
     let prover = GraphQE::new();
@@ -175,9 +197,7 @@ fn tampering_a_recorded_signature_type_is_rejected() {
 fn editing_a_signature_witness_row_is_rejected() {
     let prover = GraphQE::new();
     // A discriminating pair whose witness bag is never empty: `count(*)`
-    // returns exactly one row on every graph (the corpus discriminating
-    // pairs all witness via differently-shaped *empty* bags, which leave no
-    // row to tamper with).
+    // returns exactly one row on every graph.
     let mut cert = emit(&prover, "MATCH (n) RETURN n", "MATCH (n) RETURN count(*)")
         .expect("discriminating pair refutes");
     check_certificate(&cert).expect("untampered certificate validates");
@@ -238,7 +258,7 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// The FNV-1a digest of every corpus certificate's JSON text, in corpus
 /// order. A change to what the SMT solver prunes, to a derivation, or to a
 /// witness moves it.
-const CORPUS_CERTIFICATES_DIGEST: u64 = 3_505_238_202_111_675_878;
+const CORPUS_CERTIFICATES_DIGEST: u64 = 12_206_793_430_421_844_237;
 
 /// The acceptance gate: every definite verdict across both corpora (296
 /// pairs) yields a certificate the independent checker validates — without

@@ -127,3 +127,40 @@ fn terms_that_render_alike_do_not_prove_false_equivalences() {
         graphqe_checker::check_certificate(&certificate).expect("the counterexample checks green");
     }
 }
+
+/// Two queries that always return nothing are equivalent whatever their
+/// arities: no graph separates them, so none may refute them (the empty
+/// graph used to, because the evaluators compared the column counts of two
+/// empty bags). The `WHERE false` pair proves EQUIVALENT with and without
+/// stage ⓪, and its certificate checks green; the other two stay UNKNOWN.
+#[test]
+fn always_empty_queries_of_different_arity_are_never_refuted() {
+    let prover = GraphQE::new();
+    let unanalyzed = GraphQE { analyze: false, ..GraphQE::new() };
+    let (left, right) =
+        ("MATCH (n) WHERE false RETURN n.a", "MATCH (n) WHERE false RETURN n.a, n.b");
+    for prover in [&prover, &unanalyzed] {
+        let (verdict, certificate) = prover.prove_certified(left, right, true);
+        assert!(verdict.is_equivalent(), "{left} vs {right}: {verdict}");
+        assert!(certificate.is_some(), "an equivalence carries a certificate");
+    }
+    let pairs = [
+        (
+            "MATCH (n) WHERE n.a = 1 AND n.a = 2 RETURN n.a",
+            "MATCH (n) WHERE n.a = 1 AND n.a = 2 RETURN n.a, n.a",
+        ),
+        (
+            "MATCH (n:A) WHERE n.a > 3 AND n.a < 2 RETURN n",
+            "MATCH (m:B) WHERE m.b > 3 AND m.b < 2 RETURN m, m.b",
+        ),
+    ];
+    for (q1, q2) in pairs {
+        for prover in [&prover, &unanalyzed] {
+            let verdict = prover.prove(q1, q2);
+            let graphqe::Verdict::Unknown { reason, .. } = &verdict else {
+                panic!("{q1} vs {q2}: {verdict}")
+            };
+            assert!(reason.contains("return 1 and 2 columns"), "{q1} vs {q2}: {reason}");
+        }
+    }
+}

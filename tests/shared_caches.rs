@@ -7,7 +7,8 @@
 //!    evaluator itself is checked against the certificate checker's
 //!    independent evaluator in `tests/checker_differential.rs`).
 //! 2. **The shared normalize/build cache** hands concurrent provers the same
-//!    entry, whose memoized build equals a fresh one.
+//!    entry, whose build equals a fresh one in every thread's arena and
+//!    across an arena reset.
 //! 3. **Concurrent smoke**: two batch workers prove the full CyEqSet and
 //!    CyNeqSet corpora through the process-wide caches with the verdict
 //!    totals pinned to the single-threaded expectations (138/0/10 and
@@ -16,6 +17,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use gexpr::{BuildOutput, GExpr};
 use graphqe::{normalize_cache_stats, parse_check_cached, GraphQE, NormalizedStages, ProveLimits};
 use property_graph::{evaluate_planned, evaluate_query, GraphGenerator, PropertyGraph, QueryPlan};
 
@@ -71,21 +73,38 @@ fn one_plan_reused_across_a_pool_evaluates_like_fresh_evaluation() {
     assert!(checked > 100, "the differential sweep barely ran: {checked} evaluations");
 }
 
-/// The shared normalize/build cache serves the same memoized entry to
-/// concurrent provers, and the memoized build equals a fresh one.
+/// An entry's stage-③ memo as a tree: the entry's build in the calling
+/// thread's arena, externalized.
+fn externalized_build(stages: &NormalizedStages) -> (Arc<BuildOutput>, BuildOutput<GExpr>) {
+    gexpr::with_thread_store(|store| {
+        let built = stages.build(store).expect("build must succeed");
+        let tree = BuildOutput {
+            expr: store.extern_expr(built.expr),
+            columns: built.columns,
+            column_kinds: built.column_kinds.clone(),
+        };
+        (built, tree)
+    })
+}
+
+/// The shared normalize/build cache serves the same entry to concurrent
+/// provers. Its build memo holds ids of one arena: a thread whose arena
+/// does not hold them builds into its own and gets an equal build, and
+/// after an epoch reset the next prove rebuilds instead of reusing stale
+/// ids.
 #[test]
 fn normalized_stages_are_shared_and_consistent_across_threads() {
-    let query =
-        parse_check_cached("MATCH (fs_shared)-[r:R]->(m:Label) RETURN fs_shared.p").unwrap();
+    let text = "MATCH (fs_shared)-[r:R]->(m:Label) RETURN fs_shared.p";
+    let query = parse_check_cached(text).unwrap();
     let baseline = graphqe::normalized_stages(&query).expect("normalization must succeed");
-    let expected_build = baseline.build().expect("build must succeed");
+    let expected = gexpr::build_query(baseline.normalized()).expect("build must succeed");
     let handles: Vec<_> = (0..4)
         .map(|_| {
             let query = Arc::clone(&query);
-            let expected = expected_build.clone();
+            let expected = expected.clone();
             std::thread::spawn(move || {
                 let stages = graphqe::normalized_stages(&query).unwrap();
-                assert_eq!(stages.build().unwrap(), expected);
+                assert_eq!(externalized_build(&stages).1, expected);
                 stages
             })
         })
@@ -97,7 +116,16 @@ fn normalized_stages_are_shared_and_consistent_across_threads() {
             "threads must receive the same shared cache entry"
         );
     }
-    assert_eq!(gexpr::build_query(baseline.normalized()).unwrap(), expected_build);
+    // The threads left the memo on their arenas: this thread rebuilds, and
+    // its next build in the same epoch is a hit.
+    let (before, tree) = externalized_build(&baseline);
+    assert_eq!(tree, expected);
+    assert!(Arc::ptr_eq(&before, &externalized_build(&baseline).0), "a same-epoch hit");
+    liastar::reset_thread_caches();
+    assert!(GraphQE::new().prove(text, text).is_equivalent());
+    let (after, tree) = externalized_build(&baseline);
+    assert!(!Arc::ptr_eq(&before, &after), "a reset arena must not reuse the memo's ids");
+    assert_eq!(tree, expected);
 }
 
 /// Two batch workers drive the full corpora through every shared cache at
