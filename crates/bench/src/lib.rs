@@ -4,11 +4,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod microbench;
-
 use std::time::Duration;
 
-use cyeqset::{cyeqset, Project, QueryPair, TABLE3_TARGETS};
+use cyeqset::{Project, QueryPair, TABLE3_TARGETS};
 use graphqe::{FailureCategory, GraphQE, Verdict};
 
 /// The result of proving one pair.
@@ -200,18 +198,6 @@ pub fn format_neqset(results: &[PairResult]) -> String {
     )
 }
 
-/// A small deterministic subset of CyEqSet used by the Criterion
-/// micro-benchmarks (one pair per project).
-pub fn representative_pairs() -> Vec<QueryPair> {
-    let mut pairs = Vec::new();
-    for project in Project::all() {
-        if let Some(pair) = cyeqset().into_iter().find(|p| p.project == project) {
-            pairs.push(pair);
-        }
-    }
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,11 +219,5 @@ mod tests {
         let distribution = latency_distribution(&results);
         assert_eq!(distribution.average_ms, 0.0);
         assert_eq!(distribution.under_10ms, 0);
-    }
-
-    #[test]
-    fn representative_pairs_cover_every_project() {
-        let pairs = representative_pairs();
-        assert_eq!(pairs.len(), 4);
     }
 }

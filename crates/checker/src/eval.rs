@@ -2,8 +2,9 @@
 //!
 //! This is an independent port of the prover's evaluator
 //! (`property_graph::eval`), written for simplicity rather than speed:
-//! name-keyed map rows and linear-scan candidate enumeration, where the
-//! prover uses interned-symbol rows, compiled plans and an adjacency index.
+//! name-keyed map rows and an AST-walking interpreter, where the prover
+//! uses interned-symbol rows and plans lowered once; both enumerate
+//! candidates by scanning the graph.
 //! It shares no code with the prover, which makes it the prover evaluator's
 //! oracle as well as the certificate re-checker: `tests/checker_differential.rs`
 //! asserts the two return the same columns, the same rows in the same order,

@@ -16,25 +16,24 @@
 //! demand, keeping everything it generates. Early-exit searches therefore
 //! stay lazy (random graphs past the first witness are never generated) and
 //! still leave their prefix behind for the next search over the same
-//! vocabulary — including the lazily built per-graph adjacency indexes,
-//! which get built once per pooled graph for the whole process, not once
-//! per search. Graphs are handed out as `Arc<PropertyGraph>` clones, so
-//! evaluation runs outside the pool lock.
+//! vocabulary. A pool graph is its data and nothing more: the matcher scans
+//! its flat vectors, so no per-graph index is built. Graphs are handed out
+//! as `Arc<PropertyGraph>` clones, so evaluation runs outside the pool lock.
 //!
 //! Every pool starts with the same three seed graphs (empty, the paper's
 //! Fig. 1 graph, a small dense graph). They do not depend on the
-//! vocabulary, so they are built once per process and every pool holds
-//! `Arc` clones of them — their adjacency indexes are built once too, and
-//! survive [`clear_pool_cache`]. The random graphs after them come from two
-//! [`GraphGenerator`]s per pool, each of which interns the vocabulary once
-//! and shares that name table with every graph it generates: generating a
+//! vocabulary, so they are built once per process, every pool holds `Arc`
+//! clones of them, and they survive [`clear_pool_cache`]. The random graphs
+//! after them come from two [`GraphGenerator`]s per pool, small and large,
+//! which read the interned vocabulary without copying it and share one name
+//! table between them and with every graph they generate: generating a
 //! graph draws label, type and key ids, not names.
 //!
-//! Each search runs on the calling thread. It plans both queries once with
-//! [`QueryPlan::new`]; the plans lower each clause on its first use and are
-//! reused on every graph the search evaluates. The search walks the pool in
-//! index order, so its witness is the lowest-index graph that separates the
-//! queries.
+//! Each search runs on the calling thread. It lowers both queries once with
+//! [`QueryPlan::new`] and evaluates every graph it tries through those
+//! plans, so a pool graph costs the search only the work its two queries do
+//! on it. The search walks the pool in index order, so its witness is the
+//! lowest-index graph that separates the queries.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -42,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use cypher_parser::ast::Query;
-use property_graph::{evaluate_planned, GeneratorConfig, GraphGenerator, PropertyGraph, QueryPlan};
+use property_graph::{evaluate_rows, GeneratorConfig, GraphGenerator, PropertyGraph, QueryPlan};
 
 use crate::cache::LruMap;
 use crate::verdict::Counterexample;
@@ -129,7 +128,7 @@ struct LazyPool {
 }
 
 impl LazyPool {
-    fn new(config: &SearchConfig, vocabulary: GeneratorConfig) -> LazyPool {
+    fn new(config: &SearchConfig, vocabulary: &Arc<GeneratorConfig>) -> LazyPool {
         LazyPool {
             graphs: seed_graphs().to_vec(),
             source: Some(Box::new(random_graphs(config, vocabulary))),
@@ -165,9 +164,8 @@ type PoolShard = RwLock<HashMap<PoolKey, SharedPool>>;
 
 /// The candidate pools of the process, shared by every thread. Generation is
 /// deterministic, so two searches with the same key explore the exact same
-/// graphs; pools cached here carry their materialized prefix *and* the
-/// lazily built adjacency indexes of those graphs, so repeated searches skip
-/// regeneration and re-indexing alike.
+/// graphs; pools cached here carry their materialized prefix, so repeated
+/// searches skip regeneration.
 static POOL_CACHE: OnceLock<[PoolShard; POOL_SHARDS]> = OnceLock::new();
 
 fn pool_shard(key: &PoolKey) -> &'static PoolShard {
@@ -185,9 +183,9 @@ fn shared_pool(key: &PoolKey, config: &SearchConfig) -> SharedPool {
     }
     let mut shard = shard.write().unwrap_or_else(|poison| poison.into_inner());
     Arc::clone(
-        shard.entry(key.clone()).or_insert_with(|| {
-            Arc::new(Mutex::new(LazyPool::new(config, (*key.vocabulary).clone())))
-        }),
+        shard
+            .entry(key.clone())
+            .or_insert_with(|| Arc::new(Mutex::new(LazyPool::new(config, &key.vocabulary)))),
     )
 }
 
@@ -381,10 +379,10 @@ fn memoize_search(
 
 /// Drops every cached candidate pool and interned vocabulary, process-wide.
 /// Part of the epoch-based eviction story: the pools (fully generated graph
-/// vectors plus their adjacency indexes, typically the largest allocations
-/// of the prover) would otherwise accumulate one entry per distinct query
-/// vocabulary forever. Pure memo — the generator is deterministic, so
-/// eviction only costs regeneration.
+/// vectors, typically the largest allocations of the prover) would
+/// otherwise accumulate one entry per distinct query vocabulary forever.
+/// Pure memo — the generator is deterministic, so eviction only costs
+/// regeneration.
 pub fn clear_pool_cache() {
     let _serial = CLEAR_LOCK.lock().unwrap_or_else(|poison| poison.into_inner());
     clear_pool_cache_locked();
@@ -481,13 +479,13 @@ pub fn clear_plan_cache() {}
 /// The certificate shares the pool's graph (`Arc` clone) instead of deep
 /// copying it.
 fn check(
-    (q1, left): (&Query, &QueryPlan),
-    (q2, right): (&Query, &QueryPlan),
+    left: &QueryPlan,
+    right: &QueryPlan,
     graph: &Arc<PropertyGraph>,
     pool_index: usize,
 ) -> Option<Counterexample> {
-    let left_result = evaluate_planned(graph, q1, left).ok()?;
-    let right_result = evaluate_planned(graph, q2, right).ok()?;
+    let left_result = evaluate_rows(graph, left).ok()?;
+    let right_result = evaluate_rows(graph, right).ok()?;
     if !left_result.bag_equal(&right_result) {
         return Some(Counterexample {
             graph: Arc::clone(graph),
@@ -507,7 +505,7 @@ fn check_queries(
     graph: &Arc<PropertyGraph>,
     pool_index: usize,
 ) -> Option<Counterexample> {
-    check((q1, &QueryPlan::new(q1)), (q2, &QueryPlan::new(q2)), graph, pool_index)
+    check(&QueryPlan::new(q1), &QueryPlan::new(q2), graph, pool_index)
 }
 
 /// Searches for a property graph on which the two queries disagree, on the
@@ -525,8 +523,8 @@ pub fn find_counterexample(
         return outcome;
     }
     let (pool, vocabulary) = pool_for(q1, q2, config);
-    // One plan per query for the whole search: each clause lowers on the
-    // first graph that reaches it and is reused on every later graph.
+    // One plan per query for the whole search, lowered once and reused on
+    // every graph.
     let (left, right) = (QueryPlan::new(q1), QueryPlan::new(q2));
     let mut index = 0;
     loop {
@@ -538,7 +536,7 @@ pub fn find_counterexample(
             return None;
         }
         let Some(graph) = pool_graph(&pool, index) else { break };
-        if let Some(example) = check((q1, &left), (q2, &right), &graph, index) {
+        if let Some(example) = check(&left, &right, &graph, index) {
             memoize_search(memo_key, Some(&example), vocabulary, config);
             return Some(example);
         }
@@ -551,8 +549,8 @@ pub fn find_counterexample(
 /// The deterministic seed graphs every pool starts with: the empty graph, the
 /// paper's Fig. 1 graph, and a small dense graph with self-loops and parallel
 /// edges (good at separating direction / multiplicity differences). They do
-/// not depend on the vocabulary, so they are built — and, on first
-/// evaluation, indexed — once per process and shared by every pool.
+/// not depend on the vocabulary, so they are built once per process and
+/// shared by every pool.
 fn seed_graphs() -> &'static [Arc<PropertyGraph>; 3] {
     static SEEDS: OnceLock<[Arc<PropertyGraph>; 3]> = OnceLock::new();
     SEEDS.get_or_init(|| {
@@ -581,16 +579,13 @@ fn seed_graphs() -> &'static [Arc<PropertyGraph>; 3] {
 /// or the first few random ones, so the bulk of the pool is skipped entirely.
 fn random_graphs(
     config: &SearchConfig,
-    vocabulary: GeneratorConfig,
+    vocabulary: &Arc<GeneratorConfig>,
 ) -> impl Iterator<Item = PropertyGraph> {
     let small_count = config.random_graphs / 2;
     let large_count = config.random_graphs - small_count;
-    let mut small = GraphGenerator::with_config(config.seed, vocabulary.clone());
-    // A second pool with larger graphs.
-    let mut large = GraphGenerator::with_config(
-        config.seed.wrapping_add(1),
-        GeneratorConfig { max_nodes: 9, max_relationships: 16, ..vocabulary },
-    );
+    let mut small = GraphGenerator::shared(config.seed, Arc::clone(vocabulary));
+    // A second pool with larger graphs, over the same interned vocabulary.
+    let mut large = small.sibling(config.seed.wrapping_add(1), 9, 16);
     (0..small_count)
         .map(move |_| small.generate())
         .chain((0..large_count).map(move |_| large.generate()))
@@ -804,7 +799,7 @@ mod tests {
     /// labels, type, endpoints and properties by name.
     fn pool_digest(vocabulary: GeneratorConfig) -> u64 {
         let config = SearchConfig::default();
-        let mut pool = LazyPool::new(&config, vocabulary);
+        let mut pool = LazyPool::new(&config, &Arc::new(vocabulary));
         let mut hash = 0xcbf2_9ce4_8422_2325;
         for index in 0..3 + config.random_graphs {
             let graph = crate::certificate::graph_cert_of(&pool.graph(index).expect("pool graph"));

@@ -67,8 +67,7 @@ impl BuiltinFunction {
     /// `toupper` are all the same function). Returns `None` for names outside
     /// the supported set.
     pub fn from_name(name: &str) -> Option<BuiltinFunction> {
-        let lower = name.to_ascii_lowercase();
-        BuiltinFunction::ALL.iter().copied().find(|f| f.name() == lower)
+        BuiltinFunction::ALL.iter().copied().find(|f| f.name().eq_ignore_ascii_case(name))
     }
 
     /// The canonical (all-lowercase) name of the function.

@@ -331,7 +331,19 @@ impl Builder<'_> {
         }
         self.add_injectivity(state, &rel_terms);
         if let Some(predicate) = &clause.where_clause {
-            let factor = self.build_predicate(state, predicate)?;
+            self.add_predicate(state, predicate)?;
+        }
+        Ok(())
+    }
+
+    /// Adds a `WHERE` predicate to `state`'s factors, one factor per
+    /// conjunct: the enclosing product flattens a product of the conjuncts
+    /// away, so building it would only leave it in the arena.
+    fn add_predicate(&mut self, state: &mut State, predicate: &Expr) -> Result<(), BuildError> {
+        let mut conjuncts = Vec::new();
+        collect_conjuncts(predicate, &mut conjuncts);
+        for conjunct in conjuncts {
+            let factor = self.build_predicate(state, conjunct)?;
             state.factors.push(factor);
         }
         Ok(())
@@ -370,8 +382,7 @@ impl Builder<'_> {
         }
         self.add_injectivity(&mut optional, &rel_terms);
         if let Some(predicate) = &clause.where_clause {
-            let factor = self.build_predicate(&optional, predicate)?;
-            optional.factors.push(factor);
+            self.add_predicate(&mut optional, predicate)?;
         }
 
         let present = self.store.mk_mul(optional.factors);
@@ -644,8 +655,7 @@ impl Builder<'_> {
         }
 
         if let Some(predicate) = &clause.where_clause {
-            let factor = self.build_predicate(state, predicate)?;
-            state.factors.push(factor);
+            self.add_predicate(state, predicate)?;
         }
         Ok(())
     }
@@ -743,8 +753,9 @@ impl Builder<'_> {
             }
             let mut final_factors = Vec::new();
             if key_equalities.is_empty() {
-                // A global aggregate always returns exactly one row.
-                final_factors.push(self.store.node(ANode::One));
+                // A global aggregate always returns exactly one row: the
+                // product of its column equalities alone (a unit factor
+                // would only be interned for `mk_mul` to drop).
                 final_factors.extend(agg_equalities);
                 final_factors.extend(ordering_factors);
             } else {
@@ -841,9 +852,17 @@ impl Builder<'_> {
     /// Compiles a boolean Cypher expression into a 0/1-valued G-expression.
     fn build_predicate(&mut self, state: &State, expr: &Expr) -> Result<NodeId, BuildError> {
         Ok(match expr {
-            Expr::Binary(BinaryOp::And, lhs, rhs) => {
-                let factors =
-                    vec![self.build_predicate(state, lhs)?, self.build_predicate(state, rhs)?];
+            Expr::Binary(BinaryOp::And, ..) => {
+                // The whole conjunct chain becomes one product: building
+                // `a AND b AND c` as a product of `a AND b` and `c` would
+                // intern the inner product only for `mk_mul` to flatten it
+                // away, leaving it in the arena until the next epoch reset.
+                let mut conjuncts = Vec::new();
+                collect_conjuncts(expr, &mut conjuncts);
+                let factors = conjuncts
+                    .into_iter()
+                    .map(|conjunct| self.build_predicate(state, conjunct))
+                    .collect::<Result<Vec<_>, _>>()?;
                 self.store.mk_mul(factors)
             }
             Expr::Binary(BinaryOp::Or, lhs, rhs) => {
@@ -1073,6 +1092,18 @@ impl Builder<'_> {
 enum ListSource {
     Terms(Vec<TermId>),
     Passthrough(TermId),
+}
+
+/// The operands of a chain of `AND`s, left to right: the order in which
+/// building them one `AND` at a time would visit them.
+fn collect_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match expr {
+        Expr::Binary(BinaryOp::And, lhs, rhs) => {
+            collect_conjuncts(lhs, out);
+            collect_conjuncts(rhs, out);
+        }
+        other => out.push(other),
+    }
 }
 
 #[cfg(test)]

@@ -3,27 +3,25 @@
 //! The evaluator is the *oracle* of GraphQE-rs: it is used by property tests
 //! to cross-check the prover (two queries proven equivalent must return the
 //! same bag of rows on any graph) and by the counterexample search that
-//! certifies non-equivalence. It has one implementation — compiled plans
+//! certifies non-equivalence. It has one implementation — plans lowered once
 //! ([`crate::plan`]) over flat [`Row`]s — and is itself checked against the
 //! certificate checker's independent evaluator (`graphqe_checker::eval`),
 //! which shares no code with it: `tests/checker_differential.rs` asserts
 //! the same columns, the same rows in the same order, and the same errors.
 
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::fmt;
 
-use std::collections::BTreeSet;
-use std::rc::Rc;
+use cypher_parser::ast::{Aggregate, Query, UnionKind};
 
-use cypher_parser::ast::{
-    Aggregate, Clause, Expr, MatchClause, Projection, ProjectionItems, Query, SingleQuery,
-    UnionKind, WithClause,
-};
-
-use crate::expr::{eval_expr, eval_predicate, EvalCtx, Row, SymbolTable};
+use crate::expr::{apply_binary, apply_unary, eval, eval_predicate, EvalCtx, Row, SymId};
 use crate::graph::PropertyGraph;
 use crate::matching::match_clause;
-use crate::plan::{CompiledProjection, QueryPlan};
+use crate::plan::{
+    AggExpr, CompiledMatch, CompiledProjection, ItemExprs, LExpr, LoweredClause, LoweredQuery,
+    ProjectedItems, QueryPlan,
+};
 use crate::value::Value;
 
 /// An error raised during evaluation.
@@ -75,10 +73,8 @@ impl QueryResult {
 
     /// Rows sorted by the total value order — the canonical bag
     /// representation used for bag-equality comparison.
-    pub fn sorted_rows(&self) -> Vec<Vec<Value>> {
-        let mut rows = self.rows.clone();
-        rows.sort_by(|a, b| cmp_rows(a, b));
-        rows
+    pub fn sorted_rows(&self) -> Vec<&[Value]> {
+        sorted_rows(&self.rows)
     }
 
     /// Bag equality per Definition 4 of the paper: the results contain the
@@ -89,16 +85,7 @@ impl QueryResult {
     /// equivalent exactly when both always return nothing. Non-empty
     /// results must agree in arity.
     pub fn bag_equal(&self, other: &QueryResult) -> bool {
-        if self.rows.is_empty() && other.rows.is_empty() {
-            return true;
-        }
-        if self.columns.len() != other.columns.len() || self.rows.len() != other.rows.len() {
-            return false;
-        }
-        self.sorted_rows()
-            .iter()
-            .zip(other.sorted_rows().iter())
-            .all(|(a, b)| cmp_rows(a, b) == Ordering::Equal)
+        bag_equal(self.columns.len(), &self.rows, other.columns.len(), &other.rows)
     }
 
     /// Ordered equality: same tuples, multiplicities and order (used when the
@@ -115,9 +102,59 @@ impl QueryResult {
     }
 }
 
-fn cmp_rows(a: &[Value], b: &[Value]) -> Ordering {
+/// A result's rows and arity without the column names: all that bag
+/// comparison reads, and all the counterexample search asks of an
+/// evaluation ([`evaluate_rows`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rows {
+    /// The number of columns.
+    pub arity: usize,
+    /// The result rows, in result order.
+    pub rows: Vec<Vec<Value>>,
+}
+
+impl Rows {
+    /// The number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Returns `true` if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Bag equality, as [`QueryResult::bag_equal`].
+    pub fn bag_equal(&self, other: &Rows) -> bool {
+        bag_equal(self.arity, &self.rows, other.arity, &other.rows)
+    }
+}
+
+/// Bag equality of two row sets of the given arities: sorted references,
+/// compared pairwise.
+fn bag_equal(arity: usize, rows: &[Vec<Value>], other_arity: usize, others: &[Vec<Value>]) -> bool {
+    if rows.is_empty() && others.is_empty() {
+        return true;
+    }
+    if arity != other_arity || rows.len() != others.len() {
+        return false;
+    }
+    sorted_rows(rows)
+        .iter()
+        .zip(sorted_rows(others))
+        .all(|(a, b)| cmp_rows(a, b) == Ordering::Equal)
+}
+
+/// References to `rows`, sorted by the total value order.
+fn sorted_rows(rows: &[Vec<Value>]) -> Vec<&[Value]> {
+    let mut sorted: Vec<&[Value]> = rows.iter().map(Vec::as_slice).collect();
+    sorted.sort_by(|a, b| cmp_rows(a, b));
+    sorted
+}
+
+fn cmp_rows<V: Borrow<Value>>(a: &[V], b: &[V]) -> Ordering {
     for (x, y) in a.iter().zip(b.iter()) {
-        let ord = x.total_cmp(y);
+        let ord = x.borrow().total_cmp(y.borrow());
         if ord != Ordering::Equal {
             return ord;
         }
@@ -136,61 +173,69 @@ impl fmt::Display for QueryResult {
     }
 }
 
-/// Evaluates `query` on `graph` (one-shot). Names intern on demand and
-/// clauses lower on first application; callers evaluating one query over
-/// many graphs keep a [`QueryPlan`] and use [`evaluate_planned`].
+/// Evaluates `query` on `graph`: [`evaluate_planned`] on a fresh
+/// [`QueryPlan`]. Callers evaluating one query over many graphs keep the
+/// plan instead.
 pub fn evaluate_query(graph: &PropertyGraph, query: &Query) -> Result<QueryResult, EvalError> {
-    evaluate_planned(graph, query, &QueryPlan::empty())
+    evaluate_planned(graph, &QueryPlan::new(query))
 }
 
-/// Evaluates `query` under an externally owned [`QueryPlan`]. The plan
-/// must come from [`QueryPlan::new`] (or a prior evaluation) over this
-/// exact query instance — plans key on AST node addresses, so a foreign
-/// plan is safe but re-lowers everything.
-pub fn evaluate_planned(
-    graph: &PropertyGraph,
-    query: &Query,
-    plan: &QueryPlan,
-) -> Result<QueryResult, EvalError> {
-    evaluate_union_query(EvalCtx::new(graph, plan), query, vec![Row::new()], true)
+/// Evaluates a planned query on `graph`. The plan's name slots are resolved
+/// against the graph's table once, here.
+pub fn evaluate_planned(graph: &PropertyGraph, plan: &QueryPlan) -> Result<QueryResult, EvalError> {
+    let names = plan.resolve(graph.names());
+    let output =
+        evaluate_union(EvalCtx { graph, plan, names: &names }, plan.query(), &Row::new(), true)?;
+    let columns = output.columns.iter().map(|sym| plan.symbols().name(*sym).to_string()).collect();
+    Ok(QueryResult { columns, rows: output.rows })
 }
 
-/// Evaluates a (possibly `UNION`-combined) query starting from the given
-/// rows. Used both at the top level and for `EXISTS { ... }` subqueries,
-/// where `initial_rows` carries the outer bindings.
-pub(crate) fn evaluate_union_query(
-    ctx: EvalCtx<'_>,
-    query: &Query,
-    initial_rows: Vec<Row>,
+/// [`evaluate_planned`] without naming the columns: the rows and their
+/// arity.
+pub fn evaluate_rows(graph: &PropertyGraph, plan: &QueryPlan) -> Result<Rows, EvalError> {
+    let names = plan.resolve(graph.names());
+    let output =
+        evaluate_union(EvalCtx { graph, plan, names: &names }, plan.query(), &Row::new(), true)?;
+    Ok(Rows { arity: output.columns.len(), rows: output.rows })
+}
+
+/// The rows an evaluation produced, under their columns: the ids of the
+/// output names, which are named only when the caller asks. An explicit
+/// `RETURN`'s ids are the plan's, `RETURN *`'s come from the rows, and a
+/// subquery without `RETURN` has none.
+pub(crate) struct Output<'p> {
+    columns: Cow<'p, [SymId]>,
+    pub rows: Vec<Vec<Value>>,
+}
+
+/// Evaluates a (possibly `UNION`-combined) query starting from `base`: the
+/// empty row at the top level, the outer bindings for `EXISTS { ... }`.
+pub(crate) fn evaluate_union<'p>(
+    ctx: EvalCtx<'p>,
+    query: &'p LoweredQuery,
+    base: &Row,
     require_return: bool,
-) -> Result<QueryResult, EvalError> {
-    let mut combined: Option<QueryResult> = None;
+) -> Result<Output<'p>, EvalError> {
+    let mut combined: Option<Output<'p>> = None;
     for (index, part) in query.parts.iter().enumerate() {
-        let result = evaluate_single(ctx, part, initial_rows.clone(), require_return)?;
+        let result = evaluate_single(ctx, part, base, require_return)?;
         combined = Some(match combined {
             None => result,
-            Some(acc) => {
+            Some(mut acc) => {
                 if acc.columns.len() != result.columns.len() {
                     return Err(EvalError::new(
                         "UNION requires sub-queries with the same number of columns",
                     ));
                 }
-                let mut rows = acc.rows;
-                rows.extend(result.rows);
-                let merged = QueryResult { columns: acc.columns, rows };
-                match query.unions[index - 1] {
-                    UnionKind::All => merged,
-                    UnionKind::Distinct => dedupe_result(merged),
+                acc.rows.extend(result.rows);
+                if query.unions[index - 1] == UnionKind::Distinct {
+                    acc.rows = dedup_first_occurrence(acc.rows, |a, b| cmp_rows(a, b));
                 }
+                acc
             }
         });
     }
-    Ok(combined.unwrap_or_else(QueryResult::empty))
-}
-
-fn dedupe_result(result: QueryResult) -> QueryResult {
-    let rows = dedup_first_occurrence(result.rows, |a, b| cmp_rows(a, b));
-    QueryResult { columns: result.columns, rows }
+    Ok(combined.unwrap_or(Output { columns: Cow::Borrowed(&[]), rows: Vec::new() }))
 }
 
 /// Keeps the first occurrence of every distinct element under the total
@@ -219,74 +264,68 @@ fn dedup_first_occurrence<T>(mut items: Vec<T>, cmp: impl Fn(&T, &T) -> Ordering
     items
 }
 
-fn evaluate_single(
-    ctx: EvalCtx<'_>,
-    query: &SingleQuery,
-    mut rows: Vec<Row>,
+fn evaluate_single<'p>(
+    ctx: EvalCtx<'p>,
+    clauses: &'p [LoweredClause],
+    base: &Row,
     require_return: bool,
-) -> Result<QueryResult, EvalError> {
-    for clause in &query.clauses {
-        match clause {
-            Clause::Match(m) => {
-                rows = apply_match(ctx, m, rows)?;
-            }
-            Clause::Unwind(u) => {
-                // Interned once per clause application, not once per output
-                // row.
-                let alias = ctx.symbols.intern(&u.alias);
+) -> Result<Output<'p>, EvalError> {
+    // The first clause reads `base` in place; each clause's output feeds
+    // the next.
+    let mut owned: Option<Vec<Row>> = None;
+    for clause in clauses {
+        let rows = owned.as_deref().unwrap_or(std::slice::from_ref(base));
+        owned = Some(match clause {
+            LoweredClause::Match(m) => apply_match(ctx, m, rows)?,
+            LoweredClause::Unwind { expr, alias } => {
                 let mut next = Vec::new();
                 for row in rows {
-                    let value = eval_expr(ctx, &row, &u.expr)?;
-                    match value {
+                    match eval(ctx, row, expr)? {
                         Value::Null => {}
                         Value::List(items) => {
-                            for item in items {
-                                next.push(row.with_sym(alias, item));
-                            }
+                            next.extend(items.into_iter().map(|item| row.with_sym(*alias, item)));
                         }
-                        other => {
-                            next.push(row.with_sym(alias, other));
-                        }
+                        other => next.push(row.with_sym(*alias, other)),
                     }
                 }
-                rows = next;
+                next
             }
-            Clause::With(w) => {
-                rows = apply_with(ctx, w, rows)?;
+            LoweredClause::With { projection, where_clause } => {
+                apply_with(ctx, projection, where_clause.as_ref(), rows)?
             }
-            Clause::Return(p) => {
-                let (columns, projected) = apply_projection(ctx, p, &rows)?;
-                let result_rows =
-                    projected.into_iter().map(|(values, _)| values).collect::<Vec<_>>();
-                return Ok(QueryResult { columns, rows: result_rows });
+            LoweredClause::Return(projection) => {
+                let (columns, projected) = apply_projection(ctx, projection, rows, false)?;
+                let rows = projected.into_iter().map(|(values, _)| values).collect();
+                return Ok(Output { columns, rows });
             }
-        }
+        });
     }
     if require_return {
         return Err(EvalError::new("query does not end with a RETURN clause"));
     }
     // Subquery (EXISTS) without RETURN: expose the surviving multiplicity.
-    Ok(QueryResult { columns: Vec::new(), rows: rows.into_iter().map(|_| Vec::new()).collect() })
+    let count = owned.map_or(1, |rows| rows.len());
+    Ok(Output { columns: Cow::Borrowed(&[]), rows: vec![Vec::new(); count] })
 }
 
 fn apply_match(
     ctx: EvalCtx<'_>,
-    clause: &MatchClause,
-    rows: Vec<Row>,
+    clause: &CompiledMatch,
+    rows: &[Row],
 ) -> Result<Vec<Row>, EvalError> {
-    // Lowered once per plan (memoized in the plan's lowering cache).
-    let compiled = ctx.plans.match_plan(ctx.symbols, clause);
     let mut next = Vec::new();
     for row in rows {
-        let matches = match_clause(ctx, &compiled, &row)?;
-        if matches.is_empty() && compiled.optional {
+        let matches = match_clause(ctx, clause, row)?;
+        if matches.is_empty() && clause.optional {
             // OPTIONAL MATCH keeps the row, binding the pattern variables to
             // NULL (left outer join semantics).
-            let mut extended = row;
-            for sym in &compiled.optional_syms {
+            let mut extended = row.with_room(clause.optional_syms.len());
+            for sym in &clause.optional_syms {
                 extended.insert_if_absent_sym(*sym, Value::Null);
             }
             next.push(extended);
+        } else if next.is_empty() {
+            next = matches;
         } else {
             next.extend(matches);
         }
@@ -296,26 +335,23 @@ fn apply_match(
 
 fn apply_with(
     ctx: EvalCtx<'_>,
-    clause: &WithClause,
-    rows: Vec<Row>,
+    projection: &CompiledProjection,
+    where_clause: Option<&LExpr>,
+    rows: &[Row],
 ) -> Result<Vec<Row>, EvalError> {
-    let (columns, projected) = apply_projection(ctx, &clause.projection, &rows)?;
-    // Output ids interned once per clause application, not once per row.
-    let column_syms: Vec<_> = columns.iter().map(|name| ctx.symbols.intern(name)).collect();
+    let (syms, projected) = apply_projection(ctx, projection, rows, where_clause.is_some())?;
     let mut next = Vec::new();
     for (values, env) in projected {
-        let mut row = Row::new();
-        for (sym, value) in column_syms.iter().zip(values) {
-            row.insert_sym(*sym, value);
-        }
-        if let Some(predicate) = &clause.where_clause {
+        if let Some(predicate) = where_clause {
             // The WHERE of a WITH sees both the projected names and (for
-            // robustness) the pre-projection bindings.
-            let mut combined = env;
-            combined.merge_from(&row);
-            if !eval_predicate(ctx, &combined, predicate)? {
+            // robustness) the pre-projection bindings: the environment row.
+            if !eval_predicate(ctx, &env, predicate)? {
                 continue;
             }
+        }
+        let mut row = Row::new().with_room(syms.len());
+        for (sym, value) in syms.iter().zip(values) {
+            row.insert_sym(*sym, value);
         }
         next.push(row);
     }
@@ -324,84 +360,109 @@ fn apply_with(
 
 /// Applies a projection (shared by `WITH` and `RETURN`).
 ///
-/// Returns the output column names and, for every output row, the projected
+/// Returns the output columns and, for every output row, the projected
 /// values together with the *environment* row used to produce it (the
-/// pre-projection bindings merged with the projected ones) — the environment
-/// is what `ORDER BY` and a `WITH ... WHERE` may refer to.
+/// pre-projection bindings with the projected ones on top) — the
+/// environment is what `ORDER BY` and a `WITH ... WHERE` may refer to, so it
+/// is built only when `ORDER BY` or the caller (`keep_env`) reads it, and is
+/// the empty row otherwise.
 #[allow(clippy::type_complexity)]
-fn apply_projection(
-    ctx: EvalCtx<'_>,
-    projection: &Projection,
+fn apply_projection<'p>(
+    ctx: EvalCtx<'p>,
+    projection: &'p CompiledProjection,
     rows: &[Row],
-) -> Result<(Vec<String>, Vec<(Vec<Value>, Row)>), EvalError> {
-    let plan = match &projection.items {
-        ProjectionItems::Items(_) => ctx.plans.projection_plan(ctx.symbols, projection),
-        ProjectionItems::Star => Rc::new(star_projection(ctx.symbols, rows)),
+    keep_env: bool,
+) -> Result<(Cow<'p, [SymId]>, Vec<(Vec<Value>, Row)>), EvalError> {
+    let need_env = keep_env || !projection.order_by.is_empty();
+    // The environment of an output row: `base` with the values on top.
+    let env = |base: &Row, syms: &[SymId], values: &[Value]| {
+        if !need_env {
+            return Row::new();
+        }
+        let mut env = base.with_room(syms.len());
+        for (sym, value) in syms.iter().zip(values) {
+            env.insert_sym(*sym, value.clone());
+        }
+        env
     };
-    let CompiledProjection { columns, syms: column_syms, exprs } = &*plan;
-
-    let has_aggregate = exprs.iter().any(|expr| expr.contains_aggregate());
-    let mut produced: Vec<(Vec<Value>, Row)> = Vec::new();
-
-    if has_aggregate {
-        // Group rows by the values of the non-aggregate items.
-        let grouping: Vec<&Expr> = exprs.iter().filter(|e| !e.contains_aggregate()).collect();
-        let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
-        for row in rows {
-            let key =
-                grouping.iter().map(|e| eval_expr(ctx, row, e)).collect::<Result<Vec<_>, _>>()?;
-            match groups.iter_mut().find(|(k, _)| cmp_rows(k, &key) == Ordering::Equal) {
-                Some((_, members)) => members.push(row.clone()),
-                None => groups.push((key, vec![row.clone()])),
+    let mut produced: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
+    let columns = match &projection.items {
+        ProjectedItems::Star => {
+            // Every variable the rows bind, in name order.
+            let mut syms: Vec<SymId> = rows.iter().flat_map(Row::syms).collect();
+            syms.sort_unstable_by(|a, b| {
+                ctx.plan.symbols().name(*a).cmp(ctx.plan.symbols().name(*b))
+            });
+            syms.dedup();
+            for row in rows {
+                let values: Vec<Value> = syms
+                    .iter()
+                    .map(|sym| row.get_sym(*sym).cloned().unwrap_or(Value::Null))
+                    .collect();
+                let env = env(row, &syms, &values);
+                produced.push((values, env));
             }
+            Cow::Owned(syms)
         }
-        // A global aggregate over zero rows still produces one row.
-        if groups.is_empty() && grouping.is_empty() {
-            groups.push((Vec::new(), Vec::new()));
+        ProjectedItems::Items { syms, exprs: ItemExprs::Plain(exprs) } => {
+            for row in rows {
+                let values =
+                    exprs.iter().map(|expr| eval(ctx, row, expr)).collect::<Result<Vec<_>, _>>()?;
+                let env = env(row, syms, &values);
+                produced.push((values, env));
+            }
+            Cow::Borrowed(syms.as_slice())
         }
-        for (_, members) in groups {
-            let representative = members.first().cloned().unwrap_or_default();
-            let mut values = Vec::new();
-            for expr in exprs {
-                values.push(eval_with_aggregates(ctx, &members, &representative, expr)?);
+        ProjectedItems::Items { syms, exprs: ItemExprs::Aggregating { items, grouping } } => {
+            // Group rows by the values of the non-aggregate items, in order
+            // of first appearance.
+            let mut groups: Vec<(Vec<Value>, Vec<&Row>)> = Vec::new();
+            for row in rows {
+                let key = grouping
+                    .iter()
+                    .map(|expr| eval(ctx, row, expr))
+                    .collect::<Result<Vec<_>, _>>()?;
+                match groups.iter_mut().find(|(k, _)| cmp_rows(k, &key) == Ordering::Equal) {
+                    Some((_, members)) => members.push(row),
+                    None => groups.push((key, vec![row])),
+                }
             }
-            let mut env = representative;
-            for (sym, value) in column_syms.iter().zip(values.iter()) {
-                env.insert_sym(*sym, value.clone());
+            // A global aggregate over zero rows still produces one row.
+            if groups.is_empty() && grouping.is_empty() {
+                groups.push((Vec::new(), Vec::new()));
             }
-            produced.push((values, env));
+            let empty = Row::new();
+            for (_, members) in &groups {
+                let representative = members.first().copied().unwrap_or(&empty);
+                let values = items
+                    .iter()
+                    .map(|item| eval_aggregate(ctx, members, representative, item))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let env = env(representative, syms, &values);
+                produced.push((values, env));
+            }
+            Cow::Borrowed(syms.as_slice())
         }
-    } else {
-        for row in rows {
-            let mut values = Vec::new();
-            for expr in exprs {
-                values.push(eval_expr(ctx, row, expr)?);
-            }
-            let mut env = row.clone();
-            for (sym, value) in column_syms.iter().zip(values.iter()) {
-                env.insert_sym(*sym, value.clone());
-            }
-            produced.push((values, env));
-        }
-    }
+    };
 
     if projection.distinct {
         produced = dedup_first_occurrence(produced, |(a, _), (b, _)| cmp_rows(a, b));
     }
 
     if !projection.order_by.is_empty() {
-        let mut keyed: Vec<(Vec<(Value, bool)>, (Vec<Value>, Row))> = Vec::new();
+        let mut keyed: Vec<(Vec<Value>, (Vec<Value>, Row))> = Vec::with_capacity(produced.len());
         for entry in produced {
-            let mut keys = Vec::new();
-            for order in &projection.order_by {
-                keys.push((eval_expr(ctx, &entry.1, &order.expr)?, order.ascending));
-            }
+            let keys = projection
+                .order_by
+                .iter()
+                .map(|(expr, _)| eval(ctx, &entry.1, expr))
+                .collect::<Result<Vec<_>, _>>()?;
             keyed.push((keys, entry));
         }
         keyed.sort_by(|(a, _), (b, _)| {
-            for ((va, asc), (vb, _)) in a.iter().zip(b.iter()) {
+            for ((va, vb), (_, ascending)) in a.iter().zip(b).zip(&projection.order_by) {
                 let ord = va.total_cmp(vb);
-                let ord = if *asc { ord } else { ord.reverse() };
+                let ord = if *ascending { ord } else { ord.reverse() };
                 if ord != Ordering::Equal {
                     return ord;
                 }
@@ -413,52 +474,40 @@ fn apply_projection(
 
     if let Some(skip) = &projection.skip {
         let n = constant_usize(ctx, skip, "SKIP")?;
-        produced = produced.into_iter().skip(n).collect();
+        produced.drain(..n.min(produced.len()));
     }
     if let Some(limit) = &projection.limit {
         let n = constant_usize(ctx, limit, "LIMIT")?;
         produced.truncate(n);
     }
-    Ok((columns.clone(), produced))
+    Ok((columns, produced))
 }
 
-/// `RETURN *` / `WITH *`: every variable the rows bind, in name order.
-fn star_projection(symbols: &SymbolTable, rows: &[Row]) -> CompiledProjection {
-    let names: BTreeSet<_> = rows.iter().flat_map(|row| row.names(symbols)).collect();
-    let columns: Vec<String> = names.iter().map(|name| name.to_string()).collect();
-    CompiledProjection {
-        syms: columns.iter().map(|name| symbols.intern(name)).collect(),
-        exprs: columns.iter().map(|name| Expr::Variable(name.clone())).collect(),
-        columns,
-    }
-}
-
-/// Evaluates an expression that may contain aggregate calls over a group of
-/// rows. Non-aggregate sub-expressions are evaluated on the representative
-/// row of the group.
-fn eval_with_aggregates(
+/// Evaluates an item of an aggregating projection over one group of rows.
+/// Aggregate-free parts evaluate on the group's representative (first) row.
+fn eval_aggregate(
     ctx: EvalCtx<'_>,
-    group: &[Row],
+    group: &[&Row],
     representative: &Row,
-    expr: &Expr,
+    expr: &AggExpr,
 ) -> Result<Value, EvalError> {
     match expr {
-        Expr::CountStar { distinct } => {
+        AggExpr::CountStar(distinct) => {
             if *distinct {
                 // Every row of a group binds the same variables, so its
                 // values in symbol order identify the whole binding.
-                let value_rows: Vec<Vec<Value>> =
-                    group.iter().map(|row| row.values().cloned().collect()).collect();
+                let value_rows: Vec<Vec<&Value>> =
+                    group.iter().map(|row| row.values().collect()).collect();
                 let distinct_rows = dedup_first_occurrence(value_rows, |a, b| cmp_rows(a, b));
                 Ok(Value::Integer(distinct_rows.len() as i64))
             } else {
                 Ok(Value::Integer(group.len() as i64))
             }
         }
-        Expr::AggregateCall { func, distinct, arg } => {
+        AggExpr::Call { func, distinct, arg } => {
             let mut values = Vec::new();
             for row in group {
-                let value = eval_expr(ctx, row, arg)?;
+                let value = eval(ctx, row, arg)?;
                 if !value.is_null() {
                     values.push(value);
                 }
@@ -468,33 +517,17 @@ fn eval_with_aggregates(
             }
             Ok(compute_aggregate(*func, values))
         }
-        Expr::Binary(op, lhs, rhs) => {
-            let left = eval_with_aggregates(ctx, group, representative, lhs)?;
-            let right = eval_with_aggregates(ctx, group, representative, rhs)?;
-            // Re-dispatch on literal values by delegating to the scalar path.
-            let lit = Expr::Binary(
-                *op,
-                Box::new(value_to_placeholder("·agg_lhs")),
-                Box::new(value_to_placeholder("·agg_rhs")),
-            );
-            let mut row = representative.clone();
-            row.insert(ctx.symbols, "·agg_lhs", left);
-            row.insert(ctx.symbols, "·agg_rhs", right);
-            eval_expr(ctx, &row, &lit)
+        AggExpr::Binary(op, lhs, rhs) => {
+            let left = eval_aggregate(ctx, group, representative, lhs)?;
+            let right = eval_aggregate(ctx, group, representative, rhs)?;
+            Ok(apply_binary(*op, &left, &right))
         }
-        Expr::Unary(op, inner) => {
-            let value = eval_with_aggregates(ctx, group, representative, inner)?;
-            let mut row = representative.clone();
-            row.insert(ctx.symbols, "·agg", value);
-            eval_expr(ctx, &row, &Expr::Unary(*op, Box::new(value_to_placeholder("·agg"))))
+        AggExpr::Unary(op, inner) => {
+            Ok(apply_unary(*op, eval_aggregate(ctx, group, representative, inner)?))
         }
-        _ if !expr.contains_aggregate() => eval_expr(ctx, representative, expr),
-        other => Err(EvalError::new(format!("unsupported aggregate expression shape: {other:?}"))),
+        AggExpr::Scalar(expr) => eval(ctx, representative, expr),
+        AggExpr::Unsupported(message) => Err(EvalError::new(message.as_str())),
     }
-}
-
-fn value_to_placeholder(name: &str) -> Expr {
-    Expr::Variable(name.to_string())
 }
 
 fn compute_aggregate(func: Aggregate, values: Vec<Value>) -> Value {
@@ -524,8 +557,9 @@ fn compute_aggregate(func: Aggregate, values: Vec<Value>) -> Value {
     }
 }
 
-fn constant_usize(ctx: EvalCtx<'_>, expr: &Expr, what: &str) -> Result<usize, EvalError> {
-    let value = eval_expr(ctx, &Row::new(), expr)?;
+/// The value of a `SKIP`/`LIMIT` expression, evaluated on the empty row.
+fn constant_usize(ctx: EvalCtx<'_>, expr: &LExpr, what: &str) -> Result<usize, EvalError> {
+    let value = eval(ctx, &Row::new(), expr)?;
     match value.as_integer() {
         Some(v) if v >= 0 => Ok(v as usize),
         _ => Err(EvalError::new(format!("{what} requires a non-negative integer, got {value}"))),

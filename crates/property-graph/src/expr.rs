@@ -2,21 +2,19 @@
 //!
 //! Expressions are evaluated under Cypher's three-valued logic: comparisons
 //! involving `NULL` yield `NULL`, and `WHERE` keeps only rows whose predicate
-//! evaluates to `TRUE`.
+//! evaluates to `TRUE`. They arrive lowered ([`crate::plan`]): variables are
+//! [`SymId`]s, literals are built values, functions are resolved and property
+//! keys are slots resolved once per evaluation, so evaluating one hashes no
+//! name.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
-use cypher_parser::ast::{
-    BinaryOp, Expr, Literal, MatchClause, NodePattern, PathPattern, Projection, ProjectionItems,
-    Query, RelationshipPattern, UnaryOp, UnwindClause, WithClause,
-};
+use cypher_parser::ast::{BinaryOp, UnaryOp};
+use cypher_parser::BuiltinFunction;
 
-use crate::eval::{evaluate_union_query, EvalError};
-use crate::fxhash::FxHashMap;
-use crate::graph::{EntityId, PropertyGraph};
-use crate::plan::{PlanCache, QueryPlan};
+use crate::eval::{evaluate_union, EvalError};
+use crate::graph::{EntityId, NameId, PropertyGraph};
+use crate::plan::{LExpr, QueryPlan, Slot};
 use crate::value::{and3, not3, or3, xor3, Value};
 
 /// A dense interned symbol id: the key type of the flat row representation.
@@ -26,23 +24,15 @@ use crate::value::{and3, not3, or3, xor3, Value};
 pub struct SymId(pub u32);
 
 /// A per-query symbol table interning every variable and column name to a
-/// [`SymId`].
-///
-/// The table is built once per [`QueryPlan`] ([`SymbolTable::for_query`]
-/// walks the AST at plan time and interns every name it can see), then
-/// shared read-mostly through [`EvalCtx`] by every evaluation under that
-/// plan; names minted during evaluation (aggregate placeholders,
-/// `WITH`-introduced output columns that plan-time walking missed) intern on
-/// demand through the interior `RefCell`s. Interning keeps per-row key
-/// storage at 4 bytes and makes key comparison an integer compare instead of
-/// a string compare.
+/// [`SymId`]. [`QueryPlan::new`] fills it while lowering the query, and
+/// evaluation only reads it (the names of `RETURN *` columns). Interning
+/// keeps per-row key storage at 4 bytes and makes key comparison an integer
+/// compare instead of a string compare. A query names a handful of
+/// variables, so interning scans the names instead of hashing them.
 #[derive(Debug, Default)]
 pub struct SymbolTable {
     /// `SymId.0 as usize` indexes this vector; the entry is the name.
-    names: RefCell<Vec<Rc<str>>>,
-    /// Reverse mapping, name → id. Fx-hashed: the table probes a short
-    /// string per variable reference, where SipHash would dominate.
-    ids: RefCell<FxHashMap<Rc<str>, SymId>>,
+    names: Vec<Box<str>>,
 }
 
 impl SymbolTable {
@@ -51,145 +41,33 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
-    /// Creates a table pre-populated with every variable, alias and output
-    /// column name of `query` (plan-time interning). Evaluation still interns
-    /// on demand, so missing a name here costs a hash insert, never
-    /// correctness.
-    pub fn for_query(query: &Query) -> Self {
-        let table = SymbolTable::new();
-        table.intern_query(query);
-        table
-    }
-
     /// Interns `name`, returning its (possibly pre-existing) id.
-    pub fn intern(&self, name: &str) -> SymId {
-        if let Some(id) = self.ids.borrow().get(name) {
-            return *id;
+    pub(crate) fn intern(&mut self, name: &str) -> SymId {
+        if let Some(id) = self.lookup(name) {
+            return id;
         }
-        let shared: Rc<str> = Rc::from(name);
-        let mut names = self.names.borrow_mut();
-        let id = SymId(names.len() as u32);
-        names.push(Rc::clone(&shared));
-        self.ids.borrow_mut().insert(shared, id);
-        id
+        self.names.push(name.into());
+        SymId(self.names.len() as u32 - 1)
     }
 
-    /// The id of `name`, if it was ever interned. Reads (unbound-variable
-    /// lookups) must not grow the table.
+    /// The id of `name`, if it was ever interned.
     pub fn lookup(&self, name: &str) -> Option<SymId> {
-        self.ids.borrow().get(name).copied()
+        self.names.iter().position(|known| **known == *name).map(|index| SymId(index as u32))
     }
 
     /// The name interned under `id`.
-    pub fn name(&self, id: SymId) -> Rc<str> {
-        Rc::clone(&self.names.borrow()[id.0 as usize])
+    pub fn name(&self, id: SymId) -> &str {
+        &self.names[id.0 as usize]
     }
 
     /// Number of interned symbols.
     pub fn len(&self) -> usize {
-        self.names.borrow().len()
+        self.names.len()
     }
 
     /// Returns `true` if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.borrow().is_empty()
-    }
-
-    /// Walks `query` and interns every name evaluation could bind or look
-    /// up: pattern variables, `UNWIND` aliases, projection output names, and
-    /// variable references inside expressions (including `EXISTS` subqueries,
-    /// which evaluate under the same table).
-    pub fn intern_query(&self, query: &Query) {
-        for part in &query.parts {
-            for clause in &part.clauses {
-                match clause {
-                    cypher_parser::ast::Clause::Match(m) => self.intern_match(m),
-                    cypher_parser::ast::Clause::Unwind(UnwindClause { expr, alias, .. }) => {
-                        self.intern_expr(expr);
-                        self.intern(alias);
-                    }
-                    cypher_parser::ast::Clause::With(WithClause {
-                        projection,
-                        where_clause,
-                        ..
-                    }) => {
-                        self.intern_projection(projection);
-                        if let Some(predicate) = where_clause {
-                            self.intern_expr(predicate);
-                        }
-                    }
-                    cypher_parser::ast::Clause::Return(projection) => {
-                        self.intern_projection(projection)
-                    }
-                }
-            }
-        }
-    }
-
-    fn intern_match(&self, clause: &MatchClause) {
-        for pattern in &clause.patterns {
-            self.intern_pattern(pattern);
-        }
-        if let Some(predicate) = &clause.where_clause {
-            self.intern_expr(predicate);
-        }
-    }
-
-    fn intern_pattern(&self, pattern: &PathPattern) {
-        if let Some(variable) = &pattern.variable {
-            self.intern(variable);
-        }
-        let intern_node = |node: &NodePattern| {
-            if let Some(variable) = &node.variable {
-                self.intern(variable);
-            }
-            for (_, expr) in &node.properties {
-                self.intern_expr(expr);
-            }
-        };
-        let intern_rel = |rel: &RelationshipPattern| {
-            if let Some(variable) = &rel.variable {
-                self.intern(variable);
-            }
-            for (_, expr) in &rel.properties {
-                self.intern_expr(expr);
-            }
-        };
-        intern_node(&pattern.start);
-        for segment in &pattern.segments {
-            intern_rel(&segment.relationship);
-            intern_node(&segment.node);
-        }
-    }
-
-    fn intern_projection(&self, projection: &Projection) {
-        if let ProjectionItems::Items(items) = &projection.items {
-            for item in items {
-                self.intern(&item.output_name());
-                self.intern_expr(&item.expr);
-            }
-        }
-        for order in &projection.order_by {
-            self.intern_expr(&order.expr);
-        }
-        if let Some(skip) = &projection.skip {
-            self.intern_expr(skip);
-        }
-        if let Some(limit) = &projection.limit {
-            self.intern_expr(limit);
-        }
-    }
-
-    fn intern_expr(&self, expr: &Expr) {
-        expr.walk(&mut |e| match e {
-            Expr::Variable(name) => {
-                self.intern(name);
-            }
-            // `Expr::walk` does not descend into EXISTS subqueries; they
-            // evaluate under the same table, so recurse explicitly.
-            Expr::Exists(subquery) => self.intern_query(subquery),
-            _ => {}
-        });
+        self.names.is_empty()
     }
 }
 
@@ -197,8 +75,7 @@ impl SymbolTable {
 /// entries kept sorted by [`SymId`]. A row clone is one allocation plus the
 /// value clones, and [`Row::with_sym`] (the copy-on-extend the matcher
 /// performs at every binding branch) copies straight into a right-sized
-/// vector. Name-based accessors take the run's [`SymbolTable`] to resolve
-/// names.
+/// vector.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Row {
     entries: Vec<(SymId, Value)>,
@@ -220,12 +97,12 @@ impl Row {
         self.entries.is_empty()
     }
 
-    /// The value bound to `name`, if any.
+    /// The value bound to `name` in `symbols`, if any.
     pub fn get<'r>(&'r self, symbols: &SymbolTable, name: &str) -> Option<&'r Value> {
         self.get_sym(symbols.lookup(name)?)
     }
 
-    /// The value bound to the pre-interned symbol `id`, if any.
+    /// The value bound to the symbol `id`, if any.
     pub fn get_sym(&self, id: SymId) -> Option<&Value> {
         // Rows hold a handful of entries; a branch-predictable linear scan
         // beats binary search at this size.
@@ -263,18 +140,12 @@ impl Row {
         Row { entries }
     }
 
-    /// Binds `name` to `value`, replacing any existing binding.
-    pub fn insert(&mut self, symbols: &SymbolTable, name: &str, value: Value) {
-        self.insert_sym(symbols.intern(name), value);
-    }
-
-    /// Merges every binding of `other` into `self` (bindings of `other`
-    /// win). Used by `WITH ... WHERE`, whose predicate sees the projected
-    /// names on top of the pre-projection environment.
-    pub fn merge_from(&mut self, other: &Row) {
-        for (sym, value) in &other.entries {
-            self.insert_sym(*sym, value.clone());
-        }
+    /// A copy of the row with room for `extra` more bindings, so that many
+    /// [`Row::insert_sym`]s do not reallocate.
+    pub fn with_room(&self, extra: usize) -> Row {
+        let mut entries = Vec::with_capacity(self.entries.len() + extra);
+        entries.extend_from_slice(&self.entries);
+        Row { entries }
     }
 
     /// The bound values, in symbol order.
@@ -282,173 +153,136 @@ impl Row {
         self.entries.iter().map(|(_, value)| value)
     }
 
-    /// The bound names, in symbol order.
-    pub fn names(&self, symbols: &SymbolTable) -> Vec<Rc<str>> {
-        self.entries.iter().map(|(sym, _)| symbols.name(*sym)).collect()
+    /// The bound symbols, in symbol order.
+    pub fn syms(&self) -> impl Iterator<Item = SymId> + '_ {
+        self.entries.iter().map(|(sym, _)| *sym)
     }
 }
 
-/// Evaluation context shared by all expression evaluations of one query run.
+/// The context of one evaluation: the graph, the plan, and the plan's name
+/// slots resolved against the graph's table.
 #[derive(Clone, Copy)]
-pub struct EvalCtx<'g> {
-    /// The property graph being queried.
-    pub graph: &'g PropertyGraph,
-    /// The run's symbol table (see [`SymbolTable`]).
-    pub symbols: &'g SymbolTable,
-    /// The run's lazily lowered query plans (see [`PlanCache`]): `MATCH`
-    /// clauses and explicit projections evaluate through their compiled,
-    /// [`SymId`]-native forms.
-    pub plans: &'g PlanCache,
+pub(crate) struct EvalCtx<'e> {
+    pub graph: &'e PropertyGraph,
+    pub plan: &'e QueryPlan,
+    /// `names[slot]` is the graph's id of the plan's slot `slot`, if any.
+    pub names: &'e [Option<NameId>],
 }
 
-impl<'g> EvalCtx<'g> {
-    /// A context evaluating over `graph` with `plan`'s symbol table and
-    /// lowered-plan cache.
-    pub fn new(graph: &'g PropertyGraph, plan: &'g QueryPlan) -> Self {
-        EvalCtx { graph, symbols: plan.symbols(), plans: plan.plans() }
+impl EvalCtx<'_> {
+    /// The graph's id of the name in `slot`; `None` when no entity of the
+    /// graph can carry it.
+    pub fn name(&self, slot: Slot) -> Option<NameId> {
+        self.names[slot.index()]
     }
 }
 
-/// Evaluates an expression to a [`Value`] in the given row.
-pub fn eval_expr(ctx: EvalCtx<'_>, row: &Row, expr: &Expr) -> Result<Value, EvalError> {
+static NULL: Value = Value::Null;
+
+/// Evaluates a lowered expression in the given row.
+pub(crate) fn eval(ctx: EvalCtx<'_>, row: &Row, expr: &LExpr) -> Result<Value, EvalError> {
     match expr {
-        Expr::Literal(lit) => Ok(eval_literal(lit)),
-        Expr::Variable(name) => Ok(row.get(ctx.symbols, name).cloned().unwrap_or(Value::Null)),
-        Expr::Parameter(name) => Err(EvalError::new(format!(
+        LExpr::Const(value) => Ok(value.clone()),
+        LExpr::Var(sym) => Ok(row.get_sym(*sym).cloned().unwrap_or(Value::Null)),
+        LExpr::Param(name) => Err(EvalError::new(format!(
             "unbound query parameter `${name}` (the evaluator does not take parameters)"
         ))),
-        Expr::Property(base, key) => {
-            let base = eval_expr(ctx, row, base)?;
-            Ok(read_property(ctx, &base, key))
+        LExpr::Property(base, key) => Ok(match &**base {
+            // A variable's value is read in place, not cloned.
+            LExpr::Var(sym) => read_property(ctx, row.get_sym(*sym).unwrap_or(&NULL), *key),
+            base => read_property(ctx, &eval(ctx, row, base)?, *key),
+        }),
+        LExpr::Unary(op, inner) => Ok(apply_unary(*op, eval(ctx, row, inner)?)),
+        LExpr::Binary(op, lhs, rhs) => {
+            let left = eval(ctx, row, lhs)?;
+            let right = eval(ctx, row, rhs)?;
+            Ok(apply_binary(*op, &left, &right))
         }
-        Expr::Unary(op, inner) => {
-            let value = eval_expr(ctx, row, inner)?;
-            Ok(match op {
-                UnaryOp::Not => bool3_to_value(not3(value.as_bool())),
-                // Direct negation, not `0 - x`: the subtraction detour turned
-                // `-(0.0)` into `+0.0` (losing the IEEE sign bit, observable
-                // through the total order) and hid the `-(i64::MIN)` overflow
-                // inside `checked_sub`.
-                UnaryOp::Neg => value.neg(),
-                UnaryOp::Pos => value,
-            })
+        LExpr::IsNull(inner, negated) => {
+            Ok(Value::Boolean(eval(ctx, row, inner)?.is_null() != *negated))
         }
-        Expr::Binary(op, lhs, rhs) => eval_binary(ctx, row, *op, lhs, rhs),
-        Expr::IsNull { expr, negated } => {
-            let value = eval_expr(ctx, row, expr)?;
-            let is_null = value.is_null();
-            Ok(Value::Boolean(if *negated { !is_null } else { is_null }))
-        }
-        Expr::List(items) => {
-            let values = items
-                .iter()
-                .map(|item| eval_expr(ctx, row, item))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Value::List(values))
-        }
-        Expr::Map(entries) => {
+        LExpr::List(items) => Ok(Value::List(eval_all(ctx, row, items)?)),
+        LExpr::Map(entries) => {
             let mut map = BTreeMap::new();
             for (key, value) in entries {
-                map.insert(key.clone(), eval_expr(ctx, row, value)?);
+                map.insert(key.clone(), eval(ctx, row, value)?);
             }
             Ok(Value::Map(map))
         }
-        Expr::FunctionCall { name, args } => {
-            let values =
-                args.iter().map(|arg| eval_expr(ctx, row, arg)).collect::<Result<Vec<_>, _>>()?;
-            eval_function(ctx, name, &values)
+        LExpr::Call(function, args) => {
+            let values = eval_all(ctx, row, args)?;
+            // An unknown / unmodelled function is NULL, mirroring the prover
+            // treating it as uninterpreted. The stage-① semantic check
+            // rejects such names, so only unchecked queries reach this.
+            Ok(function.map_or(Value::Null, |function| call(ctx, function, values)))
         }
-        Expr::AggregateCall { .. } | Expr::CountStar { .. } => {
+        LExpr::Aggregate => {
             Err(EvalError::new("aggregate expressions can only appear in WITH/RETURN projections"))
         }
-        Expr::Exists(query) => {
-            let result = evaluate_union_query(ctx, query, vec![row.clone()], false)?;
-            Ok(Value::Boolean(!result.rows.is_empty()))
+        LExpr::Exists(query) => {
+            Ok(Value::Boolean(!evaluate_union(ctx, query, row, false)?.rows.is_empty()))
         }
-        Expr::Case { branches, otherwise } => {
+        LExpr::Case(branches, otherwise) => {
             for (cond, value) in branches {
-                if eval_expr(ctx, row, cond)?.as_bool() == Some(true) {
-                    return eval_expr(ctx, row, value);
+                if eval(ctx, row, cond)?.as_bool() == Some(true) {
+                    return eval(ctx, row, value);
                 }
             }
             match otherwise {
-                Some(e) => eval_expr(ctx, row, e),
+                Some(e) => eval(ctx, row, e),
                 None => Ok(Value::Null),
             }
         }
     }
 }
 
+fn eval_all(ctx: EvalCtx<'_>, row: &Row, exprs: &[LExpr]) -> Result<Vec<Value>, EvalError> {
+    exprs.iter().map(|e| eval(ctx, row, e)).collect()
+}
+
 /// Evaluates a predicate for `WHERE`: only `TRUE` passes.
-pub fn eval_predicate(ctx: EvalCtx<'_>, row: &Row, expr: &Expr) -> Result<bool, EvalError> {
-    Ok(eval_expr(ctx, row, expr)?.as_bool() == Some(true))
+pub(crate) fn eval_predicate(ctx: EvalCtx<'_>, row: &Row, expr: &LExpr) -> Result<bool, EvalError> {
+    Ok(eval(ctx, row, expr)?.as_bool() == Some(true))
 }
 
-fn eval_literal(lit: &Literal) -> Value {
-    match lit {
-        Literal::Integer(v) => Value::Integer(*v),
-        Literal::Float(v) => Value::Float(*v),
-        Literal::String(s) => Value::String(s.clone()),
-        Literal::Boolean(b) => Value::Boolean(*b),
-        Literal::Null => Value::Null,
+/// Applies a unary operator to a computed value.
+pub(crate) fn apply_unary(op: UnaryOp, value: Value) -> Value {
+    match op {
+        UnaryOp::Not => bool3_to_value(not3(value.as_bool())),
+        // Direct negation, not `0 - x`: the subtraction detour turned
+        // `-(0.0)` into `+0.0` (losing the IEEE sign bit, observable through
+        // the total order) and hid the `-(i64::MIN)` overflow inside
+        // `checked_sub`.
+        UnaryOp::Neg => value.neg(),
+        UnaryOp::Pos => value,
     }
 }
 
-/// Evaluates `expr` at lowering time if it is a row-independent constant,
-/// mirroring [`eval_expr`]'s semantics exactly on the covered fragment
-/// (literals and unary `+`/`-` over them — in particular `Neg` goes through
-/// [`Value::neg`], preserving `-0.0` and `i64::MIN` behavior). Returns `None`
-/// for anything that could depend on the row, the graph, or evaluation
-/// order, which stays dynamic.
-pub(crate) fn eval_const_expr(expr: &Expr) -> Option<Value> {
-    match expr {
-        Expr::Literal(lit) => Some(eval_literal(lit)),
-        Expr::Unary(UnaryOp::Neg, inner) => Some(eval_const_expr(inner)?.neg()),
-        Expr::Unary(UnaryOp::Pos, inner) => eval_const_expr(inner),
-        _ => None,
+/// Applies a binary operator to two computed values. Both operands are
+/// always evaluated first; the logical connectives then combine them under
+/// three-valued logic.
+pub(crate) fn apply_binary(op: BinaryOp, left: &Value, right: &Value) -> Value {
+    match op {
+        BinaryOp::And => bool3_to_value(and3(left.as_bool(), right.as_bool())),
+        BinaryOp::Or => bool3_to_value(or3(left.as_bool(), right.as_bool())),
+        BinaryOp::Xor => bool3_to_value(xor3(left.as_bool(), right.as_bool())),
+        BinaryOp::Eq => bool3_to_value(left.cypher_eq(right)),
+        BinaryOp::Neq => bool3_to_value(not3(left.cypher_eq(right))),
+        BinaryOp::Lt => bool3_to_value(left.cypher_cmp(right).map(|o| o.is_lt())),
+        BinaryOp::Le => bool3_to_value(left.cypher_cmp(right).map(|o| o.is_le())),
+        BinaryOp::Gt => bool3_to_value(left.cypher_cmp(right).map(|o| o.is_gt())),
+        BinaryOp::Ge => bool3_to_value(left.cypher_cmp(right).map(|o| o.is_ge())),
+        BinaryOp::Add => left.add(right),
+        BinaryOp::Sub => left.sub(right),
+        BinaryOp::Mul => left.mul(right),
+        BinaryOp::Div => left.div(right),
+        BinaryOp::Mod => left.rem(right),
+        BinaryOp::Pow => left.pow(right),
+        BinaryOp::In => eval_in(left, right),
+        BinaryOp::StartsWith => eval_string_predicate(left, right, |a, b| a.starts_with(b)),
+        BinaryOp::EndsWith => eval_string_predicate(left, right, |a, b| a.ends_with(b)),
+        BinaryOp::Contains => eval_string_predicate(left, right, |a, b| a.contains(b)),
     }
-}
-
-fn eval_binary(
-    ctx: EvalCtx<'_>,
-    row: &Row,
-    op: BinaryOp,
-    lhs: &Expr,
-    rhs: &Expr,
-) -> Result<Value, EvalError> {
-    // Logical connectives get three-valued treatment and may short-circuit.
-    if op.is_logical() {
-        let left = eval_expr(ctx, row, lhs)?.as_bool();
-        let right = eval_expr(ctx, row, rhs)?.as_bool();
-        return Ok(bool3_to_value(match op {
-            BinaryOp::And => and3(left, right),
-            BinaryOp::Or => or3(left, right),
-            BinaryOp::Xor => xor3(left, right),
-            _ => unreachable!("is_logical covers only AND/OR/XOR"),
-        }));
-    }
-
-    let left = eval_expr(ctx, row, lhs)?;
-    let right = eval_expr(ctx, row, rhs)?;
-    Ok(match op {
-        BinaryOp::Eq => bool3_to_value(left.cypher_eq(&right)),
-        BinaryOp::Neq => bool3_to_value(not3(left.cypher_eq(&right))),
-        BinaryOp::Lt => bool3_to_value(left.cypher_cmp(&right).map(|o| o.is_lt())),
-        BinaryOp::Le => bool3_to_value(left.cypher_cmp(&right).map(|o| o.is_le())),
-        BinaryOp::Gt => bool3_to_value(left.cypher_cmp(&right).map(|o| o.is_gt())),
-        BinaryOp::Ge => bool3_to_value(left.cypher_cmp(&right).map(|o| o.is_ge())),
-        BinaryOp::Add => left.add(&right),
-        BinaryOp::Sub => left.sub(&right),
-        BinaryOp::Mul => left.mul(&right),
-        BinaryOp::Div => left.div(&right),
-        BinaryOp::Mod => left.rem(&right),
-        BinaryOp::Pow => left.pow(&right),
-        BinaryOp::In => eval_in(&left, &right),
-        BinaryOp::StartsWith => eval_string_predicate(&left, &right, |a, b| a.starts_with(b)),
-        BinaryOp::EndsWith => eval_string_predicate(&left, &right, |a, b| a.ends_with(b)),
-        BinaryOp::Contains => eval_string_predicate(&left, &right, |a, b| a.contains(b)),
-        BinaryOp::And | BinaryOp::Or | BinaryOp::Xor => unreachable!("handled above"),
-    })
 }
 
 fn eval_in(needle: &Value, haystack: &Value) -> Value {
@@ -488,32 +322,27 @@ fn bool3_to_value(value: Option<bool>) -> Value {
 }
 
 /// Reads `base.key` where `base` may be a node, relationship or map.
-pub fn read_property(ctx: EvalCtx<'_>, base: &Value, key: &str) -> Value {
-    match base {
-        Value::Node(id) => ctx.graph.property(EntityId::Node(*id), key),
-        Value::Relationship(id) => ctx.graph.property(EntityId::Relationship(*id), key),
-        Value::Map(map) => map.get(key).cloned().unwrap_or(Value::Null),
-        _ => Value::Null,
-    }
+fn read_property(ctx: EvalCtx<'_>, base: &Value, key: Slot) -> Value {
+    let entity = match base {
+        Value::Node(id) => EntityId::Node(*id),
+        Value::Relationship(id) => EntityId::Relationship(*id),
+        Value::Map(map) => return map.get(ctx.plan.name(key)).cloned().unwrap_or(Value::Null),
+        _ => return Value::Null,
+    };
+    ctx.name(key)
+        .and_then(|key| ctx.graph.property_by_id(entity, key))
+        .cloned()
+        .unwrap_or(Value::Null)
 }
 
-/// Evaluates the built-in scalar functions that the evaluation dataset uses.
-///
-/// The supported set is [`cypher_parser::BuiltinFunction`] — the same
-/// registry the stage-① semantic check admits, so the two cannot drift and
-/// the `match` below is exhaustive by construction. Unknown names evaluate
-/// to `NULL`, but since PR 5 the semantic check rejects them, so for checked
-/// queries the fallthrough is unreachable; it survives for direct
-/// `eval_expr` callers that bypass the checker.
-fn eval_function(ctx: EvalCtx<'_>, name: &str, args: &[Value]) -> Result<Value, EvalError> {
+/// Evaluates a built-in scalar function: the set is
+/// [`cypher_parser::BuiltinFunction`], the same registry the stage-①
+/// semantic check admits, so the two cannot drift and the `match` below is
+/// exhaustive by construction.
+fn call(ctx: EvalCtx<'_>, function: BuiltinFunction, args: Vec<Value>) -> Value {
     use cypher_parser::BuiltinFunction as F;
     let arg = |i: usize| args.get(i).cloned().unwrap_or(Value::Null);
-    let Some(function) = F::from_name(name) else {
-        // Unknown / unmodelled functions: NULL (mirrors the prover treating
-        // them as uninterpreted).
-        return Ok(Value::Null);
-    };
-    Ok(match function {
+    match function {
         F::Id => match arg(0) {
             Value::Node(id) => Value::Integer(id.0 as i64),
             // Relationship ids live in a disjoint range so that `id(n) = id(r)`
@@ -579,103 +408,107 @@ fn eval_function(ctx: EvalCtx<'_>, name: &str, args: &[Value]) -> Result<Value, 
             }
             _ => Value::Null,
         },
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::NodeId;
-    use cypher_parser::parse_expression;
+    use crate::eval::evaluate_query;
+    use cypher_parser::parse_query;
 
-    fn ctx_and_row() -> (PropertyGraph, QueryPlan, Row) {
+    /// Evaluates `expr` in a row binding `n` to the paper graph's J. K.
+    /// Rowling node and `x` to 5.
+    fn try_eval(expr: &str) -> Result<Value, EvalError> {
         let graph = PropertyGraph::paper_example();
-        let plan = QueryPlan::empty();
-        let mut row = Row::new();
-        row.insert(plan.symbols(), "n", Value::Node(NodeId(0)));
-        row.insert(plan.symbols(), "x", Value::Integer(5));
-        (graph, plan, row)
+        let text = format!("MATCH (n) WHERE id(n) = 0 WITH n, 5 AS x RETURN {expr}");
+        let result = evaluate_query(&graph, &parse_query(&text).unwrap())?;
+        assert_eq!(result.rows.len(), 1, "{text}");
+        Ok(result.rows[0][0].clone())
     }
 
-    fn eval(graph: &PropertyGraph, plan: &QueryPlan, row: &Row, text: &str) -> Value {
-        let expr = parse_expression(text).unwrap();
-        eval_expr(EvalCtx::new(graph, plan), row, &expr).unwrap()
+    fn eval(expr: &str) -> Value {
+        try_eval(expr).unwrap_or_else(|e| panic!("`{expr}`: {e}"))
     }
 
     #[test]
     fn evaluates_property_access_and_comparison() {
-        let (graph, plan, row) = ctx_and_row();
-        assert_eq!(eval(&graph, &plan, &row, "n.age"), Value::Integer(59));
-        assert_eq!(eval(&graph, &plan, &row, "n.age = 59"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &plan, &row, "n.age > 100"), Value::Boolean(false));
-        assert_eq!(eval(&graph, &plan, &row, "n.missing = 1"), Value::Null);
-        assert_eq!(eval(&graph, &plan, &row, "n.missing IS NULL"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &plan, &row, "n.age IS NOT NULL"), Value::Boolean(true));
+        assert_eq!(eval("n.age"), Value::Integer(59));
+        assert_eq!(eval("n.age = 59"), Value::Boolean(true));
+        assert_eq!(eval("n.age > 100"), Value::Boolean(false));
+        assert_eq!(eval("n.missing = 1"), Value::Null);
+        assert_eq!(eval("n.missing IS NULL"), Value::Boolean(true));
+        assert_eq!(eval("n.age IS NOT NULL"), Value::Boolean(true));
     }
 
     #[test]
     fn evaluates_arithmetic_and_logic() {
-        let (graph, plan, row) = ctx_and_row();
-        assert_eq!(eval(&graph, &plan, &row, "x + 2 * 3"), Value::Integer(11));
-        assert_eq!(eval(&graph, &plan, &row, "x > 1 AND x < 10"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &plan, &row, "x > 1 AND n.missing = 1"), Value::Null);
-        assert_eq!(eval(&graph, &plan, &row, "x < 1 AND n.missing = 1"), Value::Boolean(false));
-        assert_eq!(eval(&graph, &plan, &row, "NOT x = 5"), Value::Boolean(false));
-        assert_eq!(eval(&graph, &plan, &row, "x IN [1, 5, 9]"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &plan, &row, "x IN [1, 2]"), Value::Boolean(false));
+        assert_eq!(eval("x + 2 * 3"), Value::Integer(11));
+        assert_eq!(eval("x > 1 AND x < 10"), Value::Boolean(true));
+        assert_eq!(eval("x > 1 AND n.missing = 1"), Value::Null);
+        assert_eq!(eval("x < 1 AND n.missing = 1"), Value::Boolean(false));
+        assert_eq!(eval("NOT x = 5"), Value::Boolean(false));
+        assert_eq!(eval("x IN [1, 5, 9]"), Value::Boolean(true));
+        assert_eq!(eval("x IN [1, 2]"), Value::Boolean(false));
     }
 
     #[test]
     fn evaluates_string_predicates_and_functions() {
-        let (graph, plan, row) = ctx_and_row();
-        assert_eq!(eval(&graph, &plan, &row, "n.name STARTS WITH 'J.'"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &plan, &row, "n.name CONTAINS 'Rowling'"), Value::Boolean(true));
-        assert_eq!(eval(&graph, &plan, &row, "size('abc')"), Value::Integer(3));
-        assert_eq!(eval(&graph, &plan, &row, "coalesce(n.missing, 7)"), Value::Integer(7));
-        assert_eq!(eval(&graph, &plan, &row, "id(n)"), Value::Integer(0));
-        assert_eq!(
-            eval(&graph, &plan, &row, "labels(n)"),
-            Value::List(vec![Value::from("Person")])
-        );
-        assert_eq!(eval(&graph, &plan, &row, "unknown_function(n)"), Value::Null);
+        assert_eq!(eval("n.name STARTS WITH 'J.'"), Value::Boolean(true));
+        assert_eq!(eval("n.name CONTAINS 'Rowling'"), Value::Boolean(true));
+        assert_eq!(eval("size('abc')"), Value::Integer(3));
+        assert_eq!(eval("coalesce(n.missing, 7)"), Value::Integer(7));
+        assert_eq!(eval("id(n)"), Value::Integer(0));
+        assert_eq!(eval("labels(n)"), Value::List(vec![Value::from("Person")]));
+        assert_eq!(eval("unknown_function(n)"), Value::Null);
+        assert_eq!(eval("TOUPPER('a')"), Value::from("A"), "names resolve case-insensitively");
     }
 
     #[test]
     fn evaluates_case_and_maps_and_lists() {
-        let (graph, plan, row) = ctx_and_row();
+        assert_eq!(eval("CASE WHEN x > 3 THEN 'big' ELSE 'small' END"), Value::from("big"));
+        assert_eq!(eval("{a: 1, b: 2}.b"), Value::Integer(2));
         assert_eq!(
-            eval(&graph, &plan, &row, "CASE WHEN x > 3 THEN 'big' ELSE 'small' END"),
-            Value::from("big")
+            eval("{a: 1, a: x}.a"),
+            Value::Integer(5),
+            "a repeated key keeps its last value"
         );
-        assert_eq!(eval(&graph, &plan, &row, "{a: 1, b: 2}.b"), Value::Integer(2));
-        assert_eq!(eval(&graph, &plan, &row, "[1, 2, 3][1]"), Value::Integer(2));
-        assert_eq!(eval(&graph, &plan, &row, "head([4, 5])"), Value::Integer(4));
+        assert_eq!(eval("[1, 2, 3][1]"), Value::Integer(2));
+        assert_eq!(eval("head([4, 5])"), Value::Integer(4));
+    }
+
+    #[test]
+    fn operators_on_literals_evaluate() {
+        assert_eq!(eval("-(0.0)"), Value::Float(-0.0));
+        assert_eq!(eval("1 + 2 = 3"), Value::Boolean(true));
+        assert_eq!(eval("NULL IS NULL"), Value::Boolean(true));
+        assert_eq!(eval("[1, 'a'] + [2]"), eval("[1, 'a', 2]"));
+        assert_eq!(eval("9223372036854775807 + 1"), Value::Null, "overflow is NULL");
     }
 
     #[test]
     fn unbound_variables_are_null() {
-        let (graph, plan, row) = ctx_and_row();
-        assert_eq!(eval(&graph, &plan, &row, "missing_variable"), Value::Null);
-        assert_eq!(eval(&graph, &plan, &row, "missing_variable = 1"), Value::Null);
+        assert_eq!(eval("missing_variable"), Value::Null);
+        assert_eq!(eval("missing_variable = 1"), Value::Null);
     }
 
     #[test]
     fn parameters_are_rejected() {
-        let (graph, plan, row) = ctx_and_row();
-        let expr = parse_expression("$p = 1").unwrap();
-        assert!(eval_expr(EvalCtx::new(&graph, &plan), &row, &expr).is_err());
+        assert!(try_eval("$p = 1").is_err());
     }
 
     #[test]
     fn aggregates_outside_projections_are_rejected() {
-        let (graph, plan, row) = ctx_and_row();
-        let expr = parse_expression("SUM(x)").unwrap();
-        assert!(eval_expr(EvalCtx::new(&graph, &plan), &row, &expr).is_err());
+        let graph = PropertyGraph::paper_example();
+        let query = parse_query("MATCH (n) WHERE SUM(n.age) > 1 RETURN n").unwrap();
+        assert!(evaluate_query(&graph, &query).is_err());
+        // Not reached on a graph without nodes, so no error there.
+        assert!(evaluate_query(&PropertyGraph::new(), &query).unwrap().is_empty());
     }
 
     #[test]
     fn symbol_table_interns_densely_and_round_trips() {
-        let symbols = SymbolTable::new();
+        let mut symbols = SymbolTable::new();
         let a = symbols.intern("a");
         let b = symbols.intern("b");
         assert_eq!(a, SymId(0));
@@ -683,79 +516,63 @@ mod tests {
         assert_eq!(symbols.intern("a"), a, "re-interning returns the same id");
         assert_eq!(symbols.lookup("b"), Some(b));
         assert_eq!(symbols.lookup("missing"), None);
-        assert_eq!(&*symbols.name(a), "a");
+        assert_eq!(symbols.name(a), "a");
         assert_eq!(symbols.len(), 2);
     }
 
     #[test]
     fn plan_time_interning_covers_query_names() {
-        let query = cypher_parser::parse_query(
+        let query = parse_query(
             "MATCH p = (a:Person)-[r:READ]->(b) WHERE a.age > 1 \
              WITH b.title AS title UNWIND [1] AS x RETURN title, x AS renamed",
         )
         .unwrap();
-        let symbols = SymbolTable::for_query(&query);
+        let plan = QueryPlan::new(&query);
         for name in ["p", "a", "r", "b", "title", "x", "renamed"] {
-            assert!(symbols.lookup(name).is_some(), "{name} not interned at plan time");
+            assert!(plan.symbols().lookup(name).is_some(), "{name} not interned at plan time");
         }
     }
 
     #[test]
     fn rows_bind_replace_extend_and_merge() {
-        let symbols = SymbolTable::new();
+        let mut symbols = SymbolTable::new();
+        let [a, m, q, z, b] = ["a", "m", "q", "z", "b"].map(|name| symbols.intern(name));
         let mut row = Row::new();
         // Insert out of symbol order to exercise the sorted insert.
-        let z = symbols.intern("z");
-        row.insert(&symbols, "a", Value::Integer(2));
         row.insert_sym(z, Value::Integer(1));
-        row.insert(&symbols, "m", Value::Integer(3));
-        row.insert(&symbols, "a", Value::Integer(4)); // replace
-        row.insert_if_absent_sym(symbols.intern("m"), Value::Null); // no-op
-        row.insert_if_absent_sym(symbols.intern("q"), Value::Integer(5));
+        row.insert_sym(a, Value::Integer(2));
+        row.insert_sym(m, Value::Integer(3));
+        row.insert_sym(a, Value::Integer(4)); // replace
+        row.insert_if_absent_sym(m, Value::Null); // no-op
+        row.insert_if_absent_sym(q, Value::Integer(5));
         assert_eq!(row.len(), 4);
         assert_eq!(row.get(&symbols, "a"), Some(&Value::Integer(4)));
         assert_eq!(row.get(&symbols, "m"), Some(&Value::Integer(3)));
         assert_eq!(row.get(&symbols, "q"), Some(&Value::Integer(5)));
         assert_eq!(row.get(&symbols, "missing"), None);
-        let names: Vec<String> = row.names(&symbols).iter().map(|n| n.to_string()).collect();
-        assert_eq!(names, ["z", "a", "m", "q"], "entries stay in symbol order");
+        assert_eq!(row.syms().collect::<Vec<_>>(), [a, m, q, z], "entries stay in symbol order");
 
         // Copy-on-extend preserves the original.
-        let extended = row.with_sym(symbols.intern("b"), Value::Integer(9));
+        let extended = row.with_sym(b, Value::Integer(9));
         assert_eq!(row.len(), 4);
         assert_eq!(extended.len(), 5);
-        assert_eq!(extended.get(&symbols, "b"), Some(&Value::Integer(9)));
-        let replaced = row.with_sym(symbols.intern("a"), Value::Integer(0));
+        assert_eq!(extended.get_sym(b), Some(&Value::Integer(9)));
+        let replaced = row.with_sym(a, Value::Integer(0));
         assert_eq!(replaced.len(), 4);
-        assert_eq!(replaced.get(&symbols, "a"), Some(&Value::Integer(0)));
-
-        // merge_from lets the other row's bindings win.
-        let mut merged = row.clone();
-        let mut overlay = Row::new();
-        overlay.insert(&symbols, "a", Value::Integer(7));
-        overlay.insert(&symbols, "new", Value::Integer(8));
-        merged.merge_from(&overlay);
-        assert_eq!(merged.get(&symbols, "a"), Some(&Value::Integer(7)));
-        assert_eq!(merged.get(&symbols, "new"), Some(&Value::Integer(8)));
-        assert_eq!(merged.len(), 5);
+        assert_eq!(replaced.get_sym(a), Some(&Value::Integer(0)));
+        let mut roomy = row.with_room(2);
+        assert_eq!(roomy, row);
+        roomy.insert_sym(b, Value::Null);
+        assert_eq!(roomy.len(), 5);
     }
 
     /// Every function in the shared [`cypher_parser::BuiltinFunction`]
-    /// registry evaluates through a real arm of `eval_function`: applied to
+    /// registry evaluates through a real arm of `call`: applied to
     /// representative arguments, each returns a non-NULL value, which the
-    /// unknown-name fallthrough can never produce. This pins the runtime
-    /// side of the registry/evaluator agreement the enum guarantees at
-    /// compile time.
+    /// unknown-name fallthrough can never produce.
     #[test]
     fn every_registered_builtin_evaluates_non_null() {
-        use crate::graph::RelId;
-        use cypher_parser::BuiltinFunction;
-
         let graph = PropertyGraph::paper_example();
-        let plan = QueryPlan::empty();
-        let mut row = Row::new();
-        row.insert(plan.symbols(), "n", Value::Node(NodeId(0)));
-        row.insert(plan.symbols(), "r", Value::Relationship(RelId(0)));
         let representative = |function: BuiltinFunction| match function {
             BuiltinFunction::Id => "id(n)",
             BuiltinFunction::Labels => "labels(n)",
@@ -774,9 +591,12 @@ mod tests {
             BuiltinFunction::Index => "index([4, 5], 1)",
         };
         for &function in BuiltinFunction::ALL {
-            let text = representative(function);
-            let value = eval(&graph, &plan, &row, text);
-            assert!(!value.is_null(), "{text}: registered builtin evaluated to NULL");
+            let text = format!(
+                "MATCH (n)-[r]->() WHERE id(r) = 1000000000 RETURN {}",
+                representative(function)
+            );
+            let result = evaluate_query(&graph, &parse_query(&text).unwrap()).unwrap();
+            assert!(!result.rows[0][0].is_null(), "{text}: registered builtin evaluated to NULL");
         }
     }
 }

@@ -14,9 +14,12 @@
 //! A generator interns its vocabulary (labels, relationship types, property
 //! keys) into one [`NameTable`] when it is built and shares it (`Arc`) with
 //! every graph it generates, so drawing a label, key or type writes a
-//! [`NameId`] — no name is cloned per graph. The random draw sequence is
-//! part of the contract: a seed and a configuration fix every graph, which
-//! is what makes counterexample pool indexes replayable.
+//! [`NameId`] — no name is cloned per graph. [`GraphGenerator::sibling`]
+//! shares the configuration and the interned vocabulary with a second
+//! generator of other bounds, as the counterexample pools' small and large
+//! generators do. The random draw sequence is part of the contract: a seed
+//! and a configuration fix every graph, which is what makes counterexample
+//! pool indexes replayable.
 
 use std::sync::Arc;
 
@@ -201,17 +204,27 @@ impl GeneratorConfig {
     }
 }
 
-/// A deterministic random graph generator.
+/// A configuration's vocabulary, interned once: the table every generated
+/// graph shares, and the configuration's name lists as ids in it.
 #[derive(Debug)]
-pub struct GraphGenerator {
-    config: GeneratorConfig,
-    /// The vocabulary, interned once and shared by every generated graph.
+struct Vocabulary {
     names: Arc<NameTable>,
-    /// `config.node_labels`, `config.relationship_labels` and
-    /// `config.property_keys` as ids in `names`, position by position.
+    /// `node_labels`, `relationship_labels` and `property_keys` of the
+    /// configuration as ids in `names`, position by position.
     node_labels: Vec<NameId>,
     relationship_labels: Vec<NameId>,
     property_keys: Vec<NameId>,
+}
+
+/// A deterministic random graph generator.
+#[derive(Debug)]
+pub struct GraphGenerator {
+    config: Arc<GeneratorConfig>,
+    vocabulary: Arc<Vocabulary>,
+    /// The node and relationship bounds: the configuration's, or a
+    /// sibling's own.
+    max_nodes: usize,
+    max_relationships: usize,
     rng: DetRng,
 }
 
@@ -223,6 +236,12 @@ impl GraphGenerator {
 
     /// Creates a generator with an explicit configuration.
     pub fn with_config(seed: u64, config: GeneratorConfig) -> Self {
+        GraphGenerator::shared(seed, Arc::new(config))
+    }
+
+    /// Creates a generator over a shared configuration, which it reads but
+    /// does not copy.
+    pub fn shared(seed: u64, config: Arc<GeneratorConfig>) -> Self {
         let mut names = NameTable::default();
         let mut intern = |list: &[String]| -> Vec<NameId> {
             list.iter().map(|name| names.intern(name)).collect()
@@ -230,39 +249,55 @@ impl GraphGenerator {
         let node_labels = intern(&config.node_labels);
         let relationship_labels = intern(&config.relationship_labels);
         let property_keys = intern(&config.property_keys);
+        let vocabulary =
+            Vocabulary { names: Arc::new(names), node_labels, relationship_labels, property_keys };
         GraphGenerator {
+            max_nodes: config.max_nodes,
+            max_relationships: config.max_relationships,
             config,
-            names: Arc::new(names),
-            node_labels,
-            relationship_labels,
-            property_keys,
+            vocabulary: Arc::new(vocabulary),
+            rng: DetRng::seed_from_u64(seed),
+        }
+    }
+
+    /// A generator with its own seed and size bounds that shares this one's
+    /// configuration and interned vocabulary: its graphs are the ones
+    /// [`GraphGenerator::with_config`] would generate from the configuration
+    /// with `max_nodes` and `max_relationships` replaced.
+    pub fn sibling(&self, seed: u64, max_nodes: usize, max_relationships: usize) -> Self {
+        GraphGenerator {
+            config: Arc::clone(&self.config),
+            vocabulary: Arc::clone(&self.vocabulary),
+            max_nodes,
+            max_relationships,
             rng: DetRng::seed_from_u64(seed),
         }
     }
 
     /// Generates the next random property graph.
     pub fn generate(&mut self) -> PropertyGraph {
-        let mut graph = PropertyGraph::with_names(Arc::clone(&self.names));
-        let node_count = self.rng.range_inclusive_usize(0, self.config.max_nodes);
+        let mut graph = PropertyGraph::with_names(Arc::clone(&self.vocabulary.names));
+        let node_count = self.rng.range_inclusive_usize(0, self.max_nodes);
         // Room for the most a node can draw: two labels, three properties.
         graph.reserve(node_count, 2 * node_count, 0, 3 * node_count);
         for _ in 0..node_count {
             let label_count = self.rng.range_inclusive_usize(0, 2);
             let mut labels = [NameId(0); 2];
             for label in &mut labels[..label_count] {
-                *label = self.node_labels[self.rng.range_usize(0, self.node_labels.len())];
+                let labels = &self.vocabulary.node_labels;
+                *label = labels[self.rng.range_usize(0, labels.len())];
             }
             let properties = self.sample_properties();
             graph.add_node_ids(labels[..label_count].iter().copied(), properties);
         }
         if node_count > 0 {
-            let rel_count = self.rng.range_inclusive_usize(0, self.config.max_relationships);
+            let rel_count = self.rng.range_inclusive_usize(0, self.max_relationships);
             graph.reserve(0, 0, rel_count, 3 * rel_count);
             for _ in 0..rel_count {
                 let source = NodeId(self.rng.range_usize(0, node_count) as u32);
                 let target = NodeId(self.rng.range_usize(0, node_count) as u32);
-                let label_index = self.rng.range_usize(0, self.relationship_labels.len());
-                let rel_type = self.relationship_labels[label_index];
+                let types = &self.vocabulary.relationship_labels;
+                let rel_type = types[self.rng.range_usize(0, types.len())];
                 graph.add_relationship_ids(rel_type, source, target, self.sample_properties());
             }
         }
@@ -279,7 +314,8 @@ impl GraphGenerator {
     fn sample_properties(&mut self) -> impl Iterator<Item = (NameId, Value)> + '_ {
         let count = self.rng.range_inclusive_usize(0, 3);
         (0..count).map(move |_| {
-            let key = self.property_keys[self.rng.range_usize(0, self.property_keys.len())];
+            let keys = &self.vocabulary.property_keys;
+            let key = keys[self.rng.range_usize(0, keys.len())];
             let value = match self.rng.range_usize(0, 5) {
                 0 => Value::Integer(
                     self.rng.range_inclusive_i64(-self.config.max_int, self.config.max_int),
@@ -337,6 +373,19 @@ mod tests {
         **right = Expr::int(i64::MIN);
         let config = GeneratorConfig::from_queries(&[&query]);
         assert_eq!(config.int_pool, vec![i64::MIN, i64::MIN + 1]);
+    }
+
+    #[test]
+    fn siblings_generate_what_their_own_configuration_would() {
+        let config = GeneratorConfig::default();
+        let large = GeneratorConfig { max_nodes: 9, max_relationships: 16, ..config.clone() };
+        let small = GraphGenerator::shared(5, Arc::new(config));
+        let mut sibling = small.sibling(6, 9, 16);
+        assert!(Arc::ptr_eq(&small.vocabulary, &sibling.vocabulary));
+        assert_eq!(
+            sibling.generate_many(8),
+            GraphGenerator::with_config(6, large).generate_many(8)
+        );
     }
 
     #[test]

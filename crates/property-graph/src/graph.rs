@@ -26,12 +26,17 @@
 //! the certificate's graph — sees the same order a `BTreeSet` / `BTreeMap`
 //! would give. Equality is structural over names, never over ids, so two
 //! graphs with different tables compare equal when they hold the same data.
+//!
+//! A graph holds its data and nothing derived from it: the matcher
+//! ([`crate::matching`]) scans the node and relationship vectors in id
+//! order, which for graphs of the evaluator's size (at most 9 nodes and 16
+//! relationships in a counterexample pool) costs less than building an
+//! adjacency index would.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::fxhash::FxHashMap;
-use crate::index::AdjacencyIndex;
 use crate::value::Value;
 
 /// Identifier of a node within a [`PropertyGraph`].
@@ -132,8 +137,8 @@ pub struct RelData {
     properties: Run,
 }
 
-/// A property graph.
-#[derive(Debug, Default)]
+/// A property graph. Cloning shares the name table.
+#[derive(Debug, Clone, Default)]
 pub struct PropertyGraph {
     names: Arc<NameTable>,
     nodes: Vec<NodeData>,
@@ -142,32 +147,9 @@ pub struct PropertyGraph {
     labels: Vec<NameId>,
     /// Every entity's properties, in insertion order of the entities.
     properties: Vec<(NameId, Value)>,
-    /// The adjacency index, built lazily on first [`PropertyGraph::adjacency`]
-    /// call and shared by every subsequent evaluation of the unchanged graph.
-    /// `OnceLock` keeps the graph `Send + Sync`, which the process-wide
-    /// counterexample pools rely on (any thread's search may evaluate a
-    /// pooled graph); mutations reset it, so the index can never go stale.
-    index: OnceLock<AdjacencyIndex>,
 }
 
-/// Cloning copies the graph data (sharing the name table) but not the lazily
-/// built index: the index is a pure function of nodes and relationships and
-/// rebuilds on demand, so copying it would only duplicate memory.
-impl Clone for PropertyGraph {
-    fn clone(&self) -> Self {
-        PropertyGraph {
-            names: Arc::clone(&self.names),
-            nodes: self.nodes.clone(),
-            relationships: self.relationships.clone(),
-            labels: self.labels.clone(),
-            properties: self.properties.clone(),
-            index: OnceLock::new(),
-        }
-    }
-}
-
-/// Graph equality is structural over names: ids are table-relative, and the
-/// lazily built index is a pure function of the data.
+/// Graph equality is structural over names: ids are table-relative.
 impl PartialEq for PropertyGraph {
     fn eq(&self, other: &Self) -> bool {
         let same_properties = |entity: EntityId| {
@@ -258,7 +240,6 @@ impl PropertyGraph {
         let labels = Run { start: start as u32, end: end as u32 };
         let properties = self.push_properties(properties);
         self.nodes.push(NodeData { labels, properties });
-        self.index = OnceLock::new();
         NodeId((self.nodes.len() - 1) as u32)
     }
 
@@ -301,7 +282,6 @@ impl PropertyGraph {
         assert!((target.0 as usize) < self.nodes.len(), "unknown target node {target:?}");
         let properties = self.push_properties(properties);
         self.relationships.push(RelData { rel_type, source, target, properties });
-        self.index = OnceLock::new();
         RelId((self.relationships.len() - 1) as u32)
     }
 
@@ -340,13 +320,6 @@ impl PropertyGraph {
         self.labels.reserve(labels);
         self.relationships.reserve(relationships);
         self.properties.reserve(properties);
-    }
-
-    /// The adjacency index of this graph, built on first use. See
-    /// [`AdjacencyIndex`] for the layout; the matcher consults it for every
-    /// candidate enumeration.
-    pub fn adjacency(&self) -> &AdjacencyIndex {
-        self.index.get_or_init(|| AdjacencyIndex::build(self))
     }
 
     /// The number of nodes.
@@ -500,19 +473,6 @@ mod tests {
         assert_eq!(graph.property(EntityId::Relationship(RelId(0)), "date"), Value::from(1997));
         assert_eq!(graph.property(EntityId::Node(NodeId(0)), "missing"), Value::Null);
         assert_eq!(graph.rel_type_name(RelId(1)), "READ");
-    }
-
-    #[test]
-    fn adjacency_iterators() {
-        let graph = PropertyGraph::paper_example();
-        let index = graph.adjacency();
-        // Node n2 (the book) has no outgoing relationships and three incoming.
-        assert_eq!(index.outgoing(NodeId(1)).len(), 0);
-        assert_eq!(index.incoming(NodeId(1)).len(), 3);
-        // J. K. Rowling has one outgoing WRITE.
-        let out = index.outgoing(NodeId(0));
-        assert_eq!(out.len(), 1);
-        assert_eq!(graph.rel_type_name(out[0].rel), "WRITE");
     }
 
     #[test]

@@ -10,16 +10,16 @@
 //! check that queries proven equivalent return identical bags on random
 //! graphs, and the prover's counterexample search uses it to certify
 //! non-equivalence with a concrete differing graph. There is one evaluation
-//! path: `MATCH` clauses and projections lower once per [`QueryPlan`] into
-//! compiled plans ([`plan`]), the matcher ([`matching`]) enumerates
-//! candidates through each graph's adjacency index ([`index`]), and rows are
+//! path: a query lowers once, eagerly, into a [`QueryPlan`] ([`plan`]) that
+//! resolves nothing by name at run time, the matcher ([`matching`]) scans
+//! each graph's flat node and relationship vectors in id order, and rows are
 //! flat vectors keyed by interned symbols ([`expr::Row`]). Its reference is
 //! the certificate checker's independent evaluator, which
 //! `tests/checker_differential.rs` compares it against row for row.
 //!
-//! A plan is single-threaded (`Rc`/`RefCell` inside) and reusable across
-//! graphs: the counterexample search builds one per query and evaluates
-//! every pool graph through it with [`evaluate_planned`].
+//! A plan is reusable across graphs (and threads): the counterexample search
+//! builds one per query and evaluates every pool graph through it with
+//! [`evaluate_planned`].
 //!
 //! ```
 //! use property_graph::{evaluate_query, PropertyGraph};
@@ -49,10 +49,9 @@ pub mod plan;
 pub mod rng;
 pub mod value;
 
-pub use eval::{evaluate_planned, evaluate_query, EvalError, QueryResult};
-pub use expr::{EvalCtx, Row, SymId, SymbolTable};
+pub use eval::{evaluate_planned, evaluate_query, evaluate_rows, EvalError, QueryResult, Rows};
+pub use expr::{Row, SymId, SymbolTable};
 pub use generator::{GeneratorConfig, GraphGenerator};
 pub use graph::{EntityId, NameId, NameTable, NodeId, PropertyGraph, RelData, RelId};
-pub use index::{AdjacencyIndex, IdBitset, IdSet};
 pub use plan::QueryPlan;
 pub use value::Value;

@@ -14,21 +14,26 @@
 //! and property constraints.
 //!
 //! The matcher walks a clause lowered by [`crate::plan`]: variables are
-//! pre-interned [`SymId`](crate::expr::SymId)s, so every row operation on the
-//! per-candidate path is integer-keyed. Candidates come from the graph's
-//! [`crate::index::AdjacencyIndex`] in ascending node/relationship id order
-//! (which `LIMIT` without `ORDER BY` can observe), and var-length paths are
-//! explored depth-first; the checker's independent evaluator enumerates in
-//! the same order, which `tests/checker_differential.rs` pins row for row.
+//! [`SymId`](crate::expr::SymId)s and labels, types and keys are plan slots
+//! resolved to the graph's [`NameId`](crate::graph::NameId)s once per
+//! evaluation, so every filter is an integer compare. Candidates come from
+//! a scan of the graph's flat node and relationship vectors in ascending id
+//! order (which `LIMIT` without `ORDER BY` can observe): a hop keeps the
+//! relationships incident to the current node in the pattern's direction,
+//! and an undirected pattern yields a self-loop once. Every graph the
+//! evaluator sees is small (pool graphs have at most 9 nodes and 16
+//! relationships), so the scan needs no per-graph index. Var-length paths
+//! are explored depth-first; the checker's independent evaluator enumerates
+//! in the same order, which `tests/checker_differential.rs` pins row for
+//! row.
 
 use cypher_parser::ast::RelDirection;
 
 use crate::eval::EvalError;
-use crate::expr::{eval_expr, EvalCtx, Row};
-use crate::graph::{EntityId, NameId, NodeId, RelId};
-use crate::index::AdjEntry;
+use crate::expr::{eval, eval_predicate, EvalCtx, Row};
+use crate::graph::{EntityId, NodeId, RelId};
 use crate::plan::{
-    CompiledMatch, CompiledNodePattern, CompiledPathPattern, CompiledRelPattern, PropValue,
+    CompiledMatch, CompiledNodePattern, CompiledPathPattern, CompiledRelPattern, LExpr, Slot,
 };
 use crate::value::Value;
 
@@ -39,7 +44,7 @@ type OnComplete<'a> =
 /// Finds all extensions of `base` that satisfy every pattern of the compiled
 /// clause and its `WHERE` predicate. The caller handles `OPTIONAL MATCH`, for
 /// which the predicate is part of the optional part.
-pub fn match_clause(
+pub(crate) fn match_clause(
     ctx: EvalCtx<'_>,
     compiled: &CompiledMatch,
     base: &Row,
@@ -47,18 +52,18 @@ pub fn match_clause(
     let mut results = Vec::new();
     let mut used = Vec::new();
     match_pattern_list(ctx, &compiled.patterns, 0, base.clone(), &mut used, &mut results)?;
-    match &compiled.where_clause {
-        None => Ok(results),
-        Some(predicate) => {
-            let mut kept = Vec::new();
-            for row in results {
-                if crate::expr::eval_predicate(ctx, &row, predicate)? {
-                    kept.push(row);
-                }
+    if let Some(predicate) = &compiled.where_clause {
+        // Filter in place, keeping the survivors in match order.
+        let mut kept = 0;
+        for index in 0..results.len() {
+            if eval_predicate(ctx, &results[index], predicate)? {
+                results.swap(kept, index);
+                kept += 1;
             }
-            Ok(kept)
         }
+        results.truncate(kept);
     }
+    Ok(results)
 }
 
 fn match_pattern_list(
@@ -75,10 +80,15 @@ fn match_pattern_list(
     }
     let pattern = &patterns[index];
     let candidates = candidate_nodes(ctx, &row, &pattern.start)?;
+    // The path trace is kept only for a pattern that binds a path variable;
+    // one vector serves every candidate.
+    let mut trace = Vec::new();
     for node in candidates {
-        let mut next_row = row.clone();
-        bind_node(&mut next_row, &pattern.start, node);
-        let mut trace = vec![Value::Node(node)];
+        let next_row = bind_node(&row, &pattern.start, node);
+        if pattern.variable.is_some() {
+            trace.clear();
+            trace.push(Value::Node(node));
+        }
         let used_before = used.len();
         match_segments(
             ctx,
@@ -104,7 +114,8 @@ fn match_pattern_list(
 /// Matches the remaining segments of one path pattern, calling `on_complete`
 /// for every full match. `used` accumulates the relationships matched so far
 /// in the current `MATCH` clause (for relationship-injectivity) and is
-/// restored by callers after exploring each alternative.
+/// restored by callers after exploring each alternative; `trace` records the
+/// path so far when the pattern binds a path variable.
 #[allow(clippy::too_many_arguments)]
 fn match_segments(
     ctx: EvalCtx<'_>,
@@ -121,44 +132,58 @@ fn match_segments(
     }
     let segment = &pattern.segments[segment_index];
     let rel_pattern = &segment.relationship;
+    let tracing = pattern.variable.is_some();
 
-    if rel_pattern.is_var_length() {
-        match_var_length(ctx, pattern, segment_index, current, row, used, trace, on_complete)
-    } else {
-        let candidates = candidate_relationships(ctx, &row, rel_pattern, current)?;
-        for (rel, next_node) in candidates {
-            if violates_injectivity(&row, rel_pattern, rel, used) {
-                continue;
-            }
-            if !node_matches(ctx, &row, next_node, &segment.node)?
-                || !node_binding_consistent(&row, &segment.node, next_node)
-            {
-                continue;
-            }
-            let mut next_row = row.clone();
-            if let Some(sym) = rel_pattern.variable {
-                next_row.insert_sym(sym, Value::Relationship(rel));
-            }
-            bind_node(&mut next_row, &segment.node, next_node);
-            used.push(rel);
+    if rel_pattern.length.is_some() {
+        return match_var_length(
+            ctx,
+            pattern,
+            segment_index,
+            current,
+            row,
+            used,
+            trace,
+            on_complete,
+        );
+    }
+    let candidates = candidate_relationships(ctx, &row, rel_pattern, current)?;
+    for (rel, next_node) in candidates {
+        if violates_injectivity(&row, rel_pattern, rel, used) {
+            continue;
+        }
+        if !node_matches(ctx, &row, next_node, &segment.node)?
+            || !node_binding_consistent(&row, &segment.node, next_node)
+        {
+            continue;
+        }
+        let mut next_row = row.with_room(2);
+        if let Some(sym) = rel_pattern.variable {
+            next_row.insert_sym(sym, Value::Relationship(rel));
+        }
+        if let Some(sym) = segment.node.variable {
+            next_row.insert_sym(sym, Value::Node(next_node));
+        }
+        used.push(rel);
+        if tracing {
             trace.push(Value::Relationship(rel));
             trace.push(Value::Node(next_node));
-            match_segments(
-                ctx,
-                pattern,
-                segment_index + 1,
-                next_node,
-                next_row,
-                used,
-                trace,
-                on_complete,
-            )?;
-            trace.pop();
-            trace.pop();
-            used.pop();
         }
-        Ok(())
+        match_segments(
+            ctx,
+            pattern,
+            segment_index + 1,
+            next_node,
+            next_row,
+            used,
+            trace,
+            on_complete,
+        )?;
+        if tracing {
+            trace.truncate(trace.len() - 2);
+        }
+        used.pop();
     }
+    Ok(())
 }
 
 /// Expands a variable-length relationship pattern into simple paths.
@@ -180,6 +205,7 @@ fn match_var_length(
     // An unbounded `*` is exhaustive at the graph's relationship count,
     // because relationships may not repeat along a path.
     let max = length.max.unwrap_or(ctx.graph.relationship_count() as u32).max(min);
+    let tracing = pattern.variable.is_some();
 
     // Depth-first expansion of simple paths (no repeated relationship).
     struct Frame {
@@ -195,21 +221,23 @@ fn match_var_length(
             if node_matches(ctx, &row, end, &segment.node)?
                 && node_binding_consistent(&row, &segment.node, end)
             {
-                let mut next_row = row.clone();
+                let mut next_row = row.with_room(2);
                 if let Some(sym) = rel_pattern.variable {
                     next_row.insert_sym(
                         sym,
                         Value::List(frame.rels.iter().map(|r| Value::Relationship(*r)).collect()),
                     );
                 }
-                bind_node(&mut next_row, &segment.node, end);
+                if let Some(sym) = segment.node.variable {
+                    next_row.insert_sym(sym, Value::Node(end));
+                }
                 let used_before = used.len();
                 let trace_before = trace.len();
-                for rel in &frame.rels {
-                    used.push(*rel);
-                    trace.push(Value::Relationship(*rel));
+                used.extend_from_slice(&frame.rels);
+                if tracing {
+                    trace.extend(frame.rels.iter().map(|rel| Value::Relationship(*rel)));
+                    trace.push(Value::Node(end));
                 }
-                trace.push(Value::Node(end));
                 match_segments(
                     ctx,
                     pattern,
@@ -233,7 +261,8 @@ fn match_var_length(
             if frame.rels.contains(&rel) || used.contains(&rel) {
                 continue;
             }
-            let mut rels = frame.rels.clone();
+            let mut rels = Vec::with_capacity(frame.rels.len() + 1);
+            rels.extend_from_slice(&frame.rels);
             rels.push(rel);
             stack.push(Frame { node: next, rels });
         }
@@ -241,121 +270,45 @@ fn match_var_length(
     Ok(())
 }
 
-/// Returns `(relationship, neighbour)` pairs adjacent to `from` that satisfy
-/// the relationship pattern's direction, label and property constraints, in
-/// ascending relationship id order.
+/// Returns `(relationship, neighbour)` pairs incident to `from` that satisfy
+/// the relationship pattern's direction, type and property constraints, in
+/// ascending relationship id order: a scan of the graph's relationships. An
+/// undirected pattern yields each relationship once — a self-loop too.
 fn candidate_relationships(
     ctx: EvalCtx<'_>,
     row: &Row,
     pattern: &CompiledRelPattern,
     from: NodeId,
 ) -> Result<Vec<(RelId, NodeId)>, EvalError> {
-    let index = ctx.graph.adjacency();
-    let names = ctx.graph.names();
-
-    // Resolve the pattern's type alternatives to name ids once; a type the
-    // graph's table does not know contributes no candidates. The single-type
-    // case (ubiquitous) avoids the alternatives vector entirely.
-    enum TypeFilter {
-        Any,
-        One(NameId),
-        AnyOf(Vec<NameId>),
-    }
-    let type_filter = match pattern.labels.as_slice() {
-        [] => TypeFilter::Any,
-        [label] => match names.lookup(label) {
-            None => return Ok(Vec::new()),
-            Some(id) => TypeFilter::One(id),
-        },
-        labels => {
-            let resolved: Vec<NameId> =
-                labels.iter().filter_map(|label| names.lookup(label)).collect();
-            if resolved.is_empty() {
-                return Ok(Vec::new());
-            }
-            TypeFilter::AnyOf(resolved)
-        }
-    };
-    // The pattern's property keys, resolved once; a key the table does not
-    // know is carried by no relationship.
-    let Some(keys) =
-        pattern.properties.iter().map(|(key, _)| names.lookup(key)).collect::<Option<Vec<_>>>()
-    else {
-        return Ok(Vec::new());
-    };
     // If the relationship variable is already bound, the candidate must be
     // that exact relationship.
-    let bound = pattern.variable.and_then(|sym| match row.get_sym(sym) {
-        Some(Value::Relationship(bound)) => Some(*bound),
-        _ => None,
-    });
-
-    let mut out = Vec::new();
-    let mut push = |entry: &AdjEntry| -> Result<(), EvalError> {
-        let type_ok = match &type_filter {
-            TypeFilter::Any => true,
-            TypeFilter::One(id) => entry.type_id == *id,
-            TypeFilter::AnyOf(ids) => ids.contains(&entry.type_id),
-        };
-        if !type_ok {
-            return Ok(());
-        }
-        if let Some(bound) = bound {
-            if bound != entry.rel {
-                return Ok(());
-            }
-        }
-        // Property-key prefilter: a pattern key the relationship does not
-        // carry can never compare `TRUE`, so skip before evaluating the
-        // (potentially row-dependent) expected values.
-        if keys.iter().any(|key| !index.rel_has_key(entry.rel, *key)) {
-            return Ok(());
-        }
-        if properties_match(ctx, row, EntityId::Relationship(entry.rel), &pattern.properties)? {
-            out.push((entry.rel, entry.neighbour));
-        }
-        Ok(())
+    let ids = match pattern.variable.and_then(|sym| row.get_sym(sym)) {
+        Some(Value::Relationship(bound)) => bound.0..bound.0 + 1,
+        _ => 0..ctx.graph.relationship_count() as u32,
     };
-    match pattern.direction {
-        RelDirection::Outgoing => {
-            for entry in index.outgoing(from) {
-                push(entry)?;
-            }
+    let mut out = Vec::new();
+    for id in ids.map(RelId) {
+        let rel = ctx.graph.relationship(id);
+        let neighbour = match pattern.direction {
+            RelDirection::Outgoing if rel.source == from => rel.target,
+            RelDirection::Incoming if rel.target == from => rel.source,
+            RelDirection::Undirected if rel.source == from => rel.target,
+            RelDirection::Undirected if rel.target == from => rel.source,
+            _ => continue,
+        };
+        if !pattern.types.is_empty()
+            && !pattern.types.iter().any(|slot| ctx.name(*slot) == Some(rel.rel_type))
+        {
+            continue;
         }
-        RelDirection::Incoming => {
-            for entry in index.incoming(from) {
-                push(entry)?;
-            }
-        }
-        RelDirection::Undirected => {
-            // Merge the two (relationship-id-sorted) lists so candidates come
-            // out in ascending relationship id. A self-loop appears in both
-            // lists and must be yielded once: the outgoing entry is kept.
-            let outgoing = index.outgoing(from);
-            let incoming = index.incoming(from);
-            let (mut i, mut j) = (0, 0);
-            while i < outgoing.len() || j < incoming.len() {
-                let take_out = match (outgoing.get(i), incoming.get(j)) {
-                    (Some(o), Some(n)) => {
-                        if o.rel == n.rel {
-                            // Self-loop: skip the incoming copy.
-                            j += 1;
-                            true
-                        } else {
-                            o.rel < n.rel
-                        }
-                    }
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                if take_out {
-                    push(&outgoing[i])?;
-                    i += 1;
-                } else {
-                    push(&incoming[j])?;
-                    j += 1;
-                }
-            }
+        let entity = EntityId::Relationship(id);
+        // Key presence first: a pattern key the relationship does not carry
+        // can never compare `TRUE`, so the (possibly row-dependent) expected
+        // values are not evaluated for it.
+        if carries_every_key(ctx, entity, &pattern.properties)
+            && properties_match(ctx, row, entity, &pattern.properties)?
+        {
+            out.push((id, neighbour));
         }
     }
     Ok(out)
@@ -381,7 +334,7 @@ fn violates_injectivity(
 }
 
 /// Returns the nodes satisfying the node pattern's label and property
-/// constraints, in ascending node id order.
+/// constraints, in ascending node id order: a scan of the graph's nodes.
 fn candidate_nodes(
     ctx: EvalCtx<'_>,
     row: &Row,
@@ -401,43 +354,33 @@ fn candidate_nodes(
             None => {}
         }
     }
-    let index = ctx.graph.adjacency();
-    let names = ctx.graph.names();
-    // Fast paths for the two overwhelmingly common shapes, avoiding any
-    // bitset allocation: an unconstrained pattern matches every node, and a
-    // single-label pattern is exactly that label's bitset.
-    if pattern.properties.is_empty() {
-        match pattern.labels.as_slice() {
-            [] => return Ok(ctx.graph.node_ids().collect()),
-            [label] => {
-                return Ok(match names.lookup(label) {
-                    None => Vec::new(),
-                    Some(label) => index.nodes_with_label(label).iter().map(NodeId).collect(),
-                })
-            }
-            _ => {}
-        }
-    }
-    // General path: label bitset intersection, then the property-key
-    // prefilter — the node must carry every constrained key. A name the
-    // graph's table does not know selects no node.
-    let Some(mut candidates) = index.label_candidates(names, &pattern.labels) else {
-        return Ok(Vec::new());
-    };
-    for (key, _) in &pattern.properties {
-        let Some(key) = names.lookup(key) else { return Ok(Vec::new()) };
-        candidates.intersect_with(index.nodes_with_key(key));
-    }
-    let mut out = Vec::new();
-    for id in candidates.iter() {
-        let id = NodeId(id);
-        // Labels and key presence are guaranteed by the bitsets; only the
-        // property values remain to be checked.
-        if properties_match(ctx, row, EntityId::Node(id), &pattern.properties)? {
+    let mut out = Vec::with_capacity(ctx.graph.node_count());
+    for id in ctx.graph.node_ids() {
+        let entity = EntityId::Node(id);
+        // Labels and key presence before any property value is evaluated.
+        if has_labels(ctx, id, &pattern.labels)
+            && carries_every_key(ctx, entity, &pattern.properties)
+            && properties_match(ctx, row, entity, &pattern.properties)?
+        {
             out.push(id);
         }
     }
     Ok(out)
+}
+
+/// Whether node `id` carries every label of `labels` (a label the graph's
+/// table does not know is carried by no node).
+fn has_labels(ctx: EvalCtx<'_>, id: NodeId, labels: &[Slot]) -> bool {
+    let carried = ctx.graph.labels(id);
+    labels.iter().all(|slot| ctx.name(*slot).is_some_and(|label| carried.contains(&label)))
+}
+
+/// Whether `entity` carries every key of a pattern's property map (a key
+/// the graph's table does not know is carried by no entity).
+fn carries_every_key(ctx: EvalCtx<'_>, entity: EntityId, properties: &[(Slot, LExpr)]) -> bool {
+    properties.iter().all(|(key, _)| {
+        ctx.name(*key).is_some_and(|key| ctx.graph.property_by_id(entity, key).is_some())
+    })
 }
 
 fn node_matches(
@@ -446,7 +389,7 @@ fn node_matches(
     id: NodeId,
     pattern: &CompiledNodePattern,
 ) -> Result<bool, EvalError> {
-    if !pattern.labels.iter().all(|label| ctx.graph.node_has_label(id, label)) {
+    if !has_labels(ctx, id, &pattern.labels) {
         return Ok(false);
     }
     properties_match(ctx, row, EntityId::Node(id), &pattern.properties)
@@ -465,21 +408,20 @@ fn node_binding_consistent(row: &Row, pattern: &CompiledNodePattern, id: NodeId)
 }
 
 /// Evaluates a pattern's property map against an entity: constant
-/// expectations skip expression evaluation entirely.
+/// expectations are compared in place, others are evaluated first.
 fn properties_match(
     ctx: EvalCtx<'_>,
     row: &Row,
     entity: EntityId,
-    properties: &[(String, PropValue)],
+    properties: &[(Slot, LExpr)],
 ) -> Result<bool, EvalError> {
     for (key, expected) in properties {
         // An absent property reads as NULL, which never compares `TRUE`.
-        let actual =
-            ctx.graph.names().lookup(key).and_then(|key| ctx.graph.property_by_id(entity, key));
+        let actual = ctx.name(*key).and_then(|key| ctx.graph.property_by_id(entity, key));
         let matches = match expected {
-            PropValue::Const(value) => actual.and_then(|actual| actual.cypher_eq(value)),
-            PropValue::Dynamic(expr) => {
-                let value = eval_expr(ctx, row, expr)?;
+            LExpr::Const(value) => actual.and_then(|actual| actual.cypher_eq(value)),
+            expected => {
+                let value = eval(ctx, row, expected)?;
                 actual.and_then(|actual| actual.cypher_eq(&value))
             }
         };
@@ -490,9 +432,11 @@ fn properties_match(
     Ok(true)
 }
 
-fn bind_node(row: &mut Row, pattern: &CompiledNodePattern, id: NodeId) {
-    if let Some(sym) = pattern.variable {
-        row.insert_sym(sym, Value::Node(id));
+/// The row with the node pattern's variable, if any, bound to `id`.
+fn bind_node(row: &Row, pattern: &CompiledNodePattern, id: NodeId) -> Row {
+    match pattern.variable {
+        Some(sym) => row.with_sym(sym, Value::Node(id)),
+        None => row.clone(),
     }
 }
 
@@ -501,28 +445,26 @@ mod tests {
     use super::*;
     use crate::expr::SymbolTable;
     use crate::graph::PropertyGraph;
-    use crate::plan::{lower_match, QueryPlan};
-    use cypher_parser::ast::{Clause, MatchClause};
+    use crate::plan::{LoweredClause, QueryPlan};
     use cypher_parser::parse_query;
 
-    fn match_clauses_of(query: &str) -> Vec<MatchClause> {
-        let query = parse_query(query).unwrap();
-        query.parts[0]
-            .clauses
-            .iter()
-            .filter_map(|clause| match clause {
-                Clause::Match(m) => Some(m.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Matches the first `MATCH` clause of `query` on `graph`, `WHERE`
-    /// included, returning the rows with the plan whose symbols they use.
+    /// Matches the `MATCH` clauses of `query` on `graph` one after the
+    /// other, `WHERE` included, returning the rows with the plan whose
+    /// symbols they use.
     fn matches_with_plan(graph: &PropertyGraph, query: &str) -> (QueryPlan, Vec<Row>) {
-        let plan = QueryPlan::empty();
-        let compiled = lower_match(plan.symbols(), &match_clauses_of(query)[0]);
-        let rows = match_clause(EvalCtx::new(graph, &plan), &compiled, &Row::new()).unwrap();
+        let plan = QueryPlan::new(&parse_query(query).unwrap());
+        let names = plan.resolve(graph.names());
+        let ctx = EvalCtx { graph, plan: &plan, names: &names };
+        let mut rows = vec![Row::new()];
+        for clause in &plan.query().parts[0] {
+            if let LoweredClause::Match(m) = clause {
+                let mut next = Vec::new();
+                for row in &rows {
+                    next.extend(match_clause(ctx, m, row).unwrap());
+                }
+                rows = next;
+            }
+        }
         (plan, rows)
     }
 
@@ -541,6 +483,15 @@ mod tests {
         assert_eq!(matches(&graph, "MATCH (n:Book) RETURN n").len(), 1);
         assert_eq!(matches(&graph, "MATCH (n) RETURN n").len(), 4);
         assert_eq!(matches(&graph, "MATCH (n:Missing) RETURN n").len(), 0);
+        // Several labels are a conjunction.
+        let mut graph = PropertyGraph::new();
+        let no_properties = Vec::<(String, Value)>::new;
+        graph.add_node(["A"], no_properties());
+        let both = graph.add_node(["A", "B"], no_properties());
+        graph.add_node(["B"], no_properties());
+        let (plan, rows) = matches_with_plan(&graph, "MATCH (n:B:A) RETURN n");
+        assert_eq!(rows.len(), 1);
+        assert_eq!(*get(plan.symbols(), &rows[0], "n"), Value::Node(both));
     }
 
     #[test]
@@ -596,24 +547,15 @@ mod tests {
     #[test]
     fn no_injectivity_across_separate_matches() {
         let graph = PropertyGraph::paper_example();
-        let clauses = match_clauses_of("MATCH (a)-[r1]->(b) MATCH (c)-[r2]->(d) RETURN a");
-        let plan = QueryPlan::empty();
-        let symbols = plan.symbols();
-        let (m1, m2) = (lower_match(symbols, &clauses[0]), lower_match(symbols, &clauses[1]));
-        let ctx = EvalCtx::new(&graph, &plan);
-        let mut total = 0;
-        let mut same_rel = 0;
-        for row in &match_clause(ctx, &m1, &Row::new()).unwrap() {
-            for row2 in match_clause(ctx, &m2, row).unwrap() {
-                total += 1;
-                if get(symbols, &row2, "r1") == get(symbols, &row2, "r2") {
-                    same_rel += 1;
-                }
-            }
-        }
+        let (plan, rows) =
+            matches_with_plan(&graph, "MATCH (a)-[r1]->(b) MATCH (c)-[r2]->(d) RETURN a");
+        let same_rel = rows
+            .iter()
+            .filter(|row| get(plan.symbols(), row, "r1") == get(plan.symbols(), row, "r2"))
+            .count();
         // 3 x 3 combinations, including the 3 where both patterns matched the
         // same relationship (allowed across different MATCH clauses).
-        assert_eq!(total, 9);
+        assert_eq!(rows.len(), 9);
         assert_eq!(same_rel, 3);
     }
 
@@ -626,7 +568,8 @@ mod tests {
         // book, so there is no match.
         assert_eq!(rows.len(), 0);
         let rows = matches(&graph, "MATCH (a:Person)-[:READ]->(b) MATCH (a)-[:READ]->(c) RETURN a");
-        // Only the first clause is matched here: one row per reader.
+        // Across two clauses both patterns may use the same READ: one row
+        // per reader.
         assert_eq!(rows.len(), 2);
     }
 
@@ -690,5 +633,72 @@ mod tests {
         let graph = PropertyGraph::paper_example();
         let rows = matches(&graph, "MATCH (n:Person) WHERE n.age > 26 RETURN n");
         assert_eq!(rows.len(), 2); // Rowling (59) and Alice (27).
+    }
+
+    /// The relationship ids bound to `r` by `query` on `graph`, in row order.
+    fn rel_ids(graph: &PropertyGraph, query: &str) -> Vec<u32> {
+        let (plan, rows) = matches_with_plan(graph, query);
+        rows.iter()
+            .map(|row| match get(plan.symbols(), row, "r") {
+                Value::Relationship(id) => id.0,
+                other => panic!("expected a relationship, got {other}"),
+            })
+            .collect()
+    }
+
+    /// A graph with parallel edges, a self-loop and edges in both
+    /// directions, added out of endpoint order.
+    fn scan_order_graph() -> PropertyGraph {
+        let mut graph = PropertyGraph::new();
+        let no_properties = Vec::<(String, Value)>::new;
+        let a = graph.add_node(["A"], no_properties());
+        let b = graph.add_node(["B"], no_properties());
+        graph.add_relationship("R", b, a, no_properties()); // 0
+        graph.add_relationship("S", a, a, no_properties()); // 1
+        graph.add_relationship("R", a, b, no_properties()); // 2
+        graph.add_relationship("R", a, b, [("k", Value::from(1))]); // 3
+        graph.add_relationship("S", b, a, no_properties()); // 4
+        graph
+    }
+
+    #[test]
+    fn hop_candidates_come_in_ascending_relationship_id() {
+        let graph = scan_order_graph();
+        assert_eq!(rel_ids(&graph, "MATCH (x:A)-[r]->(y) RETURN r"), vec![1, 2, 3]);
+        assert_eq!(rel_ids(&graph, "MATCH (x:A)<-[r]-(y) RETURN r"), vec![0, 1, 4]);
+        assert_eq!(rel_ids(&graph, "MATCH (x:A)-[r]-(y) RETURN r"), vec![0, 1, 2, 3, 4]);
+        assert_eq!(rel_ids(&graph, "MATCH (x:B)-[r:R]-(y) RETURN r"), vec![0, 2, 3]);
+        assert_eq!(rel_ids(&graph, "MATCH (x:B)<-[r:R|S]-(y) RETURN r"), vec![2, 3]);
+        assert_eq!(rel_ids(&graph, "MATCH (x)-[r {k: 1}]-(y) RETURN r"), vec![3, 3]);
+        // Start nodes ascend too, and each start node's hops ascend.
+        assert_eq!(rel_ids(&graph, "MATCH (x)-[r:R]->(y) RETURN r"), vec![2, 3, 0]);
+        // A bound relationship is the only candidate.
+        assert_eq!(rel_ids(&graph, "MATCH ()-[r:S]->(x:A) MATCH (x)-[r]-() RETURN r"), vec![1, 4]);
+    }
+
+    #[test]
+    fn an_undirected_self_loop_comes_once() {
+        let graph = scan_order_graph();
+        // From a: the self-loop once, then 4 (b->a); from b: 4 again.
+        assert_eq!(rel_ids(&graph, "MATCH (x)-[r:S]-(y) RETURN r"), vec![1, 4, 4]);
+        assert_eq!(rel_ids(&graph, "MATCH (x)-[r]-(x) RETURN r"), vec![1]);
+        let (plan, rows) = matches_with_plan(&graph, "MATCH (x)-[r:S]-(y) WHERE x = y RETURN r");
+        assert_eq!(rows.len(), 1);
+        assert_eq!(get(plan.symbols(), &rows[0], "x"), get(plan.symbols(), &rows[0], "y"));
+    }
+
+    #[test]
+    fn names_the_graph_does_not_know_match_nothing() {
+        let graph = scan_order_graph();
+        for query in [
+            "MATCH (x:Missing) RETURN x",
+            "MATCH (x {missing: 1}) RETURN x",
+            "MATCH (x)-[r:MISSING]->(y) RETURN r",
+            "MATCH (x)-[r {missing: 1}]->(y) RETURN r",
+        ] {
+            assert!(matches(&graph, query).is_empty(), "{query}");
+        }
+        // An unknown alternative type leaves the known ones.
+        assert_eq!(rel_ids(&graph, "MATCH (x:A)-[r:MISSING|S]->(y) RETURN r"), vec![1]);
     }
 }

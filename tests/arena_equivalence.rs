@@ -55,6 +55,31 @@ fn stage_three_builds_are_pinned() {
     assert_eq!(digest, STAGE_THREE_DIGEST, "stage-③ builds drifted");
 }
 
+/// Building straight into the arena leaves no node behind that the built
+/// G-expressions do not hold: every corpus query built into one fresh store
+/// takes no more nodes than interning the same queries' trees into another.
+#[test]
+fn building_into_the_arena_interns_no_more_than_the_trees() {
+    let mut built = gexpr::GStore::new();
+    let mut interned = gexpr::GStore::new();
+    for pair in cyeqset().into_iter().chain(cyneqset()) {
+        for side in [&pair.left, &pair.right] {
+            let Ok(parsed) = parse_and_check(side) else { continue };
+            let normalized = normalize_query(&parsed);
+            let Ok(tree) = gexpr::build_query(&normalized) else { continue };
+            gexpr::build_into(&mut built, &normalized).expect("the tree built, so must this");
+            interned.intern_expr(&tree.expr);
+        }
+    }
+    assert!(interned.node_count() > 500, "the corpora intern hundreds of nodes");
+    assert!(
+        built.node_count() <= interned.node_count(),
+        "building left {} nodes in the arena, interning the trees {}",
+        built.node_count(),
+        interned.node_count()
+    );
+}
+
 /// The arena normalizer returns exactly what the reference tree normalizer
 /// returns, on every G-expression the datasets can produce.
 #[test]

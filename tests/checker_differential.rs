@@ -11,8 +11,10 @@
 //! Graphs and values cross into the checker's types through the same bridge
 //! certificates use (`graph_cert_of` + `GraphCert::build`, `value_of`).
 //!
-//! The pools: seeded random graphs against a query mix covering every
-//! candidate-enumeration shape; every dataset pair on graphs drawn from its
+//! The pools: seeded random graphs from both counterexample-pool
+//! configurations against a query mix covering every candidate-enumeration
+//! shape and the evaluator's projection paths (with a long `--ignored` run
+//! of thousands of graphs); every dataset pair on graphs drawn from its
 //! own vocabulary; rewritten and mutated query pairs; the evaluator's unit-test
 //! queries (erroring ones included); and hand-built edge shapes (NaN and
 //! `-0.0` ordering, integer overflow, undirected self-loops, var-length
@@ -73,52 +75,98 @@ impl Tally {
     }
 }
 
-/// Random generator-produced graphs against a query mix exercising every
-/// candidate-enumeration shape (labels, directions, undirected merges,
-/// self-loops via the generator, property constraints, variable-length
-/// paths, injectivity) and the row operations around matching (ordering,
-/// grouping, the `OPTIONAL MATCH` null-fill), crossed with the empty and
-/// paper graphs too.
+/// The random-graph query mix: every candidate-enumeration shape (labels,
+/// directions, undirected hops over self-loops, type alternatives, property
+/// constraints, variable-length paths, injectivity), the row operations
+/// around matching (ordering, grouping, the `OPTIONAL MATCH` null-fill,
+/// `*` projections, unions, `EXISTS`), and aggregate arithmetic, grouped and
+/// global (which over zero rows still returns one row).
+const RANDOM_GRAPH_QUERIES: &[&str] = &[
+    "MATCH (n) RETURN n",
+    "MATCH (n:Person) RETURN n",
+    "MATCH (n:Person:Book) RETURN n",
+    "MATCH (n {p1: 1}) RETURN n",
+    "MATCH (n:Person {name: 'Alice'}) RETURN n.name",
+    "MATCH (a)-[r]->(b) RETURN a, b",
+    "MATCH (a)<-[r:READ]-(b) RETURN a",
+    "MATCH (a)-[r:READ]-(b) RETURN r",
+    "MATCH (a)-[r:READ|WRITE]->(b) RETURN b",
+    "MATCH (a)-[r {date: 1}]->(b) RETURN a",
+    "MATCH (a)-[r:READ|KNOWS {date: 1}]-(b) RETURN a, r, b",
+    "MATCH (a)-[r:READ|KNOWS]-(a) RETURN a, r",
+    "MATCH (p1)-[x]->(b)<-[y]-(p2) RETURN p1, p2",
+    "MATCH (a:Person)-[:READ]->(b), (a)-[:KNOWS]->(c) RETURN a, b, c",
+    "MATCH (x)-[*1..3]->(y) RETURN y",
+    "MATCH (x)-[:KNOWS *1..2]-(y) RETURN x",
+    "MATCH p = (a)-[:READ]->(b) RETURN p",
+    "MATCH (a)-[r]->(b) WHERE a.age > 2 RETURN a.name, b.p1",
+    "MATCH (n) RETURN n.p1 LIMIT 3",
+    "MATCH (n) RETURN DISTINCT n.p1",
+    "MATCH (a)-[r]->(a) RETURN a",
+    "MATCH (a)-[r]->(b) WHERE a.age > 2 RETURN a.name, b.p1 ORDER BY a.name",
+    "UNWIND [1, 2, 2] AS x RETURN x, COUNT(*)",
+    "MATCH (n) OPTIONAL MATCH (n)-[r:READ]->(m) RETURN n, r",
+    "MATCH (n) WHERE EXISTS { MATCH (n)-[:READ]->() } RETURN n",
+    "MATCH (n) WHERE NOT EXISTS { MATCH (n)-[:READ]->(m) RETURN m } RETURN n.name",
+    "MATCH (n) RETURN SUM(n.p1) / COUNT(n), MAX(n.p1) - MIN(n.p1), -MIN(n.age), \
+     NOT (COUNT(*) > 1)",
+    "MATCH (n) RETURN n.name, SUM(n.p1) / COUNT(n), MAX(n.p1) - MIN(n.p1), -MIN(n.age), \
+     NOT (COUNT(*) > 1)",
+    "MATCH (n:NoSuchLabel) RETURN SUM(n.p1) / COUNT(n), MAX(n.p1) - MIN(n.p1), -MIN(n.age), \
+     NOT (COUNT(*) > 1)",
+    "MATCH (n:NoSuchLabel) RETURN n.name, SUM(n.p1) / COUNT(n), -MIN(n.age)",
+    "MATCH (n) WITH n.name AS name, COUNT(*) AS c WHERE c > 1 RETURN name, c ORDER BY name",
+    "MATCH (a)-[r:READ]->(b) RETURN *",
+    "MATCH (n) OPTIONAL MATCH (n)-[r:KNOWS]->(m) RETURN *",
+    "MATCH (a)-[r]->(b) WITH * RETURN a, b",
+    "MATCH (n:Person) RETURN n.p1 UNION MATCH (n:Book) RETURN n.p1",
+    "MATCH (a)-[:READ]->(b) RETURN a UNION ALL MATCH (a)<-[:KNOWS]-(b) RETURN a",
+];
+
+/// Checks every query of the random-graph mix on `graphs` generated graphs
+/// (drawn from `seed`) and on the empty and paper graphs. The graphs
+/// alternate between the counterexample pools' two configurations — at most
+/// 6 nodes and 10 relationships, and at most 9 nodes and 16 — over the
+/// mix's own vocabulary, so its labels, keys and constants occur. Returns
+/// how many evaluations agreed.
+fn check_random_graphs(graphs: usize, seed: u64) -> usize {
+    let queries: Vec<Query> = RANDOM_GRAPH_QUERIES
+        .iter()
+        .map(|text| parse_and_check(text).unwrap_or_else(|e| panic!("`{text}`: {e}")))
+        .collect();
+    let small = GeneratorConfig::from_queries(&queries.iter().collect::<Vec<_>>());
+    let large = GeneratorConfig { max_nodes: 9, max_relationships: 16, ..small.clone() };
+    let mut tally = Tally::default();
+    let mut check_all = |graph: &PropertyGraph, context: &str| {
+        for (query, text) in queries.iter().zip(RANDOM_GRAPH_QUERIES) {
+            tally.check(graph, query, text, context);
+        }
+    };
+    let mut rng = DetRng::seed_from_u64(seed);
+    for round in 0..graphs {
+        let graph_seed = rng.next_u64();
+        let (config, name) = if round % 2 == 0 { (&small, "small") } else { (&large, "large") };
+        let graph = GraphGenerator::with_config(graph_seed, config.clone()).generate();
+        check_all(&graph, &format!("{name} graph, seed {graph_seed}"));
+    }
+    check_all(&PropertyGraph::new(), "empty graph");
+    check_all(&PropertyGraph::paper_example(), "paper example");
+    tally.rows + tally.errors
+}
+
 #[test]
 fn evaluators_agree_on_random_graphs() {
-    const QUERIES: &[&str] = &[
-        "MATCH (n) RETURN n",
-        "MATCH (n:Person) RETURN n",
-        "MATCH (n:Person:Book) RETURN n",
-        "MATCH (n {p1: 1}) RETURN n",
-        "MATCH (n:Person {name: 'Alice'}) RETURN n.name",
-        "MATCH (a)-[r]->(b) RETURN a, b",
-        "MATCH (a)<-[r:READ]-(b) RETURN a",
-        "MATCH (a)-[r:READ]-(b) RETURN r",
-        "MATCH (a)-[r:READ|WRITE]->(b) RETURN b",
-        "MATCH (a)-[r {date: 1}]->(b) RETURN a",
-        "MATCH (p1)-[x]->(b)<-[y]-(p2) RETURN p1, p2",
-        "MATCH (a:Person)-[:READ]->(b), (a)-[:KNOWS]->(c) RETURN a, b, c",
-        "MATCH (x)-[*1..3]->(y) RETURN y",
-        "MATCH (x)-[:KNOWS *1..2]-(y) RETURN x",
-        "MATCH p = (a)-[:READ]->(b) RETURN p",
-        "MATCH (a)-[r]->(b) WHERE a.age > 2 RETURN a.name, b.p1",
-        "MATCH (n) RETURN n.p1 LIMIT 3",
-        "MATCH (n) RETURN DISTINCT n.p1",
-        "MATCH (a)-[r]->(a) RETURN a",
-        "MATCH (a)-[r]->(b) WHERE a.age > 2 RETURN a.name, b.p1 ORDER BY a.name",
-        "UNWIND [1, 2, 2] AS x RETURN x, COUNT(*)",
-        "MATCH (n) OPTIONAL MATCH (n)-[r:READ]->(m) RETURN n, r",
-    ];
-    let mut tally = Tally::default();
-    let mut rng = DetRng::seed_from_u64(0x0D15_EA5E);
-    for _ in 0..60 {
-        let seed = rng.next_u64();
-        let graph = GraphGenerator::new(seed).generate();
-        for text in QUERIES {
-            tally.check_text(&graph, text, &format!("graph seed {seed}"));
-        }
-    }
-    for text in QUERIES {
-        tally.check_text(&PropertyGraph::new(), text, "empty graph");
-        tally.check_text(&PropertyGraph::paper_example(), text, "paper example");
-    }
-    assert_eq!(tally.rows + tally.errors, 62 * QUERIES.len(), "a query failed the check");
+    let agreed = check_random_graphs(60, 0x0D15_EA5E);
+    assert_eq!(agreed, 62 * RANDOM_GRAPH_QUERIES.len(), "a query failed the check");
+}
+
+/// The long run of [`evaluators_agree_on_random_graphs`]: thousands of
+/// graphs from a fixed seed. CI runs it with `--ignored`.
+#[test]
+#[ignore = "long run: cargo test --release --test checker_differential -- --ignored"]
+fn evaluators_agree_on_random_graphs_long_run() {
+    let agreed = check_random_graphs(10_000, 0x5EED_D1FF);
+    assert_eq!(agreed, 10_002 * RANDOM_GRAPH_QUERIES.len(), "a query failed the check");
 }
 
 /// Every pair of both datasets: both queries on the empty and paper graphs

@@ -51,7 +51,7 @@ fn one_plan_reused_across_a_pool_evaluates_like_fresh_evaluation() {
         for graph in &graphs {
             // Some dataset queries use features the evaluator rejects; a
             // rejection must be the same on both paths.
-            let reused = evaluate_planned(graph, &query, &plan);
+            let reused = evaluate_planned(graph, &plan);
             let fresh = evaluate_query(graph, &query);
             match (reused, fresh) {
                 (Ok(reused_rows), Ok(fresh_rows)) => {
