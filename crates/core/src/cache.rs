@@ -5,7 +5,7 @@
 //! capacity bound, and *batch* eviction (a quarter of the capacity at a
 //! time, so a saturated cache pays the O(n) stamp scan once per batch
 //! instead of once per insert) — is one implementation serving the search
-//! memo, the stage-① parse cache and the stage-② normalize cache.
+//! memo and the parse cache.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -100,6 +100,11 @@ impl<K: Eq + Hash, V: Clone> LruMap<K, V> {
             evicted += 1;
         }
         evicted
+    }
+
+    /// Every value, mutably (recency stamps are left alone).
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.entries.values_mut().map(|entry| &mut entry.value)
     }
 
     /// Drops every entry (capacity and clock are kept).

@@ -8,7 +8,8 @@
 //! - the stage-② derivation comes from the normalizer's one fixpoint loop
 //!   run with a [`cypher_normalizer::DerivationStep`] recorder (rule id +
 //!   position per step, replayable by the checker's own rule mirror). It is
-//!   memoized per query next to the build in [`crate::NormalizedStages`], so
+//!   memoized per query next to the build in [`crate::NormalizedStages`] —
+//!   the stage-② record of the query text's parse-cache entry — so
 //!   each query's derivation is recorded once, by the first certificate that
 //!   needs it, and proving never pays for it;
 //! - the stage-④ witness comes from proving the normalized pair once more in
@@ -43,7 +44,7 @@ use liastar::witness::{MatchingRecord, ProofRecord, SegmentRecord, SideRecord};
 use property_graph::{EntityId, PropertyGraph};
 
 use crate::verdict::{FailureCategory, Verdict};
-use crate::{normalized_stages, GraphQE, Normalized, NormalizedStages, ProofStats};
+use crate::{GraphQE, NormalizedStages, ProofStats};
 
 /// What a prove in evidence mode records: the decision witness of each
 /// proved segment (one for a whole-query proof) and the column alignment
@@ -187,8 +188,8 @@ impl GraphQE {
             Verdict::Equivalent(_) => {
                 let mut log = EvidenceLog::default();
                 self.prove_normalized(
-                    &Normalized::Stages(Arc::clone(&stages1)),
-                    &Normalized::Stages(Arc::clone(&stages2)),
+                    &stages1,
+                    &stages2,
                     &mut ProofStats::default(),
                     Some(&mut log),
                 )
@@ -223,16 +224,11 @@ impl GraphQE {
     }
 
     /// Stages ① and ② of one query for emission, through the caches this
-    /// prover uses. A prover with the normalize cache off gets a one-shot
-    /// entry of the same shape.
+    /// prover uses. A prover with either cache off gets one-shot stages of
+    /// the same shape.
     fn certificate_stages(&self, text: &str) -> Result<Arc<NormalizedStages>, String> {
-        let parsed = self.parse_checked(text).map_err(|e| e.to_string())?;
-        let stages = if self.use_normalize_cache {
-            normalized_stages(&parsed)
-        } else {
-            NormalizedStages::new(parsed).map(Arc::new)
-        };
-        stages.map_err(|trip| trip.to_string())
+        let entry = self.parse_checked(text).map_err(|e| e.to_string())?;
+        self.stages_of(&entry, true).map_err(|trip| trip.to_string())
     }
 }
 

@@ -10,22 +10,24 @@
 //!
 //! Candidate pools are deterministic functions of `(search config,
 //! query-derived vocabulary)`, so they are shared **process-wide**: each
-//! pool is an `Arc<Mutex<LazyPool>>` in a sharded `RwLock` map keyed by the
-//! interned vocabulary. A pool materializes its graphs *incrementally*: a
-//! search pulls graph `i`, and the pool generates graphs up to `i` on
-//! demand, keeping everything it generates. Early-exit searches therefore
-//! stay lazy (random graphs past the first witness are never generated) and
-//! still leave their prefix behind for the next search over the same
-//! vocabulary. A pool graph is its data and nothing more: the matcher scans
-//! its flat vectors, so no per-graph index is built. Graphs are handed out
-//! as `Arc<PropertyGraph>` clones, so evaluation runs outside the pool lock.
+//! pool is an `Arc<Mutex<LazyPool>>` in one `Mutex<HashMap>` keyed by the
+//! search parameters and the vocabulary's value, and a memoized witness
+//! holds the pool it was found in. A pool materializes its graphs
+//! *incrementally*: a search pulls graph `i`, and the pool generates graphs
+//! up to `i` on demand, keeping everything it generates. Early-exit searches
+//! therefore stay lazy (random graphs past the first witness are never
+//! generated) and still leave their prefix behind for the next search over
+//! the same vocabulary. A pool graph is its data and nothing more: the
+//! matcher scans its flat vectors, so no per-graph index is built. Graphs
+//! are handed out as `Arc<PropertyGraph>` clones, so evaluation runs outside
+//! the pool lock.
 //!
 //! Every pool starts with the same three seed graphs (empty, the paper's
 //! Fig. 1 graph, a small dense graph). They do not depend on the
 //! vocabulary, so they are built once per process, every pool holds `Arc`
 //! clones of them, and they survive [`clear_pool_cache`]. The random graphs
 //! after them come from two [`GraphGenerator`]s per pool, small and large,
-//! which read the interned vocabulary without copying it and share one name
+//! which read the pool's vocabulary without copying it and share one name
 //! table between them and with every graph they generate: generating a
 //! graph draws label, type and key ids, not names.
 //!
@@ -35,10 +37,9 @@
 //! on it. The search walks the pool in index order, so its witness is the
 //! lowest-index graph that separates the queries.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, LazyLock, Mutex, OnceLock, PoisonError};
 
 use cypher_parser::ast::Query;
 use property_graph::{evaluate_rows, GeneratorConfig, GraphGenerator, PropertyGraph, QueryPlan};
@@ -67,55 +68,16 @@ impl Default for SearchConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Vocabulary interning and the shared pool cache
+// The shared pool cache
 // ---------------------------------------------------------------------------
 
-/// Hash-consed generator vocabularies. `GeneratorConfig` carries label, key
-/// and constant pools (vectors of strings); interning means a repeated search
-/// over the same vocabulary hashes one pointer instead of re-hashing (and
-/// [`PoolKey`] construction re-cloning) every vector.
-static VOCABULARIES: OnceLock<Mutex<HashSet<Arc<GeneratorConfig>>>> = OnceLock::new();
-
-fn intern_vocabulary(config: GeneratorConfig) -> Arc<GeneratorConfig> {
-    let mut interner = VOCABULARIES
-        .get_or_init(|| Mutex::new(HashSet::new()))
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    if let Some(existing) = interner.get(&config) {
-        return Arc::clone(existing);
-    }
-    let interned = Arc::new(config);
-    interner.insert(Arc::clone(&interned));
-    interned
-}
-
-/// The full identity of a candidate pool: search parameters plus the interned
-/// query-derived generator vocabulary. Interning makes vocabulary equality a
-/// pointer comparison and its hash a pointer hash; distinct configurations
-/// can never collide because the interner keys on the full config value.
-#[derive(Clone)]
+/// The full identity of a candidate pool: search parameters plus the
+/// query-derived generator vocabulary, compared and hashed by value.
+#[derive(PartialEq, Eq, Hash)]
 struct PoolKey {
     random_graphs: usize,
     seed: u64,
     vocabulary: Arc<GeneratorConfig>,
-}
-
-impl PartialEq for PoolKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.random_graphs == other.random_graphs
-            && self.seed == other.seed
-            && Arc::ptr_eq(&self.vocabulary, &other.vocabulary)
-    }
-}
-
-impl Eq for PoolKey {}
-
-impl Hash for PoolKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.random_graphs.hash(state);
-        self.seed.hash(state);
-        Arc::as_ptr(&self.vocabulary).hash(state);
-    }
 }
 
 /// A candidate pool that materializes its deterministic graph sequence on
@@ -155,56 +117,30 @@ impl LazyPool {
 /// clone, or one graph generation on a cache miss) and evaluated outside it.
 type SharedPool = Arc<Mutex<LazyPool>>;
 
-/// Shard count of the pool cache: a small power of two — contention is per
-/// vocabulary and the outer map is read-mostly, sharding just keeps
-/// unrelated vocabularies from serializing on one lock.
-const POOL_SHARDS: usize = 8;
-
-type PoolShard = RwLock<HashMap<PoolKey, SharedPool>>;
-
 /// The candidate pools of the process, shared by every thread. Generation is
 /// deterministic, so two searches with the same key explore the exact same
 /// graphs; pools cached here carry their materialized prefix, so repeated
 /// searches skip regeneration.
-static POOL_CACHE: OnceLock<[PoolShard; POOL_SHARDS]> = OnceLock::new();
-
-fn pool_shard(key: &PoolKey) -> &'static PoolShard {
-    let shards = POOL_CACHE.get_or_init(|| std::array::from_fn(|_| RwLock::new(HashMap::new())));
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut hasher);
-    &shards[(hasher.finish() as usize) % POOL_SHARDS]
-}
-
-/// The shared pool for `key`, creating an empty lazy pool on first use.
-fn shared_pool(key: &PoolKey, config: &SearchConfig) -> SharedPool {
-    let shard = pool_shard(key);
-    if let Some(pool) = shard.read().unwrap_or_else(|poison| poison.into_inner()).get(key) {
-        return Arc::clone(pool);
-    }
-    let mut shard = shard.write().unwrap_or_else(|poison| poison.into_inner());
-    Arc::clone(
-        shard
-            .entry(key.clone())
-            .or_insert_with(|| Arc::new(Mutex::new(LazyPool::new(config, &key.vocabulary)))),
-    )
-}
+static POOLS: LazyLock<Mutex<HashMap<PoolKey, SharedPool>>> = LazyLock::new(Mutex::default);
 
 /// The graph at `index` of the shared pool (see [`LazyPool::graph`]).
 fn pool_graph(pool: &SharedPool, index: usize) -> Option<Arc<PropertyGraph>> {
-    pool.lock().unwrap_or_else(|poison| poison.into_inner()).graph(index)
+    pool.lock().unwrap_or_else(PoisonError::into_inner).graph(index)
 }
 
-/// The shared pool for a query pair: derives and interns the vocabulary,
-/// then resolves the pool through the sharded cache. Returns the interned
-/// vocabulary alongside so callers can store it in the search memo.
-fn pool_for(q1: &Query, q2: &Query, config: &SearchConfig) -> (SharedPool, Arc<GeneratorConfig>) {
-    let vocabulary = intern_vocabulary(GeneratorConfig::from_queries(&[q1, q2]));
+/// The shared pool for a query pair: derives the vocabulary and resolves
+/// the pool through the cache, creating an empty lazy pool on first use.
+fn pool_for(q1: &Query, q2: &Query, config: &SearchConfig) -> SharedPool {
     let key = PoolKey {
         random_graphs: config.random_graphs,
         seed: config.seed,
-        vocabulary: Arc::clone(&vocabulary),
+        vocabulary: Arc::new(GeneratorConfig::from_queries(&[q1, q2])),
     };
-    (shared_pool(&key, config), vocabulary)
+    let mut pools = POOLS.lock().unwrap_or_else(PoisonError::into_inner);
+    let pool = pools
+        .entry(key)
+        .or_insert_with_key(|key| Arc::new(Mutex::new(LazyPool::new(config, &key.vocabulary))));
+    Arc::clone(pool)
 }
 
 // ---------------------------------------------------------------------------
@@ -216,20 +152,16 @@ fn pool_for(q1: &Query, q2: &Query, config: &SearchConfig) -> (SharedPool, Arc<G
 /// implied by the key).
 type SearchMemoKey = (String, String, usize, u64);
 
-/// Everything needed to reconstruct a witness certificate from the
-/// deterministic pool without re-running the queries: the pool index and
-/// the differing row counts observed when the witness was found.
-#[derive(Clone, Copy)]
+/// Everything needed to reconstruct a witness certificate without re-running
+/// the queries: the pool the search walked, the witness's index there and
+/// the differing row counts observed when it was found.
+#[derive(Clone)]
 struct WitnessSummary {
+    pool: SharedPool,
     pool_index: usize,
     left_rows: usize,
     right_rows: usize,
 }
-
-/// The memoized outcome of one search: the witness summary (`None` = pool
-/// exhausted without one) plus the interned vocabulary, so a replay
-/// resolves its pool without re-deriving the vocabulary from the ASTs.
-type SearchMemoValue = (Option<WitnessSummary>, Arc<GeneratorConfig>);
 
 /// Default capacity of the search-result memo: at a few hundred bytes per
 /// entry (two pretty-printed queries plus a summary) the bound keeps the
@@ -237,14 +169,15 @@ type SearchMemoValue = (Option<WitnessSummary>, Arc<GeneratorConfig>);
 /// datasets many times over.
 ///
 /// The stamp-based LRU machinery itself lives in [`crate::cache::LruMap`],
-/// shared with the stage-① parse cache and the stage-② normalize cache.
+/// shared with the parse cache.
 const DEFAULT_SEARCH_MEMO_CAPACITY: usize = 4096;
 
-/// The capacity-bounded LRU memo of completed searches. Without the bound
-/// the memo grows one entry per distinct query pair and is only evicted by
-/// the wholesale arena-budget reset — fine for the benchmark datasets,
-/// unbounded for a service proving a diverse query stream.
-type SearchMemo = LruMap<SearchMemoKey, SearchMemoValue>;
+/// The capacity-bounded LRU memo of completed searches, each with its witness
+/// (`None` = pool exhausted without one). Without the bound the memo grows
+/// one entry per distinct query pair and is only evicted by the wholesale
+/// arena-budget reset — fine for the benchmark datasets, unbounded for a
+/// service proving a diverse query stream.
+type SearchMemo = LruMap<SearchMemoKey, Option<WitnessSummary>>;
 
 /// Completed searches, process-wide. This is the oracle-layer analog of the
 /// decide stage's SMT formula cache: a service re-certifying the same pair
@@ -310,7 +243,7 @@ fn search_memo_key(q1: &Query, q2: &Query, config: &SearchConfig) -> SearchMemoK
 /// A memoized exhaustion replays without touching the pool — or even
 /// deriving the generator vocabulary — so re-certified
 /// equivalent-but-unprovable pairs cost two pretty-prints and a hash probe.
-/// A memoized witness fetches its graph from the deterministic pool and
+/// A memoized witness fetches its graph from the pool it holds and
 /// reconstructs the certificate from the recorded summary; debug builds
 /// additionally re-run the evaluation and assert it still witnesses.
 fn replay_memoized_search(
@@ -322,16 +255,12 @@ fn replay_memoized_search(
     if !config.use_memo {
         return None;
     }
-    let (outcome, vocabulary) =
-        search_memo().lock().unwrap_or_else(|poison| poison.into_inner()).get(key)?;
+    let outcome = search_memo().lock().unwrap_or_else(|poison| poison.into_inner()).get(key)?;
     SEARCH_MEMO_HITS.fetch_add(1, Ordering::Relaxed);
     match outcome {
         None => Some(None),
         Some(summary) => {
-            // The stored interned vocabulary resolves the pool directly.
-            let pool_key =
-                PoolKey { random_graphs: config.random_graphs, seed: config.seed, vocabulary };
-            let graph = pool_graph(&shared_pool(&pool_key, config), summary.pool_index)?;
+            let graph = pool_graph(&summary.pool, summary.pool_index)?;
             debug_assert!(
                 check_queries(q1, q2, &graph, summary.pool_index).is_some_and(|fresh| {
                     (fresh.left_rows, fresh.right_rows) == (summary.left_rows, summary.right_rows)
@@ -351,7 +280,7 @@ fn replay_memoized_search(
 fn memoize_search(
     key: SearchMemoKey,
     outcome: Option<&Counterexample>,
-    vocabulary: Arc<GeneratorConfig>,
+    pool: &SharedPool,
     config: &SearchConfig,
 ) {
     if !config.use_memo {
@@ -366,18 +295,17 @@ fn memoize_search(
     }
     SEARCH_MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
     let summary = outcome.map(|example| WitnessSummary {
+        pool: Arc::clone(pool),
         pool_index: example.pool_index,
         left_rows: example.left_rows,
         right_rows: example.right_rows,
     });
-    let evicted = search_memo()
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner())
-        .insert(key, (summary, vocabulary));
+    let evicted =
+        search_memo().lock().unwrap_or_else(|poison| poison.into_inner()).insert(key, summary);
     SEARCH_MEMO_EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
 }
 
-/// Drops every cached candidate pool and interned vocabulary, process-wide.
+/// Drops every cached candidate pool and memoized search, process-wide.
 /// Part of the epoch-based eviction story: the pools (fully generated graph
 /// vectors, typically the largest allocations of the prover) would
 /// otherwise accumulate one entry per distinct query vocabulary forever.
@@ -394,8 +322,8 @@ pub fn clear_pool_cache() {
 /// epoch-hygiene primitive of multi-tenant serving: several workers or
 /// tenants crossing their (thread-local) arena budgets around the same time
 /// collapse into **one** wipe — a caller whose generation is stale adopts
-/// the clear its peer just performed instead of also wiping the pools,
-/// vocabularies and memo entries everyone else has started rebuilding. The
+/// the clear its peer just performed instead of also wiping the pools and
+/// memo entries everyone else has started rebuilding. The
 /// check and the clear happen under one lock, so two racing callers with the
 /// same stale generation can never both clear.
 pub fn clear_pool_cache_if_unchanged(seen_generation: u64) -> bool {
@@ -409,14 +337,7 @@ pub fn clear_pool_cache_if_unchanged(seen_generation: u64) -> bool {
 
 /// The clear body; the caller must hold [`CLEAR_LOCK`].
 fn clear_pool_cache_locked() {
-    if let Some(shards) = POOL_CACHE.get() {
-        for shard in shards {
-            shard.write().unwrap_or_else(|poison| poison.into_inner()).clear();
-        }
-    }
-    if let Some(interner) = VOCABULARIES.get() {
-        interner.lock().unwrap_or_else(|poison| poison.into_inner()).clear();
-    }
+    POOLS.lock().unwrap_or_else(PoisonError::into_inner).clear();
     if let Some(memo) = SEARCH_MEMO.get() {
         memo.lock().unwrap_or_else(|poison| poison.into_inner()).clear();
     }
@@ -522,7 +443,7 @@ pub fn find_counterexample(
     if let Some(outcome) = replay_memoized_search(&memo_key, q1, q2, config) {
         return outcome;
     }
-    let (pool, vocabulary) = pool_for(q1, q2, config);
+    let pool = pool_for(q1, q2, config);
     // One plan per query for the whole search, lowered once and reused on
     // every graph.
     let (left, right) = (QueryPlan::new(q1), QueryPlan::new(q2));
@@ -537,12 +458,12 @@ pub fn find_counterexample(
         }
         let Some(graph) = pool_graph(&pool, index) else { break };
         if let Some(example) = check(&left, &right, &graph, index) {
-            memoize_search(memo_key, Some(&example), vocabulary, config);
+            memoize_search(memo_key, Some(&example), &pool, config);
             return Some(example);
         }
         index += 1;
     }
-    memoize_search(memo_key, None, vocabulary, config);
+    memoize_search(memo_key, None, &pool, config);
     None
 }
 
@@ -584,7 +505,7 @@ fn random_graphs(
     let small_count = config.random_graphs / 2;
     let large_count = config.random_graphs - small_count;
     let mut small = GraphGenerator::shared(config.seed, Arc::clone(vocabulary));
-    // A second pool with larger graphs, over the same interned vocabulary.
+    // A second pool with larger graphs, over the same vocabulary.
     let mut large = small.sibling(config.seed.wrapping_add(1), 9, 16);
     (0..small_count)
         .map(move |_| small.generate())
@@ -666,14 +587,20 @@ mod tests {
     }
 
     #[test]
-    fn vocabulary_interning_is_pointer_stable() {
+    fn equal_vocabularies_share_one_pool() {
         let q1 = parse_query("MATCH (n:Zebra) RETURN n").unwrap();
         let q2 = parse_query("MATCH (n:Yak) RETURN n").unwrap();
-        let a = intern_vocabulary(GeneratorConfig::from_queries(&[&q1, &q2]));
-        let b = intern_vocabulary(GeneratorConfig::from_queries(&[&q1, &q2]));
-        assert!(Arc::ptr_eq(&a, &b), "same vocabulary must intern to the same Arc");
-        let c = intern_vocabulary(GeneratorConfig::from_queries(&[&q1, &q1]));
-        assert!(!Arc::ptr_eq(&a, &c), "different vocabularies must not share an Arc");
+        let config = SearchConfig::default();
+        // Separately parsed queries derive equal vocabularies: one pool. (A
+        // concurrent epoch-reset test can clear the cache between the two
+        // lookups; retry like the memo tests do.)
+        let again = parse_query("MATCH (n:Zebra) RETURN n").unwrap();
+        assert!((0..5)
+            .any(|_| Arc::ptr_eq(&pool_for(&q1, &q2, &config), &pool_for(&again, &q2, &config))));
+        // A different vocabulary or search seed is a different pool.
+        assert!(!Arc::ptr_eq(&pool_for(&q1, &q2, &config), &pool_for(&q1, &q1, &config)));
+        let reseeded = SearchConfig { seed: 7, ..SearchConfig::default() };
+        assert!(!Arc::ptr_eq(&pool_for(&q1, &q2, &config), &pool_for(&q1, &q2, &reseeded)));
     }
 
     #[test]
@@ -690,7 +617,7 @@ mod tests {
             (!left.bag_equal(&right)).then(|| (left.len(), right.len()))
         };
         assert_eq!(separates(&example.graph), Some((example.left_rows, example.right_rows)));
-        let (pool, _) = pool_for(&q1, &q2, &config);
+        let pool = pool_for(&q1, &q2, &config);
         for index in 0..example.pool_index {
             let graph = pool_graph(&pool, index).expect("pool graph");
             assert_eq!(separates(&graph), None, "pool graph {index} separates too");

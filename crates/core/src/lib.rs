@@ -40,7 +40,7 @@ pub mod divide;
 pub mod verdict;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 thread_local! {
@@ -67,31 +67,37 @@ pub use graphqe_checker::Certificate;
 pub use verdict::{Counterexample, FailureCategory, ProofStats, StageTimings, Verdict};
 
 // ---------------------------------------------------------------------------
-// The stage-① parse cache
+// The parse cache: stages ① to ③ of one query text
 // ---------------------------------------------------------------------------
 
 /// Default capacity of the parse cache: one entry per distinct query text
-/// (a parsed AST is a few KB), bounded like the search memo.
+/// (a parsed AST and its normalized form are a few KB), bounded like the
+/// search memo.
 const DEFAULT_PARSE_CACHE_CAPACITY: usize = 4096;
 
-/// Text-keyed cache of stage-① outcomes (`parse_and_check`), shared
-/// process-wide. Since PR 4 `stage parse_check` was the single largest
-/// stage of the warm optimized pipeline; with this cache a warm
-/// re-certification skips parsing entirely. Semantic failures are cached
+/// Text-keyed cache of the per-query stages, shared process-wide. Each entry
+/// is the one record of its query text: the stage-① outcome
+/// (`parse_and_check`) and, for a query that passes, a [`CheckedQuery`]
+/// whose stage-②/③ record fills on first use. Semantic failures are cached
 /// too — the checker is deterministic, and invalid queries resubmitted by a
 /// service would otherwise re-parse every time.
 static PARSE_CACHE: OnceLock<Mutex<ParseCache>> = OnceLock::new();
 
 /// One memoized stage-① outcome per query text (failures included).
-type ParseCache = cache::LruMap<String, Result<Arc<Query>, CheckError>>;
+type ParseCache = cache::LruMap<String, Result<Arc<CheckedQuery>, CheckError>>;
 
-fn parse_cache() -> &'static Mutex<ParseCache> {
-    PARSE_CACHE.get_or_init(|| Mutex::new(cache::LruMap::new(DEFAULT_PARSE_CACHE_CAPACITY)))
+fn parse_cache() -> MutexGuard<'static, ParseCache> {
+    PARSE_CACHE
+        .get_or_init(|| Mutex::new(cache::LruMap::new(DEFAULT_PARSE_CACHE_CAPACITY)))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 static PARSE_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static PARSE_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 static PARSE_CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
+static NORMALIZE_HITS: AtomicU64 = AtomicU64::new(0);
+static NORMALIZE_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide hit/miss counters of the parse cache.
 pub fn parse_cache_stats() -> (u64, u64) {
@@ -105,65 +111,117 @@ pub fn parse_cache_evictions() -> u64 {
 
 /// Current entry count of the parse cache.
 pub fn parse_cache_len() -> usize {
-    parse_cache().lock().unwrap_or_else(|poison| poison.into_inner()).len()
+    parse_cache().len()
 }
 
 /// Reconfigures the parse cache's capacity (clamped to at least 1),
 /// evicting down immediately. Returns the previous capacity.
 pub fn set_parse_cache_capacity(capacity: usize) -> usize {
-    let mut cache = parse_cache().lock().unwrap_or_else(|poison| poison.into_inner());
+    let mut cache = parse_cache();
     let previous = cache.capacity();
     let evicted = cache.set_capacity(capacity);
     PARSE_CACHE_EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
     previous
 }
 
-/// Drops every parse-cache entry (pure memo — eviction only costs
-/// re-parsing). Benchmarks use this to measure the cold parse stage.
+/// Drops every parse-cache entry, and with them every normalized form (pure
+/// memo — eviction only costs re-parsing and re-normalizing). Benchmarks use
+/// this to measure the cold stages.
 pub fn clear_parse_cache() {
-    parse_cache().lock().unwrap_or_else(|poison| poison.into_inner()).clear();
+    parse_cache().clear();
 }
 
-/// Stage ① through the cache: returns the memoized outcome for `text`, or
-/// parses (outside the lock — racing workers may both parse, benignly) and
-/// caches it. This is what [`GraphQE::prove`] calls; it is public so
+/// Process-wide hit/miss counters of the entries' stage-② memo
+/// ([`CheckedQuery::stages`]): a hit replays a memoized normalized form, a
+/// miss normalizes.
+pub fn normalize_cache_stats() -> (u64, u64) {
+    (NORMALIZE_HITS.load(Ordering::Relaxed), NORMALIZE_MISSES.load(Ordering::Relaxed))
+}
+
+/// Process-wide count of normalized forms dropped by the capacity bound.
+/// They live in parse-cache entries, so this is [`parse_cache_evictions`].
+pub fn normalize_cache_evictions() -> u64 {
+    parse_cache_evictions()
+}
+
+/// Drops every normalized form (with its build and certificate memos) and
+/// keeps the parsed queries: the next prove of each text re-normalizes it.
+pub fn clear_normalize_cache() {
+    for entry in parse_cache().values_mut().flatten() {
+        *entry = CheckedQuery::new(Arc::clone(&entry.query));
+    }
+}
+
+/// Stage ① through the cache: the entry for `text`, or a fresh parse
+/// (outside the lock — racing workers may both parse, benignly) cached as
+/// its entry. This is what [`GraphQE::prove`] calls; it is public so
 /// benchmarks and service frontends can measure or pre-warm the stage
 /// directly.
-pub fn parse_check_cached(text: &str) -> Result<Arc<Query>, CheckError> {
-    if let Some(hit) = parse_cache().lock().unwrap_or_else(|poison| poison.into_inner()).get(text) {
+pub fn parse_check_cached(text: &str) -> Result<Arc<CheckedQuery>, CheckError> {
+    if let Some(hit) = parse_cache().get(text) {
         PARSE_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
         return hit;
     }
     PARSE_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let outcome = parse_and_check(text).map(Arc::new);
-    let evicted = parse_cache()
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner())
-        .insert(text.to_string(), outcome.clone());
+    let outcome = parse_and_check(text).map(|query| CheckedQuery::new(Arc::new(query)));
+    let evicted = parse_cache().insert(text.to_string(), outcome.clone());
     PARSE_CACHE_EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
     outcome
 }
 
-// ---------------------------------------------------------------------------
-// The stage-②/③ normalize/build cache
-// ---------------------------------------------------------------------------
+/// One query text's record in the parse cache: the query that passed stage
+/// ①, plus its stage-②/③ record once an untripped normalization has filled
+/// it. Obtained through [`parse_check_cached`].
+#[derive(Debug)]
+pub struct CheckedQuery {
+    query: Arc<Query>,
+    /// The stage-② memo, shared by every prove and certificate of the text.
+    stages: OnceLock<Arc<NormalizedStages>>,
+}
 
-/// Default capacity of the normalize cache, matched to the parse cache: the
-/// entries are keyed on parse-cache identities, so there is no point holding
-/// more normalized forms than there are parsed queries.
-const DEFAULT_NORMALIZE_CACHE_CAPACITY: usize = 4096;
+impl CheckedQuery {
+    fn new(query: Arc<Query>) -> Arc<CheckedQuery> {
+        Arc::new(CheckedQuery { query, stages: OnceLock::new() })
+    }
 
-/// The memoized stage-② (and lazily stage-③) outcome of one parsed query:
-/// its Table II normalized form plus the G-expression build of that form,
-/// shared process-wide across threads (`Send + Sync` is compile-enforced
-/// below). Obtained through [`normalized_stages`]; a warm re-certification
-/// skips both `rule_normalize` and `gexpr_build` entirely.
+    /// The checked query.
+    pub fn query(&self) -> &Query {
+        &self.query
+    }
+
+    /// Stage ② through this entry: the memoized stages, or a normalization
+    /// under the ambient run token that becomes the memo unless the run has
+    /// tripped — a trip reflects this call's deadline, not a property of the
+    /// query. Racing workers may both normalize; the first memo wins.
+    pub fn stages(&self) -> Result<Arc<NormalizedStages>, limits::Trip> {
+        if let Some(stages) = self.stages.get() {
+            NORMALIZE_HITS.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(stages));
+        }
+        NORMALIZE_MISSES.fetch_add(1, Ordering::Relaxed);
+        let stages = Arc::new(NormalizedStages::new(Arc::clone(&self.query))?);
+        if limits::trip().is_some() {
+            return Ok(stages);
+        }
+        Ok(Arc::clone(self.stages.get_or_init(|| stages)))
+    }
+
+    /// The memoized stages, if an untripped normalization has filled them.
+    pub fn memoized_stages(&self) -> Option<&Arc<NormalizedStages>> {
+        self.stages.get()
+    }
+}
+
+/// Stages ② and ③ of one query: its Table II normalized form plus the
+/// G-expression build of that form and the query's certificate attestation,
+/// both memoized. Shared across threads (`Send + Sync` is compile-enforced
+/// below) through its parse-cache entry ([`CheckedQuery::stages`]); a warm
+/// re-certification skips both `rule_normalize` and `gexpr_build` entirely.
 pub struct NormalizedStages {
-    /// The parse-cache entry this was derived from. Holding it pins the
-    /// allocation, so the address key below can never be reused by a
-    /// different query while this entry lives.
+    /// The query as it passed stage ①.
     source: Arc<Query>,
-    /// The Table II normalized form of `source`.
+    /// The stage-② form of `source`: its Table II normalization, or `source`
+    /// itself for a prover with [`GraphQE::normalize`] off.
     normalized: Query,
     /// Stage ③ memo: the root id of the build of `normalized` in the last
     /// arena that built it, or the build error. Errors are memoized for
@@ -180,6 +238,7 @@ pub struct NormalizedStages {
 // introduces `Rc`/`RefCell` fails compilation here, not in a consumer.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<CheckedQuery>();
     assert_send_sync::<NormalizedStages>();
 };
 
@@ -195,8 +254,13 @@ enum BuildMemo {
 impl NormalizedStages {
     /// Stage ② of `source` under the ambient run token, with empty memos.
     fn new(source: Arc<Query>) -> Result<NormalizedStages, limits::Trip> {
-        let normalized = try_normalize(&source)?;
-        Ok(NormalizedStages { source, normalized, build: Mutex::new(None), cert: OnceLock::new() })
+        let normalized = cypher_normalizer::try_normalize_query_with(&source, &mut ())?;
+        Ok(NormalizedStages::of(source, normalized))
+    }
+
+    /// `source` with `normalized` as its stage-② form, with empty memos.
+    fn of(source: Arc<Query>, normalized: Query) -> NormalizedStages {
+        NormalizedStages { source, normalized, build: Mutex::new(None), cert: OnceLock::new() }
     }
 
     /// The normalized (Table II) form of the source query.
@@ -234,125 +298,20 @@ impl NormalizedStages {
         *self.build.lock().unwrap_or_else(PoisonError::into_inner) = Some(memo);
         built
     }
+
+    /// [`NormalizedStages::build`] into the calling thread's arena, its
+    /// wall-clock (a memo probe on warm hits) added to `timings.build`.
+    fn build_timed(&self, timings: &mut StageTimings) -> Result<Arc<BuildOutput>, BuildError> {
+        let build_start = Instant::now();
+        let built = with_thread_store(|store| self.build(store));
+        timings.build += build_start.elapsed();
+        built
+    }
 }
 
 impl std::fmt::Debug for NormalizedStages {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NormalizedStages").finish_non_exhaustive()
-    }
-}
-
-/// Identity-keyed cache of stage-②/③ outcomes, shared process-wide. The key
-/// is the address of the parse cache's `Arc<Query>`, so probing costs a
-/// pointer hash instead of re-hashing the query text; the `Arc::ptr_eq`
-/// guard on hits makes address reuse (after a parse-cache eviction drops the
-/// only other owner) a miss instead of a wrong answer.
-static NORMALIZE_CACHE: OnceLock<Mutex<NormalizeCache>> = OnceLock::new();
-
-type NormalizeCache = cache::LruMap<usize, Arc<NormalizedStages>>;
-
-fn normalize_cache() -> &'static Mutex<NormalizeCache> {
-    NORMALIZE_CACHE.get_or_init(|| Mutex::new(cache::LruMap::new(DEFAULT_NORMALIZE_CACHE_CAPACITY)))
-}
-
-static NORMALIZE_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static NORMALIZE_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static NORMALIZE_CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide hit/miss counters of the normalize cache.
-pub fn normalize_cache_stats() -> (u64, u64) {
-    (NORMALIZE_CACHE_HITS.load(Ordering::Relaxed), NORMALIZE_CACHE_MISSES.load(Ordering::Relaxed))
-}
-
-/// Process-wide count of normalize-cache entries dropped by the capacity
-/// bound.
-pub fn normalize_cache_evictions() -> u64 {
-    NORMALIZE_CACHE_EVICTIONS.load(Ordering::Relaxed)
-}
-
-/// Current entry count of the normalize cache.
-pub fn normalize_cache_len() -> usize {
-    normalize_cache().lock().unwrap_or_else(|poison| poison.into_inner()).len()
-}
-
-/// Reconfigures the normalize cache's capacity (clamped to at least 1),
-/// evicting down immediately. Returns the previous capacity.
-pub fn set_normalize_cache_capacity(capacity: usize) -> usize {
-    let mut cache = normalize_cache().lock().unwrap_or_else(|poison| poison.into_inner());
-    let previous = cache.capacity();
-    let evicted = cache.set_capacity(capacity);
-    NORMALIZE_CACHE_EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
-    previous
-}
-
-/// Drops every normalize-cache entry (pure memo — eviction only costs
-/// re-normalizing). Benchmarks use this to measure the cold stages.
-pub fn clear_normalize_cache() {
-    normalize_cache().lock().unwrap_or_else(|poison| poison.into_inner()).clear();
-}
-
-/// Stage ② through the cache: the memoized normalized form (with its lazily
-/// memoized build) of `query`, or a fresh normalization inserted on miss
-/// (computed outside the lock — racing workers may both normalize,
-/// benignly). Only successful normalizations are cached, and never on a
-/// tripped run: a trip reflects this call's deadline, not a property of the
-/// query.
-pub fn normalized_stages(query: &Arc<Query>) -> Result<Arc<NormalizedStages>, limits::Trip> {
-    let key = Arc::as_ptr(query) as usize;
-    let cached = normalize_cache().lock().unwrap_or_else(|poison| poison.into_inner()).get(&key);
-    if let Some(entry) = cached {
-        if Arc::ptr_eq(&entry.source, query) {
-            NORMALIZE_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return Ok(entry);
-        }
-        // Address reuse: the parse cache evicted the query that owned this
-        // address and a later allocation landed on it. Fall through to a
-        // miss; the insert below overwrites the stale entry.
-    }
-    NORMALIZE_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let entry = Arc::new(NormalizedStages::new(Arc::clone(query))?);
-    if limits::trip().is_none() {
-        let evicted = normalize_cache()
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-            .insert(key, Arc::clone(&entry));
-        NORMALIZE_CACHE_EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
-    }
-    Ok(entry)
-}
-
-/// A query after stage ②, on its way into stages ③/④: either a stage-②
-/// entry whose build is memoized (shared from the normalize cache, or
-/// one-shot for certificate emission by an opted-out prover) or a one-shot
-/// owned normalization (the [`GraphQE::prove_queries`] path, and every
-/// opted-out prover).
-enum Normalized {
-    /// A stage-② entry with its build memo.
-    Stages(Arc<NormalizedStages>),
-    /// Uncached normalized form owned by this call.
-    Owned(Query),
-}
-
-impl Normalized {
-    fn query(&self) -> &Query {
-        match self {
-            Normalized::Stages(stages) => stages.normalized(),
-            Normalized::Owned(query) => query,
-        }
-    }
-
-    /// Stage ③ for this query into the calling thread's arena: the
-    /// memoized build for stage-② entries, a fresh build otherwise.
-    /// Wall-clock (a memo probe on warm hits) goes into `timings.build`
-    /// either way.
-    fn build_timed(&self, timings: &mut StageTimings) -> Result<Arc<BuildOutput>, BuildError> {
-        let build_start = Instant::now();
-        let built = with_thread_store(|store| match self {
-            Normalized::Stages(stages) => stages.build(store),
-            Normalized::Owned(query) => build_into(store, query).map(Arc::new),
-        });
-        timings.build += build_start.elapsed();
-        built
     }
 }
 
@@ -439,10 +398,6 @@ pub struct BatchOutcome {
     pub verdict: Verdict,
     /// End-to-end latency of proving the pair (as observed by the worker).
     pub latency: std::time::Duration,
-    /// Why the pair is `Unknown` (`None` for the two definite verdicts) —
-    /// the per-pair surface of the failure taxonomy, so batch frontends
-    /// report reason counts without pattern-matching verdicts.
-    pub failure_reason: Option<FailureCategory>,
 }
 
 /// The GraphQE prover with its configuration.
@@ -482,15 +437,18 @@ pub struct GraphQE {
     /// goes when a benchmark change drops that setting and retires the
     /// `cache.plan.*` rows.
     pub search_threads: usize,
-    /// Consult (and populate) the process-wide stage-① parse cache in
-    /// [`GraphQE::prove`]. Disabled by benchmark baselines that must pay
-    /// the real parse cost every run; outcomes are identical either way.
+    /// Consult (and populate) the process-wide parse cache, which holds
+    /// stages ① to ③ of each query text, in [`GraphQE::prove`]. Off, every
+    /// prove parses and normalizes its queries afresh. Disabled by benchmark
+    /// baselines that must pay the real parse cost every run; outcomes are
+    /// identical either way.
     pub use_parse_cache: bool,
-    /// Consult (and populate) the process-wide stage-②/③ normalize/build
-    /// cache in [`GraphQE::prove`] (only effective with
-    /// [`GraphQE::normalize`] on). Disabled by benchmark baselines that must
-    /// pay the real normalization cost every run; outcomes are identical
-    /// either way.
+    /// Take stage ② (and the stage-③ build) from the parse-cache entry's
+    /// memo ([`CheckedQuery::stages`]; only effective with
+    /// [`GraphQE::normalize`] and [`GraphQE::use_parse_cache`] on). Off,
+    /// every prove normalizes its queries afresh. Disabled by benchmark
+    /// baselines that must pay the real normalization cost every run;
+    /// outcomes are identical either way.
     pub use_normalize_cache: bool,
 }
 
@@ -519,11 +477,30 @@ impl GraphQE {
 
     /// Stage ① for one query text, through the process-wide parse cache
     /// (unless [`GraphQE::use_parse_cache`] is off).
-    fn parse_checked(&self, text: &str) -> Result<Arc<Query>, CheckError> {
+    fn parse_checked(&self, text: &str) -> Result<Arc<CheckedQuery>, CheckError> {
         if self.use_parse_cache {
             parse_check_cached(text)
         } else {
-            parse_and_check(text).map(Arc::new)
+            parse_and_check(text).map(|query| CheckedQuery::new(Arc::new(query)))
+        }
+    }
+
+    /// Stage ② of one checked query: the entry's memo with both caches on, a
+    /// one-shot normalization with either off, and the query itself as its
+    /// own stage-② form without `normalize`. Certificates pass `normalize:
+    /// true` whatever [`GraphQE::normalize`] says.
+    fn stages_of(
+        &self,
+        entry: &CheckedQuery,
+        normalize: bool,
+    ) -> Result<Arc<NormalizedStages>, limits::Trip> {
+        let source = &entry.query;
+        if !normalize {
+            Ok(Arc::new(NormalizedStages::of(Arc::clone(source), Query::clone(source))))
+        } else if self.use_parse_cache && self.use_normalize_cache {
+            entry.stages()
+        } else {
+            NormalizedStages::new(Arc::clone(source)).map(Arc::new)
         }
     }
 
@@ -573,7 +550,7 @@ impl GraphQE {
         // rest of the pipeline without ever deciding a verdict on their own.
         let stage_start = Instant::now();
         let signatures = if self.analyze {
-            match analyzed_signatures(&parsed1, &parsed2) {
+            match analyzed_signatures(parsed1.query(), parsed2.query()) {
                 Ok(signatures) => signatures,
                 Err(verdict) => {
                     stats.stages.analyze = stage_start.elapsed();
@@ -592,30 +569,40 @@ impl GraphQE {
         // counterexample search runs *before* the expensive proof attempt.
         // Discrimination alone never decides: NOT_EQUIVALENT still requires
         // a concrete witness graph, and an empty-handed search falls through
-        // to the full pipeline (which then skips the redundant re-search).
-        let mut searched_early = false;
+        // to the full pipeline — without the search, which would find
+        // nothing again and double the cost.
+        let mut search = self.search_counterexamples;
         if let Some((left, right)) = &signatures {
-            if self.search_counterexamples && graphqe_analyzer::signatures_discriminate(left, right)
-            {
+            if search && graphqe_analyzer::signatures_discriminate(left, right) {
                 let stage_start = Instant::now();
-                let witness =
-                    counterexample::find_counterexample(&parsed1, &parsed2, &self.search_config);
+                let witness = counterexample::find_counterexample(
+                    parsed1.query(),
+                    parsed2.query(),
+                    &self.search_config,
+                );
                 stats.stages.search = stage_start.elapsed();
                 if let Some(example) = witness {
                     stats.latency = start.elapsed();
                     return (Verdict::NotEquivalent(Box::new(example)), stats);
                 }
-                searched_early = true;
+                search = false;
             }
         }
-        let mut verdict = if searched_early {
-            // The deterministic search already came up empty; re-running it
-            // after the decision would find nothing and double the cost.
-            let no_re_search = GraphQE { search_counterexamples: false, ..self.clone() };
-            no_re_search.prove_parsed_with_stats(&parsed1, &parsed2, &mut stats)
-        } else {
-            self.prove_parsed_with_stats(&parsed1, &parsed2, &mut stats)
+        // Stage ②: rule-based normalization (fallible under a deadline) —
+        // a warm hit reduces it to a probe of the parse-cache entry.
+        let stage_start = Instant::now();
+        let stages = self
+            .stages_of(&parsed1, self.normalize)
+            .and_then(|n1| Ok((n1, self.stages_of(&parsed2, self.normalize)?)));
+        stats.stages.normalize = stage_start.elapsed();
+        let (n1, n2) = match stages {
+            Ok(pair) => pair,
+            Err(trip) => {
+                stats.latency = start.elapsed();
+                return (trip_verdict(trip), stats);
+            }
         };
+        let mut verdict = self.prove_prepared(&n1, &n2, search, &mut stats);
         // Typed decision retry: when the pipeline could not decide and the
         // analyzer inferred matching non-null Integer columns on both sides,
         // rebuild both G-expressions with integer-sorted output terms and
@@ -629,9 +616,7 @@ impl GraphQE {
         {
             if let Some((left, right)) = &signatures {
                 let hints = graphqe_analyzer::int_hint_columns(left, right);
-                if !hints.is_empty()
-                    && self.prove_with_int_hints(&parsed1, &parsed2, &hints, &mut stats)
-                {
+                if !hints.is_empty() && self.prove_with_int_hints(&n1, &n2, &hints, &mut stats) {
                     stats.used_type_hints = true;
                     verdict = Verdict::Equivalent(stats.clone());
                 }
@@ -645,27 +630,20 @@ impl GraphQE {
         (verdict, stats)
     }
 
-    /// The stage-⓪ typed retry: normalize, build with integer-sorted output
-    /// columns ([`gexpr::build_into_typed`]), decide on the identity column
-    /// alignment. Returns whether the typed decision proved the pair. Strictly
-    /// best-effort — every failure (trip, unsupported feature, segment split)
-    /// leaves the original verdict standing.
+    /// The stage-⓪ typed retry on the pair's stage-② forms: build with
+    /// integer-sorted output columns ([`gexpr::build_into_typed`]), decide on
+    /// the identity column alignment. Returns whether the typed decision
+    /// proved the pair. Strictly best-effort — every failure (trip,
+    /// unsupported feature, segment split) leaves the original verdict
+    /// standing.
     fn prove_with_int_hints(
         &self,
-        q1: &Query,
-        q2: &Query,
+        n1: &NormalizedStages,
+        n2: &NormalizedStages,
         hints: &[usize],
         stats: &mut ProofStats,
     ) -> bool {
-        let normalized = if self.normalize {
-            match (try_normalize(q1), try_normalize(q2)) {
-                (Ok(n1), Ok(n2)) => (n1, n2),
-                _ => return false,
-            }
-        } else {
-            (q1.clone(), q2.clone())
-        };
-        let (n1, n2) = &normalized;
+        let (n1, n2) = (n1.normalized(), n2.normalized());
         if divide::needs_divide_and_conquer(n1) || divide::needs_divide_and_conquer(n2) {
             return false;
         }
@@ -750,11 +728,7 @@ impl GraphQE {
                     reason: "the prover panicked while proving this pair".to_string(),
                 }
             });
-            let outcome = BatchOutcome {
-                failure_reason: verdict.failure_category(),
-                verdict,
-                latency: start.elapsed(),
-            };
+            let outcome = BatchOutcome { verdict, latency: start.elapsed() };
             let arena_nodes = gexpr::arena::thread_store_node_count();
             gexpr::arena::note_node_peak(arena_nodes);
             let arena_node_budget = self.limits.arena_node_budget;
@@ -809,133 +783,52 @@ impl GraphQE {
         (outcomes, epoch_resets.load(Ordering::Relaxed) as u64)
     }
 
-    /// Proves the (non-)equivalence of two parsed queries (installing a run
-    /// token for active [`GraphQE::limits`], like [`GraphQE::prove`]).
-    pub fn prove_queries(&self, q1: &Query, q2: &Query) -> Verdict {
-        let run = || {
-            let mut stats = ProofStats::default();
-            self.prove_queries_with_stats(q1, q2, &mut stats)
-        };
-        match self.limits.token() {
-            Some(token) => limits::with_token(token, run),
-            None => run(),
-        }
-    }
-
-    /// Stages ② through ④ for parsed, `Arc`-shared queries: stage ② resolves
-    /// through the process-wide normalize/build cache when enabled, then the
-    /// pair goes down the common decision path of
-    /// [`GraphQE::prove_queries_with_stats`].
-    fn prove_parsed_with_stats(
-        &self,
-        q1: &Arc<Query>,
-        q2: &Arc<Query>,
-        stats: &mut ProofStats,
-    ) -> Verdict {
-        if !(self.normalize && self.use_normalize_cache) {
-            return self.prove_queries_with_stats(q1, q2, stats);
-        }
-        let start = Instant::now();
-        // Stage ②: rule-based normalization through the shared cache (a
-        // warm hit reduces the stage to a pointer-keyed probe).
-        let stage_start = Instant::now();
-        let normalized = normalized_stages(q1).and_then(|n1| Ok((n1, normalized_stages(q2)?)));
-        stats.stages.normalize = stage_start.elapsed();
-        match normalized {
-            Ok((n1, n2)) => self.prove_prepared(
-                q1,
-                q2,
-                &Normalized::Stages(n1),
-                &Normalized::Stages(n2),
-                start,
-                stats,
-            ),
-            Err(trip) => trip_verdict(trip),
-        }
-    }
-
-    /// Stages ② through ④ plus the counterexample search, recording stage
-    /// timings into `stats` on every exit path. Verdict policy under an
-    /// ambient run token: a completed proof stays `Equivalent` and a found
-    /// witness stays `NotEquivalent` even if a trip raced with them (both
-    /// certificates are sound); otherwise the first recorded trip wins over
-    /// the paper's failure categories, and a tripped decision skips the
-    /// search entirely.
-    fn prove_queries_with_stats(&self, q1: &Query, q2: &Query, stats: &mut ProofStats) -> Verdict {
-        let start = Instant::now();
-        // Stage ②: rule-based normalization (fallible under a deadline).
-        let stage_start = Instant::now();
-        let normalized = if self.normalize {
-            try_normalize(q1).and_then(|n1| Ok((n1, try_normalize(q2)?)))
-        } else {
-            Ok((q1.clone(), q2.clone()))
-        };
-        stats.stages.normalize = stage_start.elapsed();
-        match normalized {
-            Ok((n1, n2)) => self.prove_prepared(
-                q1,
-                q2,
-                &Normalized::Owned(n1),
-                &Normalized::Owned(n2),
-                start,
-                stats,
-            ),
-            Err(trip) => trip_verdict(trip),
-        }
-    }
-
-    /// Stages ③/④ plus the counterexample search, common to the cached and
-    /// owned normalization paths. `q1`/`q2` are the **original** queries (the
-    /// search evaluates those); `start` is when stage ② began, so the
-    /// embedded latency of an `Equivalent` verdict covers normalization too.
+    /// Stages ③/④ plus, with `search`, the counterexample search, recording
+    /// stage timings into `stats` on every exit path. The search evaluates
+    /// the **original** queries. Verdict policy under an ambient run token: a
+    /// completed proof stays `Equivalent` and a found witness stays
+    /// `NotEquivalent` even if a trip raced with them (both certificates are
+    /// sound); otherwise the first recorded trip wins over the paper's
+    /// failure categories, and a tripped decision skips the search entirely.
     fn prove_prepared(
         &self,
-        q1: &Query,
-        q2: &Query,
-        n1: &Normalized,
-        n2: &Normalized,
-        start: Instant,
+        n1: &NormalizedStages,
+        n2: &NormalizedStages,
+        search: bool,
         stats: &mut ProofStats,
     ) -> Verdict {
-        let outcome = self.prove_normalized(n1, n2, stats, None);
-        match outcome {
-            Ok(()) => {
-                let mut embedded = stats.clone();
-                embedded.latency = start.elapsed();
-                Verdict::Equivalent(embedded)
-            }
-            Err(unproved) => {
-                // A trip during the decision means "not proved" only because
-                // the run was cut short — searching for a witness on top of
-                // it would blow the deadline further; report the trip.
-                if let Some(trip) = limits::trip() {
-                    return trip_verdict(trip);
-                }
-                // Not proven: try to certify non-equivalence with a concrete
-                // counterexample graph.
-                let stage_start = Instant::now();
-                let witness = if self.search_counterexamples {
-                    counterexample::find_counterexample(q1, q2, &self.search_config)
-                } else {
-                    None
-                };
-                // Accumulates: the stage-⓪ fast path may already have
-                // charged an (empty-handed) search to this stage.
-                stats.stages.search += stage_start.elapsed();
-                if let Some(example) = witness {
-                    // Sound even when a trip aborted the rest of the search:
-                    // the witness graph concretely separates the queries.
-                    return Verdict::NotEquivalent(Box::new(example));
-                }
-                // An aborted search proves nothing — exhaustion-style
-                // `Unknown` must carry the trip, not the paper category.
-                if let Some(trip) = limits::trip() {
-                    return trip_verdict(trip);
-                }
-                let (category, reason) = unproved.categorized(n1.query(), n2.query());
-                Verdict::Unknown { category, reason }
-            }
+        let Err(unproved) = self.prove_normalized(n1, n2, stats, None) else {
+            return Verdict::Equivalent(stats.clone());
+        };
+        // A trip during the decision means "not proved" only because the run
+        // was cut short — searching for a witness on top of it would blow the
+        // deadline further; report the trip.
+        if let Some(trip) = limits::trip() {
+            return trip_verdict(trip);
         }
+        // Not proven: try to certify non-equivalence with a concrete
+        // counterexample graph.
+        let stage_start = Instant::now();
+        let witness = if search {
+            counterexample::find_counterexample(&n1.source, &n2.source, &self.search_config)
+        } else {
+            None
+        };
+        // Accumulates: the stage-⓪ fast path may already have charged an
+        // (empty-handed) search to this stage.
+        stats.stages.search += stage_start.elapsed();
+        if let Some(example) = witness {
+            // Sound even when a trip aborted the rest of the search: the
+            // witness graph concretely separates the queries.
+            return Verdict::NotEquivalent(Box::new(example));
+        }
+        // An aborted search proves nothing — exhaustion-style `Unknown` must
+        // carry the trip, not the paper category.
+        if let Some(trip) = limits::trip() {
+            return trip_verdict(trip);
+        }
+        let (category, reason) = unproved.categorized(n1.normalized(), n2.normalized());
+        Verdict::Unknown { category, reason }
     }
 
     /// The equivalence-proving part of the pipeline (stages ③ and ④),
@@ -945,13 +838,12 @@ impl GraphQE {
     /// pipeline, which records its witness into the log.
     fn prove_normalized(
         &self,
-        n1: &Normalized,
-        n2: &Normalized,
+        n1: &NormalizedStages,
+        n2: &NormalizedStages,
         stats: &mut ProofStats,
         mut evidence: Option<&mut EvidenceLog>,
     ) -> Result<(), Unproved> {
-        let q1 = n1.query();
-        let q2 = n2.query();
+        let (q1, q2) = (n1.normalized(), n2.normalized());
         // Divide-and-conquer for ORDER BY ... LIMIT/SKIP inside subqueries.
         // Segments are sliced-up query fragments, so their builds cannot come
         // from the whole-query memo; they are built fresh per segment.
@@ -992,8 +884,8 @@ impl GraphQE {
             }
             return Ok(());
         }
-        // Stage ③: G-expression construction — through the per-entry memo on
-        // the cached path, so a warm re-certification skips the build.
+        // Stage ③: G-expression construction — through the per-entry memo, so
+        // a warm re-certification skips the build.
         let built1 = n1.build_timed(&mut stats.stages).map_err(categorize_build_error)?;
         let built2 = n2.build_timed(&mut stats.stages).map_err(categorize_build_error)?;
         let segment = self.prove_segment_with(q2, &built1, &built2, &mut stats.stages, evidence)?;
@@ -1140,11 +1032,6 @@ impl Unproved {
             Unproved::Undecided => (categorize_unproved(q1, q2), Unproved::UNDECIDED.to_string()),
         }
     }
-}
-
-/// Stage ② without the cache, under the ambient run token.
-fn try_normalize(query: &Query) -> Result<Query, limits::Trip> {
-    cypher_normalizer::try_normalize_query_with(query, &mut ())
 }
 
 /// The `Unknown` verdict of a tripped run: the first recorded trip wins and
@@ -1632,9 +1519,9 @@ mod tests {
         }
     }
 
-    /// Tests that read parse-cache counters or reconfigure its (global)
-    /// capacity serialize here so they cannot evict each other's entries
-    /// mid-assertion.
+    /// Tests that read the parse cache's counters, reconfigure its (global)
+    /// capacity or inspect its entries serialize here so they cannot evict
+    /// each other's entries mid-assertion.
     static PARSE_CACHE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
@@ -1666,8 +1553,10 @@ mod tests {
         let uncached = GraphQE { use_parse_cache: false, ..GraphQE::new() };
         let bypass = "MATCH (pc_bypass_test:ParseCache) RETURN pc_bypass_test";
         assert!(uncached.prove(bypass, bypass).is_equivalent());
-        let entry = parse_cache().lock().unwrap_or_else(|poison| poison.into_inner()).get(bypass);
-        assert!(entry.is_none(), "use_parse_cache: false must not touch the cache");
+        assert!(
+            parse_cache().get(bypass).is_none(),
+            "use_parse_cache: false must not add an entry"
+        );
     }
 
     #[test]
@@ -1688,13 +1577,9 @@ mod tests {
         assert_eq!(set_parse_cache_capacity(previous), 1);
     }
 
-    /// Tests that read normalize-cache counters or reconfigure its (global)
-    /// capacity serialize here, like the parse-cache tests above.
-    static NORMALIZE_CACHE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn normalize_cache_replays_warm_certifications() {
-        let _serial = NORMALIZE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = PARSE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prover = prover();
         // A unique text whose normalization does real work (undirected
         // relationship → union of directions).
@@ -1703,41 +1588,56 @@ mod tests {
         assert!(prover.prove(text, text).is_equivalent());
         let (hits_mid, misses_mid) = normalize_cache_stats();
         assert!(misses_mid > misses_before, "first sight of a query must miss");
-        // Warm re-certification: both sides replay from the cache.
+        // Warm re-certification: both sides replay from the entry.
         assert!(prover.prove(text, text).is_equivalent());
         let (hits_after, _) = normalize_cache_stats();
         assert!(hits_after >= hits_mid + 2, "warm re-certification must hit per side");
-        // An opted-out prover bypasses the cache entirely: a text only this
-        // check proves leaves no entry for its parsed query. (Sibling tests
-        // prove concurrently, so the process-global counters cannot show a
-        // bypass.)
+        // An opted-out prover still parses through the cache but leaves its
+        // text's entry without stages. (Sibling tests prove concurrently, so
+        // the process-global counters cannot show a bypass.)
         let uncached = GraphQE { use_normalize_cache: false, ..GraphQE::new() };
         let bypass = "MATCH (nc_bypass_test)-[r]-(m) RETURN nc_bypass_test";
         assert!(uncached.prove(bypass, bypass).is_equivalent());
-        let query = parse_check_cached(bypass).expect("the text parses");
-        let key = Arc::as_ptr(&query) as usize;
-        let entry = normalize_cache().lock().unwrap_or_else(|poison| poison.into_inner()).get(&key);
+        let entry = parse_cache().get(bypass).expect("the text has an entry");
         assert!(
-            !matches!(entry, Some(entry) if Arc::ptr_eq(&entry.source, &query)),
-            "use_normalize_cache: false must not touch the cache"
+            entry.expect("the text parses").memoized_stages().is_none(),
+            "use_normalize_cache: false must not fill the entry's stages"
         );
     }
 
     #[test]
-    fn normalize_cache_capacity_bound_holds_and_counts_evictions() {
-        let _serial = NORMALIZE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let previous = set_normalize_cache_capacity(4);
-        let evictions_before = normalize_cache_evictions();
+    fn one_bound_evicts_both_stages_of_a_text() {
+        let _serial = PARSE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let previous = set_parse_cache_capacity(64);
         let prover = GraphQE { search_counterexamples: false, ..GraphQE::new() };
-        for i in 0..12 {
-            let text = format!("MATCH (nc_bound_{i}:L{i}) RETURN nc_bound_{i}");
-            let _ = prover.prove(&text, &text);
-            assert!(normalize_cache_len() <= 4, "bound exceeded: {}", normalize_cache_len());
+        let text = "MATCH (pc_evicted)-[r]-(m) RETURN pc_evicted";
+        assert!(prover.prove(text, text).is_equivalent());
+        let first = parse_check_cached(text).unwrap();
+        let first_stages =
+            Arc::clone(first.memoized_stages().expect("the prove filled the stages"));
+        // A text still cached replays both stages: both hit counters grow.
+        let (parse, normalize) = (parse_cache_stats(), normalize_cache_stats());
+        assert!(prover.prove(text, text).is_equivalent());
+        assert!(parse_cache_stats().0 >= parse.0 + 2, "a cached text must replay its parse");
+        assert!(normalize_cache_stats().0 >= normalize.0 + 2, "and its normalization");
+        // Sixty-four newer texts fill the bound, and the least recently used
+        // entry goes with both of its stages.
+        for i in 0..64 {
+            let other = format!("MATCH (pc_evicts_{i}:L{i}) RETURN pc_evicts_{i}");
+            assert!(prover.prove(&other, &other).is_equivalent());
         }
-        assert!(normalize_cache_evictions() > evictions_before, "saturation must evict");
-        set_normalize_cache_capacity(1);
-        assert!(normalize_cache_len() <= 1);
-        assert_eq!(set_normalize_cache_capacity(previous), 1);
+        assert!(parse_cache().get(text).is_none(), "the oldest text must be evicted");
+        // An evicted text is re-parsed and re-normalized: both miss counters
+        // grow, and its new entry holds new stages.
+        let (parse, normalize) = (parse_cache_stats(), normalize_cache_stats());
+        assert!(prover.prove(text, text).is_equivalent());
+        assert!(parse_cache_stats().1 > parse.1, "an evicted text must be re-parsed");
+        assert!(normalize_cache_stats().1 > normalize.1, "and re-normalized");
+        let second = parse_check_cached(text).unwrap();
+        assert!(!Arc::ptr_eq(&first, &second), "the re-parse is a new entry");
+        let second_stages = second.memoized_stages().expect("the prove filled the stages");
+        assert!(!Arc::ptr_eq(&first_stages, second_stages), "with new stages");
+        assert_eq!(set_parse_cache_capacity(previous), 64);
     }
 
     /// The stamp of the arena an entry's build memo holds ids of.
@@ -1750,13 +1650,12 @@ mod tests {
 
     #[test]
     fn normalized_stages_memoize_builds_across_threads() {
-        // The prove below must reach this test's cache entries, which the
+        // The prove below must reach this test's cache entry, which the
         // capacity tests would otherwise be free to evict.
-        let _parse_serial = PARSE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _serial = NORMALIZE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = PARSE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let text = "MATCH (nc_build_memo)-[r:R]->(m) RETURN nc_build_memo";
-        let query = parse_check_cached(text).unwrap();
-        let stages = normalized_stages(&query).expect("normalization must succeed");
+        let entry = parse_check_cached(text).unwrap();
+        let stages = entry.stages().expect("normalization must succeed");
         let expected = gexpr::build_query(stages.normalized()).expect("build must succeed");
         let externalized = |stages: &NormalizedStages| {
             with_thread_store(|store| {

@@ -31,8 +31,8 @@ use limits::Stage;
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 /// A prover whose pipeline always runs for real: no search memo and no
-/// shared normalize cache (a memoized replay would skip the machinery the
-/// faults target — a warm normalize-cache entry satisfies stage ② without
+/// normalize memo (a memoized replay would skip the machinery the faults
+/// target — a parse-cache entry's memoized stages satisfy stage ② without
 /// ever reaching the armed normalize checkpoint).
 fn fault_prover() -> GraphQE {
     GraphQE {
@@ -91,7 +91,7 @@ fn panic_isolation_at(stage: Stage) {
     let panicked: Vec<usize> = outcomes
         .iter()
         .enumerate()
-        .filter(|(_, o)| o.failure_reason == Some(FailureCategory::Panicked))
+        .filter(|(_, o)| o.verdict.failure_category() == Some(FailureCategory::Panicked))
         .map(|(i, _)| i)
         .collect();
     assert_eq!(panicked.len(), 1, "exactly one pair must be afflicted at {stage}: {panicked:?}");
@@ -171,6 +171,37 @@ fn stall_times_out_at(stage: Stage, pair: (&str, &str)) {
 #[test]
 fn a_stall_past_the_deadline_times_out_in_normalization() {
     stall_times_out_at(Stage::Normalize, EQ_SIMPLE);
+}
+
+#[test]
+fn a_stall_in_a_cached_normalization_times_out_and_memoizes_nothing() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|poison| poison.into_inner());
+    // Every cache on, and texts no other test proves: stage ② runs through
+    // the texts' fresh parse-cache entries, so the armed checkpoint is the
+    // one a memoizing normalization passes.
+    let pair =
+        ("MATCH (fi_trip)-[r]->(b) RETURN fi_trip", "MATCH (b)<-[r]-(fi_trip) RETURN fi_trip");
+    let limited = GraphQE {
+        limits: ProveLimits {
+            deadline: Some(Duration::from_millis(100)),
+            ..ProveLimits::default()
+        },
+        ..GraphQE::new()
+    };
+    faults::arm(Stage::Normalize, FaultKind::Stall(Duration::from_millis(300)), 1);
+    let verdict = limited.prove(pair.0, pair.1);
+    faults::disarm();
+    assert_eq!(
+        verdict.failure_category(),
+        Some(FailureCategory::Timeout { stage: Stage::Normalize }),
+        "got {verdict}"
+    );
+    // A tripped normalization is never memoized: both entries hold no stages.
+    for text in [pair.0, pair.1] {
+        let entry = graphqe::parse_check_cached(text).expect("the text parses");
+        assert!(entry.memoized_stages().is_none(), "the trip left stages in {text}'s entry");
+    }
+    assert!(GraphQE::new().prove(pair.0, pair.1).is_equivalent());
 }
 
 #[test]

@@ -347,7 +347,6 @@ fn handle_prove(shared: &Shared, body: &[u8]) -> (u16, String) {
             let (left, right) = &parsed.pairs[index];
             let (verdict, certificate) =
                 prover.certify_verdict(left, right, outcome.verdict.clone(), true);
-            outcome.failure_reason = verdict.failure_category();
             outcome.verdict = verdict;
             certificates[index] = certificate.map(|cert| cert.to_json());
         }
@@ -444,8 +443,8 @@ fn handle_stats(shared: &Shared) -> (u16, String) {
     (200, body.to_string())
 }
 
-/// `POST /v1/admin/clear-caches`: clears the process-wide pool, vocabulary
-/// and search-memo caches (and the parse and normalize caches). With
+/// `POST /v1/admin/clear-caches`: clears the process-wide pool and
+/// search-memo caches (and the parse cache with its normalized forms). With
 /// `{"expected_generation":N}` the clear is
 /// generation-guarded: it happens only if no clear has landed since the
 /// caller observed generation `N` (from `/v1/stats`), otherwise `409` — the
@@ -485,7 +484,6 @@ fn handle_clear_caches(body: &[u8]) -> (u16, String) {
     };
     if cleared {
         graphqe::clear_parse_cache();
-        graphqe::clear_normalize_cache();
     }
     let body = json::obj(vec![
         ("cleared", Json::Bool(cleared)),

@@ -6,9 +6,9 @@
 //!    [`evaluate_query`] on each graph, and fail exactly where it fails (the
 //!    evaluator itself is checked against the certificate checker's
 //!    independent evaluator in `tests/checker_differential.rs`).
-//! 2. **The shared normalize/build cache** hands concurrent provers the same
-//!    entry, whose build equals a fresh one in every thread's arena and
-//!    across an arena reset.
+//! 2. **A parse-cache entry's stages** are the same for concurrent provers,
+//!    and their build equals a fresh one in every thread's arena and across
+//!    an arena reset.
 //! 3. **Concurrent smoke**: two batch workers prove the full CyEqSet and
 //!    CyNeqSet corpora through the process-wide caches with the verdict
 //!    totals pinned to the single-threaded expectations (138/0/10 and
@@ -18,13 +18,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gexpr::{BuildOutput, GExpr};
-use graphqe::{normalize_cache_stats, parse_check_cached, GraphQE, NormalizedStages, ProveLimits};
+use graphqe::{
+    normalize_cache_stats, parse_check_cached, CheckedQuery, GraphQE, NormalizedStages, ProveLimits,
+};
 use property_graph::{evaluate_planned, evaluate_query, GraphGenerator, PropertyGraph, QueryPlan};
 
-// The normalize cache hands its entries to every thread.
+// The parse cache hands its entries, and their stages, to every thread.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<NormalizedStages>();
+    assert_send_sync::<Arc<CheckedQuery>>();
     assert_send_sync::<Arc<NormalizedStages>>();
 };
 
@@ -87,23 +89,22 @@ fn externalized_build(stages: &NormalizedStages) -> (Arc<BuildOutput>, BuildOutp
     })
 }
 
-/// The shared normalize/build cache serves the same entry to concurrent
-/// provers. Its build memo holds ids of one arena: a thread whose arena
-/// does not hold them builds into its own and gets an equal build, and
-/// after an epoch reset the next prove rebuilds instead of reusing stale
-/// ids.
+/// A parse-cache entry serves the same stages to concurrent provers. Their
+/// build memo holds ids of one arena: a thread whose arena does not hold
+/// them builds into its own and gets an equal build, and after an epoch
+/// reset the next prove rebuilds instead of reusing stale ids.
 #[test]
 fn normalized_stages_are_shared_and_consistent_across_threads() {
     let text = "MATCH (fs_shared)-[r:R]->(m:Label) RETURN fs_shared.p";
-    let query = parse_check_cached(text).unwrap();
-    let baseline = graphqe::normalized_stages(&query).expect("normalization must succeed");
+    let entry = parse_check_cached(text).unwrap();
+    let baseline = entry.stages().expect("normalization must succeed");
     let expected = gexpr::build_query(baseline.normalized()).expect("build must succeed");
     let handles: Vec<_> = (0..4)
         .map(|_| {
-            let query = Arc::clone(&query);
+            let entry = Arc::clone(&entry);
             let expected = expected.clone();
             std::thread::spawn(move || {
-                let stages = graphqe::normalized_stages(&query).unwrap();
+                let stages = entry.stages().unwrap();
                 assert_eq!(externalized_build(&stages).1, expected);
                 stages
             })
@@ -113,7 +114,7 @@ fn normalized_stages_are_shared_and_consistent_across_threads() {
         let stages = handle.join().unwrap();
         assert!(
             Arc::ptr_eq(&stages, &baseline),
-            "threads must receive the same shared cache entry"
+            "threads must receive the entry's one set of stages"
         );
     }
     // The threads left the memo on their arenas: this thread rebuilds, and
@@ -178,6 +179,6 @@ fn two_workers_prove_the_full_corpus_with_pinned_verdicts() {
     let (_, normalize_misses_after) = normalize_cache_stats();
     assert!(
         normalize_misses_after > normalize_misses_before,
-        "the corpus run must populate the shared normalize cache"
+        "the corpus run must normalize through the parse-cache entries"
     );
 }
