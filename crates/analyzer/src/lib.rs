@@ -14,17 +14,16 @@
 //! * coded, spanned [`Diagnostic`]s (shared with `cypher-parser`) for
 //!   *definitely* ill-typed constructs (`UNWIND` over a non-list, `WHERE` on
 //!   a non-boolean, arithmetic over entities, non-integer `LIMIT`/`SKIP`);
-//! * helper predicates consumed by the prover: [`signatures_discriminate`]
-//!   (the signature-discrimination fast path) and [`int_hint_columns`]
-//!   (typing facts handed to the SMT encoding).
+//! * [`signatures_discriminate`], the predicate behind the prover's
+//!   signature-discrimination fast path.
 //!
 //! Inference is deliberately conservative: a claim is only made when it
 //! holds for **every** evaluation of the query under the reference
 //! evaluator's semantics (e.g. integer arithmetic is typed `Integer` but
 //! *nullable*, because the evaluator degrades overflow and division by zero
 //! to `NULL`). Anything uncertain is `Any`/nullable, which can never
-//! discriminate and never produces a typing hint — the analyzer may make
-//! verdicts faster or reject genuinely ill-typed inputs, never flip one.
+//! discriminate — the analyzer may make verdicts faster or reject genuinely
+//! ill-typed inputs, never flip one.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -155,17 +154,8 @@ impl Scope {
 }
 
 /// Analyzes a query: infers the output signature and reports definite type
-/// errors. Diagnostics carry clause-level spans (no source text available).
+/// errors. Diagnostics carry clause-level spans.
 pub fn analyze(query: &Query) -> Result<Analysis, Diagnostic> {
-    analyze_inner(query, None)
-}
-
-/// Analyzes a query, narrowing diagnostic spans using the original text.
-pub fn analyze_with_source(query: &Query, source: &str) -> Result<Analysis, Diagnostic> {
-    analyze_inner(query, Some(source))
-}
-
-fn analyze_inner(query: &Query, _source: Option<&str>) -> Result<Analysis, Diagnostic> {
     let Some((first, rest)) = query.parts.split_first() else {
         return Ok(Analysis { signature: None });
     };
@@ -696,23 +686,6 @@ fn compatible_bijection_exists(left: &[TypeSig], right: &[TypeSig]) -> bool {
     recurse(left, right, &mut used, 0)
 }
 
-/// The columns that are provably integer-valued and non-null on **both**
-/// sides under the identity alignment — the typing facts the prover feeds
-/// into SMT term construction (integer-sorted output variables).
-pub fn int_hint_columns(left: &[TypeSig], right: &[TypeSig]) -> Vec<usize> {
-    if left.len() != right.len() {
-        return Vec::new();
-    }
-    (0..left.len())
-        .filter(|&i| {
-            left[i].ty == Type::Integer
-                && !left[i].nullable
-                && right[i].ty == Type::Integer
-                && !right[i].nullable
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -875,15 +848,6 @@ mod tests {
             std::slice::from_ref(&nullable_int),
             std::slice::from_ref(&nullable_str)
         ));
-    }
-
-    #[test]
-    fn int_hint_columns_require_both_sides_non_null_integer() {
-        let left = sig("UNWIND [1, 2] AS x RETURN x, x + 1");
-        let right = sig("UNWIND [2, 1] AS y RETURN y, y + 1");
-        // Column 0 is Integer & non-null on both sides; column 1 is Integer
-        // but nullable (overflow), so it gets no hint.
-        assert_eq!(int_hint_columns(&left, &right), vec![0]);
     }
 
     #[test]

@@ -461,11 +461,6 @@ fn term_of(term: &GTerm) -> GxTerm {
     match term {
         GTerm::Var(v) => GxTerm::Var(VarId(v.0)),
         GTerm::OutCol(i) => GxTerm::OutCol(*i),
-        // Certificates erase typing hints: evidence mode proves on the plain
-        // (unhinted) builds, so hinted columns cannot actually reach this
-        // conversion; mapping them to the untyped column keeps the
-        // certificate format hint-free either way.
-        GTerm::IntCol(i) => GxTerm::OutCol(*i),
         GTerm::Prop(base, key) => GxTerm::Prop(Box::new(term_of(base)), key.clone()),
         GTerm::Const(c) => GxTerm::Const(const_of(c)),
         GTerm::App(name, args) => GxTerm::App(name.clone(), args.iter().map(term_of).collect()),

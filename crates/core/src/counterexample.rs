@@ -8,16 +8,15 @@
 //!
 //! ## Ownership and sharing
 //!
-//! Candidate pools are deterministic functions of `(search config,
-//! query-derived vocabulary)`, so they are shared **process-wide**: each
-//! pool is an `Arc<Mutex<LazyPool>>` in one `Mutex<HashMap>` keyed by the
-//! search parameters and the vocabulary's value, and a memoized witness
-//! holds the pool it was found in. A pool materializes its graphs
-//! *incrementally*: a search pulls graph `i`, and the pool generates graphs
-//! up to `i` on demand, keeping everything it generates. Early-exit searches
-//! therefore stay lazy (random graphs past the first witness are never
-//! generated) and still leave their prefix behind for the next search over
-//! the same vocabulary. A pool graph is its data and nothing more: the
+//! Candidate pools are deterministic functions of the query-derived
+//! vocabulary, so they are shared **process-wide**: each pool is an
+//! `Arc<Mutex<LazyPool>>` in one `Mutex<HashMap>` keyed by the vocabulary's
+//! value, and a memoized witness holds the pool it was found in. A pool
+//! materializes its graphs *incrementally*: a search pulls graph `i`, and
+//! the pool generates graphs up to `i` on demand, keeping everything it
+//! generates. Early-exit searches therefore stay lazy (random graphs past
+//! the first witness are never generated) and still leave their prefix
+//! behind for the next search over the same vocabulary. A pool graph is its data and nothing more: the
 //! matcher scans its flat vectors, so no per-graph index is built. Graphs
 //! are handed out as `Arc<PropertyGraph>` clones, so evaluation runs outside
 //! the pool lock.
@@ -50,11 +49,6 @@ use crate::verdict::Counterexample;
 /// Configuration of the counterexample search.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
-    /// Number of random graphs to try (in addition to the deterministic
-    /// seed graphs).
-    pub random_graphs: usize,
-    /// Seed of the random graph generator.
-    pub seed: u64,
     /// Consult (and populate) the process-wide search-result memo. Disabled
     /// by benchmark baselines and tests that need the search machinery to
     /// actually run; the outcome is identical either way.
@@ -63,22 +57,20 @@ pub struct SearchConfig {
 
 impl Default for SearchConfig {
     fn default() -> Self {
-        SearchConfig { random_graphs: 120, seed: 0xC0FFEE, use_memo: true }
+        SearchConfig { use_memo: true }
     }
 }
+
+/// Number of random graphs in every pool, after the three seed graphs.
+const RANDOM_GRAPHS: usize = 120;
+
+/// Seed of every pool's small-graph generator (its large-graph sibling takes
+/// the next seed).
+const POOL_SEED: u64 = 0xC0FFEE;
 
 // ---------------------------------------------------------------------------
 // The shared pool cache
 // ---------------------------------------------------------------------------
-
-/// The full identity of a candidate pool: search parameters plus the
-/// query-derived generator vocabulary, compared and hashed by value.
-#[derive(PartialEq, Eq, Hash)]
-struct PoolKey {
-    random_graphs: usize,
-    seed: u64,
-    vocabulary: Arc<GeneratorConfig>,
-}
 
 /// A candidate pool that materializes its deterministic graph sequence on
 /// demand and keeps everything it generates. It starts with the three shared
@@ -90,10 +82,10 @@ struct LazyPool {
 }
 
 impl LazyPool {
-    fn new(config: &SearchConfig, vocabulary: &Arc<GeneratorConfig>) -> LazyPool {
+    fn new(vocabulary: &Arc<GeneratorConfig>) -> LazyPool {
         LazyPool {
             graphs: seed_graphs().to_vec(),
-            source: Some(Box::new(random_graphs(config, vocabulary))),
+            source: Some(Box::new(random_graphs(vocabulary))),
         }
     }
 
@@ -117,11 +109,13 @@ impl LazyPool {
 /// clone, or one graph generation on a cache miss) and evaluated outside it.
 type SharedPool = Arc<Mutex<LazyPool>>;
 
-/// The candidate pools of the process, shared by every thread. Generation is
-/// deterministic, so two searches with the same key explore the exact same
-/// graphs; pools cached here carry their materialized prefix, so repeated
-/// searches skip regeneration.
-static POOLS: LazyLock<Mutex<HashMap<PoolKey, SharedPool>>> = LazyLock::new(Mutex::default);
+/// The candidate pools of the process, one per generator vocabulary (compared
+/// and hashed by value), shared by every thread. Generation is
+/// deterministic, so two searches over the same vocabulary explore the exact
+/// same graphs; pools cached here carry their materialized prefix, so
+/// repeated searches skip regeneration.
+static POOLS: LazyLock<Mutex<HashMap<Arc<GeneratorConfig>, SharedPool>>> =
+    LazyLock::new(Mutex::default);
 
 /// The graph at `index` of the shared pool (see [`LazyPool::graph`]).
 fn pool_graph(pool: &SharedPool, index: usize) -> Option<Arc<PropertyGraph>> {
@@ -130,16 +124,12 @@ fn pool_graph(pool: &SharedPool, index: usize) -> Option<Arc<PropertyGraph>> {
 
 /// The shared pool for a query pair: derives the vocabulary and resolves
 /// the pool through the cache, creating an empty lazy pool on first use.
-fn pool_for(q1: &Query, q2: &Query, config: &SearchConfig) -> SharedPool {
-    let key = PoolKey {
-        random_graphs: config.random_graphs,
-        seed: config.seed,
-        vocabulary: Arc::new(GeneratorConfig::from_queries(&[q1, q2])),
-    };
+fn pool_for(q1: &Query, q2: &Query) -> SharedPool {
+    let vocabulary = Arc::new(GeneratorConfig::from_queries(&[q1, q2]));
     let mut pools = POOLS.lock().unwrap_or_else(PoisonError::into_inner);
     let pool = pools
-        .entry(key)
-        .or_insert_with_key(|key| Arc::new(Mutex::new(LazyPool::new(config, &key.vocabulary))));
+        .entry(vocabulary)
+        .or_insert_with_key(|vocabulary| Arc::new(Mutex::new(LazyPool::new(vocabulary))));
     Arc::clone(pool)
 }
 
@@ -147,10 +137,9 @@ fn pool_for(q1: &Query, q2: &Query, config: &SearchConfig) -> SharedPool {
 // The search-result memo
 // ---------------------------------------------------------------------------
 
-/// Identity of one completed search: the pretty-printed queries plus the
-/// search parameters (the vocabulary is derived from the queries, so it is
-/// implied by the key).
-type SearchMemoKey = (String, String, usize, u64);
+/// Identity of one completed search: the pretty-printed queries (the pool's
+/// vocabulary is derived from the queries, so it is implied by the key).
+type SearchMemoKey = (String, String);
 
 /// Everything needed to reconstruct a witness certificate without re-running
 /// the queries: the pool the search walked, the witness's index there and
@@ -228,13 +217,8 @@ pub fn set_search_memo_capacity(capacity: usize) -> usize {
     previous
 }
 
-fn search_memo_key(q1: &Query, q2: &Query, config: &SearchConfig) -> SearchMemoKey {
-    (
-        cypher_parser::pretty::query_to_string(q1),
-        cypher_parser::pretty::query_to_string(q2),
-        config.random_graphs,
-        config.seed,
-    )
+fn search_memo_key(q1: &Query, q2: &Query) -> SearchMemoKey {
+    (cypher_parser::pretty::query_to_string(q1), cypher_parser::pretty::query_to_string(q2))
 }
 
 /// Replays a memoized search outcome, if any. `Some(verdict)` is the final
@@ -439,11 +423,11 @@ pub fn find_counterexample(
     q2: &Query,
     config: &SearchConfig,
 ) -> Option<Counterexample> {
-    let memo_key = search_memo_key(q1, q2, config);
+    let memo_key = search_memo_key(q1, q2);
     if let Some(outcome) = replay_memoized_search(&memo_key, q1, q2, config) {
         return outcome;
     }
-    let pool = pool_for(q1, q2, config);
+    let pool = pool_for(q1, q2);
     // One plan per query for the whole search, lowered once and reused on
     // every graph.
     let (left, right) = (QueryPlan::new(q1), QueryPlan::new(q2));
@@ -498,15 +482,12 @@ fn seed_graphs() -> &'static [Arc<PropertyGraph>; 3] {
 /// witnessing counterexample are never generated, let alone evaluated. On
 /// CyNeqSet most pairs are separated by one of the deterministic seed graphs
 /// or the first few random ones, so the bulk of the pool is skipped entirely.
-fn random_graphs(
-    config: &SearchConfig,
-    vocabulary: &Arc<GeneratorConfig>,
-) -> impl Iterator<Item = PropertyGraph> {
-    let small_count = config.random_graphs / 2;
-    let large_count = config.random_graphs - small_count;
-    let mut small = GraphGenerator::shared(config.seed, Arc::clone(vocabulary));
+fn random_graphs(vocabulary: &Arc<GeneratorConfig>) -> impl Iterator<Item = PropertyGraph> {
+    let small_count = RANDOM_GRAPHS / 2;
+    let large_count = RANDOM_GRAPHS - small_count;
+    let mut small = GraphGenerator::shared(POOL_SEED, Arc::clone(vocabulary));
     // A second pool with larger graphs, over the same vocabulary.
-    let mut large = small.sibling(config.seed.wrapping_add(1), 9, 16);
+    let mut large = small.sibling(POOL_SEED + 1, 9, 16);
     (0..small_count)
         .map(move |_| small.generate())
         .chain((0..large_count).map(move |_| large.generate()))
@@ -590,24 +571,25 @@ mod tests {
     fn equal_vocabularies_share_one_pool() {
         let q1 = parse_query("MATCH (n:Zebra) RETURN n").unwrap();
         let q2 = parse_query("MATCH (n:Yak) RETURN n").unwrap();
-        let config = SearchConfig::default();
-        // Separately parsed queries derive equal vocabularies: one pool. (A
-        // concurrent epoch-reset test can clear the cache between the two
-        // lookups; retry like the memo tests do.)
+        // Separately parsed queries derive equal vocabularies: one pool. So
+        // do different queries over the same names. (A concurrent
+        // epoch-reset test can clear the cache between two lookups; retry
+        // like the memo tests do.)
         let again = parse_query("MATCH (n:Zebra) RETURN n").unwrap();
-        assert!((0..5)
-            .any(|_| Arc::ptr_eq(&pool_for(&q1, &q2, &config), &pool_for(&again, &q2, &config))));
-        // A different vocabulary or search seed is a different pool.
-        assert!(!Arc::ptr_eq(&pool_for(&q1, &q2, &config), &pool_for(&q1, &q1, &config)));
-        let reseeded = SearchConfig { seed: 7, ..SearchConfig::default() };
-        assert!(!Arc::ptr_eq(&pool_for(&q1, &q2, &config), &pool_for(&q1, &q2, &reseeded)));
+        let projected = parse_query("MATCH (m:Yak) RETURN m, m").unwrap();
+        assert!((0..5).any(|_| Arc::ptr_eq(&pool_for(&q1, &q2), &pool_for(&again, &q2))));
+        assert!((0..5).any(|_| Arc::ptr_eq(&pool_for(&q1, &q2), &pool_for(&q1, &projected))));
+        // A different vocabulary is a different pool.
+        assert!(!Arc::ptr_eq(&pool_for(&q1, &q2), &pool_for(&q1, &q1)));
+        let keyed = parse_query("MATCH (n:Yak {p: 7}) RETURN n").unwrap();
+        assert!(!Arc::ptr_eq(&pool_for(&q1, &q2), &pool_for(&q1, &keyed)));
     }
 
     #[test]
     fn the_witness_is_the_first_separating_pool_graph() {
         let q1 = parse_query("MATCH (n:Person)-[:READ]->(b) RETURN b").unwrap();
         let q2 = parse_query("MATCH (n:Person)-[:READ]->(b) RETURN DISTINCT b").unwrap();
-        let config = SearchConfig { use_memo: false, ..SearchConfig::default() };
+        let config = SearchConfig { use_memo: false };
         let example = find_counterexample(&q1, &q2, &config).expect("witness expected");
         // Evaluated afresh, the witness separates the queries with the
         // reported row counts, and no earlier pool graph separates them.
@@ -617,7 +599,7 @@ mod tests {
             (!left.bag_equal(&right)).then(|| (left.len(), right.len()))
         };
         assert_eq!(separates(&example.graph), Some((example.left_rows, example.right_rows)));
-        let pool = pool_for(&q1, &q2, &config);
+        let pool = pool_for(&q1, &q2);
         for index in 0..example.pool_index {
             let graph = pool_graph(&pool, index).expect("pool graph");
             assert_eq!(separates(&graph), None, "pool graph {index} separates too");
@@ -654,19 +636,23 @@ mod tests {
     /// here so their bound assertions cannot observe each other's settings.
     static MEMO_CAPACITY_LOCK: Mutex<()> = Mutex::new(());
 
+    /// The `tag`-th of a family of pairs with distinct memo keys, each
+    /// separated by the deterministic paper graph, so each search is cheap.
+    fn tagged_pair(tag: usize) -> (Query, Query) {
+        let query = |label: &str| parse_query(&format!("MATCH (n:{label}) RETURN n, {tag}"));
+        (query("Person").unwrap(), query("Book").unwrap())
+    }
+
     #[test]
     fn search_memo_capacity_bound_evicts_lru() {
         let _serial = MEMO_CAPACITY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let q1 = parse_query("MATCH (n:Person) RETURN n").unwrap();
-        let q2 = parse_query("MATCH (n:Book) RETURN n").unwrap();
+        let config = SearchConfig::default();
         let previous_capacity = set_search_memo_capacity(3);
         let evictions_before = search_memo_evictions();
-        // Six distinct memo keys (the key includes the seed) through a
-        // 3-entry memo: the bound must hold and evictions must happen. The
-        // pair is separated by the deterministic paper graph, so each search
-        // is cheap.
-        for seed in 0..6 {
-            let config = SearchConfig { random_graphs: 2, seed, use_memo: true };
+        // Six distinct memo keys through a 3-entry memo: the bound must hold
+        // and evictions must happen.
+        for tag in 0..6 {
+            let (q1, q2) = tagged_pair(tag);
             assert!(find_counterexample(&q1, &q2, &config).is_some());
         }
         assert!(
@@ -682,7 +668,7 @@ mod tests {
         // the memo. (A concurrently running eviction/clear test can drop the
         // entry between searches; retry like the replay test does — each
         // miss re-inserts, so a hit must become observable.)
-        let config = SearchConfig { random_graphs: 2, seed: 5, use_memo: true };
+        let (q1, q2) = tagged_pair(5);
         let mut hit = false;
         for _ in 0..5 {
             let (hits_before, _) = search_memo_stats();
@@ -699,12 +685,10 @@ mod tests {
     #[test]
     fn shrinking_the_memo_capacity_evicts_down_immediately() {
         let _serial = MEMO_CAPACITY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let q1 = parse_query("MATCH (n:Cat) RETURN n").unwrap();
-        let q2 = parse_query("MATCH (n:Dog) RETURN n").unwrap();
         let previous_capacity = set_search_memo_capacity(8);
-        for seed in 100..104 {
-            let config = SearchConfig { random_graphs: 2, seed, use_memo: true };
-            let _ = find_counterexample(&q1, &q2, &config);
+        for tag in 100..104 {
+            let (q1, q2) = tagged_pair(tag);
+            let _ = find_counterexample(&q1, &q2, &SearchConfig::default());
         }
         set_search_memo_capacity(1);
         assert!(search_memo_len() <= 1);
@@ -721,14 +705,13 @@ mod tests {
             .fold(hash, |hash, byte| (hash ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3))
     }
 
-    /// A digest of the first `3 + random_graphs` graphs of the pool over
+    /// A digest of the `3 + RANDOM_GRAPHS` graphs of the pool over
     /// `vocabulary`: each graph's nodes and relationships in id order, with
     /// labels, type, endpoints and properties by name.
     fn pool_digest(vocabulary: GeneratorConfig) -> u64 {
-        let config = SearchConfig::default();
-        let mut pool = LazyPool::new(&config, &Arc::new(vocabulary));
+        let mut pool = LazyPool::new(&Arc::new(vocabulary));
         let mut hash = 0xcbf2_9ce4_8422_2325;
-        for index in 0..3 + config.random_graphs {
+        for index in 0..3 + RANDOM_GRAPHS {
             let graph = crate::certificate::graph_cert_of(&pool.graph(index).expect("pool graph"));
             let mut text = format!("graph {index}\n");
             for (id, node) in graph.nodes.iter().enumerate() {
@@ -764,7 +747,7 @@ mod tests {
     fn clearing_the_pool_cache_only_costs_regeneration() {
         let q1 = parse_query("MATCH (a)-[r]->(b) RETURN a").unwrap();
         let q2 = parse_query("MATCH (b)<-[r]-(a) RETURN a").unwrap();
-        let config = SearchConfig { random_graphs: 6, ..SearchConfig::default() };
+        let config = SearchConfig::default();
         assert!(find_counterexample(&q1, &q2, &config).is_none());
         clear_pool_cache();
         assert!(find_counterexample(&q1, &q2, &config).is_none());

@@ -10,7 +10,7 @@
 //! segment — a sufficient condition, exactly as in the paper.
 
 use cypher_parser::ast::{
-    Clause, MatchClause, NodePattern, PathPattern, Projection, ProjectionItems, Query, SingleQuery,
+    Clause, MatchClause, NodePattern, PathPattern, ProjectionItems, Query, SingleQuery,
 };
 
 /// Returns `true` if any `WITH` clause of the query carries `LIMIT` or `SKIP`.
@@ -71,17 +71,6 @@ pub fn split_into_segments(query: &Query) -> Option<Vec<Query>> {
     }
     segments.push(Query::single(SingleQuery { clauses: current }));
     Some(segments)
-}
-
-/// Builds a `RETURN`-only projection of the given variable names (helper for
-/// tests and the prover).
-pub fn return_of_variables(names: &[&str]) -> Projection {
-    Projection::plain(
-        names
-            .iter()
-            .map(|n| cypher_parser::ast::ProjectionItem::expr(cypher_parser::ast::Expr::var(*n)))
-            .collect(),
-    )
 }
 
 #[cfg(test)]

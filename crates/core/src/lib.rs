@@ -55,7 +55,6 @@ use cypher_parser::ast::{Clause, ProjectionItems, Query};
 use cypher_parser::{parse_and_check, CheckError};
 use gexpr::arena::ANode;
 use gexpr::{build_into, with_thread_store, BuildError, BuildOutput, ColumnKind, GStore};
-use graphqe_analyzer::TypeSig;
 use graphqe_checker::cert::QueryCert;
 use liastar::witness::{ProofRecord, SegmentRecord};
 use liastar::{DecideOptions, Decision};
@@ -406,11 +405,10 @@ pub struct GraphQE {
     /// Run the stage-⓪ static analyzer ([`graphqe_analyzer`]) on both
     /// queries before proving: flow-sensitive type inference produces an
     /// output-column signature per query, a definite type error short-cuts
-    /// to `Unknown(TypeError)`, discriminating signatures prioritize the
-    /// counterexample search, and inferred integer columns feed a
-    /// last-resort typed decision retry. Disabled only by ablation
-    /// benchmarks; verdict-neutral apart from the retry upgrade (a
-    /// NOT_EQUIVALENT still always carries a concrete witness).
+    /// to `Unknown(TypeError)`, and discriminating signatures prioritize the
+    /// counterexample search. Disabled only by ablation benchmarks;
+    /// verdict-neutral (a NOT_EQUIVALENT still always carries a concrete
+    /// witness).
     pub analyze: bool,
     /// Apply the Table II normalization rules (stage ②). Disabled only by the
     /// ablation benchmarks.
@@ -419,9 +417,6 @@ pub struct GraphQE {
     pub search_counterexamples: bool,
     /// Configuration of the counterexample search.
     pub search_config: SearchConfig,
-    /// Maximum number of return-element permutations tried when mapping the
-    /// returned columns of the two queries (§IV-C).
-    pub max_column_permutations: usize,
     /// Decide with the reference tree normalizer instead of the memoizing
     /// hash-consed arena. Verdicts are identical either way; this exists so
     /// benchmarks can measure the arena speedup against the paper-faithful
@@ -459,7 +454,6 @@ impl Default for GraphQE {
             normalize: true,
             search_counterexamples: true,
             search_config: SearchConfig::default(),
-            max_column_permutations: 24,
             use_tree_normalizer: false,
             limits: ProveLimits::default(),
             search_threads: 0,
@@ -549,9 +543,9 @@ impl GraphQE {
         // pair unprovable; otherwise the inferred output signatures steer the
         // rest of the pipeline without ever deciding a verdict on their own.
         let stage_start = Instant::now();
-        let signatures = if self.analyze {
-            match analyzed_signatures(parsed1.query(), parsed2.query()) {
-                Ok(signatures) => signatures,
+        let discriminating = if self.analyze {
+            match discriminating_signatures(parsed1.query(), parsed2.query()) {
+                Ok(discriminating) => discriminating,
                 Err(verdict) => {
                     stats.stages.analyze = stage_start.elapsed();
                     stats.latency = start.elapsed();
@@ -559,7 +553,7 @@ impl GraphQE {
                 }
             }
         } else {
-            None
+            false
         };
         stats.stages.analyze = stage_start.elapsed();
         // Signature-discrimination fast path: when no type-compatible
@@ -572,21 +566,19 @@ impl GraphQE {
         // to the full pipeline — without the search, which would find
         // nothing again and double the cost.
         let mut search = self.search_counterexamples;
-        if let Some((left, right)) = &signatures {
-            if search && graphqe_analyzer::signatures_discriminate(left, right) {
-                let stage_start = Instant::now();
-                let witness = counterexample::find_counterexample(
-                    parsed1.query(),
-                    parsed2.query(),
-                    &self.search_config,
-                );
-                stats.stages.search = stage_start.elapsed();
-                if let Some(example) = witness {
-                    stats.latency = start.elapsed();
-                    return (Verdict::NotEquivalent(Box::new(example)), stats);
-                }
-                search = false;
+        if search && discriminating {
+            let stage_start = Instant::now();
+            let witness = counterexample::find_counterexample(
+                parsed1.query(),
+                parsed2.query(),
+                &self.search_config,
+            );
+            stats.stages.search = stage_start.elapsed();
+            if let Some(example) = witness {
+                stats.latency = start.elapsed();
+                return (Verdict::NotEquivalent(Box::new(example)), stats);
             }
+            search = false;
         }
         // Stage ②: rule-based normalization (fallible under a deadline) —
         // a warm hit reduces it to a probe of the parse-cache entry.
@@ -603,76 +595,12 @@ impl GraphQE {
             }
         };
         let mut verdict = self.prove_prepared(&n1, &n2, search, &mut stats);
-        // Typed decision retry: when the pipeline could not decide and the
-        // analyzer inferred matching non-null Integer columns on both sides,
-        // rebuild both G-expressions with integer-sorted output terms and
-        // decide once more (identity column alignment only). Integer sorts
-        // let equality chains participate in the SMT solver's linear
-        // reasoning, which can prune summands the untyped encoding cannot.
-        if let Verdict::Unknown {
-            category: FailureCategory::UninterpretedFunction | FailureCategory::Other,
-            ..
-        } = &verdict
-        {
-            if let Some((left, right)) = &signatures {
-                let hints = graphqe_analyzer::int_hint_columns(left, right);
-                if !hints.is_empty() && self.prove_with_int_hints(&n1, &n2, &hints, &mut stats) {
-                    stats.used_type_hints = true;
-                    verdict = Verdict::Equivalent(stats.clone());
-                }
-            }
-        }
         stats.latency = start.elapsed();
         if let Verdict::Equivalent(embedded) = &mut verdict {
             embedded.latency = stats.latency;
             embedded.stages = stats.stages;
         }
         (verdict, stats)
-    }
-
-    /// The stage-⓪ typed retry on the pair's stage-② forms: build with
-    /// integer-sorted output columns ([`gexpr::build_into_typed`]), decide on
-    /// the identity column alignment. Returns whether the typed decision
-    /// proved the pair. Strictly best-effort — every failure (trip,
-    /// unsupported feature, segment split) leaves the original verdict
-    /// standing.
-    fn prove_with_int_hints(
-        &self,
-        n1: &NormalizedStages,
-        n2: &NormalizedStages,
-        hints: &[usize],
-        stats: &mut ProofStats,
-    ) -> bool {
-        let (n1, n2) = (n1.normalized(), n2.normalized());
-        if divide::needs_divide_and_conquer(n1) || divide::needs_divide_and_conquer(n2) {
-            return false;
-        }
-        let build_start = Instant::now();
-        let built = with_thread_store(|store| {
-            (gexpr::build_into_typed(store, n1, hints), gexpr::build_into_typed(store, n2, hints))
-        });
-        stats.stages.build += build_start.elapsed();
-        let (Ok(built1), Ok(built2)) = built else {
-            return false;
-        };
-        if built1.columns != built2.columns {
-            return false;
-        }
-        let decide_start = Instant::now();
-        let outcome = liastar::try_check_equivalence_with_opts(
-            built1.expr,
-            built2.expr,
-            DecideOptions { tree_normalizer: self.use_tree_normalizer },
-        );
-        stats.stages.decide += decide_start.elapsed();
-        match outcome {
-            Ok((Decision::Proved, decision)) => {
-                stats.column_permutation = 0;
-                stats.decision = decision;
-                true
-            }
-            _ => false,
-        }
     }
 
     /// Proves many pairs in one call on up to `threads` pair workers (`1`
@@ -959,7 +887,7 @@ impl GraphQE {
         // kind-compatible permutation of the second query's RETURN items.
         for (index, permutation) in column_permutations(&built1.column_kinds, &built2.column_kinds)
             .into_iter()
-            .take(self.max_column_permutations)
+            .take(MAX_COLUMN_PERMUTATIONS)
             .enumerate()
         {
             let build_start = Instant::now();
@@ -1044,18 +972,18 @@ fn invalid(error: CheckError) -> Verdict {
     Verdict::Unknown { category: FailureCategory::InvalidQuery, reason: error.to_string() }
 }
 
-/// Stage ⓪ for a parsed pair: the two output signatures when type inference
-/// produced one for each side (`None` when either signature is unknown, e.g.
-/// `RETURN *`), or the `Unknown(TypeError)` verdict when either query has a
-/// definite type error.
-fn analyzed_signatures(q1: &Query, q2: &Query) -> Result<Option<SignaturePair>, Box<Verdict>> {
+/// Stage ⓪ for a parsed pair: whether type inference produced an output
+/// signature for each side (none for, e.g., `RETURN *`) and the two
+/// discriminate ([`graphqe_analyzer::signatures_discriminate`]), or the
+/// `Unknown(TypeError)` verdict when either query has a definite type error.
+fn discriminating_signatures(q1: &Query, q2: &Query) -> Result<bool, Box<Verdict>> {
     let left = graphqe_analyzer::analyze(q1).map_err(|d| type_error("first", d))?;
     let right = graphqe_analyzer::analyze(q2).map_err(|d| type_error("second", d))?;
-    Ok(left.signature.zip(right.signature))
+    Ok(left
+        .signature
+        .zip(right.signature)
+        .is_some_and(|(left, right)| graphqe_analyzer::signatures_discriminate(&left, &right)))
 }
-
-/// Both sides' inferred output signatures, left then right.
-type SignaturePair = (Vec<TypeSig>, Vec<TypeSig>);
 
 fn type_error(side: &str, diagnostic: cypher_parser::Diagnostic) -> Verdict {
     Verdict::Unknown {
@@ -1144,6 +1072,10 @@ fn both_always_empty(b1: &BuildOutput, b2: &BuildOutput, tree_normalizer: bool) 
         })
     })
 }
+
+/// Maximum number of return-element permutations tried when mapping the
+/// returned columns of the two queries (§IV-C).
+const MAX_COLUMN_PERMUTATIONS: usize = 24;
 
 /// All permutations of the second query's columns whose kinds match the first
 /// query's kinds position by position. The identity (if compatible) comes
@@ -1702,10 +1634,7 @@ mod tests {
             "MATCH (cache_stats_n:Person) RETURN cache_stats_n",
             "MATCH (cache_stats_n:Book) RETURN cache_stats_n",
         );
-        let prover = GraphQE {
-            search_config: SearchConfig { use_memo: false, ..SearchConfig::default() },
-            ..GraphQE::new()
-        };
+        let prover = GraphQE { search_config: SearchConfig { use_memo: false }, ..GraphQE::new() };
         let parse = parse_cache_stats();
         let normalize = normalize_cache_stats();
         let (outcomes, _) = prover.prove_batch(&[pair, pair], 1);

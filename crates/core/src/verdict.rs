@@ -180,10 +180,6 @@ pub struct ProofStats {
     pub used_divide_and_conquer: bool,
     /// Which return-element mapping succeeded (0 = identity).
     pub column_permutation: usize,
-    /// Whether the proof came from the stage-⓪ typed decision retry
-    /// (integer-sorted output columns). Hint-derived proofs carry no
-    /// emittable certificate — the checker replays untyped builds only.
-    pub used_type_hints: bool,
     /// Statistics of the final G-expression decision.
     pub decision: DecisionStats,
 }

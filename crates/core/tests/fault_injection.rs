@@ -36,7 +36,7 @@ static FAULT_LOCK: Mutex<()> = Mutex::new(());
 /// ever reaching the armed normalize checkpoint).
 fn fault_prover() -> GraphQE {
     GraphQE {
-        search_config: SearchConfig { use_memo: false, ..SearchConfig::default() },
+        search_config: SearchConfig { use_memo: false },
         use_normalize_cache: false,
         ..GraphQE::new()
     }

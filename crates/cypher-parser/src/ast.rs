@@ -48,16 +48,6 @@ pub struct SingleQuery {
     pub clauses: Vec<Clause>,
 }
 
-impl SingleQuery {
-    /// Returns the final `RETURN` clause if present.
-    pub fn return_clause(&self) -> Option<&Projection> {
-        match self.clauses.last() {
-            Some(Clause::Return(p)) => Some(p),
-            _ => None,
-        }
-    }
-}
-
 /// A single clause of a query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Clause {
@@ -313,15 +303,6 @@ impl NodePattern {
     pub fn var(name: impl Into<String>) -> Self {
         NodePattern { variable: Some(name.into()), labels: Vec::new(), properties: Vec::new() }
     }
-
-    /// A node pattern with a variable and one label, e.g. `(n:Person)`.
-    pub fn var_label(name: impl Into<String>, label: impl Into<String>) -> Self {
-        NodePattern {
-            variable: Some(name.into()),
-            labels: vec![label.into()],
-            properties: Vec::new(),
-        }
-    }
 }
 
 /// The direction of a relationship pattern relative to the path direction.
@@ -479,11 +460,6 @@ impl BinaryOp {
                 | BinaryOp::Gt
                 | BinaryOp::Ge
         )
-    }
-
-    /// Returns `true` for the boolean connectives `AND`, `OR`, `XOR`.
-    pub fn is_logical(&self) -> bool {
-        matches!(self, BinaryOp::And | BinaryOp::Or | BinaryOp::Xor)
     }
 
     /// The mirrored comparison (e.g. `<` becomes `>`), if the operator is a

@@ -80,9 +80,6 @@ pub enum ATerm {
     Var(VarId),
     /// Column `i` of the output tuple.
     OutCol(usize),
-    /// Column `i` of the output tuple with an integer-sort typing fact
-    /// (mirror of [`GTerm::IntCol`]).
-    IntCol(usize),
     /// A property access `base.key`.
     Prop(TermId, Sym),
     /// A constant.
@@ -345,7 +342,7 @@ impl GStore {
                     out.push(v);
                 }
             }
-            ATerm::OutCol(_) | ATerm::IntCol(_) | ATerm::Const(_) => {}
+            ATerm::OutCol(_) | ATerm::Const(_) => {}
             ATerm::Prop(base, _) => self.collect_term_occurring_vars(base, out),
             ATerm::App(_, args) => {
                 for arg in args.iter() {
@@ -438,7 +435,6 @@ impl GStore {
         let node = match t {
             GTerm::Var(v) => ATerm::Var(*v),
             GTerm::OutCol(i) => ATerm::OutCol(*i),
-            GTerm::IntCol(i) => ATerm::IntCol(*i),
             GTerm::Prop(base, key) => {
                 let base = self.intern_term(base);
                 let key = self.sym(key);
@@ -522,7 +518,6 @@ impl GStore {
         match self.term_of(t).clone() {
             ATerm::Var(v) => GTerm::Var(v),
             ATerm::OutCol(i) => GTerm::OutCol(i),
-            ATerm::IntCol(i) => GTerm::IntCol(i),
             ATerm::Prop(base, key) => {
                 GTerm::Prop(Box::new(self.extern_term(base)), self.str_of(key).to_string())
             }
@@ -670,7 +665,7 @@ impl GStore {
                     out.push(*v);
                 }
             }
-            ATerm::OutCol(_) | ATerm::IntCol(_) | ATerm::Const(_) => {}
+            ATerm::OutCol(_) | ATerm::Const(_) => {}
             ATerm::Prop(base, _) => self.term_variables(*base, out),
             ATerm::App(_, args) => {
                 for arg in args.iter() {
@@ -689,7 +684,7 @@ impl GStore {
     pub fn term_mentions(&self, t: TermId, var: VarId) -> bool {
         match self.term_of(t) {
             ATerm::Var(v) => *v == var,
-            ATerm::OutCol(_) | ATerm::IntCol(_) | ATerm::Const(_) => false,
+            ATerm::OutCol(_) | ATerm::Const(_) => false,
             ATerm::Prop(base, _) => self.term_mentions(*base, var),
             ATerm::App(_, args) => args.iter().any(|arg| self.term_mentions(*arg, var)),
             ATerm::Agg { arg, group, .. } => {
@@ -746,7 +741,7 @@ impl GStore {
     pub fn subst_term(&mut self, t: TermId, var: VarId, replacement: TermId) -> TermId {
         match self.term_of(t).clone() {
             ATerm::Var(v) if v == var => replacement,
-            ATerm::Var(_) | ATerm::OutCol(_) | ATerm::IntCol(_) | ATerm::Const(_) => t,
+            ATerm::Var(_) | ATerm::OutCol(_) | ATerm::Const(_) => t,
             ATerm::Prop(base, key) => {
                 let base = self.subst_term(base, var, replacement);
                 self.term(ATerm::Prop(base, key))
@@ -842,7 +837,7 @@ impl GStore {
     pub(crate) fn rename_term(&mut self, t: TermId, f: &impl Fn(VarId) -> VarId) -> TermId {
         let renamed = match self.term_of(t).clone() {
             ATerm::Var(v) => ATerm::Var(f(v)),
-            ATerm::OutCol(_) | ATerm::IntCol(_) | ATerm::Const(_) => return t,
+            ATerm::OutCol(_) | ATerm::Const(_) => return t,
             ATerm::Prop(base, key) => ATerm::Prop(self.rename_term(base, f), key),
             ATerm::App(name, args) => {
                 ATerm::App(name, args.iter().map(|a| self.rename_term(*a, f)).collect())
@@ -927,9 +922,6 @@ impl GStore {
             ATerm::Var(v) => Self::write_var(out, *v, anon),
             ATerm::OutCol(i) => {
                 let _ = write!(out, "t.col{}", i + 1);
-            }
-            ATerm::IntCol(i) => {
-                let _ = write!(out, "t.col{}:int", i + 1);
             }
             ATerm::Prop(base, key) => {
                 self.write_term(out, *base, anon);

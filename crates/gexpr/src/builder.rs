@@ -136,24 +136,7 @@ enum VarKind {
 
 /// Builds the G-expression of a (normalized) Cypher query into `store`.
 pub fn build_into(store: &mut GStore, query: &Query) -> Result<BuildOutput, BuildError> {
-    Builder { store, next_var: 0, int_cols: &[] }.build_query(query)
-}
-
-/// Builds the G-expression of a query into `store` with integer-typing
-/// hints: the listed output columns are emitted as [`GTerm::IntCol`]
-/// instead of [`GTerm::OutCol`], telling the SMT encoding they are
-/// integer-valued and non-null. The caller (the prover) is responsible for
-/// only passing columns the static analyzer proved integer on **both**
-/// queries being compared.
-///
-/// [`GTerm::IntCol`]: crate::GTerm::IntCol
-/// [`GTerm::OutCol`]: crate::GTerm::OutCol
-pub fn build_into_typed(
-    store: &mut GStore,
-    query: &Query,
-    int_cols: &[usize],
-) -> Result<BuildOutput, BuildError> {
-    Builder { store, next_var: 0, int_cols }.build_query(query)
+    Builder { store, next_var: 0 }.build_query(query)
 }
 
 /// Builds the G-expression of a (normalized) Cypher query as a tree: the
@@ -174,7 +157,6 @@ pub fn build_query(query: &Query) -> Result<BuildOutput<GExpr>, BuildError> {
 struct Builder<'a> {
     store: &'a mut GStore,
     next_var: u32,
-    int_cols: &'a [usize],
 }
 
 /// Per-single-query accumulation state.
@@ -187,15 +169,6 @@ struct State {
 }
 
 impl Builder<'_> {
-    /// The output-column term for `index`, honouring the typing hints.
-    fn out_col(&mut self, index: usize) -> TermId {
-        if self.int_cols.contains(&index) {
-            self.store.term(ATerm::IntCol(index))
-        } else {
-            self.store.term(ATerm::OutCol(index))
-        }
-    }
-
     fn fresh(&mut self) -> VarId {
         let id = VarId(self.next_var);
         self.next_var += 1;
@@ -743,11 +716,11 @@ impl Builder<'_> {
             for (index, (_, item)) in items.iter().enumerate() {
                 if item.contains_aggregate() {
                     let agg = self.build_aggregate_term(state, item, &key_equalities)?;
-                    let col = self.out_col(index);
+                    let col = self.store.term(ATerm::OutCol(index));
                     agg_equalities.push(self.eq(col, agg));
                 } else {
                     let term = self.build_term(state, item)?;
-                    let col = self.out_col(index);
+                    let col = self.store.term(ATerm::OutCol(index));
                     key_equalities.push(self.eq(col, term));
                 }
             }
@@ -771,7 +744,7 @@ impl Builder<'_> {
             let mut factors = state.factors.clone();
             for (index, (_, item)) in items.iter().enumerate() {
                 let term = self.build_term(state, item)?;
-                let col = self.out_col(index);
+                let col = self.store.term(ATerm::OutCol(index));
                 factors.push(self.eq(col, term));
             }
             factors.extend(ordering_factors);

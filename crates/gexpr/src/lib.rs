@@ -41,8 +41,7 @@ pub use arena::{
     with_thread_store, GStore, NodeId, Sym, TermId,
 };
 pub use builder::{
-    build_into, build_into_typed, build_query, BuildError, BuildOutput, ColumnKind,
-    UnsupportedFeature,
+    build_into, build_query, BuildError, BuildOutput, ColumnKind, UnsupportedFeature,
 };
 pub use expr::GExpr;
 pub use normalize::{is_zero_one, normalize, normalize_tree};

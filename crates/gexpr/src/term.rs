@@ -85,12 +85,6 @@ pub enum GTerm {
     Var(VarId),
     /// Column `i` of the output tuple `t` (`t.col_i` in the paper).
     OutCol(usize),
-    /// Column `i` of the output tuple, carrying a typing fact established by
-    /// the static analyzer: the column is integer-valued and non-null, so
-    /// the SMT encoding may give it an integer sort. Distinct from
-    /// [`GTerm::OutCol`] on purpose — hinted and unhinted builds must never
-    /// share hash-consed identities or solver caches.
-    IntCol(usize),
     /// A property access `base.key`.
     Prop(Box<GTerm>, String),
     /// A constant.
@@ -145,7 +139,7 @@ impl GTerm {
                     out.push(*v);
                 }
             }
-            GTerm::OutCol(_) | GTerm::IntCol(_) | GTerm::Const(_) => {}
+            GTerm::OutCol(_) | GTerm::Const(_) => {}
             GTerm::Prop(base, _) => base.variables(out),
             GTerm::App(_, args) => {
                 for arg in args {
@@ -170,7 +164,7 @@ impl GTerm {
     pub fn rename_vars(&self, f: &impl Fn(VarId) -> VarId) -> GTerm {
         match self {
             GTerm::Var(v) => GTerm::Var(f(*v)),
-            GTerm::OutCol(_) | GTerm::IntCol(_) | GTerm::Const(_) => self.clone(),
+            GTerm::OutCol(_) | GTerm::Const(_) => self.clone(),
             GTerm::Prop(base, key) => GTerm::Prop(Box::new(base.rename_vars(f)), key.clone()),
             GTerm::App(name, args) => {
                 GTerm::App(name.clone(), args.iter().map(|a| a.rename_vars(f)).collect())
@@ -188,7 +182,7 @@ impl GTerm {
     pub fn substitute(&self, var: VarId, replacement: &GTerm) -> GTerm {
         match self {
             GTerm::Var(v) if *v == var => replacement.clone(),
-            GTerm::Var(_) | GTerm::OutCol(_) | GTerm::IntCol(_) | GTerm::Const(_) => self.clone(),
+            GTerm::Var(_) | GTerm::OutCol(_) | GTerm::Const(_) => self.clone(),
             GTerm::Prop(base, key) => {
                 GTerm::Prop(Box::new(base.substitute(var, replacement)), key.clone())
             }
@@ -211,7 +205,6 @@ impl fmt::Display for GTerm {
         match self {
             GTerm::Var(v) => write!(f, "{v}"),
             GTerm::OutCol(i) => write!(f, "t.col{}", i + 1),
-            GTerm::IntCol(i) => write!(f, "t.col{}:int", i + 1),
             GTerm::Prop(base, key) => write!(f, "{base}.{key}"),
             GTerm::Const(c) => write!(f, "{c}"),
             GTerm::App(name, args) => {

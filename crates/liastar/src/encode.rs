@@ -36,11 +36,6 @@ pub fn encode_term(term: &GTerm) -> Term {
     match term {
         GTerm::Var(v) => Term::value_var(format!("e{}", v.0)),
         GTerm::OutCol(i) => Term::value_var(format!("t_col{i}")),
-        // A typing fact from the static analyzer: the column is provably
-        // integer-valued and non-null, so it gets an integer sort (and a
-        // name disjoint from the untyped `t_col{i}` encoding, defensively —
-        // hinted and unhinted builds never share a solver query anyway).
-        GTerm::IntCol(i) => Term::int_var(format!("t_intcol{i}")),
         GTerm::Const(GConst::Integer(v)) => Term::IntConst(*v),
         GTerm::Const(GConst::Float(v)) => Term::App(format!("const:f{v}"), vec![]),
         GTerm::Const(GConst::String(s)) => Term::App(format!("const:s:{s}"), vec![]),
@@ -224,7 +219,6 @@ fn build_term<'s>(b: &mut TermBuilder<'s>, store: &mut GStore, term: TermId) -> 
     match *store.term_of(term) {
         ATerm::Var(v) => b.var(("e", v.0), SortTag::Value),
         ATerm::OutCol(i) => b.var(("t_col", i), SortTag::Value),
-        ATerm::IntCol(i) => b.var(("t_intcol", i), SortTag::Int),
         ATerm::Const(c) => match store.const_of(c) {
             GConst::Integer(v) => b.int(*v),
             GConst::Float(v) => b.app(("const:f", v), &[]),

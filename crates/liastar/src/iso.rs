@@ -299,7 +299,6 @@ pub mod ids {
         match (store.term_of(left).clone(), store.term_of(right).clone()) {
             (ATerm::Var(a), ATerm::Var(b)) => mapping.bind(a, b),
             (ATerm::OutCol(a), ATerm::OutCol(b)) => a == b,
-            (ATerm::IntCol(a), ATerm::IntCol(b)) => a == b,
             (ATerm::Const(a), ATerm::Const(b)) => a == b,
             (ATerm::Prop(base_a, key_a), ATerm::Prop(base_b, key_b)) => {
                 key_a == key_b && unify_term(store, base_a, base_b, mapping)
@@ -450,7 +449,6 @@ pub mod cloning {
                 }
             }
             (GTerm::OutCol(a), GTerm::OutCol(b)) if a == b => Some(mapping.clone()),
-            (GTerm::IntCol(a), GTerm::IntCol(b)) if a == b => Some(mapping.clone()),
             (GTerm::Const(a), GTerm::Const(b)) if a == b => Some(mapping.clone()),
             (GTerm::Prop(base_a, key_a), GTerm::Prop(base_b, key_b)) if key_a == key_b => {
                 unify_term(base_a, base_b, mapping)

@@ -912,45 +912,6 @@ mod tests {
         build_query(&parse_query(query).unwrap()).unwrap().expr
     }
 
-    #[test]
-    fn int_column_hints_add_deductive_power() {
-        use gexpr::{CmpOp, GAtom, GTerm, VarId};
-        // One summand: Σ_n [col0 = n.age] × [n.age ≤ 0] × [col0 ≥ 1]. The
-        // equality is between two non-arithmetic term shapes (the bound
-        // variable occurs only under the property accessor, so the Σ-unnest
-        // rule cannot substitute it away). Whether the summand prunes to 0
-        // depends on the column's sort: with an untyped (Value) column,
-        // `col0 = n.age` has no arithmetic side, so the LIA theory never
-        // sees the equality and the conjunction stays satisfiable; with an
-        // integer-typed column the equality links the chain `n.age ≤ 0 < 1 ≤
-        // col0 = n.age` into a LIA contradiction.
-        let summand = |col: GTerm| {
-            let age = GTerm::prop(GTerm::Var(VarId(0)), "age");
-            GExpr::sum(
-                vec![VarId(0)],
-                GExpr::mul(vec![
-                    GExpr::eq(col.clone(), age.clone()),
-                    GExpr::Atom(GAtom::Cmp(CmpOp::Le, age, GTerm::int(0))),
-                    GExpr::Atom(GAtom::Cmp(CmpOp::Ge, col, GTerm::int(1))),
-                ]),
-            )
-        };
-        let untyped = summand(GTerm::OutCol(0));
-        let typed = summand(GTerm::IntCol(0));
-        assert!(
-            !check_equivalence(&untyped, &GExpr::Zero).is_proved(),
-            "without typing facts the summand must not be pruned"
-        );
-        assert!(
-            check_equivalence(&typed, &GExpr::Zero).is_proved(),
-            "the integer typing fact must prune the summand to zero"
-        );
-        // The tree (paper-faithful) pipeline agrees on both.
-        let opts = DecideOptions { tree_normalizer: true };
-        assert!(!check_equivalence_with_opts(&untyped, &GExpr::Zero, opts).0.is_proved());
-        assert!(check_equivalence_with_opts(&typed, &GExpr::Zero, opts).0.is_proved());
-    }
-
     fn equivalent(q1: &str, q2: &str) -> bool {
         let by_id = check_equivalence(&gexpr_of(q1), &gexpr_of(q2)).is_proved();
         // Every test case doubles as a differential check against the

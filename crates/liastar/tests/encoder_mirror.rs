@@ -92,7 +92,7 @@ impl Draw {
     }
 
     fn term(&mut self, depth: u32) -> GTerm {
-        match self.rng.below(if depth == 0 { 4 } else { 7 }) {
+        match self.rng.below(if depth == 0 { 3 } else { 6 }) {
             0 => {
                 self.seen.insert("term:var");
                 GTerm::Var(VarId(self.rng.below(3) as u32))
@@ -102,18 +102,14 @@ impl Draw {
                 GTerm::OutCol(self.rng.below(3) as usize)
             }
             2 => {
-                self.seen.insert("term:intcol");
-                GTerm::IntCol(self.rng.below(2) as usize)
-            }
-            3 => {
                 self.seen.insert("term:const");
                 GTerm::Const(self.constant())
             }
-            4 => {
+            3 => {
                 self.seen.insert("term:prop");
                 GTerm::Prop(Box::new(self.term(depth - 1)), self.string())
             }
-            5 => {
+            4 => {
                 self.seen.insert("term:app");
                 let args = (0..self.rng.below(3)).map(|_| self.term(depth - 1)).collect();
                 GTerm::App(self.string(), args)
@@ -224,7 +220,7 @@ impl Draw {
 }
 
 /// Every shape [`Draw`] can record.
-const SHAPES: [&str; 35] = [
+const SHAPES: [&str; 34] = [
     "const:integer",
     "const:float",
     "const:string",
@@ -232,7 +228,6 @@ const SHAPES: [&str; 35] = [
     "const:null",
     "term:var",
     "term:outcol",
-    "term:intcol",
     "term:const",
     "term:prop",
     "term:app",

@@ -207,12 +207,9 @@ impl RunToken {
         Ok(())
     }
 
-    /// Charges one SMT refinement iteration, then checks deadline/budget.
-    pub fn tick_smt(&self) -> Result<(), Trip> {
-        self.tick_smt_forced(false)
-    }
-
-    fn tick_smt_forced(&self, force_probe: bool) -> Result<(), Trip> {
+    /// Charges one SMT refinement iteration, then checks deadline/budget
+    /// (probing the clock regardless of the interval with `force_probe`).
+    fn tick_smt(&self, force_probe: bool) -> Result<(), Trip> {
         let steps = self.smt_steps.fetch_add(1, Ordering::Relaxed) + 1;
         if self.smt_step_budget != 0 && steps > self.smt_step_budget {
             return Err(self.record_trip(Trip::BudgetExhausted {
@@ -224,12 +221,9 @@ impl RunToken {
     }
 
     /// Charges one candidate graph of the counterexample search, then checks
-    /// deadline/budget.
-    pub fn tick_search(&self) -> Result<(), Trip> {
-        self.tick_search_forced(false)
-    }
-
-    fn tick_search_forced(&self, force_probe: bool) -> Result<(), Trip> {
+    /// deadline/budget (probing the clock regardless of the interval with
+    /// `force_probe`).
+    fn tick_search(&self, force_probe: bool) -> Result<(), Trip> {
         let graphs = self.search_graphs.fetch_add(1, Ordering::Relaxed) + 1;
         if self.search_graph_budget != 0 && graphs > self.search_graph_budget {
             return Err(self.record_trip(Trip::BudgetExhausted {
@@ -309,7 +303,7 @@ pub fn checkpoint(stage: Stage) -> Result<(), Trip> {
 /// armed faults for [`Stage::Smt`]). `Ok(())` when no token is installed.
 pub fn smt_step() -> Result<(), Trip> {
     let stalled = faults::trigger(Stage::Smt);
-    with_ambient(|token| token.tick_smt_forced(stalled))
+    with_ambient(|token| token.tick_smt(stalled))
 }
 
 /// Charges one counterexample-search candidate graph against the ambient
@@ -317,7 +311,7 @@ pub fn smt_step() -> Result<(), Trip> {
 /// token is installed.
 pub fn search_step() -> Result<(), Trip> {
     let stalled = faults::trigger(Stage::Search);
-    with_ambient(|token| token.tick_search_forced(stalled))
+    with_ambient(|token| token.tick_search(stalled))
 }
 
 /// `true` once the ambient token (if any) has tripped. The cache layers call

@@ -10,6 +10,7 @@
 //! the same columns, the same rows in the same order, and the same errors.
 
 use std::borrow::{Borrow, Cow};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -183,9 +184,9 @@ pub fn evaluate_query(graph: &PropertyGraph, query: &Query) -> Result<QueryResul
 /// Evaluates a planned query on `graph`. The plan's name slots are resolved
 /// against the graph's table once, here.
 pub fn evaluate_planned(graph: &PropertyGraph, plan: &QueryPlan) -> Result<QueryResult, EvalError> {
-    let names = plan.resolve(graph.names());
-    let output =
-        evaluate_union(EvalCtx { graph, plan, names: &names }, plan.query(), &Row::new(), true)?;
+    let (names, frames) = (plan.resolve(graph.names()), Cell::new(0));
+    let ctx = EvalCtx { graph, plan, names: &names, var_length_frames: &frames };
+    let output = evaluate_union(ctx, plan.query(), &Row::new(), true)?;
     let columns = output.columns.iter().map(|sym| plan.symbols().name(*sym).to_string()).collect();
     Ok(QueryResult { columns, rows: output.rows })
 }
@@ -193,9 +194,9 @@ pub fn evaluate_planned(graph: &PropertyGraph, plan: &QueryPlan) -> Result<Query
 /// [`evaluate_planned`] without naming the columns: the rows and their
 /// arity.
 pub fn evaluate_rows(graph: &PropertyGraph, plan: &QueryPlan) -> Result<Rows, EvalError> {
-    let names = plan.resolve(graph.names());
-    let output =
-        evaluate_union(EvalCtx { graph, plan, names: &names }, plan.query(), &Row::new(), true)?;
+    let (names, frames) = (plan.resolve(graph.names()), Cell::new(0));
+    let ctx = EvalCtx { graph, plan, names: &names, var_length_frames: &frames };
+    let output = evaluate_union(ctx, plan.query(), &Row::new(), true)?;
     Ok(Rows { arity: output.columns.len(), rows: output.rows })
 }
 

@@ -7,6 +7,7 @@
 //! keys are slots resolved once per evaluation, so evaluating one hashes no
 //! name.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use cypher_parser::ast::{BinaryOp, UnaryOp};
@@ -159,14 +160,19 @@ impl Row {
     }
 }
 
-/// The context of one evaluation: the graph, the plan, and the plan's name
-/// slots resolved against the graph's table.
+/// The context of one evaluation: the graph, the plan, the plan's name
+/// slots resolved against the graph's table, and the evaluation's count of
+/// var-length expansion frames.
 #[derive(Clone, Copy)]
 pub(crate) struct EvalCtx<'e> {
     pub graph: &'e PropertyGraph,
     pub plan: &'e QueryPlan,
     /// `names[slot]` is the graph's id of the plan's slot `slot`, if any.
     pub names: &'e [Option<NameId>],
+    /// Var-length expansion frames this evaluation has explored so far,
+    /// `EXISTS` subqueries included (bounded by
+    /// [`crate::matching::VAR_LENGTH_FRAME_BUDGET`]).
+    pub var_length_frames: &'e Cell<u32>,
 }
 
 impl EvalCtx<'_> {

@@ -11,7 +11,10 @@
 //!
 //! Variable-length patterns (`-[*1..3]->`) expand to simple paths whose
 //! relationships are pairwise distinct, each satisfying the pattern's label
-//! and property constraints.
+//! and property constraints. An unbounded `*` over a graph with many cycles
+//! has factorially many simple paths (nine self-loops on one node make
+//! 986,409), so one evaluation explores at most `VAR_LENGTH_FRAME_BUDGET`
+//! expansion frames and errs past it.
 //!
 //! The matcher walks a clause lowered by [`crate::plan`]: variables are
 //! [`SymId`](crate::expr::SymId)s and labels, types and keys are plan slots
@@ -36,6 +39,11 @@ use crate::plan::{
     CompiledMatch, CompiledNodePattern, CompiledPathPattern, CompiledRelPattern, LExpr, Slot,
 };
 use crate::value::Value;
+
+/// The most var-length expansion frames (path prefixes popped off the
+/// depth-first stack) one evaluation explores before it errs, summed over
+/// every var-length pattern it matches, `EXISTS` subqueries included.
+pub(crate) const VAR_LENGTH_FRAME_BUDGET: u32 = 1 << 16;
 
 /// The continuation invoked for every complete match of a path pattern.
 type OnComplete<'a> =
@@ -214,6 +222,13 @@ fn match_var_length(
     }
     let mut stack = vec![Frame { node: start, rels: Vec::new() }];
     while let Some(frame) = stack.pop() {
+        let frames = ctx.var_length_frames.get() + 1;
+        if frames > VAR_LENGTH_FRAME_BUDGET {
+            return Err(EvalError::new(format!(
+                "variable-length patterns explored more than {VAR_LENGTH_FRAME_BUDGET} paths"
+            )));
+        }
+        ctx.var_length_frames.set(frames);
         let hops = frame.rels.len() as u32;
         if hops >= min {
             // Try to close the pattern at this node.
@@ -453,8 +468,8 @@ mod tests {
     /// symbols they use.
     fn matches_with_plan(graph: &PropertyGraph, query: &str) -> (QueryPlan, Vec<Row>) {
         let plan = QueryPlan::new(&parse_query(query).unwrap());
-        let names = plan.resolve(graph.names());
-        let ctx = EvalCtx { graph, plan: &plan, names: &names };
+        let (names, frames) = (plan.resolve(graph.names()), std::cell::Cell::new(0));
+        let ctx = EvalCtx { graph, plan: &plan, names: &names, var_length_frames: &frames };
         let mut rows = vec![Row::new()];
         for clause in &plan.query().parts[0] {
             if let LoweredClause::Match(m) = clause {
@@ -602,6 +617,26 @@ mod tests {
             Value::List(items) => assert_eq!(items.len(), 2),
             other => panic!("expected list, got {other}"),
         }
+    }
+
+    #[test]
+    fn unbounded_paths_over_many_cycles_exhaust_the_frame_budget() {
+        let loops = |count: usize| {
+            let mut graph = PropertyGraph::new();
+            let a = graph.add_node(["N"], Vec::<(String, Value)>::new());
+            for _ in 0..count {
+                graph.add_relationship("E", a, a, Vec::<(String, Value)>::new());
+            }
+            graph
+        };
+        let query = parse_query("MATCH (a)-[r*]->(a) RETURN r").unwrap();
+        // Five self-loops: every ordered choice of distinct loops, 325 paths.
+        assert_eq!(crate::evaluate_query(&loops(5), &query).unwrap().rows.len(), 325);
+        // Nine make 986,409: the evaluation errs at the budget instead of
+        // materializing them.
+        let rows = crate::evaluate_query(&loops(9), &query).map(|result| result.rows.len());
+        let error = rows.expect_err("nine self-loops exceed the budget");
+        assert!(error.message.contains("variable-length"), "{error}");
     }
 
     #[test]

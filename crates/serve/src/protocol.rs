@@ -163,20 +163,18 @@ pub fn outcome_json(outcome: &BatchOutcome, pair: (&str, &str), certificate: Opt
 /// The structured `diagnostic` object of an `invalid_query` or `type_error`
 /// outcome: `side` (`"left"`/`"right"`), the stable diagnostic `code`, the
 /// byte-offset `span` into that side's query text, `message`, and `note`
-/// when present. Re-derived from the query texts through the same stage-⓪/①
-/// checks the prover ran (both are deterministic and cache-warm), since the
-/// verdict itself only carries the rendered reason string.
+/// when present. Re-derived from the query texts, since the verdict itself
+/// only carries the rendered reason string: stage ① through the parse cache
+/// ([`graphqe::parse_check_cached`]), warm from the prove of the same texts,
+/// and stage ⓪ by re-running the deterministic analyzer on the cached query.
 pub fn diagnostic_json(category: FailureCategory, left: &str, right: &str) -> Option<Json> {
     if !matches!(category, FailureCategory::InvalidQuery | FailureCategory::TypeError) {
         return None;
     }
     let probe = |side: &'static str, text: &str| {
-        let diagnostic = match cypher_parser::parse_and_check(text) {
+        let diagnostic = match graphqe::parse_check_cached(text) {
             Err(error) => error.diagnostic(),
-            Ok(query) => match graphqe_analyzer::analyze_with_source(&query, text) {
-                Err(diagnostic) => diagnostic,
-                Ok(_) => return None,
-            },
+            Ok(entry) => graphqe_analyzer::analyze(entry.query()).err()?,
         };
         let mut fields = vec![
             ("side", json::str(side)),

@@ -57,7 +57,7 @@ pub mod term;
 pub use sat::{Lit, SatOutcome, SatSolver};
 pub use solver::{
     check_formula, check_formula_cached, clear_formula_cache, formula_cache_len,
-    formula_cache_stats, is_valid, is_valid_cached, reset_formula_cache_stats, SmtResult, Solver,
+    formula_cache_stats, is_valid, SmtResult, Solver,
 };
 pub use store::{with_term_builder, Name, TermBuilder, TermRef};
 pub use term::{Sort, SortTag, Term};

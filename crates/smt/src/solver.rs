@@ -86,15 +86,9 @@ static FORMULA_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static FORMULA_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// `(hits, misses)` of the formula cache, accumulated across every thread
-/// since process start (or the last [`reset_formula_cache_stats`]).
+/// since process start.
 pub fn formula_cache_stats() -> (u64, u64) {
     (FORMULA_CACHE_HITS.load(Ordering::Relaxed), FORMULA_CACHE_MISSES.load(Ordering::Relaxed))
-}
-
-/// Resets the global hit/miss counters (the cached entries stay).
-pub fn reset_formula_cache_stats() {
-    FORMULA_CACHE_HITS.store(0, Ordering::Relaxed);
-    FORMULA_CACHE_MISSES.store(0, Ordering::Relaxed);
 }
 
 /// Drops every entry of the calling thread's formula cache **and** its term
@@ -260,11 +254,6 @@ pub fn check_formula_cached(formula: Term) -> SmtResult {
     let mut solver = Solver::cached();
     solver.assert(formula);
     solver.check()
-}
-
-/// [`is_valid`] through the thread's formula cache.
-pub fn is_valid_cached(formula: Term) -> bool {
-    check_formula_cached(Term::not(formula)).is_unsat()
 }
 
 // ---------------------------------------------------------------------------

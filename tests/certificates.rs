@@ -1,5 +1,6 @@
 //! Certificate acceptance tests: tampered artifacts are rejected with
-//! structured reasons, and the full 296-pair corpus certifies green.
+//! structured reasons, and the full 296-pair corpus certifies green, as do
+//! rewritten and mutated variants of its queries.
 //!
 //! The tamper matrix works on *real emitted* certificates, not hand-built
 //! ones: each test scans the dataset for a certificate whose evidence has the
@@ -303,6 +304,83 @@ fn full_corpus_certificates_check_green_with_pinned_verdicts() {
         );
     }
     assert_eq!(digest, CORPUS_CERTIFICATES_DIGEST, "corpus certificate bytes drifted");
+}
+
+/// A query pair by text, left then right.
+type Pair = (String, String);
+
+/// Each of the corpus's left queries, paired with itself.
+fn corpus_left_queries() -> Vec<Pair> {
+    cyeqset().into_iter().chain(cyneqset()).map(|pair| (pair.left.clone(), pair.left)).collect()
+}
+
+/// Every equivalence-preserving rewrite (`cyeqset::rewrite::all_rewrites`)
+/// of each pair's right query, paired with the pair's left query.
+fn rewritten(pairs: &[Pair]) -> Vec<Pair> {
+    let rewrites = |(left, right): &Pair| {
+        let rewrites = cyeqset::rewrite::all_rewrites(right).into_iter();
+        rewrites.map(|(_, rewrite)| (left.clone(), rewrite)).collect::<Vec<_>>()
+    };
+    pairs.iter().flat_map(rewrites).collect()
+}
+
+/// Every mutation (`cyeqset::mutate::mutate`, rotation starts 0 to 4) of
+/// each pair's right query, paired with the pair's left query.
+fn mutated(pairs: &[Pair]) -> Vec<Pair> {
+    let mutations = |(left, right): &Pair| {
+        let mutation = |index| cyeqset::mutate::mutate(right, index).expect("a rule applies").1;
+        (0..5).map(|index| (left.clone(), mutation(index))).collect::<Vec<_>>()
+    };
+    pairs.iter().flat_map(mutations).collect()
+}
+
+/// Certifies every pair with the checker on: a definite verdict must stay
+/// definite (not be downgraded to `certificate_invalid`), and its
+/// certificate must round-trip through the wire format and check green.
+/// Returns how many verdicts were definite.
+fn certify_generated(pairs: &[Pair]) -> usize {
+    let prover = GraphQE::new();
+    let mut definite = 0;
+    for (left, right) in pairs {
+        let (verdict, certificate) = prover.prove_certified(left, right, true);
+        assert_ne!(
+            verdict.failure_category(),
+            Some(graphqe::FailureCategory::CertificateInvalid),
+            "{left} vs {right}: a definite verdict did not certify: {verdict}"
+        );
+        if verdict.is_unknown() {
+            continue;
+        }
+        let text = certificate.expect("a definite verdict carries a certificate").to_json();
+        let reread = Certificate::from_json(&text)
+            .unwrap_or_else(|e| panic!("{left} vs {right}: round trip failed: {e}"));
+        check_certificate(&reread)
+            .unwrap_or_else(|e| panic!("{left} vs {right}: checker rejected: {e:?}"));
+        definite += 1;
+    }
+    definite
+}
+
+/// The certification invariant beyond the 296 fixed pairs: every definite
+/// verdict on the rewritten and mutated corpus queries certifies green. The
+/// pair counts pin the generators, the definite counts the prover.
+#[test]
+fn generated_pairs_certify_green() {
+    let queries = corpus_left_queries();
+    let (rewrites, mutations) = (rewritten(&queries), mutated(&queries));
+    assert_eq!((rewrites.len(), mutations.len()), (560, 1_480));
+    assert_eq!(certify_generated(&rewrites), 550, "definite rewritten pairs");
+    assert_eq!(certify_generated(&mutations), 660, "definite mutated pairs");
+}
+
+/// The long run of [`generated_pairs_certify_green`]: every mutation of
+/// every rewrite. CI runs it with `--ignored`.
+#[test]
+#[ignore = "long run: cargo test --release --test certificates -- --ignored"]
+fn generated_pairs_certify_green_long_run() {
+    let mutated_rewrites = mutated(&rewritten(&corpus_left_queries()));
+    assert_eq!(mutated_rewrites.len(), 2_800);
+    assert_eq!(certify_generated(&mutated_rewrites), 1_056, "definite mutated rewrites");
 }
 
 /// Ids name nodes, relationships and variables as `u32`s: a larger number

@@ -164,3 +164,21 @@ fn always_empty_queries_of_different_arity_are_never_refuted() {
         }
     }
 }
+
+/// An unbounded `*` over the pool's cyclic graphs has factorially many
+/// simple paths; materializing them used to exhaust memory and abort the
+/// process mid-search. Each evaluation now errs past its var-length frame
+/// budget, an erring graph separates nothing, and the pair (equivalent, but
+/// beyond the decision procedure) comes back UNKNOWN in bounded time.
+#[test]
+fn unbounded_paths_over_cyclic_pool_graphs_stay_bounded() {
+    let start = std::time::Instant::now();
+    let verdict = GraphQE::new()
+        .prove("MATCH (a)-[r*]->(a) RETURN count(*)", "MATCH (a)-[r*]->(a) RETURN count(r)");
+    assert_eq!(
+        verdict.failure_category(),
+        Some(graphqe::FailureCategory::UninterpretedFunction),
+        "{verdict}"
+    );
+    assert!(start.elapsed() < std::time::Duration::from_secs(60), "{:?}", start.elapsed());
+}
