@@ -5,7 +5,9 @@
 //! its own copy of the six rewrite rules and the fixpoint driver, and
 //! re-derives the full trace from the recorded source. A certificate's
 //! derivation is accepted only if it matches this re-derivation step for
-//! step — same rule, same position, same resulting query.
+//! step — same rule, same position, same resulting query. As in the
+//! normalizer, a rule decides by reference whether it fires and clones the
+//! query only when it does.
 
 use cypher_parser::ast::*;
 
@@ -60,109 +62,99 @@ pub fn diff_position(before: &Query, after: &Query) -> (usize, usize) {
     (0, 0)
 }
 
+/// One rewriting step of a fixpoint rule (`None` when the rule does not fire).
+type Rewrite = fn(&Query) -> Option<Query>;
+
+/// The fixpoint rules in the order and priority of the normalizer's driver;
+/// rule ⑤ runs once, after the fixpoint.
+const FIXPOINT_RULES: [(&str, Rewrite); 5] = [
+    (rule_names::VAR_LENGTH, rule2_var_length::apply),
+    (rule_names::UNDIRECTED, rule1_undirected::apply),
+    (rule_names::RETURN_STAR, rule3_return_star::apply),
+    (rule_names::REDUNDANT_WITH, rule4_redundant_with::apply),
+    (rule_names::ID_EQUALITY, rule6_id_equality::apply),
+];
+
 /// Normalizes `query` with the Table II fixpoint driver, recording every rule
-/// application (rule ⑤ only when it changed something). Returns the
-/// normalized query and the trace.
-pub fn normalize_with_trace(query: &Query) -> (Query, Vec<TraceStep>) {
+/// application (rule ⑤ only when it changed something). The normalized query
+/// is the last step's after-state, or `query` itself when no rule fired.
+pub fn normalize_with_trace(query: &Query) -> Vec<TraceStep> {
     let mut trace = Vec::new();
-    let mut current = query.clone();
-    let mut record = |rule: &'static str, before: &Query, after: Query| {
-        let (part, clause) = diff_position(before, &after);
-        trace.push(TraceStep { rule, part, clause, after: after.clone() });
-        after
-    };
-    // One rule per round, in the same order and with the same bound as the
-    // normalizer's driver.
+    // One rule per round, with the same bound as the normalizer's driver.
     for _ in 0..64 {
-        if let Some(next) = rule2_var_length::apply(&current) {
-            current = record(rule_names::VAR_LENGTH, &current, next);
-            continue;
-        }
-        if let Some(next) = rule1_undirected::apply(&current) {
-            current = record(rule_names::UNDIRECTED, &current, next);
-            continue;
-        }
-        if let Some(next) = rule3_return_star::apply(&current) {
-            current = record(rule_names::RETURN_STAR, &current, next);
-            continue;
-        }
-        if let Some(next) = rule4_redundant_with::apply(&current) {
-            current = record(rule_names::REDUNDANT_WITH, &current, next);
-            continue;
-        }
-        if let Some(next) = rule6_id_equality::apply(&current) {
-            current = record(rule_names::ID_EQUALITY, &current, next);
-            continue;
-        }
-        break;
+        let current = trace.last().map_or(query, |step: &TraceStep| &step.after);
+        let step = FIXPOINT_RULES
+            .iter()
+            .find_map(|(rule, apply)| apply(current).map(|next| (*rule, next)));
+        let Some((rule, next)) = step else { break };
+        push_step(&mut trace, query, rule, next);
     }
     // Rule ⑤ last: pure renaming, applied once, recorded only when it fired.
-    let (renamed, changed) = rule5_standardize::apply(&current);
-    if changed {
-        current = record(rule_names::STANDARDIZE, &current, renamed);
+    let current = trace.last().map_or(query, |step| &step.after);
+    if let Some(renamed) = rule5_standardize::apply(current) {
+        push_step(&mut trace, query, rule_names::STANDARDIZE, renamed);
     }
-    (current, trace)
+    trace
+}
+
+/// Appends the step to `after`, positioned against the query before it.
+fn push_step(trace: &mut Vec<TraceStep>, query: &Query, rule: &'static str, after: Query) {
+    let before = trace.last().map_or(query, |step| &step.after);
+    let (part, clause) = diff_position(before, &after);
+    trace.push(TraceStep { rule, part, clause, after });
 }
 
 mod util {
     use super::*;
 
-    pub fn map_expressions(query: &mut SingleQuery, f: &impl Fn(Expr) -> Expr) {
-        for clause in &mut query.clauses {
+    /// Calls `f` on every expression node of the clauses, in place:
+    /// property maps, predicates, projections, `ORDER BY`, `SKIP`, `LIMIT`
+    /// and `UNWIND` lists, but not `EXISTS` bodies (see [`Expr::walk_mut`]).
+    pub fn walk_expressions_mut(clauses: &mut [Clause], f: &mut impl FnMut(&mut Expr)) {
+        for clause in clauses {
             match clause {
                 Clause::Match(m) => {
                     for pattern in &mut m.patterns {
-                        map_pattern(pattern, f);
+                        let properties = std::iter::once(&mut pattern.start.properties).chain(
+                            pattern.segments.iter_mut().flat_map(|segment| {
+                                [&mut segment.relationship.properties, &mut segment.node.properties]
+                            }),
+                        );
+                        for (_, value) in properties.flatten() {
+                            value.walk_mut(f);
+                        }
                     }
-                    if let Some(w) = m.where_clause.take() {
-                        m.where_clause = Some(w.map(f));
+                    if let Some(predicate) = &mut m.where_clause {
+                        predicate.walk_mut(f);
                     }
                 }
-                Clause::Unwind(u) => {
-                    u.expr = u.expr.clone().map(f);
-                }
+                Clause::Unwind(u) => u.expr.walk_mut(f),
                 Clause::With(w) => {
-                    map_projection(&mut w.projection, f);
-                    if let Some(p) = w.where_clause.take() {
-                        w.where_clause = Some(p.map(f));
+                    walk_projection_mut(&mut w.projection, f);
+                    if let Some(predicate) = &mut w.where_clause {
+                        predicate.walk_mut(f);
                     }
                 }
-                Clause::Return(p) => map_projection(p, f),
+                Clause::Return(p) => walk_projection_mut(p, f),
             }
         }
     }
 
-    pub fn map_projection(projection: &mut Projection, f: &impl Fn(Expr) -> Expr) {
+    fn walk_projection_mut(projection: &mut Projection, f: &mut impl FnMut(&mut Expr)) {
         if let ProjectionItems::Items(items) = &mut projection.items {
             for item in items {
-                item.expr = item.expr.clone().map(f);
+                item.expr.walk_mut(f);
             }
         }
         for order in &mut projection.order_by {
-            order.expr = order.expr.clone().map(f);
+            order.expr.walk_mut(f);
         }
-        if let Some(skip) = projection.skip.take() {
-            projection.skip = Some(skip.map(f));
-        }
-        if let Some(limit) = projection.limit.take() {
-            projection.limit = Some(limit.map(f));
+        for expr in projection.skip.iter_mut().chain(&mut projection.limit) {
+            expr.walk_mut(f);
         }
     }
 
-    pub fn map_pattern(pattern: &mut PathPattern, f: &impl Fn(Expr) -> Expr) {
-        for (_, value) in &mut pattern.start.properties {
-            *value = value.clone().map(f);
-        }
-        for segment in &mut pattern.segments {
-            for (_, value) in &mut segment.relationship.properties {
-                *value = value.clone().map(f);
-            }
-            for (_, value) in &mut segment.node.properties {
-                *value = value.clone().map(f);
-            }
-        }
-    }
-
+    /// The variables visible at the end of the clause list (used by rule ③).
     pub fn visible_variables(clauses: &[Clause]) -> Vec<String> {
         let mut scope: Vec<String> = Vec::new();
         for clause in clauses {
@@ -203,40 +195,37 @@ mod util {
         }
     }
 
+    /// Rebuilds a query replacing part `index` by `replacements`, joined to
+    /// the rest with `UNION ALL`. Only used when the query has no
+    /// deduplicating unions (checked by the callers).
     pub fn splice_parts(query: &Query, index: usize, replacements: Vec<SingleQuery>) -> Query {
-        let mut parts = Vec::new();
-        let mut unions = Vec::new();
-        for (i, part) in query.parts.iter().enumerate() {
-            if i == index {
-                for (j, replacement) in replacements.iter().enumerate() {
-                    if !parts.is_empty() {
-                        unions.push(if j == 0 && i > 0 {
-                            query.unions[i - 1]
-                        } else {
-                            UnionKind::All
-                        });
-                    }
-                    parts.push(replacement.clone());
-                }
-            } else {
-                if !parts.is_empty() {
-                    unions.push(if i > 0 { query.unions[i - 1] } else { UnionKind::All });
-                }
-                parts.push(part.clone());
-            }
-        }
+        let joins = std::iter::repeat_n(UnionKind::All, replacements.len() - 1);
+        let (before, after) = (&query.parts[..index], &query.parts[index + 1..]);
+        let parts =
+            before.iter().cloned().chain(replacements).chain(after.iter().cloned()).collect();
+        let (before, after) = query.unions.split_at(index);
+        let unions = before.iter().copied().chain(joins).chain(after.iter().copied()).collect();
         Query { parts, unions }
     }
 
     pub fn all_unions_are_all(query: &Query) -> bool {
         query.unions.iter().all(|u| *u == UnionKind::All)
     }
+
+    /// Renames a variable in place, reusing its buffer.
+    pub fn rename(name: &mut String, to: &str) {
+        name.replace_range(.., to);
+    }
 }
 
+/// Rule ①: eliminate undirected relationship patterns by splitting the query
+/// into a `UNION ALL` of the two directions.
 mod rule1_undirected {
     use super::util;
     use super::*;
 
+    /// Applies the rule to the first undirected, fixed-length relationship
+    /// pattern found.
     pub fn apply(query: &Query) -> Option<Query> {
         if !util::all_unions_are_all(query) {
             return None;
@@ -290,12 +279,17 @@ mod rule1_undirected {
     }
 }
 
+/// Rule ②: rewrite bounded variable-length paths (`-[*1..3]->`) into the
+/// union of the fixed lengths.
 mod rule2_var_length {
     use super::util;
     use super::*;
 
+    /// Largest expansion the rule performs; longer ranges stay with the
+    /// uninterpreted `UNBOUNDED` modeling.
     const MAX_EXPANSION: u32 = 5;
 
+    /// Applies the rule to the first bounded variable-length pattern found.
     pub fn apply(query: &Query) -> Option<Query> {
         if !util::all_unions_are_all(query) {
             return None;
@@ -327,6 +321,9 @@ mod rule2_var_length {
         None
     }
 
+    /// Replaces segment `segment_index` by `hops` copies of a single-hop
+    /// relationship with the same labels / properties / direction, chained
+    /// through anonymous nodes.
     fn expand(
         part: &mut SingleQuery,
         clause_index: usize,
@@ -334,12 +331,10 @@ mod rule2_var_length {
         segment_index: usize,
         hops: u32,
     ) {
-        let Clause::Match(m) = &mut part.clauses[clause_index] else {
-            return;
-        };
+        let Clause::Match(m) = &mut part.clauses[clause_index] else { return };
         let pattern = &mut m.patterns[pattern_index];
-        let original = pattern.segments[segment_index].clone();
-        let mut replacement_segments = Vec::new();
+        let original = pattern.segments.remove(segment_index);
+        let mut replacement_segments = Vec::with_capacity(hops as usize);
         for hop in 0..hops {
             let relationship = RelationshipPattern {
                 variable: None,
@@ -352,83 +347,95 @@ mod rule2_var_length {
                 if hop + 1 == hops { original.node.clone() } else { NodePattern::anonymous() };
             replacement_segments.push(PathSegment { relationship, node });
         }
-        pattern.segments.splice(segment_index..=segment_index, replacement_segments);
+        pattern.segments.splice(segment_index..segment_index, replacement_segments);
     }
 }
 
+/// Rule ③: expand `RETURN *` / `WITH *` into an explicit item list sorted
+/// alphabetically.
 mod rule3_return_star {
     use super::util;
     use super::*;
 
+    /// Expands every star projection that has variables in scope.
     pub fn apply(query: &Query) -> Option<Query> {
-        let mut result = query.clone();
-        let mut changed = false;
-        for part in &mut result.parts {
+        let mut result: Option<Query> = None;
+        for (part_index, part) in query.parts.iter().enumerate() {
             for index in 0..part.clauses.len() {
-                let scope = util::visible_variables(&part.clauses[..index]);
-                let projection = match &mut part.clauses[index] {
-                    Clause::With(w) => &mut w.projection,
-                    Clause::Return(p) => p,
-                    _ => continue,
-                };
-                if projection.items == ProjectionItems::Star && !scope.is_empty() {
-                    projection.items = ProjectionItems::Items(
-                        scope
-                            .iter()
-                            .map(|name| ProjectionItem::expr(Expr::Variable(name.clone())))
-                            .collect(),
-                    );
-                    changed = true;
+                let Some(scope) = expansion(&part.clauses, index) else { continue };
+                let result = result.get_or_insert_with(|| query.clone());
+                let items =
+                    scope.into_iter().map(|name| ProjectionItem::expr(Expr::Variable(name)));
+                let items = ProjectionItems::Items(items.collect());
+                match &mut result.parts[part_index].clauses[index] {
+                    Clause::With(w) => w.projection.items = items,
+                    Clause::Return(p) => p.items = items,
+                    _ => unreachable!("only projections expand"),
                 }
             }
         }
-        if changed {
-            Some(result)
-        } else {
-            None
+        result
+    }
+
+    /// The variables a `*` projection at `clauses[index]` expands to: the
+    /// scope visible there, computed only at a star, and `None` when the
+    /// clause is no star projection or nothing is in scope. (A star before
+    /// it leaves the same set of names in scope whether or not it has been
+    /// expanded, so expanding against the original query is exact.)
+    fn expansion(clauses: &[Clause], index: usize) -> Option<Vec<String>> {
+        let projection = match &clauses[index] {
+            Clause::With(w) => &w.projection,
+            Clause::Return(p) => p,
+            _ => return None,
+        };
+        if projection.items != ProjectionItems::Star {
+            return None;
         }
+        let scope = util::visible_variables(&clauses[..index]);
+        (!scope.is_empty()).then_some(scope)
     }
 }
 
+/// Rule ④: eliminate a redundant `WITH` clause (no `DISTINCT`, aggregation,
+/// ordering, truncation or filter) by inlining its aliases into the
+/// following clauses.
 mod rule4_redundant_with {
     use super::util;
     use super::*;
     use std::collections::BTreeMap;
 
+    /// Applies the rule to the first redundant `WITH` found.
     pub fn apply(query: &Query) -> Option<Query> {
-        let mut result = query.clone();
-        for part in &mut result.parts {
-            for index in 0..part.clauses.len() {
-                let Clause::With(w) = &part.clauses[index] else {
-                    continue;
-                };
+        for (part_index, part) in query.parts.iter().enumerate() {
+            for (index, clause) in part.clauses.iter().enumerate() {
+                let Clause::With(w) = clause else { continue };
                 if w.projection.distinct
                     || w.projection.has_sort_or_truncation()
                     || w.where_clause.is_some()
                 {
                     continue;
                 }
-                let Some(items) = w.projection.explicit_items() else {
-                    continue;
-                };
+                let Some(items) = w.projection.explicit_items() else { continue };
                 if items.iter().any(|item| item.expr.contains_aggregate()) {
                     continue;
                 }
-                let mut substitution: BTreeMap<String, Expr> = BTreeMap::new();
-                for item in items {
-                    let name = item.output_name();
-                    if item.alias.is_none() && matches!(item.expr, Expr::Variable(_)) {
-                        continue;
+                // Output name -> defining expression. `WITH x` keeps `x` as
+                // it is: nothing to substitute.
+                let substitution: BTreeMap<String, &Expr> = items
+                    .iter()
+                    .filter(|item| item.alias.is_some() || !matches!(item.expr, Expr::Variable(_)))
+                    .map(|item| (item.output_name(), &item.expr))
+                    .collect();
+                let mut result = query.clone();
+                let clauses = &mut result.parts[part_index].clauses;
+                clauses.remove(index);
+                util::walk_expressions_mut(&mut clauses[index..], &mut |expr| {
+                    if let Expr::Variable(name) = expr {
+                        if let Some(&definition) = substitution.get(name.as_str()) {
+                            *expr = definition.clone();
+                        }
                     }
-                    substitution.insert(name, item.expr.clone());
-                }
-                part.clauses.remove(index);
-                let mut tail = SingleQuery { clauses: part.clauses.split_off(index) };
-                util::map_expressions(&mut tail, &|expr| match &expr {
-                    Expr::Variable(name) => substitution.get(name).cloned().unwrap_or(expr),
-                    _ => expr,
                 });
-                part.clauses.extend(tail.clauses);
                 return Some(result);
             }
         }
@@ -436,25 +443,29 @@ mod rule4_redundant_with {
     }
 }
 
+/// Rule ⑤: standardize variable names to `n1, n2, ...` (nodes), `r1, ...`
+/// (relationships) and `p1, ...` (paths) in order of first appearance.
 mod rule5_standardize {
     use super::util;
     use super::*;
     use std::collections::BTreeMap;
 
-    pub fn apply(query: &Query) -> (Query, bool) {
-        let mut result = query.clone();
-        let mut changed = false;
-        for part in &mut result.parts {
+    /// Renames the variables of every part; `None` when every name is
+    /// already standard.
+    pub fn apply(query: &Query) -> Option<Query> {
+        let mut result: Option<Query> = None;
+        for (index, part) in query.parts.iter().enumerate() {
             let mapping = build_mapping(part);
-            if mapping.iter().any(|(from, to)| from != to) {
-                changed = true;
+            if mapping.iter().all(|(from, to)| from == to) {
+                continue;
             }
-            rename_part(part, &mapping);
+            let result = result.get_or_insert_with(|| query.clone());
+            rename_part(&mut result.parts[index], &mapping);
         }
-        (result, changed)
+        result
     }
 
-    fn build_mapping(part: &SingleQuery) -> BTreeMap<String, String> {
+    fn build_mapping(part: &SingleQuery) -> BTreeMap<&str, String> {
         let mut mapping = BTreeMap::new();
         let mut nodes = 0usize;
         let mut rels = 0usize;
@@ -464,21 +475,21 @@ mod rule5_standardize {
             for pattern in &m.patterns {
                 if let Some(v) = &pattern.variable {
                     paths += 1;
-                    mapping.entry(v.clone()).or_insert_with(|| format!("p{paths}"));
+                    mapping.entry(v.as_str()).or_insert_with(|| format!("p{paths}"));
                 }
                 for node in pattern.nodes() {
                     if let Some(v) = &node.variable {
-                        if !mapping.contains_key(v) {
+                        if !mapping.contains_key(v.as_str()) {
                             nodes += 1;
-                            mapping.insert(v.clone(), format!("n{nodes}"));
+                            mapping.insert(v.as_str(), format!("n{nodes}"));
                         }
                     }
                 }
                 for rel in pattern.relationships() {
                     if let Some(v) = &rel.variable {
-                        if !mapping.contains_key(v) {
+                        if !mapping.contains_key(v.as_str()) {
                             rels += 1;
-                            mapping.insert(v.clone(), format!("r{rels}"));
+                            mapping.insert(v.as_str(), format!("r{rels}"));
                         }
                     }
                 }
@@ -487,88 +498,89 @@ mod rule5_standardize {
         mapping
     }
 
-    fn rename_part(part: &mut SingleQuery, mapping: &BTreeMap<String, String>) {
+    fn rename_part(part: &mut SingleQuery, mapping: &BTreeMap<&str, String>) {
+        let rename = |name: &mut String| {
+            if let Some(new) = mapping.get(name.as_str()) {
+                util::rename(name, new);
+            }
+        };
         for clause in &mut part.clauses {
-            if let Clause::Match(m) = clause {
-                for pattern in &mut m.patterns {
-                    if let Some(v) = &mut pattern.variable {
-                        if let Some(new) = mapping.get(v) {
-                            *v = new.clone();
-                        }
-                    }
-                    if let Some(v) = &mut pattern.start.variable {
-                        if let Some(new) = mapping.get(v) {
-                            *v = new.clone();
-                        }
-                    }
-                    for segment in &mut pattern.segments {
-                        if let Some(v) = &mut segment.relationship.variable {
-                            if let Some(new) = mapping.get(v) {
-                                *v = new.clone();
-                            }
-                        }
-                        if let Some(v) = &mut segment.node.variable {
-                            if let Some(new) = mapping.get(v) {
-                                *v = new.clone();
-                            }
-                        }
-                    }
+            let Clause::Match(m) = clause else { continue };
+            for pattern in &mut m.patterns {
+                let segments = pattern.segments.iter_mut().flat_map(|segment| {
+                    [&mut segment.relationship.variable, &mut segment.node.variable]
+                });
+                let variables = [&mut pattern.variable, &mut pattern.start.variable];
+                for variable in variables.into_iter().chain(segments).flatten() {
+                    rename(variable);
                 }
             }
         }
-        util::map_expressions(part, &|expr| match &expr {
-            Expr::Variable(name) => match mapping.get(name) {
-                Some(new) => Expr::Variable(new.clone()),
-                None => expr,
-            },
-            _ => expr,
+        util::walk_expressions_mut(&mut part.clauses, &mut |expr| {
+            if let Expr::Variable(name) = expr {
+                rename(name);
+            }
         });
     }
 }
 
+/// Rule ⑥: simplify `id(a) = id(b)` (or `a = b` on node variables) into a
+/// variable unification: `b` is replaced by `a` and duplicate bare node
+/// patterns are removed.
 mod rule6_id_equality {
     use super::util;
     use super::*;
 
+    /// Applies the rule to the first `id(a) = id(b)` conjunct found.
     pub fn apply(query: &Query) -> Option<Query> {
-        let mut result = query.clone();
-        for part in &mut result.parts {
-            for clause_index in 0..part.clauses.len() {
-                let Clause::Match(m) = &mut part.clauses[clause_index] else {
-                    continue;
+        for (part_index, part) in query.parts.iter().enumerate() {
+            for (clause_index, clause) in part.clauses.iter().enumerate() {
+                let Clause::Match(m) = clause else { continue };
+                let Some(predicate) = &m.where_clause else { continue };
+                let Some((keep, drop, remainder)) = find_id_equality(predicate) else { continue };
+                let mut result = query.clone();
+                let part = &mut result.parts[part_index];
+                if let Clause::Match(m) = &mut part.clauses[clause_index] {
+                    m.where_clause = remainder;
+                }
+                // Substitute `drop` by `keep` throughout the part.
+                let rename = |name: &mut String| {
+                    if name.as_str() == drop {
+                        util::rename(name, keep);
+                    }
                 };
-                let Some(predicate) = &m.where_clause else {
-                    continue;
-                };
-                let Some((keep, drop, remainder)) = find_id_equality(predicate) else {
-                    continue;
-                };
-                m.where_clause = remainder;
                 for clause in &mut part.clauses {
-                    if let Clause::Match(m) = clause {
-                        for pattern in &mut m.patterns {
-                            rename_pattern_variable(pattern, &drop, &keep);
+                    let Clause::Match(m) = clause else { continue };
+                    for pattern in &mut m.patterns {
+                        let segments = pattern.segments.iter_mut().flat_map(|segment| {
+                            [&mut segment.node.variable, &mut segment.relationship.variable]
+                        });
+                        let variables = std::iter::once(&mut pattern.start.variable);
+                        for variable in variables.chain(segments).flatten() {
+                            rename(variable);
                         }
                     }
                 }
-                util::map_expressions(part, &|expr| match &expr {
-                    Expr::Variable(name) if *name == drop => Expr::Variable(keep.clone()),
-                    _ => expr,
+                util::walk_expressions_mut(&mut part.clauses, &mut |expr| {
+                    if let Expr::Variable(name) = expr {
+                        rename(name);
+                    }
                 });
+                // Deduplicate bare single-node patterns that are now identical.
                 if let Clause::Match(m) = &mut part.clauses[clause_index] {
-                    let mut seen: Vec<PathPattern> = Vec::new();
-                    m.patterns.retain(|pattern| {
+                    let mut index = 0;
+                    while index < m.patterns.len() {
+                        let pattern = &m.patterns[index];
                         let bare = pattern.segments.is_empty()
                             && pattern.start.labels.is_empty()
                             && pattern.start.properties.is_empty()
                             && pattern.start.variable.is_some();
-                        if bare && seen.contains(pattern) {
-                            false
+                        if bare && m.patterns[..index].contains(pattern) {
+                            m.patterns.remove(index);
                         } else {
-                            seen.push(pattern.clone());
-                            true
+                            index += 1;
                         }
-                    });
+                    }
                 }
                 return Some(result);
             }
@@ -576,53 +588,49 @@ mod rule6_id_equality {
         None
     }
 
-    fn rename_pattern_variable(pattern: &mut PathPattern, from: &str, to: &str) {
-        if pattern.start.variable.as_deref() == Some(from) {
-            pattern.start.variable = Some(to.to_string());
-        }
-        for segment in &mut pattern.segments {
-            if segment.node.variable.as_deref() == Some(from) {
-                segment.node.variable = Some(to.to_string());
+    /// Finds a conjunct `id(a) = id(b)` in the AND-tree of the predicate.
+    /// Returns `(a, b, predicate without the conjunct)`.
+    fn find_id_equality(predicate: &Expr) -> Option<(&str, &str, Option<Expr>)> {
+        let (equality, keep, drop) = find_conjunct(predicate, &mut |conjunct| {
+            let Expr::Binary(BinaryOp::Eq, lhs, rhs) = conjunct else { return None };
+            let (a, b) = (id_argument(lhs)?, id_argument(rhs)?);
+            (a != b).then_some((conjunct, a, b))
+        })?;
+        // The other conjuncts, joined again from the left.
+        let mut remainder: Option<Expr> = None;
+        find_conjunct(predicate, &mut |conjunct| {
+            if !std::ptr::eq(conjunct, equality) {
+                let conjunct = conjunct.clone();
+                remainder = Some(match remainder.take() {
+                    Some(lhs) => Expr::and(lhs, conjunct),
+                    None => conjunct,
+                });
             }
-            if segment.relationship.variable.as_deref() == Some(from) {
-                segment.relationship.variable = Some(to.to_string());
-            }
-        }
+            None::<()>
+        });
+        Some((keep, drop, remainder))
     }
 
-    fn find_id_equality(predicate: &Expr) -> Option<(String, String, Option<Expr>)> {
-        let conjuncts = flatten_and(predicate);
-        for (index, conjunct) in conjuncts.iter().enumerate() {
-            if let Expr::Binary(BinaryOp::Eq, lhs, rhs) = conjunct {
-                if let (Some(a), Some(b)) = (id_argument(lhs), id_argument(rhs)) {
-                    if a != b {
-                        let mut remaining = conjuncts.clone();
-                        remaining.remove(index);
-                        let remainder = remaining.into_iter().reduce(Expr::and);
-                        return Some((a, b, remainder));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    fn flatten_and(expr: &Expr) -> Vec<Expr> {
+    /// Calls `f` on the conjuncts of an AND-tree, left to right, until it
+    /// returns `Some`.
+    fn find_conjunct<'e, T>(
+        expr: &'e Expr,
+        f: &mut impl FnMut(&'e Expr) -> Option<T>,
+    ) -> Option<T> {
         match expr {
             Expr::Binary(BinaryOp::And, lhs, rhs) => {
-                let mut out = flatten_and(lhs);
-                out.extend(flatten_and(rhs));
-                out
+                find_conjunct(lhs, f).or_else(|| find_conjunct(rhs, f))
             }
-            other => vec![other.clone()],
+            other => f(other),
         }
     }
 
-    fn id_argument(expr: &Expr) -> Option<String> {
+    /// Returns the variable inside `id(x)`.
+    fn id_argument(expr: &Expr) -> Option<&str> {
         match expr {
             Expr::FunctionCall { name, args } if name == "id" && args.len() == 1 => {
                 match &args[0] {
-                    Expr::Variable(v) => Some(v.clone()),
+                    Expr::Variable(v) => Some(v),
                     _ => None,
                 }
             }
@@ -639,20 +647,20 @@ mod tests {
     #[test]
     fn trace_records_each_rule_with_its_position() {
         let query = parse_query("MATCH (a)-[*1..2]->(b) RETURN *").unwrap();
-        let (normalized, trace) = normalize_with_trace(&query);
+        let trace = normalize_with_trace(&query);
         let rules: Vec<&str> = trace.iter().map(|s| s.rule).collect();
-        assert!(rules.contains(&rule_names::VAR_LENGTH));
-        assert!(rules.contains(&rule_names::RETURN_STAR));
-        assert!(rules.contains(&rule_names::STANDARDIZE));
-        assert_eq!(trace.last().unwrap().after, normalized);
+        assert_eq!(
+            rules,
+            [rule_names::VAR_LENGTH, rule_names::RETURN_STAR, rule_names::STANDARDIZE]
+        );
+        let positions: Vec<_> = trace.iter().map(|s| (s.part, s.clause)).collect();
+        assert_eq!(positions, [(0, 0), (0, 1), (0, 0)]);
     }
 
     #[test]
     fn trace_is_empty_for_already_normal_queries() {
         let query = parse_query("MATCH (n1) RETURN n1").unwrap();
-        let (normalized, trace) = normalize_with_trace(&query);
-        assert!(trace.is_empty());
-        assert_eq!(normalized, query);
+        assert!(normalize_with_trace(&query).is_empty());
     }
 
     #[test]

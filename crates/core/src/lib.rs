@@ -883,12 +883,11 @@ impl GraphQE {
             ));
         }
 
-        // Return-element mapping (§IV-C): try the identity first, then every
-        // kind-compatible permutation of the second query's RETURN items.
-        for (index, permutation) in column_permutations(&built1.column_kinds, &built2.column_kinds)
-            .into_iter()
-            .take(MAX_COLUMN_PERMUTATIONS)
-            .enumerate()
+        // Return-element mapping (§IV-C): try the identity first, then the
+        // other kind-compatible permutations of the second query's RETURN
+        // items, up to `MAX_COLUMN_PERMUTATIONS` in all.
+        for (index, permutation) in
+            column_permutations(&built1.column_kinds, &built2.column_kinds).into_iter().enumerate()
         {
             let build_start = Instant::now();
             let permuted = (!is_identity(&permutation)).then(|| permute_returns(q2, &permutation));
@@ -1077,18 +1076,15 @@ fn both_always_empty(b1: &BuildOutput, b2: &BuildOutput, tree_normalizer: bool) 
 /// returned columns of the two queries (§IV-C).
 const MAX_COLUMN_PERMUTATIONS: usize = 24;
 
-/// All permutations of the second query's columns whose kinds match the first
-/// query's kinds position by position. The identity (if compatible) comes
-/// first.
+/// The first [`MAX_COLUMN_PERMUTATIONS`] permutations of the second query's
+/// columns whose kinds match the first query's kinds position by position,
+/// in lexicographic order, so the identity (if compatible) comes first. The
+/// search stops at the cap: `n` columns of one kind have `n!` permutations.
 fn column_permutations(kinds1: &[ColumnKind], kinds2: &[ColumnKind]) -> Vec<Vec<usize>> {
-    let n = kinds1.len();
-    let mut result = Vec::new();
-    let mut current = Vec::new();
-    let mut used = vec![false; n];
-    fn recurse(
+    fn extend(
         kinds1: &[ColumnKind],
         kinds2: &[ColumnKind],
-        used: &mut Vec<bool>,
+        used: &mut [bool],
         current: &mut Vec<usize>,
         result: &mut Vec<Vec<usize>>,
     ) {
@@ -1098,27 +1094,27 @@ fn column_permutations(kinds1: &[ColumnKind], kinds2: &[ColumnKind]) -> Vec<Vec<
             return;
         }
         for candidate in 0..kinds2.len() {
+            if result.len() == MAX_COLUMN_PERMUTATIONS {
+                return;
+            }
             if !used[candidate] && kinds2[candidate] == kinds1[position] {
                 used[candidate] = true;
                 current.push(candidate);
-                recurse(kinds1, kinds2, used, current, result);
+                extend(kinds1, kinds2, used, current, result);
                 current.pop();
                 used[candidate] = false;
             }
         }
     }
-    recurse(kinds1, kinds2, &mut used, &mut current, &mut result);
+    let n = kinds1.len();
+    let mut result = Vec::new();
+    extend(kinds1, kinds2, &mut vec![false; n], &mut Vec::with_capacity(n), &mut result);
     // If no kind-compatible permutation exists (e.g. kinds were inferred
     // differently), fall back to the identity so at least the direct
     // comparison is attempted.
-    if result.is_empty() && n > 0 {
+    if result.is_empty() {
         result.push((0..n).collect());
     }
-    if n == 0 {
-        result.push(Vec::new());
-    }
-    // Put the identity first.
-    result.sort_by_key(|p| if is_identity(p) { 0 } else { 1 });
     result
 }
 
@@ -1655,6 +1651,67 @@ mod tests {
         assert!(permutations.contains(&vec![2, 1, 0]));
         assert_eq!(permutations.len(), 2);
         assert!(is_identity(&permutations[0]));
+    }
+
+    #[test]
+    fn column_permutations_stop_at_the_cap() {
+        // 12! = 479,001,600 permutations exist; the search builds 24.
+        let kinds = vec![ColumnKind::Value; 12];
+        let permutations = column_permutations(&kinds, &kinds);
+        assert_eq!(permutations.len(), MAX_COLUMN_PERMUTATIONS);
+        assert!(is_identity(&permutations[0]));
+        assert_eq!(permutations[1], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10]);
+    }
+
+    /// Every kind-compatible permutation, in lexicographic order.
+    fn all_column_permutations(kinds1: &[ColumnKind], kinds2: &[ColumnKind]) -> Vec<Vec<usize>> {
+        let mut all: Vec<Vec<usize>> = vec![Vec::new()];
+        for kind in kinds1 {
+            let mut longer = Vec::new();
+            for prefix in &all {
+                for (column, other) in kinds2.iter().enumerate() {
+                    if other == kind && !prefix.contains(&column) {
+                        longer.push([prefix.as_slice(), &[column]].concat());
+                    }
+                }
+            }
+            all = longer;
+        }
+        all
+    }
+
+    #[test]
+    fn capped_column_permutations_are_the_first_of_all() {
+        let palette = [ColumnKind::Node, ColumnKind::Value, ColumnKind::Property("p".into())];
+        for n in 0..=5 {
+            // Every assignment of the three kinds to n columns, against itself
+            // and against its reversal.
+            for code in 0..3usize.pow(n) {
+                let kinds: Vec<ColumnKind> =
+                    (0..n).map(|i| palette[code / 3usize.pow(i) % 3].clone()).collect();
+                let reversed: Vec<ColumnKind> = kinds.iter().rev().cloned().collect();
+                for other in [&kinds, &reversed] {
+                    let all = all_column_permutations(&kinds, other);
+                    let mut expected: Vec<_> =
+                        all.into_iter().take(MAX_COLUMN_PERMUTATIONS).collect();
+                    if expected.is_empty() {
+                        expected.push((0..n as usize).collect());
+                    }
+                    assert_eq!(column_permutations(&kinds, other), expected, "{kinds:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eleven_same_kind_columns_prove_on_the_identity() {
+        let returns =
+            |v: &str| (0..=10).map(|i| format!("{v}.p + {i}")).collect::<Vec<_>>().join(", ");
+        let verdict = prover().prove(
+            &format!("MATCH (n) RETURN {}", returns("n")),
+            &format!("MATCH (m) RETURN {}", returns("m")),
+        );
+        assert!(verdict.is_equivalent(), "{verdict:?}");
     }
 
     #[test]

@@ -509,15 +509,16 @@ pub enum Aggregate {
 impl Aggregate {
     /// Parses an aggregate function name (case-insensitive).
     pub fn from_name(name: &str) -> Option<Aggregate> {
-        match name.to_ascii_uppercase().as_str() {
-            "COUNT" => Some(Aggregate::Count),
-            "SUM" => Some(Aggregate::Sum),
-            "MIN" => Some(Aggregate::Min),
-            "MAX" => Some(Aggregate::Max),
-            "AVG" => Some(Aggregate::Avg),
-            "COLLECT" => Some(Aggregate::Collect),
-            _ => None,
-        }
+        [
+            Aggregate::Count,
+            Aggregate::Sum,
+            Aggregate::Min,
+            Aggregate::Max,
+            Aggregate::Avg,
+            Aggregate::Collect,
+        ]
+        .into_iter()
+        .find(|aggregate| name.eq_ignore_ascii_case(aggregate.name()))
     }
 
     /// The canonical upper-case name.
@@ -692,6 +693,49 @@ impl Expr {
         f(rebuilt)
     }
 
+    /// Calls `f` on every sub-expression and then on this expression
+    /// (post-order), in place. `EXISTS` subqueries are not descended into.
+    /// This is [`Expr::map`]'s traversal without rebuilding the tree: `f`
+    /// may replace the node it is given, and a replacement is not visited
+    /// again.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Literal(_)
+            | Expr::Variable(_)
+            | Expr::Parameter(_)
+            | Expr::CountStar { .. }
+            | Expr::Exists(_) => {}
+            Expr::Property(e, _)
+            | Expr::Unary(_, e)
+            | Expr::IsNull { expr: e, .. }
+            | Expr::AggregateCall { arg: e, .. } => e.walk_mut(f),
+            Expr::Binary(_, l, r) => {
+                l.walk_mut(f);
+                r.walk_mut(f);
+            }
+            Expr::List(items) | Expr::FunctionCall { args: items, .. } => {
+                for item in items {
+                    item.walk_mut(f);
+                }
+            }
+            Expr::Map(entries) => {
+                for (_, v) in entries {
+                    v.walk_mut(f);
+                }
+            }
+            Expr::Case { branches, otherwise } => {
+                for (c, v) in branches {
+                    c.walk_mut(f);
+                    v.walk_mut(f);
+                }
+                if let Some(e) = otherwise {
+                    e.walk_mut(f);
+                }
+            }
+        }
+        f(self);
+    }
+
     /// Collects the free variable names referenced by the expression
     /// (excluding `EXISTS` subqueries, which manage their own scopes).
     pub fn variables(&self) -> Vec<String> {
@@ -709,13 +753,13 @@ impl Expr {
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", crate::pretty::expr_to_string(self))
+        f.write_str(&crate::pretty::expr_to_string(self))
     }
 }
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", crate::pretty::query_to_string(self))
+        f.write_str(&crate::pretty::query_to_string(self))
     }
 }
 
@@ -777,6 +821,23 @@ mod tests {
             other => other,
         });
         assert_eq!(rewritten, Expr::binary(BinaryOp::Add, Expr::int(10), Expr::int(20)));
+    }
+
+    #[test]
+    fn walk_mut_substitutes_like_map() {
+        let substitute = |node: Expr| match node {
+            Expr::Variable(name) if name == "x" => Expr::prop("x", "p"),
+            other => other,
+        };
+        let e = Expr::and(
+            Expr::eq(Expr::var("x"), Expr::FunctionCall { name: "f".into(), args: vec![] }),
+            Expr::List(vec![Expr::var("y"), Expr::var("x")]),
+        );
+        let mut walked = e.clone();
+        walked.walk_mut(&mut |node| *node = substitute(std::mem::replace(node, Expr::int(0))));
+        assert_eq!(walked, e.map(&substitute));
+        // The replacement `x.p` contains `x`, but is not visited again.
+        assert_eq!(walked.to_string(), "x.p = f() AND [y, x.p]");
     }
 
     #[test]

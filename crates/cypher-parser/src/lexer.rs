@@ -1,16 +1,44 @@
 //! A hand-written lexer for the Cypher fragment supported by GraphQE-rs.
 //!
-//! The lexer converts the raw query text into a vector of [`Token`]s. It
-//! resolves keywords case-insensitively, decodes string escapes, and skips
-//! whitespace and comments (`//` line comments and `/* ... */` block
-//! comments).
+//! The lexer converts the raw query text into a vector of [`Token`]s that
+//! borrow their text from it. It resolves keywords case-insensitively,
+//! checks string escapes (the parser resolves them with [`unescape`] when it
+//! builds the literal), and skips whitespace and comments (`//` line
+//! comments and `/* ... */` block comments).
 
 use crate::token::{Token, TokenKind};
 use crate::{ParseError, Span};
 
+/// The most tokens [`Lexer::tokenize`] reserves room for before it has
+/// lexed them.
+const MAX_RESERVED_TOKENS: usize = 1024;
+
 /// Lexes an entire query string into tokens (terminated by an `Eof` token).
-pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
+pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>, ParseError> {
     Lexer::new(input).tokenize()
+}
+
+/// The value of a string literal whose body (the text between its quotes)
+/// the lexer accepted: each escape sequence resolved, in one allocation.
+pub fn unescape(body: &str) -> String {
+    let mut value = String::with_capacity(body.len());
+    let mut rest = body;
+    while let Some(index) = rest.find('\\') {
+        value.push_str(&rest[..index]);
+        let mut escaped = rest[index + 1..].chars();
+        match escaped.next() {
+            Some('n') => value.push('\n'),
+            Some('t') => value.push('\t'),
+            Some('r') => value.push('\r'),
+            // `\\`, `\'` and `\"` stand for the character itself; the lexer
+            // admits no other escape.
+            Some(other) => value.push(other),
+            None => {}
+        }
+        rest = escaped.as_str();
+    }
+    value.push_str(rest);
+    value
 }
 
 /// The lexer state: a byte cursor over the input string.
@@ -27,8 +55,12 @@ impl<'a> Lexer<'a> {
     }
 
     /// Consumes the lexer and produces the full token stream.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, ParseError> {
-        let mut tokens = Vec::new();
+    pub fn tokenize(mut self) -> Result<Vec<Token<'a>>, ParseError> {
+        // Corpus queries average under three bytes per token, so one
+        // allocation holds the stream of a typical query. The reservation is
+        // bounded: the input comes from outside, and a long run of
+        // whitespace holds no tokens.
+        let mut tokens = Vec::with_capacity((self.input.len() / 2 + 1).min(MAX_RESERVED_TOKENS));
         loop {
             let token = self.next_token()?;
             let is_eof = token.kind == TokenKind::Eof;
@@ -95,7 +127,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Produces the next token, skipping whitespace and comments.
-    pub fn next_token(&mut self) -> Result<Token, ParseError> {
+    pub fn next_token(&mut self) -> Result<Token<'a>, ParseError> {
         self.skip_trivia()?;
         let start = self.pos;
         let Some(b) = self.peek() else {
@@ -177,7 +209,7 @@ impl<'a> Lexer<'a> {
             b'0'..=b'9' => return self.lex_number(start),
             b if b.is_ascii_alphabetic() || b == b'_' => {
                 let text = self.lex_ident_text();
-                TokenKind::keyword_from_str(&text).unwrap_or(TokenKind::Ident(text))
+                TokenKind::keyword_from_str(text).unwrap_or(TokenKind::Ident(text))
             }
             other => {
                 return Err(ParseError::lexical(
@@ -189,12 +221,12 @@ impl<'a> Lexer<'a> {
         Ok(Token::new(kind, Span::new(start, self.pos)))
     }
 
-    fn single(&mut self, kind: TokenKind) -> TokenKind {
+    fn single(&mut self, kind: TokenKind<'a>) -> TokenKind<'a> {
         self.pos += 1;
         kind
     }
 
-    fn lex_ident_text(&mut self) -> String {
+    fn lex_ident_text(&mut self) -> &'a str {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || b == b'_' {
@@ -203,10 +235,10 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        self.input[start..self.pos].to_string()
+        &self.input[start..self.pos]
     }
 
-    fn lex_backtick_ident(&mut self, start: usize) -> Result<Token, ParseError> {
+    fn lex_backtick_ident(&mut self, start: usize) -> Result<Token<'a>, ParseError> {
         // The identifier is the text between the opening backtick and the
         // next one, taken as a slice so multi-byte characters stay whole.
         let body = start + 1;
@@ -218,24 +250,21 @@ impl<'a> Lexer<'a> {
             ));
         };
         self.pos = body + len + 1;
-        let text = self.input[body..body + len].to_string();
+        let text = &self.input[body..body + len];
         Ok(Token::new(TokenKind::Ident(text), Span::new(start, self.pos)))
     }
 
-    fn lex_string(&mut self, start: usize, quote: u8) -> Result<Token, ParseError> {
+    fn lex_string(&mut self, start: usize, quote: u8) -> Result<Token<'a>, ParseError> {
         // Consume the opening quote.
         self.pos += 1;
-        let mut value = String::new();
+        let body = self.pos;
         loop {
+            // The bytes of a multi-byte character are never a quote or a
+            // backslash, so stepping through them byte by byte is safe.
             match self.bump() {
                 Some(b) if b == quote => break,
                 Some(b'\\') => match self.bump() {
-                    Some(b'n') => value.push('\n'),
-                    Some(b't') => value.push('\t'),
-                    Some(b'r') => value.push('\r'),
-                    Some(b'\\') => value.push('\\'),
-                    Some(b'\'') => value.push('\''),
-                    Some(b'"') => value.push('"'),
+                    Some(b'n' | b't' | b'r' | b'\\' | b'\'' | b'"') => {}
                     Some(other) => {
                         return Err(ParseError::lexical(
                             format!("unknown escape sequence `\\{}`", other as char),
@@ -249,20 +278,7 @@ impl<'a> Lexer<'a> {
                         ));
                     }
                 },
-                Some(b) => {
-                    // Collect raw bytes; re-validate UTF-8 boundaries lazily by
-                    // pushing chars for ASCII and falling back to string slices
-                    // for multi-byte sequences.
-                    if b.is_ascii() {
-                        value.push(b as char);
-                    } else {
-                        // Walk back one byte and take the full char from the str.
-                        let ch_start = self.pos - 1;
-                        let ch = self.input[ch_start..].chars().next().expect("valid UTF-8 input");
-                        value.push(ch);
-                        self.pos = ch_start + ch.len_utf8();
-                    }
-                }
+                Some(_) => {}
                 None => {
                     return Err(ParseError::lexical(
                         "unterminated string literal",
@@ -271,10 +287,11 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        Ok(Token::new(TokenKind::StringLit(value), Span::new(start, self.pos)))
+        let body = &self.input[body..self.pos - 1];
+        Ok(Token::new(TokenKind::StringLit(body), Span::new(start, self.pos)))
     }
 
-    fn lex_number(&mut self, start: usize) -> Result<Token, ParseError> {
+    fn lex_number(&mut self, start: usize) -> Result<Token<'a>, ParseError> {
         let mut saw_dot = false;
         let mut saw_exp = false;
         while let Some(b) = self.peek() {
@@ -335,7 +352,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         tokenize(input)
             .unwrap()
             .into_iter()
@@ -352,12 +369,12 @@ mod tests {
             vec![
                 TokenKind::Match,
                 TokenKind::LParen,
-                TokenKind::Ident("n".into()),
+                TokenKind::Ident("n"),
                 TokenKind::Colon,
-                TokenKind::Ident("Person".into()),
+                TokenKind::Ident("Person"),
                 TokenKind::RParen,
                 TokenKind::Return,
-                TokenKind::Ident("n".into()),
+                TokenKind::Ident("n"),
             ]
         );
     }
@@ -369,16 +386,16 @@ mod tests {
             ks,
             vec![
                 TokenKind::LParen,
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::RParen,
                 TokenKind::Minus,
                 TokenKind::LBracket,
-                TokenKind::Ident("r".into()),
+                TokenKind::Ident("r"),
                 TokenKind::RBracket,
                 TokenKind::Minus,
                 TokenKind::Gt,
                 TokenKind::LParen,
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::RParen,
             ]
         );
@@ -406,23 +423,31 @@ mod tests {
 
     #[test]
     fn lexes_strings_with_escapes() {
-        assert_eq!(kinds("'Alice'"), vec![TokenKind::StringLit("Alice".into())]);
-        assert_eq!(kinds("\"Bob\""), vec![TokenKind::StringLit("Bob".into())]);
-        assert_eq!(kinds(r"'it\'s'"), vec![TokenKind::StringLit("it's".into())]);
-        assert_eq!(kinds(r#"'line\nbreak'"#), vec![TokenKind::StringLit("line\nbreak".into())]);
+        assert_eq!(kinds("'Alice'"), vec![TokenKind::StringLit("Alice")]);
+        assert_eq!(kinds("\"Bob\""), vec![TokenKind::StringLit("Bob")]);
+        // The token keeps the escapes; `unescape` resolves them.
+        assert_eq!(kinds(r"'it\'s'"), vec![TokenKind::StringLit(r"it\'s")]);
+        assert_eq!(kinds(r#"'line\nbreak'"#), vec![TokenKind::StringLit(r"line\nbreak")]);
+        assert_eq!(kinds(r#""say \"hi\"""#), vec![TokenKind::StringLit(r#"say \"hi\""#)]);
+        assert_eq!(unescape(r"it\'s"), "it's");
+        assert_eq!(unescape(r"line\nbreak"), "line\nbreak");
+        assert_eq!(unescape(r#"say \"hi\""#), "say \"hi\"");
+        assert_eq!(unescape(r"\t\r\\\\x\\"), "\t\r\\\\x\\");
+        assert_eq!(unescape("héllo→"), "héllo→");
     }
 
     #[test]
     fn lexes_unicode_strings() {
-        assert_eq!(kinds("'héllo→'"), vec![TokenKind::StringLit("héllo→".into())]);
+        assert_eq!(kinds("'héllo→'"), vec![TokenKind::StringLit("héllo→")]);
+        assert_eq!(kinds(r"'é\'→'"), vec![TokenKind::StringLit(r"é\'→")]);
     }
 
     #[test]
     fn lexes_parameters_and_backticks() {
-        assert_eq!(kinds("$limit"), vec![TokenKind::Parameter("limit".into())]);
-        assert_eq!(kinds("`weird name`"), vec![TokenKind::Ident("weird name".into())]);
-        assert_eq!(kinds("`Größe`"), vec![TokenKind::Ident("Größe".into())]);
-        assert_eq!(kinds("``"), vec![TokenKind::Ident(String::new())]);
+        assert_eq!(kinds("$limit"), vec![TokenKind::Parameter("limit")]);
+        assert_eq!(kinds("`weird name`"), vec![TokenKind::Ident("weird name")]);
+        assert_eq!(kinds("`Größe`"), vec![TokenKind::Ident("Größe")]);
+        assert_eq!(kinds("``"), vec![TokenKind::Ident("")]);
         assert!(tokenize("`open").is_err());
     }
 
@@ -456,7 +481,7 @@ mod tests {
     fn bang_equals_is_not_equal() {
         assert_eq!(
             kinds("a != b"),
-            vec![TokenKind::Ident("a".into()), TokenKind::Neq, TokenKind::Ident("b".into())]
+            vec![TokenKind::Ident("a"), TokenKind::Neq, TokenKind::Ident("b")]
         );
         assert!(tokenize("a ! b").is_err());
     }

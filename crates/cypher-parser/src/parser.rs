@@ -25,6 +25,7 @@
 //! (certificates carry it) is accepted again.
 
 use crate::ast::*;
+use crate::lexer::unescape;
 use crate::token::{Token, TokenKind};
 use crate::{ParseError, Span};
 
@@ -34,8 +35,11 @@ use crate::{ParseError, Span};
 pub const MAX_NESTING: usize = 64;
 
 /// The parser state: a cursor over the token stream produced by the lexer.
-pub struct Parser {
-    tokens: Vec<Token>,
+///
+/// Tokens borrow their text from the query; the parser copies a name or
+/// literal once, when it moves it into the AST.
+pub struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Brackets enclosing the expression being parsed: the parser's own
     /// recursion depth.
@@ -47,40 +51,38 @@ pub struct Parser {
     max_height: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Creates a parser over a token stream (must be terminated by `Eof`).
-    pub fn new(tokens: Vec<Token>) -> Self {
+    pub fn new(tokens: Vec<Token<'a>>) -> Self {
         Parser { tokens, pos: 0, depth: 0, height: 0, max_height: 0 }
     }
 
     // -- token helpers -------------------------------------------------------
 
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+    fn peek(&self) -> TokenKind<'a> {
+        self.peek_at(0)
     }
 
-    fn peek_at(&self, offset: usize) -> &TokenKind {
+    fn peek_at(&self, offset: usize) -> TokenKind<'a> {
         let idx = (self.pos + offset).min(self.tokens.len() - 1);
-        &self.tokens[idx].kind
+        self.tokens[idx].kind
     }
 
     fn span(&self) -> Span {
         self.tokens[self.pos.min(self.tokens.len() - 1)].span
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let kind = self.tokens[self.pos.min(self.tokens.len() - 1)].kind.clone();
+    fn bump(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        kind
     }
 
-    fn at(&self, kind: &TokenKind) -> bool {
+    fn at(&self, kind: TokenKind<'_>) -> bool {
         self.peek() == kind
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind<'_>) -> bool {
         if self.at(kind) {
             self.bump();
             true
@@ -89,7 +91,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(), ParseError> {
         if self.eat(kind) {
             Ok(())
         } else {
@@ -101,10 +103,10 @@ impl Parser {
     }
 
     fn expect_ident(&mut self, what: &str) -> Result<String, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Ident(name) => {
                 self.bump();
-                Ok(name)
+                Ok(name.to_owned())
             }
             // Many keywords are legal identifiers in practice (e.g. a property
             // called `count` or a variable called `end`); accept the
@@ -152,8 +154,8 @@ impl Parser {
     /// consumed.
     pub fn parse_query(&mut self) -> Result<Query, ParseError> {
         let query = self.parse_union_query()?;
-        self.eat(&TokenKind::Semicolon);
-        if !self.at(&TokenKind::Eof) {
+        self.eat(TokenKind::Semicolon);
+        if !self.at(TokenKind::Eof) {
             return self.error(format!("unexpected {} after query", self.peek().describe()));
         }
         Ok(query)
@@ -163,7 +165,7 @@ impl Parser {
     /// consumed.
     pub fn parse_standalone_expression(&mut self) -> Result<Expr, ParseError> {
         let expr = self.parse_expression()?;
-        if !self.at(&TokenKind::Eof) {
+        if !self.at(TokenKind::Eof) {
             return self.error(format!("unexpected {} after expression", self.peek().describe()));
         }
         Ok(expr)
@@ -173,8 +175,8 @@ impl Parser {
         let first = self.parse_single_query()?;
         let mut parts = vec![first];
         let mut unions = Vec::new();
-        while self.eat(&TokenKind::Union) {
-            let kind = if self.eat(&TokenKind::All) { UnionKind::All } else { UnionKind::Distinct };
+        while self.eat(TokenKind::Union) {
+            let kind = if self.eat(TokenKind::All) { UnionKind::All } else { UnionKind::Distinct };
             unions.push(kind);
             parts.push(self.parse_single_query()?);
         }
@@ -214,23 +216,23 @@ impl Parser {
 
     fn parse_match(&mut self) -> Result<MatchClause, ParseError> {
         let start = self.span();
-        let optional = self.eat(&TokenKind::Optional);
-        self.expect(&TokenKind::Match)?;
+        let optional = self.eat(TokenKind::Optional);
+        self.expect(TokenKind::Match)?;
         let mut patterns = vec![self.parse_path_pattern()?];
-        while self.eat(&TokenKind::Comma) {
+        while self.eat(TokenKind::Comma) {
             patterns.push(self.parse_path_pattern()?);
         }
         let where_clause =
-            if self.eat(&TokenKind::Where) { Some(self.parse_expression()?) } else { None };
+            if self.eat(TokenKind::Where) { Some(self.parse_expression()?) } else { None };
         let span = start.merge(self.prev_span());
         Ok(MatchClause { optional, patterns, where_clause, span })
     }
 
     fn parse_unwind(&mut self) -> Result<UnwindClause, ParseError> {
         let start = self.span();
-        self.expect(&TokenKind::Unwind)?;
+        self.expect(TokenKind::Unwind)?;
         let expr = self.parse_expression()?;
-        self.expect(&TokenKind::As)?;
+        self.expect(TokenKind::As)?;
         let alias = self.expect_ident("alias after AS")?;
         let span = start.merge(self.prev_span());
         Ok(UnwindClause { expr, alias, span })
@@ -238,64 +240,61 @@ impl Parser {
 
     fn parse_with(&mut self) -> Result<WithClause, ParseError> {
         let start = self.span();
-        self.expect(&TokenKind::With)?;
+        self.expect(TokenKind::With)?;
         let projection = self.parse_projection(start)?;
         let where_clause =
-            if self.eat(&TokenKind::Where) { Some(self.parse_expression()?) } else { None };
+            if self.eat(TokenKind::Where) { Some(self.parse_expression()?) } else { None };
         let span = start.merge(self.prev_span());
         Ok(WithClause { projection, where_clause, span })
     }
 
     fn parse_return(&mut self) -> Result<Projection, ParseError> {
         let start = self.span();
-        self.expect(&TokenKind::Return)?;
+        self.expect(TokenKind::Return)?;
         self.parse_projection(start)
     }
 
     fn parse_projection(&mut self, start: Span) -> Result<Projection, ParseError> {
-        let distinct = self.eat(&TokenKind::Distinct);
-        let items = if self.at(&TokenKind::Star) {
+        let distinct = self.eat(TokenKind::Distinct);
+        let items = if self.at(TokenKind::Star) {
             self.bump();
             ProjectionItems::Star
         } else {
             let mut items = vec![self.parse_projection_item()?];
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 items.push(self.parse_projection_item()?);
             }
             ProjectionItems::Items(items)
         };
 
         let mut order_by = Vec::new();
-        if self.at(&TokenKind::Order) {
+        if self.at(TokenKind::Order) {
             self.bump();
-            self.expect(&TokenKind::By)?;
+            self.expect(TokenKind::By)?;
             order_by.push(self.parse_order_item()?);
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 order_by.push(self.parse_order_item()?);
             }
         }
-        let skip = if self.eat(&TokenKind::Skip) { Some(self.parse_expression()?) } else { None };
-        let limit = if self.eat(&TokenKind::Limit) { Some(self.parse_expression()?) } else { None };
+        let skip = if self.eat(TokenKind::Skip) { Some(self.parse_expression()?) } else { None };
+        let limit = if self.eat(TokenKind::Limit) { Some(self.parse_expression()?) } else { None };
         let span = start.merge(self.prev_span());
         Ok(Projection { distinct, items, order_by, skip, limit, span })
     }
 
     fn parse_projection_item(&mut self) -> Result<ProjectionItem, ParseError> {
         let expr = self.parse_expression()?;
-        let alias = if self.eat(&TokenKind::As) {
-            Some(self.expect_ident("alias after AS")?)
-        } else {
-            None
-        };
+        let alias =
+            if self.eat(TokenKind::As) { Some(self.expect_ident("alias after AS")?) } else { None };
         Ok(ProjectionItem { expr, alias })
     }
 
     fn parse_order_item(&mut self) -> Result<OrderItem, ParseError> {
         let expr = self.parse_expression()?;
-        let ascending = if self.eat(&TokenKind::Desc) {
+        let ascending = if self.eat(TokenKind::Desc) {
             false
         } else {
-            self.eat(&TokenKind::Asc);
+            self.eat(TokenKind::Asc);
             true
         };
         Ok(OrderItem { expr, ascending })
@@ -306,9 +305,9 @@ impl Parser {
     fn parse_path_pattern(&mut self) -> Result<PathPattern, ParseError> {
         // Optional path variable: `p = (...)...`
         let variable =
-            if matches!(self.peek(), TokenKind::Ident(_)) && *self.peek_at(1) == TokenKind::Eq {
+            if matches!(self.peek(), TokenKind::Ident(_)) && self.peek_at(1) == TokenKind::Eq {
                 let name = self.expect_ident("path variable")?;
-                self.expect(&TokenKind::Eq)?;
+                self.expect(TokenKind::Eq)?;
                 Some(name)
             } else {
                 None
@@ -316,7 +315,7 @@ impl Parser {
 
         let start = self.parse_node_pattern()?;
         let mut segments = Vec::new();
-        while self.at(&TokenKind::Minus) || self.at(&TokenKind::Lt) {
+        while self.at(TokenKind::Minus) || self.at(TokenKind::Lt) {
             let relationship = self.parse_relationship_pattern()?;
             let node = self.parse_node_pattern()?;
             segments.push(PathSegment { relationship, node });
@@ -325,26 +324,26 @@ impl Parser {
     }
 
     fn parse_node_pattern(&mut self) -> Result<NodePattern, ParseError> {
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let mut node = NodePattern::default();
         if let TokenKind::Ident(_) = self.peek() {
             node.variable = Some(self.expect_ident("node variable")?);
         }
-        while self.eat(&TokenKind::Colon) {
+        while self.eat(TokenKind::Colon) {
             node.labels.push(self.expect_ident("node label")?);
         }
-        if self.at(&TokenKind::LBrace) {
+        if self.at(TokenKind::LBrace) {
             node.properties = self.parse_property_map()?;
         }
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         Ok(node)
     }
 
     /// Parses a relationship pattern between two node patterns:
     /// `-[...]->`, `<-[...]-`, `-[...]-`, `-->`, `<--` or `--`.
     fn parse_relationship_pattern(&mut self) -> Result<RelationshipPattern, ParseError> {
-        let leading_lt = self.eat(&TokenKind::Lt);
-        self.expect(&TokenKind::Minus)?;
+        let leading_lt = self.eat(TokenKind::Lt);
+        self.expect(TokenKind::Minus)?;
 
         let mut rel = RelationshipPattern {
             variable: None,
@@ -354,33 +353,33 @@ impl Parser {
             length: None,
         };
 
-        if self.eat(&TokenKind::LBracket) {
+        if self.eat(TokenKind::LBracket) {
             if let TokenKind::Ident(_) = self.peek() {
                 rel.variable = Some(self.expect_ident("relationship variable")?);
             }
-            if self.eat(&TokenKind::Colon) {
+            if self.eat(TokenKind::Colon) {
                 rel.labels.push(self.expect_ident("relationship label")?);
-                while self.eat(&TokenKind::Pipe) {
+                while self.eat(TokenKind::Pipe) {
                     // `:A|B` and `:A|:B` are both accepted.
-                    self.eat(&TokenKind::Colon);
+                    self.eat(TokenKind::Colon);
                     rel.labels.push(self.expect_ident("relationship label")?);
                 }
             }
-            if self.eat(&TokenKind::Star) {
+            if self.eat(TokenKind::Star) {
                 rel.length = Some(self.parse_var_length()?);
             }
-            if self.at(&TokenKind::LBrace) {
+            if self.at(TokenKind::LBrace) {
                 rel.properties = self.parse_property_map()?;
             }
             // Tolerate `*` after the property map as well.
-            if rel.length.is_none() && self.eat(&TokenKind::Star) {
+            if rel.length.is_none() && self.eat(TokenKind::Star) {
                 rel.length = Some(self.parse_var_length()?);
             }
-            self.expect(&TokenKind::RBracket)?;
+            self.expect(TokenKind::RBracket)?;
         }
 
-        self.expect(&TokenKind::Minus)?;
-        let trailing_gt = self.eat(&TokenKind::Gt);
+        self.expect(TokenKind::Minus)?;
+        let trailing_gt = self.eat(TokenKind::Gt);
 
         rel.direction = match (leading_lt, trailing_gt) {
             (true, false) => RelDirection::Incoming,
@@ -395,12 +394,12 @@ impl Parser {
 
     fn parse_var_length(&mut self) -> Result<VarLength, ParseError> {
         let mut length = VarLength { min: None, max: None };
-        if let TokenKind::Integer(v) = *self.peek() {
+        if let TokenKind::Integer(v) = self.peek() {
             self.bump();
             let v = self.check_hop_count(v)?;
             length.min = Some(v);
-            if self.eat(&TokenKind::DotDot) {
-                if let TokenKind::Integer(v) = *self.peek() {
+            if self.eat(TokenKind::DotDot) {
+                if let TokenKind::Integer(v) = self.peek() {
                     self.bump();
                     length.max = Some(self.check_hop_count(v)?);
                 }
@@ -408,8 +407,8 @@ impl Parser {
                 // `*2` means exactly two hops.
                 length.max = Some(v);
             }
-        } else if self.eat(&TokenKind::DotDot) {
-            if let TokenKind::Integer(v) = *self.peek() {
+        } else if self.eat(TokenKind::DotDot) {
+            if let TokenKind::Integer(v) = self.peek() {
                 self.bump();
                 length.max = Some(self.check_hop_count(v)?);
             }
@@ -428,22 +427,22 @@ impl Parser {
     }
 
     fn parse_property_map(&mut self) -> Result<Vec<(String, Expr)>, ParseError> {
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::LBrace)?;
         let mut properties = Vec::new();
         let mut height = 0;
-        if !self.at(&TokenKind::RBrace) {
+        if !self.at(TokenKind::RBrace) {
             loop {
                 let key = self.expect_ident("property key")?;
-                self.expect(&TokenKind::Colon)?;
+                self.expect(TokenKind::Colon)?;
                 let value = self.parse_expression()?;
                 height = height.max(self.height);
                 properties.push((key, value));
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RBrace)?;
+        self.expect(TokenKind::RBrace)?;
         // The map's nesting is that of its deepest value.
         self.height = height;
         Ok(properties)
@@ -480,7 +479,7 @@ impl Parser {
 
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_xor()?;
-        while self.eat(&TokenKind::Or) {
+        while self.eat(TokenKind::Or) {
             let lhs_height = self.height;
             let rhs = self.parse_xor()?;
             lhs = self.binary(BinaryOp::Or, lhs, lhs_height, rhs)?;
@@ -490,7 +489,7 @@ impl Parser {
 
     fn parse_xor(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_and()?;
-        while self.eat(&TokenKind::Xor) {
+        while self.eat(TokenKind::Xor) {
             let lhs_height = self.height;
             let rhs = self.parse_and()?;
             lhs = self.binary(BinaryOp::Xor, lhs, lhs_height, rhs)?;
@@ -500,7 +499,7 @@ impl Parser {
 
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_not()?;
-        while self.eat(&TokenKind::And) {
+        while self.eat(TokenKind::And) {
             let lhs_height = self.height;
             let rhs = self.parse_not()?;
             lhs = self.binary(BinaryOp::And, lhs, lhs_height, rhs)?;
@@ -512,7 +511,7 @@ impl Parser {
         // A run of NOTs is counted, not recursed into, so its length costs
         // no stack; each NOT then wraps the operand one level higher.
         let mut nots = 0;
-        while self.eat(&TokenKind::Not) {
+        while self.eat(TokenKind::Not) {
             nots += 1;
         }
         let mut expr = self.parse_comparison()?;
@@ -536,7 +535,7 @@ impl Parser {
                 TokenKind::In => BinaryOp::In,
                 TokenKind::Starts => {
                     self.bump();
-                    self.expect(&TokenKind::With)?;
+                    self.expect(TokenKind::With)?;
                     let lhs_height = self.height;
                     let rhs = self.parse_additive()?;
                     lhs = self.binary(BinaryOp::StartsWith, lhs, lhs_height, rhs)?;
@@ -544,7 +543,7 @@ impl Parser {
                 }
                 TokenKind::Ends => {
                     self.bump();
-                    self.expect(&TokenKind::With)?;
+                    self.expect(TokenKind::With)?;
                     let lhs_height = self.height;
                     let rhs = self.parse_additive()?;
                     lhs = self.binary(BinaryOp::EndsWith, lhs, lhs_height, rhs)?;
@@ -559,8 +558,8 @@ impl Parser {
                 }
                 TokenKind::Is => {
                     self.bump();
-                    let negated = self.eat(&TokenKind::Not);
-                    self.expect(&TokenKind::Null)?;
+                    let negated = self.eat(TokenKind::Not);
+                    self.expect(TokenKind::Null)?;
                     self.built(self.height)?;
                     lhs = Expr::IsNull { expr: Box::new(lhs), negated };
                     continue;
@@ -610,14 +609,14 @@ impl Parser {
 
     fn parse_power(&mut self) -> Result<Expr, ParseError> {
         let first = self.parse_unary()?;
-        if !self.at(&TokenKind::Caret) {
+        if !self.at(TokenKind::Caret) {
             return Ok(first);
         }
         // Exponentiation is right-associative. The operands are collected
         // in a loop and folded from the right, so a long chain costs no
         // recursion.
         let mut operands = vec![(first, self.height)];
-        while self.eat(&TokenKind::Caret) {
+        while self.eat(TokenKind::Caret) {
             operands.push((self.parse_unary()?, self.height));
         }
         let (mut rhs, mut rhs_height) = operands.pop().expect("a right operand");
@@ -662,18 +661,18 @@ impl Parser {
     fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
         let mut expr = self.parse_atom()?;
         loop {
-            if self.at(&TokenKind::Dot) {
+            if self.at(TokenKind::Dot) {
                 self.bump();
                 let key = self.expect_ident("property key")?;
                 self.built(self.height)?;
                 expr = Expr::Property(Box::new(expr), key);
-            } else if self.at(&TokenKind::LBracket) {
+            } else if self.at(TokenKind::LBracket) {
                 // List indexing `expr[idx]` is parsed as an uninterpreted
                 // `index` function application.
                 self.bump();
                 let base_height = self.height;
                 let idx = self.parse_expression()?;
-                self.expect(&TokenKind::RBracket)?;
+                self.expect(TokenKind::RBracket)?;
                 self.built(base_height.max(self.height))?;
                 expr = Expr::FunctionCall { name: "index".to_string(), args: vec![expr, idx] };
             } else {
@@ -684,18 +683,20 @@ impl Parser {
     }
 
     fn parse_atom(&mut self) -> Result<Expr, ParseError> {
-        let leaf = match self.peek().clone() {
+        let leaf = match self.peek() {
             TokenKind::Integer(v) => Expr::int(v),
             TokenKind::Float(v) => Expr::Literal(Literal::Float(v)),
-            TokenKind::StringLit(s) => Expr::string(s),
+            TokenKind::StringLit(body) => Expr::string(unescape(body)),
             TokenKind::True => Expr::boolean(true),
             TokenKind::False => Expr::boolean(false),
             TokenKind::Null => Expr::Literal(Literal::Null),
-            TokenKind::Parameter(name) => Expr::Parameter(name),
-            TokenKind::Ident(name) if self.peek_at(1) != &TokenKind::LParen => Expr::Variable(name),
+            TokenKind::Parameter(name) => Expr::Parameter(name.to_owned()),
+            TokenKind::Ident(name) if self.peek_at(1) != TokenKind::LParen => {
+                Expr::Variable(name.to_owned())
+            }
             TokenKind::Count => {
                 self.bump();
-                return self.parse_call("count".to_string());
+                return self.parse_call("count");
             }
             TokenKind::Ident(name) => {
                 self.bump();
@@ -705,23 +706,23 @@ impl Parser {
                 self.bump();
                 // Grouping builds no node: the nesting is the inner one's.
                 let expr = self.parse_expression()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 return Ok(expr);
             }
             TokenKind::LBracket => {
                 self.bump();
                 let mut items = Vec::new();
                 let mut height = 0;
-                if !self.at(&TokenKind::RBracket) {
+                if !self.at(TokenKind::RBracket) {
                     loop {
                         items.push(self.parse_expression()?);
                         height = height.max(self.height);
-                        if !self.eat(&TokenKind::Comma) {
+                        if !self.eat(TokenKind::Comma) {
                             break;
                         }
                     }
                 }
-                self.expect(&TokenKind::RBracket)?;
+                self.expect(TokenKind::RBracket)?;
                 self.built(height)?;
                 return Ok(Expr::List(items));
             }
@@ -747,33 +748,33 @@ impl Parser {
         Ok(leaf)
     }
 
-    fn parse_call(&mut self, name: String) -> Result<Expr, ParseError> {
-        self.expect(&TokenKind::LParen)?;
-        let distinct = self.eat(&TokenKind::Distinct);
+    fn parse_call(&mut self, name: &str) -> Result<Expr, ParseError> {
+        self.expect(TokenKind::LParen)?;
+        let distinct = self.eat(TokenKind::Distinct);
 
         // COUNT(*) / COUNT(DISTINCT *).
-        if self.at(&TokenKind::Star) && name.eq_ignore_ascii_case("count") {
+        if self.at(TokenKind::Star) && name.eq_ignore_ascii_case("count") {
             self.bump();
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
             self.built(0)?;
             return Ok(Expr::CountStar { distinct });
         }
 
         let mut args = Vec::new();
         let mut height = 0;
-        if !self.at(&TokenKind::RParen) {
+        if !self.at(TokenKind::RParen) {
             loop {
                 args.push(self.parse_expression()?);
                 height = height.max(self.height);
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         self.built(height)?;
 
-        if let Some(func) = Aggregate::from_name(&name) {
+        if let Some(func) = Aggregate::from_name(name) {
             if args.len() != 1 {
                 return self.error(format!(
                     "aggregate {} takes exactly one argument, got {}",
@@ -796,12 +797,12 @@ impl Parser {
 
     fn parse_exists(&mut self) -> Result<Expr, ParseError> {
         // `EXISTS { <query> }` subquery form.
-        if self.eat(&TokenKind::LBrace) {
+        if self.eat(TokenKind::LBrace) {
             // The subquery's expressions nest below this one: its nesting
             // is that of its deepest expression.
             let outer = std::mem::take(&mut self.max_height);
             let query = self.parse_union_query()?;
-            self.expect(&TokenKind::RBrace)?;
+            self.expect(TokenKind::RBrace)?;
             // Between this node and those expressions the tree has three
             // more levels: the query, its part and the clause.
             let inner = std::mem::replace(&mut self.max_height, outer);
@@ -810,10 +811,10 @@ impl Parser {
         }
         // `EXISTS(expr)` property-existence form, kept as an uninterpreted
         // function call.
-        if self.at(&TokenKind::LParen) {
+        if self.at(TokenKind::LParen) {
             self.bump();
             let inner = self.parse_expression()?;
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
             self.built(self.height)?;
             return Ok(Expr::FunctionCall { name: "exists".to_string(), args: vec![inner] });
         }
@@ -823,7 +824,7 @@ impl Parser {
     fn parse_case(&mut self) -> Result<Expr, ParseError> {
         // Only the searched CASE form (`CASE WHEN cond THEN value ...`) is
         // supported; the simple form can be rewritten into it.
-        if !self.at(&TokenKind::When) {
+        if !self.at(TokenKind::When) {
             return self.error(
                 "simple CASE (`CASE x WHEN v THEN r ... END`) is not supported; \
                  rewrite it in the searched form `CASE WHEN x = v THEN r ... END`",
@@ -831,22 +832,22 @@ impl Parser {
         }
         let mut branches = Vec::new();
         let mut height = 0;
-        while self.eat(&TokenKind::When) {
+        while self.eat(TokenKind::When) {
             let cond = self.parse_expression()?;
             height = height.max(self.height);
-            self.expect(&TokenKind::Then)?;
+            self.expect(TokenKind::Then)?;
             let value = self.parse_expression()?;
             height = height.max(self.height);
             branches.push((cond, value));
         }
-        let otherwise = if self.eat(&TokenKind::Else) {
+        let otherwise = if self.eat(TokenKind::Else) {
             let otherwise = self.parse_expression()?;
             height = height.max(self.height);
             Some(Box::new(otherwise))
         } else {
             None
         };
-        self.expect(&TokenKind::End)?;
+        self.expect(TokenKind::End)?;
         self.built(height)?;
         Ok(Expr::Case { branches, otherwise })
     }

@@ -4,32 +4,69 @@
 //! explicit parentheses only where needed, and names (variables, aliases,
 //! labels, relationship types, property and map keys) backtick-quoted when
 //! they would not re-lex as themselves. `parse(pretty(ast))` round-trips to
-//! an equal AST (covered by unit and property tests).
+//! an equal AST (covered by unit and property tests). Every node writes
+//! into one output `String`; no sub-node is rendered on its own.
 
-use std::borrow::Cow;
+use std::fmt::Write;
 
 use crate::ast::*;
 use crate::token::TokenKind;
 
-/// A name as it must be written to re-lex as the same identifier: bare when
-/// it matches `[A-Za-z_][A-Za-z0-9_]*` and is not a keyword, backtick-quoted
-/// otherwise. (A backtick-quoted identifier ends at the next backtick, so no
-/// parsed name contains one.)
-fn ident(name: &str) -> Cow<'_, str> {
-    let mut bytes = name.bytes();
-    let bare = bytes.next().is_some_and(|b| b.is_ascii_alphabetic() || b == b'_')
-        && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_')
-        && TokenKind::keyword_from_str(name).is_none();
-    if bare {
-        Cow::Borrowed(name)
-    } else {
-        Cow::Owned(format!("`{name}`"))
-    }
-}
+/// Room for a typical corpus query, so printing one allocates once.
+const TYPICAL_QUERY_BYTES: usize = 128;
 
 /// Renders a full query.
 pub fn query_to_string(query: &Query) -> String {
+    let mut out = String::with_capacity(TYPICAL_QUERY_BYTES);
+    write_query(&mut out, query);
+    out
+}
+
+/// Renders an expression with minimal but sufficient parenthesization.
+pub fn expr_to_string(expr: &Expr) -> String {
     let mut out = String::new();
+    write_expr(&mut out, expr, 0);
+    out
+}
+
+/// Whether `name` re-lexes as the same identifier when written bare: it
+/// matches `[A-Za-z_][A-Za-z0-9_]*` and is not a keyword.
+fn is_bare(name: &str) -> bool {
+    let mut bytes = name.bytes();
+    bytes.next().is_some_and(|b| b.is_ascii_alphabetic() || b == b'_')
+        && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_')
+        && TokenKind::keyword_from_str(name).is_none()
+}
+
+/// Writes a name as it must be written to re-lex as the same identifier:
+/// bare when [`is_bare`], backtick-quoted otherwise. (A backtick-quoted
+/// identifier ends at the next backtick, so no parsed name contains one.)
+fn write_ident(out: &mut String, name: &str) {
+    if is_bare(name) {
+        out.push_str(name);
+    } else {
+        out.push('`');
+        out.push_str(name);
+        out.push('`');
+    }
+}
+
+/// Writes `items` separated by `separator`.
+fn write_separated<T>(
+    out: &mut String,
+    items: &[T],
+    separator: &str,
+    mut write: impl FnMut(&mut String, &T),
+) {
+    for (index, item) in items.iter().enumerate() {
+        if index > 0 {
+            out.push_str(separator);
+        }
+        write(out, item);
+    }
+}
+
+fn write_query(out: &mut String, query: &Query) {
     for (i, part) in query.parts.iter().enumerate() {
         if i > 0 {
             match query.unions[i - 1] {
@@ -37,178 +74,155 @@ pub fn query_to_string(query: &Query) -> String {
                 UnionKind::Distinct => out.push_str(" UNION "),
             }
         }
-        out.push_str(&single_query_to_string(part));
+        write_separated(out, &part.clauses, " ", write_clause);
     }
-    out
 }
 
-/// Renders a single (non-union) query.
-pub fn single_query_to_string(query: &SingleQuery) -> String {
-    query.clauses.iter().map(clause_to_string).collect::<Vec<_>>().join(" ")
-}
-
-/// Renders one clause.
-pub fn clause_to_string(clause: &Clause) -> String {
+fn write_clause(out: &mut String, clause: &Clause) {
     match clause {
         Clause::Match(m) => {
-            let mut out = String::new();
             if m.optional {
                 out.push_str("OPTIONAL ");
             }
             out.push_str("MATCH ");
-            out.push_str(&m.patterns.iter().map(path_to_string).collect::<Vec<_>>().join(", "));
-            if let Some(w) = &m.where_clause {
-                out.push_str(" WHERE ");
-                out.push_str(&expr_to_string(w));
-            }
-            out
+            write_separated(out, &m.patterns, ", ", write_path);
+            write_where(out, m.where_clause.as_ref());
         }
         Clause::Unwind(u) => {
-            format!("UNWIND {} AS {}", expr_to_string(&u.expr), ident(&u.alias))
+            out.push_str("UNWIND ");
+            write_expr(out, &u.expr, 0);
+            out.push_str(" AS ");
+            write_ident(out, &u.alias);
         }
         Clause::With(w) => {
-            let mut out = format!("WITH {}", projection_to_string(&w.projection));
-            if let Some(pred) = &w.where_clause {
-                out.push_str(" WHERE ");
-                out.push_str(&expr_to_string(pred));
-            }
-            out
+            out.push_str("WITH ");
+            write_projection(out, &w.projection);
+            write_where(out, w.where_clause.as_ref());
         }
-        Clause::Return(p) => format!("RETURN {}", projection_to_string(p)),
+        Clause::Return(p) => {
+            out.push_str("RETURN ");
+            write_projection(out, p);
+        }
     }
 }
 
-/// Renders a projection body (shared by `WITH` and `RETURN`).
-pub fn projection_to_string(p: &Projection) -> String {
-    let mut out = String::new();
+fn write_where(out: &mut String, predicate: Option<&Expr>) {
+    if let Some(predicate) = predicate {
+        out.push_str(" WHERE ");
+        write_expr(out, predicate, 0);
+    }
+}
+
+/// Writes a projection body (shared by `WITH` and `RETURN`).
+fn write_projection(out: &mut String, p: &Projection) {
     if p.distinct {
         out.push_str("DISTINCT ");
     }
     match &p.items {
         ProjectionItems::Star => out.push('*'),
-        ProjectionItems::Items(items) => {
-            out.push_str(
-                &items
-                    .iter()
-                    .map(|item| match &item.alias {
-                        Some(alias) => {
-                            format!("{} AS {}", expr_to_string(&item.expr), ident(alias))
-                        }
-                        None => expr_to_string(&item.expr),
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            );
-        }
+        ProjectionItems::Items(items) => write_separated(out, items, ", ", |out, item| {
+            write_expr(out, &item.expr, 0);
+            if let Some(alias) = &item.alias {
+                out.push_str(" AS ");
+                write_ident(out, alias);
+            }
+        }),
     }
     if !p.order_by.is_empty() {
         out.push_str(" ORDER BY ");
-        out.push_str(
-            &p.order_by
-                .iter()
-                .map(|o| {
-                    if o.ascending {
-                        expr_to_string(&o.expr)
-                    } else {
-                        format!("{} DESC", expr_to_string(&o.expr))
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
+        write_separated(out, &p.order_by, ", ", |out, order| {
+            write_expr(out, &order.expr, 0);
+            if !order.ascending {
+                out.push_str(" DESC");
+            }
+        });
     }
     if let Some(skip) = &p.skip {
         out.push_str(" SKIP ");
-        out.push_str(&expr_to_string(skip));
+        write_expr(out, skip, 0);
     }
     if let Some(limit) = &p.limit {
         out.push_str(" LIMIT ");
-        out.push_str(&expr_to_string(limit));
+        write_expr(out, limit, 0);
     }
-    out
 }
 
-/// Renders a path pattern.
-pub fn path_to_string(path: &PathPattern) -> String {
-    let mut out = String::new();
+fn write_path(out: &mut String, path: &PathPattern) {
     if let Some(v) = &path.variable {
-        out.push_str(&ident(v));
+        write_ident(out, v);
         out.push_str(" = ");
     }
-    out.push_str(&node_to_string(&path.start));
+    write_node(out, &path.start);
     for segment in &path.segments {
-        out.push_str(&relationship_to_string(&segment.relationship));
-        out.push_str(&node_to_string(&segment.node));
+        write_relationship(out, &segment.relationship);
+        write_node(out, &segment.node);
     }
-    out
 }
 
-/// Renders a node pattern.
-pub fn node_to_string(node: &NodePattern) -> String {
-    let mut out = String::from("(");
+fn write_node(out: &mut String, node: &NodePattern) {
+    out.push('(');
     if let Some(v) = &node.variable {
-        out.push_str(&ident(v));
+        write_ident(out, v);
     }
     for label in &node.labels {
         out.push(':');
-        out.push_str(&ident(label));
+        write_ident(out, label);
     }
     if !node.properties.is_empty() {
         if node.variable.is_some() || !node.labels.is_empty() {
             out.push(' ');
         }
-        out.push_str(&property_map_to_string(&node.properties));
+        write_map(out, &node.properties);
     }
     out.push(')');
-    out
 }
 
-/// Renders a relationship pattern including its arrow decoration.
-pub fn relationship_to_string(rel: &RelationshipPattern) -> String {
-    let mut detail = String::new();
-    if let Some(v) = &rel.variable {
-        detail.push_str(&ident(v));
-    }
-    if !rel.labels.is_empty() {
-        detail.push(':');
-        detail.push_str(&rel.labels.iter().map(|l| ident(l)).collect::<Vec<_>>().join("|"));
-    }
-    if let Some(length) = &rel.length {
-        detail.push('*');
-        match (length.min, length.max) {
-            (Some(min), Some(max)) if min == max => detail.push_str(&min.to_string()),
-            (Some(min), Some(max)) => detail.push_str(&format!("{min}..{max}")),
-            (Some(min), None) => detail.push_str(&format!("{min}..")),
-            (None, Some(max)) => detail.push_str(&format!("..{max}")),
-            (None, None) => {}
+/// Writes a relationship pattern including its arrow decoration; the
+/// bracketed detail only when there is any.
+fn write_relationship(out: &mut String, rel: &RelationshipPattern) {
+    out.push_str(if rel.direction == RelDirection::Incoming { "<-" } else { "-" });
+    let before_properties =
+        rel.variable.is_some() || !rel.labels.is_empty() || rel.length.is_some();
+    if before_properties || !rel.properties.is_empty() {
+        out.push('[');
+        if let Some(v) = &rel.variable {
+            write_ident(out, v);
         }
-    }
-    if !rel.properties.is_empty() {
-        if !detail.is_empty() {
-            detail.push(' ');
+        if !rel.labels.is_empty() {
+            out.push(':');
+            write_separated(out, &rel.labels, "|", |out, label| write_ident(out, label));
         }
-        detail.push_str(&property_map_to_string(&rel.properties));
+        if let Some(length) = &rel.length {
+            out.push('*');
+            // Writing into a `String` cannot fail.
+            let _ = match (length.min, length.max) {
+                (Some(min), Some(max)) if min == max => write!(out, "{min}"),
+                (Some(min), Some(max)) => write!(out, "{min}..{max}"),
+                (Some(min), None) => write!(out, "{min}.."),
+                (None, Some(max)) => write!(out, "..{max}"),
+                (None, None) => Ok(()),
+            };
+        }
+        if !rel.properties.is_empty() {
+            if before_properties {
+                out.push(' ');
+            }
+            write_map(out, &rel.properties);
+        }
+        out.push(']');
     }
-    let body = if detail.is_empty() { String::new() } else { format!("[{detail}]") };
-    match rel.direction {
-        RelDirection::Outgoing => format!("-{body}->"),
-        RelDirection::Incoming => format!("<-{body}-"),
-        RelDirection::Undirected => format!("-{body}-"),
-    }
+    out.push_str(if rel.direction == RelDirection::Outgoing { "->" } else { "-" });
 }
 
-fn property_map_to_string(properties: &[(String, Expr)]) -> String {
-    let body = properties
-        .iter()
-        .map(|(k, v)| format!("{}: {}", ident(k), expr_to_string(v)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("{{{body}}}")
-}
-
-/// Renders an expression with minimal but sufficient parenthesization.
-pub fn expr_to_string(expr: &Expr) -> String {
-    render_expr(expr, 0)
+/// Writes a property map or map literal, `{key: value, ...}`.
+fn write_map(out: &mut String, entries: &[(String, Expr)]) {
+    out.push('{');
+    write_separated(out, entries, ", ", |out, (key, value)| {
+        write_ident(out, key);
+        out.push_str(": ");
+        write_expr(out, value, 0);
+    });
+    out.push('}');
 }
 
 /// Precedence levels used to decide when parentheses are required. Higher
@@ -258,118 +272,127 @@ fn op_text(op: BinaryOp) -> &'static str {
     }
 }
 
-fn render_expr(expr: &Expr, parent_prec: u8) -> String {
+/// Writes `expr`, parenthesized when it binds more loosely than its context
+/// (`parent_prec`) allows.
+fn write_expr(out: &mut String, expr: &Expr, parent_prec: u8) {
     match expr {
-        Expr::Literal(lit) => literal_to_string(lit),
-        Expr::Variable(v) => ident(v).into_owned(),
-        Expr::Parameter(p) => format!("${p}"),
-        Expr::Property(base, key) => format!("{}.{}", render_expr(base, 10), ident(key)),
+        Expr::Literal(lit) => write_literal(out, lit),
+        Expr::Variable(v) => write_ident(out, v),
+        Expr::Parameter(p) => {
+            out.push('$');
+            out.push_str(p);
+        }
+        Expr::Property(base, key) => {
+            write_expr(out, base, 10);
+            out.push('.');
+            write_ident(out, key);
+        }
         Expr::Unary(op, inner) => {
-            let rendered = render_expr(inner, 9);
-            let text = match op {
-                UnaryOp::Not => format!("NOT {rendered}"),
-                UnaryOp::Neg => format!("-{rendered}"),
-                UnaryOp::Pos => format!("+{rendered}"),
-            };
             // NOT binds between AND and comparisons.
             let prec = if *op == UnaryOp::Not { 4 } else { 9 };
-            maybe_paren(text, prec, parent_prec)
+            parenthesized(out, prec < parent_prec, |out| {
+                out.push_str(match op {
+                    UnaryOp::Not => "NOT ",
+                    UnaryOp::Neg => "-",
+                    UnaryOp::Pos => "+",
+                });
+                write_expr(out, inner, 9);
+            });
         }
         Expr::Binary(op, lhs, rhs) => {
             let prec = precedence(*op);
-            let lhs_text = render_expr(lhs, prec);
-            // Use prec + 1 on the right so non-associative chains reproduce
-            // the original grouping when reparsed (all our binary operators
-            // are parsed left-associatively except `^`).
-            let rhs_prec = if *op == BinaryOp::Pow { prec } else { prec + 1 };
-            let rhs_text = render_expr(rhs, rhs_prec);
-            maybe_paren(format!("{lhs_text} {} {rhs_text}", op_text(*op)), prec, parent_prec)
+            parenthesized(out, prec < parent_prec, |out| {
+                write_expr(out, lhs, prec);
+                out.push(' ');
+                out.push_str(op_text(*op));
+                out.push(' ');
+                // Use prec + 1 on the right so non-associative chains
+                // reproduce the original grouping when reparsed (all our
+                // binary operators are parsed left-associatively except `^`).
+                write_expr(out, rhs, if *op == BinaryOp::Pow { prec } else { prec + 1 });
+            });
         }
-        Expr::IsNull { expr, negated } => {
-            let text = if *negated {
-                format!("{} IS NOT NULL", render_expr(expr, 6))
-            } else {
-                format!("{} IS NULL", render_expr(expr, 6))
-            };
-            maybe_paren(text, 5, parent_prec)
-        }
+        Expr::IsNull { expr, negated } => parenthesized(out, 5 < parent_prec, |out| {
+            write_expr(out, expr, 6);
+            out.push_str(if *negated { " IS NOT NULL" } else { " IS NULL" });
+        }),
         Expr::List(items) => {
-            format!("[{}]", items.iter().map(|e| render_expr(e, 0)).collect::<Vec<_>>().join(", "))
+            out.push('[');
+            write_separated(out, items, ", ", |out, item| write_expr(out, item, 0));
+            out.push(']');
         }
-        Expr::Map(entries) => {
-            let body = entries
-                .iter()
-                .map(|(k, v)| format!("{}: {}", ident(k), render_expr(v, 0)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{{{body}}}")
-        }
+        Expr::Map(entries) => write_map(out, entries),
         Expr::FunctionCall { name, args } => {
-            format!(
-                "{name}({})",
-                args.iter().map(|a| render_expr(a, 0)).collect::<Vec<_>>().join(", ")
-            )
+            out.push_str(name);
+            out.push('(');
+            write_separated(out, args, ", ", |out, arg| write_expr(out, arg, 0));
+            out.push(')');
         }
         Expr::AggregateCall { func, distinct, arg } => {
-            if *distinct {
-                format!("{}(DISTINCT {})", func.name(), render_expr(arg, 0))
-            } else {
-                format!("{}({})", func.name(), render_expr(arg, 0))
-            }
+            out.push_str(func.name());
+            out.push_str(if *distinct { "(DISTINCT " } else { "(" });
+            write_expr(out, arg, 0);
+            out.push(')');
         }
         Expr::CountStar { distinct } => {
-            if *distinct {
-                "COUNT(DISTINCT *)".to_string()
-            } else {
-                "COUNT(*)".to_string()
-            }
+            out.push_str(if *distinct { "COUNT(DISTINCT *)" } else { "COUNT(*)" });
         }
-        Expr::Exists(query) => format!("EXISTS {{ {} }}", query_to_string(query)),
+        Expr::Exists(query) => {
+            out.push_str("EXISTS { ");
+            write_query(out, query);
+            out.push_str(" }");
+        }
         Expr::Case { branches, otherwise } => {
-            let mut out = String::from("CASE");
+            out.push_str("CASE");
             for (cond, value) in branches {
-                out.push_str(&format!(
-                    " WHEN {} THEN {}",
-                    render_expr(cond, 0),
-                    render_expr(value, 0)
-                ));
+                out.push_str(" WHEN ");
+                write_expr(out, cond, 0);
+                out.push_str(" THEN ");
+                write_expr(out, value, 0);
             }
             if let Some(e) = otherwise {
-                out.push_str(&format!(" ELSE {}", render_expr(e, 0)));
+                out.push_str(" ELSE ");
+                write_expr(out, e, 0);
             }
             out.push_str(" END");
-            out
         }
     }
 }
 
-fn maybe_paren(text: String, prec: u8, parent_prec: u8) -> String {
-    if prec < parent_prec {
-        format!("({text})")
-    } else {
-        text
+fn parenthesized(out: &mut String, paren: bool, write: impl FnOnce(&mut String)) {
+    if paren {
+        out.push('(');
+    }
+    write(out);
+    if paren {
+        out.push(')');
     }
 }
 
-fn literal_to_string(lit: &Literal) -> String {
-    match lit {
-        Literal::Integer(v) => v.to_string(),
-        Literal::Float(v) => {
-            // Keep a decimal point so the value re-lexes as a float.
-            if v.fract() == 0.0 && v.is_finite() {
-                format!("{v:.1}")
-            } else {
-                v.to_string()
-            }
-        }
+fn write_literal(out: &mut String, lit: &Literal) {
+    // Writing into a `String` cannot fail.
+    let _ = match lit {
+        Literal::Integer(v) => write!(out, "{v}"),
+        // Keep a decimal point so the value re-lexes as a float.
+        Literal::Float(v) if v.fract() == 0.0 && v.is_finite() => write!(out, "{v:.1}"),
+        Literal::Float(v) => write!(out, "{v}"),
         Literal::String(s) => {
-            let escaped = s.replace('\\', "\\\\").replace('\'', "\\'");
-            format!("'{escaped}'")
+            out.push('\'');
+            let mut rest = s.as_str();
+            while let Some(index) = rest.find(['\\', '\'']) {
+                out.push_str(&rest[..index]);
+                out.push('\\');
+                out.push_str(&rest[index..=index]);
+                rest = &rest[index + 1..];
+            }
+            out.push_str(rest);
+            out.push('\'');
+            Ok(())
         }
-        Literal::Boolean(true) => "TRUE".to_string(),
-        Literal::Boolean(false) => "FALSE".to_string(),
-        Literal::Null => "NULL".to_string(),
-    }
+        Literal::Boolean(true) => out.write_str("TRUE"),
+        Literal::Boolean(false) => out.write_str("FALSE"),
+        Literal::Null => out.write_str("NULL"),
+    };
 }
 
 #[cfg(test)]
@@ -444,6 +467,11 @@ mod tests {
 
     #[test]
     fn idents_are_quoted_exactly_when_needed() {
+        let ident = |name: &str| {
+            let mut out = String::new();
+            write_ident(&mut out, name);
+            out
+        };
         for bare in ["n", "_x", "Person", "a1_b", "MATCHES", "countx"] {
             assert_eq!(ident(bare), bare);
         }

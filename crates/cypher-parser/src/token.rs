@@ -2,43 +2,49 @@
 //!
 //! Cypher keywords are case-insensitive; the lexer normalizes them into
 //! dedicated [`TokenKind`] variants so the parser never has to compare
-//! identifier text against keyword strings.
+//! identifier text against keyword strings. Tokens borrow their text from
+//! the query: lexing allocates nothing but the token vector, and the parser
+//! copies a name or literal only when it moves it into the AST.
 
 use std::fmt;
 
+use crate::lexer::unescape;
 use crate::Span;
 
 /// A single lexical token together with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// What kind of token this is.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte range in the original query text.
     pub span: Span,
 }
 
-impl Token {
+impl<'a> Token<'a> {
     /// Creates a new token.
-    pub fn new(kind: TokenKind, span: Span) -> Self {
+    pub fn new(kind: TokenKind<'a>, span: Span) -> Self {
         Token { kind, span }
     }
 }
 
 /// The kind of a lexical token.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)] // the keyword variants are self-describing
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     // ---- literals & names -------------------------------------------------
-    /// An identifier such as a variable, label, property key or function name.
-    Ident(String),
+    /// An identifier such as a variable, label, property key or function
+    /// name (a backtick-quoted one without its backticks).
+    Ident(&'a str),
     /// A signless integer literal.
     Integer(i64),
     /// A signless floating point literal.
     Float(f64),
-    /// A single- or double-quoted string literal (escapes already resolved).
-    StringLit(String),
-    /// A query parameter, e.g. `$param`.
-    Parameter(String),
+    /// A single- or double-quoted string literal: the text between the
+    /// quotes, whose escape sequences the lexer has checked but not yet
+    /// resolved (see [`unescape`]).
+    StringLit(&'a str),
+    /// A query parameter, e.g. `$param` (the name without the `$`).
+    Parameter(&'a str),
 
     // ---- keywords ---------------------------------------------------------
     Match,
@@ -130,7 +136,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Returns `true` if this token can begin a clause (used for error recovery).
     pub fn is_clause_start(&self) -> bool {
         matches!(
@@ -150,7 +156,7 @@ impl TokenKind {
             TokenKind::Ident(s) => format!("identifier `{s}`"),
             TokenKind::Integer(v) => format!("integer `{v}`"),
             TokenKind::Float(v) => format!("float `{v}`"),
-            TokenKind::StringLit(s) => format!("string {s:?}"),
+            TokenKind::StringLit(s) => format!("string {:?}", unescape(s)),
             TokenKind::Parameter(p) => format!("parameter `${p}`"),
             TokenKind::Eof => "end of input".to_string(),
             other => format!("`{other}`"),
@@ -161,7 +167,7 @@ impl TokenKind {
     ///
     /// Cypher keywords are matched case-insensitively. `COUNT` is kept as a
     /// keyword because `COUNT(*)` needs special parsing.
-    pub fn keyword_from_str(ident: &str) -> Option<TokenKind> {
+    pub fn keyword_from_str(ident: &str) -> Option<TokenKind<'static>> {
         // Every keyword is ASCII and at most 10 bytes long: upper-case into a
         // stack buffer instead of allocating.
         let mut buffer = [0u8; 10];
@@ -210,13 +216,13 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             TokenKind::Ident(s) => return write!(f, "{s}"),
             TokenKind::Integer(v) => return write!(f, "{v}"),
             TokenKind::Float(v) => return write!(f, "{v}"),
-            TokenKind::StringLit(s) => return write!(f, "'{s}'"),
+            TokenKind::StringLit(s) => return write!(f, "'{}'", unescape(s)),
             TokenKind::Parameter(p) => return write!(f, "${p}"),
             TokenKind::Match => "MATCH",
             TokenKind::Optional => "OPTIONAL",
@@ -305,7 +311,7 @@ mod tests {
         assert!(TokenKind::Match.is_clause_start());
         assert!(TokenKind::Return.is_clause_start());
         assert!(!TokenKind::Where.is_clause_start());
-        assert!(!TokenKind::Ident("x".into()).is_clause_start());
+        assert!(!TokenKind::Ident("x").is_clause_start());
     }
 
     #[test]
@@ -313,12 +319,14 @@ mod tests {
         assert_eq!(TokenKind::Le.to_string(), "<=");
         assert_eq!(TokenKind::Neq.to_string(), "<>");
         assert_eq!(TokenKind::DotDot.to_string(), "..");
-        assert_eq!(TokenKind::Parameter("p".into()).to_string(), "$p");
+        assert_eq!(TokenKind::Parameter("p").to_string(), "$p");
+        assert_eq!(TokenKind::StringLit(r"it\'s").to_string(), "'it's'");
     }
 
     #[test]
     fn describe_mentions_payload() {
-        assert!(TokenKind::Ident("foo".into()).describe().contains("foo"));
+        assert!(TokenKind::Ident("foo").describe().contains("foo"));
+        assert_eq!(TokenKind::StringLit(r"a\nb").describe(), r#"string "a\nb""#);
         assert!(TokenKind::Integer(42).describe().contains("42"));
         assert!(TokenKind::Eof.describe().contains("end of input"));
     }

@@ -148,21 +148,25 @@ pub fn try_normalize_query_with(
     query: &Query,
     recorder: &mut impl Recorder,
 ) -> Result<Query, limits::Trip> {
-    let mut current = query.clone();
+    // The query after the last step; `None` while no rule has fired, so a
+    // query no rule rewrites is cloned once, at the end.
+    let mut rewritten: Option<Query> = None;
     for _ in 0..64 {
         limits::checkpoint(limits::Stage::Normalize)?;
+        let current = rewritten.as_ref().unwrap_or(query);
         let step = FIXPOINT_RULES
             .iter()
-            .find_map(|(rule, apply)| apply(&current).map(|next| (*rule, next)));
+            .find_map(|(rule, apply)| apply(current).map(|next| (*rule, next)));
         let Some((rule, next)) = step else { break };
-        recorder.record(rule, &current, &next);
-        current = next;
+        recorder.record(rule, current, &next);
+        rewritten = Some(next);
     }
-    let (renamed, changed) = rules::rule5_standardize::apply(&current);
-    if changed {
-        recorder.record(Rule::Standardize, &current, &renamed);
+    let current = rewritten.as_ref().unwrap_or(query);
+    if let Some(renamed) = rules::rule5_standardize::apply(current) {
+        recorder.record(Rule::Standardize, current, &renamed);
+        return Ok(renamed);
     }
-    Ok(renamed)
+    Ok(rewritten.unwrap_or_else(|| query.clone()))
 }
 
 #[cfg(test)]

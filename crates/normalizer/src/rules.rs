@@ -1,9 +1,10 @@
 //! The individual normalization rules of Table II.
 //!
-//! Every rule exposes `apply(&Query) -> Option<Query>` returning `Some` when
-//! it rewrote something (rule ⑤ returns the rewritten query plus a change
-//! flag since it always succeeds). Rules must be semantics preserving; the
-//! crate-level tests check them against the reference evaluator.
+//! Every rule exposes `apply(&Query) -> Option<Query>`, returning `Some` when
+//! it rewrote something. A rule decides by reference whether it fires and
+//! clones the query only when it does; rules ④ to ⑥ then substitute
+//! variables in place. Rules must be semantics preserving; the crate-level
+//! tests check them against the reference evaluator.
 
 use cypher_parser::ast::*;
 
@@ -11,61 +12,50 @@ use cypher_parser::ast::*;
 mod util {
     use super::*;
 
-    /// Applies `f` to every expression embedded in a single query
-    /// (property maps, predicates, projections, `ORDER BY`, `UNWIND`).
-    pub fn map_expressions(query: &mut SingleQuery, f: &impl Fn(Expr) -> Expr) {
-        for clause in &mut query.clauses {
+    /// Calls `f` on every expression node of the clauses, in place:
+    /// property maps, predicates, projections, `ORDER BY`, `SKIP`, `LIMIT`
+    /// and `UNWIND` lists, but not `EXISTS` bodies (see [`Expr::walk_mut`]).
+    pub fn walk_expressions_mut(clauses: &mut [Clause], f: &mut impl FnMut(&mut Expr)) {
+        for clause in clauses {
             match clause {
                 Clause::Match(m) => {
                     for pattern in &mut m.patterns {
-                        map_pattern(pattern, f);
+                        let properties = std::iter::once(&mut pattern.start.properties).chain(
+                            pattern.segments.iter_mut().flat_map(|segment| {
+                                [&mut segment.relationship.properties, &mut segment.node.properties]
+                            }),
+                        );
+                        for (_, value) in properties.flatten() {
+                            value.walk_mut(f);
+                        }
                     }
-                    if let Some(w) = m.where_clause.take() {
-                        m.where_clause = Some(w.map(f));
+                    if let Some(predicate) = &mut m.where_clause {
+                        predicate.walk_mut(f);
                     }
                 }
-                Clause::Unwind(u) => {
-                    u.expr = u.expr.clone().map(f);
-                }
+                Clause::Unwind(u) => u.expr.walk_mut(f),
                 Clause::With(w) => {
-                    map_projection(&mut w.projection, f);
-                    if let Some(p) = w.where_clause.take() {
-                        w.where_clause = Some(p.map(f));
+                    walk_projection_mut(&mut w.projection, f);
+                    if let Some(predicate) = &mut w.where_clause {
+                        predicate.walk_mut(f);
                     }
                 }
-                Clause::Return(p) => map_projection(p, f),
+                Clause::Return(p) => walk_projection_mut(p, f),
             }
         }
     }
 
-    pub fn map_projection(projection: &mut Projection, f: &impl Fn(Expr) -> Expr) {
+    fn walk_projection_mut(projection: &mut Projection, f: &mut impl FnMut(&mut Expr)) {
         if let ProjectionItems::Items(items) = &mut projection.items {
             for item in items {
-                item.expr = item.expr.clone().map(f);
+                item.expr.walk_mut(f);
             }
         }
         for order in &mut projection.order_by {
-            order.expr = order.expr.clone().map(f);
+            order.expr.walk_mut(f);
         }
-        if let Some(skip) = projection.skip.take() {
-            projection.skip = Some(skip.map(f));
-        }
-        if let Some(limit) = projection.limit.take() {
-            projection.limit = Some(limit.map(f));
-        }
-    }
-
-    pub fn map_pattern(pattern: &mut PathPattern, f: &impl Fn(Expr) -> Expr) {
-        for (_, value) in &mut pattern.start.properties {
-            *value = value.clone().map(f);
-        }
-        for segment in &mut pattern.segments {
-            for (_, value) in &mut segment.relationship.properties {
-                *value = value.clone().map(f);
-            }
-            for (_, value) in &mut segment.node.properties {
-                *value = value.clone().map(f);
-            }
+        for expr in projection.skip.iter_mut().chain(&mut projection.limit) {
+            expr.walk_mut(f);
         }
     }
 
@@ -114,32 +104,22 @@ mod util {
     /// the rest with `UNION ALL`. Only used when the query has no
     /// deduplicating unions (checked by the callers).
     pub fn splice_parts(query: &Query, index: usize, replacements: Vec<SingleQuery>) -> Query {
-        let mut parts = Vec::new();
-        let mut unions = Vec::new();
-        for (i, part) in query.parts.iter().enumerate() {
-            if i == index {
-                for (j, replacement) in replacements.iter().enumerate() {
-                    if !parts.is_empty() {
-                        unions.push(if j == 0 && i > 0 {
-                            query.unions[i - 1]
-                        } else {
-                            UnionKind::All
-                        });
-                    }
-                    parts.push(replacement.clone());
-                }
-            } else {
-                if !parts.is_empty() {
-                    unions.push(if i > 0 { query.unions[i - 1] } else { UnionKind::All });
-                }
-                parts.push(part.clone());
-            }
-        }
+        let joins = std::iter::repeat_n(UnionKind::All, replacements.len() - 1);
+        let (before, after) = (&query.parts[..index], &query.parts[index + 1..]);
+        let parts =
+            before.iter().cloned().chain(replacements).chain(after.iter().cloned()).collect();
+        let (before, after) = query.unions.split_at(index);
+        let unions = before.iter().copied().chain(joins).chain(after.iter().copied()).collect();
         Query { parts, unions }
     }
 
     pub fn all_unions_are_all(query: &Query) -> bool {
         query.unions.iter().all(|u| *u == UnionKind::All)
+    }
+
+    /// Renames a variable in place, reusing its buffer.
+    pub fn rename(name: &mut String, to: &str) {
+        name.replace_range(.., to);
     }
 }
 
@@ -258,8 +238,8 @@ pub mod rule2_var_length {
     ) {
         let Clause::Match(m) = &mut part.clauses[clause_index] else { return };
         let pattern = &mut m.patterns[pattern_index];
-        let original = pattern.segments[segment_index].clone();
-        let mut replacement_segments = Vec::new();
+        let original = pattern.segments.remove(segment_index);
+        let mut replacement_segments = Vec::with_capacity(hops as usize);
         for hop in 0..hops {
             let relationship = RelationshipPattern {
                 variable: None,
@@ -272,7 +252,7 @@ pub mod rule2_var_length {
                 if hop + 1 == hops { original.node.clone() } else { NodePattern::anonymous() };
             replacement_segments.push(PathSegment { relationship, node });
         }
-        pattern.segments.splice(segment_index..=segment_index, replacement_segments);
+        pattern.segments.splice(segment_index..segment_index, replacement_segments);
     }
 }
 
@@ -282,34 +262,42 @@ pub mod rule3_return_star {
     use super::util;
     use super::*;
 
-    /// Applies the rule to the first star projection found.
+    /// Expands every star projection that has variables in scope.
     pub fn apply(query: &Query) -> Option<Query> {
-        let mut result = query.clone();
-        let mut changed = false;
-        for part in &mut result.parts {
+        let mut result: Option<Query> = None;
+        for (part_index, part) in query.parts.iter().enumerate() {
             for index in 0..part.clauses.len() {
-                let scope = util::visible_variables(&part.clauses[..index]);
-                let projection = match &mut part.clauses[index] {
-                    Clause::With(w) => &mut w.projection,
-                    Clause::Return(p) => p,
-                    _ => continue,
-                };
-                if projection.items == ProjectionItems::Star && !scope.is_empty() {
-                    projection.items = ProjectionItems::Items(
-                        scope
-                            .iter()
-                            .map(|name| ProjectionItem::expr(Expr::Variable(name.clone())))
-                            .collect(),
-                    );
-                    changed = true;
+                let Some(scope) = expansion(&part.clauses, index) else { continue };
+                let result = result.get_or_insert_with(|| query.clone());
+                let items =
+                    scope.into_iter().map(|name| ProjectionItem::expr(Expr::Variable(name)));
+                let items = ProjectionItems::Items(items.collect());
+                match &mut result.parts[part_index].clauses[index] {
+                    Clause::With(w) => w.projection.items = items,
+                    Clause::Return(p) => p.items = items,
+                    _ => unreachable!("only projections expand"),
                 }
             }
         }
-        if changed {
-            Some(result)
-        } else {
-            None
+        result
+    }
+
+    /// The variables a `*` projection at `clauses[index]` expands to: the
+    /// scope visible there, computed only at a star, and `None` when the
+    /// clause is no star projection or nothing is in scope. (A star before
+    /// it leaves the same set of names in scope whether or not it has been
+    /// expanded, so expanding against the original query is exact.)
+    fn expansion(clauses: &[Clause], index: usize) -> Option<Vec<String>> {
+        let projection = match &clauses[index] {
+            Clause::With(w) => &w.projection,
+            Clause::Return(p) => p,
+            _ => return None,
+        };
+        if projection.items != ProjectionItems::Star {
+            return None;
         }
+        let scope = util::visible_variables(&clauses[..index]);
+        (!scope.is_empty()).then_some(scope)
     }
 }
 
@@ -323,10 +311,9 @@ pub mod rule4_redundant_with {
 
     /// Applies the rule to the first redundant `WITH` found.
     pub fn apply(query: &Query) -> Option<Query> {
-        let mut result = query.clone();
-        for part in &mut result.parts {
-            for index in 0..part.clauses.len() {
-                let Clause::With(w) = &part.clauses[index] else { continue };
+        for (part_index, part) in query.parts.iter().enumerate() {
+            for (index, clause) in part.clauses.iter().enumerate() {
+                let Clause::With(w) = clause else { continue };
                 if w.projection.distinct
                     || w.projection.has_sort_or_truncation()
                     || w.where_clause.is_some()
@@ -337,28 +324,23 @@ pub mod rule4_redundant_with {
                 if items.iter().any(|item| item.expr.contains_aggregate()) {
                     continue;
                 }
-                // Build the substitution output name -> defining expression.
-                let mut substitution: BTreeMap<String, Expr> = BTreeMap::new();
-                let mut trivial = true;
-                for item in items {
-                    let name = item.output_name();
-                    if item.alias.is_none() && matches!(item.expr, Expr::Variable(_)) {
-                        // `WITH x` keeps `x` as-is; nothing to substitute.
-                        continue;
+                // Output name -> defining expression. `WITH x` keeps `x` as
+                // it is: nothing to substitute.
+                let substitution: BTreeMap<String, &Expr> = items
+                    .iter()
+                    .filter(|item| item.alias.is_some() || !matches!(item.expr, Expr::Variable(_)))
+                    .map(|item| (item.output_name(), &item.expr))
+                    .collect();
+                let mut result = query.clone();
+                let clauses = &mut result.parts[part_index].clauses;
+                clauses.remove(index);
+                util::walk_expressions_mut(&mut clauses[index..], &mut |expr| {
+                    if let Expr::Variable(name) = expr {
+                        if let Some(&definition) = substitution.get(name.as_str()) {
+                            *expr = definition.clone();
+                        }
                     }
-                    trivial = false;
-                    substitution.insert(name, item.expr.clone());
-                }
-                // A WITH that only forwards variables is redundant as well.
-                let _ = trivial;
-                part.clauses.remove(index);
-                // Substitute in the remaining clauses of this part.
-                let mut tail = SingleQuery { clauses: part.clauses.split_off(index) };
-                util::map_expressions(&mut tail, &|expr| match &expr {
-                    Expr::Variable(name) => substitution.get(name).cloned().unwrap_or(expr),
-                    _ => expr,
                 });
-                part.clauses.extend(tail.clauses);
                 return Some(result);
             }
         }
@@ -373,22 +355,22 @@ pub mod rule5_standardize {
     use super::*;
     use std::collections::BTreeMap;
 
-    /// Renames the variables of every part. Returns the rewritten query and
-    /// whether anything changed.
-    pub fn apply(query: &Query) -> (Query, bool) {
-        let mut result = query.clone();
-        let mut changed = false;
-        for part in &mut result.parts {
+    /// Renames the variables of every part; `None` when every name is
+    /// already standard.
+    pub fn apply(query: &Query) -> Option<Query> {
+        let mut result: Option<Query> = None;
+        for (index, part) in query.parts.iter().enumerate() {
             let mapping = build_mapping(part);
-            if mapping.iter().any(|(from, to)| from != to) {
-                changed = true;
+            if mapping.iter().all(|(from, to)| from == to) {
+                continue;
             }
-            rename_part(part, &mapping);
+            let result = result.get_or_insert_with(|| query.clone());
+            rename_part(&mut result.parts[index], &mapping);
         }
-        (result, changed)
+        result
     }
 
-    fn build_mapping(part: &SingleQuery) -> BTreeMap<String, String> {
+    fn build_mapping(part: &SingleQuery) -> BTreeMap<&str, String> {
         let mut mapping = BTreeMap::new();
         let mut nodes = 0usize;
         let mut rels = 0usize;
@@ -398,21 +380,21 @@ pub mod rule5_standardize {
             for pattern in &m.patterns {
                 if let Some(v) = &pattern.variable {
                     paths += 1;
-                    mapping.entry(v.clone()).or_insert_with(|| format!("p{paths}"));
+                    mapping.entry(v.as_str()).or_insert_with(|| format!("p{paths}"));
                 }
                 for node in pattern.nodes() {
                     if let Some(v) = &node.variable {
-                        if !mapping.contains_key(v) {
+                        if !mapping.contains_key(v.as_str()) {
                             nodes += 1;
-                            mapping.insert(v.clone(), format!("n{nodes}"));
+                            mapping.insert(v.as_str(), format!("n{nodes}"));
                         }
                     }
                 }
                 for rel in pattern.relationships() {
                     if let Some(v) = &rel.variable {
-                        if !mapping.contains_key(v) {
+                        if !mapping.contains_key(v.as_str()) {
                             rels += 1;
-                            mapping.insert(v.clone(), format!("r{rels}"));
+                            mapping.insert(v.as_str(), format!("r{rels}"));
                         }
                     }
                 }
@@ -421,41 +403,28 @@ pub mod rule5_standardize {
         mapping
     }
 
-    fn rename_part(part: &mut SingleQuery, mapping: &BTreeMap<String, String>) {
+    fn rename_part(part: &mut SingleQuery, mapping: &BTreeMap<&str, String>) {
+        let rename = |name: &mut String| {
+            if let Some(new) = mapping.get(name.as_str()) {
+                util::rename(name, new);
+            }
+        };
         for clause in &mut part.clauses {
-            if let Clause::Match(m) = clause {
-                for pattern in &mut m.patterns {
-                    if let Some(v) = &mut pattern.variable {
-                        if let Some(new) = mapping.get(v) {
-                            *v = new.clone();
-                        }
-                    }
-                    if let Some(v) = &mut pattern.start.variable {
-                        if let Some(new) = mapping.get(v) {
-                            *v = new.clone();
-                        }
-                    }
-                    for segment in &mut pattern.segments {
-                        if let Some(v) = &mut segment.relationship.variable {
-                            if let Some(new) = mapping.get(v) {
-                                *v = new.clone();
-                            }
-                        }
-                        if let Some(v) = &mut segment.node.variable {
-                            if let Some(new) = mapping.get(v) {
-                                *v = new.clone();
-                            }
-                        }
-                    }
+            let Clause::Match(m) = clause else { continue };
+            for pattern in &mut m.patterns {
+                let segments = pattern.segments.iter_mut().flat_map(|segment| {
+                    [&mut segment.relationship.variable, &mut segment.node.variable]
+                });
+                let variables = [&mut pattern.variable, &mut pattern.start.variable];
+                for variable in variables.into_iter().chain(segments).flatten() {
+                    rename(variable);
                 }
             }
         }
-        util::map_expressions(part, &|expr| match &expr {
-            Expr::Variable(name) => match mapping.get(name) {
-                Some(new) => Expr::Variable(new.clone()),
-                None => expr,
-            },
-            _ => expr,
+        util::walk_expressions_mut(&mut part.clauses, &mut |expr| {
+            if let Expr::Variable(name) = expr {
+                rename(name);
+            }
         });
     }
 }
@@ -469,40 +438,54 @@ pub mod rule6_id_equality {
 
     /// Applies the rule to the first `id(a) = id(b)` conjunct found.
     pub fn apply(query: &Query) -> Option<Query> {
-        let mut result = query.clone();
-        for part in &mut result.parts {
-            for clause_index in 0..part.clauses.len() {
-                let Clause::Match(m) = &mut part.clauses[clause_index] else { continue };
+        for (part_index, part) in query.parts.iter().enumerate() {
+            for (clause_index, clause) in part.clauses.iter().enumerate() {
+                let Clause::Match(m) = clause else { continue };
                 let Some(predicate) = &m.where_clause else { continue };
                 let Some((keep, drop, remainder)) = find_id_equality(predicate) else { continue };
-                m.where_clause = remainder;
+                let mut result = query.clone();
+                let part = &mut result.parts[part_index];
+                if let Clause::Match(m) = &mut part.clauses[clause_index] {
+                    m.where_clause = remainder;
+                }
                 // Substitute `drop` by `keep` throughout the part.
+                let rename = |name: &mut String| {
+                    if name.as_str() == drop {
+                        util::rename(name, keep);
+                    }
+                };
                 for clause in &mut part.clauses {
-                    if let Clause::Match(m) = clause {
-                        for pattern in &mut m.patterns {
-                            rename_pattern_variable(pattern, &drop, &keep);
+                    let Clause::Match(m) = clause else { continue };
+                    for pattern in &mut m.patterns {
+                        let segments = pattern.segments.iter_mut().flat_map(|segment| {
+                            [&mut segment.node.variable, &mut segment.relationship.variable]
+                        });
+                        let variables = std::iter::once(&mut pattern.start.variable);
+                        for variable in variables.chain(segments).flatten() {
+                            rename(variable);
                         }
                     }
                 }
-                util::map_expressions(part, &|expr| match &expr {
-                    Expr::Variable(name) if *name == drop => Expr::Variable(keep.clone()),
-                    _ => expr,
+                util::walk_expressions_mut(&mut part.clauses, &mut |expr| {
+                    if let Expr::Variable(name) = expr {
+                        rename(name);
+                    }
                 });
                 // Deduplicate bare single-node patterns that are now identical.
                 if let Clause::Match(m) = &mut part.clauses[clause_index] {
-                    let mut seen: Vec<PathPattern> = Vec::new();
-                    m.patterns.retain(|pattern| {
+                    let mut index = 0;
+                    while index < m.patterns.len() {
+                        let pattern = &m.patterns[index];
                         let bare = pattern.segments.is_empty()
                             && pattern.start.labels.is_empty()
                             && pattern.start.properties.is_empty()
                             && pattern.start.variable.is_some();
-                        if bare && seen.contains(pattern) {
-                            false
+                        if bare && m.patterns[..index].contains(pattern) {
+                            m.patterns.remove(index);
                         } else {
-                            seen.push(pattern.clone());
-                            true
+                            index += 1;
                         }
-                    });
+                    }
                 }
                 return Some(result);
             }
@@ -510,56 +493,49 @@ pub mod rule6_id_equality {
         None
     }
 
-    fn rename_pattern_variable(pattern: &mut PathPattern, from: &str, to: &str) {
-        if pattern.start.variable.as_deref() == Some(from) {
-            pattern.start.variable = Some(to.to_string());
-        }
-        for segment in &mut pattern.segments {
-            if segment.node.variable.as_deref() == Some(from) {
-                segment.node.variable = Some(to.to_string());
-            }
-            if segment.relationship.variable.as_deref() == Some(from) {
-                segment.relationship.variable = Some(to.to_string());
-            }
-        }
-    }
-
     /// Finds a conjunct `id(a) = id(b)` in the AND-tree of the predicate.
     /// Returns `(a, b, predicate without the conjunct)`.
-    fn find_id_equality(predicate: &Expr) -> Option<(String, String, Option<Expr>)> {
-        let conjuncts = flatten_and(predicate);
-        for (index, conjunct) in conjuncts.iter().enumerate() {
-            if let Expr::Binary(BinaryOp::Eq, lhs, rhs) = conjunct {
-                if let (Some(a), Some(b)) = (id_argument(lhs), id_argument(rhs)) {
-                    if a != b {
-                        let mut remaining = conjuncts.clone();
-                        remaining.remove(index);
-                        let remainder = remaining.into_iter().reduce(Expr::and);
-                        return Some((a, b, remainder));
-                    }
-                }
+    fn find_id_equality(predicate: &Expr) -> Option<(&str, &str, Option<Expr>)> {
+        let (equality, keep, drop) = find_conjunct(predicate, &mut |conjunct| {
+            let Expr::Binary(BinaryOp::Eq, lhs, rhs) = conjunct else { return None };
+            let (a, b) = (id_argument(lhs)?, id_argument(rhs)?);
+            (a != b).then_some((conjunct, a, b))
+        })?;
+        // The other conjuncts, joined again from the left.
+        let mut remainder: Option<Expr> = None;
+        find_conjunct(predicate, &mut |conjunct| {
+            if !std::ptr::eq(conjunct, equality) {
+                let conjunct = conjunct.clone();
+                remainder = Some(match remainder.take() {
+                    Some(lhs) => Expr::and(lhs, conjunct),
+                    None => conjunct,
+                });
             }
-        }
-        None
+            None::<()>
+        });
+        Some((keep, drop, remainder))
     }
 
-    fn flatten_and(expr: &Expr) -> Vec<Expr> {
+    /// Calls `f` on the conjuncts of an AND-tree, left to right, until it
+    /// returns `Some`.
+    fn find_conjunct<'e, T>(
+        expr: &'e Expr,
+        f: &mut impl FnMut(&'e Expr) -> Option<T>,
+    ) -> Option<T> {
         match expr {
             Expr::Binary(BinaryOp::And, lhs, rhs) => {
-                let mut out = flatten_and(lhs);
-                out.extend(flatten_and(rhs));
-                out
+                find_conjunct(lhs, f).or_else(|| find_conjunct(rhs, f))
             }
-            other => vec![other.clone()],
+            other => f(other),
         }
     }
 
-    /// Returns the variable inside `id(x)`, or the variable itself.
-    fn id_argument(expr: &Expr) -> Option<String> {
+    /// Returns the variable inside `id(x)`.
+    fn id_argument(expr: &Expr) -> Option<&str> {
         match expr {
             Expr::FunctionCall { name, args } if name == "id" && args.len() == 1 => {
                 match &args[0] {
-                    Expr::Variable(v) => Some(v.clone()),
+                    Expr::Variable(v) => Some(v),
                     _ => None,
                 }
             }
