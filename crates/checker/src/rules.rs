@@ -86,22 +86,17 @@ pub fn normalize_with_trace(query: &Query) -> Vec<TraceStep> {
         let step = FIXPOINT_RULES
             .iter()
             .find_map(|(rule, apply)| apply(current).map(|next| (*rule, next)));
-        let Some((rule, next)) = step else { break };
-        push_step(&mut trace, query, rule, next);
+        let Some((rule, after)) = step else { break };
+        let (part, clause) = diff_position(current, &after);
+        trace.push(TraceStep { rule, part, clause, after });
     }
     // Rule ⑤ last: pure renaming, applied once, recorded only when it fired.
     let current = trace.last().map_or(query, |step| &step.after);
-    if let Some(renamed) = rule5_standardize::apply(current) {
-        push_step(&mut trace, query, rule_names::STANDARDIZE, renamed);
+    if let Some(after) = rule5_standardize::apply(current) {
+        let (part, clause) = diff_position(current, &after);
+        trace.push(TraceStep { rule: rule_names::STANDARDIZE, part, clause, after });
     }
     trace
-}
-
-/// Appends the step to `after`, positioned against the query before it.
-fn push_step(trace: &mut Vec<TraceStep>, query: &Query, rule: &'static str, after: Query) {
-    let before = trace.last().map_or(query, |step| &step.after);
-    let (part, clause) = diff_position(before, &after);
-    trace.push(TraceStep { rule, part, clause, after });
 }
 
 mod util {
@@ -210,11 +205,6 @@ mod util {
 
     pub fn all_unions_are_all(query: &Query) -> bool {
         query.unions.iter().all(|u| *u == UnionKind::All)
-    }
-
-    /// Renames a variable in place, reusing its buffer.
-    pub fn rename(name: &mut String, to: &str) {
-        name.replace_range(.., to);
     }
 }
 
@@ -501,7 +491,7 @@ mod rule5_standardize {
     fn rename_part(part: &mut SingleQuery, mapping: &BTreeMap<&str, String>) {
         let rename = |name: &mut String| {
             if let Some(new) = mapping.get(name.as_str()) {
-                util::rename(name, new);
+                name.replace_range(.., new);
             }
         };
         for clause in &mut part.clauses {
@@ -546,7 +536,7 @@ mod rule6_id_equality {
                 // Substitute `drop` by `keep` throughout the part.
                 let rename = |name: &mut String| {
                     if name.as_str() == drop {
-                        util::rename(name, keep);
+                        name.replace_range(.., keep);
                     }
                 };
                 for clause in &mut part.clauses {
@@ -591,37 +581,26 @@ mod rule6_id_equality {
     /// Finds a conjunct `id(a) = id(b)` in the AND-tree of the predicate.
     /// Returns `(a, b, predicate without the conjunct)`.
     fn find_id_equality(predicate: &Expr) -> Option<(&str, &str, Option<Expr>)> {
-        let (equality, keep, drop) = find_conjunct(predicate, &mut |conjunct| {
-            let Expr::Binary(BinaryOp::Eq, lhs, rhs) = conjunct else { return None };
+        let mut conjuncts = Vec::new();
+        collect_conjuncts(predicate, &mut conjuncts);
+        let (index, keep, drop) = conjuncts.iter().copied().enumerate().find_map(|(i, c)| {
+            let Expr::Binary(BinaryOp::Eq, lhs, rhs) = c else { return None };
             let (a, b) = (id_argument(lhs)?, id_argument(rhs)?);
-            (a != b).then_some((conjunct, a, b))
+            (a != b).then_some((i, a, b))
         })?;
-        // The other conjuncts, joined again from the left.
-        let mut remainder: Option<Expr> = None;
-        find_conjunct(predicate, &mut |conjunct| {
-            if !std::ptr::eq(conjunct, equality) {
-                let conjunct = conjunct.clone();
-                remainder = Some(match remainder.take() {
-                    Some(lhs) => Expr::and(lhs, conjunct),
-                    None => conjunct,
-                });
-            }
-            None::<()>
-        });
+        conjuncts.remove(index);
+        let remainder = conjuncts.into_iter().cloned().reduce(Expr::and);
         Some((keep, drop, remainder))
     }
 
-    /// Calls `f` on the conjuncts of an AND-tree, left to right, until it
-    /// returns `Some`.
-    fn find_conjunct<'e, T>(
-        expr: &'e Expr,
-        f: &mut impl FnMut(&'e Expr) -> Option<T>,
-    ) -> Option<T> {
+    /// Appends the conjuncts of an AND-tree to `out`, left to right.
+    fn collect_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
         match expr {
             Expr::Binary(BinaryOp::And, lhs, rhs) => {
-                find_conjunct(lhs, f).or_else(|| find_conjunct(rhs, f))
+                collect_conjuncts(lhs, out);
+                collect_conjuncts(rhs, out);
             }
-            other => f(other),
+            other => out.push(other),
         }
     }
 

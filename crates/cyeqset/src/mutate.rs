@@ -37,19 +37,15 @@ pub fn change_value_or_label(query_text: &str) -> Option<String> {
                 break;
             }
             if let Clause::Match(m) = clause {
-                if let Some(w) = m.where_clause.take() {
-                    // `Expr::map` takes a `Fn`, so track the first-hit flag in
-                    // a cell.
-                    let hit = std::cell::Cell::new(false);
-                    let rewritten = w.map(&|e| match &e {
-                        Expr::Literal(Literal::Integer(v)) if !hit.get() => {
-                            hit.set(true);
-                            Expr::int(v + 1)
+                if let Some(w) = &mut m.where_clause {
+                    w.walk_mut(&mut |e| {
+                        if let Expr::Literal(Literal::Integer(v)) = e {
+                            if !changed {
+                                *v += 1;
+                                changed = true;
+                            }
                         }
-                        _ => e,
                     });
-                    changed = hit.get();
-                    m.where_clause = Some(rewritten);
                 }
                 if !changed {
                     for pattern in &mut m.patterns {

@@ -664,40 +664,17 @@ impl Expr {
         }
     }
 
-    /// Rewrites the expression bottom-up by applying `f` to every node.
-    pub fn map(self, f: &impl Fn(Expr) -> Expr) -> Expr {
-        let rebuilt = match self {
-            Expr::Literal(_) | Expr::Variable(_) | Expr::Parameter(_) | Expr::CountStar { .. } => {
-                self
-            }
-            Expr::Property(e, key) => Expr::Property(Box::new(e.map(f)), key),
-            Expr::Unary(op, e) => Expr::Unary(op, Box::new(e.map(f))),
-            Expr::Binary(op, l, r) => Expr::Binary(op, Box::new(l.map(f)), Box::new(r.map(f))),
-            Expr::IsNull { expr, negated } => Expr::IsNull { expr: Box::new(expr.map(f)), negated },
-            Expr::List(items) => Expr::List(items.into_iter().map(|e| e.map(f)).collect()),
-            Expr::Map(entries) => {
-                Expr::Map(entries.into_iter().map(|(k, v)| (k, v.map(f))).collect())
-            }
-            Expr::FunctionCall { name, args } => {
-                Expr::FunctionCall { name, args: args.into_iter().map(|e| e.map(f)).collect() }
-            }
-            Expr::AggregateCall { func, distinct, arg } => {
-                Expr::AggregateCall { func, distinct, arg: Box::new(arg.map(f)) }
-            }
-            Expr::Exists(q) => Expr::Exists(q),
-            Expr::Case { branches, otherwise } => Expr::Case {
-                branches: branches.into_iter().map(|(c, v)| (c.map(f), v.map(f))).collect(),
-                otherwise: otherwise.map(|e| Box::new(e.map(f))),
-            },
-        };
-        f(rebuilt)
+    /// Rewrites the expression bottom-up by applying `f` to every node: the
+    /// owned form of [`Expr::walk_mut`].
+    pub fn map(mut self, f: &impl Fn(Expr) -> Expr) -> Expr {
+        self.walk_mut(&mut |node| *node = f(std::mem::replace(node, Expr::Literal(Literal::Null))));
+        self
     }
 
     /// Calls `f` on every sub-expression and then on this expression
     /// (post-order), in place. `EXISTS` subqueries are not descended into.
-    /// This is [`Expr::map`]'s traversal without rebuilding the tree: `f`
-    /// may replace the node it is given, and a replacement is not visited
-    /// again.
+    /// `f` may replace the node it is given, and a replacement is not
+    /// visited again.
     pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
         match self {
             Expr::Literal(_)
@@ -824,20 +801,17 @@ mod tests {
     }
 
     #[test]
-    fn walk_mut_substitutes_like_map() {
-        let substitute = |node: Expr| match node {
-            Expr::Variable(name) if name == "x" => Expr::prop("x", "p"),
-            other => other,
-        };
+    fn map_does_not_revisit_replacements() {
         let e = Expr::and(
             Expr::eq(Expr::var("x"), Expr::FunctionCall { name: "f".into(), args: vec![] }),
             Expr::List(vec![Expr::var("y"), Expr::var("x")]),
         );
-        let mut walked = e.clone();
-        walked.walk_mut(&mut |node| *node = substitute(std::mem::replace(node, Expr::int(0))));
-        assert_eq!(walked, e.map(&substitute));
+        let substituted = e.map(&|node| match node {
+            Expr::Variable(name) if name == "x" => Expr::prop("x", "p"),
+            other => other,
+        });
         // The replacement `x.p` contains `x`, but is not visited again.
-        assert_eq!(walked.to_string(), "x.p = f() AND [y, x.p]");
+        assert_eq!(substituted.to_string(), "x.p = f() AND [y, x.p]");
     }
 
     #[test]

@@ -116,11 +116,6 @@ mod util {
     pub fn all_unions_are_all(query: &Query) -> bool {
         query.unions.iter().all(|u| *u == UnionKind::All)
     }
-
-    /// Renames a variable in place, reusing its buffer.
-    pub fn rename(name: &mut String, to: &str) {
-        name.replace_range(.., to);
-    }
 }
 
 /// Rule ①: eliminate undirected relationship patterns by splitting the query
@@ -406,7 +401,7 @@ pub mod rule5_standardize {
     fn rename_part(part: &mut SingleQuery, mapping: &BTreeMap<&str, String>) {
         let rename = |name: &mut String| {
             if let Some(new) = mapping.get(name.as_str()) {
-                util::rename(name, new);
+                name.replace_range(.., new);
             }
         };
         for clause in &mut part.clauses {
@@ -451,7 +446,7 @@ pub mod rule6_id_equality {
                 // Substitute `drop` by `keep` throughout the part.
                 let rename = |name: &mut String| {
                     if name.as_str() == drop {
-                        util::rename(name, keep);
+                        name.replace_range(.., keep);
                     }
                 };
                 for clause in &mut part.clauses {
@@ -496,37 +491,26 @@ pub mod rule6_id_equality {
     /// Finds a conjunct `id(a) = id(b)` in the AND-tree of the predicate.
     /// Returns `(a, b, predicate without the conjunct)`.
     fn find_id_equality(predicate: &Expr) -> Option<(&str, &str, Option<Expr>)> {
-        let (equality, keep, drop) = find_conjunct(predicate, &mut |conjunct| {
-            let Expr::Binary(BinaryOp::Eq, lhs, rhs) = conjunct else { return None };
+        let mut conjuncts = Vec::new();
+        collect_conjuncts(predicate, &mut conjuncts);
+        let (index, keep, drop) = conjuncts.iter().copied().enumerate().find_map(|(i, c)| {
+            let Expr::Binary(BinaryOp::Eq, lhs, rhs) = c else { return None };
             let (a, b) = (id_argument(lhs)?, id_argument(rhs)?);
-            (a != b).then_some((conjunct, a, b))
+            (a != b).then_some((i, a, b))
         })?;
-        // The other conjuncts, joined again from the left.
-        let mut remainder: Option<Expr> = None;
-        find_conjunct(predicate, &mut |conjunct| {
-            if !std::ptr::eq(conjunct, equality) {
-                let conjunct = conjunct.clone();
-                remainder = Some(match remainder.take() {
-                    Some(lhs) => Expr::and(lhs, conjunct),
-                    None => conjunct,
-                });
-            }
-            None::<()>
-        });
+        conjuncts.remove(index);
+        let remainder = conjuncts.into_iter().cloned().reduce(Expr::and);
         Some((keep, drop, remainder))
     }
 
-    /// Calls `f` on the conjuncts of an AND-tree, left to right, until it
-    /// returns `Some`.
-    fn find_conjunct<'e, T>(
-        expr: &'e Expr,
-        f: &mut impl FnMut(&'e Expr) -> Option<T>,
-    ) -> Option<T> {
+    /// Appends the conjuncts of an AND-tree to `out`, left to right.
+    fn collect_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
         match expr {
             Expr::Binary(BinaryOp::And, lhs, rhs) => {
-                find_conjunct(lhs, f).or_else(|| find_conjunct(rhs, f))
+                collect_conjuncts(lhs, out);
+                collect_conjuncts(rhs, out);
             }
-            other => f(other),
+            other => out.push(other),
         }
     }
 
